@@ -4,8 +4,9 @@
 //
 //   incremental — QueryEngine::RunOverlayBatch: one base run, one
 //                 classification pass splitting rows into
-//                 overlay-invariant vs overlay-sensitive, then grouped
-//                 re-check scans over only the sensitive rows;
+//                 overlay-invariant vs overlay-sensitive, a per-query
+//                 pass recording each sensitive row's base pruner, then
+//                 grouped re-checks of only the sensitive rows;
 //   rebuild     — the cold baseline: per user, materialize the patched
 //                 SimilaritySpace and run the full batch from scratch,
 //                 modeled cost summed over users.

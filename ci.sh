@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point, ten stages (docs/ROBUSTNESS.md covers asan/chaos/
+# CI entry point, eleven stages (docs/ROBUSTNESS.md covers asan/chaos/
 # replica, docs/KERNELS.md covers 6-7, docs/SHARDING.md covers 8,
 # docs/MUTABILITY.md covers 10):
 #   1. plain   — RelWithDebInfo build + full ctest suite
@@ -25,15 +25,21 @@
 #                below 2.0x on the scan-heavy workload
 #   9. overlays— bench_overlays --quick, then tools/check_overlay_gate.py
 #                fails the run if incremental overlay results are not
-#                bit-identical to the per-user patched-space rebuild or
-#                the modeled speedup at 256 users / 1% touch drops
-#                below 3.0x
+#                bit-identical to the per-user patched-space rebuild, the
+#                modeled speedup at 256 users / 1% touch drops below 3.0x,
+#                or that point spends more than 20 re-check pair tests per
+#                sensitive (query, user) candidate
 #  10. mutations— bench_mutations --quick, then
 #                tools/check_mutation_gate.py fails the run if Database
 #                snapshot queries are not bit-identical to re-preparing
 #                the mutated dataset from scratch or the modeled query
 #                slowdown at a 1% delta exceeds 1.3x; plus an nmrs_cli
 #                serve smoke over a scripted mutation workload
+#  11. perfbench— python3 perfbench/test_perfbench.py: every workload of
+#                the repository benchmark at its tiny size, which checks
+#                answers against independent paths (overlay answers
+#                against the per-user rebuild), so a src/ change that
+#                breaks the benchmark fails here
 # Sanitizer builds are Debug so NMRS_DCHECKs are active, and only build
 # gtest-free targets to keep every instrumented frame inside nmrs code.
 set -euo pipefail
@@ -91,5 +97,8 @@ printf 'query 3,4,2\ninsert 3,4,2\ndelete 0\nquery 3,4,2\ncompact\nquery 3,4,2\n
   > "${SERVE_DIR}/workload.txt"
 ./build/tools/nmrs_cli serve --data="${SERVE_DIR}/data.csv" \
   --matrices="${SERVE_DIR}/m" --script="${SERVE_DIR}/workload.txt"
+
+echo "=== repository benchmark smoke (perfbench tiny size) ==="
+python3 perfbench/test_perfbench.py
 
 echo "ci: all ok"

@@ -145,18 +145,19 @@ struct OverlayBatchResult {
   /// per-user classification over all users (their sum is rows * users);
   /// `recheck_scans` counts the grouped re-check passes over the dataset
   /// (<= queries * ceil(users / overlay_group)); `recheck_checks` /
-  /// `recheck_pair_tests` aggregate the re-check pruning work.
+  /// `recheck_pair_tests` aggregate the pruning work of the pruner-hint
+  /// pass and the re-checks.
   uint64_t sensitive_rows = 0;
   uint64_t invariant_rows = 0;
   uint64_t recheck_scans = 0;
   uint64_t recheck_checks = 0;
   uint64_t recheck_pair_tests = 0;
 
-  /// IO of the classification pass + all re-check scans (excluded from
-  /// base.total_io; total_io below is the whole batch).
+  /// IO of the classification pass, the hint pass and the re-check scans
+  /// (excluded from base.total_io; total_io below is the whole batch).
   IoStats overlay_io;
 
-  /// Aggregate IO: base batch + classification + re-check scans.
+  /// Aggregate IO: base batch + overlay_io.
   IoStats total_io;
 
   double wall_millis = 0;
@@ -208,10 +209,12 @@ class QueryEngine {
   /// the normal RunBatch machinery (workers, cache, kernels, shared scans,
   /// faults, failover — everything applies), one query-independent
   /// classification pass splitting rows into overlay-invariant vs
-  /// overlay-sensitive per user, and one re-check scan per (query, group
-  /// of overlay_group users) deciding only the sensitive candidates under
-  /// that user's overlaid distances. Rows are bit-identical to rebuilding
-  /// each user's patched space and running the batch per user.
+  /// overlay-sensitive per user, one pass per query recording each
+  /// sensitive row's first base-space pruner, and one re-check per (query,
+  /// group of overlay_group users) deciding only the sensitive candidates
+  /// under that user's overlaid distances, hint first. Rows are
+  /// bit-identical to rebuilding each user's patched space and running the
+  /// batch per user.
   ///
   /// Every overlay must be non-null and built over this engine's space;
   /// the engine's rs.overlay template must be null (the per-user overlays

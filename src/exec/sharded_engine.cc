@@ -12,7 +12,6 @@
 #include "core/dominance.h"
 #include "core/shard_exchange.h"
 #include "exec/overlay_exec.h"
-#include "sim/matrix_overlay.h"
 
 namespace nmrs {
 
@@ -578,24 +577,7 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
 StatusOr<ShardedOverlayBatchResult> ShardedQueryEngine::RunOverlayBatch(
     const std::vector<Object>& queries,
     const std::vector<const MatrixOverlay*>& overlays) {
-  NMRS_RETURN_IF_ERROR(opts_.rs.resilience.Validate());
-  if (opts_.rs.overlay != nullptr) {
-    return Status::InvalidArgument(
-        "RunOverlayBatch: the engine's rs.overlay template must be null — "
-        "the per-user overlays come from the overlays argument");
-  }
-  if (overlays.empty()) {
-    return Status::InvalidArgument("RunOverlayBatch: no overlay users");
-  }
-  for (const MatrixOverlay* o : overlays) {
-    if (o == nullptr) {
-      return Status::InvalidArgument("RunOverlayBatch: null overlay");
-    }
-    if (&o->base() != space_) {
-      return Status::InvalidArgument(
-          "RunOverlayBatch: overlay built over a different base space");
-    }
-  }
+  NMRS_RETURN_IF_ERROR(ValidateOverlayUsers(opts_.rs, overlays, *space_));
 
   Timer timer;
   ShardedOverlayBatchResult out;
@@ -604,32 +586,23 @@ StatusOr<ShardedOverlayBatchResult> ShardedQueryEngine::RunOverlayBatch(
   out.statuses.assign(queries.size(), Status::OK());
   out.overlay_worker_modeled_millis.assign(pool_.num_threads(), 0.0);
 
+  // Classification and re-checks read the whole BASE file, not the shards,
+  // through shard 0's replica set (its views see the same disk).
   const StoredDataset& base_data = sharded_->base().stored;
-  const std::vector<AttrId> selected =
+  OverlayExecContext ctx;
+  ctx.pool = &pool_;
+  ctx.replicas = replica_sets_[0].get();
+  ctx.data = &base_data;
+  ctx.space = space_;
+  ctx.selected =
       ResolveSelectedAttrs(base_data.schema(), opts_.rs.selected_attrs);
-
-  // Classification and re-checks read the whole BASE dataset — sensitivity
-  // and membership are properties of rows, not of the partitioning — on
-  // clean worker views (shard 0's replica set views the same disk).
-  PagedReaderOptions clean_reader_opts;
-  clean_reader_opts.verify_checksums =
-      base_data.checksum_pages() ||
-      opts_.rs.resilience.checksum_pages;
-  ReplicaSet& rset0 = *replica_sets_[0];
+  ctx.reader_opts.verify_checksums =
+      base_data.checksum_pages() || opts_.rs.resilience.checksum_pages;
+  ctx.overlay_group = opts_.overlay_group;
 
   // ---- 1. Query-independent classification, once per batch. ----
   OverlayClassification cls;
-  {
-    DiskView* view = rset0.view(0, 0);
-    StoredDataset local(view, base_data.file(), base_data.schema(),
-                        base_data.num_rows(), base_data.checksum_pages());
-    PagedReader reader(view, nullptr, clean_reader_opts);
-    const IoStats before = rset0.WorkerStats(0);
-    NMRS_RETURN_IF_ERROR(
-        ClassifyOverlayRows(local, &reader, overlays, selected, &cls));
-    cls.io = rset0.WorkerStats(0) - before;
-    reader.FoldStatsInto(&cls.io);
-  }
+  NMRS_RETURN_IF_ERROR(ClassifyOverlayRows(ctx, overlays, &cls));
   out.sensitive_rows = cls.TotalSensitive();
   out.invariant_rows = cls.TotalInvariant();
   out.overlay_worker_modeled_millis[0] +=
@@ -639,92 +612,16 @@ StatusOr<ShardedOverlayBatchResult> ShardedQueryEngine::RunOverlayBatch(
   NMRS_ASSIGN_OR_RETURN(out.base, RunBatch(queries));
   out.statuses = out.base.statuses;
 
-  // ---- 3. Grouped re-check scans over the base file. ----
-  std::vector<size_t> scan_users;
-  for (size_t u = 0; u < overlays.size(); ++u) {
-    if (!cls.user_rows[u].empty()) scan_users.push_back(u);
-  }
-  const size_t group_size = std::max<size_t>(1, opts_.overlay_group);
-  const size_t num_groups =
-      (scan_users.size() + group_size - 1) / group_size;
+  // ---- 3. Pruner hints, then hinted re-checks per (query, user group). ----
+  OverlayRecheckTotals recheck;
+  RecheckOverlayBatch(ctx, queries, overlays, cls, out.base.results,
+                      &out.results, &out.statuses,
+                      &out.overlay_worker_modeled_millis, &recheck);
 
-  ConcurrentIoStats overlay_io;
-  std::atomic<uint64_t> recheck_scans{0};
-  std::atomic<uint64_t> recheck_checks{0};
-  std::atomic<uint64_t> recheck_pair_tests{0};
-  std::mutex status_mu;
-  WaitGroup wg;
-
-  for (size_t q = 0; q < queries.size(); ++q) {
-    if (!out.statuses[q].ok()) continue;
-    for (size_t u = 0; u < overlays.size(); ++u) {
-      if (cls.user_rows[u].empty()) {
-        out.results[q][u].rows = out.base.results[q].rows;
-        out.results[q][u].stats.result_size = out.results[q][u].rows.size();
-      }
-    }
-    for (size_t g = 0; g < num_groups; ++g) {
-      wg.Add(1);
-      pool_.Submit([this, &queries, &overlays, &out, &cls, &selected,
-                    &scan_users, &overlay_io, &recheck_scans, &recheck_checks,
-                    &recheck_pair_tests, &status_mu, &wg, &clean_reader_opts,
-                    &base_data, &rset0, group_size, q, g] {
-        const int w = pool_.CurrentWorkerIndex();
-        NMRS_CHECK_GE(w, 0);
-        Timer task_timer;
-        DiskView* view = rset0.view(w, 0);
-        StoredDataset local(view, base_data.file(), base_data.schema(),
-                            base_data.num_rows(), base_data.checksum_pages());
-        PagedReader reader(view, nullptr, clean_reader_opts);
-
-        const size_t lo = g * group_size;
-        const size_t hi = std::min(scan_users.size(), lo + group_size);
-        const std::vector<size_t> group(scan_users.begin() + lo,
-                                        scan_users.begin() + hi);
-        std::vector<std::vector<uint8_t>> alive(group.size());
-        for (size_t i = 0; i < group.size(); ++i) {
-          alive[i].assign(cls.user_rows[group[i]].size(), 1);
-        }
-
-        QueryStats scan_stats;
-        const IoStats before = rset0.WorkerStats(w);
-        Status st = RecheckOverlayGroup(local, &reader, *space_, queries[q],
-                                        selected, overlays, group, cls,
-                                        &alive, &scan_stats);
-        scan_stats.io = rset0.WorkerStats(w) - before;
-        reader.FoldStatsInto(&scan_stats.io);
-        scan_stats.compute_millis = task_timer.ElapsedMillis();
-        overlay_io.Add(scan_stats.io);
-        recheck_scans.fetch_add(1, std::memory_order_relaxed);
-        recheck_checks.fetch_add(scan_stats.checks,
-                                 std::memory_order_relaxed);
-        recheck_pair_tests.fetch_add(scan_stats.pair_tests,
-                                     std::memory_order_relaxed);
-        if (st.ok()) {
-          for (size_t i = 0; i < group.size(); ++i) {
-            const size_t u = group[i];
-            out.results[q][u].rows = MergeOverlayRows(
-                out.base.results[q].rows, cls, u, alive[i]);
-            out.results[q][u].stats.result_size =
-                out.results[q][u].rows.size();
-          }
-        } else {
-          std::lock_guard<std::mutex> lock(status_mu);
-          if (out.statuses[q].ok()) out.statuses[q] = st;
-        }
-        out.overlay_worker_modeled_millis[static_cast<size_t>(w)] +=
-            scan_stats.ResponseMillis();
-        wg.Done();
-      });
-    }
-  }
-  wg.Wait();
-
-  out.recheck_scans = recheck_scans.load(std::memory_order_relaxed);
-  out.recheck_checks = recheck_checks.load(std::memory_order_relaxed);
-  out.recheck_pair_tests =
-      recheck_pair_tests.load(std::memory_order_relaxed);
-  out.overlay_io = overlay_io.Snapshot();
+  out.recheck_scans = recheck.scans;
+  out.recheck_checks = recheck.checks;
+  out.recheck_pair_tests = recheck.pair_tests;
+  out.overlay_io = recheck.io;
   out.overlay_io += cls.io;
   out.total_io = out.base.total_io;
   out.total_io += out.overlay_io;

@@ -149,8 +149,8 @@ struct ShardedOverlayBatchResult {
   uint64_t recheck_checks = 0;
   uint64_t recheck_pair_tests = 0;
 
-  /// IO of the classification pass + re-check scans (over the base file,
-  /// through clean views; not part of base.total_io).
+  /// IO of the classification, hint and re-check passes (over the base
+  /// file, through clean views; not part of base.total_io).
   IoStats overlay_io;
   IoStats total_io;
 
@@ -222,7 +222,7 @@ class ShardedQueryEngine {
   /// Answers every query for every overlay user (docs/OVERLAYS.md): one
   /// sharded base run per query through RunBatch (scatter, exchange,
   /// verify, faults, failover — everything applies), one classification
-  /// pass over the base dataset, and grouped re-check scans of the
+  /// pass over the base dataset, and hinted, grouped re-checks of the
   /// overlay-sensitive candidates through clean views. Rows are
   /// bit-identical to rebuilding each user's patched space and running the
   /// sharded batch per user. Overlays must be non-null, built over this

@@ -1,11 +1,16 @@
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/dominance.h"
+#include "core/query_distance_table.h"
 #include "data/generators.h"
 #include "exec/overlay_exec.h"
 #include "exec/query_engine.h"
 #include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
+#include "sim/dissimilarity_matrix.h"
 #include "sim/matrix_overlay.h"
 #include "testing/test_util.h"
 
@@ -303,6 +308,173 @@ TEST(OverlayBatchTest, SingleQueryOverlayOptionMatchesPatchedSpace) {
         ASSERT_TRUE(want.ok()) << want.status();
         EXPECT_EQ(got->rows, want->rows) << AlgorithmName(algo);
       }
+    }
+  }
+}
+
+// RunOverlayBatch through `Engine` (QueryEngine over a PreparedDataset or
+// ShardedQueryEngine over a ShardedDataset) against rebuilding each user's
+// patched space and running the same engine's plain batch over it.
+template <typename Engine, typename Data, typename Options>
+void ExpectEngineMatchesRebuild(const Data& data, const SimilaritySpace& space,
+                                Algorithm algo, const Options& opts,
+                                const std::vector<Object>& queries,
+                                const std::vector<const MatrixOverlay*>& users,
+                                const std::string& label) {
+  Engine engine(data, space, algo, opts);
+  auto got = engine.RunOverlayBatch(queries, users);
+  ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+  ASSERT_TRUE(got->ok()) << label << ": " << got->first_error();
+  EXPECT_GT(got->recheck_pair_tests, 0u) << label;
+  for (size_t u = 0; u < users.size(); ++u) {
+    const SimilaritySpace patched = users[u]->BuildPatchedSpace();
+    Engine ref(data, patched, algo, opts);
+    auto want = ref.RunBatch(queries);
+    ASSERT_TRUE(want.ok()) << label << ": " << want.status();
+    ASSERT_TRUE(want->ok()) << label << ": " << want->first_error();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(got->results[q][u].rows, want->results[q].rows)
+          << label << " q=" << q << " u=" << u;
+    }
+  }
+}
+
+TEST(OverlayBatchTest, MixedSchemaMatchesRebuild) {
+  // Hints must carry the pruner's numerics: 3 categorical + 2 numeric
+  // attributes, with overlays on the categorical matrices only.
+  Rng rng(20261017);
+  const Dataset data = GenerateMixed(900, {5, 6, 7}, 2, 8, rng);
+  SimilaritySpace space;
+  for (size_t card : {5, 6, 7}) {
+    space.AddCategorical(MakeRandomMatrix(card, rng));
+  }
+  space.AddNumeric(NumericDissimilarity(0.01));
+  space.AddNumeric(NumericDissimilarity(0.02));
+  std::vector<Object> queries;
+  for (int i = 0; i < 6; ++i) queries.push_back(SampleUniformQuery(data, rng));
+  std::vector<std::unique_ptr<MatrixOverlay>> overlays;
+  std::vector<const MatrixOverlay*> users;
+  for (double touch : {0.05, 0.20}) {
+    Rng fork = rng.Fork();
+    overlays.push_back(std::make_unique<MatrixOverlay>(
+        MakeRandomOverlay(space, fork, touch)));
+    users.push_back(overlays.back().get());
+  }
+
+  for (Algorithm algo : {Algorithm::kBRS, Algorithm::kSRS}) {
+    SimulatedDisk disk;
+    auto prep = PrepareDataset(&disk, data, algo);
+    ASSERT_TRUE(prep.ok()) << prep.status();
+    const std::string name(AlgorithmName(algo));
+
+    QueryEngineOptions opts;
+    opts.num_workers = 2;
+    ExpectEngineMatchesRebuild<QueryEngine>(*prep, space, algo, opts,
+                                            queries, users, name + " 1 shard");
+
+    ShardPlanOptions plan;
+    plan.num_shards = 2;
+    auto sharded = ShardedDataset::Partition(*prep, plan);
+    ASSERT_TRUE(sharded.ok()) << sharded.status();
+    ShardedEngineOptions sopts;
+    sopts.engine.num_workers = 2;
+    ExpectEngineMatchesRebuild<ShardedQueryEngine>(
+        *sharded, space, algo, sopts, queries, users, name + " 2 shards");
+  }
+}
+
+TEST(OverlayBatchTest, HintMissesAndUnhintedRowsFallBackDeterministically) {
+  const OverlayWorkload& wl = SharedWorkload();
+  const SimilaritySpace& space = wl.instance.space;
+  SimulatedDisk disk;
+  auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
+  ASSERT_TRUE(prep.ok()) << prep.status();
+  const Schema& schema = prep->stored.schema();
+  const Object& query = wl.queries[0];
+  auto base = RunReverseSkyline(*prep, space, query, Algorithm::kBRS, {});
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_FALSE(base->rows.empty());
+  const auto in_base = [&](RowId id) {
+    return std::binary_search(base->rows.begin(), base->rows.end(), id);
+  };
+
+  // Every row in dataset scan order — the order the hint pass searches.
+  RowBatch all(schema.num_attributes(), false);
+  ASSERT_TRUE(prep->stored.ReadAll(&all).ok());
+  const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
+  PruneContext ctx(space, schema, query, selected);
+
+  // A row X outside the base answer, its first base pruner Y (X's hint),
+  // and an attribute where Y differs from both X and the query.
+  size_t x = all.size(), y = 0;
+  AttrId attr = 0;
+  for (size_t i = 0; i < all.size() && x == all.size(); ++i) {
+    if (in_base(all.id(i))) continue;
+    ctx.SetCandidate(all.row_values(i), nullptr);
+    uint64_t checks = 0;
+    size_t r = 0;
+    while (r < all.size() &&
+           (r == i || !ctx.Prunes(all.row_values(r), nullptr, &checks))) {
+      ++r;
+    }
+    ASSERT_LT(r, all.size()) << "row outside the base answer has no pruner";
+    for (AttrId a : selected) {
+      if (all.value(r, a) != all.value(i, a) &&
+          all.value(r, a) != query.values[a]) {
+        x = i;
+        y = r;
+        attr = a;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(x, all.size()) << "no hint with a patchable attribute";
+
+  // Users 0 and 1 push d(y_a, x_a) past d(q_a, x_a). Two users re-check
+  // X, so it gets a hint, and the hint must miss.
+  const ValueId xa = all.value(x, attr);
+  const double far = space.CatDist(attr, query.values[attr], xa) + 1.0;
+  MatrixOverlay miss(space);
+  ASSERT_TRUE(miss.Set(attr, all.value(y, attr), xa, far).ok());
+  {
+    const QueryDistanceTable table(space, schema, query, selected, &miss);
+    PruneContext overlaid(space, schema, query, selected, &table);
+    overlaid.SetCandidate(all.row_values(x), nullptr);
+    uint64_t checks = 0;
+    ASSERT_FALSE(overlaid.Prunes(all.row_values(y), nullptr, &checks));
+  }
+
+  // User 1 also makes a base-answer row Z sensitive: Z has no hint at all.
+  const RowId z_id = base->rows.front();
+  size_t z = 0;
+  while (all.id(z) != z_id) ++z;
+  const AttrId za = selected.front();
+  const ValueId zv = all.value(z, za);
+  const ValueId from = zv == 0 ? 1 : 0;
+  MatrixOverlay unhinted(space);
+  ASSERT_TRUE(unhinted.Set(attr, all.value(y, attr), xa, far).ok());
+  ASSERT_TRUE(
+      unhinted.Set(za, from, zv, 0.5 * space.CatDist(za, from, zv)).ok());
+
+  const std::vector<const MatrixOverlay*> users = {&miss, &unhinted,
+                                                   wl.overlays[1].get()};
+  std::vector<uint64_t> first;
+  for (size_t workers : {1u, 2u, 8u}) {
+    QueryEngineOptions opts;
+    opts.num_workers = workers;
+    opts.overlay_group = 2;
+    const std::string label = "workers=" + std::to_string(workers);
+    ExpectEngineMatchesRebuild<QueryEngine>(*prep, space, Algorithm::kBRS,
+                                            opts, wl.queries, users, label);
+    QueryEngine engine(*prep, space, Algorithm::kBRS, opts);
+    auto got = engine.RunOverlayBatch(wl.queries, users);
+    ASSERT_TRUE(got.ok()) << got.status();
+    const std::vector<uint64_t> counters = {
+        got->recheck_checks, got->recheck_pair_tests, got->recheck_scans};
+    if (first.empty()) {
+      first = counters;
+    } else {
+      EXPECT_EQ(counters, first) << label;
     }
   }
 }

@@ -17,6 +17,15 @@ if any of these hold:
      deterministic cost model lands far above 3x on both quick and full
      runs (observed ~80x quick); 3.0x is a regression floor, not a flake
      line.
+  3. The 256-user / 1%-touch run spends more than 20 re-check pair tests
+     per sensitive (query, user) candidate: recheck_pair_tests /
+     (num_queries * sensitive_rows). Each candidate first tests the base
+     pruner its query's hint pass found, and a 1% delta rarely defeats
+     it, so the count is low and exact (a pure function of the seed, not
+     of timing or the worker count). Observed 9.6 quick and 13.6 full;
+     without the hints every candidate searches from the first page,
+     which measured 34.0 quick and 60.6 full. A rise past 20 means the
+     hints stopped working.
 
 The bench itself reports the same two conditions as shape checks; this
 script re-derives them from the JSON so CI fails even if the bench's
@@ -30,6 +39,7 @@ import json
 import sys
 
 SPEEDUP_THRESHOLD = 3.0
+PAIR_TESTS_PER_CANDIDATE_CEILING = 20.0
 GATED_USERS = 256
 GATED_TOUCH_PCT = 1.0
 
@@ -84,6 +94,33 @@ def main() -> int:
     )
     if not ok:
         failures.append(f"256-user modeled speedup {speedup:.2f}")
+
+    # 3. Re-check work per sensitive candidate at the same point.
+    worst = max(
+        gated,
+        key=lambda r: r.get("recheck_pair_tests", 0)
+        / max(1, r.get("num_queries", 0) * r.get("sensitive_rows", 0)),
+    )
+    candidates = worst.get("num_queries", 0) * worst.get("sensitive_rows", 0)
+    if candidates == 0:
+        print(
+            f"overlay-gate: no sensitive candidates at users={GATED_USERS} "
+            f"touch_pct={GATED_TOUCH_PCT}",
+            file=sys.stderr,
+        )
+        return 1
+    per_candidate = worst.get("recheck_pair_tests", 0) / candidates
+    ok = per_candidate <= PAIR_TESTS_PER_CANDIDATE_CEILING
+    print(
+        f"overlay-gate: re-check work {'OK' if ok else 'FAIL'} — "
+        f"users={GATED_USERS} touch_pct={GATED_TOUCH_PCT} "
+        f"pair_tests/candidate={per_candidate:.2f} "
+        f"(need <= {PAIR_TESTS_PER_CANDIDATE_CEILING:.1f})"
+    )
+    if not ok:
+        failures.append(
+            f"256-user re-check pair tests per candidate {per_candidate:.2f}"
+        )
 
     if failures:
         print("overlay-gate: FAIL — " + "; ".join(failures), file=sys.stderr)
