@@ -7,7 +7,8 @@
 // pruner exchange is the serialized coordinator tax. Result rows are
 // checked bit-identical across every shard count and both partitioners
 // (the exchange's correctness contract), and CI gates on the 4-shard
-// modeled speedup (tools/check_shard_gate.py). Emits BENCH_shards.json.
+// modeled speedup and on its checks per query relative to one shard
+// (tools/check_shard_gate.py). Emits BENCH_shards.json.
 //
 // Extra flags on top of bench_util's: none. The workload is deliberately
 // IO-dominated (wide rows, small memory budget) so the modeled speedup
@@ -57,7 +58,7 @@ void Run(int argc, char** argv) {
   NMRS_CHECK(prepared.ok()) << prepared.status();
 
   Table table({"shards", "by", "wall_ms", "modeled_makespan_ms",
-               "exchange_ms", "modeled_qps", "speedup_vs_1"});
+               "exchange_ms", "modeled_qps", "speedup_vs_1", "checks/query"});
   JsonWriter json("shards");
 
   std::vector<std::vector<RowId>> reference_rows;
@@ -97,6 +98,17 @@ void Run(int argc, char** argv) {
     }
     identical_everywhere = identical_everywhere && identical;
 
+    // Attribute-level checks per query, summed over every shard's local
+    // run and verify round: the CPU work the exchange's verify index cuts.
+    uint64_t checks = 0;
+    for (const auto& r : batch->results) checks += r.stats.checks;
+    const double checks_per_query =
+        static_cast<double>(checks) / static_cast<double>(num_queries);
+    uint64_t index_bytes = 0;
+    for (int s = 0; s < shards; ++s) {
+      index_bytes += engine.verify_index_bytes(s);
+    }
+
     const double makespan = batch->ModeledMakespanMillis();
     if (shards == 1) base_makespan = makespan;
     const double speedup = makespan > 0 ? base_makespan / makespan : 0;
@@ -105,7 +117,8 @@ void Run(int argc, char** argv) {
     table.AddRow({std::to_string(shards), std::string(ShardByName(by)),
                   Fmt(batch->wall_millis), Fmt(makespan),
                   Fmt(batch->ExchangeModeledMillis(), 2),
-                  Fmt(batch->ModeledQps(), 2), Fmt(speedup, 2)});
+                  Fmt(batch->ModeledQps(), 2), Fmt(speedup, 2),
+                  Fmt(checks_per_query, 0)});
 
     json.BeginRun();
     json.Field("shards", static_cast<uint64_t>(shards));
@@ -119,6 +132,8 @@ void Run(int argc, char** argv) {
     json.Field("modeled_makespan_millis", makespan);
     json.Field("queries_per_sec", batch->ModeledQps());
     json.Field("speedup_vs_1_shard", speedup);
+    json.Field("checks_per_query", checks_per_query);
+    json.Field("verify_index_bytes", index_bytes);
     EmitIoFields(&json, batch->total_io);
     EmitMessageFields(&json, batch->total_messages, batch->net);
   };

@@ -21,8 +21,9 @@
 #                slower than the scalar loop at the largest cardinality
 #   8. shards  — bench_shards --quick, then tools/check_shard_gate.py
 #                fails the run if sharded results are not bit-identical to
-#                single-shard or the 4-shard modeled speedup drops
-#                below 2.0x on the scan-heavy workload
+#                single-shard, the 4-shard modeled speedup drops
+#                below 2.0x on the scan-heavy workload, or the 4-shard
+#                checks per query exceed 0.78 of the 1-shard run's
 #   9. overlays— bench_overlays --quick, then tools/check_overlay_gate.py
 #                fails the run if incremental overlay results are not
 #                bit-identical to the per-user patched-space rebuild, the

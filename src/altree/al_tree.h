@@ -45,6 +45,7 @@ class ALTree {
   /// `attr_order[k]` is the physical attribute fixed at tree level k.
   ALTree(const Schema& schema, std::vector<AttrId> attr_order);
 
+  const Schema& schema() const { return schema_; }
   const std::vector<AttrId>& attr_order() const { return attr_order_; }
   size_t num_levels() const { return attr_order_.size(); }
 

@@ -5,6 +5,7 @@
 #include "core/dominance.h"
 #include "core/dominance_kernel.h"
 #include "core/query_distance_table.h"
+#include "core/tree_traversal.h"
 #include "data/columnar_batch.h"
 
 namespace nmrs {
@@ -94,6 +95,68 @@ Status PruneCandidatesAgainstShard(const StoredDataset& data,
     }
   }
   return Status::OK();
+}
+
+Status BuildShardIndex(const StoredDataset& data, PagedReader* reader,
+                       ALTree* index) {
+  NMRS_CHECK_EQ(data.schema().NumNumeric(), 0u);
+  NMRS_CHECK(index->empty());
+  RowBatch page(data.schema().num_attributes(), /*has_numerics=*/false);
+  PageId next_page = 0;
+  NMRS_RETURN_IF_ERROR(internal_tree::LoadTreeBatch(
+      data, reader, ~uint64_t{0}, &next_page, index, &page));
+  index->PrepareForSearch();
+  return Status::OK();
+}
+
+void PruneCandidatesWithIndex(const ALTree& index,
+                              const SimilaritySpace& space,
+                              const Object& query, const RowBatch& candidates,
+                              const RSOptions& opts,
+                              std::vector<uint8_t>* pruned,
+                              QueryStats* stats) {
+  pruned->assign(candidates.size(), 0);
+  if (candidates.size() == 0) return;
+  const Schema& schema = index.schema();
+  NMRS_CHECK_EQ(schema.NumNumeric(), 0u);
+  const std::vector<AttrId>& order = index.attr_order();
+
+  const std::vector<AttrId> selected =
+      ResolveSelectedAttrs(schema, opts.selected_attrs);
+  const QueryDistanceTable qtable(space, schema, query, selected,
+                                  opts.overlay);
+  PruneContext ctx(space, schema, query, selected, &qtable);
+
+  // selected_pos[l]: the position in `selected` of level l's attribute.
+  // Unselected levels read an all-zero column against a zero threshold:
+  // every value passes (0 <= 0) and none passes strictly (0 < 0).
+  constexpr size_t kUnselected = ~size_t{0};
+  std::vector<size_t> selected_pos(order.size(), kUnselected);
+  size_t max_card = 0;
+  for (size_t l = 0; l < order.size(); ++l) {
+    for (size_t k = 0; k < selected.size(); ++k) {
+      if (selected[k] == order[l]) selected_pos[l] = k;
+    }
+    max_card = std::max<size_t>(max_card,
+                                schema.attribute(order[l]).cardinality);
+  }
+  const std::vector<double> zeros(max_card, 0.0);
+  std::vector<internal_tree::Phase1Level> levels(order.size(),
+                                                 {zeros.data(), 0.0});
+  std::vector<internal_tree::FastEntry> stack;
+  stack.reserve(256);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    ctx.SetCandidate(candidates.row_values(i), nullptr);
+    for (size_t l = 0; l < order.size(); ++l) {
+      const size_t k = selected_pos[l];
+      if (k == kUnselected) continue;
+      levels[l] = {ctx.CandidateColumn(k), ctx.QueryDist(k)};
+    }
+    ++stats->pair_tests;
+    if (internal_tree::IsPrunableFast(index, levels, stats, stack)) {
+      (*pruned)[i] = 1;
+    }
+  }
 }
 
 }  // namespace nmrs

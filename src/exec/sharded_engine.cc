@@ -104,6 +104,13 @@ ShardedQueryEngine::ShardedQueryEngine(const ShardedDataset& sharded,
       pool_caches_[s] = std::make_unique<BufferPool>(disk, pool_opts);
     }
   }
+  verify_index_.resize(static_cast<size_t>(num_shards));
+}
+
+size_t ShardedQueryEngine::verify_index_bytes(int s) const {
+  std::lock_guard<std::mutex> lock(verify_index_mu_);
+  const ALTree* index = verify_index_[static_cast<size_t>(s)].get();
+  return index == nullptr ? 0 : index->MemoryBytes();
 }
 
 StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
@@ -400,8 +407,66 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
     msg.rounds += 1;
   }
 
-  // ---- Verify: each shard streams its local rows past the foreign
-  // candidates; pruned verdicts come back positionally. ----
+  // ---- Index: every shard the verify round below reads gets its
+  // read-only AL-Tree once per engine, each built by its own task through
+  // a clean worker view, bypassing the page cache. The build is no query's
+  // work: its IO and modeled time land only on the batch total and on the
+  // shard's lane, so per-query counters do not depend on which batch
+  // built it. Schemas with numeric attributes keep the flat scan. ----
+  std::vector<const ALTree*> index(static_cast<size_t>(S), nullptr);
+  if (exchange && !numerics) {
+    std::lock_guard<std::mutex> lock(verify_index_mu_);
+    std::vector<int> to_build;
+    for (int s : active) {
+      if (verify_index_[s] != nullptr) continue;
+      for (size_t q = 0; q < num_queries; ++q) {
+        if (batch.statuses[q].ok() && foreign_count[q][s] > 0) {
+          to_build.push_back(s);
+          break;
+        }
+      }
+    }
+    wg.Add(static_cast<int>(to_build.size()));
+    for (int s : to_build) {
+      pool_.Submit([&, s] {
+        const int w = pool_.CurrentWorkerIndex();
+        NMRS_CHECK_GE(w, 0);
+        ReplicaSet& rset = *replica_sets_[s];
+        DiskView* view = rset.view(w, 0);
+        const StoredDataset& shard = sharded_->shard(s);
+        StoredDataset shard_data(view, shard.file(), shard.schema(),
+                                 shard.num_rows(), shard.checksum_pages());
+        view->InvalidateArmPosition();
+        const IoStats before = rset.WorkerStats(w);
+        PagedReader reader(view, nullptr, MakeReaderOptions(make_rs(s)));
+        Timer build_timer;
+        auto tree =
+            std::make_unique<ALTree>(schema, sharded_->base().attr_order);
+        // A failed build leaves the slot empty: this batch's verify tasks
+        // fall back to the flat scan and the next batch retries.
+        if (BuildShardIndex(shard_data, &reader, tree.get()).ok()) {
+          verify_index_[s] = std::move(tree);
+        }
+        IoStats io = rset.WorkerStats(w) - before;
+        reader.FoldStatsInto(&io);
+        const double modeled = build_timer.ElapsedMillis() +
+                               IoCostModel{}.EstimateMillis(io) +
+                               reader.modeled_backoff_millis();
+        total_io.Add(io);
+        batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
+            modeled;
+        note_task(s, modeled);
+        wg.Done();
+      });
+    }
+    wg.Wait();
+    for (int s : active) index[s] = verify_index_[s].get();
+  }
+
+  // ---- Verify: each shard tests the foreign candidates against all its
+  // local rows — one index search per candidate, or a stream of every row
+  // past them without an index; pruned verdicts come back positionally.
+  // ----
   std::vector<std::vector<std::vector<uint8_t>>> verdicts(
       num_queries,
       std::vector<std::vector<uint8_t>>(static_cast<size_t>(S)));
@@ -416,22 +481,6 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
         pool_.Submit([&, q, s] {
           const int w = pool_.CurrentWorkerIndex();
           NMRS_CHECK_GE(w, 0);
-          ReplicaSet& rset = *replica_sets_[s];
-          const int num_replicas = rset.num_replicas();
-          DiskView* view = rset.view(w, 0);
-          std::vector<std::unique_ptr<FaultyDisk>> wrappers;
-          std::vector<SimulatedDisk*> disks =
-              rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
-          SimulatedDisk* qdisk = disks[0];
-          for (int r = 1; r < num_replicas; ++r) {
-            rset.view(w, r)->InvalidateArmPosition();
-          }
-
-          RSOptions rs = make_rs(s);
-          if (num_replicas > 1) {
-            rs.failover_disks.assign(disks.begin() + 1, disks.end());
-            rs.failover_limit = fault_ceiling_;
-          }
 
           // The merged broadcast, minus this shard's own candidates (it
           // already refined those in its local phase 2), concatenated in
@@ -445,43 +494,74 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
             }
           }
 
-          const StoredDataset& shard = sharded_->shard(s);
-          const int attempts = 1 + std::max(0, opts_.max_query_retries);
-          Status vstatus = Status::OK();
-          for (int attempt = 0; attempt < attempts; ++attempt) {
-            SimulatedDisk* attempt_disk = attempt == 0 ? qdisk : view;
-            if (attempt == 1) {
-              rs.failover_disks.clear();
-              rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
-            }
-            StoredDataset shard_data(attempt_disk, shard.file(),
-                                     shard.schema(), shard.num_rows(),
-                                     shard.checksum_pages());
-            attempt_disk->InvalidateArmPosition();
-            const IoStats before = rset.WorkerStats(w);
-            PagedReader reader(attempt_disk,
-                               rs.cache_pages ? rs.buffer_pool : nullptr,
-                               MakeReaderOptions(rs));
+          if (index[s] != nullptr) {
+            // Indexed verify: no IO, so nothing to fault or retry.
             QueryStats vs;
             Timer verify_timer;
-            vstatus = PruneCandidatesAgainstShard(shard_data, *space_,
-                                                  queries[q], foreign, rs,
-                                                  &reader, &verdicts[q][s],
-                                                  &vs);
+            PruneCandidatesWithIndex(*index[s], *space_, queries[q], foreign,
+                                     opts_.rs, &verdicts[q][s], &vs);
             vs.phase2_checks = vs.checks;
-            vs.io = rset.WorkerStats(w) - before;
-            reader.FoldStatsInto(&vs.io);
-            vs.modeled_backoff_millis = reader.modeled_backoff_millis();
             vs.compute_millis = verify_timer.ElapsedMillis();
             vs.phase2_millis = vs.compute_millis;
             verify_stats[q][s] = vs;
-            if (vstatus.ok()) {
-              if (attempt > 0) retried.fetch_add(1, std::memory_order_relaxed);
-              break;
+          } else {
+            ReplicaSet& rset = *replica_sets_[s];
+            const int num_replicas = rset.num_replicas();
+            DiskView* view = rset.view(w, 0);
+            std::vector<std::unique_ptr<FaultyDisk>> wrappers;
+            std::vector<SimulatedDisk*> disks =
+                rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
+            SimulatedDisk* qdisk = disks[0];
+            for (int r = 1; r < num_replicas; ++r) {
+              rset.view(w, r)->InvalidateArmPosition();
             }
-            if (!vstatus.IsStorageFault()) break;
+
+            RSOptions rs = make_rs(s);
+            if (num_replicas > 1) {
+              rs.failover_disks.assign(disks.begin() + 1, disks.end());
+              rs.failover_limit = fault_ceiling_;
+            }
+
+            const StoredDataset& shard = sharded_->shard(s);
+            const int attempts = 1 + std::max(0, opts_.max_query_retries);
+            Status vstatus = Status::OK();
+            for (int attempt = 0; attempt < attempts; ++attempt) {
+              SimulatedDisk* attempt_disk = attempt == 0 ? qdisk : view;
+              if (attempt == 1) {
+                rs.failover_disks.clear();
+                rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
+              }
+              StoredDataset shard_data(attempt_disk, shard.file(),
+                                       shard.schema(), shard.num_rows(),
+                                       shard.checksum_pages());
+              attempt_disk->InvalidateArmPosition();
+              const IoStats before = rset.WorkerStats(w);
+              PagedReader reader(attempt_disk,
+                                 rs.cache_pages ? rs.buffer_pool : nullptr,
+                                 MakeReaderOptions(rs));
+              QueryStats vs;
+              Timer verify_timer;
+              vstatus = PruneCandidatesAgainstShard(shard_data, *space_,
+                                                    queries[q], foreign, rs,
+                                                    &reader, &verdicts[q][s],
+                                                    &vs);
+              vs.phase2_checks = vs.checks;
+              vs.io = rset.WorkerStats(w) - before;
+              reader.FoldStatsInto(&vs.io);
+              vs.modeled_backoff_millis = reader.modeled_backoff_millis();
+              vs.compute_millis = verify_timer.ElapsedMillis();
+              vs.phase2_millis = vs.compute_millis;
+              verify_stats[q][s] = vs;
+              if (vstatus.ok()) {
+                if (attempt > 0) {
+                  retried.fetch_add(1, std::memory_order_relaxed);
+                }
+                break;
+              }
+              if (!vstatus.IsStorageFault()) break;
+            }
+            if (!vstatus.ok()) local_status[q][s] = vstatus;
           }
-          if (!vstatus.ok()) local_status[q][s] = vstatus;
           total_io.Add(verify_stats[q][s].io);
           batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
               verify_stats[q][s].ResponseMillis();

@@ -4,9 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
+#include "altree/al_tree.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "core/pipeline.h"
@@ -79,6 +81,8 @@ struct ShardedBatchResult {
   IoStats shared_io;
 
   std::vector<std::pair<FileId, PageId>> quarantined;
+  /// Every task's IO, including the one-time verify-index builds, which
+  /// no query's stats carry.
   IoStats total_io;
 
   /// Exchange traffic summed over all queries.
@@ -91,8 +95,9 @@ struct ShardedBatchResult {
   /// set, so all S x W (shard, worker) lanes overlap.
   std::vector<std::vector<double>> shard_worker_modeled_millis;
 
-  /// Largest single modeled task (one query's scatter run or verify pass)
-  /// per shard: the critical-path lower bound ModeledMakespanMillis uses.
+  /// Largest single modeled task (one query's scatter run or verify pass,
+  /// or the shard's verify-index build) per shard: the critical-path lower
+  /// bound ModeledMakespanMillis uses.
   std::vector<double> shard_max_task_modeled_millis;
 
   /// The cost model the batch ran under (copied from the options so the
@@ -172,11 +177,12 @@ struct ShardedOverlayBatchResult {
 /// caching, faults and failover all apply per shard, unchanged) over its
 /// local rows, producing its local reverse skyline; the pruner exchange
 /// then gathers every shard's surviving candidates, broadcasts the merged
-/// set back, and each shard streams its local rows past the foreign
-/// candidates (pruned local rows still prune — the relation is not
-/// transitive). A candidate survives iff every shard's verdict clears it,
-/// which makes the merged row set bit-identical to single-shard execution
-/// by construction, for any partitioning.
+/// set back, and each shard tests the foreign candidates against all its
+/// local rows — through a resident AL-Tree of the shard for categorical
+/// schemas, a flat scan otherwise (pruned local rows still prune — the
+/// relation is not transitive). A candidate survives iff every shard's
+/// verdict clears it, which makes the merged row set bit-identical to
+/// single-shard execution by construction, for any partitioning.
 ///
 /// Determinism contract: rows and statuses are independent of worker count
 /// and scheduling, and equal to the single-shard rows for every shard
@@ -184,7 +190,9 @@ struct ShardedOverlayBatchResult {
 /// engine reads the base file itself with fault stream == the query index
 /// — counters and IO then reproduce QueryEngine bit-for-bit. With more
 /// shards, per-query counters are deterministic for a fixed shard count
-/// but necessarily differ from the single-shard counters.
+/// but necessarily differ from the single-shard counters. They are also
+/// the same in an engine's first batch, which builds the verify indexes,
+/// as in every later one: the builds are charged to no query.
 ///
 /// Fault streams: (query q, shard s) reads under stream q + (s << 32), a
 /// pure function of the pair, so fault patterns stay independent of worker
@@ -213,6 +221,12 @@ class ShardedQueryEngine {
   /// or the batch runs fault injection, as in QueryEngine).
   const ReplicaSet& replicas(int s) const { return *replica_sets_[s]; }
   const BufferPool* buffer_pool(int s) const { return pool_caches_[s].get(); }
+
+  /// Heap bytes of shard s's verify index: zero until a batch has verified
+  /// foreign candidates against shard s, and always for schemas with
+  /// numeric attributes (those verify by a flat scan). The index lives
+  /// outside RSOptions::memory, like the page cache.
+  size_t verify_index_bytes(int s) const;
 
   /// Runs every query through scatter -> exchange -> verify -> merge,
   /// blocking until the batch completes. Per-query isolation as in
@@ -248,6 +262,11 @@ class ShardedQueryEngine {
   // through its own cache.
   std::vector<std::unique_ptr<ReplicaSet>> replica_sets_;
   std::vector<std::unique_ptr<BufferPool>> pool_caches_;
+  // Per-shard verify indexes (docs/SHARDING.md, step 4): each is built once,
+  // by the first batch whose verify round needs it, and only read after.
+  // The mutex guards the slots, not the trees.
+  mutable std::mutex verify_index_mu_;
+  std::vector<std::unique_ptr<const ALTree>> verify_index_;
 };
 
 }  // namespace nmrs

@@ -6,6 +6,7 @@
 #include "exec/query_engine.h"
 #include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
+#include "sim/matrix_overlay.h"
 #include "testing/test_util.h"
 
 namespace nmrs {
@@ -271,6 +272,114 @@ TEST(ShardedDeterminismTest, MessageLedgerIsConsistent) {
     uint64_t cands = 0;
     for (uint64_t c : got.breakdown[q].shard_candidates) cands += c;
     EXPECT_GE(cands, got.results[q].rows.size()) << "query " << q;
+  }
+}
+
+TEST(ShardedDeterminismTest, AttributeSubsetsMatchPlainEngine) {
+  const std::vector<std::vector<AttrId>> subsets = {{0}, {1, 2}, {2, 0}};
+  for (Algorithm algo : {Algorithm::kBRS, Algorithm::kTRS}) {
+    for (const std::vector<AttrId>& subset : subsets) {
+      QueryEngineOptions plain;
+      plain.rs.selected_attrs = subset;
+      const BatchResult want = RunPlain(algo, plain);
+      for (int shards = 2; shards <= 4; ++shards) {
+        Fixture fx(algo, shards);
+        ShardedEngineOptions opts;
+        opts.engine.rs.selected_attrs = subset;
+        ShardedBatchResult got = fx.Run(opts);
+        ExpectSameRows(got, want,
+                       std::string(AlgorithmName(algo)) + " subset[0]=" +
+                           std::to_string(subset[0]) + " size=" +
+                           std::to_string(subset.size()) + " shards=" +
+                           std::to_string(shards));
+      }
+    }
+  }
+}
+
+TEST(ShardedDeterminismTest, OverlayMatchesPlainEngine) {
+  const Workload& wl = SharedWorkload();
+  Rng rng(2718);
+  const MatrixOverlay overlay = MakeRandomOverlay(wl.instance.space, rng, 0.1);
+  for (Algorithm algo : {Algorithm::kBRS, Algorithm::kTRS}) {
+    QueryEngineOptions plain;
+    plain.rs.overlay = &overlay;
+    const BatchResult want = RunPlain(algo, plain);
+    const BatchResult base = RunPlain(algo);
+    bool overlay_changes_rows = false;
+    for (size_t i = 0; i < want.results.size(); ++i) {
+      overlay_changes_rows |= want.results[i].rows != base.results[i].rows;
+    }
+    EXPECT_TRUE(overlay_changes_rows) << "overlay too weak";
+    for (int shards = 2; shards <= 4; ++shards) {
+      Fixture fx(algo, shards);
+      ShardedEngineOptions opts;
+      opts.engine.rs.overlay = &overlay;
+      ShardedBatchResult got = fx.Run(opts);
+      ExpectSameRows(got, want,
+                     std::string(AlgorithmName(algo)) + " overlay shards=" +
+                         std::to_string(shards));
+    }
+  }
+}
+
+void ExpectSameCounters(const QueryStats& got, const QueryStats& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.checks, want.checks) << label;
+  EXPECT_EQ(got.phase1_checks, want.phase1_checks) << label;
+  EXPECT_EQ(got.phase2_checks, want.phase2_checks) << label;
+  EXPECT_EQ(got.pair_tests, want.pair_tests) << label;
+  EXPECT_EQ(got.kernel_checks, want.kernel_checks) << label;
+  EXPECT_EQ(got.phase1_batches, want.phase1_batches) << label;
+  EXPECT_EQ(got.phase1_survivors, want.phase1_survivors) << label;
+  EXPECT_EQ(got.phase2_batches, want.phase2_batches) << label;
+  EXPECT_EQ(got.result_size, want.result_size) << label;
+  EXPECT_EQ(got.io, want.io) << label;
+}
+
+TEST(ShardedDeterminismTest, CountersIndependentOfWorkersAndIndexBuild) {
+  // Per-query counters and IO are a function of the shard count alone:
+  // equal across worker counts, and equal between an engine's first batch
+  // (which builds every shard's verify index) and its second (which only
+  // reads them). The builds show up in total_io, never in a query's stats.
+  const Workload& wl = SharedWorkload();
+  for (Algorithm algo : {Algorithm::kBRS, Algorithm::kTRS}) {
+    for (int shards : {2, 4}) {
+      Fixture fx(algo, shards);
+      std::vector<ReverseSkylineResult> want;
+      for (size_t workers : {1u, 2u, 8u}) {
+        const std::string label = std::string(AlgorithmName(algo)) +
+                                  " shards=" + std::to_string(shards) +
+                                  " workers=" + std::to_string(workers);
+        EngineOptions opts;
+        opts.num_workers = workers;
+        ShardedQueryEngine engine(*fx.sharded, wl.instance.space, algo, opts);
+        for (int s = 0; s < shards; ++s) {
+          EXPECT_EQ(engine.verify_index_bytes(s), 0u) << label;
+        }
+        auto first = engine.RunBatch(wl.queries);
+        ASSERT_TRUE(first.ok()) << first.status();
+        ASSERT_TRUE(first->ok()) << first->first_error();
+        for (int s = 0; s < shards; ++s) {
+          EXPECT_GT(engine.verify_index_bytes(s), 0u) << label;
+        }
+        auto second = engine.RunBatch(wl.queries);
+        ASSERT_TRUE(second.ok()) << second.status();
+        ASSERT_TRUE(second->ok()) << second->first_error();
+        EXPECT_GT(first->total_io.Total(), second->total_io.Total()) << label;
+        EXPECT_EQ(first->total_messages, second->total_messages) << label;
+        if (want.empty()) want = first->results;
+        for (size_t i = 0; i < wl.queries.size(); ++i) {
+          const std::string q = label + " query " + std::to_string(i);
+          EXPECT_EQ(first->results[i].rows, want[i].rows) << q;
+          EXPECT_EQ(second->results[i].rows, want[i].rows) << q;
+          ExpectSameCounters(first->results[i].stats, want[i].stats,
+                             q + " first batch");
+          ExpectSameCounters(second->results[i].stats, want[i].stats,
+                             q + " second batch");
+        }
+      }
+    }
   }
 }
 

@@ -654,9 +654,19 @@ void StressShardedBatch() {
       opts.engine.num_workers = workers;
       opts.engine.cache_pages = 32;
       ShardedQueryEngine engine(*sharded, space, Algorithm::kBRS, opts);
+      // The first batch builds every shard's verify index on the pool;
+      // the second reads the built indexes from all workers at once.
+      auto first = engine.RunBatch(queries);
+      NMRS_CHECK(first.ok()) << first.status();
+      NMRS_CHECK(first->ok()) << first->first_error();
       auto batch = engine.RunBatch(queries);
       NMRS_CHECK(batch.ok()) << batch.status();
       NMRS_CHECK(batch->ok()) << batch->first_error();
+      for (size_t i = 0; i < queries.size(); ++i) {
+        NMRS_CHECK(batch->results[i].rows == first->results[i].rows);
+        NMRS_CHECK(batch->results[i].stats.checks ==
+                   first->results[i].stats.checks);
+      }
       if (!have_reference) {
         reference = std::move(*batch);
         have_reference = true;
@@ -695,8 +705,8 @@ void StressShardedBatch() {
       NMRS_CHECK(batch->results[i].rows == want[i]);
     }
   }
-  std::printf("sharded batch: %zu queries x shards 1..4, cache + dead "
-              "replica, rows identical throughout\n",
+  std::printf("sharded batch: %zu queries x shards 1..4, two batches per "
+              "engine, cache + dead replica, rows identical throughout\n",
               queries.size());
 }
 

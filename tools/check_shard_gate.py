@@ -16,9 +16,16 @@ if any of these hold:
      makespan model (max(total_work/W, largest task) per shard, plus the
      serialized exchange) lands well above 3x on both quick and full
      runs, so 2.0x is a regression floor, not a flake line.
+  3. The 4-shard z-order run's checks per query exceed
+     CHECKS_FRACTION_THRESHOLD times the 1-shard run's. Checks are
+     deterministic counts (no timing), summed over every shard's local run
+     and verify round. A verify that tests each foreign candidate against
+     every shard row reads 0.91 (quick) and 0.80 (full); searching each
+     shard's AL-Tree index instead (docs/SHARDING.md, step 4) reads 0.74
+     and 0.70, so 0.78 fails the flat verify on both sizes.
 
-The bench itself reports the same two conditions as shape checks; this
-script re-derives them from the JSON so CI fails even if the bench's
+The bench itself reports the first two conditions as shape checks; this
+script re-derives all three from the JSON so CI fails even if the bench's
 stdout is lost, and so the committed BENCH_shards.json can be re-audited
 offline.
 
@@ -29,6 +36,7 @@ import json
 import sys
 
 SPEEDUP_THRESHOLD = 2.0
+CHECKS_FRACTION_THRESHOLD = 0.78
 GATED_SHARDS = 4
 GATED_PARTITIONER = "zorder"
 
@@ -83,6 +91,28 @@ def main() -> int:
     )
     if not ok:
         failures.append(f"4-shard modeled speedup {speedup:.2f}")
+
+    # 3. Verify work: checks per query at the widest fan-out vs 1 shard.
+    single = [r for r in runs if r.get("shards") == 1]
+    if not single or "checks_per_query" not in single[0]:
+        print(
+            f"shard-gate: no 1-shard run with checks_per_query in {path}",
+            file=sys.stderr,
+        )
+        return 1
+    base_checks = single[0]["checks_per_query"]
+    worst = max(gated, key=lambda r: r.get("checks_per_query", float("inf")))
+    fraction = worst.get("checks_per_query", float("inf")) / base_checks
+    ok = fraction <= CHECKS_FRACTION_THRESHOLD
+    print(
+        f"shard-gate: checks {'OK' if ok else 'FAIL'} — "
+        f"shards={GATED_SHARDS} ({GATED_PARTITIONER}) checks/query "
+        f"{worst.get('checks_per_query', float('nan')):.0f} vs 1 shard "
+        f"{base_checks:.0f} = {fraction:.2f} "
+        f"(need <= {CHECKS_FRACTION_THRESHOLD:.2f})"
+    )
+    if not ok:
+        failures.append(f"4-shard checks per query at {fraction:.2f} of 1 shard")
 
     if failures:
         print("shard-gate: FAIL — " + "; ".join(failures), file=sys.stderr)
