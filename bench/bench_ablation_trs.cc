@@ -28,6 +28,7 @@ bench::AlgoMetrics RunWith(const Dataset& data, const SimilaritySpace& space,
   auto prepared = PrepareDataset(&disk, data, prepare_algo, prep);
   NMRS_CHECK(prepared.ok());
   RSOptions opts;
+  opts.use_kernels = false;  // the ablations compare scalar check counts
   opts.memory = MemoryBudget::FromFraction(0.10, prepared->stored.num_pages());
   opts.order_children_by_descendants = order_children;
 

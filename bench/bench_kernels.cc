@@ -28,8 +28,8 @@
 // ci.sh runs this with --quick and then tools/check_kernel_gate.py fails
 // the build if the kernel is slower than the scalar path on the
 // largest-cardinality micro config, if any run reports identical=0, if
-// the e2e adaptive path is slower than scalar (avx2 dispatch), or if the
-// shared-scan batch speedup falls under its floor (1.5x at full scale,
+// the e2e adaptive path or the e2e SRS phase 1 is slower than scalar
+// (avx2 dispatch), or if the shared-scan batch speedup falls under its floor (1.5x at full scale,
 // 1.4x on quick runs).
 #include <algorithm>
 #include <cstdio>
@@ -205,6 +205,7 @@ E2eOutcome RunEndToEnd(const E2eInstance& inst, const Args& args,
     auto prepared = PrepareDataset(&disk, inst.data, algo, {});
     NMRS_CHECK(prepared.ok()) << prepared.status();
     RSOptions opts;
+    opts.use_kernels = false;  // the scalar side of the comparison
     opts.memory =
         MemoryBudget::FromFraction(0.10, prepared->stored.num_pages());
     double scalar_ms = 0, kernel_ms = 0, kchecks = 0;

@@ -105,6 +105,7 @@ int main(int argc, char** argv) {
   PrepareOptions paper_order;
   paper_order.attr_order = {0, 1, 2};
   RSOptions opts;
+  opts.use_kernels = false;  // the paper's Tables 2-3 count scalar checks
   opts.memory.pages = 3;
   opts.attr_order = {0, 1, 2};
 

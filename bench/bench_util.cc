@@ -48,6 +48,10 @@ AlgoMetrics RunPoint(const Dataset& data, const SimilaritySpace& space,
   NMRS_CHECK(prepared.ok()) << prepared.status();
 
   RSOptions opts;
+  // The paper's figures measure the seed scalar loops; with the kernels
+  // TRS would report its phase-1 probe as kernel_checks instead of the
+  // tree-group checks the figures plot.
+  opts.use_kernels = false;
   opts.memory =
       MemoryBudget::FromFraction(mem_fraction, prepared->stored.num_pages());
   opts.selected_attrs = selected;

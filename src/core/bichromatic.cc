@@ -95,8 +95,7 @@ StatusOr<ReverseSkylineResult> BichromaticBlockRS(
       NMRS_RETURN_IF_ERROR(competitors.ReadPageVia(&reader, pp, &page));
       if (opts.use_kernels) {
         cols.Build(page);
-        DominanceKernel kernel(
-            ctx, cols, {opts.kernel_promote_rows, DominanceKernel::kBlockRows});
+        DominanceKernel kernel(ctx, cols, opts.kernel_promote_rows);
         for (size_t i = 0; i < batch.size(); ++i) {
           if (!alive[i]) continue;
           ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));

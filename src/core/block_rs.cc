@@ -1,8 +1,8 @@
 #include "core/block_rs.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/sync.h"
 #include "common/timer.h"
@@ -22,147 +22,77 @@ enum class SearchOrder {
   kRing,     // SRS: offsets ±1, ±2, ... from the candidate's sorted position
 };
 
-// Per-chunk phase-1 counters, summed into QueryStats in chunk order so the
-// totals match the sequential run exactly (all six are order-independent
-// sums, but summing in chunk order keeps the contract obvious).
-struct Phase1Counters {
-  uint64_t pair_tests = 0;
-  uint64_t checks = 0;
-  uint64_t kernel_checks = 0;
-  uint64_t kernel_promotions = 0;
-  uint64_t kernel_scalar_rows = 0;
-  uint64_t kernel_block_rows = 0;
-
-  void FoldInto(QueryStats* stats) const {
-    stats->pair_tests += pair_tests;
-    stats->checks += checks;
-    stats->kernel_checks += kernel_checks;
-    stats->kernel_promotions += kernel_promotions;
-    stats->kernel_scalar_rows += kernel_scalar_rows;
-    stats->kernel_block_rows += kernel_block_rows;
+// The phase-1 pruner search of candidate i on the scalar path — the seed
+// loop over the row-major batch. Adds the pair and check counts; returns
+// whether a pruner was found.
+bool FindPrunerScalar(const RowBatch& batch, const PruneContext& ctx,
+                      SearchOrder order, size_t i, uint64_t* pair_tests,
+                      uint64_t* checks) {
+  const size_t n = batch.size();
+  const RowId x_id = batch.id(i);
+  auto try_pruner = [&](size_t j) {
+    if (batch.id(j) == x_id) return false;
+    ++*pair_tests;
+    return ctx.Prunes(batch.row_values(j), batch.row_numerics(j), checks);
+  };
+  if (order == SearchOrder::kForward) {
+    for (size_t j = 0; j < n; ++j) {
+      if (j != i && try_pruner(j)) return true;
+    }
+    return false;
   }
-};
+  // Expanding ring around i: sorted data puts likely pruners nearby.
+  for (size_t off = 1; off < n; ++off) {
+    if (off <= i && try_pruner(i - off)) return true;
+    if (i + off < n && try_pruner(i + off)) return true;
+  }
+  return false;
+}
 
-// The kernel policy of a phase-1 scan: the ring order visits short
-// alternating runs around the candidate, so promoted candidates evaluate
-// narrow 8-row windows; the forward order scans long contiguous stretches
-// where the full 32-row window amortizes best.
-KernelPolicy Phase1Policy(const RSOptions& opts, SearchOrder order) {
-  return {opts.kernel_promote_rows,
-          order == SearchOrder::kRing
-              ? static_cast<uint32_t>(DominanceKernel::kGroupRows)
-              : static_cast<uint32_t>(DominanceKernel::kBlockRows)};
+// The same search on the kernel path: identical verdict and pair/check
+// accounting (DominanceKernel's equivalence contract). The caller has set
+// the candidate on the kernel's context.
+bool FindPrunerKernel(DominanceKernel& kernel, SearchOrder order, size_t i,
+                      size_t n, RowId x_id, uint64_t* pair_tests,
+                      uint64_t* checks) {
+  kernel.BeginCandidate();
+  return order == SearchOrder::kForward
+             ? kernel.FindPrunerForward(0, n, x_id, pair_tests, checks)
+             : kernel.FindPrunerRing(i, x_id, pair_tests, checks);
+}
+
+void AddKernelTelemetry(const DominanceKernel& kernel, QueryStats* stats) {
+  stats->kernel_checks += kernel.kernel_checks();
+  stats->kernel_promotions += kernel.promotions();
+  stats->kernel_scalar_rows += kernel.scalar_rows();
+  stats->kernel_block_rows += kernel.block_rows();
 }
 
 // Checks candidates [begin, end) of `batch` against all loaded rows and
 // records which are pruned. `ctx` and the counters belong to the caller
 // (one chunk when parallel), so this runs with no shared mutable state
 // beyond the disjoint `pruned` slots — the per-candidate work is identical
-// to the sequential scan, which keeps check counts deterministic.
-void Phase1CheckRange(const RowBatch& batch, PruneContext& ctx,
-                      SearchOrder order, size_t begin, size_t end,
-                      uint64_t* pair_tests, uint64_t* checks,
-                      uint8_t* pruned) {
-  const size_t n = batch.size();
+// to the sequential scan, which keeps check counts deterministic. With
+// `cols` (the batch's columnar view) the searches run on a DominanceKernel
+// — scalar probe first, blocks after promotion — whose telemetry is added
+// to *stats.
+void Phase1CheckRange(const RowBatch& batch, const ColumnarBatch* cols,
+                      PruneContext& ctx, SearchOrder order,
+                      uint32_t promote_rows, size_t begin, size_t end,
+                      QueryStats* stats, uint8_t* pruned) {
+  std::optional<DominanceKernel> kernel;
+  if (cols != nullptr) kernel.emplace(ctx, *cols, promote_rows);
   for (size_t i = begin; i < end; ++i) {
     ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
-    const RowId x_id = batch.id(i);
-    bool found = false;
-
-    auto try_pruner = [&](size_t j) {
-      if (batch.id(j) == x_id) return false;
-      ++*pair_tests;
-      return ctx.Prunes(batch.row_values(j), batch.row_numerics(j), checks);
-    };
-
-    if (order == SearchOrder::kForward) {
-      for (size_t j = 0; j < n && !found; ++j) {
-        if (j == i) continue;
-        found = try_pruner(j);
-      }
-    } else {
-      // Expanding ring around i: sorted data puts likely pruners nearby.
-      for (size_t off = 1; off < n && !found; ++off) {
-        if (off <= i) found = try_pruner(i - off);
-        if (!found && i + off < n) found = try_pruner(i + off);
-      }
-    }
-    pruned[i] = found ? 1 : 0;
-  }
-}
-
-// Kernel-path analogue of Phase1CheckRange: identical verdicts and
-// pair/check accounting (DominanceKernel's equivalence contract), with the
-// per-pruner scans evaluated adaptively — scalar probe first, blocks after
-// promotion — over the batch's columnar view. The kernel's lane count and
-// adaptive telemetry are added to *counters.
-void Phase1CheckRangeKernel(const RowBatch& batch, const ColumnarBatch& cols,
-                            PruneContext& ctx, SearchOrder order,
-                            KernelPolicy policy, size_t begin, size_t end,
-                            Phase1Counters* counters, uint8_t* pruned) {
-  DominanceKernel kernel(ctx, cols, policy);
-  const size_t n = batch.size();
-  // Ring-scan futility trial. The ring order exists because sorted data
-  // puts likely pruners next to the candidate, and the kernel path can
-  // lose to the row-major scalar loop from both ends of that spectrum:
-  //
-  //  * Promotions too common — a candidate that survives its
-  //    neighborhood usually has no pruner at all, and for those the
-  //    narrow 8-row windows re-evaluate every attribute of rows the
-  //    scalar early-abort would skip after one. Promoted ring
-  //    candidates average hundreds of window rows each, so even a few
-  //    percent of them dominate the chunk's lane work.
-  //  * Probes too short — when nearly every candidate is resolved by
-  //    its immediate neighbors (average probe length a row or two),
-  //    block evaluation never engages and the kernel degenerates into
-  //    the scalar loop plus per-candidate setup, paying one cache line
-  //    per attribute column where the row-major loop pays one per row.
-  //
-  // Each chunk therefore watches its first kRingTrial candidates and
-  // hands the rest of the chunk back to the row-major scalar scan once
-  // promotions exceed a thirty-second of candidates seen, or once the
-  // probed-row average drops to two rows per candidate or less; the
-  // kernel stays engaged only in the middle band where probes run long
-  // enough to amortize candidate setup while promotions stay rare.
-  // Promotion policy only changes evaluation strategy, never verdicts,
-  // and the fallback is the reference loop itself, so results and check
-  // totals are unaffected; both rates depend only on verdict order,
-  // keeping the cut deterministic and dispatch-invariant. Configured
-  // promote_rows of 0 ("always block") and never are explicit regimes
-  // exempt from the trial.
-  constexpr size_t kRingTrial = 64;
-  const bool adaptive_ring =
-      order == SearchOrder::kRing && policy.promote_rows > 0 &&
-      policy.promote_rows != std::numeric_limits<uint32_t>::max();
-  size_t trialed = 0;
-  for (size_t i = begin; i < end; ++i) {
-    if (adaptive_ring && trialed >= kRingTrial &&
-        (kernel.promotions() * 32 > trialed ||
-         kernel.scalar_rows() <= trialed * 2)) {
-      counters->kernel_checks += kernel.kernel_checks();
-      counters->kernel_promotions += kernel.promotions();
-      counters->kernel_scalar_rows += kernel.scalar_rows();
-      counters->kernel_block_rows += kernel.block_rows();
-      Phase1CheckRange(batch, ctx, order, i, end, &counters->pair_tests,
-                       &counters->checks, pruned);
-      return;
-    }
-    ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
-    kernel.BeginCandidate();
-    const RowId x_id = batch.id(i);
     const bool found =
-        order == SearchOrder::kForward
-            ? kernel.FindPrunerForward(0, n, x_id, &counters->pair_tests,
-                                       &counters->checks)
-            : kernel.FindPrunerRing(i, x_id, &counters->pair_tests,
-                                    &counters->checks);
+        kernel ? FindPrunerKernel(*kernel, order, i, batch.size(),
+                                  batch.id(i), &stats->pair_tests,
+                                  &stats->checks)
+               : FindPrunerScalar(batch, ctx, order, i, &stats->pair_tests,
+                                  &stats->checks);
     pruned[i] = found ? 1 : 0;
-    if (adaptive_ring) ++trialed;
   }
-  counters->kernel_checks += kernel.kernel_checks();
-  counters->kernel_promotions += kernel.promotions();
-  counters->kernel_scalar_rows += kernel.scalar_rows();
-  counters->kernel_block_rows += kernel.block_rows();
+  if (kernel) AddKernelTelemetry(*kernel, stats);
 }
 
 // Intra-batch pruning of one loaded batch; appends survivors to *writer.
@@ -182,44 +112,29 @@ Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
   // kernel scans; chunks share it read-only.
   ColumnarBatch cols;
   if (opts.use_kernels) cols.Build(batch);
+  const ColumnarBatch* kernel_cols = opts.use_kernels ? &cols : nullptr;
   if (opts.num_threads <= 1 || n < 2) {
-    if (opts.use_kernels) {
-      Phase1Counters counters;
-      Phase1CheckRangeKernel(batch, cols, ctx, order,
-                             Phase1Policy(opts, order), 0, n, &counters,
-                             pruned.data());
-      counters.FoldInto(stats);
-    } else {
-      Phase1CheckRange(batch, ctx, order, 0, n, &stats->pair_tests,
-                       &stats->checks, pruned.data());
-    }
+    Phase1CheckRange(batch, kernel_cols, ctx, order, opts.kernel_promote_rows,
+                     0, n, stats, pruned.data());
   } else {
     // More chunks than threads so the work-stealing pool can balance the
-    // uneven per-candidate cost (a candidate pruned early is cheap).
+    // uneven per-candidate cost (a candidate pruned early is cheap). Chunk
+    // counters are summed in chunk order, so the totals match the
+    // sequential run exactly.
     const size_t num_chunks =
         std::min(n, static_cast<size_t>(opts.num_threads) * 4);
-    std::vector<Phase1Counters> counters(num_chunks);
+    std::vector<QueryStats> counters(num_chunks);
     ParallelChunks(opts.executor, opts.num_threads, num_chunks,
                    [&](size_t c) {
                      PruneContext chunk_ctx(space, schema, query,
                                             ctx.selected(), &qtable);
-                     if (opts.use_kernels) {
-                       Phase1CheckRangeKernel(batch, cols, chunk_ctx, order,
-                                              Phase1Policy(opts, order),
-                                              ChunkBegin(n, num_chunks, c),
-                                              ChunkBegin(n, num_chunks, c + 1),
-                                              &counters[c], pruned.data());
-                     } else {
-                       Phase1CheckRange(batch, chunk_ctx, order,
-                                        ChunkBegin(n, num_chunks, c),
-                                        ChunkBegin(n, num_chunks, c + 1),
-                                        &counters[c].pair_tests,
-                                        &counters[c].checks, pruned.data());
-                     }
+                     Phase1CheckRange(batch, kernel_cols, chunk_ctx, order,
+                                      opts.kernel_promote_rows,
+                                      ChunkBegin(n, num_chunks, c),
+                                      ChunkBegin(n, num_chunks, c + 1),
+                                      &counters[c], pruned.data());
                    });
-    for (const Phase1Counters& cc : counters) {
-      cc.FoldInto(stats);
-    }
+    for (const QueryStats& cc : counters) stats->MergeFrom(cc);
   }
   for (size_t i = 0; i < n; ++i) {
     if (!pruned[i]) {
@@ -261,8 +176,7 @@ Status Phase2(const StoredDataset& data, const StoredDataset& survivors,
       NMRS_RETURN_IF_ERROR(data.ReadPageVia(reader, dp, &page));
       if (opts.use_kernels) {
         cols.Build(page);
-        DominanceKernel kernel(
-            ctx, cols, {opts.kernel_promote_rows, DominanceKernel::kBlockRows});
+        DominanceKernel kernel(ctx, cols, opts.kernel_promote_rows);
         for (size_t i = 0; i < batch.size(); ++i) {
           if (!alive[i]) continue;
           ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
@@ -272,10 +186,7 @@ Status Phase2(const StoredDataset& data, const StoredDataset& survivors,
             alive[i] = false;
           }
         }
-        stats->kernel_checks += kernel.kernel_checks();
-        stats->kernel_promotions += kernel.promotions();
-        stats->kernel_scalar_rows += kernel.scalar_rows();
-        stats->kernel_block_rows += kernel.block_rows();
+        AddKernelTelemetry(kernel, stats);
         continue;
       }
       for (size_t i = 0; i < batch.size(); ++i) {
@@ -405,7 +316,6 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
 
   const SearchOrder order =
       ring_order ? SearchOrder::kRing : SearchOrder::kForward;
-  const KernelPolicy policy = Phase1Policy(opts, order);
   const size_t nq = queries.size();
 
   disk->InvalidateArmPosition();
@@ -457,8 +367,8 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
       cols.Build(batch);
       cache.Attach(*runs[0].ctx, cols);
       for (QueryRun& r : runs) {
-        r.kernel =
-            std::make_unique<DominanceKernel>(*r.ctx, cols, policy, &cache);
+        r.kernel = std::make_unique<DominanceKernel>(
+            *r.ctx, cols, opts.kernel_promote_rows, &cache);
       }
     }
     pruned.assign(nq * n, 0);
@@ -474,34 +384,12 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
       for (size_t q = 0; q < nq; ++q) {
         QueryRun& r = runs[q];
         QueryStats& st = results[q].stats;
-        bool found = false;
-        if (opts.use_kernels) {
-          r.kernel->BeginCandidate();
-          found = order == SearchOrder::kForward
-                      ? r.kernel->FindPrunerForward(0, n, x_id,
-                                                    &st.pair_tests, &st.checks)
-                      : r.kernel->FindPrunerRing(i, x_id, &st.pair_tests,
-                                                 &st.checks);
-        } else {
-          // Exact replica of Phase1CheckRange's per-candidate scan.
-          auto try_pruner = [&](size_t j) {
-            if (batch.id(j) == x_id) return false;
-            ++st.pair_tests;
-            return r.ctx->Prunes(batch.row_values(j), batch.row_numerics(j),
-                                 &st.checks);
-          };
-          if (order == SearchOrder::kForward) {
-            for (size_t j = 0; j < n && !found; ++j) {
-              if (j == i) continue;
-              found = try_pruner(j);
-            }
-          } else {
-            for (size_t off = 1; off < n && !found; ++off) {
-              if (off <= i) found = try_pruner(i - off);
-              if (!found && i + off < n) found = try_pruner(i + off);
-            }
-          }
-        }
+        const bool found =
+            opts.use_kernels
+                ? FindPrunerKernel(*r.kernel, order, i, n, x_id,
+                                   &st.pair_tests, &st.checks)
+                : FindPrunerScalar(batch, *r.ctx, order, i, &st.pair_tests,
+                                   &st.checks);
         pruned[q * n + i] = found ? 1 : 0;
       }
     }
@@ -511,12 +399,7 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
       QueryRun& r = runs[q];
       QueryStats& st = results[q].stats;
       ++st.phase1_batches;
-      if (opts.use_kernels) {
-        st.kernel_checks += r.kernel->kernel_checks();
-        st.kernel_promotions += r.kernel->promotions();
-        st.kernel_scalar_rows += r.kernel->scalar_rows();
-        st.kernel_block_rows += r.kernel->block_rows();
-      }
+      if (opts.use_kernels) AddKernelTelemetry(*r.kernel, &st);
       const IoStats spill_before = disk->stats();
       for (size_t i = 0; i < n; ++i) {
         if (!pruned[q * n + i]) {

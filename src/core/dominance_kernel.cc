@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/check.h"
 #include "core/query_distance_table.h"
@@ -47,6 +48,8 @@ struct LaneFns {
                    double* lhs);
   void (*num_fill)(const double* y, size_t n, double x, double scale,
                    double* lhs);
+  // Bit w set iff ids[w] == id (the rows a scan must skip).
+  uint32_t (*eq)(const RowId* ids, size_t n, RowId id);
 };
 
 void CatLanesScalar(const double* col, const ValueId* vals, size_t n,
@@ -100,9 +103,17 @@ void NumFillScalar(const double* y, size_t n, double x, double scale,
   for (size_t w = 0; w < n; ++w) lhs[w] = scale * std::fabs(y[w] - x);
 }
 
+uint32_t EqLanesScalar(const RowId* ids, size_t n, RowId id) {
+  uint32_t m = 0;
+  for (size_t w = 0; w < n; ++w) {
+    m |= static_cast<uint32_t>(ids[w] == id) << w;
+  }
+  return m;
+}
+
 constexpr LaneFns kScalarFns = {CatLanesScalar, NumLanesScalar,
                                 CmpLanesScalar, CatFillScalar,
-                                NumFillScalar};
+                                NumFillScalar, EqLanesScalar};
 
 #ifdef NMRS_KERNEL_AVX2
 
@@ -256,8 +267,24 @@ __attribute__((target("avx2"))) void NumFillAvx2(const double* y, size_t n,
   for (; w < n; ++w) lhs[w] = scale * std::fabs(y[w] - x);
 }
 
+__attribute__((target("avx2"))) uint32_t EqLanesAvx2(const RowId* ids,
+                                                     size_t n, RowId id) {
+  const __m256i idv = _mm256_set1_epi64x(static_cast<long long>(id));
+  uint32_t m = 0;
+  size_t w = 0;
+  for (; w + 4 <= n; w += 4) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + w));
+    m |= static_cast<uint32_t>(_mm256_movemask_pd(
+             _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, idv))))
+         << w;
+  }
+  for (; w < n; ++w) m |= static_cast<uint32_t>(ids[w] == id) << w;
+  return m;
+}
+
 constexpr LaneFns kAvx2Fns = {CatLanesAvx2, NumLanesAvx2, CmpLanesAvx2,
-                              CatFillAvx2, NumFillAvx2};
+                              CatFillAvx2, NumFillAvx2, EqLanesAvx2};
 
 bool DetectAvx2() { return __builtin_cpu_supports("avx2"); }
 
@@ -356,45 +383,68 @@ const double* SharedCandidateCache::EnsureLhs(size_t k, size_t block) {
   return base;
 }
 
+namespace {
+
+// Bits [lo, hi] of a window mask, clipped to the word; empty when lo > hi.
+inline uint32_t BitRange(int64_t lo, int64_t hi) {
+  lo = std::max<int64_t>(lo, 0);
+  hi = std::min<int64_t>(hi, 31);
+  if (lo > hi) return 0;
+  const uint32_t upto = hi == 31 ? ~0u : ((1u << (hi + 1)) - 1u);
+  return upto & ~((1u << lo) - 1u);
+}
+
+// Scalar-equivalent checks of the rows in `rows`: the sum of their
+// per-attribute alive bits (see DominanceKernel::EvalMasks).
+inline uint64_t MaskChecks(const uint32_t* level_active, size_t levels,
+                           uint32_t rows) {
+  uint64_t nch = 0;
+  for (size_t l = 0; l < levels; ++l) {
+    nch += static_cast<uint64_t>(__builtin_popcount(level_active[l] & rows));
+  }
+  return nch;
+}
+
+}  // namespace
+
 DominanceKernel::DominanceKernel(const PruneContext& ctx,
                                  const ColumnarBatch& cols,
-                                 KernelPolicy policy,
+                                 uint32_t promote_rows,
                                  SharedCandidateCache* shared)
     : ctx_(&ctx),
       cols_(&cols),
+      rows_(cols.source()),
       shared_(shared),
       dispatch_(ActiveKernelDispatch()),
-      policy_(policy),
-      num_groups_((cols.size() + kGroupRows - 1) / kGroupRows) {
+      promote_rows_(promote_rows) {
   NMRS_CHECK(ctx.table() != nullptr)
       << "DominanceKernel needs a table-backed PruneContext";
   for (AttrId a : ctx.selected()) {
     NMRS_CHECK(a < cols.num_attrs())
         << "ColumnarBatch narrower than the context's selection";
   }
-  NMRS_CHECK(policy_.block_rows == kGroupRows ||
-             policy_.block_rows == kBlockRows)
-      << "block_rows must be 8 or 32";
   if (shared_ != nullptr) {
     NMRS_CHECK(shared_->attached() && shared_->batch() == &cols)
         << "SharedCandidateCache bound to a different batch";
     NMRS_CHECK(shared_->num_selected() == ctx.num_selected())
         << "sharing queries must agree on the attribute selection";
   }
-  group_epoch_.assign(num_groups_, 0);
+  block_epoch_.assign((cols.size() + kBlockRows - 1) / kBlockRows, 0);
   prunes_.assign(cols.size(), 0);
   nchecks_.assign(cols.size(), 0);
-  bulk_active_.assign(ctx.num_selected(), 0);
-  promoted_ = policy_.promote_rows == 0;
+  level_active_.assign(ctx.num_selected(), 0);
+  ring_left_.active.assign(ctx.num_selected(), 0);
+  ring_right_.active.assign(ctx.num_selected(), 0);
+  promoted_ = promote_rows_ == 0;
 }
 
 void DominanceKernel::BeginCandidate() {
   ++epoch_;
   survived_ = 0;
-  promoted_ = policy_.promote_rows == 0;
+  promoted_ = promote_rows_ == 0;
 }
 
-bool DominanceKernel::ProbeRow(size_t j, uint32_t* nch) const {
+bool DominanceKernel::ProbeColumns(size_t j, uint64_t* checks) const {
   // Mirrors PruneContext::Prunes on the memoized (table-backed) path: the
   // same column loads, the same scale * |y - x| product, the same compare
   // order and early abort — so the probe's verdict and check count are the
@@ -411,33 +461,45 @@ bool DominanceKernel::ProbeRow(size_t j, uint32_t* nch) const {
     } else {
       lhs = ctx_->CandidateColumn(k)[cols_->values(a)[j]];
     }
-    if (lhs > q) {
-      *nch = static_cast<uint32_t>(k + 1);
-      return false;
-    }
+    ++*checks;
+    if (lhs > q) return false;
     if (lhs < q) strict = true;
   }
-  *nch = static_cast<uint32_t>(m);
   return strict;
 }
 
-void DominanceKernel::EvalRows(size_t begin, size_t n,
-                               uint32_t init_active) {
+inline bool DominanceKernel::ProbeRow(size_t j, uint64_t* checks) const {
+  if (rows_ == nullptr) return ProbeColumns(j, checks);
+  return ctx_->Prunes(rows_->row_values(j), rows_->row_numerics(j), checks);
+}
+
+inline bool DominanceKernel::ProbeStep(size_t j, uint64_t* pair_tests,
+                                       uint64_t* checks) {
+  ++*pair_tests;
+  ++scalar_rows_;
+  if (ProbeRow(j, checks)) return true;
+  if (++survived_ >= promote_rows_) {
+    promoted_ = true;
+    ++promotions_;
+  }
+  return false;
+}
+
+DominanceKernel::WindowMasks DominanceKernel::EvalMasks(
+    size_t begin, size_t n, uint32_t rows, uint32_t* level_active) {
   const size_t m = ctx_->num_selected();
   const LaneFns& fns = FnsFor(dispatch_);
-  uint32_t active = init_active;
-  uint32_t strict_any = 0;
-  uint16_t* nch = nchecks_.data() + begin;
-  uint8_t* pr = prunes_.data() + begin;
-  block_rows_ += static_cast<uint64_t>(__builtin_popcount(init_active));
   const size_t block = begin / kBlockRows;
-  const size_t block_off = begin - block * kBlockRows;
-  for (size_t k = 0; k < m && active != 0; ++k) {
+  uint32_t active = rows;
+  uint32_t strict_any = 0;
+  size_t k = 0;
+  for (; k < m && active != 0; ++k) {
+    level_active[k] = active;
     const AttrId a = ctx_->selected()[k];
     uint32_t viol = 0, strict = 0;
     if (shared_ != nullptr) {
-      const double* lhs = shared_->EnsureLhs(k, block) + block_off;
-      fns.cmp(lhs, n, active, ctx_->QueryDist(k), &viol, &strict);
+      fns.cmp(shared_->EnsureLhs(k, block), n, active, ctx_->QueryDist(k),
+              &viol, &strict);
     } else if (ctx_->SelectedIsNumeric(k)) {
       fns.num(cols_->numerics(a) + begin, n, active,
               ctx_->candidate_numerics()[a],
@@ -448,65 +510,36 @@ void DominanceKernel::EvalRows(size_t begin, size_t n,
               ctx_->QueryDist(k), &viol, &strict);
     }
     kernel_checks_ += static_cast<uint64_t>(__builtin_popcount(active));
-    // Rows violated now did their last scalar-equivalent check at k.
-    uint32_t newly = active & viol;
-    while (newly != 0) {
-      const unsigned w = static_cast<unsigned>(__builtin_ctz(newly));
-      newly &= newly - 1;
-      nch[w] = static_cast<uint16_t>(k + 1);
-    }
     strict_any |= strict;
     active &= ~viol;
   }
-  // Rows that survived every attribute made all m checks; they prune iff
-  // some attribute was strictly closer (the scalar loop's `strict` flag —
-  // strict bits of violated rows are irrelevant, their prune bit is 0).
-  // Only the requested rows are written: other rows of the window may
-  // carry results from an earlier (narrower) evaluation.
-  const uint32_t pruners = active & strict_any;
-  uint32_t rest = init_active;
-  while (rest != 0) {
-    const unsigned w = static_cast<unsigned>(__builtin_ctz(rest));
-    rest &= rest - 1;
-    pr[w] = static_cast<uint8_t>((pruners >> w) & 1u);
-  }
-  rest = active;
-  while (rest != 0) {
-    const unsigned w = static_cast<unsigned>(__builtin_ctz(rest));
-    rest &= rest - 1;
-    nch[w] = static_cast<uint16_t>(m);
-  }
+  // Rows that survived every attribute prune iff some attribute was
+  // strictly closer (the scalar loop's `strict` flag — strict bits of
+  // violated rows are irrelevant).
+  return {k, active & strict_any};
 }
 
 void DominanceKernel::EvalWindow(size_t row) {
-  size_t begin, span;
-  if (policy_.block_rows >= kBlockRows) {
-    begin = row & ~(kBlockRows - 1);
-    span = kBlockRows;
-  } else {
-    begin = row & ~(kGroupRows - 1);
-    span = kGroupRows;
+  const size_t begin = row & ~(kBlockRows - 1);
+  const size_t n = std::min(kBlockRows, cols_->size() - begin);
+  const uint32_t all = BitRange(0, static_cast<int64_t>(n) - 1);
+  const WindowMasks w = EvalMasks(begin, n, all, level_active_.data());
+  block_epoch_[begin / kBlockRows] = epoch_;
+  block_rows_ += n;
+  uint8_t* pr = prunes_.data() + begin;
+  uint16_t* nch = nchecks_.data() + begin;
+  for (size_t r = 0; r < n; ++r) {
+    pr[r] = static_cast<uint8_t>((w.pruners >> r) & 1u);
+    uint16_t c = 0;
+    for (size_t l = 0; l < w.levels; ++l) c += (level_active_[l] >> r) & 1u;
+    nch[r] = c;
   }
-  const size_t n = std::min(span, cols_->size() - begin);
-  uint32_t want = 0;
-  const size_t g0 = begin / kGroupRows;
-  const size_t g_end = (begin + n + kGroupRows - 1) / kGroupRows;
-  for (size_t g = g0; g < g_end; ++g) {
-    if (GroupReady(g)) continue;
-    group_epoch_[g] = epoch_;
-    const size_t lo = g * kGroupRows - begin;
-    const size_t cnt = std::min(kGroupRows, n - lo);
-    want |= ((1u << cnt) - 1u) << lo;
-  }
-  if (want != 0) EvalRows(begin, n, want);
 }
 
 uint64_t DominanceKernel::CountPruners(size_t begin, size_t end,
                                        uint64_t* checks) {
   uint64_t pruners = 0;
   uint64_t nch = 0;
-  const size_t m = ctx_->num_selected();
-  const LaneFns& fns = FnsFor(dispatch_);
   size_t j = begin;
   // Partial blocks at the edges go through the cached per-row path.
   while (j < end && j % kBlockRows != 0) {
@@ -515,41 +548,15 @@ uint64_t DominanceKernel::CountPruners(size_t begin, size_t end,
     nch += nchecks_[j];
     ++j;
   }
-  // Full blocks need no per-row artifacts at all: the sum of the scalar
-  // loop's per-row check counts is the number of still-active rows at
-  // each attribute (a row first violated at attribute k is active for
-  // exactly its k+1 checks), and the pruner count is one popcount of the
-  // final survivor & strict mask. Skipping the prunes_/nchecks_ writes
-  // (and their later re-reads) is what makes bulk counting memory-lean on
-  // batches that outgrow L1.
+  // Full blocks need no per-row artifacts at all: the scalar accounting is
+  // one popcount per attribute and the pruner count one popcount of the
+  // pruner mask. Skipping the prunes_/nchecks_ writes (and their later
+  // re-reads) is what makes bulk counting memory-lean on batches that
+  // outgrow L1.
   for (; j + kBlockRows <= end; j += kBlockRows) {
-    uint32_t active = ~0u;
-    uint32_t strict_any = 0;
-    for (size_t k = 0; k < m && active != 0; ++k) {
-      const AttrId a = ctx_->selected()[k];
-      uint32_t viol = 0, strict = 0;
-      if (shared_ != nullptr) {
-        const double* lhs = shared_->EnsureLhs(k, j / kBlockRows);
-        fns.cmp(lhs, kBlockRows, active, ctx_->QueryDist(k), &viol,
-                &strict);
-      } else if (ctx_->SelectedIsNumeric(k)) {
-        fns.num(cols_->numerics(a) + j, kBlockRows, active,
-                ctx_->candidate_numerics()[a],
-                ctx_->space().numeric(a).scale(), ctx_->QueryDist(k), &viol,
-                &strict);
-      } else {
-        fns.cat(ctx_->CandidateColumn(k), cols_->values(a) + j, kBlockRows,
-                active, ctx_->QueryDist(k), &viol, &strict);
-      }
-      const uint64_t alive =
-          static_cast<uint64_t>(__builtin_popcount(active));
-      kernel_checks_ += alive;
-      nch += alive;
-      strict_any |= strict;
-      active &= ~viol;
-    }
-    pruners +=
-        static_cast<uint64_t>(__builtin_popcount(active & strict_any));
+    const WindowMasks w = EvalMasks(j, kBlockRows, ~0u, level_active_.data());
+    nch += MaskChecks(level_active_.data(), w.levels, ~0u);
+    pruners += static_cast<uint64_t>(__builtin_popcount(w.pruners));
   }
   for (; j < end; ++j) {
     EnsureRow(j);
@@ -572,63 +579,17 @@ uint32_t DominanceKernel::RowChecks(size_t j) {
 
 bool DominanceKernel::BulkWindow(size_t begin, size_t n,
                                  uint64_t* pair_tests, uint64_t* checks) {
-  // Like CountPruners' full-block loop, the window computes lane masks
-  // only — no prunes_/nchecks_ writes, no later re-reads. The scalar
-  // accounting falls out of the per-attribute survivor masks alone: a row
-  // first violated at attribute k was active for exactly its k+1 checks,
-  // so each row's scalar check count is the number of masks its bit
-  // survives into, and summing over rows is one popcount per attribute.
-  // Restricting the popcounts to the lanes at or before the first pruner
+  // Masks only — no prunes_/nchecks_ writes, no later re-reads.
+  // Restricting the accounting to the lanes at or before the first pruner
   // reproduces the early-aborting loop's stop exactly.
-  const size_t m = ctx_->num_selected();
-  const LaneFns& fns = FnsFor(dispatch_);
-  const uint32_t full = n >= 32 ? ~0u : ((1u << n) - 1u);
-  uint32_t active = full;
-  uint32_t strict_any = 0;
-  block_rows_ += static_cast<uint64_t>(n);
-  const size_t block = begin / kBlockRows;
-  const size_t block_off = begin - block * kBlockRows;
-  size_t k = 0;
-  for (; k < m && active != 0; ++k) {
-    bulk_active_[k] = active;
-    const AttrId a = ctx_->selected()[k];
-    uint32_t viol = 0, strict = 0;
-    if (shared_ != nullptr) {
-      const double* lhs = shared_->EnsureLhs(k, block) + block_off;
-      fns.cmp(lhs, n, active, ctx_->QueryDist(k), &viol, &strict);
-    } else if (ctx_->SelectedIsNumeric(k)) {
-      fns.num(cols_->numerics(a) + begin, n, active,
-              ctx_->candidate_numerics()[a],
-              ctx_->space().numeric(a).scale(), ctx_->QueryDist(k), &viol,
-              &strict);
-    } else {
-      fns.cat(ctx_->CandidateColumn(k), cols_->values(a) + begin, n, active,
-              ctx_->QueryDist(k), &viol, &strict);
-    }
-    kernel_checks_ += static_cast<uint64_t>(__builtin_popcount(active));
-    strict_any |= strict;
-    active &= ~viol;
-  }
-  const size_t levels = k;
-  const uint32_t pruners = active & strict_any;
-  uint64_t nch = 0;
-  if (pruners == 0) {
-    *pair_tests += n;
-    for (size_t l = 0; l < levels; ++l) {
-      nch += static_cast<uint64_t>(__builtin_popcount(bulk_active_[l]));
-    }
-    *checks += nch;
-    return false;
-  }
-  const unsigned f = static_cast<unsigned>(__builtin_ctz(pruners));
-  const uint32_t upto = f >= 31 ? ~0u : ((1u << (f + 1)) - 1u);
-  *pair_tests += f + 1;
-  for (size_t l = 0; l < levels; ++l) {
-    nch += static_cast<uint64_t>(
-        __builtin_popcount(bulk_active_[l] & upto));
-  }
-  *checks += nch;
-  return true;
+  const uint32_t all = BitRange(0, static_cast<int64_t>(n) - 1);
+  const WindowMasks w = EvalMasks(begin, n, all, level_active_.data());
+  block_rows_ += n;
+  const uint32_t counted =
+      w.pruners == 0 ? all : BitRange(0, __builtin_ctz(w.pruners));
+  *pair_tests += static_cast<uint64_t>(__builtin_popcount(counted));
+  *checks += MaskChecks(level_active_.data(), w.levels, counted);
+  return w.pruners != 0;
 }
 
 bool DominanceKernel::FindPrunerForward(size_t begin, size_t end,
@@ -638,43 +599,20 @@ bool DominanceKernel::FindPrunerForward(size_t begin, size_t end,
   size_t j = begin;
   // Pre-promotion: the exact scalar early-abort loop.
   for (; j < end && !promoted_; ++j) {
-    if (ids[j] == skip_id) continue;
-    ++*pair_tests;
-    bool p;
-    if (GroupReady(j >> 3)) {
-      // Already block-evaluated (an external RowPrunes touch): reuse.
-      *checks += nchecks_[j];
-      p = prunes_[j] != 0;
-    } else {
-      uint32_t nch;
-      p = ProbeRow(j, &nch);
-      ++scalar_rows_;
-      *checks += nch;
-    }
-    if (p) return true;
-    if (++survived_ >= policy_.promote_rows) {
-      promoted_ = true;
-      ++promotions_;
-    }
+    if (ids[j] != skip_id && ProbeStep(j, pair_tests, checks)) return true;
   }
   // Post-promotion: window at a time. Windows fully inside the range with
   // no prior evaluation and no skipped row take the bulk path; the rest
-  // (range edges, groups a probe reused, the window holding skip_id) go
-  // through the per-row artifacts so reuse stays coherent.
-  const size_t W =
-      policy_.block_rows >= kBlockRows ? kBlockRows : kGroupRows;
+  // (range edges, blocks already evaluated for this candidate, the window
+  // holding skip_id) go through the per-row artifacts so reuse stays
+  // coherent.
   while (j < end) {
-    const size_t wb = j & ~(W - 1);
-    const size_t wn = std::min(W, cols_->size() - wb);
+    const size_t wb = j & ~(kBlockRows - 1);
+    const size_t wn = std::min(kBlockRows, cols_->size() - wb);
     const size_t we = std::min(end, wb + wn);
-    bool per_row = j != wb || we != wb + wn;
-    for (size_t g = wb / kGroupRows;
-         !per_row && g * kGroupRows < wb + wn; ++g) {
-      per_row = GroupReady(g);
-    }
-    for (size_t r = wb; !per_row && r < wb + wn; ++r) {
-      per_row = ids[r] == skip_id;
-    }
+    const bool per_row = j != wb || we != wb + wn ||
+                         BlockReady(wb / kBlockRows) ||
+                         FnsFor(dispatch_).eq(ids + wb, wn, skip_id) != 0;
     if (per_row) {
       for (; j < we; ++j) {
         if (ids[j] == skip_id) continue;
@@ -698,23 +636,8 @@ DominanceKernel::ProbeResult DominanceKernel::ProbeForward(
   const RowId* ids = cols_->ids();
   for (size_t j = begin; j < end; ++j) {
     if (ids[j] == skip_id) continue;
-    ++*pair_tests;
-    bool p;
-    if (GroupReady(j >> 3)) {
-      *checks += nchecks_[j];
-      p = prunes_[j] != 0;
-    } else {
-      uint32_t nch;
-      p = ProbeRow(j, &nch);
-      ++scalar_rows_;
-      *checks += nch;
-    }
-    if (p) return ProbeResult::kPruner;
-    if (++survived_ >= policy_.promote_rows) {
-      promoted_ = true;
-      ++promotions_;
-      return ProbeResult::kPromoted;
-    }
+    if (ProbeStep(j, pair_tests, checks)) return ProbeResult::kPruner;
+    if (promoted_) return ProbeResult::kPromoted;
   }
   return ProbeResult::kExhausted;
 }
@@ -724,36 +647,112 @@ bool DominanceKernel::FindPrunerRing(size_t center, RowId skip_id,
                                      uint64_t* checks) {
   const size_t n = cols_->size();
   const RowId* ids = cols_->ids();
-  auto try_row = [&](size_t j) {
-    if (ids[j] == skip_id) return false;
-    ++*pair_tests;
-    if (!promoted_) {
-      bool p;
-      if (GroupReady(j >> 3)) {
-        *checks += nchecks_[j];
-        p = prunes_[j] != 0;
-      } else {
-        uint32_t nch;
-        p = ProbeRow(j, &nch);
-        ++scalar_rows_;
-        *checks += nch;
-      }
-      if (p) return true;
-      if (++survived_ >= policy_.promote_rows) {
-        promoted_ = true;
-        ++promotions_;
-      }
-      return false;
+  // Pre-promotion: the scalar ring itself.
+  size_t off = 1;
+  for (; off < n && !promoted_; ++off) {
+    if (off <= center && ids[center - off] != skip_id &&
+        ProbeStep(center - off, pair_tests, checks)) {
+      return true;
     }
-    EnsureRow(j);
-    *checks += nchecks_[j];
-    return prunes_[j] != 0;
-  };
-  for (size_t off = 1; off < n; ++off) {
-    if (off <= center && try_row(center - off)) return true;
-    if (center + off < n && try_row(center + off)) return true;
+    if (promoted_) {
+      // Promoted between L(off) and R(off): the walk resumes at R(off).
+      return RingWalk(center, skip_id, off + 1, off, pair_tests, checks);
+    }
+    if (center + off < n && ids[center + off] != skip_id &&
+        ProbeStep(center + off, pair_tests, checks)) {
+      return true;
+    }
   }
-  return false;
+  return promoted_ && RingWalk(center, skip_id, off, off, pair_tests, checks);
+}
+
+void DominanceKernel::EvalRingWindow(size_t first, size_t last,
+                                     RowId skip_id, RingWindow* w) {
+  w->begin = first & ~(kBlockRows - 1);
+  const size_t n = std::min(kBlockRows, cols_->size() - w->begin);
+  const uint32_t rows = BitRange(static_cast<int64_t>(first - w->begin),
+                                 static_cast<int64_t>(last - w->begin));
+  w->rows =
+      rows & ~FnsFor(dispatch_).eq(cols_->ids() + w->begin, n, skip_id);
+  w->masks = EvalMasks(w->begin, n, w->rows, w->active.data());
+  block_rows_ += static_cast<uint64_t>(__builtin_popcount(w->rows));
+}
+
+bool DominanceKernel::RingWalk(size_t center, RowId skip_id,
+                               size_t left_off, size_t right_off,
+                               uint64_t* pair_tests, uint64_t* checks) {
+  // Each side holds one window: the block containing its next unvisited
+  // row, evaluated over that side's unvisited rows only. Offsets up to the
+  // nearer window edge (`last`) are covered on both sides, so the step
+  // resolves them all at once: with no pruner among them their rows are
+  // accounted in bulk; otherwise the nearest pruner — the left one on a
+  // tie, as the left row at an offset is tested first — ends the scan, and
+  // exactly the rows the scalar ring visits before and including it are
+  // accounted. A window is re-evaluated only once its block is consumed,
+  // so the walk visits each absolute 32-row block at most once per side.
+  const int64_t c = static_cast<int64_t>(center);
+  const int64_t n = static_cast<int64_t>(cols_->size());
+  RingWindow& lw = ring_left_;
+  RingWindow& rw = ring_right_;
+  bool left_ready = false, right_ready = false;
+  auto account = [&](const RingWindow& w, uint32_t mask) {
+    *pair_tests += static_cast<uint64_t>(__builtin_popcount(w.rows & mask));
+    *checks += MaskChecks(w.active.data(), w.masks.levels, mask);
+  };
+  int64_t lo = static_cast<int64_t>(left_off);
+  int64_t ro = static_cast<int64_t>(right_off);
+  constexpr int64_t kNone = std::numeric_limits<int64_t>::max();
+  while (true) {
+    const bool left_live = lo <= c;
+    const bool right_live = c + ro < n;
+    if (!left_live && !right_live) return false;
+    int64_t left_last = kNone, right_last = kNone;
+    if (left_live) {
+      if (!left_ready) {
+        const size_t top = static_cast<size_t>(c - lo);
+        EvalRingWindow(top & ~(kBlockRows - 1), top, skip_id, &lw);
+        left_ready = true;
+      }
+      left_last = c - static_cast<int64_t>(lw.begin);
+    }
+    if (right_live) {
+      if (!right_ready) {
+        const size_t bottom = static_cast<size_t>(c + ro);
+        const size_t block_end =
+            std::min((bottom | (kBlockRows - 1)) + 1, cols_->size());
+        EvalRingWindow(bottom, block_end - 1, skip_id, &rw);
+        right_ready = true;
+      }
+      right_last =
+          std::min(static_cast<int64_t>(rw.begin + kBlockRows), n) - 1 - c;
+    }
+    const int64_t last = std::min(left_last, right_last);
+    const int64_t lb = static_cast<int64_t>(lw.begin);
+    const int64_t rb = static_cast<int64_t>(rw.begin);
+    // This step's rows: offsets [lo, last] left, [ro, last] right.
+    uint32_t lmask = left_live ? BitRange(c - last - lb, c - lo - lb) : 0;
+    uint32_t rmask = right_live ? BitRange(c + ro - rb, c + last - rb) : 0;
+    const uint32_t lp = lw.masks.pruners & lmask;
+    const uint32_t rp = rw.masks.pruners & rmask;
+    if ((lp | rp) != 0) {
+      // The nearest left pruner is the highest left bit, the nearest right
+      // one the lowest right bit.
+      const int64_t left_hit = lp != 0 ? c - (lb + 31 - __builtin_clz(lp))
+                                       : kNone;
+      const int64_t right_hit = rp != 0 ? rb + __builtin_ctz(rp) - c : kNone;
+      const int64_t stop = std::min(left_hit, right_hit);
+      lmask &= BitRange(c - stop - lb, 31);
+      rmask &= BitRange(0, c + (left_hit <= right_hit ? stop - 1 : stop) - rb);
+      if (left_live) account(lw, lmask);
+      if (right_live) account(rw, rmask);
+      return true;
+    }
+    if (left_live) account(lw, lmask);
+    if (right_live) account(rw, rmask);
+    lo = ro = last + 1;
+    if (last == left_last) left_ready = false;
+    if (last == right_last) right_ready = false;
+  }
 }
 
 }  // namespace nmrs

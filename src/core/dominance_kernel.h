@@ -2,7 +2,6 @@
 #define NMRS_CORE_DOMINANCE_KERNEL_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/types.h"
@@ -27,20 +26,6 @@ const char* KernelDispatchName(KernelDispatch d);
 /// available, so both paths can be compared in one process. Affects kernels
 /// constructed after the call; not for production use.
 void ForceScalarKernelDispatchForTest(bool force);
-
-/// When a candidate graduates from the scalar probe loop to block
-/// evaluation (docs/KERNELS.md). Every candidate starts on the exact
-/// scalar early-aborting loop; only after it survives `promote_rows`
-/// pruner tests — evidence that its scan is long enough for bulk work to
-/// amortize — do the Find* adapters switch to evaluating `block_rows` rows
-/// at a time through the lane evaluators. promote_rows == 0 promotes
-/// immediately (the pre-adaptive always-block behavior). `block_rows`
-/// selects the evaluation window: 32 for forward scans, 8 for
-/// expanding-ring and leaf scans whose per-candidate visit runs are short.
-struct KernelPolicy {
-  uint32_t promote_rows = 0;
-  uint32_t block_rows = 32;
-};
 
 /// Shared per-candidate cache of the *left-hand sides* of the pruning
 /// condition: for a fixed candidate X, the values d_k(y, x_k) gathered per
@@ -111,55 +96,52 @@ class SharedCandidateCache {
 /// early-exits the attribute loop as soon as no row in the block can still
 /// be a pruner.
 ///
-/// ## Adaptive dispatch (KernelPolicy)
+/// ## Adaptive dispatch (promote_rows)
 ///
 /// Bulk evaluation only wins when the candidate's pruner scan is long; a
 /// candidate pruned by one of its first few neighbours is cheapest on the
 /// plain scalar loop. The Find* adapters therefore start every candidate
-/// on an exact replica of the scalar early-aborting loop and promote it to
-/// block evaluation only after it survives KernelPolicy::promote_rows
-/// tests. Evaluation is group-granular (8-row groups tracked separately),
-/// so a promoted candidate computes 8- or 32-row windows
-/// (KernelPolicy::block_rows) without re-evaluating probed groups. The
-/// promotion decision depends only on verdicts, which are
-/// dispatch-invariant — so promotions, scalar/block row splits and
-/// kernel_checks all agree between the AVX2 and portable paths.
+/// on an exact replica of the scalar early-aborting loop — over the
+/// row-major source batch when the ColumnarBatch has one — and promote it
+/// to 32-row block windows only after it survives `promote_rows` tests
+/// (0 promotes immediately). The promotion decision depends only on
+/// verdicts, which are dispatch-invariant — so promotions, scalar/block row
+/// splits and kernel_checks all agree between the AVX2 and portable paths.
 ///
 /// ## Equivalence contract (docs/KERNELS.md)
 ///
 /// Verdicts are bit-identical to the scalar PruneContext::Prunes loop: the
-/// lane evaluators (and the pre-promotion probe) load the very same
-/// doubles (matrix columns / numeric scaled |y-x|) and compare them
-/// against the same cached thresholds d_k(q_k, x_k), in the same IEEE
-/// operations. The Find* adapters also reproduce the scalar loops'
-/// accounting *exactly*, in both regimes: per visited row they add the
-/// number of attribute checks the early-aborting scalar loop would have
-/// made (first violated attribute + 1, or num_selected() if none) —
-/// probed rows natively, block rows reconstructed from the per-attribute
-/// violation masks — and they stop at the first pruner in the same search
-/// order. The block path's own work is reported separately as
+/// lane evaluators load the very same doubles (matrix columns / numeric
+/// scaled |y-x|) and compare them against the same cached thresholds
+/// d_k(q_k, x_k), in the same IEEE operations. The Find* adapters also
+/// reproduce the scalar loops' accounting *exactly*, in both regimes: per
+/// visited row they add the number of attribute checks the early-aborting
+/// scalar loop would have made (first violated attribute + 1, or
+/// num_selected() if none) — probed rows natively, block rows from the
+/// per-attribute survivor masks — and they stop at the first pruner in the
+/// same search order. The block path's own work is reported separately as
 /// kernel_checks(): per attribute processed it adds the number of rows
-/// still alive in the window — a dispatch- and grouping-independent count
-/// equal to the sum of the block-evaluated rows' scalar check counts plus
-/// the lanes past an adapter's first pruner that the window computed
-/// anyway.
+/// still alive in the window — a dispatch-independent count equal to the
+/// sum of the block-evaluated rows' scalar check counts plus the lanes past
+/// an adapter's first pruner that the window computed anyway.
 ///
 /// The context must be table-backed (QueryDistanceTable) — all wired
-/// algorithms build one — and both `ctx` and `cols` are borrowed and must
-/// outlive the kernel. Not thread-safe; parallel chunks build one kernel
-/// per chunk over the shared ColumnarBatch. With a SharedCandidateCache
-/// the block path compares against the cache's lhs arrays instead of
-/// gathering privately (cross-query scan sharing); the cache must be
-/// attached to the same batch and its SetCandidate must track ctx's.
+/// algorithms build one — and both `ctx` and `cols` (and its source batch)
+/// are borrowed and must outlive the kernel. Not thread-safe; parallel
+/// chunks build one kernel per chunk over the shared ColumnarBatch. With a
+/// SharedCandidateCache the block path compares against the cache's lhs
+/// arrays instead of gathering privately (cross-query scan sharing); the
+/// cache must be attached to the same batch and its SetCandidate must
+/// track ctx's.
 class DominanceKernel {
  public:
-  /// Rows evaluated per wide block (one bitmask word).
+  /// Rows evaluated per block window (one bitmask word). Windows are
+  /// aligned to absolute multiples of kBlockRows, the SharedCandidateCache
+  /// block geometry.
   static constexpr size_t kBlockRows = 32;
-  /// Group granularity of lazy evaluation, and the narrow block width.
-  static constexpr size_t kGroupRows = 8;
 
   DominanceKernel(const PruneContext& ctx, const ColumnarBatch& cols,
-                  KernelPolicy policy = {},
+                  uint32_t promote_rows = 0,
                   SharedCandidateCache* shared = nullptr);
 
   /// Invalidates cached block results and restarts the adaptive probe;
@@ -195,21 +177,17 @@ class DominanceKernel {
   ProbeResult ProbeForward(size_t begin, size_t end, RowId skip_id,
                            uint64_t* pair_tests, uint64_t* checks);
 
-  /// Expanding-ring scan around `center` (offsets +-1, +-2, ..., the SRS
-  /// phase-1 order): same contract as FindPrunerForward.
+  /// Expanding-ring scan around `center` (offsets +-1, +-2, ..., the left
+  /// row first at each offset: the SRS phase-1 order), same contract as
+  /// FindPrunerForward. Before promotion the ring is probed row by row;
+  /// after it, the walk evaluates one 32-row window per side — the block
+  /// holding the side's next unvisited row, restricted to the unvisited
+  /// rows — and consumes both windows offset by offset up to the nearer
+  /// window edge: pruner-free spans are accounted in bulk from the survivor
+  /// masks, and the span holding the first pruner stops at exactly the
+  /// offset (and side) where the scalar ring would. See RingWalk.
   bool FindPrunerRing(size_t center, RowId skip_id, uint64_t* pair_tests,
                       uint64_t* checks);
-
-  /// Turns off promotion for every subsequent candidate: the scalar probe
-  /// runs to completion instead of graduating to block windows. Callers'
-  /// futility policies use this when a trial shows block evaluation is not
-  /// paying for the workload at hand (e.g. ring scans whose candidates
-  /// routinely survive their neighborhood). Verdicts and accounting are
-  /// unaffected — only the evaluation strategy changes. Takes effect at
-  /// the next BeginCandidate().
-  void DisablePromotion() {
-    policy_.promote_rows = std::numeric_limits<uint32_t>::max();
-  }
 
   /// Bulk evaluation of rows [begin, end) with no early exit: computes
   /// every block, adds the scalar-equivalent check count of every row to
@@ -242,44 +220,78 @@ class DominanceKernel {
   KernelDispatch dispatch() const { return dispatch_; }
 
  private:
-  // Evaluates the policy-width window containing `row` (its not-yet-ready
-  // 8-row groups only) and marks those groups ready.
+  // Outcome of a masks-only window evaluation (EvalMasks).
+  struct WindowMasks {
+    size_t levels = 0;      // attributes evaluated before the rows died out
+    uint32_t pruners = 0;   // rows that prune the candidate
+  };
+  // One side of the promoted ring walk: the window it is consuming.
+  struct RingWindow {
+    size_t begin = 0;       // first row of the 32-row block
+    uint32_t rows = 0;      // evaluated rows (unvisited, not skip_id)
+    WindowMasks masks;
+    std::vector<uint32_t> active;  // per attribute, rows alive at it
+  };
+
+  // Lane evaluation of rows [begin, begin+n) restricted to `rows` (bit w =
+  // row begin+w; begin is block-aligned). Stores each attribute's
+  // still-alive rows in level_active[k] — a row first violated at
+  // attribute k is alive at exactly its k+1 scalar checks, so summing
+  // popcounts over levels yields the scalar accounting of any row subset
+  // (MaskChecks) — and adds the alive lanes to kernel_checks_.
+  WindowMasks EvalMasks(size_t begin, size_t n, uint32_t rows,
+                        uint32_t* level_active);
+  // Evaluates the whole 32-row block containing `row` into the per-row
+  // artifacts and marks it ready.
   void EvalWindow(size_t row);
-  // Lane evaluation of rows [begin, begin+n) restricted to `init_active`
-  // (bit w = row begin+w), filling prunes_/nchecks_ for those rows.
-  void EvalRows(size_t begin, size_t n, uint32_t init_active);
-  // A group's artifacts are valid iff it was evaluated for the current
-  // candidate. Epochs make BeginCandidate O(1) — with one kernel check per
-  // candidate over thousands of candidates per batch, clearing a per-group
-  // array each time would cost O(rows^2) per batch.
-  inline bool GroupReady(size_t g) const {
-    return group_epoch_[g] == epoch_;
-  }
+  // Block artifacts are valid iff evaluated for the current candidate.
+  // Epochs make BeginCandidate O(1) — with one kernel check per candidate
+  // over thousands of candidates per batch, clearing a per-block array
+  // each time would cost O(rows^2) per batch.
+  inline bool BlockReady(size_t b) const { return block_epoch_[b] == epoch_; }
   inline void EnsureRow(size_t j) {
-    if (!GroupReady(j >> 3)) EvalWindow(j);
+    if (!BlockReady(j / kBlockRows)) EvalWindow(j);
   }
-  // Exact scalar probe of row j: same loads, compares and early-abort as
-  // PruneContext::Prunes on the current candidate.
-  bool ProbeRow(size_t j, uint32_t* nch) const;
+  // Exact scalar probe of row j: PruneContext::Prunes on the source
+  // batch's row, or ProbeColumns when there is none. Adds the row's checks
+  // to *checks.
+  bool ProbeRow(size_t j, uint64_t* checks) const;
+  // The same loads, compares and early abort as PruneContext::Prunes, over
+  // the columns.
+  bool ProbeColumns(size_t j, uint64_t* checks) const;
+  // One pre-promotion test of row j (id != skip_id): counts the pair and
+  // checks, returns whether j prunes, and promotes the candidate once it
+  // has survived promote_rows tests.
+  bool ProbeStep(size_t j, uint64_t* pair_tests, uint64_t* checks);
   // Bulk evaluation of the whole window [begin, begin+n) with no per-row
   // artifacts, used by the promoted forward scan. Adds the exact scalar
   // accounting (stopping at the first pruner like the early-aborting
   // loop) and returns whether the window contains one. The window must
-  // not contain the skipped row or any already-evaluated group.
+  // not contain the skipped row or an already-evaluated block.
   bool BulkWindow(size_t begin, size_t n, uint64_t* pair_tests,
                   uint64_t* checks);
+  // The promoted half of FindPrunerRing: continues the ring at offset
+  // `left_off` on the left and `right_off` on the right (left_off is
+  // right_off or right_off + 1).
+  bool RingWalk(size_t center, RowId skip_id, size_t left_off,
+                size_t right_off, uint64_t* pair_tests, uint64_t* checks);
+  // Evaluates `w` over rows [first, last] of the block holding them,
+  // minus rows whose id is skip_id.
+  void EvalRingWindow(size_t first, size_t last, RowId skip_id,
+                      RingWindow* w);
 
   const PruneContext* ctx_;
   const ColumnarBatch* cols_;
+  const RowBatch* rows_;                // cols_->source(); may be null
   SharedCandidateCache* shared_;
   KernelDispatch dispatch_;
-  KernelPolicy policy_;
-  size_t num_groups_;
+  uint32_t promote_rows_;
   uint64_t epoch_ = 1;                  // current candidate's epoch
-  std::vector<uint64_t> group_epoch_;   // per 8-row group: last evaluation
+  std::vector<uint64_t> block_epoch_;   // per block: last evaluation
   std::vector<uint8_t> prunes_;         // per row, current candidate
   std::vector<uint16_t> nchecks_;       // per row, scalar-equivalent checks
-  std::vector<uint32_t> bulk_active_;   // per attribute, BulkWindow scratch
+  std::vector<uint32_t> level_active_;  // per attribute, EvalMasks scratch
+  RingWindow ring_left_, ring_right_;
   // Adaptive per-candidate state.
   uint32_t survived_ = 0;
   bool promoted_ = true;

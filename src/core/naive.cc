@@ -1,6 +1,7 @@
 #include "core/naive.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/timer.h"
 #include "core/dominance.h"
@@ -36,12 +37,20 @@ StatusOr<ReverseSkylineResult> NaiveReverseSkyline(
   const uint64_t total_pages = data.num_pages();
   RowBatch outer(m, numerics);
   RowBatch inner(m, numerics);
-  // Kernel path: column-major view of the current inner page. Cached by
-  // page id — the restart pattern means consecutive candidates mostly get
-  // pruned inside the same early page, so the transpose amortizes.
+  // Kernel path: column-major view of the current inner page and a kernel
+  // over it. Cached by page id — the restart pattern means consecutive
+  // candidates mostly get pruned inside the same early page, so the
+  // transpose and the kernel's set-up amortize.
   ColumnarBatch cols;
+  std::optional<DominanceKernel> kernel;
   PageId cols_page = 0;
-  bool cols_valid = false;
+  auto fold_kernel = [&] {
+    if (!kernel) return;
+    stats.kernel_checks += kernel->kernel_checks();
+    stats.kernel_promotions += kernel->promotions();
+    stats.kernel_scalar_rows += kernel->scalar_rows();
+    stats.kernel_block_rows += kernel->block_rows();
+  };
   for (PageId op = 0; op < total_pages; ++op) {
     outer.Clear();
     NMRS_RETURN_IF_ERROR(data.ReadPageVia(&reader, op, &outer));
@@ -56,20 +65,15 @@ StatusOr<ReverseSkylineResult> NaiveReverseSkyline(
         inner.Clear();
         NMRS_RETURN_IF_ERROR(data.ReadPageVia(&reader, ip, &inner));
         if (opts.use_kernels) {
-          if (!cols_valid || cols_page != ip) {
+          if (!kernel || cols_page != ip) {
+            fold_kernel();
             cols.Build(inner);
+            kernel.emplace(ctx, cols, opts.kernel_promote_rows);
             cols_page = ip;
-            cols_valid = true;
           }
-          DominanceKernel kernel(
-              ctx, cols,
-              {opts.kernel_promote_rows, DominanceKernel::kBlockRows});
-          pruned = kernel.FindPrunerForward(0, inner.size(), x_id,
-                                            &stats.pair_tests, &stats.checks);
-          stats.kernel_checks += kernel.kernel_checks();
-          stats.kernel_promotions += kernel.promotions();
-          stats.kernel_scalar_rows += kernel.scalar_rows();
-          stats.kernel_block_rows += kernel.block_rows();
+          kernel->BeginCandidate();
+          pruned = kernel->FindPrunerForward(0, inner.size(), x_id,
+                                             &stats.pair_tests, &stats.checks);
           continue;
         }
         for (size_t j = 0; j < inner.size(); ++j) {
@@ -86,6 +90,7 @@ StatusOr<ReverseSkylineResult> NaiveReverseSkyline(
     }
   }
 
+  fold_kernel();
   std::sort(result.rows.begin(), result.rows.end());
   stats.phase1_checks = stats.checks;
   stats.result_size = result.rows.size();

@@ -88,9 +88,11 @@ struct RSOptions {
   /// path; for Naive/BRS/SRS and the bichromatic block variant the check
   /// and pair-test counts are also reproduced exactly (mask accounting),
   /// while TRS reports its kernel phase-1 work as
-  /// QueryStats::kernel_checks instead of tree-group checks. Default off =
-  /// seed-identical execution. See docs/KERNELS.md.
-  bool use_kernels = false;
+  /// QueryStats::kernel_checks instead of tree-group checks. Default on;
+  /// false runs the seed scalar loops byte for byte — the equivalence
+  /// tests' oracle and the path the paper-figure benches measure. See
+  /// docs/KERNELS.md.
+  bool use_kernels = true;
 
   /// Adaptive promotion threshold of the kernel path (docs/KERNELS.md):
   /// each candidate starts on the exact scalar early-aborting loop and

@@ -62,8 +62,7 @@ Status PruneCandidatesAgainstShard(const StoredDataset& data,
     NMRS_RETURN_IF_ERROR(data.ReadPageVia(reader, dp, &page));
     if (opts.use_kernels) {
       cols.Build(page);
-      DominanceKernel kernel(
-          ctx, cols, {opts.kernel_promote_rows, DominanceKernel::kBlockRows});
+      DominanceKernel kernel(ctx, cols, opts.kernel_promote_rows);
       for (size_t i = 0; i < candidates.size(); ++i) {
         if ((*pruned)[i]) continue;
         ctx.SetCandidate(candidates.row_values(i), candidates.row_numerics(i));

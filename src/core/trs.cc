@@ -244,10 +244,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
         constexpr size_t kProbeTrial = 64;
         PruneContext kc(space, schema, query, kernel_selected,
                         &*kernel_qtable);
-        DominanceKernel kernel(
-            kc, leaf_cols,
-            KernelPolicy{opts.kernel_promote_rows,
-                         static_cast<uint32_t>(DominanceKernel::kGroupRows)});
+        DominanceKernel kernel(kc, leaf_cols, opts.kernel_promote_rows);
         std::vector<ValueId> cv(m, 0);
         uint64_t unused_pairs = 0, unused_checks = 0;
         bool probing = true;

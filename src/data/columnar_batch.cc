@@ -3,6 +3,7 @@
 namespace nmrs {
 
 void ColumnarBatch::Build(const RowBatch& rows) {
+  source_ = &rows;
   num_rows_ = rows.size();
   num_attrs_ = rows.num_attrs();
   has_numerics_ = rows.has_numerics();
@@ -28,6 +29,7 @@ void ColumnarBatch::BuildFromColumns(
     size_t num_rows, const std::vector<std::vector<ValueId>>& columns,
     const std::vector<RowId>& ids) {
   NMRS_CHECK_EQ(ids.size(), num_rows);
+  source_ = nullptr;
   num_rows_ = num_rows;
   num_attrs_ = columns.size();
   has_numerics_ = false;

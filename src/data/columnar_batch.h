@@ -24,8 +24,15 @@ class ColumnarBatch {
   ColumnarBatch() = default;
 
   /// Rebuilds the SoA view from `rows` (one transpose pass, O(n*m)).
-  /// Any previously built contents are discarded.
+  /// Any previously built contents are discarded. `rows` stays reachable
+  /// through source().
   void Build(const RowBatch& rows);
+
+  /// The row-major batch the view was built from, or null after
+  /// BuildFromColumns. Borrowed: valid while that batch is alive and holds
+  /// the rows it held at Build. The dominance kernels probe it for short
+  /// scans, where one row is one cache line.
+  const RowBatch* source() const { return source_; }
 
   size_t size() const { return num_rows_; }
   size_t num_attrs() const { return num_attrs_; }
@@ -58,6 +65,7 @@ class ColumnarBatch {
                         const std::vector<RowId>& ids);
 
  private:
+  const RowBatch* source_ = nullptr;
   size_t num_rows_ = 0;
   size_t num_attrs_ = 0;
   bool has_numerics_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <unordered_set>
 #include <utility>
 
 #include "common/timer.h"
@@ -150,8 +151,6 @@ Status Database::InitGen0(const Dataset& base) {
   const uint64_t n = base.num_rows();
   st->keys.resize(n);
   std::iota(st->keys.begin(), st->keys.end(), 0);
-  st->key_to_row.reserve(n);
-  for (RowId r = 0; r < n; ++r) st->key_to_row.emplace(r, r);
   NMRS_RETURN_IF_ERROR(BuildEngines(st.get()));
 
   gen_ = std::move(st);
@@ -316,20 +315,33 @@ StatusOr<std::shared_ptr<Database::State>> Database::Materialize(
     insert_rank.emplace(delta.InsertKey(i), i);
   }
   std::vector<char> dead(v.inserts, 0);
-  std::vector<RowId> deleted_base;
+  std::unordered_set<uint64_t> base_delete_keys;
   for (uint64_t d = 0; d < v.deletes; ++d) {
     const uint64_t key = delta.DeleteKey(d);
     if (auto it = insert_rank.find(key); it != insert_rank.end()) {
       dead[it->second] = 1;
-    } else if (auto bit = gen.key_to_row.find(key);
-               bit != gen.key_to_row.end()) {
-      deleted_base.push_back(bit->second);
     } else {
-      return Status::Internal("delta delete references unknown key " +
-                              std::to_string(key));
+      base_delete_keys.insert(key);
     }
   }
-  std::sort(deleted_base.begin(), deleted_base.end());
+  // Base deletes resolve by one pass over the generation's keys, which
+  // also yields them in RowId order. Keys left unmatched name no live row.
+  std::vector<RowId> deleted_base;
+  if (!base_delete_keys.empty()) {
+    for (RowId r = 0; r < gen.keys.size(); ++r) {
+      if (base_delete_keys.count(gen.keys[r]) != 0) deleted_base.push_back(r);
+    }
+    if (deleted_base.size() != base_delete_keys.size()) {
+      for (RowId r : deleted_base) base_delete_keys.erase(gen.keys[r]);
+      for (uint64_t d = 0; d < v.deletes; ++d) {
+        const uint64_t key = delta.DeleteKey(d);
+        if (base_delete_keys.count(key) != 0) {
+          return Status::Internal("delta delete references unknown key " +
+                                  std::to_string(key));
+        }
+      }
+    }
+  }
   const uint64_t base_live = stored.num_rows() - deleted_base.size();
 
   // Live inserts get merged RowIds base_live.. in *insert order* — exactly
@@ -450,8 +462,6 @@ StatusOr<std::shared_ptr<Database::State>> Database::Materialize(
   st->prepared = std::make_unique<PreparedDataset>(PreparedDataset{
       StoredDataset(st->disk.get(), file, schema_, total_rows, checksum),
       attr_order, 0.0});
-  st->key_to_row.reserve(total_rows);
-  for (RowId r = 0; r < total_rows; ++r) st->key_to_row.emplace(st->keys[r], r);
   st->build_io = st->disk->stats();
   NMRS_RETURN_IF_ERROR(BuildEngines(st.get()));
   st->build_millis = timer.ElapsedMillis();

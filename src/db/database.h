@@ -95,7 +95,6 @@ struct SnapshotState {
   std::shared_ptr<SimulatedDisk> disk;
   std::unique_ptr<PreparedDataset> prepared;  // stable address for engines
   std::vector<uint64_t> keys;                 // keys[RowId] -> stable key
-  std::unordered_map<uint64_t, RowId> key_to_row;
 
   std::unique_ptr<ShardedDataset> sharded;              // num_shards > 1
   std::unique_ptr<QueryEngine> engine;                  // num_shards == 1

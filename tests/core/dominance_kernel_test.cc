@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/block_rs.h"
 #include "core/dominance.h"
+#include "core/pipeline.h"
 #include "core/query_distance_table.h"
 #include "data/columnar_batch.h"
 #include "data/generators.h"
@@ -226,49 +229,367 @@ TEST(DominanceKernelTest, FindAdaptersMatchScalarScans) {
   RowBatch rows = BatchFromDataset(data);
   ColumnarBatch cols;
   cols.Build(rows);
-  DominanceKernel kernel(ctx, cols);
-
   const size_t n = rows.size();
-  for (RowId x = 0; x < n; x += 5) {
-    ctx.SetCandidate(data.RowValues(x), nullptr);
+  // Always-block, a short probe, and the default threshold.
+  for (uint32_t promote : {0u, 3u, 16u}) {
+    DominanceKernel kernel(ctx, cols, promote);
+    for (RowId x = 0; x < n; x += 5) {
+      ctx.SetCandidate(data.RowValues(x), nullptr);
 
-    // Scalar forward scan, skipping the candidate's own id.
-    uint64_t s_pairs = 0, s_checks = 0;
-    bool s_found = false;
-    for (size_t j = 0; j < n && !s_found; ++j) {
-      if (rows.id(j) == x) continue;
-      ++s_pairs;
-      s_found = ctx.Prunes(rows.row_values(j), nullptr, &s_checks);
-    }
-    kernel.BeginCandidate();
-    uint64_t k_pairs = 0, k_checks = 0;
-    EXPECT_EQ(kernel.FindPrunerForward(0, n, x, &k_pairs, &k_checks),
-              s_found);
-    EXPECT_EQ(k_pairs, s_pairs) << "x=" << x;
-    EXPECT_EQ(k_checks, s_checks) << "x=" << x;
+      // Scalar forward scan, skipping the candidate's own id.
+      uint64_t s_pairs = 0, s_checks = 0;
+      bool s_found = false;
+      for (size_t j = 0; j < n && !s_found; ++j) {
+        if (rows.id(j) == x) continue;
+        ++s_pairs;
+        s_found = ctx.Prunes(rows.row_values(j), nullptr, &s_checks);
+      }
+      kernel.BeginCandidate();
+      uint64_t k_pairs = 0, k_checks = 0;
+      EXPECT_EQ(kernel.FindPrunerForward(0, n, x, &k_pairs, &k_checks),
+                s_found);
+      EXPECT_EQ(k_pairs, s_pairs) << "x=" << x;
+      EXPECT_EQ(k_checks, s_checks) << "x=" << x;
 
-    // Scalar expanding-ring scan around the candidate's position.
-    s_pairs = s_checks = 0;
-    s_found = false;
-    const size_t center = x;
-    for (size_t off = 1; off < n && !s_found; ++off) {
-      if (off <= center && rows.id(center - off) != x) {
-        ++s_pairs;
-        s_found = ctx.Prunes(rows.row_values(center - off), nullptr,
-                             &s_checks);
+      // Scalar expanding-ring scan around the candidate's position.
+      s_pairs = s_checks = 0;
+      s_found = false;
+      const size_t center = x;
+      for (size_t off = 1; off < n && !s_found; ++off) {
+        if (off <= center && rows.id(center - off) != x) {
+          ++s_pairs;
+          s_found = ctx.Prunes(rows.row_values(center - off), nullptr,
+                               &s_checks);
+        }
+        if (!s_found && center + off < n && rows.id(center + off) != x) {
+          ++s_pairs;
+          s_found =
+              ctx.Prunes(rows.row_values(center + off), nullptr, &s_checks);
+        }
       }
-      if (!s_found && center + off < n && rows.id(center + off) != x) {
-        ++s_pairs;
-        s_found =
-            ctx.Prunes(rows.row_values(center + off), nullptr, &s_checks);
+      kernel.BeginCandidate();
+      k_pairs = k_checks = 0;
+      EXPECT_EQ(kernel.FindPrunerRing(center, x, &k_pairs, &k_checks),
+                s_found);
+      EXPECT_EQ(k_pairs, s_pairs) << "ring x=" << x;
+      EXPECT_EQ(k_checks, s_checks) << "ring x=" << x;
+    }
+  }
+}
+
+// The scalar SRS phase-1 ring around `center`: offsets +-1, +-2, ..., the
+// left row first at each offset, rows with id `skip` skipped uncounted.
+bool ScalarRing(const RowBatch& rows, const PruneContext& ctx, size_t center,
+                RowId skip, uint64_t* pairs, uint64_t* checks) {
+  const size_t n = rows.size();
+  auto try_row = [&](size_t j) {
+    if (rows.id(j) == skip) return false;
+    ++*pairs;
+    return ctx.Prunes(rows.row_values(j), rows.row_numerics(j), checks);
+  };
+  for (size_t off = 1; off < n; ++off) {
+    if (off <= center && try_row(center - off)) return true;
+    if (center + off < n && try_row(center + off)) return true;
+  }
+  return false;
+}
+
+// Runs FindPrunerRing for every center of `rows` on both dispatch paths,
+// with and without the row-major source batch (the probe's two inputs),
+// privately and through a SharedCandidateCache, at several promotion
+// thresholds, and expects the scalar ring's verdict, pair tests and checks
+// every time. Returns the promotions seen, so callers can assert the walk
+// actually ran.
+uint64_t ExpectRingMatchesScalar(const RowBatch& rows, PruneContext& ctx,
+                                 const std::string& label) {
+  const size_t n = rows.size();
+  const size_t m = rows.num_attrs();
+  ColumnarBatch with_source;
+  with_source.Build(rows);
+  std::vector<std::vector<ValueId>> columns(m, std::vector<ValueId>(n));
+  std::vector<RowId> ids(n);
+  for (size_t i = 0; i < n; ++i) {
+    ids[i] = rows.id(i);
+    for (size_t a = 0; a < m; ++a) columns[a][i] = rows.value(i, a);
+  }
+  ColumnarBatch no_source;
+  if (!rows.has_numerics()) no_source.BuildFromColumns(n, columns, ids);
+  uint64_t promotions = 0;
+  for (bool force_scalar : {false, true}) {
+    ForceScalarKernelDispatchForTest(force_scalar);
+    for (const ColumnarBatch* cols : {&with_source, &no_source}) {
+      if (cols->size() != n) continue;
+      for (bool shared : {false, true}) {
+        SharedCandidateCache cache;
+        if (shared) cache.Attach(ctx, *cols);
+        for (uint32_t promote : {0u, 1u, 2u, 3u, 5u, 16u, 1u << 30}) {
+          DominanceKernel kernel(ctx, *cols, promote,
+                                 shared ? &cache : nullptr);
+          for (size_t center = 0; center < n; ++center) {
+            ctx.SetCandidate(rows.row_values(center),
+                             rows.row_numerics(center));
+            if (shared) cache.SetCandidate(ctx);
+            uint64_t s_pairs = 0, s_checks = 0;
+            const bool s_found = ScalarRing(rows, ctx, center, rows.id(center),
+                                            &s_pairs, &s_checks);
+            kernel.BeginCandidate();
+            uint64_t k_pairs = 0, k_checks = 0;
+            const bool k_found = kernel.FindPrunerRing(
+                center, rows.id(center), &k_pairs, &k_checks);
+            const std::string where =
+                label + " center=" + std::to_string(center) +
+                " promote=" + std::to_string(promote) +
+                " forced=" + std::to_string(force_scalar) +
+                " source=" + std::to_string(cols == &with_source) +
+                " shared=" + std::to_string(shared);
+            EXPECT_EQ(k_found, s_found) << where;
+            EXPECT_EQ(k_pairs, s_pairs) << where;
+            EXPECT_EQ(k_checks, s_checks) << where;
+          }
+          promotions += kernel.promotions();
+        }
       }
     }
-    kernel.BeginCandidate();
-    k_pairs = k_checks = 0;
-    EXPECT_EQ(kernel.FindPrunerRing(center, x, &k_pairs, &k_checks),
-              s_found);
-    EXPECT_EQ(k_pairs, s_pairs) << "ring x=" << x;
-    EXPECT_EQ(k_checks, s_checks) << "ring x=" << x;
+  }
+  ForceScalarKernelDispatchForTest(false);
+  return promotions;
+}
+
+// A one-candidate ring layout with pruners placed by hand. Attribute 0
+// decides everything against the candidate value 0 under query value 2:
+// value 1 prunes (d = 0.1 < 0.5), value 2 ties the threshold (two checks,
+// no prune), value 3 violates (one check). Attribute 1 is all-zero
+// distances, so it never violates and never is strict.
+struct RingLayout {
+  SimilaritySpace space;
+  Schema schema = Schema::Categorical({4, 2});
+  Object query{std::vector<ValueId>{2, 0}};
+  std::vector<AttrId> selected = {0, 1};
+
+  RingLayout() {
+    DissimilarityMatrix d0(4);
+    for (ValueId a = 0; a < 4; ++a) {
+      for (ValueId b = 0; b < 4; ++b) {
+        if (a != b) d0.Set(a, b, 0.7);
+      }
+    }
+    d0.Set(1, 0, 0.1);
+    d0.Set(2, 0, 0.5);
+    d0.Set(3, 0, 0.9);
+    space.AddCategorical(std::move(d0));
+    space.AddCategorical(DissimilarityMatrix(2));
+  }
+
+  // n rows of ties and violations (a fixed pseudo-random mix), the
+  // candidate (value 0) at `center` and value-1 pruners at `pruners`.
+  RowBatch Rows(size_t n, size_t center,
+                const std::vector<size_t>& pruners) const {
+    RowBatch rows(2, false);
+    for (size_t i = 0; i < n; ++i) {
+      ValueId v[2] = {static_cast<ValueId>((i * 7 + i / 3) % 3 == 0 ? 3 : 2),
+                      static_cast<ValueId>(i % 2)};
+      if (i == center) v[0] = 0;
+      for (size_t p : pruners) {
+        if (i == p) v[0] = 1;
+      }
+      rows.Append(static_cast<RowId>(i), v, nullptr);
+    }
+    return rows;
+  }
+};
+
+// One candidate at `center`, kernel vs scalar ring, every promotion
+// threshold in `promotes`, both dispatch paths, private and shared cache.
+void ExpectLayoutRingMatches(const RingLayout& layout, size_t n,
+                             size_t center,
+                             const std::vector<size_t>& pruners,
+                             const std::vector<uint32_t>& promotes,
+                             bool expect_found, const std::string& label) {
+  QueryDistanceTable table(layout.space, layout.schema, layout.query,
+                           layout.selected);
+  PruneContext ctx(layout.space, layout.schema, layout.query,
+                   layout.selected, &table);
+  const RowBatch rows = layout.Rows(n, center, pruners);
+  ColumnarBatch cols;
+  cols.Build(rows);
+  ctx.SetCandidate(rows.row_values(center), nullptr);
+  uint64_t s_pairs = 0, s_checks = 0;
+  const bool s_found =
+      ScalarRing(rows, ctx, center, rows.id(center), &s_pairs, &s_checks);
+  ASSERT_EQ(s_found, expect_found) << label;
+  for (bool force_scalar : {false, true}) {
+    ForceScalarKernelDispatchForTest(force_scalar);
+    for (bool shared : {false, true}) {
+      SharedCandidateCache cache;
+      if (shared) {
+        cache.Attach(ctx, cols);
+        cache.SetCandidate(ctx);
+      }
+      for (uint32_t promote : promotes) {
+        DominanceKernel kernel(ctx, cols, promote, shared ? &cache : nullptr);
+        kernel.BeginCandidate();
+        uint64_t k_pairs = 0, k_checks = 0;
+        const std::string where = label + " promote=" +
+                                  std::to_string(promote) + " forced=" +
+                                  std::to_string(force_scalar) +
+                                  " shared=" + std::to_string(shared);
+        EXPECT_EQ(kernel.FindPrunerRing(center, rows.id(center), &k_pairs,
+                                        &k_checks),
+                  s_found)
+            << where;
+        EXPECT_EQ(k_pairs, s_pairs) << where;
+        EXPECT_EQ(k_checks, s_checks) << where;
+      }
+    }
+  }
+  ForceScalarKernelDispatchForTest(false);
+}
+
+const std::vector<uint32_t> kRingPromotes = {0, 1, 2, 3, 4, 7, 16, 1u << 30};
+
+// Every center of batches around the window size, on random instances
+// (categorical and mixed-numeric): covers candidates within 32 rows of
+// either edge, batches smaller than one window, and whole-batch scans.
+TEST(DominanceKernelRingTest, EveryCenterMatchesScalarRing) {
+  Rng rng(8080);
+  for (size_t n : {1, 2, 7, 31, 32, 33, 64, 65, 150}) {
+    Rng drng = rng.Fork();
+    Rng srng = rng.Fork();
+    const bool mixed = n % 2 == 1;
+    Dataset data = mixed ? GenerateMixed(n, {9, 5}, 1, 4, drng)
+                         : GenerateNormal(n, {9, 5, 12}, drng);
+    SimilaritySpace space;
+    for (size_t c : mixed ? std::vector<size_t>{9, 5}
+                          : std::vector<size_t>{9, 5, 12}) {
+      space.AddCategorical(MakeRandomMatrix(c, srng, {.symmetric = false}));
+    }
+    if (mixed) space.AddNumeric(NumericDissimilarity(0.8));
+    const Schema& schema = data.schema();
+    const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
+    Object q = SampleUniformQuery(data, rng);
+    QueryDistanceTable table(space, schema, q, selected);
+    PruneContext ctx(space, schema, q, selected, &table);
+    const uint64_t promotions = ExpectRingMatchesScalar(
+        BatchFromDataset(data), ctx, "n=" + std::to_string(n));
+    if (n >= 32) {
+      EXPECT_GT(promotions, 0u) << "n=" << n;
+    }
+  }
+}
+
+TEST(DominanceKernelRingTest, EqualOffsetPrunersLeftWins) {
+  RingLayout layout;
+  // Both sides hold a pruner at offset 40: the ring tests the left first.
+  ExpectLayoutRingMatches(layout, 200, 100, {60, 140}, kRingPromotes, true,
+                          "equal offsets");
+  // The right one nearer by one offset wins instead.
+  ExpectLayoutRingMatches(layout, 200, 100, {60, 139}, kRingPromotes, true,
+                          "right nearer");
+  // Equal offsets in the same block as the candidate.
+  ExpectLayoutRingMatches(layout, 200, 80, {77, 83}, kRingPromotes, true,
+                          "equal offsets, one block");
+}
+
+TEST(DominanceKernelRingTest, PromotionBetweenLeftAndRight) {
+  RingLayout layout;
+  // promote 3 after L(1), R(1), L(2): the walk resumes at R(2). A pruner
+  // right there, a left pruner at the next offset, or a far one.
+  ExpectLayoutRingMatches(layout, 200, 100, {102}, {3}, true,
+                          "pruner at R(o)");
+  ExpectLayoutRingMatches(layout, 200, 100, {97}, {3}, true,
+                          "pruner at L(o+1)");
+  ExpectLayoutRingMatches(layout, 200, 100, {97, 102}, {3}, true,
+                          "pruners at R(o) and L(o+1)");
+  ExpectLayoutRingMatches(layout, 200, 100, {170}, {1, 3, 5, 7}, true,
+                          "far pruner");
+  // Promotion on the left edge's last row: only the right side remains.
+  ExpectLayoutRingMatches(layout, 200, 2, {150}, {3, 5}, true,
+                          "left side ends at promotion");
+}
+
+TEST(DominanceKernelRingTest, PrunerOnWindowBoundary) {
+  RingLayout layout;
+  for (size_t p : {31, 32, 63, 64, 127, 128, 159, 160}) {
+    ExpectLayoutRingMatches(layout, 200, 96, {p}, kRingPromotes, true,
+                            "pruner at row " + std::to_string(p));
+  }
+  // The last row of the batch, and row 0.
+  ExpectLayoutRingMatches(layout, 200, 96, {199}, kRingPromotes, true,
+                          "pruner at the last row");
+  ExpectLayoutRingMatches(layout, 200, 96, {0}, kRingPromotes, true,
+                          "pruner at row 0");
+}
+
+TEST(DominanceKernelRingTest, NoPrunerScansEverything) {
+  RingLayout layout;
+  for (size_t center : {0, 1, 31, 32, 100, 167, 168, 198, 199}) {
+    ExpectLayoutRingMatches(layout, 200, center, {}, kRingPromotes, false,
+                            "center " + std::to_string(center));
+  }
+  for (size_t n : {1, 2, 5, 31, 32, 33}) {
+    ExpectLayoutRingMatches(layout, n, n / 2, {}, kRingPromotes, false,
+                            "small batch n=" + std::to_string(n));
+  }
+}
+
+// The shared-scan and chunked (num_threads > 1) phase-1 paths run the same
+// ring: end-to-end SRS with kernels matches the scalar path's rows, checks
+// and pair tests, on data whose ring scans run long enough to promote.
+TEST(DominanceKernelRingTest, SharedAndChunkedPathsMatchScalar) {
+  testing::RandomInstance inst(4711, 1500, {24, 24, 24}, false);
+  SimulatedDisk disk(512);
+  auto prep = PrepareDataset(&disk, inst.data, Algorithm::kSRS, {});
+  ASSERT_TRUE(prep.ok()) << prep.status();
+  Rng rng(12);
+  std::vector<Object> queries;
+  for (int i = 0; i < 4; ++i) {
+    queries.push_back(SampleUniformQuery(inst.data, rng));
+  }
+  RSOptions scalar_opts;
+  scalar_opts.use_kernels = false;
+  scalar_opts.memory.pages = 4;
+  std::vector<ReverseSkylineResult> expected;
+  for (const Object& q : queries) {
+    auto r = SortReverseSkyline(prep->stored, inst.space, q, scalar_opts);
+    ASSERT_TRUE(r.ok()) << r.status();
+    expected.push_back(*r);
+  }
+  for (uint32_t promote : {0u, 3u, 16u}) {
+    RSOptions opts = scalar_opts;
+    opts.use_kernels = true;
+    opts.kernel_promote_rows = promote;
+    auto shared = SharedScanReverseSkylines(prep->stored, inst.space, queries,
+                                            opts, /*ring_order=*/true,
+                                            nullptr);
+    ASSERT_TRUE(shared.ok()) << shared.status();
+    uint64_t promotions = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::string label = "query " + std::to_string(i) + " promote " +
+                                std::to_string(promote);
+      EXPECT_EQ((*shared)[i].rows, expected[i].rows) << label;
+      EXPECT_EQ((*shared)[i].stats.checks, expected[i].stats.checks)
+          << label;
+      EXPECT_EQ((*shared)[i].stats.pair_tests, expected[i].stats.pair_tests)
+          << label;
+      promotions += (*shared)[i].stats.kernel_promotions;
+
+      RSOptions chunked = opts;
+      chunked.num_threads = 3;
+      auto r = SortReverseSkyline(prep->stored, inst.space, queries[i],
+                                  chunked);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(r->rows, expected[i].rows) << label << " chunked";
+      EXPECT_EQ(r->stats.checks, expected[i].stats.checks)
+          << label << " chunked";
+      EXPECT_EQ(r->stats.pair_tests, expected[i].stats.pair_tests)
+          << label << " chunked";
+      EXPECT_EQ(r->stats.kernel_block_rows,
+                (*shared)[i].stats.kernel_block_rows)
+          << label << " chunked";
+    }
+    if (promote != 0) {
+      EXPECT_GT(promotions, 0u) << "promote " << promote;
+    }
   }
 }
 

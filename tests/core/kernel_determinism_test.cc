@@ -140,6 +140,7 @@ TEST_P(KernelDeterminismSweep, WiredAlgorithmsAreBitIdentical) {
       BufferPool scalar_pool(&disk,
                              BufferPoolOptions::FromBudget(MemoryBudget{8}));
       RSOptions scalar_opts = base;
+      scalar_opts.use_kernels = false;  // the seed scalar path: the oracle
       if (cache) {
         scalar_opts.cache_pages = true;
         scalar_opts.buffer_pool = &scalar_pool;
@@ -264,6 +265,7 @@ TEST_P(KernelDeterminismSweep, AdaptivePromotionSurvivesReplicaFailover) {
     auto prep = PrepareDataset(&base, inst.data, algo, {});
     ASSERT_TRUE(prep.ok());
     RSOptions clean_opts;
+    clean_opts.use_kernels = false;
     clean_opts.memory.pages = 3;
     clean_opts.selected_attrs = inst.selected;
     auto expected =
@@ -329,6 +331,7 @@ TEST_P(KernelDeterminismSweep, BichromaticBlockIsBitIdentical) {
     auto stored_p = StoredDataset::Create(&disk, competitors, "bi-comp");
     ASSERT_TRUE(stored_c.ok() && stored_p.ok());
     RSOptions opts;
+    opts.use_kernels = false;
     opts.memory.pages = 2 + master.Uniform(4);
     auto scalar = BichromaticBlockRS(*stored_c, *stored_p, space, q, opts);
     ASSERT_TRUE(scalar.ok());
@@ -372,6 +375,7 @@ TEST_P(KernelDeterminismSweep, OverlayMatchesPatchedSpaceRebuild) {
 
     SimulatedDisk disk(256 + master.Uniform(700));
     RSOptions base;
+    base.use_kernels = false;  // the rebuild reference runs scalar
     base.memory.pages = 2 + master.Uniform(6);
     base.selected_attrs = inst.selected;
     for (Algorithm algo : {Algorithm::kNaive, Algorithm::kBRS,

@@ -17,6 +17,10 @@ if any of these hold:
      promotion threshold) must not lose to the plain scalar path
      end-to-end (speedup < 1.0). avx2 only, same reasoning as the micro
      gate.
+  3b. e2e SRS phase 1: the kernel ring scan (row-major probe, then
+     two-sided bulk windows) must not be slower than the scalar ring
+     (kernel_phase1_millis > scalar_phase1_millis). Same interleaved
+     best-of-3 timing and avx2-only scope as gate 3.
   4. shared_scan: one shared phase-1 pass per query group must beat
      per-query scans by >= 1.5x on modeled makespan at paper scale
      (>= 1M rows; the committed BENCH_kernels.json is a full-mode run).
@@ -97,6 +101,22 @@ def main() -> int:
             failures.append(
                 f"e2e {worst.get('algo')} speedup {worst['speedup']:.2f}"
             )
+        for r in avx2_e2e:
+            if r.get("algo") != "SRS":
+                continue
+            kernel_p1 = r["kernel_phase1_millis"]
+            scalar_p1 = r["scalar_phase1_millis"]
+            ok = kernel_p1 <= scalar_p1
+            print(
+                f"kernel-gate: e2e SRS phase 1 {'OK' if ok else 'FAIL'} — "
+                f"kernel {kernel_p1:.1f} ms vs scalar {scalar_p1:.1f} ms "
+                f"(need kernel <= scalar)"
+            )
+            if not ok:
+                failures.append(
+                    f"e2e SRS phase 1 {kernel_p1:.1f} ms > "
+                    f"scalar {scalar_p1:.1f} ms"
+                )
     elif e2e:
         print("kernel-gate: e2e SKIP — non-avx2 dispatch")
 

@@ -9,18 +9,18 @@
 //
 //   nmrs_cli query --data=data.csv --matrices=prefix --query=1,2,3
 //            [--algo=trs|srs|brs|naive|tsrs|ttrs] [--mem=0.1]
-//            [--attrs=0,2] [--kernels] [--promote-rows=N] [--seed=S]
+//            [--attrs=0,2] [--scalar] [--promote-rows=N] [--seed=S]
 //            [--shards=N] [--shard-by=zorder|hash]
 //            [common fault flags]
 //       Runs a reverse-skyline query and prints the result rows + stats.
-//       --kernels turns on the block dominance kernels (docs/KERNELS.md)
-//       and prints which lane evaluators runtime dispatch picked
-//       (avx2/scalar) plus the adaptive-dispatch telemetry (candidates
-//       promoted to block evaluation, rows evaluated by the scalar probe
-//       vs. block windows); --promote-rows=N sets how many rows a
-//       candidate must survive before promotion (0 = promote immediately,
-//       the pre-adaptive behavior). The result rows are identical either
-//       way. The
+//       Queries run on the block dominance kernels (docs/KERNELS.md) by
+//       default; the output names the lane evaluators runtime dispatch
+//       picked (avx2/scalar) plus the adaptive-dispatch telemetry
+//       (candidates promoted to block evaluation, rows evaluated by the
+//       scalar probe vs. block windows). --scalar runs the seed scalar
+//       loops instead (the paper's code path); --promote-rows=N sets how
+//       many rows a candidate must survive before promotion (0 = promote
+//       immediately). The result rows are identical either way. The
 //       common fault flags (see batch) work here too: with faults or
 //       --replicas=N > 1 the query runs against replica 0's faulty view
 //       with the remaining replicas attached for page-granular failover,
@@ -40,7 +40,7 @@
 //
 //   nmrs_cli batch --data=data.csv --matrices=prefix --queries=K
 //            [--workers=W] [--threads=T] [--algo=trs|srs|brs] [--mem=0.1]
-//            [--cache-pages=N | --cache-pct=P] [--kernels]
+//            [--cache-pages=N | --cache-pct=P] [--scalar]
 //            [--promote-rows=N] [--shared-scan] [--shared-group=G]
 //            [--seed=S]
 //            [--checksum] [--transient-p=P] [--corrupt-p=P]
@@ -98,7 +98,7 @@
 //
 //   nmrs_cli serve --data=data.csv --matrices=prefix --script=workload.txt
 //            [--algo=...] [--workers=W] [--shards=N] [--shard-by=...]
-//            [--mem=0.1] [--threads=T] [--kernels] [--checksum]
+//            [--mem=0.1] [--threads=T] [--scalar] [--checksum]
 //            [--cache-pages=N] [--max-delta=N] [--seed=S]
 //       Online serving (docs/MUTABILITY.md): opens the dataset as a
 //       mutable nmrs::Database and applies the scripted workload of
@@ -275,7 +275,7 @@ StatusOr<Algorithm> ParseAlgorithm(const std::string& name) {
 }
 
 // Flags shared by every query-running command (query, compare, influence,
-// batch): --mem, --attrs, --threads, --kernels, --checksum, --retries,
+// batch): --mem, --attrs, --threads, --scalar, --checksum, --retries,
 // --replicas, --replica-seed-base. One parse path so the commands cannot
 // drift apart again (batch had grown resilience flags `query` could not
 // spell).
@@ -302,7 +302,7 @@ Status ParseCommonOptions(const Flags& flags, const Schema& schema,
   if (rs->num_threads < 1) {
     return Status::InvalidArgument("--threads must be at least 1");
   }
-  rs->use_kernels = flags.count("kernels") != 0;
+  rs->use_kernels = flags.count("scalar") == 0;
   if (flags.count("promote-rows") != 0) {
     NMRS_ASSIGN_OR_RETURN(const uint64_t promote,
                           ParseCount(flags, "promote-rows", 16));
@@ -333,9 +333,12 @@ Status ParseCommonOptions(const Flags& flags, const Schema& schema,
   return Status::OK();
 }
 
-void MaybePrintKernelBanner(const RSOptions& rs) {
-  if (!rs.use_kernels) return;
-  std::printf("dominance kernels on (dispatch: %s, promote after %u rows)\n",
+void PrintKernelBanner(const RSOptions& rs) {
+  if (!rs.use_kernels) {
+    std::printf("dominance kernels off (--scalar): seed scalar loops\n");
+    return;
+  }
+  std::printf("dominance kernels (dispatch: %s, promote after %u rows)\n",
               KernelDispatchName(ActiveKernelDispatch()),
               rs.kernel_promote_rows);
 }
@@ -560,7 +563,7 @@ int CmdQuery(const Flags& flags) {
                                  codec.PagesFor(setup->data.num_rows()),
                                  &dbopts.engine.rs);
   if (!st.ok()) return Fail(st.ToString());
-  MaybePrintKernelBanner(dbopts.engine.rs);
+  PrintKernelBanner(dbopts.engine.rs);
 
   // --overlay-file evaluates the query under one user's preference overlay
   // (docs/OVERLAYS.md) — both the single-shard and sharded paths read it
@@ -744,7 +747,7 @@ int CmdBatch(const Flags& flags) {
   Status st = ParseCommonOptions(flags, data->schema(), dataset_pages,
                                  &eopts.rs);
   if (!st.ok()) return Fail(st.ToString());
-  MaybePrintKernelBanner(eopts.rs);
+  PrintKernelBanner(eopts.rs);
   st = ParseFaultFlags(flags, &eopts.faults);
   if (!st.ok()) return Fail(st.ToString());
   st = ParseBadReplicas(flags, eopts.faults, eopts.rs.resilience,
