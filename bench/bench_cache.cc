@@ -70,7 +70,7 @@ bool RunEngineBatch(const Dataset& data, const SimilaritySpace& space,
           pct == 0 ? 0
                    : MemoryBudget::FromFraction(pct / 100.0, dataset_pages)
                          .pages;
-      QueryEngineOptions opts;
+      EngineOptions opts;
       opts.num_workers = workers;
       opts.rs = rs;
       opts.cache_pages = cache_pages;

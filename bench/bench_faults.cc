@@ -80,7 +80,7 @@ OverheadPoint RunOverheadConfig(const Workload& w, bool checksums,
   auto prepared = PrepareDataset(&disk, w.data, Algorithm::kSRS, popts);
   NMRS_CHECK(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 1;  // single worker: wall clock measures the hot path
   opts.rs.memory = MemoryBudget::FromFraction(0.1, prepared->stored.num_pages());
   if (arm_injector) {
@@ -166,7 +166,7 @@ void RunRetryStorm(const Workload& w, JsonWriter* json) {
   auto prepared = PrepareDataset(&disk, w.data, Algorithm::kSRS, popts);
   NMRS_CHECK(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions base;
+  EngineOptions base;
   // One worker: the modeled makespan is then the deterministic sum of
   // per-query response times, so "inflation" below measures backoff, not
   // which worker happened to steal which query.
@@ -191,7 +191,7 @@ void RunRetryStorm(const Workload& w, JsonWriter* json) {
                "failed", "modeled_ms", "inflation"});
   const double storms[] = {1e-4, 1e-3, 1e-2};
   for (double p : storms) {
-    QueryEngineOptions opts = base;
+    EngineOptions opts = base;
     opts.faults.seed = 1315;
     opts.faults.transient_read_p = p;
     auto batch =
@@ -241,7 +241,7 @@ void RunFailover(const Workload& w, JsonWriter* json, bool* recovered_out) {
   auto prepared = PrepareDataset(&disk, w.data, Algorithm::kSRS, popts);
   NMRS_CHECK(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions base;
+  EngineOptions base;
   base.num_workers = 4;
   base.rs.memory =
       MemoryBudget::FromFraction(0.1, prepared->stored.num_pages());
@@ -269,7 +269,7 @@ void RunFailover(const Workload& w, JsonWriter* json, bool* recovered_out) {
                "modeled_ms", "rows_vs_clean"});
   *recovered_out = true;
   for (int n : {1, 2, 3}) {
-    QueryEngineOptions opts = base;
+    EngineOptions opts = base;
     opts.rs.resilience.replicas = n;
     if (n == 1) {
       opts.faults = lossy;

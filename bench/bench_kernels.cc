@@ -20,12 +20,12 @@
 //    threshold (docs/KERNELS.md).
 //
 // 4. "shared_scan" — a 16-query SRS batch on the QueryEngine, per-query
-//    execution vs QueryEngineOptions::shared_scan, compared on modeled
+//    execution vs EngineOptions::shared_scan, compared on modeled
 //    makespan (one worker, no cache, so the ratio is the IO the shared
 //    pass deduplicates). Per-query rows and counters must be
 //    bit-identical.
 //
-// ci.sh runs this with --quick and then tools/check_kernel_gate.py fails
+// ci.sh runs this with --quick and then tools/check_gates.py fails
 // the build if the kernel is slower than the scalar path on the
 // largest-cardinality micro config, if any run reports identical=0, if
 // the e2e adaptive path or the e2e SRS phase 1 is slower than scalar
@@ -355,7 +355,7 @@ SharedScanOutcome RunSharedScan(const E2eInstance& inst, JsonWriter* json) {
   auto prepared = PrepareDataset(&disk, inst.data, Algorithm::kSRS, {});
   NMRS_CHECK(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 1;
   opts.rs.memory =
       MemoryBudget::FromFraction(0.10, prepared->stored.num_pages());

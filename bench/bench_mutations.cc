@@ -12,7 +12,7 @@
 // The rebuild doubles as the correctness oracle: every query's row set
 // from the snapshot path is checked bit-identical to the rebuild's, and
 // the per-config `identical` flag lands in the JSON where
-// tools/check_mutation_gate.py re-audits it. The gate also holds the
+// tools/check_gates.py re-audits it. The gate also holds the
 // modeled query slowdown at a 1% delta to <= 1.3x of the frozen-dataset
 // baseline — the serving claim: pinning a snapshot costs one incremental
 // merge, after which queries behave as if the dataset had always been

@@ -14,7 +14,7 @@
 // The rebuild runs double as the correctness oracle: every (query, user)
 // row set from the incremental path is checked bit-identical to that
 // user's rebuild, and the per-config `identical` flag lands in the JSON
-// where tools/check_overlay_gate.py re-audits it. The gate also holds the
+// where tools/check_gates.py re-audits it. The gate also holds the
 // modeled speedup at 256 users / 1% touch to >= 3x — the headline
 // multi-tenancy claim: incremental cost is one base run plus re-check
 // work proportional to the touched fraction, not K full runs.
@@ -89,7 +89,7 @@ void Run(int argc, char** argv) {
       std::vector<const MatrixOverlay*> ptrs;
       for (const auto& o : overlays) ptrs.push_back(&o);
 
-      QueryEngineOptions opts;
+      EngineOptions opts;
       opts.num_workers = kWorkers;
       // Whole file resident after the first scan: the comparison is then
       // "one cold scan + sensitive-row re-checks" vs "K cold scans + K

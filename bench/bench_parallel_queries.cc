@@ -2,9 +2,9 @@
 // reverse-skyline queries fanned out over the work-stealing pool, worker
 // counts 1/2/4/8. The headline metric is *modeled* throughput — each worker
 // owns a private DiskView (its own spindle), so the batch's modeled makespan
-// is the busiest worker's summed ResponseMillis. Wall-clock is reported
-// alongside but depends on host core count (this container is single-core,
-// so wall speedup is not expected there). Emits BENCH_parallel.json.
+// is max(summed ResponseMillis / workers, largest query)
+// (docs/PARALLELISM.md). Wall-clock is reported alongside but depends on the
+// host's core count. Emits BENCH_parallel.json.
 //
 // Extra flags on top of bench_util's: none. --scale=1 (default) gives the
 // 50k-object synthetic workload from the acceptance criterion.
@@ -63,7 +63,7 @@ void Run(int argc, char** argv) {
   double speedup_at_8 = 0;
   bool io_identical = true;
   for (size_t workers : {1u, 2u, 4u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.rs = rs;
     QueryEngine engine(*prepared, space, Algorithm::kTRS, opts);

@@ -1,14 +1,14 @@
 // Sharded scatter/gather throughput (docs/SHARDING.md): one frozen
 // PreparedDataset partitioned into 1..4 shards, a scan-heavy BRS batch run
-// through ShardedQueryEngine at each shard count. Each shard models one
-// machine with --workers pool workers over private DiskViews, so the
-// modeled makespan is the busiest (shard, worker) lane plus the exchange's
-// modeled network cost — the scatter phases overlap across shards, the
+// through QueryEngine at each shard count. Each shard models one machine
+// with --workers pool workers over private DiskViews, so the modeled
+// makespan is the busiest shard plus the exchange's modeled network cost
+// (docs/PARALLELISM.md) — the scatter phases overlap across shards, the
 // pruner exchange is the serialized coordinator tax. Result rows are
 // checked bit-identical across every shard count and both partitioners
 // (the exchange's correctness contract), and CI gates on the 4-shard
 // modeled speedup and on its checks per query relative to one shard
-// (tools/check_shard_gate.py). Emits BENCH_shards.json.
+// (tools/check_gates.py). Emits BENCH_shards.json.
 //
 // Extra flags on top of bench_util's: none. The workload is deliberately
 // IO-dominated (wide rows, small memory budget) so the modeled speedup
@@ -20,7 +20,7 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "data/generators.h"
-#include "exec/sharded_engine.h"
+#include "exec/query_engine.h"
 #include "sim/dissimilarity_matrix.h"
 
 namespace nmrs {
@@ -73,17 +73,17 @@ void Run(int argc, char** argv) {
     auto sharded = ShardedDataset::Partition(*prepared, plan);
     NMRS_CHECK(sharded.ok()) << sharded.status();
 
-    ShardedEngineOptions opts;
-    opts.engine.num_workers = kWorkers;
-    opts.engine.rs.memory =
+    EngineOptions opts;
+    opts.num_workers = kWorkers;
+    opts.rs.memory =
         MemoryBudget::FromFraction(0.05, prepared->stored.num_pages());
     // Every shard is one machine with a fixed-size page cache — a quarter
     // of the base dataset plus slack. One machine thrashes scanning the
     // whole file; four machines each hold their shard resident after the
     // first scan. Aggregate cache growing with the fleet is exactly the
     // scan-heavy scale-out win the gate checks.
-    opts.engine.cache_pages = prepared->stored.num_pages() / 4 + 2;
-    ShardedQueryEngine engine(*sharded, space, Algorithm::kBRS, opts);
+    opts.cache_pages = prepared->stored.num_pages() / 4 + 2;
+    QueryEngine engine(*sharded, space, Algorithm::kBRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok()) << batch->first_error();

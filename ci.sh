@@ -17,27 +17,30 @@
 #   6. nosimd  — NMRS_NO_SIMD build + full ctest: the portable scalar lane
 #                evaluators must pass everything the SIMD build passes
 #   7. perf    — bench_kernels --quick on the plain build, then
-#                tools/check_kernel_gate.py fails the run if the kernel is
+#                tools/check_gates.py fails the run if the kernel is
 #                slower than the scalar loop at the largest cardinality
-#   8. shards  — bench_shards --quick, then tools/check_shard_gate.py
+#   8. shards  — bench_shards --quick, then tools/check_gates.py
 #                fails the run if sharded results are not bit-identical to
 #                single-shard, the 4-shard modeled speedup drops
 #                below 2.0x on the scan-heavy workload, or the 4-shard
 #                checks per query exceed 0.78 of the 1-shard run's
-#   9. overlays— bench_overlays --quick, then tools/check_overlay_gate.py
+#   9. overlays— bench_overlays --quick, then tools/check_gates.py
 #                fails the run if incremental overlay results are not
 #                bit-identical to the per-user patched-space rebuild, the
 #                modeled speedup at 256 users / 1% touch drops below 3.0x,
 #                or that point spends more than 20 re-check pair tests per
 #                sensitive (query, user) candidate
 #  10. mutations— bench_mutations --quick, then
-#                tools/check_mutation_gate.py fails the run if Database
+#                tools/check_gates.py fails the run if Database
 #                snapshot queries are not bit-identical to re-preparing
 #                the mutated dataset from scratch or the modeled query
 #                slowdown at a 1% delta exceeds 1.3x; plus an nmrs_cli
 #                serve smoke over a scripted mutation workload
-#  11. perfbench— python3 perfbench/test_perfbench.py: every workload of
-#                the repository benchmark at its tiny size, which checks
+#  11. perfbench— python3 tools/test_check_gates.py (the committed bench
+#                JSONs pass the gates, and a copy doctored to violate any
+#                one check fails exactly that check), then python3
+#                perfbench/test_perfbench.py: every workload of the
+#                repository benchmark at its tiny size, which checks
 #                answers against independent paths (overlay answers
 #                against the per-user rebuild), so a src/ change that
 #                breaks the benchmark fails here
@@ -77,19 +80,19 @@ ctest --test-dir build-nosimd --output-on-failure -j"${JOBS}"
 
 echo "=== kernel perf-sanity gate (bench_kernels --quick) ==="
 (cd build && ./bench/bench_kernels --quick)
-python3 tools/check_kernel_gate.py build/BENCH_kernels.json
+python3 tools/check_gates.py build/BENCH_kernels.json
 
 echo "=== shard correctness + speedup gate (bench_shards --quick) ==="
 (cd build && ./bench/bench_shards --quick)
-python3 tools/check_shard_gate.py build/BENCH_shards.json
+python3 tools/check_gates.py build/BENCH_shards.json
 
 echo "=== overlay correctness + speedup gate (bench_overlays --quick) ==="
 (cd build && ./bench/bench_overlays --quick)
-python3 tools/check_overlay_gate.py build/BENCH_overlays.json
+python3 tools/check_gates.py build/BENCH_overlays.json
 
 echo "=== mutation correctness + slowdown gate (bench_mutations --quick) ==="
 (cd build && ./bench/bench_mutations --quick)
-python3 tools/check_mutation_gate.py build/BENCH_mutations.json
+python3 tools/check_gates.py build/BENCH_mutations.json
 SERVE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SERVE_DIR}"' EXIT
 ./build/tools/nmrs_cli generate --rows=2000 --cards=8,10,6 \
@@ -99,7 +102,8 @@ printf 'query 3,4,2\ninsert 3,4,2\ndelete 0\nquery 3,4,2\ncompact\nquery 3,4,2\n
 ./build/tools/nmrs_cli serve --data="${SERVE_DIR}/data.csv" \
   --matrices="${SERVE_DIR}/m" --script="${SERVE_DIR}/workload.txt"
 
-echo "=== repository benchmark smoke (perfbench tiny size) ==="
+echo "=== gate self-test + repository benchmark smoke (perfbench tiny size) ==="
+python3 tools/test_check_gates.py
 python3 perfbench/test_perfbench.py
 
 echo "ci: all ok"

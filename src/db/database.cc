@@ -55,14 +55,9 @@ StatusOr<DbBatchResult> Snapshot::RunBatch(
   DbBatchResult out;
   {
     std::scoped_lock run_lock(state_->run_mu);
-    if (state_->engine != nullptr) {
-      NMRS_ASSIGN_OR_RETURN(BatchResult b, state_->engine->RunBatch(queries));
-      out.plain = std::move(b);
-    } else {
-      NMRS_ASSIGN_OR_RETURN(ShardedBatchResult b,
-                            state_->sharded_engine->RunBatch(queries));
-      out.sharded = std::move(b);
-    }
+    NMRS_ASSIGN_OR_RETURN(BatchResult b, state_->engine->RunBatch(queries));
+    (state_->engine->num_shards() == 1 ? out.plain : out.sharded) =
+        std::move(b);
   }
   out.keys = TranslateKeys(out.results(), state_->keys);
   out.snapshot_generation = state_->generation;
@@ -83,16 +78,10 @@ StatusOr<DbOverlayBatchResult> Snapshot::RunOverlayBatch(
   DbOverlayBatchResult out;
   {
     std::scoped_lock run_lock(state_->run_mu);
-    if (state_->engine != nullptr) {
-      NMRS_ASSIGN_OR_RETURN(OverlayBatchResult b,
-                            state_->engine->RunOverlayBatch(queries, overlays));
-      out.plain = std::move(b);
-    } else {
-      NMRS_ASSIGN_OR_RETURN(
-          ShardedOverlayBatchResult b,
-          state_->sharded_engine->RunOverlayBatch(queries, overlays));
-      out.sharded = std::move(b);
-    }
+    NMRS_ASSIGN_OR_RETURN(OverlayBatchResult b,
+                          state_->engine->RunOverlayBatch(queries, overlays));
+    (state_->engine->num_shards() == 1 ? out.plain : out.sharded) =
+        std::move(b);
   }
   out.snapshot_generation = state_->generation;
   out.snapshot_version = state_->version;
@@ -151,7 +140,7 @@ Status Database::InitGen0(const Dataset& base) {
   const uint64_t n = base.num_rows();
   st->keys.resize(n);
   std::iota(st->keys.begin(), st->keys.end(), 0);
-  NMRS_RETURN_IF_ERROR(BuildEngines(st.get()));
+  NMRS_RETURN_IF_ERROR(BuildEngine(st.get()));
 
   gen_ = std::move(st);
   delta_ = std::make_shared<DeltaSegment>(schema_);
@@ -163,19 +152,14 @@ Status Database::InitGen0(const Dataset& base) {
   return Status::OK();
 }
 
-Status Database::BuildEngines(State* st) {
-  if (opts_.num_shards > 1) {
-    ShardPlanOptions plan = opts_.shard_plan;
-    plan.num_shards = opts_.num_shards;
-    NMRS_ASSIGN_OR_RETURN(ShardedDataset sharded,
-                          ShardedDataset::Partition(*st->prepared, plan));
-    st->sharded = std::make_unique<ShardedDataset>(std::move(sharded));
-    st->sharded_engine = std::make_unique<ShardedQueryEngine>(
-        *st->sharded, *space_, opts_.algo, opts_.engine);
-  } else {
-    st->engine = std::make_unique<QueryEngine>(*st->prepared, *space_,
-                                               opts_.algo, opts_.engine);
-  }
+Status Database::BuildEngine(State* st) {
+  ShardPlanOptions plan = opts_.shard_plan;
+  plan.num_shards = opts_.num_shards;
+  NMRS_ASSIGN_OR_RETURN(ShardedDataset sharded,
+                        ShardedDataset::Partition(*st->prepared, plan));
+  st->sharded = std::make_unique<ShardedDataset>(std::move(sharded));
+  st->engine = std::make_unique<QueryEngine>(*st->sharded, *space_,
+                                             opts_.algo, opts_.engine);
   return Status::OK();
 }
 
@@ -463,7 +447,7 @@ StatusOr<std::shared_ptr<Database::State>> Database::Materialize(
       StoredDataset(st->disk.get(), file, schema_, total_rows, checksum),
       attr_order, 0.0});
   st->build_io = st->disk->stats();
-  NMRS_RETURN_IF_ERROR(BuildEngines(st.get()));
+  NMRS_RETURN_IF_ERROR(BuildEngine(st.get()));
   st->build_millis = timer.ElapsedMillis();
   return st;
 }

@@ -16,7 +16,6 @@
 #include "data/delta_segment.h"
 #include "exec/engine_options.h"
 #include "exec/query_engine.h"
-#include "exec/sharded_engine.h"
 #include "shard/shard_plan.h"
 #include "sim/similarity_space.h"
 #include "storage/wal.h"
@@ -27,10 +26,8 @@ class Database;
 
 /// Everything that shapes a Database: the algorithm and its preparation
 /// knobs, the full executor vocabulary (workers, caches, faults, replicas,
-/// shared scans, overlays, network model), and the sharding layout. One
-/// struct instead of the historical loose QueryEngine / ShardedQueryEngine
-/// / overlay wiring — the front door threads it through every snapshot's
-/// engine unchanged.
+/// shared scans, overlays, network model), and the sharding layout — the
+/// front door threads it through every snapshot's engine unchanged.
 struct DatabaseOptions {
   Algorithm algo = Algorithm::kBRS;
 
@@ -40,16 +37,16 @@ struct DatabaseOptions {
   /// agree byte for byte.
   PrepareOptions prepare;
 
-  /// Executor options applied to every snapshot's engine (single-shard or
-  /// sharded; `engine.net` feeds the sharded pruner exchange).
+  /// Executor options applied to every snapshot's engine (`engine.net`
+  /// feeds the pruner exchange when num_shards > 1).
   EngineOptions engine;
 
-  /// > 1 routes batches through ShardedQueryEngine over a per-snapshot
-  /// Partition; 1 = single-shard QueryEngine.
+  /// Shards of every snapshot's per-state Partition; 1 aliases the
+  /// snapshot's file (no copy, no exchange).
   int num_shards = 1;
 
-  /// Partitioning layout when num_shards > 1 (its own num_shards field is
-  /// overridden by the one above).
+  /// Partitioning layout (its own num_shards field is overridden by the one
+  /// above).
   ShardPlanOptions shard_plan;
 
   /// Mutations (inserts + deletes) the delta may hold before Insert /
@@ -96,9 +93,8 @@ struct SnapshotState {
   std::unique_ptr<PreparedDataset> prepared;  // stable address for engines
   std::vector<uint64_t> keys;                 // keys[RowId] -> stable key
 
-  std::unique_ptr<ShardedDataset> sharded;              // num_shards > 1
-  std::unique_ptr<QueryEngine> engine;                  // num_shards == 1
-  std::unique_ptr<ShardedQueryEngine> sharded_engine;   // num_shards > 1
+  std::unique_ptr<ShardedDataset> sharded;
+  std::unique_ptr<QueryEngine> engine;  // over `sharded`
 
   IoStats build_io;
   double build_millis = 0;
@@ -123,14 +119,14 @@ struct DbQueryResult {
   DeltaVersion snapshot_version;
 };
 
-/// Outcome of one batch through the front door. Exactly one of `plain` /
-/// `sharded` is set (by DatabaseOptions::num_shards); the underlying
-/// engine result is kept whole so existing consumers (the CLI printers,
-/// benches) see unchanged fields, with the key translation and snapshot
-/// pin layered on top.
+/// Outcome of one batch through the front door: the engine result, kept
+/// whole, with the key translation and snapshot pin layered on top. It
+/// lands in `plain` when DatabaseOptions::num_shards == 1 and in `sharded`
+/// otherwise (two slots of one type, kept for existing consumers); batch()
+/// is whichever is set.
 struct DbBatchResult {
   std::optional<BatchResult> plain;
-  std::optional<ShardedBatchResult> sharded;
+  std::optional<BatchResult> sharded;
 
   /// keys[q] translates results()[q].rows to stable keys.
   std::vector<std::vector<uint64_t>> keys;
@@ -139,53 +135,42 @@ struct DbBatchResult {
   DeltaVersion snapshot_version;
   uint64_t snapshot_rows = 0;
 
+  const BatchResult& batch() const { return plain ? *plain : *sharded; }
   const std::vector<ReverseSkylineResult>& results() const {
-    return plain ? plain->results : sharded->results;
+    return batch().results;
   }
-  const std::vector<Status>& statuses() const {
-    return plain ? plain->statuses : sharded->statuses;
-  }
-  bool ok() const { return plain ? plain->ok() : sharded->ok(); }
-  Status first_error() const {
-    return plain ? plain->first_error() : sharded->first_error();
-  }
-  size_t num_failed() const {
-    return plain ? plain->num_failed() : sharded->num_failed();
-  }
-  const IoStats& total_io() const {
-    return plain ? plain->total_io : sharded->total_io;
-  }
-  double wall_millis() const {
-    return plain ? plain->wall_millis : sharded->wall_millis;
-  }
+  const std::vector<Status>& statuses() const { return batch().statuses; }
+  bool ok() const { return batch().ok(); }
+  Status first_error() const { return batch().first_error(); }
+  size_t num_failed() const { return batch().num_failed(); }
+  const IoStats& total_io() const { return batch().total_io; }
+  double wall_millis() const { return batch().wall_millis; }
   double ModeledMakespanMillis() const {
-    return plain ? plain->ModeledMakespanMillis()
-                 : sharded->ModeledMakespanMillis();
+    return batch().ModeledMakespanMillis();
   }
-  double ModeledQps() const {
-    return plain ? plain->ModeledQps() : sharded->ModeledQps();
-  }
+  double ModeledQps() const { return batch().ModeledQps(); }
 };
 
 /// Outcome of one overlay batch through the front door (docs/OVERLAYS.md):
-/// queries answered for every overlay user over the pinned snapshot.
+/// queries answered for every overlay user over the pinned snapshot. As in
+/// DbBatchResult, `plain` is set iff num_shards == 1 and `sharded`
+/// otherwise.
 struct DbOverlayBatchResult {
   std::optional<OverlayBatchResult> plain;
-  std::optional<ShardedOverlayBatchResult> sharded;
+  std::optional<OverlayBatchResult> sharded;
 
   uint64_t snapshot_generation = 0;
   DeltaVersion snapshot_version;
 
+  const OverlayBatchResult& batch() const {
+    return plain ? *plain : *sharded;
+  }
   const std::vector<std::vector<ReverseSkylineResult>>& results() const {
-    return plain ? plain->results : sharded->results;
+    return batch().results;
   }
-  const std::vector<Status>& statuses() const {
-    return plain ? plain->statuses : sharded->statuses;
-  }
-  bool ok() const { return plain ? plain->ok() : sharded->ok(); }
-  Status first_error() const {
-    return plain ? plain->first_error() : sharded->first_error();
-  }
+  const std::vector<Status>& statuses() const { return batch().statuses; }
+  bool ok() const { return batch().ok(); }
+  Status first_error() const { return batch().first_error(); }
 };
 
 /// An epoch-pinned, immutable view of the database: base generation plus a
@@ -218,14 +203,10 @@ class Snapshot {
   double build_millis() const { return state_->build_millis; }
   const IoStats& build_io() const { return state_->build_io; }
 
-  /// The pinned state's executor — exactly one is non-null, decided by
-  /// DatabaseOptions::num_shards. Telemetry access (worker counts, buffer
+  /// The pinned state's executor. Telemetry access (worker counts, buffer
   /// pool stats) for CLI and bench consumers; running queries still goes
   /// through RunBatch / Query so the per-state run lock is honored.
-  const QueryEngine* engine() const { return state_->engine.get(); }
-  const ShardedQueryEngine* sharded_engine() const {
-    return state_->sharded_engine.get();
-  }
+  const QueryEngine& engine() const { return *state_->engine; }
 
   /// Runs a batch over the pinned state. Thread-safe: concurrent calls on
   /// the same snapshot serialize; calls on different snapshots run
@@ -257,8 +238,7 @@ struct RecoveredDatabase {
 
 /// The mutable-dataset front door (docs/MUTABILITY.md): one handle that
 /// owns the WAL, the in-memory delta segment, the current base generation,
-/// and the engine wiring, superseding the loose QueryEngine /
-/// ShardedQueryEngine / overlay entry points for online serving.
+/// and the engine wiring — the entry point for online serving.
 ///
 ///   Open      — prepare the initial generation from an in-memory Dataset
 ///   Insert    — append a row (WAL first, then the concurrent-reader delta)
@@ -385,8 +365,8 @@ class Database {
                                                DeltaVersion version_label,
                                                const std::string& file_label);
 
-  /// Builds the engine (and shard partition) over st->prepared.
-  Status BuildEngines(State* st);
+  /// Partitions st->prepared and builds the engine over the partition.
+  Status BuildEngine(State* st);
 
   /// WAL + delta + key-map insert with a fixed key (mutation path shared
   /// by Insert and WAL replay). Caller validated; takes mu_.

@@ -18,8 +18,8 @@ namespace nmrs {
 
 class MatrixOverlay;
 
-/// Where the overlay stages of RunOverlayBatch run — the part QueryEngine
-/// and ShardedQueryEngine share. `pool`'s workers read the whole base
+/// Where the overlay stages of QueryEngine::RunOverlayBatch run. `pool`'s
+/// workers read the whole base
 /// dataset `data` (sensitivity and membership are properties of rows, not
 /// of any partitioning) through worker w's clean primary view,
 /// `replicas->view(w, 0)`: faults are a property of the base run, while

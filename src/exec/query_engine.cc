@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <thread>
 
 #include "common/check.h"
@@ -9,14 +10,25 @@
 #include "common/timer.h"
 #include "core/block_rs.h"
 #include "core/dominance.h"
+#include "core/shard_exchange.h"
 #include "exec/overlay_exec.h"
 
 namespace nmrs {
 
 double BatchResult::ModeledMakespanMillis() const {
-  double makespan = 0;
-  for (double w : worker_modeled_millis) makespan = std::max(makespan, w);
-  return makespan;
+  double busiest = 0;
+  for (size_t s = 0; s < shard_worker_modeled_millis.size(); ++s) {
+    const std::vector<double>& lanes = shard_worker_modeled_millis[s];
+    double total = 0;
+    for (double w : lanes) total += w;
+    double ideal =
+        lanes.empty() ? 0.0 : total / static_cast<double>(lanes.size());
+    if (s < shard_max_task_modeled_millis.size()) {
+      ideal = std::max(ideal, shard_max_task_modeled_millis[s]);
+    }
+    busiest = std::max(busiest, ideal);
+  }
+  return busiest + ExchangeModeledMillis();
 }
 
 double BatchResult::ModeledQps() const {
@@ -26,9 +38,11 @@ double BatchResult::ModeledQps() const {
 }
 
 double OverlayBatchResult::ModeledMakespanMillis() const {
-  double makespan = 0;
-  for (double w : worker_modeled_millis) makespan = std::max(makespan, w);
-  return makespan;
+  double overlay = 0;
+  for (double w : overlay_worker_modeled_millis) {
+    overlay = std::max(overlay, w);
+  }
+  return base.ModeledMakespanMillis() + overlay;
 }
 
 double OverlayBatchResult::ModeledQps() const {
@@ -39,275 +53,630 @@ double OverlayBatchResult::ModeledQps() const {
   return answers / (makespan / 1000.0);
 }
 
+namespace {
+
+std::unique_ptr<const ShardedDataset> OneShard(const PreparedDataset& prepared) {
+  auto sharded = ShardedDataset::Partition(prepared, ShardPlanOptions{});
+  NMRS_CHECK(sharded.ok()) << sharded.status();  // one shard cannot fail
+  return std::make_unique<const ShardedDataset>(std::move(*sharded));
+}
+
+}  // namespace
+
+QueryEngine::QueryEngine(const ShardedDataset& sharded,
+                         const SimilaritySpace& space, Algorithm algo,
+                         EngineOptions opts)
+    : QueryEngine(nullptr, &sharded, space, algo, std::move(opts)) {}
+
 QueryEngine::QueryEngine(const PreparedDataset& prepared,
                          const SimilaritySpace& space, Algorithm algo,
-                         QueryEngineOptions opts)
-    : prepared_(&prepared),
+                         EngineOptions opts)
+    : QueryEngine(OneShard(prepared), nullptr, space, algo, std::move(opts)) {
+}
+
+QueryEngine::QueryEngine(std::unique_ptr<const ShardedDataset> owned,
+                         const ShardedDataset* sharded,
+                         const SimilaritySpace& space, Algorithm algo,
+                         EngineOptions opts)
+    : owned_(std::move(owned)),
+      sharded_(owned_ != nullptr ? owned_.get() : sharded),
       space_(&space),
       algo_(algo),
-      opts_(opts),
-      pool_(opts.num_workers > 0 ? opts.num_workers
-                                 : std::max(1u,
-                                            std::thread::hardware_concurrency())) {
-  ReplicaSetOptions rso;
-  rso.num_replicas =
+      opts_(std::move(opts)),
+      pool_(opts_.num_workers > 0
+                ? opts_.num_workers
+                : std::max(1u, std::thread::hardware_concurrency())) {
+  SimulatedDisk* disk = sharded_->base().stored.disk();
+  // Shard files were created by Partition before this constructor ran, so
+  // they sit below the ceiling: shard pages fault and fail over exactly
+  // like base pages, while per-query scratch spills stay exempt.
+  fault_ceiling_ = disk->next_file_id();
+
+  ReplicaSetOptions rso_template;
+  rso_template.num_replicas =
       std::clamp(opts_.rs.resilience.replicas, 1,
                  static_cast<int>(IoStats::kMaxReplicas));
-  rso.num_workers = static_cast<int>(pool_.num_threads());
+  rso_template.num_workers = static_cast<int>(pool_.num_threads());
   if (!opts_.replica_faults.empty()) {
     NMRS_CHECK(opts_.replica_faults.size() ==
-               static_cast<size_t>(rso.num_replicas))
+               static_cast<size_t>(rso_template.num_replicas))
         << "replica_faults must cover every replica";
-    rso.faults = opts_.replica_faults;
+    rso_template.faults = opts_.replica_faults;
   } else if (opts_.faults.enabled()) {
-    rso.faults = {opts_.faults};  // template; ReplicaSet derives the seeds
+    rso_template.faults = {opts_.faults};
   }
-  rso.replica_fault_seed_base = opts_.rs.resilience.replica_fault_seed_base;
-  rso.fault_ceiling = prepared_->stored.disk()->next_file_id();
-  replica_set_ =
-      std::make_unique<ReplicaSet>(prepared_->stored.disk(), std::move(rso));
+  rso_template.replica_fault_seed_base =
+      opts_.rs.resilience.replica_fault_seed_base;
+  rso_template.fault_ceiling = fault_ceiling_;
 
-  // Fault batches run shared-nothing (see QueryEngineOptions::faults): a
-  // shared cache would let one query's faulted fetch leak into another
-  // query's reads in a scheduling-dependent way.
-  if (opts_.cache_pages > 0 && !replica_set_->faulted()) {
-    BufferPoolOptions pool_opts;
-    pool_opts.capacity_pages = opts_.cache_pages;
-    pool_cache_ = std::make_unique<BufferPool>(prepared_->stored.disk(),
-                                               pool_opts);
+  const int num_shards = sharded_->num_shards();
+  replica_sets_.reserve(num_shards);
+  pool_caches_.resize(num_shards);
+  for (int s = 0; s < num_shards; ++s) {
+    // One replica set per shard: per-(worker, shard) DiskViews with their
+    // own arms and IO ledgers, so a shard's modeled time is what that
+    // shard's machine would spend regardless of what other shards do on
+    // the same host threads.
+    replica_sets_.push_back(
+        std::make_unique<ReplicaSet>(disk, rso_template));
+    // Fault batches run shared-nothing (see EngineOptions::faults): a
+    // shared cache would let one query's faulted fetch leak into another
+    // query's reads in a scheduling-dependent way.
+    if (opts_.cache_pages > 0 && !replica_sets_[s]->faulted()) {
+      BufferPoolOptions pool_opts;
+      pool_opts.capacity_pages = opts_.cache_pages;
+      pool_caches_[s] = std::make_unique<BufferPool>(disk, pool_opts);
+    }
   }
+  verify_index_.resize(static_cast<size_t>(num_shards));
+}
+
+size_t QueryEngine::verify_index_bytes(int s) const {
+  std::lock_guard<std::mutex> lock(verify_index_mu_);
+  const ALTree* index = verify_index_[static_cast<size_t>(s)].get();
+  return index == nullptr ? 0 : index->MemoryBytes();
 }
 
 StatusOr<BatchResult> QueryEngine::RunBatch(
     const std::vector<Object>& queries) {
-  // Reject out-of-range policies up front instead of bending them: the
-  // constructor clamps replicas to build a usable ReplicaSet, but running
-  // a batch under a policy the accounting cannot represent would silently
-  // drop replica reads (see ResiliencePolicy::Validate).
   NMRS_RETURN_IF_ERROR(opts_.rs.resilience.Validate());
 
+  const size_t num_queries = queries.size();
+  const int S = sharded_->num_shards();
+  const Schema& schema = sharded_->base().stored.schema();
+  const size_t m = schema.num_attributes();
+  const bool numerics = schema.NumNumeric() > 0;
+  const size_t row_bytes = sharded_->base().stored.codec().row_bytes();
+
+  // Shards that participate: empty shards have no rows to prune with and no
+  // candidates to offer, so they are excluded from scatter, exchange and
+  // verify. With one shard the (possibly empty) shard always runs — that
+  // path must reproduce a sequential run of each query exactly.
+  std::vector<int> active;
+  for (int s = 0; s < S; ++s) {
+    if (S == 1 || sharded_->shard_rows(s) > 0) active.push_back(s);
+  }
+
   BatchResult batch;
-  batch.results.resize(queries.size());
-  batch.statuses.assign(queries.size(), Status::OK());
-  batch.worker_modeled_millis.assign(pool_.num_threads(), 0.0);
+  batch.net = opts_.net;
+  batch.results.resize(num_queries);
+  batch.statuses.assign(num_queries, Status::OK());
+  batch.breakdown.resize(num_queries);
+  for (ShardQueryBreakdown& b : batch.breakdown) {
+    b.shard_candidates.assign(static_cast<size_t>(S), 0);
+  }
+  batch.shard_worker_modeled_millis.assign(
+      static_cast<size_t>(S),
+      std::vector<double>(pool_.num_threads(), 0.0));
+  batch.shard_max_task_modeled_millis.assign(static_cast<size_t>(S), 0.0);
 
   Timer timer;
   ConcurrentIoStats total_io;
   QuarantineLog quarantine;
-  std::atomic<uint64_t> retried{0};
-  WaitGroup wg;
+  std::mutex max_task_mu;
+  // Records one task's modeled cost against its shard's critical-path
+  // bound; lane += stays lock-free since each (shard, worker) lane is only
+  // touched by its own pool worker.
+  auto note_task = [&](size_t s, double modeled) {
+    std::lock_guard<std::mutex> lock(max_task_mu);
+    double& mx = batch.shard_max_task_modeled_millis[s];
+    mx = std::max(mx, modeled);
+  };
 
-  // Cross-query scan sharing applies when nothing couples a query to its
-  // own private disk wrapper: no fault injection (a shared fetch must be
-  // clean for everyone), no replica failover (failover views are per query
-  // task), and a BRS/SRS plan (the shared pass implements their phase 1).
+  // Per-(query, shard) scatter outputs; each slot is touched by exactly one
+  // task at a time (scatter and verify of a pair run in separate phases).
+  std::vector<std::vector<ReverseSkylineResult>> local(num_queries);
+  std::vector<std::vector<Status>> local_status(
+      num_queries, std::vector<Status>(static_cast<size_t>(S), Status::OK()));
+  // Clean-view recoveries per (query, shard) task.
+  std::vector<std::vector<uint64_t>> retries(
+      num_queries, std::vector<uint64_t>(static_cast<size_t>(S), 0));
+  std::vector<std::vector<RowBatch>> cand;
+  cand.reserve(num_queries);
+  for (size_t q = 0; q < num_queries; ++q) {
+    local[q].resize(static_cast<size_t>(S));
+    cand.emplace_back();
+    for (int s = 0; s < S; ++s) cand[q].emplace_back(m, numerics);
+  }
+
+  // Builds the per-task RSOptions: shared cache, checksum implication (a
+  // checksummed dataset implies verification), batch-local quarantine (a
+  // caller-supplied log gets the findings after the join), intra-query
+  // threads on the engine's pool.
+  auto make_rs = [&](int s) {
+    RSOptions rs = opts_.rs;
+    if (rs.num_threads > 1 && rs.executor == nullptr) rs.executor = &pool_;
+    if (pool_caches_[s] != nullptr) {
+      rs.cache_pages = true;
+      rs.buffer_pool = pool_caches_[s].get();
+    } else {
+      rs.cache_pages = false;
+      rs.buffer_pool = nullptr;
+    }
+    if (sharded_->shard(s).checksum_pages()) {
+      rs.resilience.checksum_pages = true;
+    }
+    rs.resilience.quarantine_log = &quarantine;
+    return rs;
+  };
+
+  // ---- Scatter: every (query, active shard) runs the full algorithm over
+  // the shard's local rows, then serializes its surviving candidates for
+  // the exchange. ----
   const bool shared_eligible =
-      opts_.shared_scan && !replica_set_->faulted() &&
-      replica_set_->num_replicas() == 1 &&
+      opts_.shared_scan && !replica_sets_[0]->faulted() &&
+      replica_sets_[0]->num_replicas() == 1 &&
       (algo_ == Algorithm::kBRS || algo_ == Algorithm::kSRS);
+
+  WaitGroup wg;
   if (shared_eligible && !queries.empty()) {
     ConcurrentIoStats shared_io;
     std::atomic<uint64_t> shared_batches{0};
     std::atomic<uint64_t> shared_groups{0};
-    // Groups are formed by query index, so membership — and therefore
-    // every per-query result and the batch totals — is independent of
-    // worker count and work-stealing order; only which worker runs a
-    // group varies.
-    const size_t group_size = std::max<size_t>(1, opts_.shared_scan_group);
-    const size_t num_groups = (queries.size() + group_size - 1) / group_size;
-    wg.Add(static_cast<int>(num_groups));
+    const size_t group_size =
+        std::max<size_t>(1, opts_.shared_scan_group);
+    const size_t num_groups = (num_queries + group_size - 1) / group_size;
+    wg.Add(static_cast<int>(num_groups * active.size()));
     for (size_t g = 0; g < num_groups; ++g) {
-      pool_.Submit([this, &queries, &batch, &total_io, &quarantine,
-                    &shared_io, &shared_batches, &shared_groups, &wg,
-                    group_size, g] {
+      for (int s : active) {
+        pool_.Submit([&, g, s] {
+          const int w = pool_.CurrentWorkerIndex();
+          NMRS_CHECK_GE(w, 0);
+          ReplicaSet& rset = *replica_sets_[s];
+          DiskView* view = rset.view(w, 0);
+          const size_t lo = g * group_size;
+          const size_t hi = std::min(num_queries, lo + group_size);
+          RSOptions rs = make_rs(s);
+          const StoredDataset& shard = sharded_->shard(s);
+          StoredDataset shard_data(view, shard.file(), shard.schema(),
+                                   shard.num_rows(), shard.checksum_pages());
+          const std::vector<Object> group(queries.begin() + lo,
+                                          queries.begin() + hi);
+          SharedScanStats ss;
+          const IoStats before = rset.WorkerStats(w);
+          auto res = SharedScanReverseSkylines(
+              shard_data, *space_, group, rs,
+              /*ring_order=*/algo_ == Algorithm::kSRS, &ss);
+          double modeled = ss.shared_millis + ss.modeled_backoff_millis +
+                           IoCostModel{}.EstimateMillis(ss.shared_io);
+          if (res.ok()) {
+            for (size_t q = lo; q < hi; ++q) {
+              local[q][s] = std::move((*res)[q - lo]);
+              if (S > 1) {
+                // Export: one scan collecting the survivors' row data —
+                // the payload the shard would put on the wire.
+                view->InvalidateArmPosition();
+                const IoStats before_collect = rset.WorkerStats(w);
+                PagedReader creader(view,
+                                    rs.cache_pages ? rs.buffer_pool : nullptr,
+                                    MakeReaderOptions(rs));
+                cand[q][s].Clear();
+                Status cs = CollectRowsById(shard_data, &creader,
+                                            local[q][s].rows, &cand[q][s]);
+                IoStats collect_io = rset.WorkerStats(w) - before_collect;
+                creader.FoldStatsInto(&collect_io);
+                local[q][s].stats.io += collect_io;
+                local[q][s].stats.modeled_backoff_millis +=
+                    creader.modeled_backoff_millis();
+                if (!cs.ok()) local_status[q][s] = cs;
+              }
+              total_io.Add(local[q][s].stats.io);
+              modeled += local[q][s].stats.ResponseMillis();
+            }
+            total_io.Add(ss.shared_io);
+            shared_io.Add(ss.shared_io);
+            shared_batches.fetch_add(ss.shared_batches,
+                                     std::memory_order_relaxed);
+            shared_groups.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            for (size_t q = lo; q < hi; ++q) {
+              local_status[q][s] = res.status();
+            }
+            const IoStats partial = rset.WorkerStats(w) - before;
+            total_io.Add(partial);
+            modeled = IoCostModel{}.EstimateMillis(partial);
+          }
+          batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
+              modeled;
+          note_task(s, modeled);
+          wg.Done();
+        });
+      }
+    }
+    wg.Wait();
+    batch.shared_io = shared_io.Snapshot();
+    batch.shared_scan_batches = shared_batches.load(std::memory_order_relaxed);
+    batch.shared_scan_groups = shared_groups.load(std::memory_order_relaxed);
+  } else {
+    wg.Add(static_cast<int>(num_queries * active.size()));
+    for (size_t q = 0; q < num_queries; ++q) {
+      for (int s : active) {
+        pool_.Submit([&, q, s] {
+          const int w = pool_.CurrentWorkerIndex();
+          NMRS_CHECK_GE(w, 0);
+          ReplicaSet& rset = *replica_sets_[s];
+          const int num_replicas = rset.num_replicas();
+          DiskView* view = rset.view(w, 0);
+          // With fault injection on, the task reads through its own
+          // FaultyDisk per replica under stream Stream(q, s), so its fault
+          // pattern is fixed by the config, not by which worker runs it.
+          // The fault ceiling restricts injection to the frozen base and
+          // shard files: scratch-file ids are assigned in execution order.
+          std::vector<std::unique_ptr<FaultyDisk>> wrappers;
+          std::vector<SimulatedDisk*> disks =
+              rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
+          SimulatedDisk* qdisk = disks[0];
+          // Failover views persist across this worker's tasks; resetting
+          // their arms makes the task's seq/rand IO split independent of
+          // what ran before it.
+          for (int r = 1; r < num_replicas; ++r) {
+            rset.view(w, r)->InvalidateArmPosition();
+          }
+
+          RSOptions rs = make_rs(s);
+          if (num_replicas > 1) {
+            rs.failover_disks.assign(disks.begin() + 1, disks.end());
+            rs.failover_limit = fault_ceiling_;
+          }
+
+          const StoredDataset& shard = sharded_->shard(s);
+          const int attempts = 1 + std::max(0, opts_.max_query_retries);
+          StatusOr<ReverseSkylineResult> result =
+              Status::Internal("shard task never ran");
+          for (int attempt = 0; attempt < attempts; ++attempt) {
+            // Retries re-run on the clean view: no fault wrapper and no
+            // failover disks (the clean view cannot fail).
+            SimulatedDisk* attempt_disk = attempt == 0 ? qdisk : view;
+            if (attempt == 1) {
+              rs.failover_disks.clear();
+              rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
+            }
+            PreparedDataset shard_prep{
+                StoredDataset(attempt_disk, shard.file(), shard.schema(),
+                              shard.num_rows(), shard.checksum_pages()),
+                sharded_->base().attr_order,
+                sharded_->base().prepare_millis};
+            const IoStats before = rset.WorkerStats(w);
+            result =
+                RunReverseSkyline(shard_prep, *space_, queries[q], algo_, rs);
+            if (result.ok() && S > 1) {
+              // Export: collect the surviving candidates' row data through
+              // the same (possibly faulty, failover-backed) disk — a real
+              // shard re-reads rows to serialize them, and may fail doing
+              // so, which counts as a failed attempt like any other.
+              attempt_disk->InvalidateArmPosition();
+              const IoStats before_collect = rset.WorkerStats(w);
+              PagedReader creader(attempt_disk,
+                                  rs.cache_pages ? rs.buffer_pool : nullptr,
+                                  MakeReaderOptions(rs));
+              cand[q][s].Clear();
+              Status cs = CollectRowsById(shard_prep.stored, &creader,
+                                          result->rows, &cand[q][s]);
+              IoStats collect_io = rset.WorkerStats(w) - before_collect;
+              creader.FoldStatsInto(&collect_io);
+              result->stats.io += collect_io;
+              result->stats.modeled_backoff_millis +=
+                  creader.modeled_backoff_millis();
+              if (!cs.ok()) result = cs;
+            }
+            if (result.ok()) {
+              if (attempt > 0) ++retries[q][s];
+              break;
+            }
+            // Keep the dead run's partial IO (worker-wide: failover reads
+            // land on the other replica views). A successful later attempt
+            // overwrites it, so a recovered task reports the stats of the
+            // run that produced its answer.
+            ReverseSkylineResult partial;
+            partial.stats.io = rset.WorkerStats(w) - before;
+            local[q][s] = std::move(partial);
+            if (!result.status().IsStorageFault()) break;
+          }
+
+          if (result.ok()) {
+            local[q][s] = std::move(*result);
+          } else {
+            local_status[q][s] = result.status();
+          }
+          total_io.Add(local[q][s].stats.io);
+          batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
+              local[q][s].stats.ResponseMillis();
+          note_task(s, local[q][s].stats.ResponseMillis());
+          wg.Done();
+        });
+      }
+    }
+    wg.Wait();
+  }
+
+  // ---- Exchange bookkeeping (coordinator): fold shard failures into
+  // per-query statuses, record candidate counts, and account the message
+  // traffic of the three exchange rounds. ----
+  const bool exchange = S > 1 && active.size() >= 2;
+  std::vector<std::vector<uint64_t>> foreign_count(
+      num_queries, std::vector<uint64_t>(static_cast<size_t>(S), 0));
+  for (size_t q = 0; q < num_queries; ++q) {
+    for (int s : active) {
+      if (!local_status[q][s].ok() && batch.statuses[q].ok()) {
+        batch.statuses[q] = local_status[q][s];
+      }
+      batch.breakdown[q].shard_candidates[s] = local[q][s].rows.size();
+    }
+    if (!exchange || !batch.statuses[q].ok()) continue;
+    uint64_t total_bytes = 0;
+    uint64_t total_count = 0;
+    for (int s : active) {
+      total_bytes += cand[q][s].size() * row_bytes;
+      total_count += cand[q][s].size();
+    }
+    MessageStats& msg = batch.breakdown[q].messages;
+    // Round 1 — candidate gather: every shard ships its local skyline.
+    msg.messages += active.size();
+    msg.bytes += total_bytes;
+    msg.rounds += 1;
+    // Round 2 — broadcast: each shard receives the other shards' rows.
+    for (int s : active) {
+      msg.messages += 1;
+      msg.bytes += total_bytes - cand[q][s].size() * row_bytes;
+      foreign_count[q][s] = total_count - cand[q][s].size();
+    }
+    msg.rounds += 1;
+    // Round 3 — verdict gather: one bit per foreign candidate per shard.
+    for (int s : active) {
+      msg.messages += 1;
+      msg.bytes += (foreign_count[q][s] + 7) / 8;
+    }
+    msg.rounds += 1;
+  }
+
+  // ---- Index: every shard the verify round below reads gets its
+  // read-only AL-Tree once per engine, each built by its own task through
+  // a clean worker view, bypassing the page cache. The build is no query's
+  // work: its IO and modeled time land only on the batch total and on the
+  // shard's lane, so per-query counters do not depend on which batch
+  // built it. Schemas with numeric attributes keep the flat scan. ----
+  std::vector<const ALTree*> index(static_cast<size_t>(S), nullptr);
+  if (exchange && !numerics) {
+    std::lock_guard<std::mutex> lock(verify_index_mu_);
+    std::vector<int> to_build;
+    for (int s : active) {
+      if (verify_index_[s] != nullptr) continue;
+      for (size_t q = 0; q < num_queries; ++q) {
+        if (batch.statuses[q].ok() && foreign_count[q][s] > 0) {
+          to_build.push_back(s);
+          break;
+        }
+      }
+    }
+    wg.Add(static_cast<int>(to_build.size()));
+    for (int s : to_build) {
+      pool_.Submit([&, s] {
         const int w = pool_.CurrentWorkerIndex();
         NMRS_CHECK_GE(w, 0);
-        DiskView* view = replica_set_->view(w, 0);
-        const size_t lo = g * group_size;
-        const size_t hi = std::min(queries.size(), lo + group_size);
-
-        RSOptions rs = opts_.rs;
-        if (pool_cache_ != nullptr) {
-          rs.cache_pages = true;
-          rs.buffer_pool = pool_cache_.get();
-        } else {
-          rs.cache_pages = false;
-          rs.buffer_pool = nullptr;
+        ReplicaSet& rset = *replica_sets_[s];
+        DiskView* view = rset.view(w, 0);
+        const StoredDataset& shard = sharded_->shard(s);
+        StoredDataset shard_data(view, shard.file(), shard.schema(),
+                                 shard.num_rows(), shard.checksum_pages());
+        view->InvalidateArmPosition();
+        const IoStats before = rset.WorkerStats(w);
+        PagedReader reader(view, nullptr, MakeReaderOptions(make_rs(s)));
+        Timer build_timer;
+        auto tree =
+            std::make_unique<ALTree>(schema, sharded_->base().attr_order);
+        // A failed build leaves the slot empty: this batch's verify tasks
+        // fall back to the flat scan and the next batch retries.
+        if (BuildShardIndex(shard_data, &reader, tree.get()).ok()) {
+          verify_index_[s] = std::move(tree);
         }
-        if (prepared_->stored.checksum_pages()) {
-          rs.resilience.checksum_pages = true;
-        }
-        rs.resilience.quarantine_log = &quarantine;
-
-        StoredDataset local(view, prepared_->stored.file(),
-                            prepared_->stored.schema(),
-                            prepared_->stored.num_rows(),
-                            prepared_->stored.checksum_pages());
-        const std::vector<Object> group(queries.begin() + lo,
-                                        queries.begin() + hi);
-        SharedScanStats ss;
-        const IoStats before = replica_set_->WorkerStats(w);
-        auto res = SharedScanReverseSkylines(local, *space_, group, rs,
-                                             /*ring_order=*/algo_ ==
-                                                 Algorithm::kSRS,
-                                             &ss);
-        double modeled = ss.shared_millis + ss.modeled_backoff_millis +
-                         IoCostModel{}.EstimateMillis(ss.shared_io);
-        if (res.ok()) {
-          for (size_t q = lo; q < hi; ++q) {
-            batch.results[q] = std::move((*res)[q - lo]);
-            total_io.Add(batch.results[q].stats.io);
-            modeled += batch.results[q].stats.ResponseMillis();
-          }
-          total_io.Add(ss.shared_io);
-          shared_io.Add(ss.shared_io);
-          shared_batches.fetch_add(ss.shared_batches,
-                                   std::memory_order_relaxed);
-          shared_groups.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          // The whole group dies together (the shared pass is one run);
-          // charge its partial IO to the batch, unattributed per query.
-          for (size_t q = lo; q < hi; ++q) {
-            batch.statuses[q] = res.status();
-          }
-          const IoStats partial = replica_set_->WorkerStats(w) - before;
-          total_io.Add(partial);
-          modeled = IoCostModel{}.EstimateMillis(partial);
-        }
-        // Only this worker's thread touches its slot. The shared pass's
-        // modeled time lands on the worker that ran it, like any query.
-        batch.worker_modeled_millis[static_cast<size_t>(w)] += modeled;
+        IoStats io = rset.WorkerStats(w) - before;
+        reader.FoldStatsInto(&io);
+        const double modeled = build_timer.ElapsedMillis() +
+                               IoCostModel{}.EstimateMillis(io) +
+                               reader.modeled_backoff_millis();
+        total_io.Add(io);
+        batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
+            modeled;
+        note_task(s, modeled);
         wg.Done();
       });
     }
     wg.Wait();
-
-    if (opts_.fail_fast) {
-      Status first = batch.first_error();
-      if (!first.ok()) return first;
-    }
-    batch.total_io = total_io.Snapshot();
-    batch.shared_io = shared_io.Snapshot();
-    batch.shared_scan_batches =
-        shared_batches.load(std::memory_order_relaxed);
-    batch.shared_scan_groups = shared_groups.load(std::memory_order_relaxed);
-    batch.wall_millis = timer.ElapsedMillis();
-    batch.quarantined = quarantine.Pages();
-    if (opts_.rs.resilience.quarantine_log != nullptr) {
-      for (const auto& [file, page] : batch.quarantined) {
-        opts_.rs.resilience.quarantine_log->Report(file, page);
-      }
-    }
-    return batch;
+    for (int s : active) index[s] = verify_index_[s].get();
   }
 
-  wg.Add(static_cast<int>(queries.size()));
+  // ---- Verify: each shard tests the foreign candidates against all its
+  // local rows — one index search per candidate, or a stream of every row
+  // past them without an index; pruned verdicts come back positionally.
+  // ----
+  std::vector<std::vector<std::vector<uint8_t>>> verdicts(
+      num_queries,
+      std::vector<std::vector<uint8_t>>(static_cast<size_t>(S)));
+  std::vector<std::vector<QueryStats>> verify_stats(
+      num_queries, std::vector<QueryStats>(static_cast<size_t>(S)));
+  if (exchange) {
+    for (size_t q = 0; q < num_queries; ++q) {
+      if (!batch.statuses[q].ok()) continue;
+      for (int s : active) {
+        if (foreign_count[q][s] == 0) continue;
+        wg.Add(1);
+        pool_.Submit([&, q, s] {
+          const int w = pool_.CurrentWorkerIndex();
+          NMRS_CHECK_GE(w, 0);
 
-  for (size_t i = 0; i < queries.size(); ++i) {
-    pool_.Submit([this, &queries, &batch, &total_io, &quarantine, &retried,
-                  &wg, i] {
-      const int w = pool_.CurrentWorkerIndex();
-      NMRS_CHECK_GE(w, 0);
-      const int num_replicas = replica_set_->num_replicas();
-      DiskView* view = replica_set_->view(w, 0);
+          // The merged broadcast, minus this shard's own candidates (it
+          // already refined those in its local phase 2), concatenated in
+          // shard order — the positional contract of the verdict bitmap.
+          RowBatch foreign(m, numerics);
+          for (int t : active) {
+            if (t == s) continue;
+            const RowBatch& c = cand[q][t];
+            for (size_t i = 0; i < c.size(); ++i) {
+              foreign.Append(c.id(i), c.row_values(i), c.row_numerics(i));
+            }
+          }
 
-      // With fault injection on, this query reads through its own
-      // FaultyDisk per replica whose stream is the query index — each
-      // query's fault pattern is fixed by the config, not by which worker
-      // runs it. The fault ceiling restricts injection to the frozen base
-      // files: scratch-file ids are assigned in execution order, so
-      // faulting them would reintroduce a scheduling dependence.
-      std::vector<std::unique_ptr<FaultyDisk>> wrappers;
-      std::vector<SimulatedDisk*> disks = replica_set_->MakeQueryDisks(
-          w, static_cast<uint64_t>(i), &wrappers);
-      SimulatedDisk* qdisk = disks[0];
+          if (index[s] != nullptr) {
+            // Indexed verify: no IO, so nothing to fault or retry.
+            QueryStats vs;
+            Timer verify_timer;
+            PruneCandidatesWithIndex(*index[s], *space_, queries[q], foreign,
+                                     opts_.rs, &verdicts[q][s], &vs);
+            vs.phase2_checks = vs.checks;
+            vs.compute_millis = verify_timer.ElapsedMillis();
+            vs.phase2_millis = vs.compute_millis;
+            verify_stats[q][s] = vs;
+          } else {
+            ReplicaSet& rset = *replica_sets_[s];
+            const int num_replicas = rset.num_replicas();
+            DiskView* view = rset.view(w, 0);
+            std::vector<std::unique_ptr<FaultyDisk>> wrappers;
+            std::vector<SimulatedDisk*> disks =
+                rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
+            SimulatedDisk* qdisk = disks[0];
+            for (int r = 1; r < num_replicas; ++r) {
+              rset.view(w, r)->InvalidateArmPosition();
+            }
 
-      // Failover replica views persist across the queries this worker
-      // runs, so reset their disk arms: within a query the failover read
-      // sequence is then fixed, making its seq/rand IO split independent
-      // of which queries ran earlier on this worker. (The primary view
-      // keeps the pre-replica arm behavior untouched.)
-      for (int r = 1; r < num_replicas; ++r) {
-        replica_set_->view(w, r)->InvalidateArmPosition();
-      }
+            RSOptions rs = make_rs(s);
+            if (num_replicas > 1) {
+              rs.failover_disks.assign(disks.begin() + 1, disks.end());
+              rs.failover_limit = fault_ceiling_;
+            }
 
-      RSOptions rs = opts_.rs;
-      if (num_replicas > 1) {
-        rs.failover_disks.assign(disks.begin() + 1, disks.end());
-        rs.failover_limit = prepared_->stored.disk()->next_file_id();
+            const StoredDataset& shard = sharded_->shard(s);
+            const int attempts = 1 + std::max(0, opts_.max_query_retries);
+            Status vstatus = Status::OK();
+            for (int attempt = 0; attempt < attempts; ++attempt) {
+              SimulatedDisk* attempt_disk = attempt == 0 ? qdisk : view;
+              if (attempt == 1) {
+                rs.failover_disks.clear();
+                rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
+              }
+              StoredDataset shard_data(attempt_disk, shard.file(),
+                                       shard.schema(), shard.num_rows(),
+                                       shard.checksum_pages());
+              attempt_disk->InvalidateArmPosition();
+              const IoStats before = rset.WorkerStats(w);
+              PagedReader reader(attempt_disk,
+                                 rs.cache_pages ? rs.buffer_pool : nullptr,
+                                 MakeReaderOptions(rs));
+              QueryStats vs;
+              Timer verify_timer;
+              vstatus = PruneCandidatesAgainstShard(shard_data, *space_,
+                                                    queries[q], foreign, rs,
+                                                    &reader, &verdicts[q][s],
+                                                    &vs);
+              vs.phase2_checks = vs.checks;
+              vs.io = rset.WorkerStats(w) - before;
+              reader.FoldStatsInto(&vs.io);
+              vs.modeled_backoff_millis = reader.modeled_backoff_millis();
+              vs.compute_millis = verify_timer.ElapsedMillis();
+              vs.phase2_millis = vs.compute_millis;
+              verify_stats[q][s] = vs;
+              if (vstatus.ok()) {
+                if (attempt > 0) ++retries[q][s];
+                break;
+              }
+              if (!vstatus.IsStorageFault()) break;
+            }
+            if (!vstatus.ok()) local_status[q][s] = vstatus;
+          }
+          total_io.Add(verify_stats[q][s].io);
+          batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
+              verify_stats[q][s].ResponseMillis();
+          note_task(s, verify_stats[q][s].ResponseMillis());
+          wg.Done();
+        });
       }
-      if (rs.num_threads > 1 && rs.executor == nullptr) rs.executor = &pool_;
-      if (pool_cache_ != nullptr) {
-        rs.cache_pages = true;
-        rs.buffer_pool = pool_cache_.get();
-      } else {
-        rs.cache_pages = false;
-        rs.buffer_pool = nullptr;
-      }
-      // A checksummed dataset implies verification: sealing pages and then
-      // not checking them would silently waste the footer.
-      if (prepared_->stored.checksum_pages()) {
-        rs.resilience.checksum_pages = true;
-      }
-      // Queries report to the batch-local log; a caller-supplied log gets
-      // the batch's findings folded in after the join.
-      rs.resilience.quarantine_log = &quarantine;
-
-      const int attempts = 1 + std::max(0, opts_.max_query_retries);
-      // Placeholder only: the loop below always runs at least one attempt.
-      StatusOr<ReverseSkylineResult> result =
-          Status::Internal("query never ran");
-      for (int attempt = 0; attempt < attempts; ++attempt) {
-        // Retries re-run on the clean view: no fault wrapper, and no
-        // failover disks either (the clean view cannot fail, so page
-        // failover has nothing to do there).
-        SimulatedDisk* attempt_disk = attempt == 0 ? qdisk : view;
-        if (attempt == 1) {
-          rs.failover_disks.clear();
-          rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
-        }
-        // Re-wrap the prepared dataset over this attempt's disk: the file
-        // id and layout are the base disk's, the IO accounting (and any
-        // injected faults) are this disk's.
-        PreparedDataset local{
-            StoredDataset(attempt_disk, prepared_->stored.file(),
-                          prepared_->stored.schema(),
-                          prepared_->stored.num_rows(),
-                          prepared_->stored.checksum_pages()),
-            prepared_->attr_order, prepared_->prepare_millis};
-        // Worker-wide snapshot: a failed attempt's failover reads landed
-        // on this worker's other replica views, not just the primary.
-        const IoStats before = replica_set_->WorkerStats(w);
-        result = RunReverseSkyline(local, *space_, queries[i], algo_, rs);
-        if (result.ok()) {
-          if (attempt > 0) retried.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        // Keep the dead run's partial IO as this query's stats. If a later
-        // attempt succeeds it overwrites this: the reported stats are those
-        // of the attempt that produced the answer (replica-read
-        // accounting), so a recovered query is indistinguishable from one
-        // that ran clean the first time.
-        ReverseSkylineResult partial;
-        partial.stats.io = replica_set_->WorkerStats(w) - before;
-        batch.results[i] = std::move(partial);
-        if (!result.status().IsStorageFault()) break;
-      }
-
-      if (result.ok()) {
-        batch.results[i] = std::move(*result);
-      } else {
-        batch.statuses[i] = result.status();
-      }
-      total_io.Add(batch.results[i].stats.io);
-      // Only this worker's thread touches its slot. Failed queries charge
-      // their partial modeled time too — they occupied the spindle.
-      batch.worker_modeled_millis[static_cast<size_t>(w)] +=
-          batch.results[i].stats.ResponseMillis();
-      wg.Done();
-    });
+    }
+    wg.Wait();
   }
-  wg.Wait();
+
+  // ---- Merge: a candidate is in the reverse skyline iff it survived its
+  // home shard AND no other shard's verdict pruned it. Rows come out
+  // sorted ascending, exactly as every single-shard algorithm emits them.
+  // ----
+  for (size_t q = 0; q < num_queries; ++q) {
+    // Verify failures surface after the exchange loop above.
+    for (int s : active) {
+      if (!local_status[q][s].ok() && batch.statuses[q].ok()) {
+        batch.statuses[q] = local_status[q][s];
+      }
+    }
+    QueryStats merged;
+    for (int s : active) merged.MergeFrom(local[q][s].stats);
+    if (exchange) {
+      for (int s : active) merged.MergeFrom(verify_stats[q][s]);
+    }
+
+    if (!batch.statuses[q].ok()) {
+      batch.results[q] = ReverseSkylineResult{};
+      batch.results[q].stats = merged;
+      continue;
+    }
+
+    if (!exchange) {
+      // One (possibly the only active) shard holds the whole answer.
+      NMRS_CHECK_LE(active.size(), 1u);
+      if (!active.empty()) {
+        batch.results[q] = std::move(local[q][active[0]]);
+      }
+      continue;
+    }
+
+    std::vector<RowId> rows;
+    for (int s : active) {
+      const RowBatch& own = cand[q][s];
+      for (size_t i = 0; i < own.size(); ++i) {
+        bool alive = true;
+        for (int t : active) {
+          if (t == s) continue;
+          // Position of (s, i) in t's foreign concat: candidates of shards
+          // before s (skipping t itself), then i.
+          size_t offset = 0;
+          for (int u : active) {
+            if (u == s) break;
+            if (u == t) continue;
+            offset += cand[q][u].size();
+          }
+          if (verdicts[q][t][offset + i] != 0) {
+            alive = false;
+            break;
+          }
+        }
+        if (alive) rows.push_back(own.id(i));
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    merged.result_size = rows.size();
+    batch.results[q].rows = std::move(rows);
+    batch.results[q].stats = merged;
+  }
+
+  for (const ShardQueryBreakdown& b : batch.breakdown) {
+    batch.total_messages += b.messages;
+  }
 
   if (opts_.fail_fast) {
     Status first = batch.first_error();
@@ -315,10 +684,14 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
   }
   batch.total_io = total_io.Snapshot();
   batch.wall_millis = timer.ElapsedMillis();
-  batch.queries_retried = retried.load(std::memory_order_relaxed);
+  for (const std::vector<uint64_t>& per_shard : retries) {
+    uint64_t tasks = 0;
+    for (uint64_t r : per_shard) tasks += r;
+    batch.tasks_retried += tasks;
+    batch.queries_retried += tasks > 0 ? 1 : 0;
+  }
   batch.quarantined = quarantine.Pages();
   if (opts_.rs.resilience.quarantine_log != nullptr) {
-    // The caller supplied its own log; fold this batch's findings in.
     for (const auto& [file, page] : batch.quarantined) {
       opts_.rs.resilience.quarantine_log->Report(file, page);
     }
@@ -336,16 +709,20 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
   out.results.resize(queries.size());
   for (auto& per_user : out.results) per_user.resize(overlays.size());
   out.statuses.assign(queries.size(), Status::OK());
+  out.overlay_worker_modeled_millis.assign(pool_.num_threads(), 0.0);
 
+  // Classification and re-checks read the whole BASE file, not the shards,
+  // through shard 0's replica set (its views see the same disk).
+  const StoredDataset& base_data = sharded_->base().stored;
   OverlayExecContext ctx;
   ctx.pool = &pool_;
-  ctx.replicas = replica_set_.get();
-  ctx.data = &prepared_->stored;
+  ctx.replicas = replica_sets_[0].get();
+  ctx.data = &base_data;
   ctx.space = space_;
-  ctx.selected = ResolveSelectedAttrs(prepared_->stored.schema(),
-                                      opts_.rs.selected_attrs);
-  ctx.reader_opts.verify_checksums = prepared_->stored.checksum_pages() ||
-                                     opts_.rs.resilience.checksum_pages;
+  ctx.selected =
+      ResolveSelectedAttrs(base_data.schema(), opts_.rs.selected_attrs);
+  ctx.reader_opts.verify_checksums =
+      base_data.checksum_pages() || opts_.rs.resilience.checksum_pages;
   ctx.overlay_group = opts_.overlay_group;
 
   // ---- 1. Query-independent classification, once per batch. ----
@@ -353,20 +730,18 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
   NMRS_RETURN_IF_ERROR(ClassifyOverlayRows(ctx, overlays, &cls));
   out.sensitive_rows = cls.TotalSensitive();
   out.invariant_rows = cls.TotalInvariant();
+  out.overlay_worker_modeled_millis[0] +=
+      cls.classify_millis + IoCostModel{}.EstimateMillis(cls.io);
 
-  // ---- 2. One base-space run per query, through the full machinery. ----
+  // ---- 2. One base run per query, through the full machinery. ----
   NMRS_ASSIGN_OR_RETURN(out.base, RunBatch(queries));
   out.statuses = out.base.statuses;
-  out.worker_modeled_millis = out.base.worker_modeled_millis;
-  // The classification pass is modeled as running on worker 0's spindle.
-  out.worker_modeled_millis[0] +=
-      cls.classify_millis + IoCostModel{}.EstimateMillis(cls.io);
 
   // ---- 3. Pruner hints, then hinted re-checks per (query, user group). ----
   OverlayRecheckTotals recheck;
   RecheckOverlayBatch(ctx, queries, overlays, cls, out.base.results,
-                      &out.results, &out.statuses, &out.worker_modeled_millis,
-                      &recheck);
+                      &out.results, &out.statuses,
+                      &out.overlay_worker_modeled_millis, &recheck);
 
   out.recheck_scans = recheck.scans;
   out.recheck_checks = recheck.checks;

@@ -2,9 +2,13 @@
 #define NMRS_EXEC_QUERY_ENGINE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
+#include "altree/al_tree.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "core/pipeline.h"
@@ -12,33 +16,50 @@
 #include "data/object.h"
 #include "exec/engine_options.h"
 #include "exec/thread_pool.h"
+#include "shard/message_stats.h"
+#include "shard/shard_plan.h"
 #include "sim/similarity_space.h"
 #include "storage/buffer_pool.h"
-#include "storage/disk_view.h"
-#include "storage/fault_injection.h"
 #include "storage/io_stats.h"
 #include "storage/replica_set.h"
 
 namespace nmrs {
 
-// The executor options vocabulary (EngineOptions and the QueryEngineOptions
-// alias) lives in exec/engine_options.h, shared with the sharded engine and
-// the Database front door.
+// The executor options (EngineOptions) live in exec/engine_options.h,
+// shared with the Database front door. Every shard is modeled as one
+// machine with `num_workers` workers, `rs.memory` pages of working memory,
+// its own `cache_pages` page cache and, with resilience.replicas > 1, its
+// own replica set; `net` is the network cost model of the pruner exchange.
 
-/// Outcome of one RunBatch call.
+/// Per-query sharding telemetry.
+struct ShardQueryBreakdown {
+  /// Local reverse-skyline sizes per shard — the phase-1 candidate counts
+  /// the exchange ships (zero for shards the query failed on).
+  std::vector<uint64_t> shard_candidates;
+  /// This query's exchange traffic (zero with one shard: no exchange runs).
+  MessageStats messages;
+};
+
+/// Outcome of one QueryEngine::RunBatch.
 struct BatchResult {
-  /// results[i] answers queries[i]. Without a cache, per-query stats are
-  /// identical to what a sequential RunReverseSkyline of that query would
-  /// report. With a shared cache (cache_pages > 0) the *rows* are still
-  /// identical, but which query gets charged a miss depends on who touched
-  /// the page first, so per-query IO becomes interleaving-dependent; only
-  /// aggregate invariants survive (see docs/CACHING.md).
+  /// results[i] answers queries[i]: rows are bit-identical for every shard
+  /// count. Stats are the sum over the query's per-shard local runs, export
+  /// scans and verify passes; with one shard and no cache they equal what a
+  /// sequential RunReverseSkyline of that query reports. With a shared
+  /// cache (cache_pages > 0) the *rows* are still identical, but which
+  /// query gets charged a miss depends on who touched the page first, so
+  /// per-query IO becomes interleaving-dependent; only aggregate invariants
+  /// survive (see docs/CACHING.md). With more shards the counters are
+  /// deterministic for a fixed shard count but shard-count-dependent (see
+  /// docs/SHARDING.md).
   std::vector<ReverseSkylineResult> results;
 
   /// statuses[i] is the outcome of queries[i]. On failure, results[i]
   /// holds no rows but still carries the partial IO the query charged
   /// before dying (its share of batch cost, folded into total_io too).
   std::vector<Status> statuses;
+
+  std::vector<ShardQueryBreakdown> breakdown;
 
   /// True iff every query succeeded.
   bool ok() const {
@@ -48,8 +69,8 @@ struct BatchResult {
     return true;
   }
 
-  /// The lowest-index failure, or OK if none — the status the legacy
-  /// fail-fast API would have returned.
+  /// The lowest-index failure, or OK if none — the status the fail-fast
+  /// option returns.
   Status first_error() const {
     for (const Status& s : statuses) {
       if (!s.ok()) return s;
@@ -63,20 +84,23 @@ struct BatchResult {
     return n;
   }
 
-  /// Queries that failed a faulty run and succeeded on a clean-view re-run
-  /// (QueryEngineOptions::max_query_retries).
+  /// Queries with at least one (query, shard) task that failed a faulty
+  /// run and succeeded on a clean-view re-run
+  /// (EngineOptions::max_query_retries), and the number of such tasks.
+  /// Equal with one shard.
   uint64_t queries_retried = 0;
+  uint64_t tasks_retried = 0;
 
-  /// Shared-scan execution counters (QueryEngineOptions::shared_scan; all
-  /// zero when it is off or every group fell back to per-query runs).
-  /// `shared_scan_groups` = query groups that ran phase 1 through one
-  /// shared pass; `shared_scan_batches` = memory-sized batches those passes
-  /// loaded (each feeding every query of its group); `shared_io` = the
-  /// shared passes' page IO, reported here once instead of Q times in
-  /// per-query stats, and included in total_io. Under shared scans
-  /// per-query QueryStats::io covers only that query's own scratch spills
-  /// and phase-2 scan, so sum(results[i].stats.io) + shared_io ==
-  /// total_io.
+  /// Shared-scan execution counters (EngineOptions::shared_scan; all zero
+  /// when it is off or every group fell back to per-query runs).
+  /// `shared_scan_groups` = (query group, shard) passes that ran phase 1
+  /// once for the whole group; `shared_scan_batches` = memory-sized batches
+  /// those passes loaded (each feeding every query of its group);
+  /// `shared_io` = the shared passes' page IO, reported here once instead
+  /// of Q times in per-query stats, and included in total_io. Under shared
+  /// scans per-query QueryStats::io covers only that query's own scratch
+  /// spills, phase-2 scan and export, so sum(results[i].stats.io) +
+  /// shared_io == total_io.
   uint64_t shared_scan_groups = 0;
   uint64_t shared_scan_batches = 0;
   IoStats shared_io;
@@ -85,32 +109,57 @@ struct BatchResult {
   /// sorted — the batch's quarantine set.
   std::vector<std::pair<FileId, PageId>> quarantined;
 
-  /// Aggregate page IO over all queries (atomic accumulation across
-  /// workers; equals the sum of results[i].stats.io). Without a cache it
-  /// is independent of worker count and scheduling. With a cache, total
-  /// reads+writes stay worker-count-invariant as long as the pool never
-  /// evicts (misses = distinct pages, single-flight); under eviction
-  /// pressure the totals depend on the interleaving, as on real hardware.
+  /// Every task's IO, including the one-time verify-index builds, which
+  /// no query's stats carry. Without a cache it is independent of worker
+  /// count and scheduling. With a cache, total reads+writes stay
+  /// worker-count-invariant as long as the pool never evicts (misses =
+  /// distinct pages, single-flight); under eviction pressure the totals
+  /// depend on the interleaving, as on real hardware.
   IoStats total_io;
+
+  /// Exchange traffic summed over all queries.
+  MessageStats total_messages;
 
   /// Host wall-clock time of the batch.
   double wall_millis = 0;
 
-  /// Per-worker modeled busy time: the sum of QueryStats::ResponseMillis
-  /// (compute + modeled disk latency) over the queries that worker ran.
-  /// Each worker owns a private DiskView — its own spindle — so workers
-  /// overlap; the batch's modeled makespan is the busiest worker.
-  std::vector<double> worker_modeled_millis;
+  /// modeled[s][w]: modeled busy time (QueryStats::ResponseMillis, compute
+  /// plus modeled disk latency) of worker w on shard s. Each shard is one
+  /// machine whose workers own private DiskViews of the shard replica set
+  /// — their own spindles — so all S x W (shard, worker) lanes overlap.
+  std::vector<std::vector<double>> shard_worker_modeled_millis;
 
+  /// Largest single modeled task (one query's scatter run or verify pass,
+  /// a shared-scan group, or the shard's verify-index build) per shard:
+  /// the critical-path lower bound ModeledMakespanMillis uses.
+  std::vector<double> shard_max_task_modeled_millis;
+
+  /// The cost model the batch ran under (copied from the options so the
+  /// makespan math is self-contained).
+  MessageCostModel net;
+
+  double ExchangeModeledMillis() const {
+    return net.EstimateMillis(total_messages);
+  }
+
+  /// The modeled makespan (docs/PARALLELISM.md): the busiest shard under an
+  /// idealized per-shard schedule, plus the exchange cost. Each shard's
+  /// phase time is the LPT bound max(total_modeled_work / W, largest single
+  /// task) — deterministic in the task set rather than in how the host pool
+  /// happened to interleave tasks (the raw lanes stay available as
+  /// telemetry). Shards overlap; the exchange is modeled as serialized
+  /// through the gather coordinator (a deliberately conservative model —
+  /// see docs/SHARDING.md). With one worker this is the busiest lane.
   double ModeledMakespanMillis() const;
 
   /// Queries per modeled second: results.size() / makespan.
   double ModeledQps() const;
 };
 
-/// Outcome of one RunOverlayBatch call: Q queries answered for K overlay
-/// users each, via one base-space run per query plus incremental re-pruning
-/// of the overlay-sensitive candidates (docs/OVERLAYS.md).
+/// Outcome of one QueryEngine::RunOverlayBatch: Q queries answered for K
+/// overlay users via one base run per query plus incremental re-pruning of
+/// the overlay-sensitive candidates over the base dataset
+/// (docs/OVERLAYS.md).
 struct OverlayBatchResult {
   /// results[q][u] answers queries[q] under overlays[u]: rows are
   /// bit-identical to rebuilding user u's patched SimilaritySpace and
@@ -154,7 +203,7 @@ struct OverlayBatchResult {
   uint64_t recheck_pair_tests = 0;
 
   /// IO of the classification pass, the hint pass and the re-check scans
-  /// (excluded from base.total_io; total_io below is the whole batch).
+  /// (over the base file, through clean views; not part of base.total_io).
   IoStats overlay_io;
 
   /// Aggregate IO: base batch + overlay_io.
@@ -162,59 +211,100 @@ struct OverlayBatchResult {
 
   double wall_millis = 0;
 
-  /// Per-worker modeled busy time including the base batch's: makespan /
-  /// QPS are comparable against running the per-user rebuild through the
-  /// same engine. ModeledQps counts queries * users answers.
-  std::vector<double> worker_modeled_millis;
+  /// Per-worker modeled busy time of the overlay phases only (the base
+  /// batch models its own lanes); the phases are serialized: base batch,
+  /// then the overlay scans on the same worker lanes.
+  std::vector<double> overlay_worker_modeled_millis;
 
+  /// base.ModeledMakespanMillis() + the busiest overlay lane.
   double ModeledMakespanMillis() const;
-  double ModeledQps() const;
+  double ModeledQps() const;  // queries * users / makespan
 };
 
-/// Shared-nothing parallel executor for reverse-skyline query batches: one
-/// immutable PreparedDataset, N pool workers, each worker reading the
-/// dataset through a private DiskView (per-query IO accounting therefore
-/// matches a sequential run exactly) and spilling phase-1 survivors to
-/// view-local scratch files. Queries of a batch fan out across the pool's
-/// work-stealing deques; results land at their query's index.
+/// The query executor: scatter/gather over a ShardedDataset with N >= 1
+/// shards (docs/PARALLELISM.md, docs/SHARDING.md). Queries fan out across
+/// the pool's work-stealing deques, one task per (query, shard); each
+/// worker reads through a private DiskView and spills phase-1 survivors to
+/// view-local scratch files; results land at their query's index.
+///
+/// Every shard runs the *complete* configured algorithm (naive/BRS/SRS/TRS
+/// — kernels, adaptive dispatch, caching, faults and failover all apply
+/// per shard, unchanged) over its local rows, producing its local reverse
+/// skyline. With more than one shard, the pruner exchange then gathers
+/// every shard's surviving candidates, broadcasts the merged set back, and
+/// each shard tests the foreign candidates against all its local rows —
+/// through a resident AL-Tree of the shard for categorical schemas, a flat
+/// scan otherwise (pruned local rows still prune — the relation is not
+/// transitive). A candidate survives iff every shard's verdict clears it,
+/// which makes the merged row set bit-identical to single-shard execution
+/// by construction, for any partitioning.
+///
+/// Determinism contract: rows and statuses are independent of worker count
+/// and scheduling, and equal to the single-shard rows for every shard
+/// count. With one shard the engine reads the base file itself with fault
+/// stream == the query index, and runs no exchange: per-query counters and
+/// IO equal a sequential RunReverseSkyline of each query. With more
+/// shards, per-query counters are deterministic for a fixed shard count
+/// but necessarily differ from the single-shard counters. They are also
+/// the same in an engine's first batch, which builds the verify indexes,
+/// as in every later one: the builds are charged to no query.
+///
+/// Fault streams: (query q, shard s) reads under stream q + (s << 32), a
+/// pure function of the pair, so fault patterns stay independent of worker
+/// count; shard 0 keeps stream q.
 ///
 /// The base disk must stay structurally frozen (no file creation/writes)
-/// for the engine's lifetime; the SimilaritySpace and PreparedDataset are
-/// borrowed and must outlive it.
+/// for the engine's lifetime; the ShardedDataset's files are part of the
+/// frozen structure.
 class QueryEngine {
  public:
+  /// Borrows `sharded` and `space`; both must outlive the engine.
+  QueryEngine(const ShardedDataset& sharded, const SimilaritySpace& space,
+              Algorithm algo, EngineOptions opts = {});
+
+  /// Owns a one-shard partition of `prepared`, which aliases its file (no
+  /// file is created); `prepared`'s disk and `space` are borrowed.
   QueryEngine(const PreparedDataset& prepared, const SimilaritySpace& space,
               Algorithm algo, EngineOptions opts = {});
 
   size_t num_workers() const { return pool_.num_threads(); }
+  int num_shards() const { return sharded_->num_shards(); }
   Algorithm algorithm() const { return algo_; }
 
-  /// Storage replicas this engine reads through (>= 1 always exists; the
-  /// single-replica set is what used to be the per-worker view list).
-  const ReplicaSet& replicas() const { return *replica_set_; }
+  /// Shard s's storage replicas (>= 1 always exists).
+  const ReplicaSet& replicas(int s = 0) const { return *replica_sets_[s]; }
 
-  /// The shared page cache, or null when cache_pages was 0. Its stats()
-  /// aggregate over every batch run so far.
-  const BufferPool* buffer_pool() const { return pool_cache_.get(); }
+  /// Shard s's page cache, or null when cache_pages was 0 or the engine
+  /// runs fault injection. Its stats() aggregate over every batch so far.
+  const BufferPool* buffer_pool(int s = 0) const {
+    return pool_caches_[s].get();
+  }
 
-  /// Runs every query, blocking until the batch completes. Each query's
-  /// outcome lands in BatchResult::statuses; failed queries report their
-  /// partial stats while the rest of the batch returns real results. The
+  /// Heap bytes of shard s's verify index: zero until a batch has verified
+  /// foreign candidates against shard s, and always for one shard or for
+  /// schemas with numeric attributes (those verify by a flat scan). The
+  /// index lives outside RSOptions::memory, like the page cache.
+  size_t verify_index_bytes(int s) const;
+
+  /// Runs every query through scatter -> exchange -> verify -> merge,
+  /// blocking until the batch completes. Each query's outcome lands in
+  /// BatchResult::statuses: a storage fault on any shard fails only that
+  /// query, while the rest of the batch returns real results. The
   /// call-level StatusOr is an error only for batch-level problems — or,
-  /// with fail_fast set, the first per-query error (legacy semantics).
+  /// with fail_fast set, the first per-query error.
   StatusOr<BatchResult> RunBatch(const std::vector<Object>& queries);
 
   /// Answers every query for every overlay user with incremental
   /// re-pruning (docs/OVERLAYS.md): ONE base-space run per query through
-  /// the normal RunBatch machinery (workers, cache, kernels, shared scans,
-  /// faults, failover — everything applies), one query-independent
-  /// classification pass splitting rows into overlay-invariant vs
+  /// RunBatch (workers, cache, kernels, shared scans, shards, faults,
+  /// failover — everything applies), one query-independent classification
+  /// pass over the base dataset splitting rows into overlay-invariant vs
   /// overlay-sensitive per user, one pass per query recording each
   /// sensitive row's first base-space pruner, and one re-check per (query,
   /// group of overlay_group users) deciding only the sensitive candidates
-  /// under that user's overlaid distances, hint first. Rows are
-  /// bit-identical to rebuilding each user's patched space and running the
-  /// batch per user.
+  /// under that user's overlaid distances, hint first, through clean
+  /// views. Rows are bit-identical to rebuilding each user's patched space
+  /// and running the batch per user.
   ///
   /// Every overlay must be non-null and built over this engine's space;
   /// the engine's rs.overlay template must be null (the per-user overlays
@@ -224,16 +314,32 @@ class QueryEngine {
       const std::vector<const MatrixOverlay*>& overlays);
 
  private:
-  const PreparedDataset* prepared_;
+  QueryEngine(std::unique_ptr<const ShardedDataset> owned,
+              const ShardedDataset* sharded, const SimilaritySpace& space,
+              Algorithm algo, EngineOptions opts);
+
+  uint64_t Stream(size_t query, int shard) const {
+    return static_cast<uint64_t>(query) +
+           (static_cast<uint64_t>(shard) << 32);
+  }
+
+  std::unique_ptr<const ShardedDataset> owned_;  // one-shard constructor
+  const ShardedDataset* sharded_;
   const SimilaritySpace* space_;
   Algorithm algo_;
   EngineOptions opts_;
   ThreadPool pool_;
-  // Per-(worker, replica) views plus per-replica fault oracles; replaces
-  // the old per-worker view list + single injector (a 1-replica set is
-  // exactly that).
-  std::unique_ptr<ReplicaSet> replica_set_;
-  std::unique_ptr<BufferPool> pool_cache_;  // shared; null = off
+  FileId fault_ceiling_;
+  // Per-shard replica sets and page caches: per-(worker, shard) DiskViews
+  // live inside the replica sets; per-shard pools route each shard's pages
+  // through its own cache.
+  std::vector<std::unique_ptr<ReplicaSet>> replica_sets_;
+  std::vector<std::unique_ptr<BufferPool>> pool_caches_;
+  // Per-shard verify indexes (docs/SHARDING.md, step 4): each is built once,
+  // by the first batch whose verify round needs it, and only read after.
+  // The mutex guards the slots, not the trees.
+  mutable std::mutex verify_index_mu_;
+  std::vector<std::unique_ptr<const ALTree>> verify_index_;
 };
 
 }  // namespace nmrs

@@ -68,7 +68,8 @@ struct BufferPoolOptions {
 /// on a hit and fetched — and charged — through the caller's own disk or
 /// DiskView on a miss. Pages are keyed by (FileId, PageId) and hashed
 /// across `num_shards` independent LRU lists, each behind its own mutex,
-/// so all QueryEngine workers can share one pool without a global lock.
+/// so all of a QueryEngine shard's workers can share one pool without a
+/// global lock.
 ///
 /// ## What is cacheable
 ///

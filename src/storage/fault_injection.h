@@ -22,8 +22,8 @@ namespace nmrs {
 /// attempt). No global RNG state is consumed, so the fault pattern is
 /// independent of thread scheduling, query interleaving and worker count.
 /// `stream` partitions the fault space between independent consumers — the
-/// batch engine uses the query index, so query 7 sees the same faults
-/// whether the batch runs on 1 worker or 8.
+/// QueryEngine uses the (query, shard) pair, so query 7 sees the same
+/// faults whether the batch runs on 1 worker or 8.
 
 /// What fault configuration to apply to a disk. Default-constructed ==
 /// faults off (enabled() is false and FaultyDisk becomes pass-through).
@@ -132,8 +132,8 @@ class QuarantineLog {
 /// Everything a reader needs to know about surviving storage faults, in one
 /// struct: checksum verification, the transient-retry budget, where to
 /// report pages that are gone for good, and how many storage replicas exist
-/// to fail over to. Embedded in RSOptions and QueryEngineOptions and
-/// consumed by MakeReaderOptions, so algorithms, the batch engine and the
+/// to fail over to. Embedded in RSOptions (and through it EngineOptions)
+/// and consumed by MakeReaderOptions, so algorithms, the QueryEngine and the
 /// CLI all speak the same resilience vocabulary. Default-constructed ==
 /// everything off: no checksums, 3 transient attempts, no quarantine
 /// reporting, a single replica (no failover) — bit-identical to the

@@ -7,7 +7,7 @@
 #include "altree/al_tree.h"
 #include "core/shard_exchange.h"
 #include "data/generators.h"
-#include "exec/sharded_engine.h"
+#include "exec/query_engine.h"
 #include "order/attribute_order.h"
 #include "sim/matrix_overlay.h"
 #include "storage/disk.h"
@@ -304,7 +304,7 @@ TEST(ShardExchangeTest, NumericSchemaKeepsFlatScan) {
       plan.num_shards = shards;
       auto sharded = ShardedDataset::Partition(*prep, plan);
       ASSERT_TRUE(sharded.ok()) << sharded.status();
-      ShardedQueryEngine engine(*sharded, space, Algorithm::kBRS);
+      QueryEngine engine(*sharded, space, Algorithm::kBRS);
       auto batch = engine.RunBatch(queries);
       ASSERT_TRUE(batch.ok()) << batch.status();
       ASSERT_TRUE(batch->ok()) << batch->first_error();

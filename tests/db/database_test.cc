@@ -8,7 +8,6 @@
 #include "core/pipeline.h"
 #include "sim/matrix_overlay.h"
 #include "exec/query_engine.h"
-#include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
 #include "testing/test_util.h"
 
@@ -245,8 +244,8 @@ TEST(DatabaseTest, SnapshotBitIdenticalUnderEngineComposition) {
   ExpectSameResults(got->results(), want->results, /*compare_io=*/false);
 }
 
-// Sharded path: the snapshot partitions and answers exactly like a
-// sharded engine over the rebuilt dataset.
+// Sharded path: the snapshot partitions and answers exactly like an
+// engine over a partition of the rebuilt dataset.
 TEST(DatabaseTest, ShardedSnapshotMatchesRebuild) {
   RandomInstance inst(93, 240, {8, 8, 4});
   DatabaseOptions opts;
@@ -271,7 +270,7 @@ TEST(DatabaseTest, ShardedSnapshotMatchesRebuild) {
   plan.num_shards = opts.num_shards;
   auto sharded = ShardedDataset::Partition(*prep, plan);
   ASSERT_TRUE(sharded.ok());
-  ShardedQueryEngine engine(*sharded, inst.space, opts.algo, opts.engine);
+  QueryEngine engine(*sharded, inst.space, opts.algo, opts.engine);
 
   const std::vector<Object> queries = MakeQueries(inst, 3000, 10);
   auto want = engine.RunBatch(queries);

@@ -50,7 +50,7 @@ BatchResult RunWith(const PreparedDataset& prepared,
                     const SimilaritySpace& space, Algorithm algo,
                     const std::vector<Object>& queries, size_t workers,
                     uint64_t cache_pages) {
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = workers;
   opts.rs = SmallMemory();
   opts.cache_pages = cache_pages;
@@ -163,7 +163,7 @@ TEST(CacheDeterminismTest, EnginePoolStatsMatchBatchTotals) {
       PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 4;
   opts.rs = SmallMemory();
   opts.cache_pages = prepared->stored.num_pages() * 8;
@@ -190,7 +190,7 @@ TEST(CacheDeterminismTest, NoCacheEngineIsSeedIdentical) {
       PrepareDataset(&disk, wl.instance.data, Algorithm::kTRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 2;
   opts.rs = SmallMemory();
   QueryEngine engine(*prepared, wl.instance.space, Algorithm::kTRS, opts);

@@ -31,12 +31,35 @@
 #include "data/generators.h"
 #include "db/database.h"
 #include "exec/query_engine.h"
-#include "exec/sharded_engine.h"
 #include "sim/dissimilarity_matrix.h"
 #include "sim/matrix_overlay.h"
+#include "storage/disk_view.h"
 
 namespace nmrs {
 namespace {
+
+// The engine-free reference: every query through RunReverseSkyline, one
+// after another, over a DiskView re-wrapping of the prepared file, with
+// seals verified when the file carries them (as the engine does).
+std::vector<ReverseSkylineResult> RunSequential(
+    const PreparedDataset& prepared, const SimilaritySpace& space,
+    Algorithm algo, const std::vector<Object>& queries) {
+  DiskView view(prepared.stored.disk());
+  const PreparedDataset local{
+      StoredDataset(&view, prepared.stored.file(), prepared.stored.schema(),
+                    prepared.stored.num_rows(),
+                    prepared.stored.checksum_pages()),
+      prepared.attr_order, 0};
+  RSOptions rs;
+  rs.resilience.checksum_pages = prepared.stored.checksum_pages();
+  std::vector<ReverseSkylineResult> out;
+  for (const Object& q : queries) {
+    auto r = RunReverseSkyline(local, space, q, algo, rs);
+    NMRS_CHECK(r.ok()) << r.status();
+    out.push_back(std::move(*r));
+  }
+  return out;
+}
 
 struct Scenario {
   Dataset data;
@@ -110,19 +133,11 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
   auto prepared = PrepareDataset(&disk, s.data, s.algo, popts);
   NMRS_CHECK(prepared.ok()) << prepared.status();
 
-  // Clean baseline (same checksum setting, no faults).
-  BatchResult clean;
-  {
-    QueryEngineOptions opts;
-    opts.num_workers = 2;
-    auto batch = QueryEngine(*prepared, s.space, s.algo, opts)
-                     .RunBatch(s.queries);
-    NMRS_CHECK(batch.ok()) << batch.status();
-    NMRS_CHECK(batch->ok()) << batch->first_error();
-    clean = std::move(*batch);
-  }
+  // Clean baseline (same checksum setting, no faults, no engine).
+  const std::vector<ReverseSkylineResult> clean =
+      RunSequential(*prepared, s.space, s.algo, s.queries);
 
-  QueryEngineOptions fopts;
+  EngineOptions fopts;
   fopts.faults = MakeFaults(rng, *prepared, s.checksums);
   fopts.rs.resilience.retry.max_attempts = 1 + static_cast<int>(rng.Uniform(3));
   fopts.max_query_retries = static_cast<int>(rng.Uniform(2));
@@ -151,7 +166,7 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
   BatchResult reference;
   bool have_reference = false;
   for (size_t workers : {1u, 4u}) {
-    QueryEngineOptions opts = fopts;
+    EngineOptions opts = fopts;
     opts.num_workers = workers;
     auto batch =
         QueryEngine(*prepared, s.space, s.algo, opts).RunBatch(s.queries);
@@ -168,7 +183,7 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
       const Status& st = batch->statuses[i];
       if (st.ok()) {
         // Success means exactly the clean answer — recovered or untouched.
-        NMRS_CHECK(batch->results[i].rows == clean.results[i].rows)
+        NMRS_CHECK(batch->results[i].rows == clean[i].rows)
             << "config " << index << " query " << i
             << ": rows diverged under faults";
         // Bit-identical IO: a fault-free query trivially, a retried-and-
@@ -181,7 +196,7 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
         IoStats io = batch->results[i].stats.io;
         if (FaultCounterSum(io) == 0) {
           io.replica_reads = {};
-          NMRS_CHECK(io == clean.results[i].stats.io)
+          NMRS_CHECK(io == clean[i].stats.io)
               << "config " << index << " query " << i
               << ": fault-free IO diverged";
         }
@@ -232,27 +247,23 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
         s.queries.begin() +
             static_cast<long>(std::min<size_t>(4, s.queries.size())));
 
-    // Per-user clean reference: rebuild each patched space and run the
-    // plain engine over it, no faults.
+    // Per-user clean reference: rebuild each patched space and run every
+    // query over it sequentially, no faults.
     std::vector<std::vector<std::vector<RowId>>> owant(
         oqueries.size(), std::vector<std::vector<RowId>>(overlays.size()));
     for (size_t u = 0; u < overlays.size(); ++u) {
       SimilaritySpace patched = overlays[u].BuildPatchedSpace();
-      QueryEngineOptions copts;
-      copts.num_workers = 1;
-      auto batch =
-          QueryEngine(*prepared, patched, s.algo, copts).RunBatch(oqueries);
-      NMRS_CHECK(batch.ok()) << batch.status();
-      NMRS_CHECK(batch->ok()) << batch->first_error();
+      const std::vector<ReverseSkylineResult> results =
+          RunSequential(*prepared, patched, s.algo, oqueries);
       for (size_t q = 0; q < oqueries.size(); ++q) {
-        owant[q][u] = batch->results[q].rows;
+        owant[q][u] = results[q].rows;
       }
     }
 
     OverlayBatchResult oref;
     bool have_oref = false;
     for (size_t workers : {1u, 4u}) {
-      QueryEngineOptions opts = fopts;
+      EngineOptions opts = fopts;
       opts.num_workers = workers;
       auto ob = QueryEngine(*prepared, s.space, s.algo, opts)
                     .RunOverlayBatch(oqueries, optrs);
@@ -310,13 +321,12 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
   auto sharded = ShardedDataset::Partition(*prepared, plan);
   NMRS_CHECK(sharded.ok()) << sharded.status();
 
-  ShardedBatchResult sharded_ref;
+  BatchResult sharded_ref;
   bool have_sharded_ref = false;
   for (size_t workers : {1u, 4u}) {
-    ShardedEngineOptions sopts;
-    sopts.engine = fopts;
-    sopts.engine.num_workers = workers;
-    auto batch = ShardedQueryEngine(*sharded, s.space, s.algo, sopts)
+    EngineOptions sopts = fopts;
+    sopts.num_workers = workers;
+    auto batch = QueryEngine(*sharded, s.space, s.algo, sopts)
                      .RunBatch(s.queries);
     NMRS_CHECK(batch.ok()) << "config " << index
                            << " (shards=" << plan.num_shards
@@ -332,7 +342,7 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
 
     for (size_t i = 0; i < s.queries.size(); ++i) {
       if (batch->statuses[i].ok()) {
-        NMRS_CHECK(batch->results[i].rows == clean.results[i].rows)
+        NMRS_CHECK(batch->results[i].rows == clean[i].rows)
             << "config " << index << " query " << i << " (shards="
             << plan.num_shards << "): rows depend on the partitioning";
       } else {

@@ -38,7 +38,7 @@ class FaultBatchTest : public ::testing::Test {
 
   const PreparedDataset& prepared() const { return **prepared_; }
 
-  BatchResult RunWith(QueryEngineOptions opts) {
+  BatchResult RunWith(EngineOptions opts) {
     QueryEngine engine(prepared(), wl_.instance.space, Algorithm::kSRS,
                        opts);
     auto batch = engine.RunBatch(wl_.queries);
@@ -47,7 +47,7 @@ class FaultBatchTest : public ::testing::Test {
   }
 
   // The fault-free ground truth every comparison keys off.
-  BatchResult CleanBaseline() { return RunWith(QueryEngineOptions{}); }
+  BatchResult CleanBaseline() { return RunWith(EngineOptions{}); }
 
   Workload wl_;
   SimulatedDisk disk_;
@@ -72,7 +72,7 @@ TEST_F(FaultBatchTest, FaultsOffIsBitIdenticalToDefaultEngine) {
   // at its default produces byte-identical output to the default engine,
   // with all fault counters zero and no checksum footer in play.
   BatchResult plain = CleanBaseline();
-  QueryEngineOptions off;
+  EngineOptions off;
   off.faults = FaultConfig{};  // disabled
   off.rs.resilience.checksum_pages = false;
   off.max_query_retries = 0;
@@ -93,7 +93,7 @@ TEST_F(FaultBatchTest, BadPagesFailEveryScanningQueryGracefully) {
   // partial stats — not die on the first error.
   const PageId mid =
       static_cast<PageId>(disk_.NumPages(prepared().stored.file()) / 2);
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 1;
   opts.faults.bad_pages.insert({prepared().stored.file(), 0});
   opts.faults.bad_pages.insert({prepared().stored.file(), mid});
@@ -121,7 +121,7 @@ TEST_F(FaultBatchTest, CleanViewRetryRecoversEveryQuery) {
   // query fails its faulty attempt and succeeds on the clean view, so the
   // batch ends fully correct while still reporting what went wrong.
   BatchResult clean = CleanBaseline();
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 1;
   opts.faults.bad_pages.insert({prepared().stored.file(), 0});
   opts.max_query_retries = 1;
@@ -143,7 +143,7 @@ TEST_F(FaultBatchTest, TransientStormIsolatesAffectedQueries) {
   // deterministic subset of the batch fails while the rest must stay
   // bit-identical to the clean baseline.
   BatchResult clean = CleanBaseline();
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 1009;
   opts.faults.transient_read_p = 0.05;
   opts.rs.resilience.retry.max_attempts = 1;
@@ -175,7 +175,7 @@ TEST_F(FaultBatchTest, AcceptanceScenarioTransientsPlusBadPages) {
   const PageId mid =
       static_cast<PageId>(disk_.NumPages(prepared().stored.file()) / 2);
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 7;
   opts.faults.transient_read_p = 1e-3;
   opts.faults.bad_pages.insert({prepared().stored.file(), mid});
@@ -206,7 +206,7 @@ TEST_F(FaultBatchTest, AcceptanceScenarioTransientsPlusBadPages) {
 }
 
 TEST_F(FaultBatchTest, FaultPatternIsIndependentOfWorkerCountAndRuns) {
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 99;
   opts.faults.transient_read_p = 0.05;
   // Some retries fire and are absorbed.
@@ -216,7 +216,7 @@ TEST_F(FaultBatchTest, FaultPatternIsIndependentOfWorkerCountAndRuns) {
   EXPECT_GT(reference.total_io.transient_retries, 0u);
   for (size_t workers : {1u, 8u}) {
     for (int run = 0; run < 2; ++run) {
-      QueryEngineOptions o = opts;
+      EngineOptions o = opts;
       o.num_workers = workers;
       BatchResult batch = RunWith(o);
       ExpectIdentical(reference, batch);
@@ -225,7 +225,7 @@ TEST_F(FaultBatchTest, FaultPatternIsIndependentOfWorkerCountAndRuns) {
 }
 
 TEST_F(FaultBatchTest, FailFastRestoresLegacySemantics) {
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 1;
   opts.faults.bad_pages.insert({prepared().stored.file(), 0});
   opts.fail_fast = true;
@@ -247,14 +247,14 @@ TEST_F(FaultBatchTest, ChecksummedBatchSurvivesCorruptionViaRetry) {
       PrepareDataset(&disk, wl_.instance.data, Algorithm::kSRS, popts);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions clean_opts;  // engine auto-enables verification
+  EngineOptions clean_opts;  // engine auto-enables verification
   QueryEngine clean_engine(*prepared, wl_.instance.space, Algorithm::kSRS,
                            clean_opts);
   auto clean = clean_engine.RunBatch(wl_.queries);
   ASSERT_TRUE(clean.ok()) << clean.status();
   ASSERT_TRUE(clean->ok()) << clean->first_error();
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 3;
   opts.faults.corrupt_p = 0.02;
   opts.max_query_retries = 1;
@@ -286,7 +286,7 @@ TEST_F(FaultBatchTest, ReplicaFailoverCompletesBatchWithZeroFailures) {
     lossy.data_loss_p = 1e-3;
     lossy.bad_pages.insert({prepared().stored.file(), 0});
 
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.rs.resilience.replicas = replicas;
     opts.replica_faults.assign(static_cast<size_t>(replicas), FaultConfig{});
     opts.replica_faults[0] = lossy;
@@ -317,7 +317,7 @@ TEST_F(FaultBatchTest, TotallyDeadReplicaIsDeterministicAcrossWorkerCounts) {
   dead.seed = 5;
   dead.data_loss_p = 1.0;
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.rs.resilience.replicas = 2;
   opts.replica_faults = {dead, FaultConfig{}};
   BatchResult reference = RunWith(opts);
@@ -330,7 +330,7 @@ TEST_F(FaultBatchTest, TotallyDeadReplicaIsDeterministicAcrossWorkerCounts) {
         << "query " << i;
   }
   for (size_t workers : {1u, 8u}) {
-    QueryEngineOptions o = opts;
+    EngineOptions o = opts;
     o.num_workers = workers;
     BatchResult batch = RunWith(o);
     ExpectIdentical(reference, batch);
@@ -341,13 +341,13 @@ TEST_F(FaultBatchTest, SingleReplicaIsBitIdenticalToTheUnreplicatedEngine) {
   // replicas = 1 must be a pure no-op: same fault pattern (replica 0 keeps
   // the seed verbatim), same results, same accounting as an engine that
   // never heard of replicas — and the failover counters stay zero.
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 99;
   opts.faults.transient_read_p = 0.05;
   opts.rs.resilience.retry.max_attempts = 2;
   BatchResult unreplicated = RunWith(opts);
 
-  QueryEngineOptions one = opts;
+  EngineOptions one = opts;
   one.rs.resilience.replicas = 1;
   BatchResult single = RunWith(one);
   ExpectIdentical(unreplicated, single);
@@ -363,7 +363,7 @@ TEST_F(FaultBatchTest, AllReplicasLosingAPageStillFailsTheQuery) {
   lossy.seed = 1;
   lossy.bad_pages.insert({prepared().stored.file(), 0});
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.rs.resilience.replicas = 2;
   opts.replica_faults = {lossy, lossy};
   BatchResult batch = RunWith(opts);
@@ -388,7 +388,7 @@ TEST_F(FaultBatchTest, FailoverComposesWithChecksumsAndCorruption) {
   ASSERT_TRUE(prepared.ok()) << prepared.status();
 
   QueryEngine clean_engine(*prepared, wl_.instance.space, Algorithm::kSRS,
-                           QueryEngineOptions{});
+                           EngineOptions{});
   auto clean = clean_engine.RunBatch(wl_.queries);
   ASSERT_TRUE(clean.ok()) << clean.status();
   ASSERT_TRUE(clean->ok()) << clean->first_error();
@@ -397,7 +397,7 @@ TEST_F(FaultBatchTest, FailoverComposesWithChecksumsAndCorruption) {
   corrupting.seed = 3;
   corrupting.corrupt_p = 0.05;
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.rs.resilience.replicas = 2;
   opts.replica_faults = {corrupting, FaultConfig{}};
   QueryEngine engine(*prepared, wl_.instance.space, Algorithm::kSRS, opts);

@@ -8,7 +8,6 @@
 #include "data/generators.h"
 #include "exec/overlay_exec.h"
 #include "exec/query_engine.h"
-#include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
 #include "sim/dissimilarity_matrix.h"
 #include "sim/matrix_overlay.h"
@@ -61,7 +60,7 @@ const OverlayWorkload& SharedWorkload() {
 // full per-user batch through a fresh engine.
 std::vector<std::vector<std::vector<RowId>>> RebuildReference(
     const PreparedDataset& prepared, Algorithm algo,
-    const QueryEngineOptions& opts) {
+    const EngineOptions& opts) {
   const OverlayWorkload& wl = SharedWorkload();
   std::vector<std::vector<std::vector<RowId>>> rows(
       wl.queries.size(),
@@ -80,7 +79,7 @@ std::vector<std::vector<std::vector<RowId>>> RebuildReference(
 }
 
 void ExpectMatchesRebuild(const PreparedDataset& prepared, Algorithm algo,
-                          QueryEngineOptions opts) {
+                          EngineOptions opts) {
   const OverlayWorkload& wl = SharedWorkload();
   QueryEngine engine(prepared, wl.instance.space, algo, opts);
   auto got = engine.RunOverlayBatch(wl.queries, wl.OverlayPtrs());
@@ -101,7 +100,7 @@ TEST(OverlayBatchTest, MatchesPerUserRebuildAllAlgorithms) {
     SimulatedDisk disk;
     auto prep = PrepareDataset(&disk, wl.instance.data, algo);
     ASSERT_TRUE(prep.ok()) << prep.status();
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 4;
     ExpectMatchesRebuild(*prep, algo, opts);
   }
@@ -112,7 +111,7 @@ TEST(OverlayBatchTest, MatchesRebuildWithKernelsCacheAndSharedScans) {
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kSRS);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 3;
   opts.rs.use_kernels = true;
   opts.cache_pages = 32;
@@ -128,7 +127,7 @@ TEST(OverlayBatchTest, MatchesRebuildUnderReplicaFaults) {
   po.checksum_pages = true;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS, po);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 2;
   opts.rs.resilience.checksum_pages = true;
   opts.rs.resilience.replicas = 2;
@@ -147,7 +146,7 @@ TEST(OverlayBatchTest, ResultsIndependentOfOverlayGroupAndWorkers) {
   std::vector<std::vector<std::vector<RowId>>> baseline;
   for (size_t workers : {1u, 4u}) {
     for (size_t group : {1u, 2u, 16u}) {
-      QueryEngineOptions opts;
+      EngineOptions opts;
       opts.num_workers = workers;
       opts.overlay_group = group;
       QueryEngine engine(*prep, wl.instance.space, Algorithm::kBRS, opts);
@@ -175,7 +174,7 @@ TEST(OverlayBatchTest, TelemetryAccountsEveryRowAndScan) {
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 2;
   opts.overlay_group = 2;
   QueryEngine engine(*prep, wl.instance.space, Algorithm::kBRS, opts);
@@ -211,17 +210,16 @@ TEST(OverlayBatchTest, ShardedMatchesPerUserRebuild) {
   auto sharded = ShardedDataset::Partition(*prep, plan);
   ASSERT_TRUE(sharded.ok()) << sharded.status();
 
-  ShardedEngineOptions opts;
-  opts.engine.num_workers = 3;
-  ShardedQueryEngine engine(*sharded, wl.instance.space, Algorithm::kBRS,
-                            opts);
+  EngineOptions opts;
+  opts.num_workers = 3;
+  QueryEngine engine(*sharded, wl.instance.space, Algorithm::kBRS, opts);
   auto got = engine.RunOverlayBatch(wl.queries, wl.OverlayPtrs());
   ASSERT_TRUE(got.ok()) << got.status();
   ASSERT_TRUE(got->ok()) << got->first_error();
 
   for (size_t u = 0; u < wl.overlays.size(); ++u) {
     const SimilaritySpace patched = wl.overlays[u]->BuildPatchedSpace();
-    ShardedQueryEngine ref(*sharded, patched, Algorithm::kBRS, opts);
+    QueryEngine ref(*sharded, patched, Algorithm::kBRS, opts);
     auto want = ref.RunBatch(wl.queries);
     ASSERT_TRUE(want.ok()) << want.status();
     ASSERT_TRUE(want->ok()) << want->first_error();
@@ -280,7 +278,7 @@ TEST(OverlayBatchTest, RejectsInvalidOverlayArguments) {
                   .IsInvalidArgument());
 
   // Engine whose rs template already carries an overlay: ambiguous.
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.rs.overlay = wl.overlays[0].get();
   QueryEngine tainted(*prep, wl.instance.space, Algorithm::kNaive, opts);
   EXPECT_TRUE(tainted.RunOverlayBatch(wl.queries, wl.OverlayPtrs())
@@ -313,7 +311,7 @@ TEST(OverlayBatchTest, SingleQueryOverlayOptionMatchesPatchedSpace) {
 }
 
 // RunOverlayBatch through `Engine` (QueryEngine over a PreparedDataset or
-// ShardedQueryEngine over a ShardedDataset) against rebuilding each user's
+// QueryEngine over a ShardedDataset) against rebuilding each user's
 // patched space and running the same engine's plain batch over it.
 template <typename Engine, typename Data, typename Options>
 void ExpectEngineMatchesRebuild(const Data& data, const SimilaritySpace& space,
@@ -367,7 +365,7 @@ TEST(OverlayBatchTest, MixedSchemaMatchesRebuild) {
     ASSERT_TRUE(prep.ok()) << prep.status();
     const std::string name(AlgorithmName(algo));
 
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 2;
     ExpectEngineMatchesRebuild<QueryEngine>(*prep, space, algo, opts,
                                             queries, users, name + " 1 shard");
@@ -376,9 +374,9 @@ TEST(OverlayBatchTest, MixedSchemaMatchesRebuild) {
     plan.num_shards = 2;
     auto sharded = ShardedDataset::Partition(*prep, plan);
     ASSERT_TRUE(sharded.ok()) << sharded.status();
-    ShardedEngineOptions sopts;
-    sopts.engine.num_workers = 2;
-    ExpectEngineMatchesRebuild<ShardedQueryEngine>(
+    EngineOptions sopts;
+    sopts.num_workers = 2;
+    ExpectEngineMatchesRebuild<QueryEngine>(
         *sharded, space, algo, sopts, queries, users, name + " 2 shards");
   }
 }
@@ -460,7 +458,7 @@ TEST(OverlayBatchTest, HintMissesAndUnhintedRowsFallBackDeterministically) {
                                                    wl.overlays[1].get()};
   std::vector<uint64_t> first;
   for (size_t workers : {1u, 2u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.overlay_group = 2;
     const std::string label = "workers=" + std::to_string(workers);

@@ -218,7 +218,7 @@ TEST(QueryEngineTest, WorkerCountDoesNotChangeResultsOrIo) {
     BatchResult first;
     bool have_first = false;
     for (size_t workers : {1u, 2u, 8u}) {
-      QueryEngineOptions opts;
+      EngineOptions opts;
       opts.num_workers = workers;
       opts.rs = SmallMemory();
       QueryEngine engine(*prepared, wl.instance.space, algo, opts);
@@ -251,7 +251,7 @@ TEST(QueryEngineTest, AggregateIoEqualsSumOfPerQueryIo) {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, wl.instance.data, Algorithm::kSRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 4;
   opts.rs = SmallMemory();
   QueryEngine engine(*prepared, wl.instance.space, Algorithm::kSRS, opts);
@@ -261,7 +261,7 @@ TEST(QueryEngineTest, AggregateIoEqualsSumOfPerQueryIo) {
   IoStats sum;
   double busy = 0;
   for (const auto& r : batch->results) sum += r.stats.io;
-  for (double w : batch->worker_modeled_millis) busy += w;
+  for (double w : batch->shard_worker_modeled_millis[0]) busy += w;
   EXPECT_EQ(batch->total_io, sum);
   EXPECT_GT(batch->ModeledMakespanMillis(), 0.0);
   EXPECT_LE(batch->ModeledMakespanMillis(), busy + 1e-9);
@@ -316,14 +316,14 @@ TEST(QueryEngineTest, EngineWithIntraQueryThreadsMatchesSequential) {
   auto prepared = PrepareDataset(&disk, wl.instance.data, Algorithm::kTRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions plain;
+  EngineOptions plain;
   plain.num_workers = 1;
   plain.rs = SmallMemory();
   QueryEngine engine1(*prepared, wl.instance.space, Algorithm::kTRS, plain);
   auto expected = engine1.RunBatch(wl.queries);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
-  QueryEngineOptions intra;
+  EngineOptions intra;
   intra.num_workers = 4;
   intra.rs = SmallMemory();
   intra.rs.num_threads = 2;  // engine wires its pool as the executor

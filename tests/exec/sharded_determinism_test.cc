@@ -4,9 +4,9 @@
 
 #include "data/generators.h"
 #include "exec/query_engine.h"
-#include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
 #include "sim/matrix_overlay.h"
+#include "storage/disk_view.h"
 #include "testing/test_util.h"
 
 namespace nmrs {
@@ -15,10 +15,10 @@ namespace {
 using testing::RandomInstance;
 
 // The sharding determinism contract (docs/SHARDING.md): result rows and
-// statuses are bit-identical to single-shard execution for every shard
-// count, partitioner, worker count, cache setting and replica/failover
-// configuration — and with one shard the engine reproduces QueryEngine
-// exactly, counters and IO included.
+// statuses are bit-identical to a sequential run of every query for every
+// shard count, partitioner, worker count, cache setting and
+// replica/failover configuration — and with one shard the engine
+// reproduces the sequential run exactly, counters and IO included.
 
 constexpr Algorithm kAllAlgorithms[] = {Algorithm::kNaive, Algorithm::kBRS,
                                         Algorithm::kSRS, Algorithm::kTRS};
@@ -56,9 +56,9 @@ struct Fixture {
     sharded = std::make_unique<ShardedDataset>(std::move(*sh));
   }
 
-  ShardedBatchResult Run(ShardedEngineOptions opts = {}) {
+  BatchResult Run(EngineOptions opts = {}) {
     const Workload& wl = SharedWorkload();
-    ShardedQueryEngine engine(*sharded, wl.instance.space, algo, opts);
+    QueryEngine engine(*sharded, wl.instance.space, algo, opts);
     auto batch = engine.RunBatch(wl.queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     return std::move(*batch);
@@ -70,29 +70,32 @@ struct Fixture {
   std::unique_ptr<ShardedDataset> sharded;
 };
 
-BatchResult RunPlain(Algorithm algo, QueryEngineOptions opts = {}) {
+// The engine-free reference: every query through RunReverseSkyline, one
+// after another, over a DiskView re-wrapping of a fresh preparation (the
+// sequential oracle of QueryEngineTest.WorkerCountDoesNotChangeResultsOrIo).
+// Returned as a BatchResult carrying results, statuses and total_io.
+BatchResult RunPlain(Algorithm algo, const RSOptions& rs = {}) {
   const Workload& wl = SharedWorkload();
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, algo);
   NMRS_CHECK(prep.ok()) << prep.status();
-  QueryEngine engine(*prep, wl.instance.space, algo, opts);
-  auto batch = engine.RunBatch(wl.queries);
-  NMRS_CHECK(batch.ok()) << batch.status();
-  return std::move(*batch);
-}
-
-void ExpectSameRows(const ShardedBatchResult& got, const BatchResult& want,
-                    const std::string& label) {
-  ASSERT_EQ(got.results.size(), want.results.size()) << label;
-  for (size_t i = 0; i < got.results.size(); ++i) {
-    EXPECT_EQ(got.results[i].rows, want.results[i].rows)
-        << label << " query " << i;
-    EXPECT_EQ(got.statuses[i].ToString(), want.statuses[i].ToString())
-        << label << " query " << i;
+  DiskView view(&disk);
+  const PreparedDataset local{
+      StoredDataset(&view, prep->stored.file(), prep->stored.schema(),
+                    prep->stored.num_rows()),
+      prep->attr_order, 0};
+  BatchResult out;
+  for (const Object& q : wl.queries) {
+    auto r = RunReverseSkyline(local, wl.instance.space, q, algo, rs);
+    NMRS_CHECK(r.ok()) << r.status();
+    out.total_io += r->stats.io;
+    out.results.push_back(std::move(*r));
+    out.statuses.push_back(Status::OK());
   }
+  return out;
 }
 
-void ExpectSameRows(const ShardedBatchResult& a, const ShardedBatchResult& b,
+void ExpectSameRows(const BatchResult& a, const BatchResult& b,
                     const std::string& label) {
   ASSERT_EQ(a.results.size(), b.results.size()) << label;
   for (size_t i = 0; i < a.results.size(); ++i) {
@@ -109,7 +112,7 @@ TEST(ShardedDeterminismTest, EveryShardCountMatchesPlainEngineAllAlgorithms) {
     for (int shards = 1; shards <= 4; ++shards) {
       for (ShardBy by : {ShardBy::kZOrderRange, ShardBy::kHash}) {
         Fixture fx(algo, shards, by);
-        ShardedBatchResult got = fx.Run();
+        BatchResult got = fx.Run();
         ExpectSameRows(got, want,
                        std::string(AlgorithmName(algo)) + " shards=" +
                            std::to_string(shards) + " by=" +
@@ -121,11 +124,12 @@ TEST(ShardedDeterminismTest, EveryShardCountMatchesPlainEngineAllAlgorithms) {
 
 TEST(ShardedDeterminismTest, SingleShardReproducesQueryEngineBitForBit) {
   // Partition(1) aliases the base file and runs no exchange: counters,
-  // per-query IO and total IO must equal the plain engine's, not just rows.
+  // per-query IO and total IO must equal the sequential run's, not just
+  // rows.
   for (Algorithm algo : {Algorithm::kBRS, Algorithm::kTRS}) {
     const BatchResult want = RunPlain(algo);
     Fixture fx(algo, 1);
-    ShardedBatchResult got = fx.Run();
+    BatchResult got = fx.Run();
     ASSERT_EQ(got.results.size(), want.results.size());
     for (size_t i = 0; i < got.results.size(); ++i) {
       EXPECT_EQ(got.results[i].rows, want.results[i].rows) << "query " << i;
@@ -149,15 +153,15 @@ TEST(ShardedDeterminismTest, SingleShardReproducesQueryEngineBitForBit) {
 TEST(ShardedDeterminismTest, WorkerCountAndCacheDoNotChangeResults) {
   for (int shards : {2, 4}) {
     Fixture fx(Algorithm::kSRS, shards);
-    ShardedEngineOptions base;
-    base.engine.num_workers = 1;
-    const ShardedBatchResult want = fx.Run(base);
+    EngineOptions base;
+    base.num_workers = 1;
+    const BatchResult want = fx.Run(base);
     for (size_t workers : {2u, 5u}) {
       for (uint64_t cache : {0u, 64u}) {
-        ShardedEngineOptions opts;
-        opts.engine.num_workers = workers;
-        opts.engine.cache_pages = cache;
-        ShardedBatchResult got = fx.Run(opts);
+        EngineOptions opts;
+        opts.num_workers = workers;
+        opts.cache_pages = cache;
+        BatchResult got = fx.Run(opts);
         ExpectSameRows(got, want,
                        "shards=" + std::to_string(shards) + " workers=" +
                            std::to_string(workers) + " cache=" +
@@ -176,11 +180,11 @@ TEST(ShardedDeterminismTest, WorkerCountAndCacheDoNotChangeResults) {
 TEST(ShardedDeterminismTest, SharedScanMatchesPerQueryExecution) {
   for (int shards : {1, 3}) {
     Fixture fx(Algorithm::kBRS, shards);
-    const ShardedBatchResult want = fx.Run();
-    ShardedEngineOptions opts;
-    opts.engine.shared_scan = true;
-    opts.engine.shared_scan_group = 4;
-    ShardedBatchResult got = fx.Run(opts);
+    const BatchResult want = fx.Run();
+    EngineOptions opts;
+    opts.shared_scan = true;
+    opts.shared_scan_group = 4;
+    BatchResult got = fx.Run(opts);
     ExpectSameRows(got, want, "shared_scan shards=" + std::to_string(shards));
     EXPECT_GT(got.shared_scan_groups, 0u);
     EXPECT_EQ(got.total_messages, want.total_messages);
@@ -192,7 +196,7 @@ TEST(ShardedDeterminismTest, ReplicaFailoverKeepsResultsBitIdentical) {
   // clean rows, with failovers actually exercised.
   for (int shards : {1, 3}) {
     Fixture fx(Algorithm::kSRS, shards);
-    const ShardedBatchResult want = fx.Run();
+    const BatchResult want = fx.Run();
 
     // Replica 0 has probabilistic bad sectors plus a guaranteed-dead page
     // in every shard file; replica 1 is healthy. Recovery must come from
@@ -203,10 +207,10 @@ TEST(ShardedDeterminismTest, ReplicaFailoverKeepsResultsBitIdentical) {
     for (int s = 0; s < shards; ++s) {
       lossy.bad_pages.insert({fx.sharded->shard(s).file(), 0});
     }
-    ShardedEngineOptions opts;
-    opts.engine.rs.resilience.replicas = 2;
-    opts.engine.replica_faults = {lossy, FaultConfig{}};
-    ShardedBatchResult got = fx.Run(opts);
+    EngineOptions opts;
+    opts.rs.resilience.replicas = 2;
+    opts.replica_faults = {lossy, FaultConfig{}};
+    BatchResult got = fx.Run(opts);
     EXPECT_EQ(got.num_failed(), 0u) << got.first_error();
     ExpectSameRows(got, want, "failover shards=" + std::to_string(shards));
     EXPECT_GT(got.total_io.failovers, 0u)
@@ -214,7 +218,7 @@ TEST(ShardedDeterminismTest, ReplicaFailoverKeepsResultsBitIdentical) {
     EXPECT_GT(got.total_io.replica_reads[1], 0u);
 
     // And again: the faulty run itself is deterministic.
-    ShardedBatchResult again = fx.Run(opts);
+    BatchResult again = fx.Run(opts);
     ExpectSameRows(got, again, "failover-repeat");
     EXPECT_EQ(got.total_io, again.total_io);
     EXPECT_EQ(got.tasks_retried, again.tasks_retried);
@@ -226,14 +230,14 @@ TEST(ShardedDeterminismTest, FaultedSingleReplicaFailsQueriesInIsolation) {
   // the rest still match the clean rows — per-query isolation — and the
   // outcome is identical across worker counts.
   Fixture fx(Algorithm::kBRS, 3);
-  const ShardedBatchResult want = fx.Run();
+  const BatchResult want = fx.Run();
 
-  ShardedEngineOptions opts;
-  opts.engine.faults.seed = 1009;
-  opts.engine.faults.transient_read_p = 0.02;
-  opts.engine.rs.resilience.retry.max_attempts = 1;
-  opts.engine.num_workers = 3;
-  ShardedBatchResult got = fx.Run(opts);
+  EngineOptions opts;
+  opts.faults.seed = 1009;
+  opts.faults.transient_read_p = 0.02;
+  opts.rs.resilience.retry.max_attempts = 1;
+  opts.num_workers = 3;
+  BatchResult got = fx.Run(opts);
   size_t failed = 0;
   for (size_t i = 0; i < got.results.size(); ++i) {
     if (!got.statuses[i].ok()) {
@@ -246,14 +250,14 @@ TEST(ShardedDeterminismTest, FaultedSingleReplicaFailsQueriesInIsolation) {
   EXPECT_GT(failed, 0u) << "fault config too weak";
   EXPECT_LT(failed, got.results.size()) << "fault config too strong";
 
-  opts.engine.num_workers = 1;
-  ShardedBatchResult serial = fx.Run(opts);
+  opts.num_workers = 1;
+  BatchResult serial = fx.Run(opts);
   ExpectSameRows(got, serial, "worker-invariance under faults");
 }
 
 TEST(ShardedDeterminismTest, MessageLedgerIsConsistent) {
   Fixture fx(Algorithm::kBRS, 4);
-  ShardedBatchResult got = fx.Run();
+  BatchResult got = fx.Run();
   MessageStats sum;
   for (const ShardQueryBreakdown& b : got.breakdown) {
     // 3 rounds whenever the exchange ran for this query.
@@ -279,14 +283,14 @@ TEST(ShardedDeterminismTest, AttributeSubsetsMatchPlainEngine) {
   const std::vector<std::vector<AttrId>> subsets = {{0}, {1, 2}, {2, 0}};
   for (Algorithm algo : {Algorithm::kBRS, Algorithm::kTRS}) {
     for (const std::vector<AttrId>& subset : subsets) {
-      QueryEngineOptions plain;
-      plain.rs.selected_attrs = subset;
+      RSOptions plain;
+      plain.selected_attrs = subset;
       const BatchResult want = RunPlain(algo, plain);
       for (int shards = 2; shards <= 4; ++shards) {
         Fixture fx(algo, shards);
-        ShardedEngineOptions opts;
-        opts.engine.rs.selected_attrs = subset;
-        ShardedBatchResult got = fx.Run(opts);
+        EngineOptions opts;
+        opts.rs.selected_attrs = subset;
+        BatchResult got = fx.Run(opts);
         ExpectSameRows(got, want,
                        std::string(AlgorithmName(algo)) + " subset[0]=" +
                            std::to_string(subset[0]) + " size=" +
@@ -302,8 +306,8 @@ TEST(ShardedDeterminismTest, OverlayMatchesPlainEngine) {
   Rng rng(2718);
   const MatrixOverlay overlay = MakeRandomOverlay(wl.instance.space, rng, 0.1);
   for (Algorithm algo : {Algorithm::kBRS, Algorithm::kTRS}) {
-    QueryEngineOptions plain;
-    plain.rs.overlay = &overlay;
+    RSOptions plain;
+    plain.overlay = &overlay;
     const BatchResult want = RunPlain(algo, plain);
     const BatchResult base = RunPlain(algo);
     bool overlay_changes_rows = false;
@@ -313,9 +317,9 @@ TEST(ShardedDeterminismTest, OverlayMatchesPlainEngine) {
     EXPECT_TRUE(overlay_changes_rows) << "overlay too weak";
     for (int shards = 2; shards <= 4; ++shards) {
       Fixture fx(algo, shards);
-      ShardedEngineOptions opts;
-      opts.engine.rs.overlay = &overlay;
-      ShardedBatchResult got = fx.Run(opts);
+      EngineOptions opts;
+      opts.rs.overlay = &overlay;
+      BatchResult got = fx.Run(opts);
       ExpectSameRows(got, want,
                      std::string(AlgorithmName(algo)) + " overlay shards=" +
                          std::to_string(shards));
@@ -353,7 +357,7 @@ TEST(ShardedDeterminismTest, CountersIndependentOfWorkersAndIndexBuild) {
                                   " workers=" + std::to_string(workers);
         EngineOptions opts;
         opts.num_workers = workers;
-        ShardedQueryEngine engine(*fx.sharded, wl.instance.space, algo, opts);
+        QueryEngine engine(*fx.sharded, wl.instance.space, algo, opts);
         for (int s = 0; s < shards; ++s) {
           EXPECT_EQ(engine.verify_index_bytes(s), 0u) << label;
         }

@@ -1,4 +1,4 @@
-// Cross-query shared-scan determinism (QueryEngineOptions::shared_scan,
+// Cross-query shared-scan determinism (EngineOptions::shared_scan,
 // docs/KERNELS.md): per-query rows and check accounting must be
 // bit-identical to per-query execution across worker counts, group sizes,
 // caching, and kernel/adaptive settings; the scan's IO must be accounted
@@ -50,7 +50,7 @@ TEST_F(SharedScanTest, BitIdenticalToPerQueryExecution) {
     auto prepared = PrepareDataset(&disk, instance_.data, algo);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     for (const KernelVariant& kv : kKernelVariants) {
-      QueryEngineOptions ref_opts;
+      EngineOptions ref_opts;
       ref_opts.num_workers = 1;
       ref_opts.rs.memory = MemoryBudget{3};
       ref_opts.rs.use_kernels = kv.use_kernels;
@@ -69,7 +69,7 @@ TEST_F(SharedScanTest, BitIdenticalToPerQueryExecution) {
       for (const Config& cfg : {Config{1, 1, false}, Config{1, 4, false},
                                 Config{1, 16, true}, Config{3, 1, true},
                                 Config{3, 4, false}, Config{3, 16, true}}) {
-        QueryEngineOptions opts = ref_opts;
+        EngineOptions opts = ref_opts;
         opts.num_workers = cfg.workers;
         opts.shared_scan = true;
         opts.shared_scan_group = cfg.group;
@@ -129,7 +129,7 @@ TEST_F(SharedScanTest, SharedBatchCountersMatchPerQueryPhase1) {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, instance_.data, Algorithm::kSRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 2;
   opts.rs.memory = MemoryBudget{2};
   opts.shared_scan = true;
@@ -157,7 +157,7 @@ TEST_F(SharedScanTest, FallsBackUnderFaultInjectionAndForeignAlgorithms) {
     SimulatedDisk disk;
     auto prepared = PrepareDataset(&disk, instance_.data, Algorithm::kBRS);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
-    QueryEngineOptions clean;
+    EngineOptions clean;
     clean.num_workers = 1;
     clean.rs.memory = MemoryBudget{2};
     QueryEngine clean_engine(*prepared, instance_.space, Algorithm::kBRS,
@@ -165,7 +165,7 @@ TEST_F(SharedScanTest, FallsBackUnderFaultInjectionAndForeignAlgorithms) {
     auto reference = clean_engine.RunBatch(queries_);
     ASSERT_TRUE(reference.ok() && reference->ok());
 
-    QueryEngineOptions opts = clean;
+    EngineOptions opts = clean;
     opts.num_workers = 2;
     opts.shared_scan = true;
     opts.faults.seed = 5;
@@ -186,7 +186,7 @@ TEST_F(SharedScanTest, FallsBackUnderFaultInjectionAndForeignAlgorithms) {
     SimulatedDisk disk;
     auto prepared = PrepareDataset(&disk, instance_.data, Algorithm::kTRS);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 2;
     opts.rs.memory = MemoryBudget{2};
     opts.shared_scan = true;
@@ -205,7 +205,7 @@ TEST_F(SharedScanTest, RejectsPoliciesTheAccountingCannotRepresent) {
   // replicas beyond IoStats::kMaxReplicas used to be silently clamped —
   // replica 9+ would neither serve reads nor appear in replica_reads.
   for (const int replicas : {0, -2, 9, 100}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.rs.memory = MemoryBudget{2};
     opts.num_workers = 1;
     opts.rs.resilience.replicas = replicas;
@@ -216,7 +216,7 @@ TEST_F(SharedScanTest, RejectsPoliciesTheAccountingCannotRepresent) {
         << batch.status();
   }
   {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.rs.memory = MemoryBudget{2};
     opts.num_workers = 1;
     opts.rs.resilience.retry.max_attempts = 0;
@@ -227,7 +227,7 @@ TEST_F(SharedScanTest, RejectsPoliciesTheAccountingCannotRepresent) {
   }
   // The full allowed range still runs.
   {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.rs.memory = MemoryBudget{2};
     opts.num_workers = 1;
     opts.rs.resilience.replicas = static_cast<int>(IoStats::kMaxReplicas);

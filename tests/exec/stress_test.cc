@@ -13,7 +13,6 @@
 #include "data/generators.h"
 #include "db/database.h"
 #include "exec/query_engine.h"
-#include "exec/sharded_engine.h"
 #include "exec/thread_pool.h"
 #include "sim/dissimilarity_matrix.h"
 #include "sim/matrix_overlay.h"
@@ -222,7 +221,7 @@ void StressEngineWithSharedCache() {
 
   BatchResult uncached;
   {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 1;
     opts.rs.memory = MemoryBudget{2};
     QueryEngine engine(*prepared, space, Algorithm::kBRS, opts);
@@ -231,7 +230,7 @@ void StressEngineWithSharedCache() {
     uncached = std::move(*batch);
   }
   for (size_t workers : {1u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.rs.memory = MemoryBudget{2};
     opts.cache_pages = prepared->stored.num_pages();  // eviction pressure
@@ -273,7 +272,7 @@ void StressSharedScanBatch() {
 
   BatchResult reference;
   {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 1;
     opts.rs.memory = MemoryBudget{2};
     opts.rs.use_kernels = true;
@@ -284,7 +283,7 @@ void StressSharedScanBatch() {
     reference = std::move(*batch);
   }
   for (size_t workers : {1u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.rs.memory = MemoryBudget{2};
     opts.rs.use_kernels = true;
@@ -335,7 +334,7 @@ void StressQueryEngine() {
   BatchResult reference;
   bool have_reference = false;
   for (size_t workers : {1u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.rs.memory = MemoryBudget{2};
     opts.rs.num_threads = workers > 1 ? 2 : 1;
@@ -380,7 +379,7 @@ void StressFaultBatch() {
   auto prepared = PrepareDataset(&disk, data, Algorithm::kSRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions base;
+  EngineOptions base;
   base.faults.seed = 4242;
   base.faults.transient_read_p = 0.03;
   base.faults.bad_pages.insert({prepared->stored.file(), 1});
@@ -390,7 +389,7 @@ void StressFaultBatch() {
   BatchResult reference;
   bool have_reference = false;
   for (size_t workers : {1u, 8u, 8u}) {
-    QueryEngineOptions opts = base;
+    EngineOptions opts = base;
     opts.num_workers = workers;
     QueryEngine engine(*prepared, space, Algorithm::kSRS, opts);
     auto batch = engine.RunBatch(queries);
@@ -506,7 +505,7 @@ void StressReplicaBatch() {
   auto prepared = PrepareDataset(&disk, data, Algorithm::kSRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions base;
+  EngineOptions base;
   base.rs.resilience.replicas = 2;
   FaultConfig dead;
   dead.seed = 6;
@@ -516,7 +515,7 @@ void StressReplicaBatch() {
   BatchResult reference;
   bool have_reference = false;
   for (size_t workers : {1u, 8u, 8u}) {
-    QueryEngineOptions opts = base;
+    EngineOptions opts = base;
     opts.num_workers = workers;
     QueryEngine engine(*prepared, space, Algorithm::kSRS, opts);
     auto batch = engine.RunBatch(queries);
@@ -581,7 +580,7 @@ void StressOverlayBatch() {
       queries.size(), std::vector<std::vector<RowId>>(kUsers));
   for (size_t u = 0; u < kUsers; ++u) {
     SimilaritySpace patched = overlays[u].BuildPatchedSpace();
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 1;
     QueryEngine engine(*prepared, patched, Algorithm::kBRS, opts);
     auto batch = engine.RunBatch(queries);
@@ -593,7 +592,7 @@ void StressOverlayBatch() {
   }
 
   for (size_t workers : {1u, 8u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.overlay_group = workers == 1 ? 3 : 16;
     opts.cache_pages = prepared->stored.num_pages();
@@ -647,13 +646,13 @@ void StressShardedBatch() {
     auto sharded = ShardedDataset::Partition(*prepared, plan);
     NMRS_CHECK(sharded.ok()) << sharded.status();
 
-    ShardedBatchResult reference;
+    BatchResult reference;
     bool have_reference = false;
     for (size_t workers : {1u, 8u, 8u}) {
-      ShardedEngineOptions opts;
-      opts.engine.num_workers = workers;
-      opts.engine.cache_pages = 32;
-      ShardedQueryEngine engine(*sharded, space, Algorithm::kBRS, opts);
+      EngineOptions opts;
+      opts.num_workers = workers;
+      opts.cache_pages = 32;
+      QueryEngine engine(*sharded, space, Algorithm::kBRS, opts);
       // The first batch builds every shard's verify index on the pool;
       // the second reads the built indexes from all workers at once.
       auto first = engine.RunBatch(queries);
@@ -689,14 +688,14 @@ void StressShardedBatch() {
 
     // A dead replica 0 on every shard: page-granular failover must still
     // produce the same rows with all workers fighting over the exchange.
-    ShardedEngineOptions fopts;
-    fopts.engine.num_workers = 8;
-    fopts.engine.rs.resilience.replicas = 2;
+    EngineOptions fopts;
+    fopts.num_workers = 8;
+    fopts.rs.resilience.replicas = 2;
     FaultConfig dead;
     dead.seed = 6;
     dead.data_loss_p = 1.0;
-    fopts.engine.replica_faults = {dead, FaultConfig{}};
-    ShardedQueryEngine engine(*sharded, space, Algorithm::kBRS, fopts);
+    fopts.replica_faults = {dead, FaultConfig{}};
+    QueryEngine engine(*sharded, space, Algorithm::kBRS, fopts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok()) << batch->first_error();

@@ -78,12 +78,12 @@
 //
 //       --shards=N (query and batch modes) partitions the prepared dataset
 //       into N shards (--shard-by=zorder Z-order ranges, the default, or
-//       --shard-by=hash) and runs the scatter/gather executor with the
-//       cross-shard pruner exchange (docs/SHARDING.md) instead of the
-//       single-shard engine — result rows are bit-identical either way.
-//       Per-query output adds the per-shard candidate counts and the
-//       exchange's message/byte/round ledger; the batch summary adds the
-//       total MessageStats and the modeled network cost.
+//       --shard-by=hash); the executor then runs the cross-shard pruner
+//       exchange (docs/SHARDING.md) — result rows are bit-identical for
+//       every N. With N > 1 the per-query output adds the per-shard
+//       candidate counts and the exchange's message/byte/round ledger, the
+//       batch summary adds the total MessageStats and the modeled network
+//       cost, and the cache line is printed once per shard.
 //
 //       Overlay flags (docs/OVERLAYS.md): --overlay-users=K answers every
 //       batch query for K synthetic per-user preference overlays (sparse
@@ -152,29 +152,48 @@ std::string FlagOr(const Flags& flags, const std::string& key,
   return it == flags.end() ? fallback : it->second;
 }
 
-// Strict non-negative integer flag parse. strtoull silently wraps "-1" to
-// 18446744073709551615 (so e.g. --promote-rows=-1 used to mean "promote
-// after 4 billion rows"); this rejects signs, junk and overflow instead.
-StatusOr<uint64_t> ParseCount(const Flags& flags, const std::string& key,
-                              uint64_t fallback) {
-  auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  const std::string& s = it->second;
-  if (s.empty()) return Status::InvalidArgument("--" + key + " needs a value");
+// Strict non-negative integer parse of `s`, named `what` in errors.
+// strtoull silently wraps "-1" to 18446744073709551615 (so e.g.
+// --promote-rows=-1 used to mean "promote after 4 billion rows") and atoi
+// accepts trailing junk; this rejects signs, junk and overflow instead.
+StatusOr<uint64_t> ParseDigits(const std::string& what, const std::string& s) {
+  if (s.empty()) return Status::InvalidArgument(what + " needs a value");
   for (char c : s) {
     if (c < '0' || c > '9') {
       return Status::InvalidArgument(
-          "--" + key + " must be a non-negative integer, got '" + s + "'");
+          what + " must be a non-negative integer, got '" + s + "'");
     }
   }
   errno = 0;
   char* end = nullptr;
   const uint64_t v = std::strtoull(s.c_str(), &end, 10);
   if (errno == ERANGE || end != s.c_str() + s.size()) {
-    return Status::InvalidArgument("--" + key + " value '" + s +
+    return Status::InvalidArgument(what + " value '" + s +
                                    "' is out of range");
   }
   return v;
+}
+
+// ParseDigits of flag `key`, or `fallback` when the flag is absent.
+StatusOr<uint64_t> ParseCount(const Flags& flags, const std::string& key,
+                              uint64_t fallback) {
+  auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  return ParseDigits("--" + key, it->second);
+}
+
+// ParseCount restricted to [lo, hi], for flags stored as int.
+StatusOr<int> ParseIntFlag(const Flags& flags, const std::string& key,
+                           int fallback, int lo, int hi) {
+  NMRS_ASSIGN_OR_RETURN(const uint64_t v,
+                        ParseCount(flags, key, static_cast<uint64_t>(fallback)));
+  if (v < static_cast<uint64_t>(lo) || v > static_cast<uint64_t>(hi)) {
+    return Status::InvalidArgument("--" + key + " must be in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "], got " +
+                                   std::to_string(v));
+  }
+  return static_cast<int>(v);
 }
 
 std::vector<uint64_t> ParseUintList(const std::string& csv) {
@@ -298,10 +317,9 @@ Status ParseCommonOptions(const Flags& flags, const Schema& schema,
     }
     rs->selected_attrs.push_back(static_cast<AttrId>(a));
   }
-  rs->num_threads = std::atoi(FlagOr(flags, "threads", "1").c_str());
-  if (rs->num_threads < 1) {
-    return Status::InvalidArgument("--threads must be at least 1");
-  }
+  NMRS_ASSIGN_OR_RETURN(
+      rs->num_threads,
+      ParseIntFlag(flags, "threads", 1, 1, std::numeric_limits<int>::max()));
   rs->use_kernels = flags.count("scalar") == 0;
   if (flags.count("promote-rows") != 0) {
     NMRS_ASSIGN_OR_RETURN(const uint64_t promote,
@@ -313,19 +331,14 @@ Status ParseCommonOptions(const Flags& flags, const Schema& schema,
   }
   rs->resilience.checksum_pages = flags.count("checksum") != 0;
   if (flags.count("retries") != 0) {
-    rs->resilience.retry.max_attempts =
-        std::atoi(FlagOr(flags, "retries", "3").c_str());
-    if (rs->resilience.retry.max_attempts < 1) {
-      return Status::InvalidArgument("--retries must be at least 1");
-    }
+    NMRS_ASSIGN_OR_RETURN(rs->resilience.retry.max_attempts,
+                          ParseIntFlag(flags, "retries", 3, 1,
+                                       std::numeric_limits<int>::max()));
   }
-  const int replicas = std::atoi(FlagOr(flags, "replicas", "1").c_str());
-  if (replicas < 1 || replicas > static_cast<int>(IoStats::kMaxReplicas)) {
-    return Status::InvalidArgument(
-        "--replicas must be in [1, " +
-        std::to_string(IoStats::kMaxReplicas) + "]");
-  }
-  rs->resilience.replicas = replicas;
+  NMRS_ASSIGN_OR_RETURN(
+      rs->resilience.replicas,
+      ParseIntFlag(flags, "replicas", 1, 1,
+                   static_cast<int>(IoStats::kMaxReplicas)));
   if (flags.count("replica-seed-base") != 0) {
     rs->resilience.replica_fault_seed_base = std::strtoull(
         FlagOr(flags, "replica-seed-base", "0").c_str(), nullptr, 10);
@@ -372,10 +385,9 @@ Status ParseFaultFlags(const Flags& flags, FaultConfig* cfg) {
 
 // --shards=N / --shard-by=zorder|hash (docs/SHARDING.md).
 Status ParseShardPlan(const Flags& flags, ShardPlanOptions* plan) {
-  plan->num_shards = std::atoi(FlagOr(flags, "shards", "1").c_str());
-  if (plan->num_shards < 1) {
-    return Status::InvalidArgument("--shards must be at least 1");
-  }
+  NMRS_ASSIGN_OR_RETURN(
+      plan->num_shards,
+      ParseIntFlag(flags, "shards", 1, 1, std::numeric_limits<int>::max()));
   const std::string by = FlagOr(flags, "shard-by", "zorder");
   if (by == "zorder") {
     plan->shard_by = ShardBy::kZOrderRange;
@@ -419,15 +431,18 @@ Status ParseBadReplicas(const Flags& flags, const FaultConfig& base,
           "--bad-replicas entries must look like replica:loss_p, got '" +
           tok + "'");
     }
-    const int r = std::atoi(tok.substr(0, colon).c_str());
-    if (r < 0 || r >= policy.replicas) {
+    NMRS_ASSIGN_OR_RETURN(
+        const uint64_t r,
+        ParseDigits("--bad-replicas index", tok.substr(0, colon)));
+    if (r >= static_cast<uint64_t>(policy.replicas)) {
       return Status::InvalidArgument(
           "--bad-replicas index " + std::to_string(r) +
           " out of range for --replicas=" + std::to_string(policy.replicas));
     }
     FaultConfig cfg = base;
     cfg.seed = ReplicaSet::ReplicaSeed(base.seed,
-                                       policy.replica_fault_seed_base, r);
+                                       policy.replica_fault_seed_base,
+                                       static_cast<int>(r));
     cfg.data_loss_p = std::strtod(tok.substr(colon + 1).c_str(), nullptr);
     (*out)[static_cast<size_t>(r)] = cfg;
   }
@@ -580,8 +595,10 @@ int CmdQuery(const Flags& flags) {
 
   st = ParseFaultFlags(flags, &dbopts.engine.faults);
   if (!st.ok()) return Fail(st.ToString());
-  dbopts.engine.max_query_retries =
-      std::atoi(FlagOr(flags, "max-query-retries", "0").c_str());
+  auto max_retries = ParseIntFlag(flags, "max-query-retries", 0, 0,
+                                  std::numeric_limits<int>::max());
+  if (!max_retries.ok()) return Fail(max_retries.status().ToString());
+  dbopts.engine.max_query_retries = *max_retries;
   auto workers = ParseCount(flags, "workers", 1);
   if (!workers.ok()) return Fail(workers.status().ToString());
   if (*workers < 1) return Fail("--workers must be at least 1");
@@ -676,7 +693,10 @@ int CmdInfluence(const Flags& flags) {
   auto space = LoadSpace(data->schema(), prefix);
   if (!space.ok()) return Fail(space.status().ToString());
 
-  const int k = std::atoi(FlagOr(flags, "queries", "10").c_str());
+  auto num_queries = ParseIntFlag(flags, "queries", 10, 0,
+                                  std::numeric_limits<int>::max());
+  if (!num_queries.ok()) return Fail(num_queries.status().ToString());
+  const int k = *num_queries;
   Rng rng(std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10));
   std::vector<Object> queries;
   for (int i = 0; i < k; ++i) {
@@ -720,8 +740,10 @@ int CmdBatch(const Flags& flags) {
   auto algo = ParseAlgorithm(FlagOr(flags, "algo", "trs"));
   if (!algo.ok()) return Fail(algo.status().ToString());
 
-  const int k = std::atoi(FlagOr(flags, "queries", "8").c_str());
-  if (k < 1) return Fail("--queries must be at least 1");
+  auto num_queries = ParseIntFlag(flags, "queries", 8, 1,
+                                  std::numeric_limits<int>::max());
+  if (!num_queries.ok()) return Fail(num_queries.status().ToString());
+  const int k = *num_queries;
   Rng rng(std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10));
   std::vector<Object> queries;
   for (int i = 0; i < k; ++i) {
@@ -730,8 +752,7 @@ int CmdBatch(const Flags& flags) {
 
   // The batch runs through the Database front door (docs/MUTABILITY.md):
   // Open prepares the dataset as generation 0, the engine options below
-  // shape the snapshot's executor exactly as they shaped the historical
-  // standalone QueryEngine / ShardedQueryEngine wiring.
+  // shape the snapshot's executor.
   DatabaseOptions dbopts;
   dbopts.algo = *algo;
   dbopts.prepare.checksum_pages = flags.count("checksum") != 0;
@@ -753,8 +774,10 @@ int CmdBatch(const Flags& flags) {
   st = ParseBadReplicas(flags, eopts.faults, eopts.rs.resilience,
                         &eopts.replica_faults);
   if (!st.ok()) return Fail(st.ToString());
-  eopts.max_query_retries =
-      std::atoi(FlagOr(flags, "max-query-retries", "0").c_str());
+  auto max_retries = ParseIntFlag(flags, "max-query-retries", 0, 0,
+                                  std::numeric_limits<int>::max());
+  if (!max_retries.ok()) return Fail(max_retries.status().ToString());
+  eopts.max_query_retries = *max_retries;
   eopts.fail_fast = flags.count("fail-fast") != 0;
   eopts.shared_scan = flags.count("shared-scan") != 0;
   if (flags.count("shared-group") != 0) {
@@ -828,159 +851,98 @@ int CmdBatch(const Flags& flags) {
       total_entries += o.num_entries();
     }
 
-    // OverlayBatchResult and ShardedOverlayBatchResult expose the same
-    // telemetry surface; print either.
-    const auto print_overlay = [&](const auto& ob) -> int {
-      std::printf("overlay batch: %d queries x %zu users "
-                  "(%zu delta entries total)\n",
-                  k, ptrs.size(), total_entries);
-      for (int i = 0; i < k; ++i) {
-        if (!ob.statuses[i].ok()) {
-          std::printf("  Q%-3d %-20s FAILED: %s\n", i,
-                      queries[i].ToString().c_str(),
-                      ob.statuses[i].ToString().c_str());
-          continue;
-        }
-        std::string sizes;
-        const size_t show = std::min<size_t>(ob.results[i].size(), 16);
-        for (size_t u = 0; u < show; ++u) {
-          if (u > 0) sizes += ",";
-          sizes += std::to_string(ob.results[i][u].rows.size());
-        }
-        if (ob.results[i].size() > show) sizes += ",...";
-        std::printf("  Q%-3d %-20s |RS| per user = [%s]\n", i,
-                    queries[i].ToString().c_str(), sizes.c_str());
-      }
-      std::printf(
-          "rows: %llu overlay-sensitive + %llu invariant (user, row) pairs\n"
-          "re-checks: %llu scans, %llu candidate checks, %llu pair tests\n"
-          "overlay io: %llu seq + %llu rand pages  total io: %llu pages\n"
-          "wall %.1fms, modeled makespan %.1fms, modeled throughput %.2f "
-          "answers/s\n",
-          static_cast<unsigned long long>(ob.sensitive_rows),
-          static_cast<unsigned long long>(ob.invariant_rows),
-          static_cast<unsigned long long>(ob.recheck_scans),
-          static_cast<unsigned long long>(ob.recheck_checks),
-          static_cast<unsigned long long>(ob.recheck_pair_tests),
-          static_cast<unsigned long long>(ob.overlay_io.TotalSequential()),
-          static_cast<unsigned long long>(ob.overlay_io.TotalRandom()),
-          static_cast<unsigned long long>(ob.total_io.Total()),
-          ob.wall_millis, ob.ModeledMakespanMillis(), ob.ModeledQps());
-      if (!ob.ok()) {
-        std::fprintf(stderr, "some queries failed: %s\n",
-                     ob.first_error().ToString().c_str());
-        return 1;
-      }
-      return 0;
-    };
-
-    auto ob = snap->RunOverlayBatch(queries, ptrs);
-    if (!ob.ok()) return Fail(ob.status().ToString());
-    return ob->sharded ? print_overlay(*ob->sharded)
-                       : print_overlay(*ob->plain);
-  }
-
-  auto dbr = snap->RunBatch(queries);
-  if (!dbr.ok()) return Fail(dbr.status().ToString());
-
-  if (dbr->sharded) {
-    const ShardedBatchResult* batch = &*dbr->sharded;
-    std::printf("batch of %d %s queries on %zu workers x %d %s shards:\n", k,
-                std::string(AlgorithmName(*algo)).c_str(),
-                snap->sharded_engine()->num_workers(),
-                dbopts.shard_plan.num_shards,
-                std::string(ShardByName(dbopts.shard_plan.shard_by)).c_str());
+    auto dbob = snap->RunOverlayBatch(queries, ptrs);
+    if (!dbob.ok()) return Fail(dbob.status().ToString());
+    const OverlayBatchResult& ob = dbob->batch();
+    std::printf("overlay batch: %d queries x %zu users "
+                "(%zu delta entries total)\n",
+                k, ptrs.size(), total_entries);
     for (int i = 0; i < k; ++i) {
-      const QueryStats& s = batch->results[i].stats;
-      if (batch->statuses[i].ok()) {
-        std::printf("  Q%-3d %-20s |RS|=%-5zu %s\n", i,
+      if (!ob.statuses[i].ok()) {
+        std::printf("  Q%-3d %-20s FAILED: %s\n", i,
                     queries[i].ToString().c_str(),
-                    batch->results[i].rows.size(),
-                    ShardCandidateSummary(batch->breakdown[i]).c_str());
-      } else {
-        std::printf("  Q%-3d %-20s FAILED: %s (partial io %llu pages)\n", i,
-                    queries[i].ToString().c_str(),
-                    batch->statuses[i].ToString().c_str(),
-                    static_cast<unsigned long long>(s.io.Total()));
+                    ob.statuses[i].ToString().c_str());
+        continue;
       }
+      std::string sizes;
+      const size_t show = std::min<size_t>(ob.results[i].size(), 16);
+      for (size_t u = 0; u < show; ++u) {
+        if (u > 0) sizes += ",";
+        sizes += std::to_string(ob.results[i][u].rows.size());
+      }
+      if (ob.results[i].size() > show) sizes += ",...";
+      std::printf("  Q%-3d %-20s |RS| per user = [%s]\n", i,
+                  queries[i].ToString().c_str(), sizes.c_str());
     }
     std::printf(
-        "total io: %llu seq + %llu rand pages\n"
-        "exchange: %s (modeled %.2fms)\n"
+        "rows: %llu overlay-sensitive + %llu invariant (user, row) pairs\n"
+        "re-checks: %llu scans, %llu candidate checks, %llu pair tests\n"
+        "overlay io: %llu seq + %llu rand pages  total io: %llu pages\n"
         "wall %.1fms, modeled makespan %.1fms, modeled throughput %.2f "
-        "q/s\n",
-        static_cast<unsigned long long>(batch->total_io.TotalSequential()),
-        static_cast<unsigned long long>(batch->total_io.TotalRandom()),
-        batch->total_messages.ToString().c_str(),
-        batch->ExchangeModeledMillis(), batch->wall_millis,
-        batch->ModeledMakespanMillis(), batch->ModeledQps());
-    if (eopts.shared_scan) {
-      if (batch->shared_scan_groups != 0) {
-        std::printf(
-            "shared scans: %llu (group, shard) passes, %llu shared "
-            "batches, %llu shared pages\n",
-            static_cast<unsigned long long>(batch->shared_scan_groups),
-            static_cast<unsigned long long>(batch->shared_scan_batches),
-            static_cast<unsigned long long>(batch->shared_io.Total()));
-      } else {
-        std::printf("shared scans: fell back to per-query execution\n");
-      }
-    }
-    if (batch->total_io.transient_retries != 0 ||
-        batch->total_io.checksum_failures != 0 ||
-        batch->total_io.quarantined_pages != 0 ||
-        batch->total_io.failovers != 0) {
-      std::printf(
-          "faults: %llu transient retries, %llu checksum failures, "
-          "%llu quarantined page reads, %llu failovers\n",
-          static_cast<unsigned long long>(batch->total_io.transient_retries),
-          static_cast<unsigned long long>(batch->total_io.checksum_failures),
-          static_cast<unsigned long long>(batch->total_io.quarantined_pages),
-          static_cast<unsigned long long>(batch->total_io.failovers));
-    }
-    if (batch->total_io.ReplicaReadsTotal() != 0) {
-      std::printf("replica reads: %s\n",
-                  ReplicaReadsSummary(batch->total_io).c_str());
-    }
-    if (batch->tasks_retried != 0) {
-      std::printf("%llu shard tasks recovered via clean-view retry\n",
-                  static_cast<unsigned long long>(batch->tasks_retried));
-    }
-    if (!batch->ok()) {
-      std::fprintf(stderr, "%zu of %d queries failed\n", batch->num_failed(),
-                   k);
+        "answers/s\n",
+        static_cast<unsigned long long>(ob.sensitive_rows),
+        static_cast<unsigned long long>(ob.invariant_rows),
+        static_cast<unsigned long long>(ob.recheck_scans),
+        static_cast<unsigned long long>(ob.recheck_checks),
+        static_cast<unsigned long long>(ob.recheck_pair_tests),
+        static_cast<unsigned long long>(ob.overlay_io.TotalSequential()),
+        static_cast<unsigned long long>(ob.overlay_io.TotalRandom()),
+        static_cast<unsigned long long>(ob.total_io.Total()),
+        ob.wall_millis, ob.ModeledMakespanMillis(), ob.ModeledQps());
+    if (!ob.ok()) {
+      std::fprintf(stderr, "some queries failed: %s\n",
+                   ob.first_error().ToString().c_str());
       return 1;
     }
     return 0;
   }
 
-  const BatchResult* batch = &*dbr->plain;
-  std::printf("batch of %d %s queries on %zu workers:\n", k,
-              std::string(AlgorithmName(*algo)).c_str(),
-              snap->engine()->num_workers());
+  auto dbr = snap->RunBatch(queries);
+  if (!dbr.ok()) return Fail(dbr.status().ToString());
+  const BatchResult& batch = dbr->batch();
+  const QueryEngine& engine = snap->engine();
+  const bool sharded = engine.num_shards() > 1;
+
+  if (sharded) {
+    std::printf("batch of %d %s queries on %zu workers x %d %s shards:\n", k,
+                std::string(AlgorithmName(*algo)).c_str(),
+                engine.num_workers(), engine.num_shards(),
+                std::string(ShardByName(dbopts.shard_plan.shard_by)).c_str());
+  } else {
+    std::printf("batch of %d %s queries on %zu workers:\n", k,
+                std::string(AlgorithmName(*algo)).c_str(),
+                engine.num_workers());
+  }
   for (int i = 0; i < k; ++i) {
-    const QueryStats& s = batch->results[i].stats;
-    if (batch->statuses[i].ok()) {
-      std::printf("  Q%-3d %-20s |RS|=%-5zu response=%.2fms\n", i,
+    const QueryStats& s = batch.results[i].stats;
+    if (batch.statuses[i].ok()) {
+      std::printf("  Q%-3d %-20s |RS|=%-5zu response=%.2fms%s%s\n", i,
                   queries[i].ToString().c_str(),
-                  batch->results[i].rows.size(), s.ResponseMillis());
+                  batch.results[i].rows.size(), s.ResponseMillis(),
+                  sharded ? " " : "",
+                  sharded ? ShardCandidateSummary(batch.breakdown[i]).c_str()
+                          : "");
     } else {
       std::printf("  Q%-3d %-20s FAILED: %s (partial io %llu pages)\n", i,
                   queries[i].ToString().c_str(),
-                  batch->statuses[i].ToString().c_str(),
+                  batch.statuses[i].ToString().c_str(),
                   static_cast<unsigned long long>(s.io.Total()));
     }
   }
+  std::printf("total io: %llu seq + %llu rand pages\n",
+              static_cast<unsigned long long>(batch.total_io.TotalSequential()),
+              static_cast<unsigned long long>(batch.total_io.TotalRandom()));
+  if (sharded) {
+    std::printf("exchange: %s (modeled %.2fms)\n",
+                batch.total_messages.ToString().c_str(),
+                batch.ExchangeModeledMillis());
+  }
   std::printf(
-      "total io: %llu seq + %llu rand pages\n"
       "wall %.1fms, modeled makespan %.1fms, modeled throughput %.2f q/s\n",
-      static_cast<unsigned long long>(batch->total_io.TotalSequential()),
-      static_cast<unsigned long long>(batch->total_io.TotalRandom()),
-      batch->wall_millis, batch->ModeledMakespanMillis(),
-      batch->ModeledQps());
+      batch.wall_millis, batch.ModeledMakespanMillis(), batch.ModeledQps());
   if (eopts.rs.use_kernels) {
     uint64_t kchecks = 0, promos = 0, scalar_rows = 0, block_rows = 0;
-    for (const auto& r : batch->results) {
+    for (const auto& r : batch.results) {
       kchecks += r.stats.kernel_checks;
       promos += r.stats.kernel_promotions;
       scalar_rows += r.stats.kernel_scalar_rows;
@@ -994,53 +956,56 @@ int CmdBatch(const Flags& flags) {
                 static_cast<unsigned long long>(block_rows));
   }
   if (eopts.shared_scan) {
-    if (batch->shared_scan_groups != 0) {
-      std::printf("shared scans: %llu groups, %llu shared batches, "
+    if (batch.shared_scan_groups != 0) {
+      std::printf("shared scans: %llu %s, %llu shared batches, "
                   "%llu shared pages\n",
-                  static_cast<unsigned long long>(batch->shared_scan_groups),
-                  static_cast<unsigned long long>(batch->shared_scan_batches),
-                  static_cast<unsigned long long>(batch->shared_io.Total()));
+                  static_cast<unsigned long long>(batch.shared_scan_groups),
+                  sharded ? "(group, shard) passes" : "groups",
+                  static_cast<unsigned long long>(batch.shared_scan_batches),
+                  static_cast<unsigned long long>(batch.shared_io.Total()));
     } else {
       std::printf("shared scans: fell back to per-query execution\n");
     }
   }
-  if (batch->total_io.transient_retries != 0 ||
-      batch->total_io.checksum_failures != 0 ||
-      batch->total_io.quarantined_pages != 0 ||
-      batch->total_io.failovers != 0) {
+  if (batch.total_io.transient_retries != 0 ||
+      batch.total_io.checksum_failures != 0 ||
+      batch.total_io.quarantined_pages != 0 ||
+      batch.total_io.failovers != 0) {
     std::printf("faults: %llu transient retries, %llu checksum failures, "
                 "%llu quarantined page reads, %llu failovers\n",
                 static_cast<unsigned long long>(
-                    batch->total_io.transient_retries),
+                    batch.total_io.transient_retries),
                 static_cast<unsigned long long>(
-                    batch->total_io.checksum_failures),
+                    batch.total_io.checksum_failures),
                 static_cast<unsigned long long>(
-                    batch->total_io.quarantined_pages),
-                static_cast<unsigned long long>(batch->total_io.failovers));
+                    batch.total_io.quarantined_pages),
+                static_cast<unsigned long long>(batch.total_io.failovers));
   }
-  if (batch->total_io.ReplicaReadsTotal() != 0) {
+  if (batch.total_io.ReplicaReadsTotal() != 0) {
     std::printf("replica reads: %s\n",
-                ReplicaReadsSummary(batch->total_io).c_str());
+                ReplicaReadsSummary(batch.total_io).c_str());
   }
-  if (!batch->quarantined.empty()) {
+  if (!batch.quarantined.empty()) {
     std::printf("quarantined pages:");
-    for (const auto& [file, page] : batch->quarantined) {
+    for (const auto& [file, page] : batch.quarantined) {
       std::printf(" %u:%llu", file, static_cast<unsigned long long>(page));
     }
     std::printf("\n");
   }
-  if (batch->queries_retried != 0) {
+  if (batch.queries_retried != 0) {
     std::printf("%llu queries recovered via clean-view retry\n",
-                static_cast<unsigned long long>(batch->queries_retried));
+                static_cast<unsigned long long>(batch.queries_retried));
   }
-  if (snap->engine()->buffer_pool() != nullptr) {
-    std::printf("cache (%llu pages): %s\n",
-                static_cast<unsigned long long>(
-                    snap->engine()->buffer_pool()->capacity_pages()),
-                snap->engine()->buffer_pool()->stats().ToString().c_str());
+  for (int s = 0; s < engine.num_shards(); ++s) {
+    const BufferPool* cache = engine.buffer_pool(s);
+    if (cache == nullptr) continue;
+    std::printf("cache (%s%llu pages): %s\n",
+                sharded ? ("shard " + std::to_string(s) + ", ").c_str() : "",
+                static_cast<unsigned long long>(cache->capacity_pages()),
+                cache->stats().ToString().c_str());
   }
-  if (!batch->ok()) {
-    std::fprintf(stderr, "%zu of %d queries failed\n", batch->num_failed(),
+  if (!batch.ok()) {
+    std::fprintf(stderr, "%zu of %d queries failed\n", batch.num_failed(),
                  k);
     return 1;
   }
@@ -1158,7 +1123,9 @@ int CmdServe(const Flags& flags) {
                   mirror[*key].c_str(),
                   delta_tag((*db)->delta_version()).c_str());
     } else if (cmd == "delete") {
-      const uint64_t key = std::strtoull(rest.c_str(), nullptr, 10);
+      auto parsed = ParseDigits("delete key", rest);
+      if (!parsed.ok()) return fail_line(line_no, parsed.status().ToString());
+      const uint64_t key = *parsed;
       st = (*db)->Delete(key);
       if (!st.ok()) return fail_line(line_no, st.ToString());
       mirror.erase(key);
@@ -1184,8 +1151,12 @@ int CmdServe(const Flags& flags) {
                     it == mirror.end() ? "?" : it->second.c_str());
       }
     } else if (cmd == "batch") {
-      const int k = std::atoi(rest.c_str());
-      if (k < 1) return fail_line(line_no, "batch needs a positive count");
+      auto count = ParseDigits("batch count", rest);
+      if (!count.ok()) return fail_line(line_no, count.status().ToString());
+      if (*count < 1 || *count > std::numeric_limits<int>::max()) {
+        return fail_line(line_no, "batch needs a positive count");
+      }
+      const int k = static_cast<int>(*count);
       std::vector<Object> queries;
       queries.reserve(k);
       for (int i = 0; i < k; ++i) {
