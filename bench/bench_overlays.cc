@@ -4,9 +4,11 @@
 //
 //   incremental — QueryEngine::RunOverlayBatch: one base run, one
 //                 classification pass splitting rows into
-//                 overlay-invariant vs overlay-sensitive, a per-query
-//                 pass recording each sensitive row's base pruner, then
-//                 grouped re-checks of only the sensitive rows;
+//                 overlay-invariant vs overlay-sensitive, the build of one
+//                 read-only AL-Tree of the file, a per-query search
+//                 recording each sensitive row's base pruner, then grouped
+//                 re-checks of only the sensitive rows, each decided by its
+//                 hint or one search of the tree;
 //   rebuild     — the cold baseline: per user, materialize the patched
 //                 SimilaritySpace and run the full batch from scratch,
 //                 modeled cost summed over users.
@@ -96,8 +98,8 @@ void Run(int argc, char** argv) {
       // full query batches", the multi-tenant contrast under test.
       opts.cache_pages = prepared->stored.num_pages() + 2;
 
-      auto ob = QueryEngine(*prepared, space, Algorithm::kBRS, opts)
-                    .RunOverlayBatch(queries, ptrs);
+      QueryEngine engine(*prepared, space, Algorithm::kBRS, opts);
+      auto ob = engine.RunOverlayBatch(queries, ptrs);
       NMRS_CHECK(ob.ok()) << ob.status();
       NMRS_CHECK(ob->ok()) << ob->first_error();
 
@@ -145,6 +147,8 @@ void Run(int argc, char** argv) {
       json.Field("rebuild_modeled_millis", rebuild_ms);
       json.Field("speedup_vs_rebuild", speedup);
       json.Field("answers_per_sec", ob->ModeledQps());
+      json.Field("overlay_index_bytes",
+                 static_cast<uint64_t>(engine.overlay_index_bytes()));
       EmitOverlayFields(&json, ob->sensitive_rows, ob->invariant_rows,
                         ob->recheck_scans, ob->recheck_checks,
                         ob->recheck_pair_tests);

@@ -118,41 +118,21 @@ void PruneCandidatesWithIndex(const ALTree& index,
   if (candidates.size() == 0) return;
   const Schema& schema = index.schema();
   NMRS_CHECK_EQ(schema.NumNumeric(), 0u);
-  const std::vector<AttrId>& order = index.attr_order();
 
   const std::vector<AttrId> selected =
       ResolveSelectedAttrs(schema, opts.selected_attrs);
   const QueryDistanceTable qtable(space, schema, query, selected,
                                   opts.overlay);
   PruneContext ctx(space, schema, query, selected, &qtable);
-
-  // selected_pos[l]: the position in `selected` of level l's attribute.
-  // Unselected levels read an all-zero column against a zero threshold:
-  // every value passes (0 <= 0) and none passes strictly (0 < 0).
-  constexpr size_t kUnselected = ~size_t{0};
-  std::vector<size_t> selected_pos(order.size(), kUnselected);
-  size_t max_card = 0;
-  for (size_t l = 0; l < order.size(); ++l) {
-    for (size_t k = 0; k < selected.size(); ++k) {
-      if (selected[k] == order[l]) selected_pos[l] = k;
-    }
-    max_card = std::max<size_t>(max_card,
-                                schema.attribute(order[l]).cardinality);
-  }
-  const std::vector<double> zeros(max_card, 0.0);
-  std::vector<internal_tree::Phase1Level> levels(order.size(),
-                                                 {zeros.data(), 0.0});
+  internal_tree::IndexLevels levels(index, selected);
   std::vector<internal_tree::FastEntry> stack;
   stack.reserve(256);
   for (size_t i = 0; i < candidates.size(); ++i) {
     ctx.SetCandidate(candidates.row_values(i), nullptr);
-    for (size_t l = 0; l < order.size(); ++l) {
-      const size_t k = selected_pos[l];
-      if (k == kUnselected) continue;
-      levels[l] = {ctx.CandidateColumn(k), ctx.QueryDist(k)};
-    }
     ++stats->pair_tests;
-    if (internal_tree::IsPrunableFast(index, levels, stats, stack)) {
+    if (internal_tree::FindPrunerFast(index, levels.Bind(ctx),
+                                      ALTree::kInvalidNode, stats, stack) !=
+        ALTree::kInvalidNode) {
       (*pruned)[i] = 1;
     }
   }

@@ -1,5 +1,7 @@
 #include "core/tree_traversal.h"
 
+#include <algorithm>
+
 #include "core/dominance.h"
 #include "order/attribute_order.h"
 
@@ -101,8 +103,22 @@ bool IsPrunable(const ALTree& tree, const TreeQueryContext& ctx,
   return false;
 }
 
-bool IsPrunableFast(const ALTree& tree, const std::vector<Phase1Level>& levels,
-                    QueryStats* stats, std::vector<FastEntry>& stack) {
+namespace {
+
+// Whether `node`, a child at level `level`, lies on the root-to-leaf path
+// of `self_leaf` (leaves sit at `leaf_level`).
+bool OnSelfPath(const ALTree& tree, NodeId node, uint32_t level,
+                uint32_t leaf_level, NodeId self_leaf) {
+  NodeId cur = self_leaf;
+  for (uint32_t l = leaf_level; l > level; --l) cur = tree.Parent(cur);
+  return cur == node;
+}
+
+}  // namespace
+
+NodeId FindPrunerFast(const ALTree& tree,
+                      const std::vector<Phase1Level>& levels, NodeId self_leaf,
+                      QueryStats* stats, std::vector<FastEntry>& stack) {
   const uint32_t leaf_level = static_cast<uint32_t>(levels.size()) - 1;
   stack.clear();
   stack.push_back({ALTree::kRootId, 0, false});
@@ -113,7 +129,14 @@ bool IsPrunableFast(const ALTree& tree, const std::vector<Phase1Level>& levels,
     const Phase1Level& level = levels[s.level];
     for (const ALTree::ChildRef& child : tree.Children(s.n)) {
       const NodeId p = child.id;
-      if (tree.Descendants(p) == 0) continue;
+      // A subtree whose only instance is the candidate itself is empty.
+      const uint64_t descendants = tree.Descendants(p);
+      if (descendants <= 1 &&
+          (descendants == 0 ||
+           (self_leaf != ALTree::kInvalidNode &&
+            OnSelfPath(tree, p, s.level, leaf_level, self_leaf)))) {
+        continue;
+      }
       const double lhs = level.col[child.value];
       ++checks;
       if (lhs <= level.rhs) {
@@ -121,7 +144,7 @@ bool IsPrunableFast(const ALTree& tree, const std::vector<Phase1Level>& levels,
         if (s.level == leaf_level) {
           if (closer) {
             stats->checks += checks;
-            return true;
+            return p;
           }
         } else {
           stack.push_back({p, s.level + 1, closer});
@@ -130,7 +153,32 @@ bool IsPrunableFast(const ALTree& tree, const std::vector<Phase1Level>& levels,
     }
   }
   stats->checks += checks;
-  return false;
+  return ALTree::kInvalidNode;
+}
+
+IndexLevels::IndexLevels(const ALTree& index,
+                         const std::vector<AttrId>& selected) {
+  const std::vector<AttrId>& order = index.attr_order();
+  selected_pos_.assign(order.size(), kUnselected);
+  size_t max_card = 0;
+  for (size_t l = 0; l < order.size(); ++l) {
+    for (size_t k = 0; k < selected.size(); ++k) {
+      if (selected[k] == order[l]) selected_pos_[l] = k;
+    }
+    max_card = std::max<size_t>(max_card,
+                                index.schema().attribute(order[l]).cardinality);
+  }
+  zeros_.assign(max_card, 0.0);
+  levels_.assign(order.size(), {zeros_.data(), 0.0});
+}
+
+const std::vector<Phase1Level>& IndexLevels::Bind(const PruneContext& ctx) {
+  for (size_t l = 0; l < levels_.size(); ++l) {
+    const size_t k = selected_pos_[l];
+    if (k == kUnselected) continue;
+    levels_[l] = {ctx.CandidateColumn(k), ctx.QueryDist(k)};
+  }
+  return levels_;
 }
 
 void ComputeRhs(const TreeQueryContext& ctx,

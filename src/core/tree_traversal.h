@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "altree/al_tree.h"
+#include "core/dominance.h"
 #include "core/query.h"
 #include "data/bucketizer.h"
 #include "data/stored_dataset.h"
@@ -61,11 +62,34 @@ struct FastEntry {
   bool found_closer;
 };
 
-/// Per-level candidate context for IsPrunableFast: col[v] = d_l(v, c_l),
+/// Per-level candidate context for FindPrunerFast: col[v] = d_l(v, c_l),
 /// rhs = d_l(q_l, c_l).
 struct Phase1Level {
   const double* col;
   double rhs;
+};
+
+/// The Phase1Level array of a search over a read-only all-categorical
+/// index under a table-backed PruneContext: each selected level reads the
+/// context's (overlay-aware) candidate column against its query distance.
+/// Unselected levels read an all-zero column against a zero threshold:
+/// every value passes (0 <= 0) and none passes strictly (0 < 0). The
+/// levels point into this object, which is therefore not copyable.
+class IndexLevels {
+ public:
+  /// `selected` is the resolved selection the contexts are built with.
+  IndexLevels(const ALTree& index, const std::vector<AttrId>& selected);
+  IndexLevels(const IndexLevels&) = delete;
+  IndexLevels& operator=(const IndexLevels&) = delete;
+
+  /// Points every selected level at `ctx`'s current candidate.
+  const std::vector<Phase1Level>& Bind(const PruneContext& ctx);
+
+ private:
+  static constexpr size_t kUnselected = ~size_t{0};
+  std::vector<size_t> selected_pos_;  // per level: position in `selected`
+  std::vector<double> zeros_;
+  std::vector<Phase1Level> levels_;
 };
 
 /// Per-level streamed-object context for PruneTreeFast: erow[u] =
@@ -83,9 +107,19 @@ bool IsPrunable(const ALTree& tree, const TreeQueryContext& ctx,
                 const std::vector<double>& rhs, QueryStats* stats,
                 std::vector<TraversalEntry>& stack);
 
-/// All-categorical/all-attributes specialization of IsPrunable.
-bool IsPrunableFast(const ALTree& tree, const std::vector<Phase1Level>& levels,
-                    QueryStats* stats, std::vector<FastEntry>& stack);
+/// All-categorical/all-attributes specialization of IsPrunable: returns
+/// the leaf of the first pruner the search meets (its values via
+/// LeafValues), or ALTree::kInvalidNode when nothing prunes the candidate.
+/// `self_leaf` is the candidate's own leaf when the candidate is a row of
+/// `tree`: the search then counts that leaf and its ancestors one instance
+/// short, exactly as if TempRemoveLeaf(self_leaf) had run, without
+/// mutating the tree, so concurrent searches may share it. Pass
+/// kInvalidNode when the candidate is not in the tree or has already been
+/// removed (TRS's TempRemove).
+ALTree::NodeId FindPrunerFast(const ALTree& tree,
+                              const std::vector<Phase1Level>& levels,
+                              ALTree::NodeId self_leaf, QueryStats* stats,
+                              std::vector<FastEntry>& stack);
 
 /// Query-side thresholds for candidate c (see IsPrunable).
 void ComputeRhs(const TreeQueryContext& ctx,

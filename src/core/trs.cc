@@ -131,7 +131,9 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
               levels[l].col = space.matrix(a).ColumnTo(c_vals[a]);
               levels[l].rhs = ctx.q_row_by_level[l][c_vals[a]];
             }
-            p = internal_tree::IsPrunableFast(t, levels, st, t_fast_stack);
+            p = internal_tree::FindPrunerFast(t, levels, ALTree::kInvalidNode,
+                                              st, t_fast_stack) !=
+                ALTree::kInvalidNode;
           } else {
             internal_tree::ComputeRhs(ctx, c_vals, &c_rhs);
             p = internal_tree::IsPrunable(t, ctx, c_vals, c_rhs, st,
@@ -291,7 +293,9 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
               levels[l].rhs = ctx.q_row_by_level[l][cv[a]];
             }
             t.TempRemoveLeaf(leaf);
-            p = internal_tree::IsPrunableFast(t, levels, st, t_fast_stack);
+            p = internal_tree::FindPrunerFast(t, levels, ALTree::kInvalidNode,
+                                              st, t_fast_stack) !=
+                ALTree::kInvalidNode;
             t.TempRestore(leaf);
           }
           prunable[li] = p ? 1 : 0;

@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "common/check.h"
 #include "common/sync.h"
 #include "common/timer.h"
 #include "core/dominance.h"
 #include "core/query_distance_table.h"
+#include "core/shard_exchange.h"
+#include "core/tree_traversal.h"
 #include "sim/matrix_overlay.h"
 
 namespace nmrs {
@@ -117,6 +121,14 @@ struct PrunerHints {
       std::copy_n(page.row_numerics(r), m, numerics.begin() + idx * m);
     }
   }
+  // An index leaf's values (all-categorical: no numerics); `scratch`
+  // holds m values.
+  void RecordLeaf(uint32_t idx, const ALTree& index, ALTree::NodeId leaf,
+                  std::vector<ValueId>* scratch) {
+    found[idx] = 1;
+    internal_tree::LeafValues(index, leaf, index.attr_order(), scratch);
+    std::copy_n(scratch->begin(), m, values.begin() + idx * m);
+  }
   const ValueId* row_values(uint32_t idx) const {
     return values.data() + idx * m;
   }
@@ -125,18 +137,36 @@ struct PrunerHints {
   }
 };
 
-// Hint pass over one chunk of stashed rows under the base space.
-Status FindBaseHints(const StoredDataset& data, PagedReader* reader,
+// Hint pass over one chunk of stashed rows under the base space: one
+// search of ctx.index per row, or without an index one page-major scan of
+// `data` through `reader`.
+Status FindBaseHints(const StoredDataset* data, PagedReader* reader,
                      const OverlayExecContext& ctx, const Object& query,
                      const OverlayClassification& cls,
+                     const std::vector<ALTree::NodeId>& self_leaf,
                      const std::vector<uint32_t>& rows, PrunerHints* hints,
                      QueryStats* stats) {
-  const QueryDistanceTable table(*ctx.space, data.schema(), query,
-                                 ctx.selected);
-  PruneContext pctx(*ctx.space, data.schema(), query, ctx.selected, &table);
+  const Schema& schema = ctx.data->schema();
+  const QueryDistanceTable table(*ctx.space, schema, query, ctx.selected);
+  PruneContext pctx(*ctx.space, schema, query, ctx.selected, &table);
+  if (ctx.index != nullptr) {
+    internal_tree::IndexLevels levels(*ctx.index, ctx.selected);
+    std::vector<internal_tree::FastEntry> stack;
+    std::vector<ValueId> scratch(schema.num_attributes());
+    for (uint32_t idx : rows) {
+      pctx.SetCandidate(cls.sensitive.row_values(idx), nullptr);
+      ++stats->pair_tests;
+      const ALTree::NodeId leaf = internal_tree::FindPrunerFast(
+          *ctx.index, levels.Bind(pctx), self_leaf[idx], stats, stack);
+      if (leaf != ALTree::kInvalidNode) {
+        hints->RecordLeaf(idx, *ctx.index, leaf, &scratch);
+      }
+    }
+    return Status::OK();
+  }
   std::vector<uint8_t> alive(rows.size(), 1);
   return ScanForPruners(
-      data, reader, cls.sensitive, {{&pctx, &rows, &alive}}, stats,
+      *data, reader, cls.sensitive, {{&pctx, &rows, &alive}}, stats,
       [&](size_t, size_t j, const RowBatch& page, size_t r) {
         hints->Record(rows[j], page, r);
       });
@@ -144,15 +174,22 @@ Status FindBaseHints(const StoredDataset& data, PagedReader* reader,
 
 // Re-checks the sensitive candidates of a group of users for one query:
 // each hinted candidate first tests its hint under the user's overlaid
-// distances, then the candidates still alive share one page-major pass.
-// (*alive)[g] is aligned with cls.user_rows[group[g]]; survivors stay 1.
-Status RecheckGroup(const StoredDataset& data, PagedReader* reader,
+// distances. The candidates still alive are then each decided by one
+// search of ctx.index, or without an index share one page-major pass over
+// `data`. (*alive)[g] is aligned with cls.user_rows[group[g]]; survivors
+// stay 1.
+Status RecheckGroup(const StoredDataset* data, PagedReader* reader,
                     const OverlayExecContext& ctx, const Object& query,
                     const std::vector<const MatrixOverlay*>& overlays,
                     const std::vector<size_t>& group,
                     const OverlayClassification& cls, const PrunerHints& hints,
+                    const std::vector<ALTree::NodeId>& self_leaf,
                     std::vector<std::vector<uint8_t>>* alive,
                     QueryStats* stats) {
+  const Schema& schema = ctx.data->schema();
+  std::optional<internal_tree::IndexLevels> levels;
+  std::vector<internal_tree::FastEntry> stack;
+  if (ctx.index != nullptr) levels.emplace(*ctx.index, ctx.selected);
   // One overlaid (table, context) pair per group user; the contexts keep
   // their patched-column scratch across candidates and pages.
   std::vector<std::unique_ptr<QueryDistanceTable>> tables;
@@ -161,27 +198,39 @@ Status RecheckGroup(const StoredDataset& data, PagedReader* reader,
   for (size_t g = 0; g < group.size(); ++g) {
     const size_t u = group[g];
     tables.push_back(std::make_unique<QueryDistanceTable>(
-        *ctx.space, data.schema(), query, ctx.selected, overlays[u]));
+        *ctx.space, schema, query, ctx.selected, overlays[u]));
     pctxs.push_back(std::make_unique<PruneContext>(
-        *ctx.space, data.schema(), query, ctx.selected, tables.back().get()));
+        *ctx.space, schema, query, ctx.selected, tables.back().get()));
     PruneContext& pctx = *pctxs.back();
     const std::vector<uint32_t>& rows = cls.user_rows[u];
     std::vector<uint8_t>& live = (*alive)[g];
     live.assign(rows.size(), 1);
     for (size_t j = 0; j < rows.size(); ++j) {
       const uint32_t idx = rows[j];
-      if (!hints.found[idx]) continue;
+      if (!hints.found[idx] && !levels) continue;
       pctx.SetCandidate(cls.sensitive.row_values(idx),
                         cls.sensitive.row_numerics(idx));
-      ++stats->pair_tests;
-      if (pctx.Prunes(hints.row_values(idx), hints.row_numerics(idx),
-                      &stats->checks)) {
-        live[j] = 0;
+      if (hints.found[idx]) {
+        ++stats->pair_tests;
+        if (pctx.Prunes(hints.row_values(idx), hints.row_numerics(idx),
+                        &stats->checks)) {
+          live[j] = 0;
+          continue;
+        }
+      }
+      if (levels) {
+        ++stats->pair_tests;
+        if (internal_tree::FindPrunerFast(*ctx.index, levels->Bind(pctx),
+                                          self_leaf[idx], stats, stack) !=
+            ALTree::kInvalidNode) {
+          live[j] = 0;
+        }
       }
     }
     lanes.push_back({&pctx, &rows, &live});
   }
-  return ScanForPruners(data, reader, cls.sensitive, lanes, stats,
+  if (levels) return Status::OK();
+  return ScanForPruners(*data, reader, cls.sensitive, lanes, stats,
                         [](size_t, size_t, const RowBatch&, size_t) {});
 }
 
@@ -253,7 +302,32 @@ Status ClassifyOverlayRows(const OverlayExecContext& ctx,
   out->user_rows.assign(overlays.size(), {});
   out->rows_scanned = 0;
 
-  std::vector<uint8_t> hit(overlays.size());
+  // masks[i].bits[v * words, (v + 1) * words): the users whose overlay
+  // touches column v of selected categorical attribute masks[i].attr, one
+  // bit per user. Attributes no overlay touches get no mask.
+  struct ColumnMasks {
+    AttrId attr;
+    std::vector<uint64_t> bits;
+  };
+  const size_t words = (overlays.size() + 63) / 64;
+  std::vector<ColumnMasks> masks;
+  for (AttrId a : ctx.selected) {
+    if (ctx.space->IsNumeric(a)) continue;
+    const size_t card = ctx.space->Cardinality(a);
+    ColumnMasks mask{a, std::vector<uint64_t>(card * words, 0)};
+    bool touched = false;
+    for (size_t u = 0; u < overlays.size(); ++u) {
+      if (overlays[u] == nullptr || !overlays[u]->TouchesAttr(a)) continue;
+      for (ValueId v = 0; v < card; ++v) {
+        if (!overlays[u]->TouchesColumn(a, v)) continue;
+        mask.bits[v * words + u / 64] |= uint64_t{1} << (u % 64);
+        touched = true;
+      }
+    }
+    if (touched) masks.push_back(std::move(mask));
+  }
+
+  std::vector<uint64_t> hit(words);
   NMRS_RETURN_IF_ERROR(ScanOnWorker(
       ctx, 0, &out->io,
       [&](const StoredDataset& data, PagedReader* reader) -> Status {
@@ -264,17 +338,23 @@ Status ClassifyOverlayRows(const OverlayExecContext& ctx,
           for (size_t i = 0; i < page.size(); ++i) {
             ++out->rows_scanned;
             const ValueId* vals = page.row_values(i);
-            bool any = false;
-            for (size_t u = 0; u < overlays.size(); ++u) {
-              hit[u] = overlays[u] != nullptr &&
-                       overlays[u]->RowSensitive(vals, ctx.selected);
-              any |= hit[u] != 0;
+            std::fill(hit.begin(), hit.end(), 0);
+            for (const ColumnMasks& mask : masks) {
+              const uint64_t* bits =
+                  mask.bits.data() + vals[mask.attr] * words;
+              for (size_t w = 0; w < words; ++w) hit[w] |= bits[w];
             }
-            if (!any) continue;
+            if (std::all_of(hit.begin(), hit.end(),
+                            [](uint64_t b) { return b == 0; })) {
+              continue;
+            }
             const uint32_t idx = static_cast<uint32_t>(out->sensitive.size());
             out->sensitive.Append(page.id(i), vals, page.row_numerics(i));
-            for (size_t u = 0; u < overlays.size(); ++u) {
-              if (hit[u]) out->user_rows[u].push_back(idx);
+            for (size_t w = 0; w < words; ++w) {
+              for (uint64_t b = hit[w]; b != 0; b &= b - 1) {
+                const size_t u = w * 64 + std::countr_zero(b);
+                out->user_rows[u].push_back(idx);
+              }
             }
           }
         }
@@ -282,6 +362,35 @@ Status ClassifyOverlayRows(const OverlayExecContext& ctx,
       }));
   out->classify_millis = timer.ElapsedMillis();
   return Status::OK();
+}
+
+std::unique_ptr<const ALTree> BuildOverlayIndex(
+    const OverlayExecContext& ctx, const std::vector<AttrId>& attr_order,
+    IoStats* io, std::vector<double>* worker_modeled_millis) {
+  auto tree = std::make_unique<ALTree>(ctx.data->schema(), attr_order);
+  Status st;
+  WaitGroup wg;
+  wg.Add(1);
+  ctx.pool->Submit([&] {
+    const int w = ctx.pool->CurrentWorkerIndex();
+    NMRS_CHECK_GE(w, 0);
+    Timer timer;
+    ctx.replicas->view(w, 0)->InvalidateArmPosition();
+    double backoff = 0;
+    st = ScanOnWorker(ctx, w, io,
+                      [&](const StoredDataset& data, PagedReader* reader) {
+                        Status built = BuildShardIndex(data, reader,
+                                                       tree.get());
+                        backoff = reader->modeled_backoff_millis();
+                        return built;
+                      });
+    (*worker_modeled_millis)[static_cast<size_t>(w)] +=
+        timer.ElapsedMillis() + IoCostModel{}.EstimateMillis(*io) + backoff;
+    wg.Done();
+  });
+  wg.Wait();
+  if (!st.ok()) return nullptr;
+  return tree;
 }
 
 void RecheckOverlayBatch(const OverlayExecContext& ctx,
@@ -300,8 +409,9 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
   std::mutex status_mu;  // guards statuses[q] overwrites from the tasks
   WaitGroup wg;
 
-  // Runs body(data, reader, &stats) as one pool task on a clean view and
-  // charges its work to the totals and to the worker that ran it.
+  // Runs body(data, reader, &stats) as one pool task and charges its work
+  // to the totals and to the worker that ran it. Without an index the body
+  // reads through a clean view; with one it reads nothing and gets nulls.
   auto submit = [&](size_t q, auto body) {
     wg.Add(1);
     ctx.pool->Submit([&, q, body] {
@@ -309,10 +419,14 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
       NMRS_CHECK_GE(w, 0);
       Timer timer;
       QueryStats s;
-      Status st = ScanOnWorker(
-          ctx, w, &s.io, [&](const StoredDataset& data, PagedReader* reader) {
-            return body(data, reader, &s);
-          });
+      Status st =
+          ctx.index != nullptr
+              ? body(nullptr, nullptr, &s)
+              : ScanOnWorker(ctx, w, &s.io,
+                             [&](const StoredDataset& data,
+                                 PagedReader* reader) {
+                               return body(&data, reader, &s);
+                             });
       s.compute_millis = timer.ElapsedMillis();
       io.Add(s.io);
       checks.fetch_add(s.checks, std::memory_order_relaxed);
@@ -326,6 +440,18 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
       wg.Done();
     });
   };
+
+  // Each stashed row's own leaf in the index, so searches skip exactly the
+  // candidate's instance.
+  std::vector<ALTree::NodeId> self_leaf;
+  if (ctx.index != nullptr) {
+    self_leaf.resize(cls.sensitive.size());
+    for (uint32_t idx = 0; idx < cls.sensitive.size(); ++idx) {
+      self_leaf[idx] = ctx.index->FindLeaf(cls.sensitive.row_values(idx));
+      NMRS_CHECK(self_leaf[idx] != ALTree::kInvalidNode)
+          << "sensitive row missing from the overlay index";
+    }
+  }
 
   // ---- 1. Pruner hints, per query, in kHintChunksPerQuery chunks. A hint
   // is shared work, so only rows that two or more users re-check get one;
@@ -352,12 +478,12 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
         (hinted[q].size() + kHintChunksPerQuery - 1) / kHintChunksPerQuery;
     for (size_t lo = 0; lo < hinted[q].size(); lo += chunk) {
       const size_t hi = std::min(hinted[q].size(), lo + chunk);
-      submit(q, [&, q, lo, hi](const StoredDataset& data, PagedReader* reader,
+      submit(q, [&, q, lo, hi](const StoredDataset* data, PagedReader* reader,
                                QueryStats* s) {
         const std::vector<uint32_t> rows(hinted[q].begin() + lo,
                                          hinted[q].begin() + hi);
-        return FindBaseHints(data, reader, ctx, queries[q], cls, rows,
-                             &hints[q], s);
+        return FindBaseHints(data, reader, ctx, queries[q], cls, self_leaf,
+                             rows, &hints[q], s);
       });
     }
   }
@@ -383,14 +509,14 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
     for (size_t lo = 0; lo < scan_users.size(); lo += group_size) {
       const size_t hi = std::min(scan_users.size(), lo + group_size);
       ++scans;
-      submit(q, [&, q, lo, hi](const StoredDataset& data, PagedReader* reader,
+      submit(q, [&, q, lo, hi](const StoredDataset* data, PagedReader* reader,
                                QueryStats* s) -> Status {
         const std::vector<size_t> group(scan_users.begin() + lo,
                                         scan_users.begin() + hi);
         std::vector<std::vector<uint8_t>> alive(group.size());
         NMRS_RETURN_IF_ERROR(RecheckGroup(data, reader, ctx, queries[q],
                                           overlays, group, cls, hints[q],
-                                          &alive, s));
+                                          self_leaf, &alive, s));
         for (size_t i = 0; i < group.size(); ++i) {
           ReverseSkylineResult& r = (*results)[q][group[i]];
           r.rows = MergeOverlayRows(base[q].rows, cls, group[i], alive[i]);

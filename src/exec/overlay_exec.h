@@ -3,8 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "altree/al_tree.h"
 #include "common/status.h"
 #include "core/query.h"
 #include "data/object.h"
@@ -18,12 +20,15 @@ namespace nmrs {
 
 class MatrixOverlay;
 
-/// Where the overlay stages of QueryEngine::RunOverlayBatch run. `pool`'s
-/// workers read the whole base
-/// dataset `data` (sensitivity and membership are properties of rows, not
-/// of any partitioning) through worker w's clean primary view,
-/// `replicas->view(w, 0)`: faults are a property of the base run, while
-/// `reader_opts` keeps the sealed-page verification.
+/// Where the overlay stages of QueryEngine::RunOverlayBatch run. They
+/// work on the whole base dataset `data` (sensitivity and membership are
+/// properties of rows, not of any partitioning). Every page read goes
+/// through worker w's clean primary view, `replicas->view(w, 0)`: faults
+/// are a property of the base run, while `reader_opts` keeps the
+/// sealed-page verification. `index`, when set, is a read-only AL-Tree of
+/// every row of the all-categorical `data` (BuildOverlayIndex): the
+/// pruner hints and re-checks then search it and read no pages. Without
+/// it they scan the file.
 struct OverlayExecContext {
   ThreadPool* pool = nullptr;
   ReplicaSet* replicas = nullptr;
@@ -32,6 +37,7 @@ struct OverlayExecContext {
   std::vector<AttrId> selected;  // resolved (non-empty)
   PagedReaderOptions reader_opts;
   size_t overlay_group = 16;
+  const ALTree* index = nullptr;
 };
 
 /// RunOverlayBatch's argument checks: valid resilience options, a null
@@ -77,15 +83,27 @@ struct OverlayClassification {
 };
 
 /// Stage 1 of RunOverlayBatch: one pass over the base dataset on worker 0's
-/// clean view, filling `out` (its IO lands in out->io). Null or empty
-/// overlays mark every row invariant for that user.
+/// clean view, filling `out` (its IO lands in out->io). A row's sensitive
+/// users are the OR of per-(selected categorical attribute, value) user
+/// bitmasks built once per call. Null or empty overlays mark every row
+/// invariant for that user.
 Status ClassifyOverlayRows(const OverlayExecContext& ctx,
                            const std::vector<const MatrixOverlay*>& overlays,
                            OverlayClassification* out);
 
+/// Builds the read-only AL-Tree of the all-categorical base dataset that
+/// the hint pass and the re-checks search (paper Alg. 4): one pool task
+/// reads every page through its worker's clean view (BuildShardIndex,
+/// levels in `attr_order`). The task's IO lands in *io and its modeled
+/// time in (*worker_modeled_millis)[w]. Returns null when a read fails;
+/// the caller then re-checks by scanning.
+std::unique_ptr<const ALTree> BuildOverlayIndex(
+    const OverlayExecContext& ctx, const std::vector<AttrId>& attr_order,
+    IoStats* io, std::vector<double>* worker_modeled_millis);
+
 /// Work of stage 3, summed over all of its tasks.
 struct OverlayRecheckTotals {
-  /// Grouped re-check passes: one per (query, user group).
+  /// Grouped re-check tasks: one per (query, user group).
   uint64_t scans = 0;
   /// Pruning work and IO of the hint pass and the re-checks together.
   uint64_t checks = 0;
@@ -99,22 +117,26 @@ struct OverlayRecheckTotals {
 ///
 ///  1. Pruner hints — the stashed rows that two or more users re-check
 ///     and that lie outside the base answer are split into a fixed number
-///     of chunks, one pool task each, and every such row records its first
-///     base-space pruner in dataset scan order (values and numerics). Rows
-///     in the base answer have no pruner; a row only one user re-checks
-///     would not share its hint.
+///     of chunks per query (four), one pool task each, and every such row
+///     records one base-space pruner (values and numerics): the first one
+///     a search of `ctx.index` meets, or without an index the first in
+///     dataset scan order. Rows in the base answer have no pruner; a row
+///     only one user re-checks would not share its hint.
 ///  2. Re-checks — per group of up to `ctx.overlay_group` users with
 ///     sensitive rows, one task tests each candidate's hint once under the
-///     user's overlaid PruneContext. Only candidates without a hint or
-///     whose hint fails under the overlay go through the page-major pass
-///     over the dataset (page -> user -> alive candidate -> rows, with the
-///     early abort and the identity skip).
+///     user's overlaid PruneContext. A candidate without a hint, or whose
+///     hint fails under the overlay, is then decided by one search of
+///     `ctx.index` under the same context, skipping the candidate's own
+///     instance. Without an index those candidates share one page-major
+///     pass over the dataset (page -> user -> alive candidate -> rows,
+///     with the early abort and the identity skip).
 ///
 /// A hint is a real row of the dataset other than the candidate, so a hint
 /// that prunes under the overlay is a valid witness and every answer stays
 /// bit-identical to running the full algorithm over the patched space.
 /// Per-candidate work is independent of chunking and grouping, so the
-/// check and pair-test totals do not depend on the worker count.
+/// check and pair-test totals do not depend on the worker count. With an
+/// index no task reads a page.
 ///
 /// results[q][u] is filled for every ok query (users without sensitive
 /// rows get the base rows); a failed scan stores its error in

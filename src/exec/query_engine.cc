@@ -137,6 +137,11 @@ size_t QueryEngine::verify_index_bytes(int s) const {
   return index == nullptr ? 0 : index->MemoryBytes();
 }
 
+size_t QueryEngine::overlay_index_bytes() const {
+  std::lock_guard<std::mutex> lock(overlay_index_mu_);
+  return overlay_index_ == nullptr ? 0 : overlay_index_->MemoryBytes();
+}
+
 StatusOr<BatchResult> QueryEngine::RunBatch(
     const std::vector<Object>& queries) {
   NMRS_RETURN_IF_ERROR(opts_.rs.resilience.Validate());
@@ -711,8 +716,9 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
   out.statuses.assign(queries.size(), Status::OK());
   out.overlay_worker_modeled_millis.assign(pool_.num_threads(), 0.0);
 
-  // Classification and re-checks read the whole BASE file, not the shards,
-  // through shard 0's replica set (its views see the same disk).
+  // Classification, the index build and scanning re-checks read the whole
+  // BASE file, not the shards, through shard 0's replica set (its views see
+  // the same disk).
   const StoredDataset& base_data = sharded_->base().stored;
   OverlayExecContext ctx;
   ctx.pool = &pool_;
@@ -737,7 +743,21 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
   NMRS_ASSIGN_OR_RETURN(out.base, RunBatch(queries));
   out.statuses = out.base.statuses;
 
-  // ---- 3. Pruner hints, then hinted re-checks per (query, user group). ----
+  // ---- 3. Pruner hints, then hinted re-checks per (query, user group),
+  // from the overlay index for all-categorical schemas. The engine's first
+  // overlay batch builds it; the build's IO and modeled time land only on
+  // that batch's overlay totals. ----
+  IoStats index_io;
+  if (base_data.schema().NumNumeric() == 0) {
+    std::lock_guard<std::mutex> lock(overlay_index_mu_);
+    if (overlay_index_ == nullptr) {
+      overlay_index_ =
+          BuildOverlayIndex(ctx, sharded_->base().attr_order, &index_io,
+                            &out.overlay_worker_modeled_millis);
+    }
+    ctx.index = overlay_index_.get();
+  }
+
   OverlayRecheckTotals recheck;
   RecheckOverlayBatch(ctx, queries, overlays, cls, out.base.results,
                       &out.results, &out.statuses,
@@ -748,6 +768,7 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
   out.recheck_pair_tests = recheck.pair_tests;
   out.overlay_io = recheck.io;
   out.overlay_io += cls.io;
+  out.overlay_io += index_io;
   out.total_io = out.base.total_io;
   out.total_io += out.overlay_io;
   out.wall_millis = timer.ElapsedMillis();

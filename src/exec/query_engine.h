@@ -192,7 +192,7 @@ struct OverlayBatchResult {
 
   /// Overlay telemetry. `sensitive_rows` / `invariant_rows` sum the
   /// per-user classification over all users (their sum is rows * users);
-  /// `recheck_scans` counts the grouped re-check passes over the dataset
+  /// `recheck_scans` counts the grouped re-check tasks
   /// (<= queries * ceil(users / overlay_group)); `recheck_checks` /
   /// `recheck_pair_tests` aggregate the pruning work of the pruner-hint
   /// pass and the re-checks.
@@ -202,8 +202,10 @@ struct OverlayBatchResult {
   uint64_t recheck_checks = 0;
   uint64_t recheck_pair_tests = 0;
 
-  /// IO of the classification pass, the hint pass and the re-check scans
-  /// (over the base file, through clean views; not part of base.total_io).
+  /// IO of the classification pass, the overlay index build (only in the
+  /// engine's batch that builds it), and, without an index, the hint and
+  /// re-check scans (over the base file, through clean views; not part of
+  /// base.total_io).
   IoStats overlay_io;
 
   /// Aggregate IO: base batch + overlay_io.
@@ -286,6 +288,12 @@ class QueryEngine {
   /// index lives outside RSOptions::memory, like the page cache.
   size_t verify_index_bytes(int s) const;
 
+  /// Heap bytes of the read-only AL-Tree of the whole base file that
+  /// overlay re-checks search: zero until an overlay batch has built it,
+  /// and always for schemas with numeric attributes (those re-check by
+  /// scanning). Like the verify indexes it lives outside RSOptions::memory.
+  size_t overlay_index_bytes() const;
+
   /// Runs every query through scatter -> exchange -> verify -> merge,
   /// blocking until the batch completes. Each query's outcome lands in
   /// BatchResult::statuses: a storage fault on any shard fails only that
@@ -299,12 +307,16 @@ class QueryEngine {
   /// RunBatch (workers, cache, kernels, shared scans, shards, faults,
   /// failover — everything applies), one query-independent classification
   /// pass over the base dataset splitting rows into overlay-invariant vs
-  /// overlay-sensitive per user, one pass per query recording each
-  /// sensitive row's first base-space pruner, and one re-check per (query,
-  /// group of overlay_group users) deciding only the sensitive candidates
-  /// under that user's overlaid distances, hint first, through clean
-  /// views. Rows are bit-identical to rebuilding each user's patched space
-  /// and running the batch per user.
+  /// overlay-sensitive per user, one pass per query recording a base-space
+  /// pruner for the sensitive rows outside the base answer, and one
+  /// re-check per (query, group of overlay_group users) deciding only the
+  /// sensitive candidates under that user's overlaid distances, hint
+  /// first. For all-categorical schemas the hint pass and the re-checks
+  /// search one read-only AL-Tree of the base file (paper Alg. 4), which
+  /// the engine's first overlay batch builds and charges to its own
+  /// overlay_io and overlay lane; other schemas scan the base file through
+  /// clean views. Rows are bit-identical to rebuilding each user's patched
+  /// space and running the batch per user.
   ///
   /// Every overlay must be non-null and built over this engine's space;
   /// the engine's rs.overlay template must be null (the per-user overlays
@@ -340,6 +352,11 @@ class QueryEngine {
   // The mutex guards the slots, not the trees.
   mutable std::mutex verify_index_mu_;
   std::vector<std::unique_ptr<const ALTree>> verify_index_;
+  // The overlay index (docs/OVERLAYS.md): built by the first overlay batch
+  // of an all-categorical engine, only read after; a failed build leaves
+  // the slot empty and the next batch retries. The mutex guards the slot.
+  mutable std::mutex overlay_index_mu_;
+  std::unique_ptr<const ALTree> overlay_index_;
 };
 
 }  // namespace nmrs

@@ -1,0 +1,290 @@
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "altree/al_tree.h"
+#include "core/dominance.h"
+#include "core/query_distance_table.h"
+#include "core/tree_traversal.h"
+#include "data/generators.h"
+#include "sim/matrix_overlay.h"
+
+namespace nmrs {
+namespace {
+
+using internal_tree::FastEntry;
+using internal_tree::FindPrunerFast;
+using internal_tree::IndexLevels;
+using internal_tree::Phase1Level;
+using NodeId = ALTree::NodeId;
+
+// FindPrunerFast's self-exclusion (paper Alg. 4 over a tree that holds the
+// candidate itself): searching with the candidate's own leaf must behave
+// exactly as if one instance of that leaf had been removed, and must agree
+// with a brute-force Definition 1 test against every other row.
+
+// Matrices whose off-diagonal entries come from a three-value grid, so
+// distances tie often and the non-strict half of Definition 1 is hit.
+SimilaritySpace TieSpace(const std::vector<size_t>& cards, Rng& rng) {
+  SimilaritySpace space;
+  for (size_t card : cards) {
+    DissimilarityMatrix m(card);
+    for (ValueId a = 0; a < card; ++a) {
+      for (ValueId b = 0; b < card; ++b) {
+        if (a != b) m.Set(a, b, 0.5 * static_cast<double>(1 + rng.Uniform(3)));
+      }
+    }
+    space.AddCategorical(std::move(m));
+  }
+  return space;
+}
+
+Dataset Rows(const std::vector<size_t>& cards,
+             const std::vector<std::vector<ValueId>>& rows) {
+  Dataset data(Schema::Categorical(cards));
+  for (const auto& r : rows) data.AppendCategoricalRow(r);
+  return data;
+}
+
+ALTree BuildTree(const Dataset& data, std::vector<AttrId> order) {
+  ALTree tree(data.schema(), std::move(order));
+  for (RowId r = 0; r < data.num_rows(); ++r) {
+    tree.Insert(r, data.RowValues(r), nullptr);
+  }
+  tree.PrepareForSearch();
+  return tree;
+}
+
+// Reference for the kInvalidNode case: the plain Alg. 4 search without
+// self-exclusion, returning the verdict and adding its checks.
+bool ReferenceIsPrunableFast(const ALTree& tree,
+                             const std::vector<Phase1Level>& levels,
+                             uint64_t* checks_out) {
+  const uint32_t leaf_level = static_cast<uint32_t>(levels.size()) - 1;
+  std::vector<FastEntry> stack = {{ALTree::kRootId, 0, false}};
+  uint64_t checks = 0;
+  while (!stack.empty()) {
+    const FastEntry s = stack.back();
+    stack.pop_back();
+    const Phase1Level& level = levels[s.level];
+    for (const ALTree::ChildRef& child : tree.Children(s.n)) {
+      if (tree.Descendants(child.id) == 0) continue;
+      const double lhs = level.col[child.value];
+      ++checks;
+      if (lhs <= level.rhs) {
+        const bool closer = s.found_closer || lhs < level.rhs;
+        if (s.level == leaf_level) {
+          if (closer) {
+            *checks_out += checks;
+            return true;
+          }
+        } else {
+          stack.push_back({child.id, s.level + 1, closer});
+        }
+      }
+    }
+  }
+  *checks_out += checks;
+  return false;
+}
+
+std::vector<AttrId> RandomOrder(size_t m, Rng& rng) {
+  std::vector<AttrId> order(m);
+  for (AttrId a = 0; a < m; ++a) order[a] = a;
+  for (size_t i = m; i > 1; --i) std::swap(order[i - 1], order[rng.Uniform(i)]);
+  return order;
+}
+
+std::vector<AttrId> RandomSelection(size_t m, Rng& rng) {
+  std::vector<AttrId> selected;
+  if (rng.Bernoulli(0.5)) return selected;  // all attributes
+  for (AttrId a = 0; a < m; ++a) {
+    if (rng.Bernoulli(0.6)) selected.push_back(a);
+  }
+  if (selected.empty()) selected.push_back(static_cast<AttrId>(rng.Uniform(m)));
+  return selected;
+}
+
+TEST(FindPrunerFastTest, SelfExclusionMatchesBruteForceAndTempRemove) {
+  Rng rng(20261017);
+  uint64_t pruned = 0, survived = 0, self_leaf_hits = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t m = 2 + rng.Uniform(3);
+    std::vector<size_t> cards(m);
+    for (size_t& c : cards) c = 2 + rng.Uniform(2);
+    const SimilaritySpace space = TieSpace(cards, rng);
+    Dataset data(Schema::Categorical(cards));
+    const size_t rows = 5 + rng.Uniform(40);
+    std::vector<ValueId> v(m);
+    for (size_t r = 0; r < rows; ++r) {
+      for (AttrId a = 0; a < m; ++a) {
+        v[a] = static_cast<ValueId>(rng.Uniform(cards[a]));
+      }
+      data.AppendCategoricalRow(v);
+    }
+    ALTree tree = BuildTree(data, RandomOrder(m, rng));
+    const Schema& schema = data.schema();
+    const std::vector<AttrId> selected =
+        ResolveSelectedAttrs(schema, RandomSelection(m, rng));
+    const Object query = SampleUniformQuery(data, rng);
+    const double touch[] = {0.0, 0.2, 0.5};
+    const MatrixOverlay overlay =
+        MakeRandomOverlay(space, rng, touch[rng.Uniform(3)]);
+    const QueryDistanceTable table(space, schema, query, selected, &overlay);
+    PruneContext ctx(space, schema, query, selected, &table);
+    IndexLevels levels(tree, selected);
+    std::vector<FastEntry> stack;
+    std::vector<ValueId> pruner(m);
+
+    for (RowId x = 0; x < data.num_rows(); ++x) {
+      const std::string label =
+          "trial " + std::to_string(trial) + " row " + std::to_string(x);
+      ctx.SetCandidate(data.RowValues(x), nullptr);
+      bool brute = false;
+      uint64_t unused = 0;
+      for (RowId y = 0; y < data.num_rows() && !brute; ++y) {
+        brute = y != x && ctx.Prunes(data.RowValues(y), nullptr, &unused);
+      }
+
+      const NodeId self = tree.FindLeaf(data.RowValues(x));
+      ASSERT_NE(self, ALTree::kInvalidNode) << label;
+      QueryStats stats;
+      const NodeId got =
+          FindPrunerFast(tree, levels.Bind(ctx), self, &stats, stack);
+      ASSERT_EQ(got != ALTree::kInvalidNode, brute) << label;
+      if (got != ALTree::kInvalidNode) {
+        ++pruned;
+        self_leaf_hits += got == self ? 1 : 0;
+        ASSERT_TRUE(tree.IsLeaf(got)) << label;
+        // The witness is some row other than X: the leaf holds one.
+        ASSERT_GE(tree.Descendants(got), got == self ? 2u : 1u) << label;
+        internal_tree::LeafValues(tree, got, tree.attr_order(), &pruner);
+        EXPECT_TRUE(ctx.Prunes(pruner.data(), nullptr, &unused)) << label;
+      } else {
+        ++survived;
+      }
+
+      // Same leaf and the same checks as removing X's instance first.
+      QueryStats removed;
+      tree.TempRemoveLeaf(self);
+      const NodeId want = FindPrunerFast(tree, levels.Bind(ctx),
+                                         ALTree::kInvalidNode, &removed,
+                                         stack);
+      tree.TempRestore(self);
+      EXPECT_EQ(got, want) << label;
+      EXPECT_EQ(stats.checks, removed.checks) << label;
+    }
+  }
+  // The sweep reaches both verdicts and duplicate witnesses.
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(survived, 0u);
+  EXPECT_GT(self_leaf_hits, 0u);
+}
+
+TEST(FindPrunerFastTest, NoSelfLeafMatchesThePreviousSearch) {
+  Rng rng(31337);
+  uint64_t pruned = 0, total = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t m = 2 + rng.Uniform(3);
+    std::vector<size_t> cards(m);
+    for (size_t& c : cards) c = 2 + rng.Uniform(2);
+    const SimilaritySpace space = TieSpace(cards, rng);
+    Dataset data(Schema::Categorical(cards));
+    std::vector<ValueId> v(m);
+    for (size_t r = 0, rows = 5 + rng.Uniform(40); r < rows; ++r) {
+      for (AttrId a = 0; a < m; ++a) {
+        v[a] = static_cast<ValueId>(rng.Uniform(cards[a]));
+      }
+      data.AppendCategoricalRow(v);
+    }
+    ALTree tree = BuildTree(data, RandomOrder(m, rng));
+    const Schema& schema = data.schema();
+    const std::vector<AttrId> selected =
+        ResolveSelectedAttrs(schema, RandomSelection(m, rng));
+    const Object query = SampleUniformQuery(data, rng);
+    const MatrixOverlay overlay = MakeRandomOverlay(space, rng, 0.3);
+    const QueryDistanceTable table(space, schema, query, selected, &overlay);
+    PruneContext ctx(space, schema, query, selected, &table);
+    IndexLevels levels(tree, selected);
+    std::vector<FastEntry> stack;
+    // Candidates drawn from the whole value space, in the tree or not.
+    for (int c = 0; c < 20; ++c) {
+      for (AttrId a = 0; a < m; ++a) {
+        v[a] = static_cast<ValueId>(rng.Uniform(cards[a]));
+      }
+      ctx.SetCandidate(v.data(), nullptr);
+      const std::vector<Phase1Level>& bound = levels.Bind(ctx);
+      QueryStats stats;
+      const NodeId got =
+          FindPrunerFast(tree, bound, ALTree::kInvalidNode, &stats, stack);
+      uint64_t want_checks = 0;
+      const bool want = ReferenceIsPrunableFast(tree, bound, &want_checks);
+      EXPECT_EQ(got != ALTree::kInvalidNode, want) << trial << "/" << c;
+      EXPECT_EQ(stats.checks, want_checks) << trial << "/" << c;
+      pruned += want ? 1 : 0;
+      ++total;
+    }
+  }
+  EXPECT_GT(pruned, 0u);
+  EXPECT_LT(pruned, total);
+}
+
+// Two attributes of cardinality 2 with d(1, 0) = 0.5: the query (1, 1) is
+// at distance 0.5 from X = (0, 0) on both, so any copy of X prunes X
+// (0 <= 0.5, strictly), and Z = (1, 1) ties the query everywhere and does
+// not.
+struct PinnedCase {
+  PinnedCase() {
+    for (int a = 0; a < 2; ++a) {
+      DissimilarityMatrix m(2);
+      m.Set(0, 1, 0.5);
+      m.Set(1, 0, 0.5);
+      space.AddCategorical(std::move(m));
+    }
+  }
+  SimilaritySpace space;
+  const std::vector<size_t> cards = {2, 2};
+};
+
+// Searches for a pruner of row x of `data`, skipping x's own instance
+// when `exclude_self` is set.
+NodeId SearchForRow(const PinnedCase& pc, const Dataset& data, RowId x,
+                    bool exclude_self) {
+  const Object query(std::vector<ValueId>{1, 1});
+  ALTree tree = BuildTree(data, {0, 1});
+  const std::vector<AttrId> selected = ResolveSelectedAttrs(data.schema(), {});
+  const QueryDistanceTable table(pc.space, data.schema(), query, selected);
+  PruneContext ctx(pc.space, data.schema(), query, selected, &table);
+  ctx.SetCandidate(data.RowValues(x), nullptr);
+  IndexLevels levels(tree, selected);
+  std::vector<FastEntry> stack;
+  QueryStats stats;
+  const NodeId self = exclude_self ? tree.FindLeaf(data.RowValues(x))
+                                   : ALTree::kInvalidNode;
+  return FindPrunerFast(tree, levels.Bind(ctx), self, &stats, stack);
+}
+
+TEST(FindPrunerFastTest, ExactDuplicateWithAnotherIdPrunes) {
+  const PinnedCase pc;
+  const Dataset data = Rows(pc.cards, {{0, 0}, {1, 1}, {0, 0}});
+  const ALTree tree = BuildTree(data, {0, 1});
+  const NodeId x_leaf = tree.FindLeaf(data.RowValues(0));
+  // Rows 0 and 2 are each other's only pruner, and they share one leaf.
+  EXPECT_EQ(SearchForRow(pc, data, 0, /*exclude_self=*/true), x_leaf);
+  EXPECT_EQ(SearchForRow(pc, data, 2, /*exclude_self=*/true), x_leaf);
+}
+
+TEST(FindPrunerFastTest, RowPrunedOnlyByItselfSurvives) {
+  const PinnedCase pc;
+  const Dataset data = Rows(pc.cards, {{0, 0}, {1, 1}});
+  // d(x, x) = 0 < d(q, x): without the exclusion X would prune itself.
+  EXPECT_EQ(SearchForRow(pc, data, 0, /*exclude_self=*/true),
+            ALTree::kInvalidNode);
+  EXPECT_NE(SearchForRow(pc, data, 0, /*exclude_self=*/false),
+            ALTree::kInvalidNode);
+}
+
+}  // namespace
+}  // namespace nmrs

@@ -69,15 +69,22 @@ struct Scenario {
   bool checksums = false;
 };
 
-Scenario MakeScenario(Rng& rng) {
+// `with_numeric` appends one numeric attribute to the categorical ones. The
+// overlay leg then re-checks by scanning the base file (no overlay index),
+// so that path stays in the random-fault sweep too.
+Scenario MakeScenario(Rng& rng, bool with_numeric) {
   const std::vector<size_t> cards = {5, 6, 7};
   Rng data_rng = rng.Fork();
   Rng space_rng = rng.Fork();
   const uint64_t rows = 1000 + rng.Uniform(2000);
-  Scenario s{GenerateNormal(rows, cards, data_rng), {}, {}};
+  Scenario s{with_numeric ? GenerateMixed(rows, cards, 1, 8, data_rng)
+                          : GenerateNormal(rows, cards, data_rng),
+             {},
+             {}};
   for (size_t card : cards) {
     s.space.AddCategorical(MakeRandomMatrix(card, space_rng));
   }
+  if (with_numeric) s.space.AddNumeric(NumericDissimilarity(0.01));
   const size_t num_queries = 8 + rng.Uniform(9);
   for (size_t i = 0; i < num_queries; ++i) {
     s.queries.push_back(SampleUniformQuery(s.data, rng));
@@ -125,7 +132,8 @@ uint64_t FaultCounterSum(const IoStats& io) {
 
 void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
   Rng rng(scenario_seed);
-  Scenario s = MakeScenario(rng);
+  // Every fourth config carries a numeric attribute.
+  Scenario s = MakeScenario(rng, index % 4 == 3);
 
   SimulatedDisk disk;
   PrepareOptions popts;
@@ -228,13 +236,14 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
   }
 
   // Overlay leg (docs/OVERLAYS.md): the incremental multi-tenant executor
-  // through the same fault config. The base run and the re-check scans all
-  // go through the faulted storage, so the contract mirrors the plain
-  // batch: an ok query must hand every user rows bit-identical to that
-  // user's patched-space clean answer, a failed query reports a storage
-  // fault, and nothing observable depends on the worker count. A small
-  // query subset keeps the per-config cost down (the smoke run does 25
-  // configs).
+  // through the same fault config. The base run goes through the faulted
+  // storage (classification, the overlay index build and, with a numeric
+  // attribute, the re-check scans read through clean views), so the
+  // contract mirrors the plain batch: an ok query must hand every user
+  // rows bit-identical to that user's patched-space clean answer, a failed
+  // query reports a storage fault, and nothing observable depends on the
+  // worker count. A small query subset keeps the per-config cost down (the
+  // smoke run does 25 configs).
   {
     Rng orng = rng.Fork();
     std::vector<MatrixOverlay> overlays;

@@ -1,16 +1,21 @@
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "altree/al_tree.h"
 #include "core/dominance.h"
 #include "core/query_distance_table.h"
+#include "core/shard_exchange.h"
+#include "core/tree_traversal.h"
 #include "data/generators.h"
 #include "exec/overlay_exec.h"
 #include "exec/query_engine.h"
 #include "gtest/gtest.h"
 #include "sim/dissimilarity_matrix.h"
 #include "sim/matrix_overlay.h"
+#include "storage/replica_set.h"
 #include "testing/test_util.h"
 
 namespace nmrs {
@@ -200,6 +205,71 @@ TEST(OverlayBatchTest, TelemetryAccountsEveryRowAndScan) {
   EXPECT_EQ(got->base.results.size(), wl.queries.size());
 }
 
+TEST(OverlayBatchTest, ClassificationMatchesPerUserRowSensitive) {
+  // The per-column user bitmasks against MatrixOverlay::RowSensitive, the
+  // definition of sensitivity: 70 users cross a 64-bit word, one user is
+  // null and one empty, and a strict attribute subset leaves an attribute
+  // whose patches must not count.
+  const OverlayWorkload& wl = SharedWorkload();
+  const SimilaritySpace& space = wl.instance.space;
+  SimulatedDisk disk;
+  auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
+  ASSERT_TRUE(prep.ok()) << prep.status();
+  Rng rng(4242);
+  std::vector<std::unique_ptr<MatrixOverlay>> owned;
+  std::vector<const MatrixOverlay*> users;
+  for (int u = 0; u < 70; ++u) {
+    owned.push_back(std::make_unique<MatrixOverlay>(
+        MakeRandomOverlay(space, rng, 0.01 * static_cast<double>(u % 7))));
+    users.push_back(owned.back().get());
+  }
+  users[3] = nullptr;
+  owned.push_back(std::make_unique<MatrixOverlay>(space));
+  users[66] = owned.back().get();
+
+  ReplicaSet replicas(&disk, ReplicaSetOptions{});
+  RowBatch all(wl.instance.data.num_attributes(), false);
+  ASSERT_TRUE(prep->stored.ReadAll(&all).ok());
+  for (const std::vector<AttrId>& selection :
+       {std::vector<AttrId>{}, std::vector<AttrId>{0, 2}}) {
+    OverlayExecContext ctx;
+    ctx.replicas = &replicas;
+    ctx.data = &prep->stored;
+    ctx.space = &space;
+    ctx.selected = ResolveSelectedAttrs(prep->stored.schema(), selection);
+    OverlayClassification cls;
+    ASSERT_TRUE(ClassifyOverlayRows(ctx, users, &cls).ok());
+    ASSERT_EQ(cls.rows_scanned, all.size());
+
+    std::vector<std::vector<RowId>> want(users.size()), got(users.size());
+    RowBatch want_stash(all.num_attrs(), false);
+    for (size_t i = 0; i < all.size(); ++i) {
+      bool any = false;
+      for (size_t u = 0; u < users.size(); ++u) {
+        if (users[u] != nullptr &&
+            users[u]->RowSensitive(all.row_values(i), ctx.selected)) {
+          want[u].push_back(all.id(i));
+          any = true;
+        }
+      }
+      if (any) want_stash.Append(all.id(i), all.row_values(i), nullptr);
+    }
+    for (size_t u = 0; u < users.size(); ++u) {
+      for (uint32_t idx : cls.user_rows[u]) {
+        got[u].push_back(cls.sensitive.id(idx));
+      }
+    }
+    EXPECT_EQ(got, want) << "selection size " << selection.size();
+    ASSERT_EQ(cls.sensitive.size(), want_stash.size());
+    for (size_t i = 0; i < want_stash.size(); ++i) {
+      EXPECT_EQ(cls.sensitive.id(i), want_stash.id(i)) << i;
+    }
+    EXPECT_TRUE(got[3].empty());
+    EXPECT_TRUE(got[66].empty());
+    EXPECT_FALSE(got[69].empty());
+  }
+}
+
 TEST(OverlayBatchTest, ShardedMatchesPerUserRebuild) {
   const OverlayWorkload& wl = SharedWorkload();
   SimulatedDisk disk;
@@ -381,46 +451,57 @@ TEST(OverlayBatchTest, MixedSchemaMatchesRebuild) {
   }
 }
 
-TEST(OverlayBatchTest, HintMissesAndUnhintedRowsFallBackDeterministically) {
-  const OverlayWorkload& wl = SharedWorkload();
-  const SimilaritySpace& space = wl.instance.space;
-  SimulatedDisk disk;
-  auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
-  ASSERT_TRUE(prep.ok()) << prep.status();
-  const Schema& schema = prep->stored.schema();
-  const Object& query = wl.queries[0];
-  auto base = RunReverseSkyline(*prep, space, query, Algorithm::kBRS, {});
+// A base-space pruner of stashed row i of `all`: its values and numerics.
+struct Pruner {
+  std::vector<ValueId> values;
+  std::vector<double> numerics;
+  const double* numerics_or_null() const {
+    return numerics.empty() ? nullptr : numerics.data();
+  }
+};
+
+// Builds a guaranteed hint miss and an unhinted row, then checks that the
+// re-checks still match the per-user rebuild with counters identical at 1,
+// 2 and 8 workers. `hint_of(i, ctx)` returns the hint the engine records
+// for row i of `all` under query 0 (ctx holds row i as the candidate), or
+// nothing when i has no pruner.
+template <typename HintOf>
+void ExpectHintMissFallsBack(const PreparedDataset& prep,
+                             const SimilaritySpace& space,
+                             const std::vector<Object>& queries,
+                             const MatrixOverlay& extra_user,
+                             HintOf&& hint_of) {
+  const Schema& schema = prep.stored.schema();
+  const Object& query = queries[0];
+  auto base = RunReverseSkyline(prep, space, query, Algorithm::kBRS, {});
   ASSERT_TRUE(base.ok()) << base.status();
   ASSERT_FALSE(base->rows.empty());
   const auto in_base = [&](RowId id) {
     return std::binary_search(base->rows.begin(), base->rows.end(), id);
   };
 
-  // Every row in dataset scan order — the order the hint pass searches.
-  RowBatch all(schema.num_attributes(), false);
-  ASSERT_TRUE(prep->stored.ReadAll(&all).ok());
+  RowBatch all(schema.num_attributes(), schema.NumNumeric() > 0);
+  ASSERT_TRUE(prep.stored.ReadAll(&all).ok());
   const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
-  PruneContext ctx(space, schema, query, selected);
+  const QueryDistanceTable base_table(space, schema, query, selected);
+  PruneContext ctx(space, schema, query, selected, &base_table);
 
-  // A row X outside the base answer, its first base pruner Y (X's hint),
-  // and an attribute where Y differs from both X and the query.
-  size_t x = all.size(), y = 0;
+  // A row X outside the base answer, its hint Y, and a categorical
+  // attribute where Y differs from both X and the query.
+  size_t x = all.size();
+  Pruner y;
   AttrId attr = 0;
   for (size_t i = 0; i < all.size() && x == all.size(); ++i) {
     if (in_base(all.id(i))) continue;
-    ctx.SetCandidate(all.row_values(i), nullptr);
-    uint64_t checks = 0;
-    size_t r = 0;
-    while (r < all.size() &&
-           (r == i || !ctx.Prunes(all.row_values(r), nullptr, &checks))) {
-      ++r;
-    }
-    ASSERT_LT(r, all.size()) << "row outside the base answer has no pruner";
+    ctx.SetCandidate(all.row_values(i), all.row_numerics(i));
+    std::optional<Pruner> hint = hint_of(i, ctx);
+    ASSERT_TRUE(hint.has_value())
+        << "row outside the base answer has no pruner";
     for (AttrId a : selected) {
-      if (all.value(r, a) != all.value(i, a) &&
-          all.value(r, a) != query.values[a]) {
+      if (!space.IsNumeric(a) && hint->values[a] != all.value(i, a) &&
+          hint->values[a] != query.values[a]) {
         x = i;
-        y = r;
+        y = *hint;
         attr = a;
         break;
       }
@@ -433,39 +514,41 @@ TEST(OverlayBatchTest, HintMissesAndUnhintedRowsFallBackDeterministically) {
   const ValueId xa = all.value(x, attr);
   const double far = space.CatDist(attr, query.values[attr], xa) + 1.0;
   MatrixOverlay miss(space);
-  ASSERT_TRUE(miss.Set(attr, all.value(y, attr), xa, far).ok());
+  ASSERT_TRUE(miss.Set(attr, y.values[attr], xa, far).ok());
   {
     const QueryDistanceTable table(space, schema, query, selected, &miss);
     PruneContext overlaid(space, schema, query, selected, &table);
-    overlaid.SetCandidate(all.row_values(x), nullptr);
+    overlaid.SetCandidate(all.row_values(x), all.row_numerics(x));
     uint64_t checks = 0;
-    ASSERT_FALSE(overlaid.Prunes(all.row_values(y), nullptr, &checks));
+    ASSERT_FALSE(overlaid.Prunes(y.values.data(), y.numerics_or_null(),
+                                 &checks));
   }
 
   // User 1 also makes a base-answer row Z sensitive: Z has no hint at all.
   const RowId z_id = base->rows.front();
   size_t z = 0;
   while (all.id(z) != z_id) ++z;
-  const AttrId za = selected.front();
+  AttrId za = selected.front();
+  while (space.IsNumeric(za)) ++za;
   const ValueId zv = all.value(z, za);
   const ValueId from = zv == 0 ? 1 : 0;
   MatrixOverlay unhinted(space);
-  ASSERT_TRUE(unhinted.Set(attr, all.value(y, attr), xa, far).ok());
+  ASSERT_TRUE(unhinted.Set(attr, y.values[attr], xa, far).ok());
   ASSERT_TRUE(
       unhinted.Set(za, from, zv, 0.5 * space.CatDist(za, from, zv)).ok());
 
   const std::vector<const MatrixOverlay*> users = {&miss, &unhinted,
-                                                   wl.overlays[1].get()};
+                                                   &extra_user};
   std::vector<uint64_t> first;
   for (size_t workers : {1u, 2u, 8u}) {
     EngineOptions opts;
     opts.num_workers = workers;
     opts.overlay_group = 2;
     const std::string label = "workers=" + std::to_string(workers);
-    ExpectEngineMatchesRebuild<QueryEngine>(*prep, space, Algorithm::kBRS,
-                                            opts, wl.queries, users, label);
-    QueryEngine engine(*prep, space, Algorithm::kBRS, opts);
-    auto got = engine.RunOverlayBatch(wl.queries, users);
+    ExpectEngineMatchesRebuild<QueryEngine>(prep, space, Algorithm::kBRS,
+                                            opts, queries, users, label);
+    QueryEngine engine(prep, space, Algorithm::kBRS, opts);
+    auto got = engine.RunOverlayBatch(queries, users);
     ASSERT_TRUE(got.ok()) << got.status();
     const std::vector<uint64_t> counters = {
         got->recheck_checks, got->recheck_pair_tests, got->recheck_scans};
@@ -473,6 +556,147 @@ TEST(OverlayBatchTest, HintMissesAndUnhintedRowsFallBackDeterministically) {
       first = counters;
     } else {
       EXPECT_EQ(counters, first) << label;
+    }
+  }
+}
+
+TEST(OverlayBatchTest, HintMissesAndUnhintedRowsFallBackDeterministically) {
+  // All-categorical: the hint is the first pruner a search of the overlay
+  // index meets, so Y comes from the same tree the engine builds.
+  const OverlayWorkload& wl = SharedWorkload();
+  const SimilaritySpace& space = wl.instance.space;
+  SimulatedDisk disk;
+  auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
+  ASSERT_TRUE(prep.ok()) << prep.status();
+  const Schema& schema = prep->stored.schema();
+  ALTree index(schema, prep->attr_order);
+  {
+    PagedReader reader(&disk);
+    ASSERT_TRUE(BuildShardIndex(prep->stored, &reader, &index).ok());
+  }
+  const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
+  internal_tree::IndexLevels levels(index, selected);
+  std::vector<internal_tree::FastEntry> stack;
+  ExpectHintMissFallsBack(
+      *prep, space, wl.queries, *wl.overlays[1],
+      [&](size_t, const PruneContext& ctx) -> std::optional<Pruner> {
+        QueryStats stats;
+        const ALTree::NodeId leaf = internal_tree::FindPrunerFast(
+            index, levels.Bind(ctx), index.FindLeaf(ctx.candidate_values()),
+            &stats, stack);
+        if (leaf == ALTree::kInvalidNode) return std::nullopt;
+        Pruner y{std::vector<ValueId>(schema.num_attributes()), {}};
+        internal_tree::LeafValues(index, leaf, index.attr_order(), &y.values);
+        return y;
+      });
+}
+
+TEST(OverlayBatchTest, MixedSchemaHintMissesFallBackToScan) {
+  // With a numeric attribute the hint is the first pruner in dataset scan
+  // order, the row the page-major scan meets first.
+  Rng rng(20261018);
+  const Dataset data = GenerateMixed(900, {5, 6, 7}, 1, 8, rng);
+  SimilaritySpace space;
+  for (size_t card : {5, 6, 7}) {
+    space.AddCategorical(MakeRandomMatrix(card, rng));
+  }
+  space.AddNumeric(NumericDissimilarity(0.01));
+  std::vector<Object> queries;
+  for (int i = 0; i < 6; ++i) queries.push_back(SampleUniformQuery(data, rng));
+  const MatrixOverlay extra = MakeRandomOverlay(space, rng, 0.10);
+  SimulatedDisk disk;
+  auto prep = PrepareDataset(&disk, data, Algorithm::kBRS);
+  ASSERT_TRUE(prep.ok()) << prep.status();
+  RowBatch all(data.num_attributes(), true);
+  ASSERT_TRUE(prep->stored.ReadAll(&all).ok());
+  ExpectHintMissFallsBack(
+      *prep, space, queries, extra,
+      [&](size_t i, const PruneContext& ctx) -> std::optional<Pruner> {
+        uint64_t checks = 0;
+        for (size_t r = 0; r < all.size(); ++r) {
+          if (r == i ||
+              !ctx.Prunes(all.row_values(r), all.row_numerics(r), &checks)) {
+            continue;
+          }
+          const size_t m = all.num_attrs();
+          return Pruner{
+              std::vector<ValueId>(all.row_values(r), all.row_values(r) + m),
+              std::vector<double>(all.row_numerics(r),
+                                  all.row_numerics(r) + m)};
+        }
+        return std::nullopt;
+      });
+}
+
+TEST(OverlayBatchTest,
+     IndexBuildAndReuseCountersIndependentOfWorkersAndShards) {
+  // The overlay index is built by an engine's first overlay batch and only
+  // read by later ones. Rows and re-check counters must not depend on
+  // which batch built it, on the worker count or on the shard count; only
+  // the building batch's overlay_io carries the build's reads.
+  const OverlayWorkload& wl = SharedWorkload();
+  SimulatedDisk disk;
+  auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
+  ASSERT_TRUE(prep.ok()) << prep.status();
+  ShardPlanOptions plan;
+  plan.num_shards = 2;
+  auto sharded = ShardedDataset::Partition(*prep, plan);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  const uint64_t pages = prep->stored.num_pages();
+
+  {
+    QueryEngine plain(*prep, wl.instance.space, Algorithm::kBRS, {});
+    auto batch = plain.RunBatch(wl.queries);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ(plain.overlay_index_bytes(), 0u);
+  }
+
+  std::vector<std::vector<std::vector<RowId>>> want_rows;
+  std::vector<uint64_t> want_counters;
+  for (int shards : {1, 2}) {
+    for (size_t workers : {1u, 2u, 8u}) {
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " workers=" + std::to_string(workers);
+      EngineOptions opts;
+      opts.num_workers = workers;
+      std::unique_ptr<QueryEngine> engine =
+          shards == 1 ? std::make_unique<QueryEngine>(
+                            *prep, wl.instance.space, Algorithm::kBRS, opts)
+                      : std::make_unique<QueryEngine>(
+                            *sharded, wl.instance.space, Algorithm::kBRS, opts);
+      EXPECT_EQ(engine->overlay_index_bytes(), 0u) << label;
+      auto first = engine->RunOverlayBatch(wl.queries, wl.OverlayPtrs());
+      ASSERT_TRUE(first.ok()) << first.status();
+      ASSERT_TRUE(first->ok()) << first->first_error();
+      const size_t bytes = engine->overlay_index_bytes();
+      EXPECT_GT(bytes, 0u) << label;
+      auto second = engine->RunOverlayBatch(wl.queries, wl.OverlayPtrs());
+      ASSERT_TRUE(second.ok()) << second.status();
+      ASSERT_TRUE(second->ok()) << second->first_error();
+      EXPECT_EQ(engine->overlay_index_bytes(), bytes) << label;
+
+      // The reuse batch reads only the classification scan, every page
+      // once; the building batch reads the file once more for the build.
+      EXPECT_EQ(second->overlay_io.TotalReads(), pages) << label;
+      EXPECT_EQ(second->overlay_io.TotalWrites(), 0u) << label;
+      EXPECT_EQ(first->overlay_io.TotalReads(), 2 * pages) << label;
+
+      for (const OverlayBatchResult* b : {&*first, &*second}) {
+        std::vector<std::vector<std::vector<RowId>>> rows(wl.queries.size());
+        for (size_t q = 0; q < wl.queries.size(); ++q) {
+          for (size_t u = 0; u < wl.overlays.size(); ++u) {
+            rows[q].push_back(b->results[q][u].rows);
+          }
+        }
+        const std::vector<uint64_t> counters = {
+            b->recheck_checks, b->recheck_pair_tests, b->recheck_scans};
+        if (want_rows.empty()) {
+          want_rows = rows;
+          want_counters = counters;
+        }
+        EXPECT_EQ(rows, want_rows) << label;
+        EXPECT_EQ(counters, want_counters) << label;
+      }
     }
   }
 }

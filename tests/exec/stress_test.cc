@@ -540,12 +540,15 @@ void StressReplicaBatch() {
 }
 
 // The overlay executor under contention: 8 workers share the base batch,
-// the classification result and the per-(query, user-group) re-check
-// scans, with a shared page cache underneath. Every (query, user) answer
-// must be bit-identical to rebuilding that user's patched space, and
-// invariant across worker counts and overlay group sizes. This is the
-// TSan workout for the overlay data structures (the shared alive bitmaps,
-// the per-lane modeled-time slots and the fold-in of scan IO).
+// the classification result, the read-only overlay index and the
+// per-(query, user-group) re-check tasks, with a shared page cache
+// underneath. Every (query, user) answer must be bit-identical to
+// rebuilding that user's patched space, and invariant across worker counts
+// and overlay group sizes. Each engine runs two batches: the first builds
+// the overlay index, the second only searches it, and both must agree.
+// This is the TSan workout for the overlay data structures (the shared
+// alive bitmaps, the index slot and its concurrent searches, the per-lane
+// modeled-time slots and the fold-in of IO).
 void StressOverlayBatch() {
   Rng rng(20260809);
   Rng data_rng = rng.Fork();
@@ -600,6 +603,7 @@ void StressOverlayBatch() {
     auto ob = engine.RunOverlayBatch(queries, ptrs);
     NMRS_CHECK(ob.ok()) << ob.status();
     NMRS_CHECK(ob->ok()) << ob->first_error();
+    NMRS_CHECK_GT(engine.overlay_index_bytes(), 0u);
     for (size_t q = 0; q < queries.size(); ++q) {
       for (size_t u = 0; u < kUsers; ++u) {
         NMRS_CHECK(ob->results[q][u].rows == want[q][u])
@@ -608,9 +612,23 @@ void StressOverlayBatch() {
     }
     NMRS_CHECK_EQ(ob->sensitive_rows + ob->invariant_rows,
                   data.num_rows() * kUsers);
+
+    auto again = engine.RunOverlayBatch(queries, ptrs);
+    NMRS_CHECK(again.ok()) << again.status();
+    NMRS_CHECK(again->ok()) << again->first_error();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      for (size_t u = 0; u < kUsers; ++u) {
+        NMRS_CHECK(again->results[q][u].rows == ob->results[q][u].rows)
+            << "workers " << workers << " query " << q << " user " << u
+            << ": the reuse batch diverged";
+      }
+    }
+    NMRS_CHECK_EQ(again->recheck_checks, ob->recheck_checks);
+    NMRS_CHECK_EQ(again->recheck_pair_tests, ob->recheck_pair_tests);
+    NMRS_CHECK_EQ(again->recheck_scans, ob->recheck_scans);
   }
   std::printf("overlay batch: %zu queries x %zu users identical to "
-              "per-user rebuild\n",
+              "per-user rebuild, building and reusing the index\n",
               queries.size(), kUsers);
 }
 

@@ -51,14 +51,16 @@ overlays (BENCH_overlays.json, docs/OVERLAYS.md):
   overlay 1  Every run says identical=1: the incremental overlay executor
              returns the per-user patched-space rebuild's rows.
   overlay 2  The 256-user / 1%-touch run's modeled speedup over the
-             per-user cold rebuild is >= 3.0x (observed 35-45x quick,
-             16.8x on the committed full run): a regression floor, not a
-             flake line.
+             per-user cold rebuild is >= 3.0x (observed 166x quick,
+             72.3x on the committed full run; 35-45x and 16.8x when the
+             re-checks scanned pages): a regression floor, not a flake
+             line.
   overlay 3  The same run spends <= 20 re-check pair tests per sensitive
              (query, user) candidate, recheck_pair_tests / (num_queries *
-             sensitive_rows). A pure function of the seed: observed 9.6
-             quick and 13.6 full with the pruner hints, 34.0 and 60.6
-             without.
+             sensitive_rows). A pure function of the seed: observed 1.05
+             quick and 1.06 full with the overlay index, 9.6 and 13.6
+             with pruner hints over page scans, 34.0 and 60.6 with
+             neither.
 
 mutations (BENCH_mutations.json, docs/MUTABILITY.md):
   mutation 1 Every run says identical=1: Database snapshot batches return
