@@ -2,7 +2,8 @@
 # CI entry point, eleven stages (docs/ROBUSTNESS.md covers asan/chaos/
 # replica, docs/KERNELS.md covers 6-7, docs/SHARDING.md covers 8,
 # docs/MUTABILITY.md covers 10):
-#   1. plain   — RelWithDebInfo build + full ctest suite
+#   1. plain   — RelWithDebInfo build with warnings as errors (-Werror)
+#                + full ctest suite
 #   2. tsan    — ThreadSanitizer build of the gtest-free concurrency
 #                stress binary (tests/exec/stress_test.cc), including the
 #                concurrent replica-failover / shared-pool stress
@@ -51,8 +52,8 @@ cd "$(dirname "$0")"
 
 JOBS="$(nproc)"
 
-echo "=== plain build + tests ==="
-cmake -B build -S .
+echo "=== plain build (-Werror) + tests ==="
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure -j"${JOBS}"
 

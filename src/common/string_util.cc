@@ -1,7 +1,9 @@
 #include "common/string_util.h"
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <system_error>
 
 namespace nmrs {
 
@@ -15,6 +17,26 @@ std::vector<std::string> StrSplit(std::string_view s, char sep) {
     }
   }
   return out;
+}
+
+StatusOr<uint64_t> ParseDigits(std::string_view what, std::string_view s) {
+  if (s.empty()) {
+    return Status::InvalidArgument(std::string(what) + " needs a value");
+  }
+  for (char c : s) {
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument(std::string(what) +
+                                     " must be a non-negative integer, got '" +
+                                     std::string(s) + "'");
+    }
+  }
+  uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) {
+    return Status::InvalidArgument(std::string(what) + " value '" +
+                                   std::string(s) + "' is out of range");
+  }
+  return v;
 }
 
 std::string StrJoin(const std::vector<std::string>& parts,

@@ -1,14 +1,23 @@
 #ifndef NMRS_COMMON_STRING_UTIL_H_
 #define NMRS_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/statusor.h"
 
 namespace nmrs {
 
 /// Splits `s` on `sep`, keeping empty tokens.
 std::vector<std::string> StrSplit(std::string_view s, char sep);
+
+/// Strict non-negative decimal integer parse of `s`, named `what` in
+/// errors. Unlike strtoull (which wraps "-1" to 2^64 - 1 and stops at the
+/// first junk character), it rejects signs, whitespace, trailing junk and
+/// values above UINT64_MAX with InvalidArgument.
+StatusOr<uint64_t> ParseDigits(std::string_view what, std::string_view s);
 
 /// Joins `parts` with `sep`.
 std::string StrJoin(const std::vector<std::string>& parts,

@@ -59,8 +59,7 @@ StatusOr<ReverseSkylineResult> BichromaticBlockRS(
   const IoStats io_before = disk->stats();
   disk->InvalidateArmPosition();
 
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   // The kernels need a table-backed context (cached matrix columns to
   // gather from); the table changes no Prunes outcome or count, but it is
   // only built when asked for, keeping the default path seed-identical.
@@ -175,8 +174,7 @@ StatusOr<ReverseSkylineResult> BichromaticTreeRS(
 
   TreeQueryContext ctx =
       internal_tree::MakeTreeContext(space, schema, query, opts);
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   ReverseSkylineResult result;
   QueryStats& stats = result.stats;
 

@@ -227,8 +227,7 @@ StatusOr<ReverseSkylineResult> RunBlockAlgorithm(
   const IoStats io_before = disk->stats();
   disk->InvalidateArmPosition();
 
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   const std::vector<AttrId> selected =
       ResolveSelectedAttrs(schema, opts.selected_attrs);
   const QueryDistanceTable qtable(space, schema, query, selected,
@@ -347,8 +346,7 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
 
   // ---- Phase 1: one scan of D feeds every query's intra-batch pruning ----
   Timer shared_timer;
-  PagedReader shared_reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                            MakeReaderOptions(opts));
+  PagedReader shared_reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   const IoStats phase1_before = disk->stats();
   IoStats spill_io;  // per-query scratch writes inside the phase-1 window
   SharedCandidateCache cache;
@@ -441,8 +439,7 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
     Timer phase2_timer;
     disk->InvalidateArmPosition();
     const IoStats phase2_before = disk->stats();
-    PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                       MakeReaderOptions(opts));
+    PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
     StoredDataset survivors(disk, r.scratch, schema, r.writer->rows_written(),
                             opts.resilience.checksum_pages);
     NMRS_RETURN_IF_ERROR(Phase2(data, survivors, &reader, *r.ctx, batch_pages,

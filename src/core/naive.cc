@@ -24,8 +24,7 @@ StatusOr<ReverseSkylineResult> NaiveReverseSkyline(
   const IoStats io_before = disk->stats();
   disk->InvalidateArmPosition();
 
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   const std::vector<AttrId> selected =
       ResolveSelectedAttrs(schema, opts.selected_attrs);
   const QueryDistanceTable qtable(space, schema, query, selected,

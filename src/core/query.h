@@ -50,15 +50,14 @@ struct RSOptions {
   /// The QueryEngine points this at its own pool.
   TaskExecutor* executor = nullptr;
 
-  /// Buffer-pool page caching (docs/CACHING.md). When `cache_pages` is true
-  /// and `buffer_pool` is non-null, dataset reads of the frozen base files
-  /// go through the shared pool: hits are served from memory and only
-  /// misses are charged to the disk, with hit/miss/eviction counts folded
-  /// into QueryStats::io. Reverse-skyline results are identical either way;
-  /// only the IO charged changes. Default off = seed-identical IO. The pool
-  /// is borrowed (the QueryEngine owns one per shard) and must have been
-  /// built over this dataset's base disk.
-  bool cache_pages = false;
+  /// Buffer-pool page caching (docs/CACHING.md). When `buffer_pool` is
+  /// non-null, dataset reads of the frozen base files go through the shared
+  /// pool: hits are served from memory and only misses are charged to the
+  /// disk, with hit/miss/eviction counts folded into QueryStats::io.
+  /// Reverse-skyline results are identical either way; only the IO charged
+  /// changes. Default null = seed-identical IO. The pool is borrowed (the
+  /// QueryEngine owns one per shard) and must have been built over this
+  /// dataset's base disk.
   BufferPool* buffer_pool = nullptr;
 
   /// Fault-survival policy (docs/ROBUSTNESS.md): checksum verification,

@@ -54,8 +54,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
 
   TreeQueryContext ctx =
       internal_tree::MakeTreeContext(space, schema, query, opts);
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   ReverseSkylineResult result;
   QueryStats& stats = result.stats;
 

@@ -19,15 +19,6 @@ StatusOr<double> ParseDouble(const std::string& token) {
   return v;
 }
 
-StatusOr<uint64_t> ParseUint(const std::string& token) {
-  char* end = nullptr;
-  const uint64_t v = std::strtoull(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument("bad integer cell '" + token + "'");
-  }
-  return v;
-}
-
 }  // namespace
 
 Status WriteDatasetCsv(const Dataset& data, std::ostream& out) {
@@ -73,7 +64,13 @@ StatusOr<Dataset> ReadDatasetCsv(std::istream& in) {
     }
     AttributeInfo info;
     info.name = parts[0];
-    NMRS_ASSIGN_OR_RETURN(uint64_t card, ParseUint(parts[2]));
+    NMRS_ASSIGN_OR_RETURN(uint64_t card,
+                          ParseDigits("cardinality", parts[2]));
+    if (card > kInvalidValueId) {
+      return Status::InvalidArgument("header column '" + column +
+                                     "': cardinality exceeds the value-id "
+                                     "range");
+    }
     info.cardinality = card;
     if (parts[1] == "num") {
       if (parts.size() != 5) {
@@ -110,7 +107,7 @@ StatusOr<Dataset> ReadDatasetCsv(std::istream& in) {
       if (schema.attribute(a).is_numeric) {
         NMRS_ASSIGN_OR_RETURN(numerics[a], ParseDouble(cells[a]));
       } else {
-        NMRS_ASSIGN_OR_RETURN(uint64_t v, ParseUint(cells[a]));
+        NMRS_ASSIGN_OR_RETURN(uint64_t v, ParseDigits("value id", cells[a]));
         if (v >= schema.attribute(a).cardinality) {
           return Status::InvalidArgument(
               "line " + std::to_string(line_no) + ": value id " +
@@ -144,8 +141,12 @@ StatusOr<DissimilarityMatrix> ReadMatrixCsv(std::istream& in) {
   if (!std::getline(in, line)) {
     return Status::InvalidArgument("empty matrix CSV");
   }
-  NMRS_ASSIGN_OR_RETURN(uint64_t k, ParseUint(line));
+  NMRS_ASSIGN_OR_RETURN(uint64_t k, ParseDigits("matrix cardinality", line));
   if (k == 0) return Status::InvalidArgument("matrix cardinality 0");
+  if (k > kInvalidValueId) {
+    return Status::InvalidArgument("matrix cardinality " + std::to_string(k) +
+                                   " exceeds the value-id range");
+  }
   DissimilarityMatrix m(k);
   for (ValueId a = 0; a < k; ++a) {
     if (!std::getline(in, line)) {

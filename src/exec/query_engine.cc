@@ -61,6 +61,47 @@ std::unique_ptr<const ShardedDataset> OneShard(const PreparedDataset& prepared) 
   return std::make_unique<const ShardedDataset>(std::move(*sharded));
 }
 
+// Export: collects `rows`' data from `data` into `out` — the payload a
+// shard puts on the wire — and charges the scan's worker-wide IO (failover
+// reads land on the other replica views) and backoff to `stats`.
+Status ExportCandidates(const StoredDataset& data, const RSOptions& rs,
+                        const ReplicaSet& rset, int worker,
+                        const std::vector<RowId>& rows, RowBatch* out,
+                        QueryStats* stats) {
+  data.disk()->InvalidateArmPosition();
+  const IoStats before = rset.WorkerStats(worker);
+  PagedReader reader(data.disk(), rs.buffer_pool, MakeReaderOptions(rs));
+  out->Clear();
+  Status status = CollectRowsById(data, &reader, rows, out);
+  IoStats io = rset.WorkerStats(worker) - before;
+  reader.FoldStatsInto(&io);
+  stats->io += io;
+  stats->modeled_backoff_millis += reader.modeled_backoff_millis();
+  return status;
+}
+
+// One (query, shard) task's disks and retry schedule. Attempt 0 reads
+// through the task's own FaultyDisk per replica, with the other replicas
+// attached to `rs` for failover; retries re-run on the worker's clean view
+// with no failover disks (the clean view cannot fail).
+struct TaskDisks {
+  std::vector<std::unique_ptr<FaultyDisk>> wrappers;
+  SimulatedDisk* faulty = nullptr;
+  SimulatedDisk* clean = nullptr;
+  RSOptions rs;
+  int attempts = 1;
+
+  // The disk attempt `attempt` reads through.
+  SimulatedDisk* ForAttempt(int attempt) {
+    if (attempt == 0) return faulty;
+    if (attempt == 1) {
+      rs.failover_disks.clear();
+      rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
+    }
+    return clean;
+  }
+};
+
 }  // namespace
 
 QueryEngine::QueryEngine(const ShardedDataset& sharded,
@@ -211,18 +252,38 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
   auto make_rs = [&](int s) {
     RSOptions rs = opts_.rs;
     if (rs.num_threads > 1 && rs.executor == nullptr) rs.executor = &pool_;
-    if (pool_caches_[s] != nullptr) {
-      rs.cache_pages = true;
-      rs.buffer_pool = pool_caches_[s].get();
-    } else {
-      rs.cache_pages = false;
-      rs.buffer_pool = nullptr;
-    }
+    rs.buffer_pool = pool_caches_[s].get();
     if (sharded_->shard(s).checksum_pages()) {
       rs.resilience.checksum_pages = true;
     }
     rs.resilience.quarantine_log = &quarantine;
     return rs;
+  };
+
+  // Sets up task (q, s) on worker w. Its FaultyDisks read under stream
+  // Stream(q, s), so its fault pattern is fixed by the config, not by which
+  // worker runs it; the fault ceiling restricts injection to the frozen
+  // base and shard files, since scratch-file ids are assigned in execution
+  // order. Failover views persist across the worker's tasks; resetting
+  // their arms makes the task's seq/rand IO split independent of what ran
+  // before it.
+  auto make_task = [&](size_t q, int s, int w) {
+    ReplicaSet& rset = *replica_sets_[s];
+    TaskDisks t;
+    const std::vector<SimulatedDisk*> disks =
+        rset.MakeQueryDisks(w, Stream(q, s), &t.wrappers);
+    t.faulty = disks[0];
+    t.clean = rset.view(w, 0);
+    for (int r = 1; r < rset.num_replicas(); ++r) {
+      rset.view(w, r)->InvalidateArmPosition();
+    }
+    t.rs = make_rs(s);
+    if (rset.num_replicas() > 1) {
+      t.rs.failover_disks.assign(disks.begin() + 1, disks.end());
+      t.rs.failover_limit = fault_ceiling_;
+    }
+    t.attempts = 1 + std::max(0, opts_.max_query_retries);
+    return t;
   };
 
   // ---- Scatter: every (query, active shard) runs the full algorithm over
@@ -268,21 +329,9 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
             for (size_t q = lo; q < hi; ++q) {
               local[q][s] = std::move((*res)[q - lo]);
               if (S > 1) {
-                // Export: one scan collecting the survivors' row data —
-                // the payload the shard would put on the wire.
-                view->InvalidateArmPosition();
-                const IoStats before_collect = rset.WorkerStats(w);
-                PagedReader creader(view,
-                                    rs.cache_pages ? rs.buffer_pool : nullptr,
-                                    MakeReaderOptions(rs));
-                cand[q][s].Clear();
-                Status cs = CollectRowsById(shard_data, &creader,
-                                            local[q][s].rows, &cand[q][s]);
-                IoStats collect_io = rset.WorkerStats(w) - before_collect;
-                creader.FoldStatsInto(&collect_io);
-                local[q][s].stats.io += collect_io;
-                local[q][s].stats.modeled_backoff_millis +=
-                    creader.modeled_backoff_millis();
+                Status cs = ExportCandidates(shard_data, rs, rset, w,
+                                             local[q][s].rows, &cand[q][s],
+                                             &local[q][s].stats);
                 if (!cs.ok()) local_status[q][s] = cs;
               }
               total_io.Add(local[q][s].stats.io);
@@ -320,68 +369,28 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
           const int w = pool_.CurrentWorkerIndex();
           NMRS_CHECK_GE(w, 0);
           ReplicaSet& rset = *replica_sets_[s];
-          const int num_replicas = rset.num_replicas();
-          DiskView* view = rset.view(w, 0);
-          // With fault injection on, the task reads through its own
-          // FaultyDisk per replica under stream Stream(q, s), so its fault
-          // pattern is fixed by the config, not by which worker runs it.
-          // The fault ceiling restricts injection to the frozen base and
-          // shard files: scratch-file ids are assigned in execution order.
-          std::vector<std::unique_ptr<FaultyDisk>> wrappers;
-          std::vector<SimulatedDisk*> disks =
-              rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
-          SimulatedDisk* qdisk = disks[0];
-          // Failover views persist across this worker's tasks; resetting
-          // their arms makes the task's seq/rand IO split independent of
-          // what ran before it.
-          for (int r = 1; r < num_replicas; ++r) {
-            rset.view(w, r)->InvalidateArmPosition();
-          }
-
-          RSOptions rs = make_rs(s);
-          if (num_replicas > 1) {
-            rs.failover_disks.assign(disks.begin() + 1, disks.end());
-            rs.failover_limit = fault_ceiling_;
-          }
-
+          TaskDisks task = make_task(q, s, w);
           const StoredDataset& shard = sharded_->shard(s);
-          const int attempts = 1 + std::max(0, opts_.max_query_retries);
           StatusOr<ReverseSkylineResult> result =
               Status::Internal("shard task never ran");
-          for (int attempt = 0; attempt < attempts; ++attempt) {
-            // Retries re-run on the clean view: no fault wrapper and no
-            // failover disks (the clean view cannot fail).
-            SimulatedDisk* attempt_disk = attempt == 0 ? qdisk : view;
-            if (attempt == 1) {
-              rs.failover_disks.clear();
-              rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
-            }
+          for (int attempt = 0; attempt < task.attempts; ++attempt) {
             PreparedDataset shard_prep{
-                StoredDataset(attempt_disk, shard.file(), shard.schema(),
-                              shard.num_rows(), shard.checksum_pages()),
+                StoredDataset(task.ForAttempt(attempt), shard.file(),
+                              shard.schema(), shard.num_rows(),
+                              shard.checksum_pages()),
                 sharded_->base().attr_order,
                 sharded_->base().prepare_millis};
             const IoStats before = rset.WorkerStats(w);
-            result =
-                RunReverseSkyline(shard_prep, *space_, queries[q], algo_, rs);
+            result = RunReverseSkyline(shard_prep, *space_, queries[q],
+                                       algo_, task.rs);
             if (result.ok() && S > 1) {
-              // Export: collect the surviving candidates' row data through
-              // the same (possibly faulty, failover-backed) disk — a real
-              // shard re-reads rows to serialize them, and may fail doing
-              // so, which counts as a failed attempt like any other.
-              attempt_disk->InvalidateArmPosition();
-              const IoStats before_collect = rset.WorkerStats(w);
-              PagedReader creader(attempt_disk,
-                                  rs.cache_pages ? rs.buffer_pool : nullptr,
-                                  MakeReaderOptions(rs));
-              cand[q][s].Clear();
-              Status cs = CollectRowsById(shard_prep.stored, &creader,
-                                          result->rows, &cand[q][s]);
-              IoStats collect_io = rset.WorkerStats(w) - before_collect;
-              creader.FoldStatsInto(&collect_io);
-              result->stats.io += collect_io;
-              result->stats.modeled_backoff_millis +=
-                  creader.modeled_backoff_millis();
+              // Export through the same (possibly faulty, failover-backed)
+              // disk: a real shard re-reads rows to serialize them, and may
+              // fail doing so, which counts as a failed attempt like any
+              // other.
+              Status cs =
+                  ExportCandidates(shard_prep.stored, task.rs, rset, w,
+                                   result->rows, &cand[q][s], &result->stats);
               if (!cs.ok()) result = cs;
             }
             if (result.ok()) {
@@ -553,45 +562,23 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
             verify_stats[q][s] = vs;
           } else {
             ReplicaSet& rset = *replica_sets_[s];
-            const int num_replicas = rset.num_replicas();
-            DiskView* view = rset.view(w, 0);
-            std::vector<std::unique_ptr<FaultyDisk>> wrappers;
-            std::vector<SimulatedDisk*> disks =
-                rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
-            SimulatedDisk* qdisk = disks[0];
-            for (int r = 1; r < num_replicas; ++r) {
-              rset.view(w, r)->InvalidateArmPosition();
-            }
-
-            RSOptions rs = make_rs(s);
-            if (num_replicas > 1) {
-              rs.failover_disks.assign(disks.begin() + 1, disks.end());
-              rs.failover_limit = fault_ceiling_;
-            }
-
+            TaskDisks task = make_task(q, s, w);
             const StoredDataset& shard = sharded_->shard(s);
-            const int attempts = 1 + std::max(0, opts_.max_query_retries);
             Status vstatus = Status::OK();
-            for (int attempt = 0; attempt < attempts; ++attempt) {
-              SimulatedDisk* attempt_disk = attempt == 0 ? qdisk : view;
-              if (attempt == 1) {
-                rs.failover_disks.clear();
-                rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
-              }
+            for (int attempt = 0; attempt < task.attempts; ++attempt) {
+              SimulatedDisk* attempt_disk = task.ForAttempt(attempt);
               StoredDataset shard_data(attempt_disk, shard.file(),
                                        shard.schema(), shard.num_rows(),
                                        shard.checksum_pages());
               attempt_disk->InvalidateArmPosition();
               const IoStats before = rset.WorkerStats(w);
-              PagedReader reader(attempt_disk,
-                                 rs.cache_pages ? rs.buffer_pool : nullptr,
-                                 MakeReaderOptions(rs));
+              PagedReader reader(attempt_disk, task.rs.buffer_pool,
+                                 MakeReaderOptions(task.rs));
               QueryStats vs;
               Timer verify_timer;
-              vstatus = PruneCandidatesAgainstShard(shard_data, *space_,
-                                                    queries[q], foreign, rs,
-                                                    &reader, &verdicts[q][s],
-                                                    &vs);
+              vstatus = PruneCandidatesAgainstShard(
+                  shard_data, *space_, queries[q], foreign, task.rs, &reader,
+                  &verdicts[q][s], &vs);
               vs.phase2_checks = vs.checks;
               vs.io = rset.WorkerStats(w) - before;
               reader.FoldStatsInto(&vs.io);

@@ -4,65 +4,48 @@
 /// Umbrella header for the nmrs library: efficient reverse-skyline
 /// retrieval with arbitrary non-metric similarity measures (reproduction of
 /// Deshpande & Deepak P, EDBT 2011).
+///
+/// It covers the API that `nmrs_cli` and `examples/` use: datasets and
+/// similarity spaces, the `Database` front door, the query engine, the
+/// reverse-skyline entry points and their options and statistics. Code
+/// that reaches below that (storage internals, AL-Tree, metric and ops
+/// indexes) includes the module headers directly.
 
-#include "altree/al_tree.h"
-#include "altree/packed_al_tree.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "common/string_util.h"
-#include "common/sync.h"
 #include "common/timer.h"
 #include "common/types.h"
-#include "core/block_rs.h"
 #include "core/bichromatic.h"
-#include "core/bnl_disk.h"
-#include "core/dominance.h"
 #include "core/dominance_kernel.h"
 #include "core/influence.h"
-#include "core/naive.h"
 #include "core/pipeline.h"
 #include "core/query.h"
-#include "core/shard_exchange.h"
 #include "core/skyline.h"
 #include "core/streaming.h"
-#include "core/trs.h"
-#include "core/uncertain.h"
-#include "data/bucketizer.h"
+#include "data/csv.h"
 #include "data/dataset.h"
+#include "data/delta_segment.h"
 #include "data/generators.h"
 #include "data/object.h"
 #include "data/schema.h"
-#include "data/csv.h"
-#include "data/delta_segment.h"
 #include "data/stored_dataset.h"
 #include "db/database.h"
 #include "exec/engine_options.h"
 #include "exec/query_engine.h"
-#include "exec/thread_pool.h"
-#include "metric/query_time_index.h"
-#include "metric/str_rtree.h"
-#include "ops/rnn.h"
-#include "ops/topk.h"
-#include "ops/weighted_distance.h"
 #include "order/attribute_order.h"
 #include "order/multi_sort.h"
-#include "order/zorder.h"
 #include "shard/message_stats.h"
 #include "shard/shard_plan.h"
 #include "sim/dissimilarity_matrix.h"
 #include "sim/matrix_overlay.h"
 #include "sim/numeric_dissimilarity.h"
 #include "sim/similarity_space.h"
-#include "common/crc32c.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
-#include "storage/disk_view.h"
 #include "storage/fault_injection.h"
 #include "storage/io_stats.h"
 #include "storage/memory_budget.h"
-#include "storage/paged_reader.h"
-#include "storage/replica_set.h"
-#include "storage/wal.h"
 
 #endif  // NMRS_NMRS_H_

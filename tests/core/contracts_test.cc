@@ -4,17 +4,13 @@
 
 #include "altree/al_tree.h"
 #include "core/streaming.h"
-#include "core/uncertain.h"
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "ops/weighted_distance.h"
 #include "order/attribute_order.h"
-#include "testing/test_util.h"
 
 namespace nmrs {
 namespace {
-
-using testing::RandomInstance;
 
 TEST(ContractsDeathTest, PermutedRejectsWrongLength) {
   Dataset d(Schema::Categorical({3}));
@@ -53,29 +49,6 @@ TEST(ContractsDeathTest, StreamingRejectsZeroWindow) {
   SimilaritySpace space = MakeRandomSpace({3}, rng);
   Schema schema = Schema::Categorical({3});
   EXPECT_DEATH(StreamingReverseSkyline(space, schema, Object({0}), 0),
-               "NMRS_CHECK");
-}
-
-TEST(ContractsDeathTest, UncertainRejectsBadProbabilities) {
-  RandomInstance inst(2, 10, {3});
-  Object q({0});
-  std::vector<double> bad(inst.data.num_rows(), 1.5);
-  EXPECT_DEATH(
-      UncertainReverseSkyline(inst.data, inst.space, q, bad, 0.5),
-      "NMRS_CHECK");
-  std::vector<double> wrong_size(3, 0.5);
-  EXPECT_DEATH(UncertainReverseSkyline(inst.data, inst.space, q, wrong_size,
-                                       0.5),
-               "NMRS_CHECK");
-}
-
-TEST(ContractsDeathTest, UncertainRejectsBadThreshold) {
-  RandomInstance inst(3, 10, {3});
-  Object q({0});
-  std::vector<double> p(inst.data.num_rows(), 0.5);
-  EXPECT_DEATH(UncertainReverseSkyline(inst.data, inst.space, q, p, 0.0),
-               "NMRS_CHECK");
-  EXPECT_DEATH(UncertainReverseSkyline(inst.data, inst.space, q, p, 1.5),
                "NMRS_CHECK");
 }
 

@@ -2,7 +2,6 @@
 #include <vector>
 
 #include "core/bichromatic.h"
-#include "core/bnl_disk.h"
 #include "core/pipeline.h"
 #include "gtest/gtest.h"
 #include "storage/disk_view.h"
@@ -16,8 +15,8 @@ using testing::RandomInstance;
 
 // Every disk-reading algorithm must surface a storage fault on a dataset
 // page as a storage-fault Status — no crash, no silently truncated result.
-// Table-driven over the full Algorithm enum plus the two entry points that
-// don't route through RunReverseSkyline (BNL skyline, bichromatic RS).
+// Table-driven over the full Algorithm enum plus bichromatic RS, the one
+// entry point that doesn't route through RunReverseSkyline.
 
 class FaultPropagationTest : public ::testing::Test {
  protected:
@@ -129,23 +128,6 @@ TEST_F(FaultPropagationTest, RareTransientsAreAbsorbedByRetries) {
               result->stats.compute_millis +
                   IoCostModel{}.EstimateMillis(result->stats.io));
   }
-}
-
-TEST_F(FaultPropagationTest, BnlDynamicSkylineSurfacesFaults) {
-  SimulatedDisk base;
-  auto prepared = PrepareDataset(&base, instance_.data, Algorithm::kBRS);
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
-  FaultConfig cfg;
-  cfg.bad_pages.insert({prepared->stored.file(), 0});
-  FaultInjector injector(cfg);
-  DiskView view(&base);
-  FaultyDisk faulty(&view, &injector, 0);
-  StoredDataset wrapped(&faulty, prepared->stored.file(),
-                        prepared->stored.schema(),
-                        prepared->stored.num_rows());
-  auto result = BnlDynamicSkyline(wrapped, instance_.space, query_);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsDataLoss()) << result.status();
 }
 
 TEST_F(FaultPropagationTest, BichromaticSurfacesFaultsFromEitherSet) {

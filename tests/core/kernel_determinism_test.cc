@@ -142,7 +142,6 @@ TEST_P(KernelDeterminismSweep, WiredAlgorithmsAreBitIdentical) {
       RSOptions scalar_opts = base;
       scalar_opts.use_kernels = false;  // the seed scalar path: the oracle
       if (cache) {
-        scalar_opts.cache_pages = true;
         scalar_opts.buffer_pool = &scalar_pool;
       }
       auto scalar = RunReverseSkyline(*prep, inst.space, inst.query, algo,
@@ -156,7 +155,6 @@ TEST_P(KernelDeterminismSweep, WiredAlgorithmsAreBitIdentical) {
         kernel_opts.use_kernels = true;
         kernel_opts.kernel_promote_rows = promote;
         if (cache) {
-          kernel_opts.cache_pages = true;
           kernel_opts.buffer_pool = &kernel_pool;
         }
         auto kernel = RunReverseSkyline(*prep, inst.space, inst.query, algo,

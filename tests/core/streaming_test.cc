@@ -71,7 +71,9 @@ TEST_P(StreamingDifferential, MatchesOracleAfterEveryPush) {
               WindowOracle(inst.data.schema(), inst.space, query, window))
         << "after push " << r << " (capacity " << capacity << ")";
   }
-  if (capacity > 1) EXPECT_GT(stream.checks(), 0u);
+  if (capacity > 1) {
+    EXPECT_GT(stream.checks(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

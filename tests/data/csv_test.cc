@@ -56,6 +56,11 @@ TEST(DatasetCsvTest, RejectsBadKind) {
 TEST(DatasetCsvTest, RejectsOutOfDomainValue) {
   std::stringstream ss("a:cat:3\n5\n");
   EXPECT_TRUE(ReadDatasetCsv(ss).status().IsInvalidArgument());
+  // strtoull would wrap these to the in-domain value 1 and cardinality 4.
+  std::stringstream negated_cell("a:cat:3\n-18446744073709551615\n");
+  EXPECT_TRUE(ReadDatasetCsv(negated_cell).status().IsInvalidArgument());
+  std::stringstream negated_card("a:cat:-18446744073709551612\n1\n");
+  EXPECT_TRUE(ReadDatasetCsv(negated_card).status().IsInvalidArgument());
 }
 
 TEST(DatasetCsvTest, RejectsWrongCellCount) {

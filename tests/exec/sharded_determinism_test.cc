@@ -261,7 +261,9 @@ TEST(ShardedDeterminismTest, MessageLedgerIsConsistent) {
   MessageStats sum;
   for (const ShardQueryBreakdown& b : got.breakdown) {
     // 3 rounds whenever the exchange ran for this query.
-    if (b.messages.messages > 0) EXPECT_EQ(b.messages.rounds, 3u);
+    if (b.messages.messages > 0) {
+      EXPECT_EQ(b.messages.rounds, 3u);
+    }
     sum += b.messages;
   }
   EXPECT_EQ(sum, got.total_messages);

@@ -166,6 +166,14 @@ TEST(MatrixOverlayTest, ParseRejectsMalformedAndInvalidLines) {
                   .IsInvalidArgument());
   EXPECT_TRUE(
       MatrixOverlay::Parse(space, "0 9 2 0.5\n").status().IsInvalidArgument());
+  // Ids that strtoull-style parsing would wrap or narrow onto a valid id:
+  // 2^32 -> attr 0, 2^32 + 1 -> value 1, and a negated 2^64 - 1 -> 1.
+  for (const char* line : {"4294967296 1 2 0.5\n", "0 4294967297 2 0.5\n",
+                           "0 -18446744073709551615 2 0.5\n",
+                           "0 1 +2 0.5\n"}) {
+    EXPECT_TRUE(MatrixOverlay::Parse(space, line).status().IsInvalidArgument())
+        << line;
+  }
   auto ok = MatrixOverlay::Parse(space, "# comment\n\n  0 1 2 0.5\n");
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_EQ(ok->num_entries(), 1u);

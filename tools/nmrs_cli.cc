@@ -112,7 +112,6 @@
 //       `query` and `batch` also route through the Database front door
 //       (over a read-only generation-0 snapshot); their flags and output
 //       are unchanged from the historical direct-engine wiring.
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -152,29 +151,8 @@ std::string FlagOr(const Flags& flags, const std::string& key,
   return it == flags.end() ? fallback : it->second;
 }
 
-// Strict non-negative integer parse of `s`, named `what` in errors.
-// strtoull silently wraps "-1" to 18446744073709551615 (so e.g.
-// --promote-rows=-1 used to mean "promote after 4 billion rows") and atoi
-// accepts trailing junk; this rejects signs, junk and overflow instead.
-StatusOr<uint64_t> ParseDigits(const std::string& what, const std::string& s) {
-  if (s.empty()) return Status::InvalidArgument(what + " needs a value");
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument(
-          what + " must be a non-negative integer, got '" + s + "'");
-    }
-  }
-  errno = 0;
-  char* end = nullptr;
-  const uint64_t v = std::strtoull(s.c_str(), &end, 10);
-  if (errno == ERANGE || end != s.c_str() + s.size()) {
-    return Status::InvalidArgument(what + " value '" + s +
-                                   "' is out of range");
-  }
-  return v;
-}
-
-// ParseDigits of flag `key`, or `fallback` when the flag is absent.
+// ParseDigits (common/string_util.h) of flag `key`, or `fallback` when the
+// flag is absent.
 StatusOr<uint64_t> ParseCount(const Flags& flags, const std::string& key,
                               uint64_t fallback) {
   auto it = flags.find(key);
@@ -196,10 +174,15 @@ StatusOr<int> ParseIntFlag(const Flags& flags, const std::string& key,
   return static_cast<int>(v);
 }
 
-std::vector<uint64_t> ParseUintList(const std::string& csv) {
+// ParseDigits of every non-empty token of flag `key`'s "a,b,..." list.
+StatusOr<std::vector<uint64_t>> ParseUintList(const Flags& flags,
+                                              const std::string& key,
+                                              const std::string& fallback) {
   std::vector<uint64_t> out;
-  for (const std::string& tok : StrSplit(csv, ',')) {
-    if (!tok.empty()) out.push_back(std::strtoull(tok.c_str(), nullptr, 10));
+  for (const std::string& tok : StrSplit(FlagOr(flags, key, fallback), ',')) {
+    if (tok.empty()) continue;
+    NMRS_ASSIGN_OR_RETURN(const uint64_t v, ParseDigits("--" + key, tok));
+    out.push_back(v);
   }
   return out;
 }
@@ -264,7 +247,7 @@ Status ParseRowSpec(const Schema& schema, const std::string& csv,
     if (schema.attribute(a).is_numeric) {
       (*numerics)[a] = std::strtod(tokens[a].c_str(), nullptr);
     } else {
-      const uint64_t v = std::strtoull(tokens[a].c_str(), nullptr, 10);
+      NMRS_ASSIGN_OR_RETURN(const uint64_t v, ParseDigits("value", tokens[a]));
       if (v >= schema.attribute(a).cardinality) {
         return Status::InvalidArgument("value " + tokens[a] +
                                        " out of domain for attribute " +
@@ -308,7 +291,9 @@ Status ParseCommonOptions(const Flags& flags, const Schema& schema,
         FlagOr(flags, "mem", "0.1") + "'");
   }
   rs->memory = MemoryBudget::FromFraction(mem_frac, dataset_pages);
-  for (uint64_t a : ParseUintList(FlagOr(flags, "attrs", ""))) {
+  NMRS_ASSIGN_OR_RETURN(const std::vector<uint64_t> attrs,
+                        ParseUintList(flags, "attrs", ""));
+  for (uint64_t a : attrs) {
     if (a >= schema.num_attributes()) {
       return Status::InvalidArgument(
           "--attrs index " + std::to_string(a) +
@@ -340,8 +325,8 @@ Status ParseCommonOptions(const Flags& flags, const Schema& schema,
       ParseIntFlag(flags, "replicas", 1, 1,
                    static_cast<int>(IoStats::kMaxReplicas)));
   if (flags.count("replica-seed-base") != 0) {
-    rs->resilience.replica_fault_seed_base = std::strtoull(
-        FlagOr(flags, "replica-seed-base", "0").c_str(), nullptr, 10);
+    NMRS_ASSIGN_OR_RETURN(rs->resilience.replica_fault_seed_base,
+                          ParseCount(flags, "replica-seed-base", 0));
   }
   return Status::OK();
 }
@@ -359,8 +344,7 @@ void PrintKernelBanner(const RSOptions& rs) {
 // Fault-injection flags shared by query and batch (docs/ROBUSTNESS.md):
 // --fault-seed, --transient-p, --corrupt-p, --data-loss-p, --bad-pages.
 Status ParseFaultFlags(const Flags& flags, FaultConfig* cfg) {
-  cfg->seed =
-      std::strtoull(FlagOr(flags, "fault-seed", "1").c_str(), nullptr, 10);
+  NMRS_ASSIGN_OR_RETURN(cfg->seed, ParseCount(flags, "fault-seed", 1));
   cfg->transient_read_p =
       std::strtod(FlagOr(flags, "transient-p", "0").c_str(), nullptr);
   cfg->corrupt_p = std::strtod(FlagOr(flags, "corrupt-p", "0").c_str(),
@@ -375,10 +359,17 @@ Status ParseFaultFlags(const Flags& flags, FaultConfig* cfg) {
       return Status::InvalidArgument(
           "--bad-pages entries must look like file:page, got '" + tok + "'");
     }
-    cfg->bad_pages.insert(
-        {static_cast<FileId>(
-             std::strtoull(tok.substr(0, colon).c_str(), nullptr, 10)),
-         std::strtoull(tok.substr(colon + 1).c_str(), nullptr, 10)});
+    const std::string file_tok = tok.substr(0, colon);
+    const std::string page_tok = tok.substr(colon + 1);
+    NMRS_ASSIGN_OR_RETURN(const uint64_t file,
+                          ParseDigits("--bad-pages file", file_tok));
+    NMRS_ASSIGN_OR_RETURN(const uint64_t page,
+                          ParseDigits("--bad-pages page", page_tok));
+    if (file > std::numeric_limits<FileId>::max()) {
+      return Status::InvalidArgument("--bad-pages file id " +
+                                     std::to_string(file) + " is out of range");
+    }
+    cfg->bad_pages.insert({static_cast<FileId>(file), page});
   }
   return Status::OK();
 }
@@ -461,28 +452,29 @@ std::string ReplicaReadsSummary(const IoStats& io) {
 }
 
 int CmdGenerate(const Flags& flags) {
-  const uint64_t rows =
-      std::strtoull(FlagOr(flags, "rows", "1000").c_str(), nullptr, 10);
-  const auto cards_u64 = ParseUintList(FlagOr(flags, "cards", "10,10,10"));
-  std::vector<size_t> cards(cards_u64.begin(), cards_u64.end());
+  const auto rows = ParseCount(flags, "rows", 1000);
+  if (!rows.ok()) return Fail(rows.status().ToString());
+  const auto cards_u64 = ParseUintList(flags, "cards", "10,10,10");
+  if (!cards_u64.ok()) return Fail(cards_u64.status().ToString());
+  std::vector<size_t> cards(cards_u64->begin(), cards_u64->end());
   if (cards.empty()) return Fail("--cards must list at least one domain");
   const std::string out = FlagOr(flags, "out", "data.csv");
-  const uint64_t seed =
-      std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10);
+  const auto seed = ParseCount(flags, "seed", 42);
+  if (!seed.ok()) return Fail(seed.status().ToString());
   const std::string dist = FlagOr(flags, "dist", "normal");
 
-  Rng rng(seed);
+  Rng rng(*seed);
   Rng data_rng = rng.Fork();
   Rng space_rng = rng.Fork();
   Dataset data = [&] {
-    if (dist == "uniform") return GenerateUniform(rows, cards, data_rng);
-    if (dist == "zipf") return GenerateZipf(rows, cards, 1.1, data_rng);
-    return GenerateNormal(rows, cards, data_rng);
+    if (dist == "uniform") return GenerateUniform(*rows, cards, data_rng);
+    if (dist == "zipf") return GenerateZipf(*rows, cards, 1.1, data_rng);
+    return GenerateNormal(*rows, cards, data_rng);
   }();
   Status s = WriteDatasetCsvFile(data, out);
   if (!s.ok()) return Fail(s.ToString());
   std::printf("wrote %llu rows to %s (density %.6f%%)\n",
-              static_cast<unsigned long long>(rows), out.c_str(),
+              static_cast<unsigned long long>(*rows), out.c_str(),
               data.Density() * 100);
 
   const std::string prefix = FlagOr(flags, "matrices", "");
@@ -697,7 +689,9 @@ int CmdInfluence(const Flags& flags) {
                                   std::numeric_limits<int>::max());
   if (!num_queries.ok()) return Fail(num_queries.status().ToString());
   const int k = *num_queries;
-  Rng rng(std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10));
+  const auto seed = ParseCount(flags, "seed", 42);
+  if (!seed.ok()) return Fail(seed.status().ToString());
+  Rng rng(*seed);
   std::vector<Object> queries;
   for (int i = 0; i < k; ++i) {
     queries.push_back(SampleUniformQuery(*data, rng));
@@ -744,7 +738,9 @@ int CmdBatch(const Flags& flags) {
                                   std::numeric_limits<int>::max());
   if (!num_queries.ok()) return Fail(num_queries.status().ToString());
   const int k = *num_queries;
-  Rng rng(std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10));
+  const auto seed = ParseCount(flags, "seed", 42);
+  if (!seed.ok()) return Fail(seed.status().ToString());
+  Rng rng(*seed);
   std::vector<Object> queries;
   for (int i = 0; i < k; ++i) {
     queries.push_back(SampleUniformQuery(*data, rng));
@@ -835,8 +831,9 @@ int CmdBatch(const Flags& flags) {
       if (!loaded.ok()) return Fail(loaded.status().ToString());
       overlays.push_back(std::move(*loaded));
     }
-    Rng orng(std::strtoull(FlagOr(flags, "overlay-seed", "7").c_str(),
-                           nullptr, 10));
+    const auto overlay_seed = ParseCount(flags, "overlay-seed", 7);
+    if (!overlay_seed.ok()) return Fail(overlay_seed.status().ToString());
+    Rng orng(*overlay_seed);
     for (uint64_t u = 0; u < *users; ++u) {
       overlays.push_back(MakeRandomOverlay(*space, orng, touch_pct / 100.0));
     }
@@ -1083,7 +1080,9 @@ int CmdServe(const Flags& flags) {
 
   std::ifstream in(script_path);
   if (!in) return Fail("cannot open --script=" + script_path);
-  Rng rng(std::strtoull(FlagOr(flags, "seed", "42").c_str(), nullptr, 10));
+  const auto seed = ParseCount(flags, "seed", 42);
+  if (!seed.ok()) return Fail(seed.status().ToString());
+  Rng rng(*seed);
 
   const auto delta_tag = [](const DeltaVersion& v) {
     return "+" + std::to_string(v.inserts) + "i/" +
