@@ -14,6 +14,7 @@
 #include "altree/al_tree.h"
 #include "data/generators.h"
 #include "order/attribute_order.h"
+#include "order/multi_sort.h"
 
 namespace nmrs {
 namespace {
@@ -116,6 +117,22 @@ void BM_ALTreeInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ALTreeInsert)->Arg(1000)->Arg(10000);
+
+// The load TRS performs per batch: rows in PrepareDataset's stored order
+// (multi-attribute sort on the tree's attribute order), so consecutive rows
+// mostly share their path.
+void BM_ALTreeInsertSorted(benchmark::State& state) {
+  MicroData d(static_cast<uint64_t>(state.range(0)));
+  const auto order = AscendingCardinalityOrder(d.data.schema());
+  const std::vector<RowId> sorted = MultiAttributeSortOrder(d.data, order);
+  for (auto _ : state) {
+    ALTree tree(d.data.schema(), order);
+    for (RowId r : sorted) tree.Insert(r, d.data.RowValues(r), nullptr);
+    benchmark::DoNotOptimize(tree.num_nodes());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ALTreeInsertSorted)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_ALTreePrepareForSearch(benchmark::State& state) {
   MicroData d(10000);

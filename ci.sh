@@ -9,7 +9,8 @@
 #                concurrent replica-failover / shared-pool stress
 #   3. asan    — Address+UBSan build of the gtest-free binaries; the fault
 #                path exercises checksum verification, retry loops and
-#                quarantine under instrumentation
+#                quarantine under instrumentation, and altree_identity
+#                checks the AL-Tree's leaf-arena offsets node for node
 #   4. chaos   — full 500-config fault-injection soak on the plain build
 #                (a 25-config slice already ran inside stage 1's ctest)
 #   5. replica — chaos sweep restricted to multi-replica configs: one
@@ -62,11 +63,13 @@ cmake -B build-tsan -S . -DNMRS_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-tsan -j"${JOBS}" --target exec_stress
 ./build-tsan/tests/exec_stress
 
-echo "=== Address+UBSan build (exec_stress + chaos_soak slice) ==="
+echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity) ==="
 cmake -B build-asan -S . -DNMRS_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
-cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak
+cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
+  --target altree_identity
 ./build-asan/tests/exec_stress
 ./build-asan/tests/chaos_soak --configs=50 --mutations=10
+./build-asan/tests/altree_identity
 
 echo "=== chaos soak (full 500-config sweep + WAL/compaction faults) ==="
 ./build/tests/chaos_soak --configs=500 --mutations=100

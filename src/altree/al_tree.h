@@ -2,6 +2,7 @@
 #define NMRS_ALTREE_AL_TREE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -34,6 +35,26 @@ namespace nmrs {
 /// IsPrunable / Prune traversals are the hottest loops of TRS: they touch
 /// value/level/descendants of many nodes but the row payload of few.
 ///
+/// Insert is a one-pass bulk load. A path cursor keeps the node at every
+/// level of the last inserted object; the next object reuses that path up
+/// to the first level whose value differs and searches child lists only
+/// from there. Batches arrive in stored (sorted) order, so most objects
+/// share their whole path with the one before. The cursor only skips
+/// searches whose answer it already holds: node ids, child order and
+/// descendant counts are the same for any insertion order.
+///
+/// Leaf payload lives in flat arenas instead of one heap vector per leaf:
+/// every leaf owns a contiguous range (32-bit offset, count, capacity) of
+/// one row-id array, and of one numeric array with `num attributes` doubles
+/// per entry when the schema has numerics. Entries stay in insertion order
+/// and LeafRows() is a span over the range. A leaf whose range ends the
+/// arena grows in place — the sorted-input case, which wastes nothing. Any
+/// other full leaf (unsorted input) moves to a power-of-two range above its
+/// count, taken from a per-size-class free list of ranges earlier moves gave
+/// up, or else from the arena's end; PrepareForSearch() then packs the
+/// arenas, so a built index keeps no unused ranges. Removals shrink a
+/// leaf's count in place and never move other leaves.
+///
 /// Node 0 is the root (Level() == kRootLevel, no value).
 class ALTree {
  public:
@@ -49,11 +70,14 @@ class ALTree {
   const std::vector<AttrId>& attr_order() const { return attr_order_; }
   size_t num_levels() const { return attr_order_.size(); }
 
-  /// Removes all objects and nodes (except the root).
+  /// Removes all objects and nodes (except the root) and resets the path
+  /// cursor. Array capacity is kept for the next batch.
   void Clear();
 
   /// Inserts one object. `values` indexed by physical AttrId; `numerics`
-  /// may be null when the schema has no numeric attributes.
+  /// may be null when the schema has no numeric attributes. Runs of objects
+  /// that share a path prefix with their predecessor are cheapest (see the
+  /// class comment); any order builds the same tree.
   void Insert(RowId id, const ValueId* values, const double* numerics);
 
   /// Number of active objects (counting duplicates).
@@ -61,7 +85,10 @@ class ALTree {
   size_t num_nodes() const { return value_.size(); }
   bool empty() const { return num_objects() == 0; }
 
-  /// Estimated heap footprint in bytes of this C++ implementation.
+  /// Heap footprint in bytes of this C++ implementation: the per-node
+  /// fields of num_nodes() nodes, plus the child lists, the leaf arenas
+  /// (unused ranges and reserved slots included) and the free lists at
+  /// their allocated capacity.
   size_t MemoryBytes() const;
 
   /// Logical footprint used for TRS batch sizing, modeling the paper's
@@ -80,6 +107,8 @@ class ALTree {
 
   /// Sorts every child list by ascending descendant count (paper Alg. 4
   /// line 8). Call once after the batch is loaded, before IsPrunable scans.
+  /// When unsorted input moved leaf ranges, it also compacts the arenas so
+  /// the built tree keeps no unused ranges (entry order is unchanged).
   void PrepareForSearch();
 
   // --- Structure accessors (for the traversals in core/) ---
@@ -109,18 +138,24 @@ class ALTree {
     return static_cast<uint32_t>(descendants_[leaf]);
   }
 
-  /// Row ids stored at a leaf (temporarily removed instances included —
-  /// TempRemove hides an instance from counts, not from the id list).
-  const std::vector<RowId>& LeafRows(NodeId leaf) const {
+  /// Row ids stored at a leaf, in insertion order (temporarily removed
+  /// instances included — TempRemove hides an instance from counts, not
+  /// from the id list). The span stays valid until the next Insert,
+  /// PrepareForSearch or Clear; removals only shorten it from the caller's
+  /// point of view.
+  std::span<const RowId> LeafRows(NodeId leaf) const {
     NMRS_DCHECK(IsLeaf(leaf));
-    return row_ids_[leaf];
+    const LeafRange& r = leaf_range_[leaf];
+    return {row_arena_.data() + r.begin, r.count};
   }
 
   /// Exact numeric values of leaf entry `entry` (stride = num attributes);
   /// only valid when the schema has numeric attributes.
   const double* LeafNumerics(NodeId leaf, size_t entry) const {
     NMRS_DCHECK(IsLeaf(leaf) && numeric_stride_ > 0);
-    return numerics_[leaf].data() + entry * numeric_stride_;
+    NMRS_DCHECK(entry < leaf_range_[leaf].count);
+    return numeric_arena_.data() +
+           (leaf_range_[leaf].begin + entry) * numeric_stride_;
   }
 
   bool has_numerics() const { return numeric_stride_ > 0; }
@@ -167,9 +202,26 @@ class ALTree {
   NodeId FindLeaf(const ValueId* values) const;
 
  private:
+  // A leaf's slice of the arenas: entries [begin, begin + count) are live,
+  // [begin + count, begin + capacity) are reserved for its next inserts.
+  struct LeafRange {
+    uint32_t begin;
+    uint32_t count;
+    uint32_t capacity;
+  };
+
   NodeId FindOrAddChild(NodeId parent, ValueId value, uint32_t level);
   NodeId FindChild(NodeId parent, ValueId value) const;
   void AddToPathCounts(NodeId leaf, int64_t delta);
+  // Appends one entry to `leaf`'s arena range. A full range that ends the
+  // arena grows in place; any other full range moves (MoveLeafRange).
+  void AppendLeafEntry(NodeId leaf, RowId id, const double* numerics);
+  // Moves a full range to a power-of-two range above its count, reusing a
+  // freed range of that size class when there is one, and frees the old.
+  void MoveLeafRange(LeafRange& r);
+  // Rewrites the arenas with every leaf's entries packed in node order and
+  // no reserved slots, dropping the free lists.
+  void CompactLeafArenas();
 
   Schema schema_;
   std::vector<AttrId> attr_order_;
@@ -182,8 +234,19 @@ class ALTree {
   std::vector<NodeId> parent_;
   std::vector<uint32_t> temp_removed_;  // leaf only
   std::vector<std::vector<ChildRef>> children_;
-  std::vector<std::vector<RowId>> row_ids_;      // leaf only
-  std::vector<std::vector<double>> numerics_;    // leaf only
+  std::vector<LeafRange> leaf_range_;  // leaf only
+
+  // Leaf payload arenas; numeric_arena_ holds numeric_stride_ doubles per
+  // row_arena_ slot.
+  std::vector<RowId> row_arena_;
+  std::vector<double> numeric_arena_;
+  // free_ranges_[k]: begins of ranges given up by moved leaves whose
+  // capacity is at least 2^k, reused by later moves of that class.
+  std::vector<std::vector<uint32_t>> free_ranges_;
+
+  // Path cursor: cursor_[k] is the level-k node of the last inserted
+  // object; empty after Clear().
+  std::vector<NodeId> cursor_;
 };
 
 }  // namespace nmrs

@@ -201,7 +201,7 @@ namespace {
 // Removes every entry of `leaf` except the one whose id equals spare_id
 // (whole-leaf removal when it is absent).
 void EvictLeaf(ALTree& tree, NodeId leaf, RowId spare_id) {
-  const auto& rows = tree.LeafRows(leaf);
+  const auto rows = tree.LeafRows(leaf);
   bool holds_self = false;
   for (RowId r : rows) {
     if (r == spare_id) {

@@ -385,7 +385,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
         if (prunable[li]) continue;
         const NodeId leaf = leaves[li];
         internal_tree::LeafValues(tree, leaf, ctx.attr_order, &c_values);
-        const auto& rows = tree.LeafRows(leaf);
+        const auto rows = tree.LeafRows(leaf);
         for (size_t i = 0; i < rows.size(); ++i) {
           NMRS_RETURN_IF_ERROR(writer.Add(
               rows[i], c_values.data(),

@@ -119,7 +119,7 @@ std::vector<TopKEntry> TopKOverTree(const ALTree& tree, const Schema& schema,
       // Leaf: every duplicate is a hit at distance prefix (categorical) or
       // refined per entry (numeric attributes).
       const ALTree::NodeId leaf = top.node;
-      const auto& rows = tree.LeafRows(leaf);
+      const auto rows = tree.LeafRows(leaf);
       for (size_t i = 0; i < rows.size(); ++i) {
         double d = top.prefix;
         if (tree.has_numerics()) {

@@ -16,6 +16,12 @@ namespace {
 
 using Key = std::vector<ValueId>;
 
+// LeafRows as a vector, for EXPECT_EQ against the model's ids.
+std::vector<RowId> RowsOf(const ALTree& tree, ALTree::NodeId leaf) {
+  const auto rows = tree.LeafRows(leaf);
+  return {rows.begin(), rows.end()};
+}
+
 class ReferenceModel {
  public:
   void Insert(const Key& key, RowId id) { rows_[key].push_back(id); }
@@ -49,7 +55,7 @@ void ExpectTreeMatchesModel(const ALTree& tree, const ReferenceModel& model,
   for (const auto& [key, ids] : model.rows()) {
     ALTree::NodeId leaf = tree.FindLeaf(key.data());
     ASSERT_NE(leaf, ALTree::kInvalidNode);
-    EXPECT_EQ(tree.LeafRows(leaf), ids);
+    EXPECT_EQ(RowsOf(tree, leaf), ids);
     EXPECT_EQ(tree.LeafCount(leaf), ids.size());
   }
 
@@ -66,7 +72,7 @@ void ExpectTreeMatchesModel(const ALTree& tree, const ReferenceModel& model,
     }
     auto it = model.rows().find(values);
     ASSERT_NE(it, model.rows().end());
-    EXPECT_EQ(tree.LeafRows(leaf), it->second);
+    EXPECT_EQ(RowsOf(tree, leaf), it->second);
   });
   EXPECT_EQ(active_leaves, model.rows().size());
 

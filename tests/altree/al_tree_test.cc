@@ -17,6 +17,12 @@ ALTree MakeTree(const Schema& schema) {
   return ALTree(schema, IdentityOrder(schema));
 }
 
+// LeafRows as a vector, for EXPECT_EQ against expected ids.
+std::vector<RowId> RowsOf(const ALTree& tree, NodeId leaf) {
+  const auto rows = tree.LeafRows(leaf);
+  return {rows.begin(), rows.end()};
+}
+
 TEST(ALTreeTest, EmptyTree) {
   Schema s = Schema::Categorical({3, 3});
   ALTree tree = MakeTree(s);
@@ -42,7 +48,7 @@ TEST(ALTreeTest, InsertBuildsPath) {
   NodeId leaf = tree.Children(l0)[0].id;
   EXPECT_TRUE(tree.IsLeaf(leaf));
   EXPECT_EQ(tree.Value(leaf), 2u);
-  EXPECT_EQ(tree.LeafRows(leaf), (std::vector<RowId>{7}));
+  EXPECT_EQ(RowsOf(tree, leaf), (std::vector<RowId>{7}));
 }
 
 TEST(ALTreeTest, SharedPrefixesShareNodes) {
@@ -73,7 +79,7 @@ TEST(ALTreeTest, DuplicatesAccumulateAtLeaf) {
   NodeId leaf = tree.FindLeaf(row);
   ASSERT_NE(leaf, ALTree::kInvalidNode);
   EXPECT_EQ(tree.LeafCount(leaf), 3u);
-  EXPECT_EQ(tree.LeafRows(leaf), (std::vector<RowId>{10, 20, 30}));
+  EXPECT_EQ(RowsOf(tree, leaf), (std::vector<RowId>{10, 20, 30}));
 }
 
 TEST(ALTreeTest, AttrOrderControlsLevels) {
@@ -153,7 +159,7 @@ TEST(ALTreeTest, RemoveLeafEntryEvictsOne) {
   NodeId leaf = tree.FindLeaf(row);
   tree.RemoveLeafEntry(leaf, 1);  // evict id 20
   EXPECT_EQ(tree.LeafCount(leaf), 2u);
-  EXPECT_EQ(tree.LeafRows(leaf), (std::vector<RowId>{10, 30}));
+  EXPECT_EQ(RowsOf(tree, leaf), (std::vector<RowId>{10, 30}));
   EXPECT_EQ(tree.num_objects(), 2u);
 }
 

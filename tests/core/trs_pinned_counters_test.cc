@@ -1,0 +1,221 @@
+// Pins TRS's counters, IO and result rows on fixed seeded data: one phase-1
+// batch, several batches under 2-4 page budgets, a numeric schema, and a
+// 2-shard engine whose verify round searches the shards' AL-Tree indexes.
+// The values were captured with the per-node-vector AL-Tree layout that the
+// one-pass bulk load (path cursor + leaf arenas) replaced. Node ids, child
+// order and leaf entry order do not depend on the memory layout, so every
+// number here must survive any change to it; a change that moves one on
+// purpose must say why.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "core/pipeline.h"
+#include "data/generators.h"
+#include "exec/query_engine.h"
+#include "shard/shard_plan.h"
+#include "testing/test_util.h"
+
+namespace nmrs {
+namespace {
+
+// Every QueryStats counter (IO included), summed over a case's queries.
+struct Counters {
+  uint64_t checks, phase1_checks, phase2_checks, pair_tests;
+  uint64_t kernel_checks, kernel_promotions, kernel_scalar_rows,
+      kernel_block_rows;
+  uint64_t phase1_batches, phase1_survivors, phase2_batches, result_size;
+  uint64_t seq_reads, rand_reads, seq_writes, rand_writes;
+  uint64_t cache_hits, cache_misses, cache_evictions;
+  uint64_t transient_retries, checksum_failures, quarantined_pages, failovers;
+
+  bool operator==(const Counters&) const = default;
+
+  void Add(const QueryStats& s) {
+    checks += s.checks;
+    phase1_checks += s.phase1_checks;
+    phase2_checks += s.phase2_checks;
+    pair_tests += s.pair_tests;
+    kernel_checks += s.kernel_checks;
+    kernel_promotions += s.kernel_promotions;
+    kernel_scalar_rows += s.kernel_scalar_rows;
+    kernel_block_rows += s.kernel_block_rows;
+    phase1_batches += s.phase1_batches;
+    phase1_survivors += s.phase1_survivors;
+    phase2_batches += s.phase2_batches;
+    result_size += s.result_size;
+    seq_reads += s.io.seq_reads;
+    rand_reads += s.io.rand_reads;
+    seq_writes += s.io.seq_writes;
+    rand_writes += s.io.rand_writes;
+    cache_hits += s.io.cache_hits;
+    cache_misses += s.io.cache_misses;
+    cache_evictions += s.io.cache_evictions;
+    transient_retries += s.io.transient_retries;
+    checksum_failures += s.io.checksum_failures;
+    quarantined_pages += s.io.quarantined_pages;
+    failovers += s.io.failovers;
+  }
+};
+
+// Prints as a brace initializer, so a deliberate re-pin is a paste.
+void PrintTo(const Counters& c, std::ostream* os) {
+  *os << "{" << c.checks << ", " << c.phase1_checks << ", " << c.phase2_checks
+      << ", " << c.pair_tests << ", " << c.kernel_checks << ", "
+      << c.kernel_promotions << ", " << c.kernel_scalar_rows << ", "
+      << c.kernel_block_rows << ", " << c.phase1_batches << ", "
+      << c.phase1_survivors << ", " << c.phase2_batches << ", "
+      << c.result_size << ", " << c.seq_reads << ", " << c.rand_reads << ", "
+      << c.seq_writes << ", " << c.rand_writes << ", " << c.cache_hits << ", "
+      << c.cache_misses << ", " << c.cache_evictions << ", "
+      << c.transient_retries << ", " << c.checksum_failures << ", "
+      << c.quarantined_pages << ", " << c.failovers << "}";
+}
+
+std::vector<Object> Queries(const Dataset& data, uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<Object> queries;
+  for (int i = 0; i < n; ++i) queries.push_back(SampleUniformQuery(data, rng));
+  return queries;
+}
+
+struct Observed {
+  Counters counters{};
+  std::string rows;  // each query's result rows, "{1 5 9} {2} ..."
+
+  void Add(const ReverseSkylineResult& r) {
+    counters.Add(r.stats);
+    if (!rows.empty()) rows += ' ';
+    rows += '{';
+    for (size_t i = 0; i < r.rows.size(); ++i) {
+      if (i > 0) rows += ' ';
+      rows += std::to_string(r.rows[i]);
+    }
+    rows += '}';
+  }
+};
+
+// Runs each query through single-threaded TRS with `pages` of memory on a
+// disk of `page_size`-byte pages.
+Observed RunTrs(const Dataset& data, const SimilaritySpace& space,
+                const std::vector<Object>& queries, size_t page_size,
+                uint64_t pages) {
+  SimulatedDisk disk(page_size);
+  auto prepared = PrepareDataset(&disk, data, Algorithm::kTRS);
+  NMRS_CHECK(prepared.ok()) << prepared.status();
+  RSOptions opts;
+  opts.memory.pages = pages;
+  Observed out;
+  for (const Object& q : queries) {
+    auto r = RunReverseSkyline(*prepared, space, q, Algorithm::kTRS, opts);
+    NMRS_CHECK(r.ok()) << r.status();
+    out.Add(*r);
+  }
+  return out;
+}
+
+TEST(TrsPinnedCountersTest, OnePhase1Batch) {
+  const testing::RandomInstance inst(401, 2000, {6, 7, 8});
+  const Observed got =
+      RunTrs(inst.data, inst.space, Queries(inst.data, 402, 3),
+             kDefaultPageSize, 1000);
+  EXPECT_EQ(got.counters.phase1_batches, 3u);
+  EXPECT_EQ(got.counters,
+            (Counters{7337, 170, 7167, 870, 0, 9, 2755, 0, 3, 29, 3, 29, 6, 9,
+                      0, 6, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(got.rows,
+            "{28 153 350 1415 1629 1982 1986} {32 202 256 470 707 907 975 1006 "
+            "1107 1124 1240 1241 1514 1543 1606 1923} "
+            "{289 332 656 938 1221 1945}");
+}
+
+TEST(TrsPinnedCountersTest, SeveralBatchesUnderSmallBudgets) {
+  const testing::RandomInstance inst(403, 3000, {6, 7, 8, 5});
+  const std::vector<Object> queries = Queries(inst.data, 404, 3);
+  const struct {
+    uint64_t pages;
+    Counters want;
+  } budgets[] = {
+      {2, {53573, 5507, 48066, 3309, 0, 156, 10519, 0, 18, 32, 3, 12, 411, 24,
+           0, 21, 0, 0, 0, 0, 0, 0, 0}},
+      {3, {41526, 2966, 38560, 3303, 0, 156, 12971, 0, 12, 24, 3, 12, 418, 17,
+           0, 14, 0, 0, 0, 0, 0, 0, 0}},
+      {4, {40541, 1048, 39493, 3303, 0, 40, 9528, 0, 9, 17, 3, 12, 420, 15, 0,
+           12, 0, 0, 0, 0, 0, 0, 0}},
+  };
+  for (const auto& b : budgets) {
+    SCOPED_TRACE(b.pages);
+    const Observed got = RunTrs(inst.data, inst.space, queries, 1024, b.pages);
+    EXPECT_EQ(got.counters, b.want);
+    EXPECT_EQ(got.rows,
+              "{307 1232 1573 1575 1973} {1153 1502 2044 2635} {669 1342 1569}");
+  }
+}
+
+TEST(TrsPinnedCountersTest, NumericSchema) {
+  Rng rng(405);
+  Rng data_rng = rng.Fork();
+  Rng space_rng = rng.Fork();
+  const std::vector<size_t> cat_cards = {5, 4};
+  const Dataset data = GenerateMixed(600, cat_cards, 2, 4, data_rng);
+  SimilaritySpace space;
+  for (size_t card : cat_cards) {
+    space.AddCategorical(MakeRandomMatrix(card, space_rng));
+  }
+  for (int i = 0; i < 2; ++i) space.AddNumeric(NumericDissimilarity());
+  const Observed got = RunTrs(data, space, Queries(data, 406, 3), 1024, 3);
+  EXPECT_EQ(got.counters,
+            (Counters{134127, 4735, 129392, 813, 0, 0, 0, 0, 21, 1657, 26, 75,
+                      1006, 73, 87, 23, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(got.rows,
+            "{4 7 38 63 81 84 86 121 127 143 144 162 199 201 207 249 306 308 "
+            "328 362 368 387 401 410 433 469 487 493} "
+            "{31 63 75 84 87 134 202 216 232 234 244 249 293 315 360 362 384 "
+            "394 401 432 433 507 512 514 571} "
+            "{20 26 73 74 103 106 162 181 212 237 242 316 339 353 400 412 431 "
+            "483 493 507 514 557}");
+}
+
+// Two shards, all-categorical: the verify round answers foreign candidates
+// from each shard's AL-Tree index.
+TEST(TrsPinnedCountersTest, TwoShardsWithVerifyIndex) {
+  const testing::RandomInstance inst(407, 4000, {6, 7, 8});
+  SimulatedDisk disk;
+  auto prepared = PrepareDataset(&disk, inst.data, Algorithm::kTRS);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  ShardPlanOptions plan;
+  plan.num_shards = 2;
+  auto sharded = ShardedDataset::Partition(*prepared, plan);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  QueryEngine engine(*sharded, inst.space, Algorithm::kTRS, EngineOptions{});
+  auto batch = engine.RunBatch(Queries(inst.data, 408, 4));
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_TRUE(batch->ok()) << batch->first_error();
+  EXPECT_GT(engine.verify_index_bytes(0), 0u);
+  EXPECT_GT(engine.verify_index_bytes(1), 0u);
+
+  Observed got;
+  for (const ReverseSkylineResult& r : batch->results) got.Add(r);
+  QueryStats total;
+  total.io = batch->total_io;
+  Counters total_io{};
+  total_io.Add(total);
+  EXPECT_EQ(got.counters,
+            (Counters{13893, 109, 13784, 1356, 0, 6, 3323, 0, 8, 68, 4, 68, 12,
+                      20, 0, 8, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(total_io, (Counters{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 14, 22, 0,
+                                8, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(got.rows,
+            "{3751} {0 96 97 191 290 325 461 510 549 703 780 812 817 840 876 "
+            "950 1117 1177 1250 1258 1376 1500 1648 1720 1747 1792 1908 2030 "
+            "2111 2230 2434 2508 2541 2606 2683 2860 3194 3198 3225 3393 3570 "
+            "3671 3726 3740 3806 3846 3852 3895 3993} "
+            "{190 248 750 1772 1942 2877 3124 3327 3522} "
+            "{93 297 984 1400 2100 2406 2630 2792 2893}");
+}
+
+}  // namespace
+}  // namespace nmrs
