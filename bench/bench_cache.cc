@@ -22,7 +22,8 @@
 //    the >=30%-fewer-charged-reads acceptance criterion is checked.
 //
 // Reverse-skyline rows must be bit-identical across every cache size and
-// worker count in both workloads (second SHAPE-CHECK).
+// worker count in both workloads (first SHAPE-CHECK; every run's
+// `identical` field, which tools/check_gates.py gates).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -78,15 +79,15 @@ bool RunEngineBatch(const Dataset& data, const SimilaritySpace& space,
       auto batch = engine.RunBatch(queries);
       NMRS_CHECK(batch.ok()) << batch.status();
 
+      bool identical = true;
       if (reference.empty()) {
         for (const auto& r : batch->results) reference.push_back(r.rows);
       } else {
         for (size_t i = 0; i < queries.size(); ++i) {
-          if (batch->results[i].rows != reference[i]) {
-            results_identical = false;
-          }
+          if (batch->results[i].rows != reference[i]) identical = false;
         }
       }
+      if (!identical) results_identical = false;
 
       const uint64_t charged = batch->total_io.TotalReads();
       const double makespan = batch->ModeledMakespanMillis();
@@ -121,6 +122,7 @@ bool RunEngineBatch(const Dataset& data, const SimilaritySpace& space,
       json->Field("modeled_makespan_millis", makespan);
       json->Field("modeled_speedup_vs_nocache", speedup);
       json->Field("wall_millis", batch->wall_millis);
+      json->Field("identical", static_cast<uint64_t>(identical));
       EmitIoFields(json, batch->total_io);
     }
   }
@@ -179,23 +181,25 @@ RescanOutcome RunBichromaticRescan(const Dataset& cand_data,
       pool = std::make_unique<BufferPool>(
           &disk, BufferPoolOptions::FromBudget(MemoryBudget{cache_pages}));
     }
-    RSOptions opts = base_opts;
-    opts.buffer_pool = pool.get();
+    ExecContext exec;
+    exec.buffer_pool = pool.get();
 
     IoStats total;
     double modeled_ms = 0;
+    bool identical = true;
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       auto r = BichromaticBlockRS(cands->stored, comps->stored, space,
-                                  queries[qi], opts);
+                                  queries[qi], base_opts, exec);
       NMRS_CHECK(r.ok()) << r.status();
       total += r->stats.io;
       modeled_ms += r->stats.ResponseMillis();
       if (pct == 0) {
         reference.push_back(r->rows);
       } else if (r->rows != reference[qi]) {
-        out.results_identical = false;
+        identical = false;
       }
     }
+    if (!identical) out.results_identical = false;
 
     const uint64_t charged = total.TotalReads();
     if (pct == 0) {
@@ -227,6 +231,7 @@ RescanOutcome RunBichromaticRescan(const Dataset& cand_data,
     json->Field("read_reduction_vs_nocache", reduction);
     json->Field("modeled_makespan_millis", modeled_ms);
     json->Field("modeled_speedup_vs_nocache", speedup);
+    json->Field("identical", static_cast<uint64_t>(identical));
     EmitIoFields(json, total);
   }
   table.Print();

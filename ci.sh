@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point, eleven stages (docs/ROBUSTNESS.md covers asan/chaos/
-# replica, docs/KERNELS.md covers 6-7, docs/SHARDING.md covers 8,
-# docs/MUTABILITY.md covers 10):
+# CI entry point, twelve stages (docs/ROBUSTNESS.md covers asan/chaos/
+# replica/11, docs/KERNELS.md covers 6-7, docs/SHARDING.md covers 8,
+# docs/MUTABILITY.md covers 10, docs/CACHING.md covers 11):
 #   1. plain   — RelWithDebInfo build with warnings as errors (-Werror)
 #                + full ctest suite
 #   2. tsan    — ThreadSanitizer build of the gtest-free concurrency
@@ -38,7 +38,13 @@
 #                the mutated dataset from scratch or the modeled query
 #                slowdown at a 1% delta exceeds 1.3x; plus an nmrs_cli
 #                serve smoke over a scripted mutation workload
-#  11. perfbench— python3 tools/test_check_gates.py (the committed bench
+#  11. cache+faults— bench_cache --quick and bench_faults --quick, then
+#                tools/check_gates.py fails the run if any cache size or
+#                worker count changes the rows, or a failover run with at
+#                least 2 replicas does not return the fault-free rows
+#                (correctness only; their wall-clock shape checks stay
+#                ungated)
+#  12. perfbench— python3 tools/test_check_gates.py (the committed bench
 #                JSONs pass the gates, and a copy doctored to violate any
 #                one check fails exactly that check), then python3
 #                perfbench/test_perfbench.py: every workload of the
@@ -105,6 +111,11 @@ printf 'query 3,4,2\ninsert 3,4,2\ndelete 0\nquery 3,4,2\ncompact\nquery 3,4,2\n
   > "${SERVE_DIR}/workload.txt"
 ./build/tools/nmrs_cli serve --data="${SERVE_DIR}/data.csv" \
   --matrices="${SERVE_DIR}/m" --script="${SERVE_DIR}/workload.txt"
+
+echo "=== cache + failover correctness gates (bench_cache, bench_faults --quick) ==="
+(cd build && ./bench/bench_cache --quick && ./bench/bench_faults --quick)
+python3 tools/check_gates.py build/BENCH_cache.json
+python3 tools/check_gates.py build/BENCH_faults.json
 
 echo "=== gate self-test + repository benchmark smoke (perfbench tiny size) ==="
 python3 tools/test_check_gates.py

@@ -43,7 +43,7 @@ std::vector<RowId> BichromaticOracle(const Dataset& candidates,
 StatusOr<ReverseSkylineResult> BichromaticBlockRS(
     const StoredDataset& candidates, const StoredDataset& competitors,
     const SimilaritySpace& space, const Object& query,
-    const RSOptions& opts) {
+    const RSOptions& opts, const ExecContext& exec) {
   SimulatedDisk* disk = candidates.disk();
   NMRS_CHECK(competitors.disk() == disk)
       << "candidates and competitors must live on the same disk";
@@ -59,7 +59,7 @@ StatusOr<ReverseSkylineResult> BichromaticBlockRS(
   const IoStats io_before = disk->stats();
   disk->InvalidateArmPosition();
 
-  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
+  PagedReader reader = MakeReader(disk, opts.resilience, exec);
   // The kernels need a table-backed context (cached matrix columns to
   // gather from); the table changes no Prunes outcome or count, but it is
   // only built when asked for, keeping the default path seed-identical.
@@ -143,7 +143,7 @@ StatusOr<ReverseSkylineResult> BichromaticBlockRS(
 StatusOr<ReverseSkylineResult> BichromaticTreeRS(
     const StoredDataset& candidates, const StoredDataset& competitors,
     const SimilaritySpace& space, const Object& query,
-    const RSOptions& opts) {
+    const RSOptions& opts, const ExecContext& exec) {
   if (opts.overlay != nullptr && !opts.overlay->empty()) {
     // The tree traversal reads matrix rows directly, so the overlay is
     // evaluated by materializing the patched space once per query.
@@ -155,7 +155,7 @@ StatusOr<ReverseSkylineResult> BichromaticTreeRS(
     RSOptions materialized = opts;
     materialized.overlay = nullptr;
     return BichromaticTreeRS(candidates, competitors, patched, query,
-                             materialized);
+                             materialized, exec);
   }
   SimulatedDisk* disk = candidates.disk();
   NMRS_CHECK(competitors.disk() == disk)
@@ -174,7 +174,7 @@ StatusOr<ReverseSkylineResult> BichromaticTreeRS(
 
   TreeQueryContext ctx =
       internal_tree::MakeTreeContext(space, schema, query, opts);
-  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
+  PagedReader reader = MakeReader(disk, opts.resilience, exec);
   ReverseSkylineResult result;
   QueryStats& stats = result.stats;
 

@@ -29,7 +29,8 @@ namespace nmrs {
 StatusOr<ReverseSkylineResult> BichromaticBlockRS(
     const StoredDataset& candidates, const StoredDataset& competitors,
     const SimilaritySpace& space, const Object& query,
-    const RSOptions& opts = {});
+    const RSOptions& opts = {},
+    const ExecContext& exec = {});
 
 /// Tree variant: candidate batches are AL-Trees, and each streamed
 /// competitor prunes whole groups via Prune(e, M)-style traversals — the
@@ -38,7 +39,8 @@ StatusOr<ReverseSkylineResult> BichromaticBlockRS(
 StatusOr<ReverseSkylineResult> BichromaticTreeRS(
     const StoredDataset& candidates, const StoredDataset& competitors,
     const SimilaritySpace& space, const Object& query,
-    const RSOptions& opts = {});
+    const RSOptions& opts = {},
+    const ExecContext& exec = {});
 
 /// In-memory oracle straight from the definition (O(|C|·|P|)).
 std::vector<RowId> BichromaticOracle(const Dataset& candidates,

@@ -98,13 +98,14 @@ void Phase1CheckRange(const RowBatch& batch, const ColumnarBatch* cols,
 // Intra-batch pruning of one loaded batch; appends survivors to *writer.
 // Pruned objects keep acting as pruners (paper Alg. 2 lines 4-7 iterate all
 // loaded Y). With opts.num_threads > 1 the candidate checks are chunked
-// across threads (each chunk with its own PruneContext and counters, summed
-// in chunk order); survivors are still written in scan order, so results,
-// check totals, and IO match the sequential run exactly.
+// across threads on `executor` (each chunk with its own PruneContext and
+// counters, summed in chunk order); survivors are still written in scan
+// order, so results, check totals, and IO match the sequential run exactly.
 Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
                    const Schema& schema, const Object& query,
-                   const RSOptions& opts, PruneContext& ctx,
-                   const QueryDistanceTable& qtable, SearchOrder order,
+                   const RSOptions& opts, TaskExecutor* executor,
+                   PruneContext& ctx, const QueryDistanceTable& qtable,
+                   SearchOrder order,
                    QueryStats* stats, RowWriter* writer) {
   const size_t n = batch.size();
   std::vector<uint8_t> pruned(n, 0);
@@ -124,7 +125,7 @@ Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
     const size_t num_chunks =
         std::min(n, static_cast<size_t>(opts.num_threads) * 4);
     std::vector<QueryStats> counters(num_chunks);
-    ParallelChunks(opts.executor, opts.num_threads, num_chunks,
+    ParallelChunks(executor, opts.num_threads, num_chunks,
                    [&](size_t c) {
                      PruneContext chunk_ctx(space, schema, query,
                                             ctx.selected(), &qtable);
@@ -213,7 +214,8 @@ Status Phase2(const StoredDataset& data, const StoredDataset& survivors,
 
 StatusOr<ReverseSkylineResult> RunBlockAlgorithm(
     const StoredDataset& data, const SimilaritySpace& space,
-    const Object& query, const RSOptions& opts, SearchOrder order) {
+    const Object& query, const RSOptions& opts, const ExecContext& exec,
+    SearchOrder order) {
   SimulatedDisk* disk = data.disk();
   const Schema& schema = data.schema();
   const size_t m = schema.num_attributes();
@@ -227,7 +229,7 @@ StatusOr<ReverseSkylineResult> RunBlockAlgorithm(
   const IoStats io_before = disk->stats();
   disk->InvalidateArmPosition();
 
-  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
+  PagedReader reader = MakeReader(disk, opts.resilience, exec);
   const std::vector<AttrId> selected =
       ResolveSelectedAttrs(schema, opts.selected_attrs);
   const QueryDistanceTable qtable(space, schema, query, selected,
@@ -249,8 +251,9 @@ StatusOr<ReverseSkylineResult> RunBlockAlgorithm(
     for (PageId p = start; p < end; ++p) {
       NMRS_RETURN_IF_ERROR(data.ReadPageVia(&reader, p, &batch));
     }
-    NMRS_RETURN_IF_ERROR(Phase1Batch(batch, space, schema, query, opts, ctx,
-                                     qtable, order, &stats, &writer));
+    NMRS_RETURN_IF_ERROR(Phase1Batch(batch, space, schema, query, opts,
+                                     exec.executor, ctx, qtable, order,
+                                     &stats, &writer));
     // Results are written out at the end of every batch (paper §4.1) —
     // this is what makes the per-batch random IO visible.
     NMRS_RETURN_IF_ERROR(writer.FlushPartial());
@@ -285,21 +288,22 @@ StatusOr<ReverseSkylineResult> RunBlockAlgorithm(
 
 StatusOr<ReverseSkylineResult> BlockReverseSkyline(
     const StoredDataset& data, const SimilaritySpace& space,
-    const Object& query, const RSOptions& opts) {
-  return RunBlockAlgorithm(data, space, query, opts, SearchOrder::kForward);
+    const Object& query, const RSOptions& opts, const ExecContext& exec) {
+  return RunBlockAlgorithm(data, space, query, opts, exec,
+                           SearchOrder::kForward);
 }
 
 StatusOr<ReverseSkylineResult> SortReverseSkyline(
     const StoredDataset& sorted_data, const SimilaritySpace& space,
-    const Object& query, const RSOptions& opts) {
-  return RunBlockAlgorithm(sorted_data, space, query, opts,
+    const Object& query, const RSOptions& opts, const ExecContext& exec) {
+  return RunBlockAlgorithm(sorted_data, space, query, opts, exec,
                            SearchOrder::kRing);
 }
 
 StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
     const StoredDataset& data, const SimilaritySpace& space,
     const std::vector<Object>& queries, const RSOptions& opts,
-    bool ring_order, SharedScanStats* shared) {
+    bool ring_order, SharedScanStats* shared, const ExecContext& exec) {
   SimulatedDisk* disk = data.disk();
   const Schema& schema = data.schema();
   const size_t m = schema.num_attributes();
@@ -346,7 +350,7 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
 
   // ---- Phase 1: one scan of D feeds every query's intra-batch pruning ----
   Timer shared_timer;
-  PagedReader shared_reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
+  PagedReader shared_reader = MakeReader(disk, opts.resilience, exec);
   const IoStats phase1_before = disk->stats();
   IoStats spill_io;  // per-query scratch writes inside the phase-1 window
   SharedCandidateCache cache;
@@ -439,7 +443,7 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
     Timer phase2_timer;
     disk->InvalidateArmPosition();
     const IoStats phase2_before = disk->stats();
-    PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
+    PagedReader reader = MakeReader(disk, opts.resilience, exec);
     StoredDataset survivors(disk, r.scratch, schema, r.writer->rows_written(),
                             opts.resilience.checksum_pages);
     NMRS_RETURN_IF_ERROR(Phase2(data, survivors, &reader, *r.ctx, batch_pages,

@@ -19,7 +19,8 @@ namespace nmrs {
 /// pruned; what remains is output.
 StatusOr<ReverseSkylineResult> BlockReverseSkyline(
     const StoredDataset& data, const SimilaritySpace& space,
-    const Object& query, const RSOptions& opts = {});
+    const Object& query, const RSOptions& opts = {},
+    const ExecContext& exec = {});
 
 /// SRS — Sort Reverse Skyline (paper §4.2): BRS executed over a
 /// multi-attribute pre-sorted database (the caller is responsible for the
@@ -30,7 +31,8 @@ StatusOr<ReverseSkylineResult> BlockReverseSkyline(
 /// after few checks.
 StatusOr<ReverseSkylineResult> SortReverseSkyline(
     const StoredDataset& sorted_data, const SimilaritySpace& space,
-    const Object& query, const RSOptions& opts = {});
+    const Object& query, const RSOptions& opts = {},
+    const ExecContext& exec = {});
 
 /// Work of a shared phase-1 scan that no single query owns (docs/KERNELS.md,
 /// "Cross-query scan sharing"). The scan's page fetches are charged here —
@@ -70,12 +72,13 @@ struct SharedScanStats {
 /// per batch). Only the IO *attribution* differs: the shared pass is
 /// reported once in `shared` instead of once per query, so the batch total
 /// (sum of per-query io + shared_io) replaces Q redundant scans of D with
-/// one. RSOptions::resilience/failover handles apply to the shared reader
-/// and every per-query reader alike.
+/// one. RSOptions::resilience and the ExecContext's cache, failover and
+/// quarantine handles apply to the shared reader and every per-query reader
+/// alike.
 StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
     const StoredDataset& data, const SimilaritySpace& space,
     const std::vector<Object>& queries, const RSOptions& opts,
-    bool ring_order, SharedScanStats* shared);
+    bool ring_order, SharedScanStats* shared, const ExecContext& exec = {});
 
 }  // namespace nmrs
 

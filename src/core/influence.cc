@@ -1,7 +1,6 @@
 #include "core/influence.h"
 
 #include <algorithm>
-#include <thread>
 
 namespace nmrs {
 
@@ -43,62 +42,6 @@ StatusOr<InfluenceReport> AnalyzeInfluence(const PreparedDataset& prepared,
     report.ranking.push_back(
         {i, result.stats.result_size, std::move(result.stats)});
     report.total_influence += report.ranking.back().influence;
-  }
-  std::sort(report.ranking.begin(), report.ranking.end(),
-            [](const InfluenceReport::Entry& a,
-               const InfluenceReport::Entry& b) {
-              if (a.influence != b.influence) return a.influence > b.influence;
-              return a.query_index < b.query_index;
-            });
-  return report;
-}
-
-StatusOr<InfluenceReport> AnalyzeInfluenceParallel(
-    const Dataset& data, const SimilaritySpace& space,
-    const std::vector<Object>& queries, Algorithm algo,
-    const RSOptions& opts, unsigned threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = std::min<unsigned>(
-      threads, std::max<size_t>(1, queries.size()));
-
-  // One slot per query; workers claim disjoint index ranges.
-  std::vector<InfluenceReport::Entry> entries(queries.size());
-  std::vector<Status> worker_status(threads, Status::OK());
-
-  auto worker = [&](unsigned w) {
-    // Each worker owns its disk, prepared copy, and scratch files —
-    // queries inside a worker run exactly like the serial path.
-    SimulatedDisk disk;
-    auto prepared = PrepareDataset(&disk, data, algo);
-    if (!prepared.ok()) {
-      worker_status[w] = prepared.status();
-      return;
-    }
-    for (size_t i = w; i < queries.size(); i += threads) {
-      auto result = RunReverseSkyline(*prepared, space, queries[i], algo,
-                                      opts);
-      if (!result.ok()) {
-        worker_status[w] = result.status();
-        return;
-      }
-      entries[i] = {i, result->stats.result_size, std::move(result->stats)};
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned w = 0; w < threads; ++w) pool.emplace_back(worker, w);
-  for (auto& t : pool) t.join();
-  for (const Status& s : worker_status) {
-    NMRS_RETURN_IF_ERROR(s);
-  }
-
-  InfluenceReport report;
-  report.ranking = std::move(entries);
-  for (const auto& entry : report.ranking) {
-    report.total_influence += entry.influence;
   }
   std::sort(report.ranking.begin(), report.ranking.end(),
             [](const InfluenceReport::Entry& a,

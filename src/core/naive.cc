@@ -14,7 +14,8 @@ namespace nmrs {
 
 StatusOr<ReverseSkylineResult> NaiveReverseSkyline(
     const StoredDataset& data, const SimilaritySpace& space,
-    const Object& query, const RSOptions& opts) {
+    const Object& query, const RSOptions& opts,
+    const ExecContext& exec) {
   SimulatedDisk* disk = data.disk();
   const Schema& schema = data.schema();
   const size_t m = schema.num_attributes();
@@ -24,7 +25,7 @@ StatusOr<ReverseSkylineResult> NaiveReverseSkyline(
   const IoStats io_before = disk->stats();
   disk->InvalidateArmPosition();
 
-  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
+  PagedReader reader = MakeReader(disk, opts.resilience, exec);
   const std::vector<AttrId> selected =
       ResolveSelectedAttrs(schema, opts.selected_attrs);
   const QueryDistanceTable qtable(space, schema, query, selected,

@@ -15,7 +15,8 @@ namespace nmrs {
 /// everything else is measured against.
 StatusOr<ReverseSkylineResult> NaiveReverseSkyline(
     const StoredDataset& data, const SimilaritySpace& space,
-    const Object& query, const RSOptions& opts = {});
+    const Object& query, const RSOptions& opts = {},
+    const ExecContext& exec = {});
 
 }  // namespace nmrs
 

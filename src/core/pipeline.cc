@@ -86,7 +86,8 @@ StatusOr<PreparedDataset> PrepareDataset(SimulatedDisk* disk,
 
 StatusOr<ReverseSkylineResult> RunReverseSkyline(
     const PreparedDataset& prepared, const SimilaritySpace& space,
-    const Object& query, Algorithm algo, RSOptions opts) {
+    const Object& query, Algorithm algo, RSOptions opts,
+    const ExecContext& exec) {
   if (opts.attr_order.empty()) opts.attr_order = prepared.attr_order;
   if (opts.overlay != nullptr && opts.overlay->empty()) opts.overlay = nullptr;
   if (opts.overlay != nullptr && &opts.overlay->base() != &space) {
@@ -95,15 +96,15 @@ StatusOr<ReverseSkylineResult> RunReverseSkyline(
   }
   switch (algo) {
     case Algorithm::kNaive:
-      return NaiveReverseSkyline(prepared.stored, space, query, opts);
+      return NaiveReverseSkyline(prepared.stored, space, query, opts, exec);
     case Algorithm::kBRS:
-      return BlockReverseSkyline(prepared.stored, space, query, opts);
+      return BlockReverseSkyline(prepared.stored, space, query, opts, exec);
     case Algorithm::kSRS:
     case Algorithm::kTileSRS:
-      return SortReverseSkyline(prepared.stored, space, query, opts);
+      return SortReverseSkyline(prepared.stored, space, query, opts, exec);
     case Algorithm::kTRS:
     case Algorithm::kTileTRS:
-      return TreeReverseSkyline(prepared.stored, space, query, opts);
+      return TreeReverseSkyline(prepared.stored, space, query, opts, exec);
   }
   return Status::Internal("unknown algorithm");
 }

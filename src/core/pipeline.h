@@ -61,7 +61,8 @@ StatusOr<PreparedDataset> PrepareDataset(SimulatedDisk* disk,
 /// the prepared ordering for TRS variants.
 StatusOr<ReverseSkylineResult> RunReverseSkyline(
     const PreparedDataset& prepared, const SimilaritySpace& space,
-    const Object& query, Algorithm algo, RSOptions opts = {});
+    const Object& query, Algorithm algo, RSOptions opts = {},
+    const ExecContext& exec = {});
 
 }  // namespace nmrs
 

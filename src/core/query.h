@@ -18,7 +18,10 @@ class BufferPool;
 class MatrixOverlay;
 class TaskExecutor;
 
-/// Options shared by all reverse-skyline algorithms.
+/// The policy every reverse-skyline algorithm takes: what to compute and
+/// how (memory budget, attribute order and subset, kernels, fault
+/// survival). The runtime handles a query borrows — executor, page cache,
+/// failover replicas, quarantine sink — come separately in an ExecContext.
 struct RSOptions {
   /// Working memory for batches, in pages. Naive ignores it (it streams).
   MemoryBudget memory{16};
@@ -42,41 +45,18 @@ struct RSOptions {
   /// loaded phase-1 batch into chunks of candidates checked concurrently;
   /// results, check totals, and IO stay identical to the sequential run
   /// (candidate checks are independent and survivors are still written in
-  /// scan order), only wall-clock changes. See docs/PARALLELISM.md.
+  /// scan order), only wall-clock changes. The threads run on
+  /// ExecContext::executor. See docs/PARALLELISM.md.
   int num_threads = 1;
 
-  /// Executor hosting the extra phase-1 threads (borrowed, not owned).
-  /// When null and num_threads > 1, temporary std::threads are spawned.
-  /// The QueryEngine points this at its own pool.
-  TaskExecutor* executor = nullptr;
-
-  /// Buffer-pool page caching (docs/CACHING.md). When `buffer_pool` is
-  /// non-null, dataset reads of the frozen base files go through the shared
-  /// pool: hits are served from memory and only misses are charged to the
-  /// disk, with hit/miss/eviction counts folded into QueryStats::io.
-  /// Reverse-skyline results are identical either way; only the IO charged
-  /// changes. Default null = seed-identical IO. The pool is borrowed (the
-  /// QueryEngine owns one per shard) and must have been built over this
-  /// dataset's base disk.
-  BufferPool* buffer_pool = nullptr;
-
   /// Fault-survival policy (docs/ROBUSTNESS.md): checksum verification,
-  /// transient-retry budget, quarantine reporting, replica failover. One
-  /// struct instead of loose fields so algorithms, the batch engine and the
-  /// CLI stay in sync. Default == everything off = seed-identical behavior.
+  /// transient-retry budget, replica count. One struct instead of loose
+  /// fields so algorithms, the batch engine and the CLI stay in sync.
+  /// Default == everything off = seed-identical behavior.
   /// `resilience.checksum_pages` is only valid when the dataset — and
   /// therefore this query's scratch spills, which inherit the flag — was
   /// prepared with PrepareOptions::checksum_pages.
   ResiliencePolicy resilience;
-
-  /// Failover replicas of the frozen base files, in replica order (element
-  /// r-1 serves replica r; the disk the algorithm runs over is replica 0).
-  /// Runtime handles, not policy: the QueryEngine fills these per (query,
-  /// shard) task from that shard's ReplicaSet when resilience.replicas > 1. Only files with
-  /// id < failover_limit fail over (scratch spills exist on the primary
-  /// view only).
-  std::vector<SimulatedDisk*> failover_disks;
-  FileId failover_limit = PagedReaderOptions::kNoFailoverLimit;
 
   /// Evaluate the pruning condition block-at-a-time through the SIMD
   /// dominance kernels (core/dominance_kernel.h): loaded batches get a
@@ -119,24 +99,50 @@ struct RSOptions {
   const MatrixOverlay* overlay = nullptr;
 };
 
-/// The PagedReader policy implied by a ResiliencePolicy. Replica handles
-/// are runtime state, not policy, so the overload below supplies them.
-inline PagedReaderOptions MakeReaderOptions(const ResiliencePolicy& policy) {
+/// The runtime handles one query borrows from whoever runs it, kept apart
+/// from the policy in RSOptions. The batch engine fills one per (query,
+/// shard) task; a standalone call takes the default: no executor, no page
+/// cache, no failover replicas, no quarantine sink. None of them changes a
+/// result row. Every handle is borrowed and must outlive the query.
+struct ExecContext {
+  /// Hosts the extra phase-1 threads when RSOptions::num_threads > 1. When
+  /// null, temporary std::threads are spawned.
+  TaskExecutor* executor = nullptr;
+
+  /// Buffer-pool page cache (docs/CACHING.md) over this dataset's base
+  /// disk. Reads of the frozen base files go through it: hits are served
+  /// from memory and only misses are charged to the disk, with hit, miss
+  /// and eviction counts folded into QueryStats::io. Null = seed-identical
+  /// IO.
+  BufferPool* buffer_pool = nullptr;
+
+  /// Failover replicas of the frozen base files, in replica order (element
+  /// r-1 serves replica r; the disk the algorithm runs over is replica 0).
+  /// Only files with id < failover_limit fail over (scratch spills exist
+  /// on the primary view only).
+  std::vector<SimulatedDisk*> failover_disks;
+  FileId failover_limit = PagedReaderOptions::kNoFailoverLimit;
+
+  /// Where pages every replica failed on are reported. Null = not
+  /// reported (QueryStats::io still counts them).
+  QuarantineLog* quarantine = nullptr;
+};
+
+/// The reader a query reads `disk` through: checksum verification and the
+/// retry budget from `policy`, the page cache, failover replicas and
+/// quarantine sink from `ctx`. Every algorithm and engine stage builds its
+/// readers here, so fault handling and failover behave the same
+/// everywhere.
+inline PagedReader MakeReader(SimulatedDisk* disk,
+                              const ResiliencePolicy& policy,
+                              const ExecContext& ctx = {}) {
   PagedReaderOptions r;
   r.verify_checksums = policy.checksum_pages;
   r.retry = policy.retry;
-  r.quarantine = policy.quarantine_log;
-  return r;
-}
-
-/// The PagedReader policy implied by a query's RSOptions — every algorithm
-/// builds its reader from this so the fault-handling and failover behavior
-/// is uniform.
-inline PagedReaderOptions MakeReaderOptions(const RSOptions& opts) {
-  PagedReaderOptions r = MakeReaderOptions(opts.resilience);
-  r.failover = opts.failover_disks;
-  r.failover_limit = opts.failover_limit;
-  return r;
+  r.quarantine = ctx.quarantine;
+  r.failover = ctx.failover_disks;
+  r.failover_limit = ctx.failover_limit;
+  return PagedReader(disk, ctx.buffer_pool, std::move(r));
 }
 
 /// Everything the paper measures, per query.

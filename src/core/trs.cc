@@ -25,7 +25,8 @@ using NodeId = ALTree::NodeId;
 
 StatusOr<ReverseSkylineResult> TreeReverseSkyline(
     const StoredDataset& sorted_data, const SimilaritySpace& space,
-    const Object& query, const RSOptions& opts) {
+    const Object& query, const RSOptions& opts,
+    const ExecContext& exec) {
   if (opts.overlay != nullptr && !opts.overlay->empty()) {
     // The tree traversal reads matrix rows directly, so the overlay is
     // evaluated by materializing the patched space once per query (the
@@ -37,7 +38,8 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
     SimilaritySpace patched = opts.overlay->BuildPatchedSpace();
     RSOptions materialized = opts;
     materialized.overlay = nullptr;
-    return TreeReverseSkyline(sorted_data, patched, query, materialized);
+    return TreeReverseSkyline(sorted_data, patched, query, materialized,
+                              exec);
   }
   SimulatedDisk* disk = sorted_data.disk();
   const Schema& schema = sorted_data.schema();
@@ -54,7 +56,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
 
   TreeQueryContext ctx =
       internal_tree::MakeTreeContext(space, schema, query, opts);
-  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
+  PagedReader reader = MakeReader(disk, opts.resilience, exec);
   ReverseSkylineResult result;
   QueryStats& stats = result.stats;
 
@@ -318,7 +320,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
           std::vector<QueryStats> chunk_stats(num_chunks);
           std::vector<size_t> chunk_trialed(num_chunks, 0);
           std::vector<size_t> chunk_escaped(num_chunks, 0);
-          ParallelChunks(opts.executor, opts.num_threads, num_chunks,
+          ParallelChunks(exec.executor, opts.num_threads, num_chunks,
                          [&](size_t c) {
                            ALTree chunk_tree = tree;
                            std::vector<FastEntry> cf;
@@ -359,7 +361,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
             num_leaves, static_cast<size_t>(opts.num_threads) * 2);
         std::vector<QueryStats> chunk_stats(num_chunks);
         ParallelChunks(
-            opts.executor, opts.num_threads, num_chunks, [&](size_t c) {
+            exec.executor, opts.num_threads, num_chunks, [&](size_t c) {
               ALTree chunk_tree = tree;
               std::vector<ValueId> cv(m, 0);
               std::vector<double> cr(m, 0.0);

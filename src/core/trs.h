@@ -35,7 +35,8 @@ namespace nmrs {
 /// to an attribute subset (§5.6): unselected tree levels pass through.
 StatusOr<ReverseSkylineResult> TreeReverseSkyline(
     const StoredDataset& sorted_data, const SimilaritySpace& space,
-    const Object& query, const RSOptions& opts = {});
+    const Object& query, const RSOptions& opts = {},
+    const ExecContext& exec = {});
 
 }  // namespace nmrs
 

@@ -12,15 +12,18 @@
 namespace nmrs {
 
 /// The executor's options — QueryEngine and the Database front door both
-/// consume this struct: workers, caches, faults, replicas, shared scans,
-/// overlays and the shard-exchange network model.
+/// consume this struct: workers, caches, faults, replicas, shared scans
+/// and the shard-exchange network model. All of it is configuration; the
+/// engine builds the runtime handles each task borrows (pool, page cache,
+/// failover replicas, quarantine log) into that task's ExecContext.
 struct EngineOptions {
   /// Worker threads (0 = std::thread::hardware_concurrency()).
   size_t num_workers = 0;
 
-  /// Per-query options template. Setting rs.num_threads > 1 additionally
-  /// parallelizes each query's phase-1 candidate checks on the same pool
-  /// (rs.executor is filled in by the engine when left null).
+  /// Per-query policy, read by every task. Setting rs.num_threads > 1
+  /// additionally parallelizes each query's phase-1 candidate checks on
+  /// the engine's pool. A checksummed dataset turns on
+  /// rs.resilience.checksum_pages.
   RSOptions rs;
 
   /// Shared page-cache capacity in pages; 0 = no cache (seed-identical
@@ -62,11 +65,6 @@ struct EngineOptions {
   /// under fault injection, replica failover, or other algorithms.
   bool shared_scan = false;
   size_t shared_scan_group = 16;
-
-  /// Multi-tenant overlay re-check grouping (docs/OVERLAYS.md): re-check
-  /// the overlay-sensitive candidates of up to `overlay_group` users per
-  /// query through one pass over the dataset.
-  size_t overlay_group = 16;
 
   /// Network cost model of the cross-shard pruner exchange
   /// (docs/SHARDING.md). Unused with one shard: no exchange runs.

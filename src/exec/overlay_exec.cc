@@ -32,7 +32,7 @@ Status ScanOnWorker(const OverlayExecContext& ctx, int w, IoStats* io,
   const StoredDataset& base = *ctx.data;
   StoredDataset local(view, base.file(), base.schema(), base.num_rows(),
                       base.checksum_pages());
-  PagedReader reader(view, nullptr, ctx.reader_opts);
+  PagedReader reader = MakeReader(view, ctx.resilience);
   const IoStats before = ctx.replicas->WorkerStats(w);
   Status st = scan(local, &reader);
   *io = ctx.replicas->WorkerStats(w) - before;
@@ -496,7 +496,6 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
   for (size_t u = 0; u < overlays.size(); ++u) {
     if (!cls.user_rows[u].empty()) scan_users.push_back(u);
   }
-  const size_t group_size = std::max<size_t>(1, ctx.overlay_group);
   uint64_t scans = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
     if (!(*statuses)[q].ok()) continue;
@@ -506,8 +505,8 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
         (*results)[q][u].stats.result_size = base[q].rows.size();
       }
     }
-    for (size_t lo = 0; lo < scan_users.size(); lo += group_size) {
-      const size_t hi = std::min(scan_users.size(), lo + group_size);
+    for (size_t lo = 0; lo < scan_users.size(); lo += kOverlayGroup) {
+      const size_t hi = std::min(scan_users.size(), lo + kOverlayGroup);
       ++scans;
       submit(q, [&, q, lo, hi](const StoredDataset* data, PagedReader* reader,
                                QueryStats* s) -> Status {

@@ -20,11 +20,16 @@ namespace nmrs {
 
 class MatrixOverlay;
 
+/// Users whose overlay-sensitive candidates one re-check task decides
+/// together (docs/OVERLAYS.md): one task per (query, group of up to this
+/// many users).
+inline constexpr size_t kOverlayGroup = 16;
+
 /// Where the overlay stages of QueryEngine::RunOverlayBatch run. They
 /// work on the whole base dataset `data` (sensitivity and membership are
 /// properties of rows, not of any partitioning). Every page read goes
 /// through worker w's clean primary view, `replicas->view(w, 0)`: faults
-/// are a property of the base run, while `reader_opts` keeps the
+/// are a property of the base run, while `resilience` keeps the
 /// sealed-page verification. `index`, when set, is a read-only AL-Tree of
 /// every row of the all-categorical `data` (BuildOverlayIndex): the
 /// pruner hints and re-checks then search it and read no pages. Without
@@ -35,8 +40,7 @@ struct OverlayExecContext {
   const StoredDataset* data = nullptr;
   const SimilaritySpace* space = nullptr;
   std::vector<AttrId> selected;  // resolved (non-empty)
-  PagedReaderOptions reader_opts;
-  size_t overlay_group = 16;
+  ResiliencePolicy resilience;
   const ALTree* index = nullptr;
 };
 
@@ -122,7 +126,7 @@ struct OverlayRecheckTotals {
 ///     a search of `ctx.index` meets, or without an index the first in
 ///     dataset scan order. Rows in the base answer have no pruner; a row
 ///     only one user re-checks would not share its hint.
-///  2. Re-checks — per group of up to `ctx.overlay_group` users with
+///  2. Re-checks — per group of up to kOverlayGroup users with
 ///     sensitive rows, one task tests each candidate's hint once under the
 ///     user's overlaid PruneContext. A candidate without a hint, or whose
 ///     hint fails under the overlay, is then decided by one search of

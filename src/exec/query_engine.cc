@@ -64,13 +64,14 @@ std::unique_ptr<const ShardedDataset> OneShard(const PreparedDataset& prepared) 
 // Export: collects `rows`' data from `data` into `out` — the payload a
 // shard puts on the wire — and charges the scan's worker-wide IO (failover
 // reads land on the other replica views) and backoff to `stats`.
-Status ExportCandidates(const StoredDataset& data, const RSOptions& rs,
-                        const ReplicaSet& rset, int worker,
-                        const std::vector<RowId>& rows, RowBatch* out,
-                        QueryStats* stats) {
+Status ExportCandidates(const StoredDataset& data,
+                        const ResiliencePolicy& policy,
+                        const ExecContext& exec, const ReplicaSet& rset,
+                        int worker, const std::vector<RowId>& rows,
+                        RowBatch* out, QueryStats* stats) {
   data.disk()->InvalidateArmPosition();
   const IoStats before = rset.WorkerStats(worker);
-  PagedReader reader(data.disk(), rs.buffer_pool, MakeReaderOptions(rs));
+  PagedReader reader = MakeReader(data.disk(), policy, exec);
   out->Clear();
   Status status = CollectRowsById(data, &reader, rows, out);
   IoStats io = rset.WorkerStats(worker) - before;
@@ -79,28 +80,6 @@ Status ExportCandidates(const StoredDataset& data, const RSOptions& rs,
   stats->modeled_backoff_millis += reader.modeled_backoff_millis();
   return status;
 }
-
-// One (query, shard) task's disks and retry schedule. Attempt 0 reads
-// through the task's own FaultyDisk per replica, with the other replicas
-// attached to `rs` for failover; retries re-run on the worker's clean view
-// with no failover disks (the clean view cannot fail).
-struct TaskDisks {
-  std::vector<std::unique_ptr<FaultyDisk>> wrappers;
-  SimulatedDisk* faulty = nullptr;
-  SimulatedDisk* clean = nullptr;
-  RSOptions rs;
-  int attempts = 1;
-
-  // The disk attempt `attempt` reads through.
-  SimulatedDisk* ForAttempt(int attempt) {
-    if (attempt == 0) return faulty;
-    if (attempt == 1) {
-      rs.failover_disks.clear();
-      rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
-    }
-    return clean;
-  }
-};
 
 }  // namespace
 
@@ -127,6 +106,10 @@ QueryEngine::QueryEngine(std::unique_ptr<const ShardedDataset> owned,
       pool_(opts_.num_workers > 0
                 ? opts_.num_workers
                 : std::max(1u, std::thread::hardware_concurrency())) {
+  // A checksummed dataset implies verification; every task reads this.
+  if (sharded_->base().stored.checksum_pages()) {
+    opts_.rs.resilience.checksum_pages = true;
+  }
   SimulatedDisk* disk = sharded_->base().stored.disk();
   // Shard files were created by Partition before this constructor ran, so
   // they sit below the ceiling: shard pages fault and fail over exactly
@@ -245,45 +228,57 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
     for (int s = 0; s < S; ++s) cand[q].emplace_back(m, numerics);
   }
 
-  // Builds the per-task RSOptions: shared cache, checksum implication (a
-  // checksummed dataset implies verification), batch-local quarantine (a
-  // caller-supplied log gets the findings after the join), intra-query
-  // threads on the engine's pool.
-  auto make_rs = [&](int s) {
-    RSOptions rs = opts_.rs;
-    if (rs.num_threads > 1 && rs.executor == nullptr) rs.executor = &pool_;
-    rs.buffer_pool = pool_caches_[s].get();
-    if (sharded_->shard(s).checksum_pages()) {
-      rs.resilience.checksum_pages = true;
-    }
-    rs.resilience.quarantine_log = &quarantine;
-    return rs;
+  // The handles every task of shard s borrows: intra-query threads on the
+  // engine's pool, the shard's page cache, the batch's quarantine log.
+  auto make_exec = [&](int s) {
+    ExecContext exec;
+    exec.executor = &pool_;
+    exec.buffer_pool = pool_caches_[s].get();
+    exec.quarantine = &quarantine;
+    return exec;
   };
 
-  // Sets up task (q, s) on worker w. Its FaultyDisks read under stream
-  // Stream(q, s), so its fault pattern is fixed by the config, not by which
-  // worker runs it; the fault ceiling restricts injection to the frozen
-  // base and shard files, since scratch-file ids are assigned in execution
-  // order. Failover views persist across the worker's tasks; resetting
-  // their arms makes the task's seq/rand IO split independent of what ran
-  // before it.
-  auto make_task = [&](size_t q, int s, int w) {
+  // Runs task (q, s) on worker w, scatter and verify alike: `attempt(disk,
+  // exec)` once per attempt until one succeeds or fails with a status that
+  // is not a storage fault. Attempt 0 reads through the task's own
+  // FaultyDisk per replica, under stream Stream(q, s), so its fault
+  // pattern is fixed by the config, not by which worker runs it; the fault
+  // ceiling restricts injection to the frozen base and shard files, since
+  // scratch-file ids are assigned in execution order. The other replicas
+  // are attached to `exec` for failover; their views persist across the
+  // worker's tasks, and resetting their arms makes the task's seq/rand IO
+  // split independent of what ran before it. Retries re-run on the
+  // worker's clean view with no failover disks (the clean view cannot
+  // fail), and a success after attempt 0 counts one recovery. Returns the
+  // last attempt's status.
+  auto run_task = [&](size_t q, int s, int w, auto&& attempt) {
     ReplicaSet& rset = *replica_sets_[s];
-    TaskDisks t;
+    std::vector<std::unique_ptr<FaultyDisk>> wrappers;
     const std::vector<SimulatedDisk*> disks =
-        rset.MakeQueryDisks(w, Stream(q, s), &t.wrappers);
-    t.faulty = disks[0];
-    t.clean = rset.view(w, 0);
+        rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
     for (int r = 1; r < rset.num_replicas(); ++r) {
       rset.view(w, r)->InvalidateArmPosition();
     }
-    t.rs = make_rs(s);
+    ExecContext exec = make_exec(s);
     if (rset.num_replicas() > 1) {
-      t.rs.failover_disks.assign(disks.begin() + 1, disks.end());
-      t.rs.failover_limit = fault_ceiling_;
+      exec.failover_disks.assign(disks.begin() + 1, disks.end());
+      exec.failover_limit = fault_ceiling_;
     }
-    t.attempts = 1 + std::max(0, opts_.max_query_retries);
-    return t;
+    const int attempts = 1 + std::max(0, opts_.max_query_retries);
+    Status status;
+    for (int a = 0; a < attempts; ++a) {
+      if (a == 1) {
+        exec.failover_disks.clear();
+        exec.failover_limit = PagedReaderOptions::kNoFailoverLimit;
+      }
+      status = attempt(a == 0 ? disks[0] : rset.view(w, 0), exec);
+      if (status.ok()) {
+        if (a > 0) ++retries[q][s];
+        break;
+      }
+      if (!status.IsStorageFault()) break;
+    }
+    return status;
   };
 
   // ---- Scatter: every (query, active shard) runs the full algorithm over
@@ -312,7 +307,7 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
           DiskView* view = rset.view(w, 0);
           const size_t lo = g * group_size;
           const size_t hi = std::min(num_queries, lo + group_size);
-          RSOptions rs = make_rs(s);
+          const ExecContext exec = make_exec(s);
           const StoredDataset& shard = sharded_->shard(s);
           StoredDataset shard_data(view, shard.file(), shard.schema(),
                                    shard.num_rows(), shard.checksum_pages());
@@ -321,17 +316,17 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
           SharedScanStats ss;
           const IoStats before = rset.WorkerStats(w);
           auto res = SharedScanReverseSkylines(
-              shard_data, *space_, group, rs,
-              /*ring_order=*/algo_ == Algorithm::kSRS, &ss);
+              shard_data, *space_, group, opts_.rs,
+              /*ring_order=*/algo_ == Algorithm::kSRS, &ss, exec);
           double modeled = ss.shared_millis + ss.modeled_backoff_millis +
                            IoCostModel{}.EstimateMillis(ss.shared_io);
           if (res.ok()) {
             for (size_t q = lo; q < hi; ++q) {
               local[q][s] = std::move((*res)[q - lo]);
               if (S > 1) {
-                Status cs = ExportCandidates(shard_data, rs, rset, w,
-                                             local[q][s].rows, &cand[q][s],
-                                             &local[q][s].stats);
+                Status cs = ExportCandidates(
+                    shard_data, opts_.rs.resilience, exec, rset, w,
+                    local[q][s].rows, &cand[q][s], &local[q][s].stats);
                 if (!cs.ok()) local_status[q][s] = cs;
               }
               total_io.Add(local[q][s].stats.io);
@@ -369,33 +364,31 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
           const int w = pool_.CurrentWorkerIndex();
           NMRS_CHECK_GE(w, 0);
           ReplicaSet& rset = *replica_sets_[s];
-          TaskDisks task = make_task(q, s, w);
           const StoredDataset& shard = sharded_->shard(s);
-          StatusOr<ReverseSkylineResult> result =
-              Status::Internal("shard task never ran");
-          for (int attempt = 0; attempt < task.attempts; ++attempt) {
+          Status status = run_task(q, s, w, [&](SimulatedDisk* disk,
+                                                const ExecContext& exec) {
             PreparedDataset shard_prep{
-                StoredDataset(task.ForAttempt(attempt), shard.file(),
-                              shard.schema(), shard.num_rows(),
-                              shard.checksum_pages()),
+                StoredDataset(disk, shard.file(), shard.schema(),
+                              shard.num_rows(), shard.checksum_pages()),
                 sharded_->base().attr_order,
                 sharded_->base().prepare_millis};
             const IoStats before = rset.WorkerStats(w);
-            result = RunReverseSkyline(shard_prep, *space_, queries[q],
-                                       algo_, task.rs);
+            StatusOr<ReverseSkylineResult> result = RunReverseSkyline(
+                shard_prep, *space_, queries[q], algo_, opts_.rs, exec);
             if (result.ok() && S > 1) {
               // Export through the same (possibly faulty, failover-backed)
               // disk: a real shard re-reads rows to serialize them, and may
               // fail doing so, which counts as a failed attempt like any
               // other.
-              Status cs =
-                  ExportCandidates(shard_prep.stored, task.rs, rset, w,
-                                   result->rows, &cand[q][s], &result->stats);
+              Status cs = ExportCandidates(shard_prep.stored,
+                                           opts_.rs.resilience, exec, rset,
+                                           w, result->rows, &cand[q][s],
+                                           &result->stats);
               if (!cs.ok()) result = cs;
             }
             if (result.ok()) {
-              if (attempt > 0) ++retries[q][s];
-              break;
+              local[q][s] = std::move(*result);
+              return Status::OK();
             }
             // Keep the dead run's partial IO (worker-wide: failover reads
             // land on the other replica views). A successful later attempt
@@ -404,14 +397,9 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
             ReverseSkylineResult partial;
             partial.stats.io = rset.WorkerStats(w) - before;
             local[q][s] = std::move(partial);
-            if (!result.status().IsStorageFault()) break;
-          }
-
-          if (result.ok()) {
-            local[q][s] = std::move(*result);
-          } else {
-            local_status[q][s] = result.status();
-          }
+            return result.status();
+          });
+          if (!status.ok()) local_status[q][s] = status;
           total_io.Add(local[q][s].stats.io);
           batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
               local[q][s].stats.ResponseMillis();
@@ -494,7 +482,9 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
                                  shard.num_rows(), shard.checksum_pages());
         view->InvalidateArmPosition();
         const IoStats before = rset.WorkerStats(w);
-        PagedReader reader(view, nullptr, MakeReaderOptions(make_rs(s)));
+        ExecContext exec;  // no page cache: the build bypasses it
+        exec.quarantine = &quarantine;
+        PagedReader reader = MakeReader(view, opts_.rs.resilience, exec);
         Timer build_timer;
         auto tree =
             std::make_unique<ALTree>(schema, sharded_->base().attr_order);
@@ -562,22 +552,20 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
             verify_stats[q][s] = vs;
           } else {
             ReplicaSet& rset = *replica_sets_[s];
-            TaskDisks task = make_task(q, s, w);
             const StoredDataset& shard = sharded_->shard(s);
-            Status vstatus = Status::OK();
-            for (int attempt = 0; attempt < task.attempts; ++attempt) {
-              SimulatedDisk* attempt_disk = task.ForAttempt(attempt);
-              StoredDataset shard_data(attempt_disk, shard.file(),
-                                       shard.schema(), shard.num_rows(),
+            Status vstatus = run_task(q, s, w, [&](SimulatedDisk* disk,
+                                                   const ExecContext& exec) {
+              StoredDataset shard_data(disk, shard.file(), shard.schema(),
+                                       shard.num_rows(),
                                        shard.checksum_pages());
-              attempt_disk->InvalidateArmPosition();
+              disk->InvalidateArmPosition();
               const IoStats before = rset.WorkerStats(w);
-              PagedReader reader(attempt_disk, task.rs.buffer_pool,
-                                 MakeReaderOptions(task.rs));
+              PagedReader reader =
+                  MakeReader(disk, opts_.rs.resilience, exec);
               QueryStats vs;
               Timer verify_timer;
-              vstatus = PruneCandidatesAgainstShard(
-                  shard_data, *space_, queries[q], foreign, task.rs, &reader,
+              Status st = PruneCandidatesAgainstShard(
+                  shard_data, *space_, queries[q], foreign, opts_.rs, &reader,
                   &verdicts[q][s], &vs);
               vs.phase2_checks = vs.checks;
               vs.io = rset.WorkerStats(w) - before;
@@ -586,12 +574,8 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
               vs.compute_millis = verify_timer.ElapsedMillis();
               vs.phase2_millis = vs.compute_millis;
               verify_stats[q][s] = vs;
-              if (vstatus.ok()) {
-                if (attempt > 0) ++retries[q][s];
-                break;
-              }
-              if (!vstatus.IsStorageFault()) break;
-            }
+              return st;
+            });
             if (!vstatus.ok()) local_status[q][s] = vstatus;
           }
           total_io.Add(verify_stats[q][s].io);
@@ -683,11 +667,6 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
     batch.queries_retried += tasks > 0 ? 1 : 0;
   }
   batch.quarantined = quarantine.Pages();
-  if (opts_.rs.resilience.quarantine_log != nullptr) {
-    for (const auto& [file, page] : batch.quarantined) {
-      opts_.rs.resilience.quarantine_log->Report(file, page);
-    }
-  }
   return batch;
 }
 
@@ -714,9 +693,7 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
   ctx.space = space_;
   ctx.selected =
       ResolveSelectedAttrs(base_data.schema(), opts_.rs.selected_attrs);
-  ctx.reader_opts.verify_checksums =
-      base_data.checksum_pages() || opts_.rs.resilience.checksum_pages;
-  ctx.overlay_group = opts_.overlay_group;
+  ctx.resilience = opts_.rs.resilience;
 
   // ---- 1. Query-independent classification, once per batch. ----
   OverlayClassification cls;

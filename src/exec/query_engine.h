@@ -193,7 +193,7 @@ struct OverlayBatchResult {
   /// Overlay telemetry. `sensitive_rows` / `invariant_rows` sum the
   /// per-user classification over all users (their sum is rows * users);
   /// `recheck_scans` counts the grouped re-check tasks
-  /// (<= queries * ceil(users / overlay_group)); `recheck_checks` /
+  /// (<= queries * ceil(users / kOverlayGroup)); `recheck_checks` /
   /// `recheck_pair_tests` aggregate the pruning work of the pruner-hint
   /// pass and the re-checks.
   uint64_t sensitive_rows = 0;
@@ -309,7 +309,7 @@ class QueryEngine {
   /// pass over the base dataset splitting rows into overlay-invariant vs
   /// overlay-sensitive per user, one pass per query recording a base-space
   /// pruner for the sensitive rows outside the base answer, and one
-  /// re-check per (query, group of overlay_group users) deciding only the
+  /// re-check per (query, group of kOverlayGroup users) deciding only the
   /// sensitive candidates under that user's overlaid distances, hint
   /// first. For all-categorical schemas the hint pass and the re-checks
   /// search one read-only AL-Tree of the base file (paper Alg. 4), which

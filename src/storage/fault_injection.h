@@ -129,15 +129,15 @@ class QuarantineLog {
   std::set<std::pair<FileId, PageId>> pages_;
 };
 
-/// Everything a reader needs to know about surviving storage faults, in one
-/// struct: checksum verification, the transient-retry budget, where to
-/// report pages that are gone for good, and how many storage replicas exist
-/// to fail over to. Embedded in RSOptions (and through it EngineOptions)
-/// and consumed by MakeReaderOptions, so algorithms, the QueryEngine and the
-/// CLI all speak the same resilience vocabulary. Default-constructed ==
-/// everything off: no checksums, 3 transient attempts, no quarantine
-/// reporting, a single replica (no failover) — bit-identical to the
-/// pre-replica behavior.
+/// The policy for surviving storage faults, in one struct: checksum
+/// verification, the transient-retry budget, and how many storage replicas
+/// exist to fail over to. Embedded in RSOptions (and through it
+/// EngineOptions) and consumed by MakeReader (core/query.h), so algorithms,
+/// the QueryEngine and the CLI all speak the same resilience vocabulary.
+/// Runtime handles — the replica disks themselves and the quarantine sink —
+/// are not policy; they come in the query's ExecContext. Default-constructed
+/// == everything off: no checksums, 3 transient attempts, a single replica
+/// (no failover) — bit-identical to the pre-replica behavior.
 struct ResiliencePolicy {
   /// Verify (and for writers, seal) CRC32C page trailers. Readers treat a
   /// mismatch as kCorruption: evict + refetch once, then fail over /
@@ -146,10 +146,6 @@ struct ResiliencePolicy {
 
   /// Transient (kUnavailable) retry budget per page read, per replica.
   RetryPolicy retry;
-
-  /// If set, pages every replica failed on are reported here. Borrowed, not
-  /// owned; must outlive the query.
-  QuarantineLog* quarantine_log = nullptr;
 
   /// Number of storage replicas (>= 1). With N > 1 the batch engine builds
   /// a ReplicaSet of N FaultyDisks over the same frozen base files, each

@@ -20,7 +20,7 @@ struct PagedReaderOptions {
 
   /// Verify the CRC-32C footer (Page::VerifySeal) on every page read. Only
   /// valid for datasets written with checksums enabled
-  /// (RSOptions::checksum_pages / PrepareOptions::checksum_pages).
+  /// (RSOptions::resilience / PrepareOptions::checksum_pages).
   bool verify_checksums = false;
 
   /// Transient-failure retry budget and modeled backoff, applied per

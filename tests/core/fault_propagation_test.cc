@@ -165,7 +165,7 @@ TEST_F(FaultPropagationTest, BichromaticSurfacesFaultsFromEitherSet) {
 
 TEST_F(FaultPropagationTest, StandaloneFailoverRecoversEveryAlgorithm) {
   // Without the QueryEngine: a bad middle page on the primary disk plus
-  // one clean failover replica (RSOptions::failover_disks) lets every
+  // one clean failover replica (ExecContext::failover_disks) lets every
   // algorithm return the fault-free rows, with the failover visible in its
   // IO accounting.
   for (Algorithm algo :
@@ -193,10 +193,11 @@ TEST_F(FaultPropagationTest, StandaloneFailoverRecoversEveryAlgorithm) {
         prepared->attr_order, 0};
     RSOptions rs;
     rs.memory = MemoryBudget{2};
-    rs.failover_disks = {&replica};
-    rs.failover_limit = base.next_file_id();
+    ExecContext exec;
+    exec.failover_disks = {&replica};
+    exec.failover_limit = base.next_file_id();
     auto result =
-        RunReverseSkyline(local, instance_.space, query_, algo, rs);
+        RunReverseSkyline(local, instance_.space, query_, algo, rs, exec);
     ASSERT_TRUE(result.ok()) << AlgorithmName(algo) << ": "
                              << result.status();
     EXPECT_EQ(result->rows, expected->rows) << AlgorithmName(algo);

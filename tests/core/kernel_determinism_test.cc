@@ -141,11 +141,12 @@ TEST_P(KernelDeterminismSweep, WiredAlgorithmsAreBitIdentical) {
                              BufferPoolOptions::FromBudget(MemoryBudget{8}));
       RSOptions scalar_opts = base;
       scalar_opts.use_kernels = false;  // the seed scalar path: the oracle
+      ExecContext scalar_exec;
       if (cache) {
-        scalar_opts.buffer_pool = &scalar_pool;
+        scalar_exec.buffer_pool = &scalar_pool;
       }
       auto scalar = RunReverseSkyline(*prep, inst.space, inst.query, algo,
-                                      scalar_opts);
+                                      scalar_opts, scalar_exec);
       ASSERT_TRUE(scalar.ok()) << AlgorithmName(algo);
       EXPECT_EQ(scalar->rows, expected) << AlgorithmName(algo);
       for (const uint32_t promote : kPromoteSweep) {
@@ -154,11 +155,12 @@ TEST_P(KernelDeterminismSweep, WiredAlgorithmsAreBitIdentical) {
         RSOptions kernel_opts = base;
         kernel_opts.use_kernels = true;
         kernel_opts.kernel_promote_rows = promote;
+        ExecContext kernel_exec;
         if (cache) {
-          kernel_opts.buffer_pool = &kernel_pool;
+          kernel_exec.buffer_pool = &kernel_pool;
         }
         auto kernel = RunReverseSkyline(*prep, inst.space, inst.query, algo,
-                                        kernel_opts);
+                                        kernel_opts, kernel_exec);
         ASSERT_TRUE(kernel.ok()) << AlgorithmName(algo);
         const std::string label =
             std::string(AlgorithmName(algo)) + " trial " +
@@ -287,10 +289,11 @@ TEST_P(KernelDeterminismSweep, AdaptivePromotionSurvivesReplicaFailover) {
       RSOptions rs = clean_opts;
       rs.use_kernels = true;
       rs.kernel_promote_rows = promote;
-      rs.failover_disks = {&replica};
-      rs.failover_limit = base.next_file_id();
+      ExecContext exec;
+      exec.failover_disks = {&replica};
+      exec.failover_limit = base.next_file_id();
       auto result =
-          RunReverseSkyline(local, inst.space, inst.query, algo, rs);
+          RunReverseSkyline(local, inst.space, inst.query, algo, rs, exec);
       ASSERT_TRUE(result.ok())
           << AlgorithmName(algo) << ": " << result.status();
       const std::string label = std::string(AlgorithmName(algo)) +

@@ -4,6 +4,8 @@
 #include "data/generators.h"
 #include "exec/query_engine.h"
 #include "gtest/gtest.h"
+#include "sim/dissimilarity_matrix.h"
+#include "sim/numeric_dissimilarity.h"
 #include "testing/test_util.h"
 
 namespace nmrs {
@@ -411,6 +413,74 @@ TEST_F(FaultBatchTest, FailoverComposesWithChecksumsAndCorruption) {
     EXPECT_EQ(batch->results[i].rows, clean->results[i].rows)
         << "query " << i;
   }
+}
+
+TEST(FaultBatchShardedTest, FlatScanVerifyRetryRecoversEveryQuery) {
+  // Two shards over a schema with a numeric attribute, so the exchange's
+  // verify round scans the shard file instead of searching a verify index.
+  // Page 0 of shard 0 is gone on the faulty attempt: every query's shard-0
+  // scatter task and every shard-0 verify scan hit it, fail, and recover on
+  // the clean view, so both rounds' retries are counted.
+  Rng data_rng(4242);
+  Rng space_rng(4243);
+  const std::vector<size_t> cards = {5, 6, 7};
+  const Dataset data = GenerateMixed(3000, cards, 1, 8, data_rng);
+  SimilaritySpace space;
+  for (size_t card : cards) {
+    space.AddCategorical(MakeRandomMatrix(card, space_rng));
+  }
+  space.AddNumeric(NumericDissimilarity(0.01));
+  Rng query_rng(4244);
+  std::vector<Object> queries;
+  for (int i = 0; i < 16; ++i) {
+    queries.push_back(SampleUniformQuery(data, query_rng));
+  }
+
+  SimulatedDisk disk;
+  auto prep = PrepareDataset(&disk, data, Algorithm::kSRS);
+  ASSERT_TRUE(prep.ok()) << prep.status();
+  ShardPlanOptions plan;
+  plan.num_shards = 2;
+  auto sharded = ShardedDataset::Partition(*prep, plan);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  ASSERT_GT(sharded->shard_rows(0), 0u);
+  ASSERT_GT(sharded->shard_rows(1), 0u);
+
+  auto run = [&](const EngineOptions& opts) {
+    QueryEngine engine(*sharded, space, Algorithm::kSRS, opts);
+    auto batch = engine.RunBatch(queries);
+    EXPECT_TRUE(batch.ok()) << batch.status();
+    return std::move(*batch);
+  };
+  EngineOptions clean_opts;
+  clean_opts.num_workers = 2;
+  const BatchResult clean = run(clean_opts);
+  ASSERT_TRUE(clean.ok()) << clean.first_error();
+
+  EngineOptions opts = clean_opts;
+  opts.faults.seed = 1;
+  opts.faults.bad_pages.insert({sharded->shard(0).file(), 0});
+  opts.max_query_retries = 1;
+  const BatchResult batch = run(opts);
+
+  ASSERT_TRUE(batch.ok()) << batch.first_error();
+  // Verify scans of shard 0: one per query whose shard 1 offered
+  // candidates (they are shard 0's foreign candidates).
+  uint64_t verify_scans = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(batch.results[q].rows, clean.results[q].rows) << "query " << q;
+    EXPECT_EQ(batch.results[q].stats.io, clean.results[q].stats.io)
+        << "query " << q;
+    if (clean.breakdown[q].shard_candidates[1] > 0) ++verify_scans;
+  }
+  EXPECT_EQ(verify_scans, 8u);
+  // 16 scatter recoveries (shard 0 of every query) plus 8 verify ones.
+  EXPECT_EQ(batch.tasks_retried, queries.size() + verify_scans);
+  EXPECT_EQ(batch.tasks_retried, 24u);
+  EXPECT_EQ(batch.queries_retried, queries.size());
+  ASSERT_EQ(batch.quarantined.size(), 1u);
+  EXPECT_EQ(batch.quarantined[0],
+            (std::pair<FileId, PageId>{sharded->shard(0).file(), 0}));
 }
 
 }  // namespace

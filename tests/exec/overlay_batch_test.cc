@@ -150,26 +150,22 @@ TEST(OverlayBatchTest, ResultsIndependentOfOverlayGroupAndWorkers) {
 
   std::vector<std::vector<std::vector<RowId>>> baseline;
   for (size_t workers : {1u, 4u}) {
-    for (size_t group : {1u, 2u, 16u}) {
-      EngineOptions opts;
-      opts.num_workers = workers;
-      opts.overlay_group = group;
-      QueryEngine engine(*prep, wl.instance.space, Algorithm::kBRS, opts);
-      auto got = engine.RunOverlayBatch(wl.queries, wl.OverlayPtrs());
-      ASSERT_TRUE(got.ok()) << got.status();
-      ASSERT_TRUE(got->ok()) << got->first_error();
-      std::vector<std::vector<std::vector<RowId>>> rows(wl.queries.size());
-      for (size_t q = 0; q < wl.queries.size(); ++q) {
-        for (size_t u = 0; u < wl.overlays.size(); ++u) {
-          rows[q].push_back(got->results[q][u].rows);
-        }
+    EngineOptions opts;
+    opts.num_workers = workers;
+    QueryEngine engine(*prep, wl.instance.space, Algorithm::kBRS, opts);
+    auto got = engine.RunOverlayBatch(wl.queries, wl.OverlayPtrs());
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(got->ok()) << got->first_error();
+    std::vector<std::vector<std::vector<RowId>>> rows(wl.queries.size());
+    for (size_t q = 0; q < wl.queries.size(); ++q) {
+      for (size_t u = 0; u < wl.overlays.size(); ++u) {
+        rows[q].push_back(got->results[q][u].rows);
       }
-      if (baseline.empty()) {
-        baseline = rows;
-      } else {
-        EXPECT_EQ(rows, baseline)
-            << "workers=" << workers << " group=" << group;
-      }
+    }
+    if (baseline.empty()) {
+      baseline = rows;
+    } else {
+      EXPECT_EQ(rows, baseline) << "workers=" << workers;
     }
   }
 }
@@ -181,7 +177,6 @@ TEST(OverlayBatchTest, TelemetryAccountsEveryRowAndScan) {
   ASSERT_TRUE(prep.ok()) << prep.status();
   EngineOptions opts;
   opts.num_workers = 2;
-  opts.overlay_group = 2;
   QueryEngine engine(*prep, wl.instance.space, Algorithm::kBRS, opts);
   auto got = engine.RunOverlayBatch(wl.queries, wl.OverlayPtrs());
   ASSERT_TRUE(got.ok()) << got.status();
@@ -193,8 +188,7 @@ TEST(OverlayBatchTest, TelemetryAccountsEveryRowAndScan) {
   EXPECT_GT(got->sensitive_rows, 0u);
   // Grouped scans: at most ceil(users / group) passes per query.
   const uint64_t max_scans =
-      wl.queries.size() * ((users + opts.overlay_group - 1) /
-                           opts.overlay_group);
+      wl.queries.size() * ((users + kOverlayGroup - 1) / kOverlayGroup);
   EXPECT_LE(got->recheck_scans, max_scans);
   EXPECT_GT(got->recheck_scans, 0u);
   EXPECT_GT(got->recheck_checks, 0u);
@@ -543,7 +537,6 @@ void ExpectHintMissFallsBack(const PreparedDataset& prep,
   for (size_t workers : {1u, 2u, 8u}) {
     EngineOptions opts;
     opts.num_workers = workers;
-    opts.overlay_group = 2;
     const std::string label = "workers=" + std::to_string(workers);
     ExpectEngineMatchesRebuild<QueryEngine>(prep, space, Algorithm::kBRS,
                                             opts, queries, users, label);

@@ -597,7 +597,6 @@ void StressOverlayBatch() {
   for (size_t workers : {1u, 8u, 8u}) {
     EngineOptions opts;
     opts.num_workers = workers;
-    opts.overlay_group = workers == 1 ? 3 : 16;
     opts.cache_pages = prepared->stored.num_pages();
     QueryEngine engine(*prepared, space, Algorithm::kBRS, opts);
     auto ob = engine.RunOverlayBatch(queries, ptrs);

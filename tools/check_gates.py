@@ -69,6 +69,19 @@ mutations (BENCH_mutations.json, docs/MUTABILITY.md):
              dataset is <= 1.3x: a snapshot IS a prepared dataset, so
              per-query cost tracks the merged row count.
 
+cache (BENCH_cache.json, docs/CACHING.md):
+  cache 1    Every run says identical=1: the engine batch and the
+             bichromatic rescans return the uncached rows at every cache
+             size and worker count. Correctness only: the cache's read
+             reductions and modeled speedups stay ungated.
+
+faults (BENCH_faults.json, docs/ROBUSTNESS.md):
+  fault 1    Every failover run with at least 2 replicas says
+             rows_identical_to_clean=1: page-granular failover returns the
+             fault-free rows. Correctness only: the wall-clock
+             no-fault-overhead shape check is noise-bound on a single run
+             and stays ungated.
+
 The benches report most of these as shape checks too; this script
 re-derives them from the JSON so CI fails even if a bench's stdout is
 lost, and so committed BENCH_*.json files can be re-audited offline.
@@ -114,6 +127,10 @@ def identical(prefix: str) -> Check:
         limit=1,
         required=False,
     )
+
+
+def failover_point(r: Run, runs: Runs) -> bool:
+    return r.get("workload") == "failover" and r.get("replicas", 0) >= 2
 
 
 def top_micro(r: Run, runs: Runs) -> bool:
@@ -238,6 +255,26 @@ CHECKS = {
             metric=lambda r, runs: r.get("slowdown_vs_frozen", 0.0),
             op="<=",
             limit=1.3,
+        ),
+    ],
+    "cache": [
+        Check(
+            name="cache 1",
+            what="rows identical at every cache size and worker count",
+            select=lambda r, runs: True,
+            metric=lambda r, runs: r.get("identical", 0),
+            op=">=",
+            limit=1,
+        ),
+    ],
+    "faults": [
+        Check(
+            name="fault 1",
+            what="failover with >= 2 replicas returns the fault-free rows",
+            select=failover_point,
+            metric=lambda r, runs: r.get("rows_identical_to_clean", 0),
+            op=">=",
+            limit=1,
         ),
     ],
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Self-test of tools/check_gates.py against the committed bench JSONs.
 
-Every committed BENCH_{kernels,shards,overlays,mutations}.json must pass
-its gates. Then, for each of the 13 checks, a copy of the matching JSON is
-doctored to violate that check alone: the gate must exit 1 and name that
-check, and only that check, as failed.
+Every committed BENCH_{kernels,shards,overlays,mutations,cache,faults}.json
+must pass its gates. Then, for each of the 15 checks, a copy of the matching
+JSON is doctored to violate that check alone: the gate must exit 1 and name
+that check, and only that check, as failed.
 
 Usage: python3 tools/test_check_gates.py  (exit 0 = all cases pass)
 """
@@ -80,6 +80,12 @@ CASES = {
         lambda runs: first(runs, delta_pct=5.0), "identical", 0)),
     "mutation 2": ("mutations", set_field(
         lambda runs: first(runs, delta_pct=1.0), "slowdown_vs_frozen", 1.31)),
+    "cache 1": ("cache", set_field(
+        lambda runs: first(runs, workload="bichromatic-rescan", cache_pct=25),
+        "identical", 0)),
+    "fault 1": ("faults", set_field(
+        lambda runs: first(runs, workload="failover", replicas=2),
+        "rows_identical_to_clean", 0)),
 }
 
 
@@ -95,7 +101,8 @@ def run_gate(path):
 def main():
     problems = []
     docs = {}
-    for name in ("kernels", "shards", "overlays", "mutations"):
+    for name in ("kernels", "shards", "overlays", "mutations", "cache",
+                 "faults"):
         path = os.path.join(REPO, f"BENCH_{name}.json")
         with open(path) as f:
             docs[name] = json.load(f)
