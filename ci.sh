@@ -9,8 +9,10 @@
 #                concurrent replica-failover / shared-pool stress
 #   3. asan    — Address+UBSan build of the gtest-free binaries; the fault
 #                path exercises checksum verification, retry loops and
-#                quarantine under instrumentation, and altree_identity
-#                checks the AL-Tree's leaf-arena offsets node for node
+#                quarantine under instrumentation, altree_identity
+#                checks the AL-Tree's leaf-arena offsets node for node,
+#                and exact_search_sweep runs the exact numeric index
+#                search against brute force
 #   4. chaos   — full 500-config fault-injection soak on the plain build
 #                (a 25-config slice already ran inside stage 1's ctest)
 #   5. replica — chaos sweep restricted to multi-replica configs: one
@@ -69,13 +71,14 @@ cmake -B build-tsan -S . -DNMRS_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-tsan -j"${JOBS}" --target exec_stress
 ./build-tsan/tests/exec_stress
 
-echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity) ==="
+echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep) ==="
 cmake -B build-asan -S . -DNMRS_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
-  --target altree_identity
+  --target altree_identity --target exact_search_sweep
 ./build-asan/tests/exec_stress
 ./build-asan/tests/chaos_soak --configs=50 --mutations=10
 ./build-asan/tests/altree_identity
+./build-asan/tests/exact_search_sweep
 
 echo "=== chaos soak (full 500-config sweep + WAL/compaction faults) ==="
 ./build/tests/chaos_soak --configs=500 --mutations=100

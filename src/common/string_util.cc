@@ -1,8 +1,10 @@
 #include "common/string_util.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <system_error>
 
 namespace nmrs {
@@ -35,6 +37,21 @@ StatusOr<uint64_t> ParseDigits(std::string_view what, std::string_view s) {
   if (ec != std::errc() || end != s.data() + s.size()) {
     return Status::InvalidArgument(std::string(what) + " value '" +
                                    std::string(s) + "' is out of range");
+  }
+  return v;
+}
+
+StatusOr<double> ParseDouble(std::string_view what, std::string_view s) {
+  const std::string token(s);
+  char* end = nullptr;
+  const double v = std::strtod(token.c_str(), &end);
+  if (token.empty() || end != token.c_str() + token.size()) {
+    return Status::InvalidArgument(std::string(what) + " '" + token +
+                                   "' is not a number");
+  }
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument(std::string(what) + " '" + token +
+                                   "' is not finite");
   }
   return v;
 }

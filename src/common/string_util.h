@@ -19,6 +19,12 @@ std::vector<std::string> StrSplit(std::string_view s, char sep);
 /// values above UINT64_MAX with InvalidArgument.
 StatusOr<uint64_t> ParseDigits(std::string_view what, std::string_view s);
 
+/// Strict parse of a finite decimal number `s`, named `what` in errors.
+/// Unlike a bare strtod (which reads "abc" as 0 and stops at the first junk
+/// character), it rejects empty input, trailing junk, and "nan", "inf" or
+/// overflowing values with InvalidArgument.
+StatusOr<double> ParseDouble(std::string_view what, std::string_view s);
+
 /// Joins `parts` with `sep`.
 std::string StrJoin(const std::vector<std::string>& parts,
                     std::string_view sep);

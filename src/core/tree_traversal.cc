@@ -1,6 +1,7 @@
 #include "core/tree_traversal.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/dominance.h"
 #include "order/attribute_order.h"
@@ -114,11 +115,29 @@ bool OnSelfPath(const ALTree& tree, NodeId node, uint32_t level,
   return cur == node;
 }
 
-}  // namespace
+// The exact leaf step (ExactLeaves): the first entry of `leaf`, other than
+// the candidate's own, that prunes the candidate under exact->ctx.
+bool FindPrunerEntry(const ALTree& tree, NodeId leaf, ExactLeaves* exact,
+                     uint64_t* checks) {
+  LeafValues(tree, leaf, tree.attr_order(), &exact->values);
+  const std::span<const RowId> rows = tree.LeafRows(leaf);
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    if (rows[i] == exact->self_id) continue;
+    if (exact->ctx->Prunes(exact->values.data(), tree.LeafNumerics(leaf, i),
+                           checks)) {
+      exact->entry = i;
+      return true;
+    }
+  }
+  return false;
+}
 
-NodeId FindPrunerFast(const ALTree& tree,
-                      const std::vector<Phase1Level>& levels, NodeId self_leaf,
-                      QueryStats* stats, std::vector<FastEntry>& stack) {
+// FindPrunerFast's search; kExact selects the leaf step, so the
+// all-categorical instantiation has no per-leaf branch on it.
+template <bool kExact>
+NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
+                    NodeId self_leaf, QueryStats* stats,
+                    std::vector<FastEntry>& stack, ExactLeaves* exact) {
   const uint32_t leaf_level = static_cast<uint32_t>(levels.size()) - 1;
   stack.clear();
   stack.push_back({ALTree::kRootId, 0, false});
@@ -142,7 +161,11 @@ NodeId FindPrunerFast(const ALTree& tree,
       if (lhs <= level.rhs) {
         const bool closer = s.found_closer || lhs < level.rhs;
         if (s.level == leaf_level) {
-          if (closer) {
+          // Bucket bounds cannot prove strictness: an entry's exact values
+          // decide, whatever the path's flag says.
+          const bool pruned =
+              kExact ? FindPrunerEntry(tree, p, exact, &checks) : closer;
+          if (pruned) {
             stats->checks += checks;
             return p;
           }
@@ -156,28 +179,67 @@ NodeId FindPrunerFast(const ALTree& tree,
   return ALTree::kInvalidNode;
 }
 
+}  // namespace
+
+NodeId FindPrunerFast(const ALTree& tree,
+                      const std::vector<Phase1Level>& levels, NodeId self_leaf,
+                      QueryStats* stats, std::vector<FastEntry>& stack,
+                      ExactLeaves* exact) {
+  if (tree.has_numerics()) {
+    NMRS_CHECK(exact != nullptr) << "a tree with numerics needs ExactLeaves";
+    return SearchPruner<true>(tree, levels, self_leaf, stats, stack, exact);
+  }
+  return SearchPruner<false>(tree, levels, self_leaf, stats, stack, nullptr);
+}
+
 IndexLevels::IndexLevels(const ALTree& index,
-                         const std::vector<AttrId>& selected) {
+                         const std::vector<AttrId>& selected)
+    : has_numerics_(index.has_numerics()) {
   const std::vector<AttrId>& order = index.attr_order();
   selected_pos_.assign(order.size(), kUnselected);
+  buckets_.resize(order.size());
+  bounds_.resize(order.size());
   size_t max_card = 0;
   for (size_t l = 0; l < order.size(); ++l) {
     for (size_t k = 0; k < selected.size(); ++k) {
       if (selected[k] == order[l]) selected_pos_[l] = k;
     }
-    max_card = std::max<size_t>(max_card,
-                                index.schema().attribute(order[l]).cardinality);
+    const AttributeInfo& info = index.schema().attribute(order[l]);
+    if (info.is_numeric && selected_pos_[l] != kUnselected) {
+      buckets_[l].emplace(info.range, info.cardinality);
+      bounds_[l].resize(info.cardinality);
+    }
+    max_card = std::max<size_t>(max_card, info.cardinality);
   }
   zeros_.assign(max_card, 0.0);
   levels_.assign(order.size(), {zeros_.data(), 0.0});
+  exact_.values.resize(index.schema().num_attributes());
 }
 
-const std::vector<Phase1Level>& IndexLevels::Bind(const PruneContext& ctx) {
+const std::vector<Phase1Level>& IndexLevels::Bind(const PruneContext& ctx,
+                                                  RowId self_id) {
   for (size_t l = 0; l < levels_.size(); ++l) {
     const size_t k = selected_pos_[l];
     if (k == kUnselected) continue;
-    levels_[l] = {ctx.CandidateColumn(k), ctx.QueryDist(k)};
+    if (!buckets_[l].has_value()) {
+      levels_[l] = {ctx.CandidateColumn(k), ctx.QueryDist(k)};
+      continue;
+    }
+    // Numeric level: no value y of bucket b is closer to c than the
+    // bucket's interval is, so the bound admits every bucket that could
+    // hold a pruner, while the threshold stays the exact d(q, c).
+    const AttrId a = ctx.selected()[k];
+    const double x = ctx.candidate_numerics()[a];
+    const NumericDissimilarity& nd = ctx.space().numeric(a);
+    std::vector<double>& col = bounds_[l];
+    for (size_t b = 0; b < col.size(); ++b) {
+      col[b] = nd.MinDist(buckets_[l]->BucketInterval(static_cast<ValueId>(b)),
+                          Interval{x, x});
+    }
+    levels_[l] = {col.data(), ctx.QueryDist(k)};
   }
+  exact_.ctx = &ctx;
+  exact_.self_id = self_id;
   return levels_;
 }
 

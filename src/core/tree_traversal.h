@@ -63,15 +63,31 @@ struct FastEntry {
 };
 
 /// Per-level candidate context for FindPrunerFast: col[v] = d_l(v, c_l),
-/// rhs = d_l(q_l, c_l).
+/// rhs = d_l(q_l, c_l). On a numeric level of an index, col[b] is instead
+/// a lower bound of d_l(y_l, c_l) over the values y_l of bucket b.
 struct Phase1Level {
   const double* col;
   double rhs;
 };
 
-/// The Phase1Level array of a search over a read-only all-categorical
-/// index under a table-backed PruneContext: each selected level reads the
-/// context's (overlay-aware) candidate column against its query distance.
+/// The leaf step of FindPrunerFast over a tree with numeric attributes,
+/// whose levels only bound numeric distances by bucket (paper §6): each
+/// entry of a leaf the levels admit is tested exactly with ctx->Prunes on
+/// the leaf's values and the entry's numerics, except the entry whose row
+/// id is self_id. The search then returns the first leaf holding a pruner
+/// and sets `entry` to that pruner's entry index.
+struct ExactLeaves {
+  const PruneContext* ctx = nullptr;  // bound to the candidate
+  RowId self_id = kInvalidRowId;      // kInvalidRowId: not a row of the tree
+  std::vector<ValueId> values;        // scratch: one per attribute
+  uint32_t entry = 0;                 // out
+};
+
+/// The Phase1Level array of a search over a read-only index under a
+/// table-backed PruneContext: each selected categorical level reads the
+/// context's (overlay-aware) candidate column against its query distance;
+/// each selected numeric level reads a per-bucket column of lower bounds
+/// MinDist(bucket interval, c_l) against the exact query distance.
 /// Unselected levels read an all-zero column against a zero threshold:
 /// every value passes (0 <= 0) and none passes strictly (0 < 0). The
 /// levels point into this object, which is therefore not copyable.
@@ -82,14 +98,27 @@ class IndexLevels {
   IndexLevels(const IndexLevels&) = delete;
   IndexLevels& operator=(const IndexLevels&) = delete;
 
-  /// Points every selected level at `ctx`'s current candidate.
-  const std::vector<Phase1Level>& Bind(const PruneContext& ctx);
+  /// Points every selected level at `ctx`'s current candidate, whose row
+  /// id is `self_id` (kInvalidRowId for a candidate that is not a row of
+  /// the index).
+  const std::vector<Phase1Level>& Bind(const PruneContext& ctx,
+                                       RowId self_id);
+
+  /// The exact leaf step of the bound candidate: null for an
+  /// all-categorical index, whose levels are exact.
+  ExactLeaves* exact() { return has_numerics_ ? &exact_ : nullptr; }
 
  private:
   static constexpr size_t kUnselected = ~size_t{0};
   std::vector<size_t> selected_pos_;  // per level: position in `selected`
   std::vector<double> zeros_;
+  // Per level: bucket bounds and lower-bound column of a selected numeric
+  // level (empty otherwise).
+  std::vector<std::optional<Bucketizer>> buckets_;
+  std::vector<std::vector<double>> bounds_;
   std::vector<Phase1Level> levels_;
+  bool has_numerics_;
+  ExactLeaves exact_;
 };
 
 /// Per-level streamed-object context for PruneTreeFast: erow[u] =
@@ -107,19 +136,25 @@ bool IsPrunable(const ALTree& tree, const TreeQueryContext& ctx,
                 const std::vector<double>& rhs, QueryStats* stats,
                 std::vector<TraversalEntry>& stack);
 
-/// All-categorical/all-attributes specialization of IsPrunable: returns
-/// the leaf of the first pruner the search meets (its values via
-/// LeafValues), or ALTree::kInvalidNode when nothing prunes the candidate.
-/// `self_leaf` is the candidate's own leaf when the candidate is a row of
-/// `tree`: the search then counts that leaf and its ancestors one instance
-/// short, exactly as if TempRemoveLeaf(self_leaf) had run, without
-/// mutating the tree, so concurrent searches may share it. Pass
-/// kInvalidNode when the candidate is not in the tree or has already been
-/// removed (TRS's TempRemove).
+/// Paper Alg. 4 over per-level columns: returns the leaf of the first
+/// pruner the search meets (its values via LeafValues), or
+/// ALTree::kInvalidNode when nothing prunes the candidate. `self_leaf` is
+/// the candidate's own leaf when the candidate is a row of `tree`: the
+/// search then counts that leaf and its ancestors one instance short,
+/// exactly as if TempRemoveLeaf(self_leaf) had run, without mutating the
+/// tree, so concurrent searches may share it. Pass kInvalidNode when the
+/// candidate is not in the tree or has already been removed (TRS's
+/// TempRemove).
+///
+/// An all-categorical tree takes the verdict from the path (a leaf the
+/// levels admit on a path with a strict level); `exact` must be null. A
+/// tree with numerics needs `exact` (IndexLevels::exact()): its leaves are
+/// refined entry by entry, so the verdict is Definition 1 as well.
 ALTree::NodeId FindPrunerFast(const ALTree& tree,
                               const std::vector<Phase1Level>& levels,
                               ALTree::NodeId self_leaf, QueryStats* stats,
-                              std::vector<FastEntry>& stack);
+                              std::vector<FastEntry>& stack,
+                              ExactLeaves* exact = nullptr);
 
 /// Query-side thresholds for candidate c (see IsPrunable).
 void ComputeRhs(const TreeQueryContext& ctx,

@@ -11,7 +11,12 @@ namespace nmrs {
 
 /// Equal-width discretization of a numeric range into buckets (paper §6).
 /// Values outside the range are clamped into the first/last bucket, so
-/// BucketOf is total.
+/// BucketOf is total; only query values may lie outside it (stored rows are
+/// validated against the range). Every value inside the range lies in the
+/// interval of its bucket, boundary values included: neighbouring buckets
+/// share one computed boundary, and BucketOf corrects the rounding of its
+/// division against those boundaries. Searches that bound a stored value
+/// by its bucket rely on this.
 class Bucketizer {
  public:
   Bucketizer(Interval range, size_t num_buckets)
@@ -30,19 +35,25 @@ class Bucketizer {
     if (x >= range_.hi) return static_cast<ValueId>(num_buckets_ - 1);
     auto b = static_cast<size_t>((x - range_.lo) / width_);
     if (b >= num_buckets_) b = num_buckets_ - 1;
+    if (b > 0 && x < Boundary(b)) --b;
+    if (b + 1 < num_buckets_ && x > Boundary(b + 1)) ++b;
     return static_cast<ValueId>(b);
   }
 
   /// Closed interval [lo, hi] covered by bucket `b`.
   Interval BucketInterval(ValueId b) const {
     NMRS_DCHECK(b < num_buckets_);
-    const double lo = range_.lo + width_ * static_cast<double>(b);
-    const double hi =
-        (b + 1 == num_buckets_) ? range_.hi : lo + width_;
-    return Interval{lo, hi};
+    return Interval{Boundary(b),
+                    b + 1 == num_buckets_ ? range_.hi : Boundary(b + 1)};
   }
 
  private:
+  // Lower edge of bucket b (b < num_buckets_), shared with the upper edge
+  // of bucket b - 1.
+  double Boundary(size_t b) const {
+    return range_.lo + width_ * static_cast<double>(b);
+  }
+
   Interval range_;
   size_t num_buckets_;
   double width_;

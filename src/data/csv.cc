@@ -8,19 +8,6 @@
 
 namespace nmrs {
 
-namespace {
-
-StatusOr<double> ParseDouble(const std::string& token) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument("bad numeric cell '" + token + "'");
-  }
-  return v;
-}
-
-}  // namespace
-
 Status WriteDatasetCsv(const Dataset& data, std::ostream& out) {
   const Schema& schema = data.schema();
   const size_t m = schema.num_attributes();
@@ -79,8 +66,10 @@ StatusOr<Dataset> ReadDatasetCsv(std::istream& in) {
             "' must be name:num:buckets:lo:hi");
       }
       info.is_numeric = true;
-      NMRS_ASSIGN_OR_RETURN(info.range.lo, ParseDouble(parts[3]));
-      NMRS_ASSIGN_OR_RETURN(info.range.hi, ParseDouble(parts[4]));
+      NMRS_ASSIGN_OR_RETURN(info.range.lo,
+                            ParseDouble("range low", parts[3]));
+      NMRS_ASSIGN_OR_RETURN(info.range.hi,
+                            ParseDouble("range high", parts[4]));
     } else if (parts[1] != "cat") {
       return Status::InvalidArgument("unknown column kind '" + parts[1] +
                                      "'");
@@ -105,7 +94,15 @@ StatusOr<Dataset> ReadDatasetCsv(std::istream& in) {
     }
     for (AttrId a = 0; a < m; ++a) {
       if (schema.attribute(a).is_numeric) {
-        NMRS_ASSIGN_OR_RETURN(numerics[a], ParseDouble(cells[a]));
+        NMRS_ASSIGN_OR_RETURN(numerics[a],
+                              ParseDouble("numeric cell", cells[a]));
+        const Interval& range = schema.attribute(a).range;
+        if (!range.Contains(numerics[a])) {
+          return Status::InvalidArgument(
+              "line " + std::to_string(line_no) + ": numeric value " +
+              cells[a] + " outside the range of attribute " +
+              schema.attribute(a).name);
+        }
       } else {
         NMRS_ASSIGN_OR_RETURN(uint64_t v, ParseDigits("value id", cells[a]));
         if (v >= schema.attribute(a).cardinality) {
@@ -160,7 +157,7 @@ StatusOr<DissimilarityMatrix> ReadMatrixCsv(std::istream& in) {
                                      " cells, want " + std::to_string(k));
     }
     for (ValueId b = 0; b < k; ++b) {
-      NMRS_ASSIGN_OR_RETURN(double d, ParseDouble(cells[b]));
+      NMRS_ASSIGN_OR_RETURN(double d, ParseDouble("matrix cell", cells[b]));
       m.Set(a, b, d);
     }
   }

@@ -89,6 +89,14 @@ Status Dataset::Validate() const {
   const size_t m = schema_.num_attributes();
   for (RowId r = 0; r < num_rows_; ++r) {
     for (AttrId a = 0; a < m; ++a) {
+      const AttributeInfo& info = schema_.attribute(a);
+      if (info.is_numeric && !info.range.Contains(Numeric(r, a))) {
+        return Status::Corruption(
+            "row " + std::to_string(r) + " attr " + std::to_string(a) +
+            " numeric value " + std::to_string(Numeric(r, a)) +
+            " outside its range [" + std::to_string(info.range.lo) + ", " +
+            std::to_string(info.range.hi) + "]");
+      }
       if (Value(r, a) >= schema_.attribute(a).cardinality) {
         return Status::Corruption(
             "row " + std::to_string(r) + " attr " + std::to_string(a) +

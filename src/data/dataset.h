@@ -64,7 +64,10 @@ class Dataset {
   /// n / |value space| (paper §5.2).
   double Density() const;
 
-  /// Checks every categorical value id is inside its domain.
+  /// Checks every categorical value id is inside its domain and every
+  /// numeric value is finite and inside its attribute's [lo, hi] range (a
+  /// stored value outside it would fall outside its bucket's bounds, which
+  /// the AL-Tree searches rely on; see Bucketizer).
   Status Validate() const;
 
   /// Builds the Object for a query with given per-attribute numeric values /

@@ -217,6 +217,14 @@ StatusOr<uint64_t> Database::Insert(const std::vector<ValueId>& values,
   }
   Object obj = MakeObject(values, numerics);
   for (AttrId a = 0; a < m; ++a) {
+    const AttributeInfo& info = schema_.attribute(a);
+    if (info.is_numeric && !info.range.Contains(obj.numerics[a])) {
+      return Status::InvalidArgument(
+          "Insert numeric value " + std::to_string(obj.numerics[a]) +
+          " of attribute " + std::to_string(a) + " is outside its range [" +
+          std::to_string(info.range.lo) + ", " +
+          std::to_string(info.range.hi) + "]");
+    }
     if (obj.values[a] >= schema_.attribute(a).cardinality) {
       return Status::InvalidArgument(
           "Insert value " + std::to_string(obj.values[a]) + " of attribute " +

@@ -308,10 +308,11 @@ class Database {
 
   /// Inserts a row; returns its stable key. `values[i]` is the categorical
   /// value id of attribute i (ignored for numeric attributes, whose bucket
-  /// is derived from `numerics[i]`; out-of-range numerics clamp into the
-  /// edge buckets, as everywhere else). Durable (WAL-appended) before the
-  /// call returns. kResourceExhausted once the delta holds
-  /// max_delta_mutations — compact and retry.
+  /// is derived from `numerics[i]`). A numeric value that is not finite or
+  /// lies outside its attribute's [lo, hi] range is kInvalidArgument, as in
+  /// Dataset::Validate; only query objects clamp into the edge buckets.
+  /// Durable (WAL-appended) before the call returns. kResourceExhausted
+  /// once the delta holds max_delta_mutations — compact and retry.
   StatusOr<uint64_t> Insert(const std::vector<ValueId>& values,
                             const std::vector<double>& numerics = {});
 

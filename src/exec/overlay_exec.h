@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "altree/al_tree.h"
@@ -30,10 +29,9 @@ inline constexpr size_t kOverlayGroup = 16;
 /// properties of rows, not of any partitioning). Every page read goes
 /// through worker w's clean primary view, `replicas->view(w, 0)`: faults
 /// are a property of the base run, while `resilience` keeps the
-/// sealed-page verification. `index`, when set, is a read-only AL-Tree of
-/// every row of the all-categorical `data` (BuildOverlayIndex): the
-/// pruner hints and re-checks then search it and read no pages. Without
-/// it they scan the file.
+/// sealed-page verification. `index` is the read-only AL-Tree of every row
+/// of `data` (BuildShardIndex) that the pruner hints and re-checks search;
+/// they read no pages.
 struct OverlayExecContext {
   ThreadPool* pool = nullptr;
   ReplicaSet* replicas = nullptr;
@@ -95,56 +93,41 @@ Status ClassifyOverlayRows(const OverlayExecContext& ctx,
                            const std::vector<const MatrixOverlay*>& overlays,
                            OverlayClassification* out);
 
-/// Builds the read-only AL-Tree of the all-categorical base dataset that
-/// the hint pass and the re-checks search (paper Alg. 4): one pool task
-/// reads every page through its worker's clean view (BuildShardIndex,
-/// levels in `attr_order`). The task's IO lands in *io and its modeled
-/// time in (*worker_modeled_millis)[w]. Returns null when a read fails;
-/// the caller then re-checks by scanning.
-std::unique_ptr<const ALTree> BuildOverlayIndex(
-    const OverlayExecContext& ctx, const std::vector<AttrId>& attr_order,
-    IoStats* io, std::vector<double>* worker_modeled_millis);
-
 /// Work of stage 3, summed over all of its tasks.
 struct OverlayRecheckTotals {
   /// Grouped re-check tasks: one per (query, user group).
   uint64_t scans = 0;
-  /// Pruning work and IO of the hint pass and the re-checks together.
+  /// Pruning work of the hint pass and the re-checks together.
   uint64_t checks = 0;
   uint64_t pair_tests = 0;
-  IoStats io;
 };
 
 /// Stage 3 of RunOverlayBatch: turns the base answers `base` (one per
-/// query) into every (query, user) answer. For each query whose status is
-/// ok:
+/// query) into every (query, user) answer. `ctx.index` must be set. For
+/// each query whose status is ok:
 ///
 ///  1. Pruner hints — the stashed rows that two or more users re-check
 ///     and that lie outside the base answer are split into a fixed number
 ///     of chunks per query (four), one pool task each, and every such row
 ///     records one base-space pruner (values and numerics): the first one
-///     a search of `ctx.index` meets, or without an index the first in
-///     dataset scan order. Rows in the base answer have no pruner; a row
-///     only one user re-checks would not share its hint.
+///     a search of `ctx.index` meets. Rows in the base answer have no
+///     pruner; a row only one user re-checks would not share its hint.
 ///  2. Re-checks — per group of up to kOverlayGroup users with
 ///     sensitive rows, one task tests each candidate's hint once under the
 ///     user's overlaid PruneContext. A candidate without a hint, or whose
 ///     hint fails under the overlay, is then decided by one search of
 ///     `ctx.index` under the same context, skipping the candidate's own
-///     instance. Without an index those candidates share one page-major
-///     pass over the dataset (page -> user -> alive candidate -> rows,
-///     with the early abort and the identity skip).
+///     instance.
 ///
 /// A hint is a real row of the dataset other than the candidate, so a hint
 /// that prunes under the overlay is a valid witness and every answer stays
 /// bit-identical to running the full algorithm over the patched space.
 /// Per-candidate work is independent of chunking and grouping, so the
-/// check and pair-test totals do not depend on the worker count. With an
-/// index no task reads a page.
+/// check and pair-test totals do not depend on the worker count. No task
+/// reads a page.
 ///
 /// results[q][u] is filled for every ok query (users without sensitive
-/// rows get the base rows); a failed scan stores its error in
-/// (*statuses)[q]. Every task adds its modeled time to
+/// rows get the base rows). Every task adds its modeled time to
 /// (*worker_modeled_millis)[w] of the worker w that ran it.
 void RecheckOverlayBatch(const OverlayExecContext& ctx,
                          const std::vector<Object>& queries,
@@ -152,7 +135,7 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
                          const OverlayClassification& cls,
                          const std::vector<ReverseSkylineResult>& base,
                          std::vector<std::vector<ReverseSkylineResult>>* results,
-                         std::vector<Status>* statuses,
+                         const std::vector<Status>& statuses,
                          std::vector<double>* worker_modeled_millis,
                          OverlayRecheckTotals* totals);
 

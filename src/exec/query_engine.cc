@@ -81,6 +81,48 @@ Status ExportCandidates(const StoredDataset& data,
   return status;
 }
 
+// One index-build task's output.
+struct IndexBuild {
+  std::unique_ptr<const ALTree> tree;  // null when the build failed
+  Status status;
+  IoStats io;
+  double modeled_millis = 0;
+};
+
+// Builds the read-only AL-Tree of `data` (BuildShardIndex, levels in
+// `attr_order`) as one task on worker w, for the verify and overlay index
+// slots alike. It reads through the worker's clean primary view with no
+// page cache: the build is no query's work, so it neither faults nor warms
+// or evicts any query's cache. The caller charges the returned IO and
+// modeled time (wall time, IoCostModel time and backoff) to a batch total
+// and to one lane. Page-verification failures go to `quarantine`, which
+// may be null.
+IndexBuild BuildIndexOnWorker(ReplicaSet& rset, int w,
+                              const StoredDataset& data,
+                              const std::vector<AttrId>& attr_order,
+                              const ResiliencePolicy& policy,
+                              QuarantineLog* quarantine) {
+  DiskView* view = rset.view(w, 0);
+  const StoredDataset local(view, data.file(), data.schema(), data.num_rows(),
+                            data.checksum_pages());
+  view->InvalidateArmPosition();
+  const IoStats before = rset.WorkerStats(w);
+  ExecContext exec;
+  exec.quarantine = quarantine;
+  PagedReader reader = MakeReader(view, policy, exec);
+  Timer timer;
+  IndexBuild out;
+  auto tree = std::make_unique<ALTree>(data.schema(), attr_order);
+  out.status = BuildShardIndex(local, &reader, tree.get());
+  if (out.status.ok()) out.tree = std::move(tree);
+  out.io = rset.WorkerStats(w) - before;
+  reader.FoldStatsInto(&out.io);
+  out.modeled_millis = timer.ElapsedMillis() +
+                       IoCostModel{}.EstimateMillis(out.io) +
+                       reader.modeled_backoff_millis();
+  return out;
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(const ShardedDataset& sharded,
@@ -238,49 +280,6 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
     return exec;
   };
 
-  // Runs task (q, s) on worker w, scatter and verify alike: `attempt(disk,
-  // exec)` once per attempt until one succeeds or fails with a status that
-  // is not a storage fault. Attempt 0 reads through the task's own
-  // FaultyDisk per replica, under stream Stream(q, s), so its fault
-  // pattern is fixed by the config, not by which worker runs it; the fault
-  // ceiling restricts injection to the frozen base and shard files, since
-  // scratch-file ids are assigned in execution order. The other replicas
-  // are attached to `exec` for failover; their views persist across the
-  // worker's tasks, and resetting their arms makes the task's seq/rand IO
-  // split independent of what ran before it. Retries re-run on the
-  // worker's clean view with no failover disks (the clean view cannot
-  // fail), and a success after attempt 0 counts one recovery. Returns the
-  // last attempt's status.
-  auto run_task = [&](size_t q, int s, int w, auto&& attempt) {
-    ReplicaSet& rset = *replica_sets_[s];
-    std::vector<std::unique_ptr<FaultyDisk>> wrappers;
-    const std::vector<SimulatedDisk*> disks =
-        rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
-    for (int r = 1; r < rset.num_replicas(); ++r) {
-      rset.view(w, r)->InvalidateArmPosition();
-    }
-    ExecContext exec = make_exec(s);
-    if (rset.num_replicas() > 1) {
-      exec.failover_disks.assign(disks.begin() + 1, disks.end());
-      exec.failover_limit = fault_ceiling_;
-    }
-    const int attempts = 1 + std::max(0, opts_.max_query_retries);
-    Status status;
-    for (int a = 0; a < attempts; ++a) {
-      if (a == 1) {
-        exec.failover_disks.clear();
-        exec.failover_limit = PagedReaderOptions::kNoFailoverLimit;
-      }
-      status = attempt(a == 0 ? disks[0] : rset.view(w, 0), exec);
-      if (status.ok()) {
-        if (a > 0) ++retries[q][s];
-        break;
-      }
-      if (!status.IsStorageFault()) break;
-    }
-    return status;
-  };
-
   // ---- Scatter: every (query, active shard) runs the full algorithm over
   // the shard's local rows, then serializes its surviving candidates for
   // the exchange. ----
@@ -365,8 +364,36 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
           NMRS_CHECK_GE(w, 0);
           ReplicaSet& rset = *replica_sets_[s];
           const StoredDataset& shard = sharded_->shard(s);
-          Status status = run_task(q, s, w, [&](SimulatedDisk* disk,
-                                                const ExecContext& exec) {
+          // Attempt 0 reads through the task's own FaultyDisk per replica,
+          // under stream Stream(q, s), so its fault pattern is fixed by the
+          // config, not by which worker runs it; the fault ceiling
+          // restricts injection to the frozen base and shard files, since
+          // scratch-file ids are assigned in execution order. The other
+          // replicas are attached to `exec` for failover; their views
+          // persist across the worker's tasks, and resetting their arms
+          // makes the task's seq/rand IO split independent of what ran
+          // before it. Retries re-run on the worker's clean view with no
+          // failover disks (the clean view cannot fail), and a success
+          // after attempt 0 counts one recovery.
+          std::vector<std::unique_ptr<FaultyDisk>> wrappers;
+          const std::vector<SimulatedDisk*> disks =
+              rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
+          for (int r = 1; r < rset.num_replicas(); ++r) {
+            rset.view(w, r)->InvalidateArmPosition();
+          }
+          ExecContext exec = make_exec(s);
+          if (rset.num_replicas() > 1) {
+            exec.failover_disks.assign(disks.begin() + 1, disks.end());
+            exec.failover_limit = fault_ceiling_;
+          }
+          const int attempts = 1 + std::max(0, opts_.max_query_retries);
+          Status status;
+          for (int a = 0; a < attempts; ++a) {
+            if (a == 1) {
+              exec.failover_disks.clear();
+              exec.failover_limit = PagedReaderOptions::kNoFailoverLimit;
+            }
+            SimulatedDisk* disk = a == 0 ? disks[0] : rset.view(w, 0);
             PreparedDataset shard_prep{
                 StoredDataset(disk, shard.file(), shard.schema(),
                               shard.num_rows(), shard.checksum_pages()),
@@ -388,7 +415,9 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
             }
             if (result.ok()) {
               local[q][s] = std::move(*result);
-              return Status::OK();
+              if (a > 0) ++retries[q][s];
+              status = Status::OK();
+              break;
             }
             // Keep the dead run's partial IO (worker-wide: failover reads
             // land on the other replica views). A successful later attempt
@@ -397,8 +426,9 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
             ReverseSkylineResult partial;
             partial.stats.io = rset.WorkerStats(w) - before;
             local[q][s] = std::move(partial);
-            return result.status();
-          });
+            status = result.status();
+            if (!status.IsStorageFault()) break;
+          }
           if (!status.ok()) local_status[q][s] = status;
           total_io.Add(local[q][s].stats.io);
           batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
@@ -452,13 +482,15 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
   }
 
   // ---- Index: every shard the verify round below reads gets its
-  // read-only AL-Tree once per engine, each built by its own task through
-  // a clean worker view, bypassing the page cache. The build is no query's
-  // work: its IO and modeled time land only on the batch total and on the
-  // shard's lane, so per-query counters do not depend on which batch
-  // built it. Schemas with numeric attributes keep the flat scan. ----
+  // read-only AL-Tree once per engine, each built by its own task
+  // (BuildIndexOnWorker). Its IO and modeled time land only on the batch
+  // total and on the shard's lane, so per-query counters do not depend on
+  // which batch built it. A failed build leaves the slot empty: the
+  // queries that needed it fail with the build's status, and the next
+  // batch retries. ----
   std::vector<const ALTree*> index(static_cast<size_t>(S), nullptr);
-  if (exchange && !numerics) {
+  std::vector<Status> build_status(static_cast<size_t>(S), Status::OK());
+  if (exchange) {
     std::lock_guard<std::mutex> lock(verify_index_mu_);
     std::vector<int> to_build;
     for (int s : active) {
@@ -475,33 +507,15 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
       pool_.Submit([&, s] {
         const int w = pool_.CurrentWorkerIndex();
         NMRS_CHECK_GE(w, 0);
-        ReplicaSet& rset = *replica_sets_[s];
-        DiskView* view = rset.view(w, 0);
-        const StoredDataset& shard = sharded_->shard(s);
-        StoredDataset shard_data(view, shard.file(), shard.schema(),
-                                 shard.num_rows(), shard.checksum_pages());
-        view->InvalidateArmPosition();
-        const IoStats before = rset.WorkerStats(w);
-        ExecContext exec;  // no page cache: the build bypasses it
-        exec.quarantine = &quarantine;
-        PagedReader reader = MakeReader(view, opts_.rs.resilience, exec);
-        Timer build_timer;
-        auto tree =
-            std::make_unique<ALTree>(schema, sharded_->base().attr_order);
-        // A failed build leaves the slot empty: this batch's verify tasks
-        // fall back to the flat scan and the next batch retries.
-        if (BuildShardIndex(shard_data, &reader, tree.get()).ok()) {
-          verify_index_[s] = std::move(tree);
-        }
-        IoStats io = rset.WorkerStats(w) - before;
-        reader.FoldStatsInto(&io);
-        const double modeled = build_timer.ElapsedMillis() +
-                               IoCostModel{}.EstimateMillis(io) +
-                               reader.modeled_backoff_millis();
-        total_io.Add(io);
+        IndexBuild built = BuildIndexOnWorker(
+            *replica_sets_[s], w, sharded_->shard(s),
+            sharded_->base().attr_order, opts_.rs.resilience, &quarantine);
+        verify_index_[s] = std::move(built.tree);
+        build_status[s] = built.status;
+        total_io.Add(built.io);
         batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
-            modeled;
-        note_task(s, modeled);
+            built.modeled_millis;
+        note_task(s, built.modeled_millis);
         wg.Done();
       });
     }
@@ -510,9 +524,9 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
   }
 
   // ---- Verify: each shard tests the foreign candidates against all its
-  // local rows — one index search per candidate, or a stream of every row
-  // past them without an index; pruned verdicts come back positionally.
-  // ----
+  // local rows, one index search per candidate; pruned verdicts come back
+  // positionally. The searches read no pages, so nothing faults or
+  // retries. ----
   std::vector<std::vector<std::vector<uint8_t>>> verdicts(
       num_queries,
       std::vector<std::vector<uint8_t>>(static_cast<size_t>(S)));
@@ -523,6 +537,10 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
       if (!batch.statuses[q].ok()) continue;
       for (int s : active) {
         if (foreign_count[q][s] == 0) continue;
+        if (index[s] == nullptr) {
+          local_status[q][s] = build_status[s];
+          continue;
+        }
         wg.Add(1);
         pool_.Submit([&, q, s] {
           const int w = pool_.CurrentWorkerIndex();
@@ -540,48 +558,16 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
             }
           }
 
-          if (index[s] != nullptr) {
-            // Indexed verify: no IO, so nothing to fault or retry.
-            QueryStats vs;
-            Timer verify_timer;
-            PruneCandidatesWithIndex(*index[s], *space_, queries[q], foreign,
-                                     opts_.rs, &verdicts[q][s], &vs);
-            vs.phase2_checks = vs.checks;
-            vs.compute_millis = verify_timer.ElapsedMillis();
-            vs.phase2_millis = vs.compute_millis;
-            verify_stats[q][s] = vs;
-          } else {
-            ReplicaSet& rset = *replica_sets_[s];
-            const StoredDataset& shard = sharded_->shard(s);
-            Status vstatus = run_task(q, s, w, [&](SimulatedDisk* disk,
-                                                   const ExecContext& exec) {
-              StoredDataset shard_data(disk, shard.file(), shard.schema(),
-                                       shard.num_rows(),
-                                       shard.checksum_pages());
-              disk->InvalidateArmPosition();
-              const IoStats before = rset.WorkerStats(w);
-              PagedReader reader =
-                  MakeReader(disk, opts_.rs.resilience, exec);
-              QueryStats vs;
-              Timer verify_timer;
-              Status st = PruneCandidatesAgainstShard(
-                  shard_data, *space_, queries[q], foreign, opts_.rs, &reader,
-                  &verdicts[q][s], &vs);
-              vs.phase2_checks = vs.checks;
-              vs.io = rset.WorkerStats(w) - before;
-              reader.FoldStatsInto(&vs.io);
-              vs.modeled_backoff_millis = reader.modeled_backoff_millis();
-              vs.compute_millis = verify_timer.ElapsedMillis();
-              vs.phase2_millis = vs.compute_millis;
-              verify_stats[q][s] = vs;
-              return st;
-            });
-            if (!vstatus.ok()) local_status[q][s] = vstatus;
-          }
-          total_io.Add(verify_stats[q][s].io);
+          QueryStats& vs = verify_stats[q][s];
+          Timer verify_timer;
+          PruneCandidatesWithIndex(*index[s], *space_, queries[q], foreign,
+                                   opts_.rs, &verdicts[q][s], &vs);
+          vs.phase2_checks = vs.checks;
+          vs.compute_millis = verify_timer.ElapsedMillis();
+          vs.phase2_millis = vs.compute_millis;
           batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
-              verify_stats[q][s].ResponseMillis();
-          note_task(s, verify_stats[q][s].ResponseMillis());
+              vs.ResponseMillis();
+          note_task(s, vs.ResponseMillis());
           wg.Done();
         });
       }
@@ -594,7 +580,7 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
   // sorted ascending, exactly as every single-shard algorithm emits them.
   // ----
   for (size_t q = 0; q < num_queries; ++q) {
-    // Verify failures surface after the exchange loop above.
+    // Failed index builds surface after the exchange loop above.
     for (int s : active) {
       if (!local_status[q][s].ok() && batch.statuses[q].ok()) {
         batch.statuses[q] = local_status[q][s];
@@ -708,30 +694,49 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
   out.statuses = out.base.statuses;
 
   // ---- 3. Pruner hints, then hinted re-checks per (query, user group),
-  // from the overlay index for all-categorical schemas. The engine's first
-  // overlay batch builds it; the build's IO and modeled time land only on
-  // that batch's overlay totals. ----
+  // from the overlay index. The engine's first overlay batch builds it
+  // (BuildIndexOnWorker); the build's IO and modeled time land only on
+  // that batch's overlay totals. A failed build fails every query of the
+  // batch with its status; the next batch retries. ----
   IoStats index_io;
-  if (base_data.schema().NumNumeric() == 0) {
+  {
     std::lock_guard<std::mutex> lock(overlay_index_mu_);
     if (overlay_index_ == nullptr) {
-      overlay_index_ =
-          BuildOverlayIndex(ctx, sharded_->base().attr_order, &index_io,
-                            &out.overlay_worker_modeled_millis);
+      Status build_status;
+      WaitGroup wg;
+      wg.Add(1);
+      pool_.Submit([&] {
+        const int w = pool_.CurrentWorkerIndex();
+        NMRS_CHECK_GE(w, 0);
+        IndexBuild built = BuildIndexOnWorker(
+            *ctx.replicas, w, base_data, sharded_->base().attr_order,
+            ctx.resilience, /*quarantine=*/nullptr);
+        overlay_index_ = std::move(built.tree);
+        build_status = built.status;
+        index_io = built.io;
+        out.overlay_worker_modeled_millis[static_cast<size_t>(w)] +=
+            built.modeled_millis;
+        wg.Done();
+      });
+      wg.Wait();
+      for (Status& st : out.statuses) {
+        if (st.ok()) st = build_status;
+      }
     }
     ctx.index = overlay_index_.get();
   }
 
   OverlayRecheckTotals recheck;
-  RecheckOverlayBatch(ctx, queries, overlays, cls, out.base.results,
-                      &out.results, &out.statuses,
-                      &out.overlay_worker_modeled_millis, &recheck);
+  if (ctx.index != nullptr) {
+    RecheckOverlayBatch(ctx, queries, overlays, cls, out.base.results,
+                        &out.results, out.statuses,
+                        &out.overlay_worker_modeled_millis, &recheck);
+  }
 
   out.recheck_scans = recheck.scans;
   out.recheck_checks = recheck.checks;
   out.recheck_pair_tests = recheck.pair_tests;
-  out.overlay_io = recheck.io;
-  out.overlay_io += cls.io;
+  out.overlay_io = cls.io;
   out.overlay_io += index_io;
   out.total_io = out.base.total_io;
   out.total_io += out.overlay_io;

@@ -202,10 +202,9 @@ struct OverlayBatchResult {
   uint64_t recheck_checks = 0;
   uint64_t recheck_pair_tests = 0;
 
-  /// IO of the classification pass, the overlay index build (only in the
-  /// engine's batch that builds it), and, without an index, the hint and
-  /// re-check scans (over the base file, through clean views; not part of
-  /// base.total_io).
+  /// IO of the classification pass and the overlay index build (only in
+  /// the engine's batch that builds it), over the base file through clean
+  /// views; not part of base.total_io.
   IoStats overlay_io;
 
   /// Aggregate IO: base batch + overlay_io.
@@ -283,15 +282,13 @@ class QueryEngine {
   }
 
   /// Heap bytes of shard s's verify index: zero until a batch has verified
-  /// foreign candidates against shard s, and always for one shard or for
-  /// schemas with numeric attributes (those verify by a flat scan). The
+  /// foreign candidates against shard s, and always for one shard. The
   /// index lives outside RSOptions::memory, like the page cache.
   size_t verify_index_bytes(int s) const;
 
   /// Heap bytes of the read-only AL-Tree of the whole base file that
-  /// overlay re-checks search: zero until an overlay batch has built it,
-  /// and always for schemas with numeric attributes (those re-check by
-  /// scanning). Like the verify indexes it lives outside RSOptions::memory.
+  /// overlay re-checks search: zero until an overlay batch has built it.
+  /// Like the verify indexes it lives outside RSOptions::memory.
   size_t overlay_index_bytes() const;
 
   /// Runs every query through scatter -> exchange -> verify -> merge,
@@ -311,12 +308,12 @@ class QueryEngine {
   /// pruner for the sensitive rows outside the base answer, and one
   /// re-check per (query, group of kOverlayGroup users) deciding only the
   /// sensitive candidates under that user's overlaid distances, hint
-  /// first. For all-categorical schemas the hint pass and the re-checks
-  /// search one read-only AL-Tree of the base file (paper Alg. 4), which
-  /// the engine's first overlay batch builds and charges to its own
-  /// overlay_io and overlay lane; other schemas scan the base file through
-  /// clean views. Rows are bit-identical to rebuilding each user's patched
-  /// space and running the batch per user.
+  /// first. The hint pass and the re-checks search one read-only AL-Tree
+  /// of the base file (paper Alg. 4), which the engine's first overlay
+  /// batch builds and charges to its own overlay_io and overlay lane; a
+  /// failed build fails that batch's queries, and the next batch retries.
+  /// Rows are bit-identical to rebuilding each user's patched space and
+  /// running the batch per user.
   ///
   /// Every overlay must be non-null and built over this engine's space;
   /// the engine's rs.overlay template must be null (the per-user overlays
@@ -348,13 +345,14 @@ class QueryEngine {
   std::vector<std::unique_ptr<ReplicaSet>> replica_sets_;
   std::vector<std::unique_ptr<BufferPool>> pool_caches_;
   // Per-shard verify indexes (docs/SHARDING.md, step 4): each is built once,
-  // by the first batch whose verify round needs it, and only read after.
-  // The mutex guards the slots, not the trees.
+  // by the first batch whose verify round needs it, and only read after; a
+  // failed build leaves the slot empty and the next batch retries. The
+  // mutex guards the slots, not the trees.
   mutable std::mutex verify_index_mu_;
   std::vector<std::unique_ptr<const ALTree>> verify_index_;
-  // The overlay index (docs/OVERLAYS.md): built by the first overlay batch
-  // of an all-categorical engine, only read after; a failed build leaves
-  // the slot empty and the next batch retries. The mutex guards the slot.
+  // The overlay index (docs/OVERLAYS.md): built by the first overlay batch,
+  // only read after; a failed build leaves the slot empty and the next
+  // batch retries. The mutex guards the slot.
   mutable std::mutex overlay_index_mu_;
   std::unique_ptr<const ALTree> overlay_index_;
 };

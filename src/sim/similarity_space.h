@@ -79,9 +79,8 @@ class SimilaritySpace {
   /// the new ValueId. The space must not be shared with a running query.
   ///
   /// Numeric attributes never need this: NumericDissimilarity is a pure
-  /// function of the two doubles, and Dataset bucketizers clamp
-  /// out-of-range numerics into the edge buckets, so numeric inserts are
-  /// O(1) with no re-derivation at all.
+  /// function of the two doubles and every in-range value has a bucket, so
+  /// numeric inserts are O(1) with no re-derivation at all.
   ValueId AppendCategoricalValue(AttrId attr, const std::vector<double>& to_new,
                                  const std::vector<double>& from_new,
                                  double self = 0.0) {

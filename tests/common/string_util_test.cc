@@ -38,6 +38,21 @@ TEST(StrJoinTest, SingleAndEmpty) {
   EXPECT_EQ(StrJoin({"only"}, ","), "only");
 }
 
+TEST(ParseDoubleTest, AcceptsFiniteDecimals) {
+  EXPECT_EQ(*ParseDouble("x", "2.5"), 2.5);
+  EXPECT_EQ(*ParseDouble("x", "-3"), -3.0);
+  EXPECT_EQ(*ParseDouble("x", "1e-3"), 1e-3);
+}
+
+TEST(ParseDoubleTest, RejectsJunkAndNonFinite) {
+  for (const char* bad : {"", "abc", "1x", "1 ", "nan", "NaN", "inf",
+                          "-inf", "1e999"}) {
+    EXPECT_EQ(ParseDouble("x", bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << "'" << bad << "'";
+  }
+}
+
 TEST(FormatWithCommasTest, GroupsThousands) {
   EXPECT_EQ(FormatWithCommas(0), "0");
   EXPECT_EQ(FormatWithCommas(999), "999");

@@ -152,7 +152,7 @@ TEST(FindPrunerFastTest, SelfExclusionMatchesBruteForceAndTempRemove) {
       ASSERT_NE(self, ALTree::kInvalidNode) << label;
       QueryStats stats;
       const NodeId got =
-          FindPrunerFast(tree, levels.Bind(ctx), self, &stats, stack);
+          FindPrunerFast(tree, levels.Bind(ctx, x), self, &stats, stack);
       ASSERT_EQ(got != ALTree::kInvalidNode, brute) << label;
       if (got != ALTree::kInvalidNode) {
         ++pruned;
@@ -169,7 +169,7 @@ TEST(FindPrunerFastTest, SelfExclusionMatchesBruteForceAndTempRemove) {
       // Same leaf and the same checks as removing X's instance first.
       QueryStats removed;
       tree.TempRemoveLeaf(self);
-      const NodeId want = FindPrunerFast(tree, levels.Bind(ctx),
+      const NodeId want = FindPrunerFast(tree, levels.Bind(ctx, x),
                                          ALTree::kInvalidNode, &removed,
                                          stack);
       tree.TempRestore(self);
@@ -215,7 +215,8 @@ TEST(FindPrunerFastTest, NoSelfLeafMatchesThePreviousSearch) {
         v[a] = static_cast<ValueId>(rng.Uniform(cards[a]));
       }
       ctx.SetCandidate(v.data(), nullptr);
-      const std::vector<Phase1Level>& bound = levels.Bind(ctx);
+      const std::vector<Phase1Level>& bound =
+          levels.Bind(ctx, kInvalidRowId);
       QueryStats stats;
       const NodeId got =
           FindPrunerFast(tree, bound, ALTree::kInvalidNode, &stats, stack);
@@ -263,7 +264,7 @@ NodeId SearchForRow(const PinnedCase& pc, const Dataset& data, RowId x,
   QueryStats stats;
   const NodeId self = exclude_self ? tree.FindLeaf(data.RowValues(x))
                                    : ALTree::kInvalidNode;
-  return FindPrunerFast(tree, levels.Bind(ctx), self, &stats, stack);
+  return FindPrunerFast(tree, levels.Bind(ctx, x), self, &stats, stack);
 }
 
 TEST(FindPrunerFastTest, ExactDuplicateWithAnotherIdPrunes) {

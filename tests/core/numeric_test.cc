@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/pipeline.h"
 #include "core/skyline.h"
+#include "data/csv.h"
 #include "data/generators.h"
+#include "db/database.h"
 
 namespace nmrs {
 namespace {
@@ -56,6 +60,67 @@ TEST_P(NumericBucketsTest, TrsMatchesOracleAcrossBucketCounts) {
 
 INSTANTIATE_TEST_SUITE_P(BucketCounts, NumericBucketsTest,
                          ::testing::Values(1, 2, 4, 8, 32));
+
+// Regression: stored numerics outside the schema's [lo, hi] range used to
+// be clamped into the edge buckets, where TRS's bucket bounds no longer
+// held them. On this reproduction (1 categorical attribute of cardinality
+// 3, 1 numeric over [0, 10] in 2 buckets, 40 rows, 200 seeds x 10 row
+// queries) TRS disagreed with Naive on 191 of 1000 queries with values
+// drawn from [-20, 30]. Every stored-row entry point now rejects such
+// rows, and in-range rows (range ends and the bucket boundary included)
+// agree everywhere.
+TEST(NumericTest, OutOfRangeRowsRejectedAndTrsMatchesNaive) {
+  Schema schema = Schema::Categorical({3});
+  schema.AddAttribute(AttributeInfo{"x", 2, true, Interval{0.0, 10.0}});
+  const double grid[] = {0.0, 5.0, 10.0};
+  size_t queries = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    SimilaritySpace space;
+    space.AddCategorical(MakeRandomMatrix(3, rng));
+    space.AddNumeric(NumericDissimilarity());
+    Dataset wide(schema);
+    Dataset good(schema);
+    for (int r = 0; r < 40; ++r) {
+      const ValueId v = static_cast<ValueId>(rng.Uniform(3));
+      wide.AppendRow({v, 0}, {0.0, rng.UniformDouble(-20.0, 30.0)});
+      const double x = rng.Bernoulli(0.5) ? grid[rng.Uniform(3)]
+                                          : rng.UniformDouble(0.0, 10.0);
+      good.AppendRow({v, 0}, {0.0, x});
+    }
+
+    // Out-of-range rows: Dataset::Validate (hence Database::Open) and the
+    // CSV loader reject them.
+    EXPECT_FALSE(wide.Validate().ok()) << seed;
+    if (seed <= 5) {
+      EXPECT_FALSE(Database::Open(wide, space, {}).ok()) << seed;
+      std::stringstream csv;
+      ASSERT_TRUE(WriteDatasetCsv(wide, csv).ok());
+      EXPECT_EQ(ReadDatasetCsv(csv).status().code(),
+                StatusCode::kInvalidArgument)
+          << seed;
+      auto db = Database::Open(good, space, {});
+      ASSERT_TRUE(db.ok()) << db.status();
+      EXPECT_EQ((*db)->Insert({0, 0}, {0.0, -0.25}).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+
+    // In-range rows: TRS equals Naive.
+    ASSERT_TRUE(good.Validate().ok()) << seed;
+    SimulatedDisk disk;
+    auto naive = PrepareDataset(&disk, good, Algorithm::kNaive);
+    auto trs = PrepareDataset(&disk, good, Algorithm::kTRS);
+    ASSERT_TRUE(naive.ok() && trs.ok()) << seed;
+    for (int i = 0; i < 10; ++i, ++queries) {
+      const Object q = SampleRowQuery(good, rng);
+      auto want = RunReverseSkyline(*naive, space, q, Algorithm::kNaive, {});
+      auto got = RunReverseSkyline(*trs, space, q, Algorithm::kTRS, {});
+      ASSERT_TRUE(want.ok() && got.ok()) << seed;
+      EXPECT_EQ(got->rows, want->rows) << "seed " << seed << " query " << i;
+    }
+  }
+  EXPECT_EQ(queries, 2000u);
+}
 
 TEST(NumericTest, AllNumericSchema) {
   MixedInstance inst(81, 200, {}, 3, 6);

@@ -12,14 +12,16 @@
 #include "sim/matrix_overlay.h"
 #include "storage/disk.h"
 #include "storage/paged_reader.h"
+#include "testing/test_util.h"
 
 namespace nmrs {
 namespace {
 
 // The verify round of the pruner exchange (docs/SHARDING.md, step 4): the
 // indexed path (BuildShardIndex + PruneCandidatesWithIndex) must return
-// exactly the verdicts of the flat scan (PruneCandidatesAgainstShard), the
-// oracle, under every selection and overlay.
+// exactly the verdicts of the flat scan (testing::PruneCandidatesAgainstShard),
+// the oracle, under every selection and overlay, with and without numeric
+// attributes.
 
 // Asymmetric, non-metric matrix whose entries come from a four-value
 // grid, so distances tie often and the non-strict half of Definition 1
@@ -59,23 +61,75 @@ Dataset RandomRows(const std::vector<size_t>& cards, size_t rows, Rng& rng) {
   return data;
 }
 
+// A value of numeric attribute `info` from a grid of eleven points that
+// includes lo, hi and, for 2 or 5 buckets, every bucket boundary, so exact
+// numeric ties and boundary values are common.
+double GridNumeric(const AttributeInfo& info, Rng& rng) {
+  return info.range.lo + info.range.width() * 0.1 *
+                             static_cast<double>(rng.Uniform(11));
+}
+
+// Categorical attributes of `cards` followed by `num_numeric` numeric ones
+// over [-3, 7] with 2 or 5 buckets; rows drawn from the grids, and every
+// fifth row a copy of an earlier one.
+Dataset MixedRows(const std::vector<size_t>& cards, size_t num_numeric,
+                  size_t rows, Rng& rng) {
+  Schema schema = Schema::Categorical(cards);
+  for (size_t i = 0; i < num_numeric; ++i) {
+    schema.AddAttribute(AttributeInfo{"num" + std::to_string(i),
+                                      rng.Bernoulli(0.5) ? 2u : 5u, true,
+                                      Interval{-3.0, 7.0}});
+  }
+  Dataset data(schema);
+  const size_t m = schema.num_attributes();
+  std::vector<ValueId> v(m, 0);
+  std::vector<double> x(m, 0.0);
+  for (size_t r = 0; r < rows; ++r) {
+    if (r > 0 && r % 5 == 0) {
+      const RowId src = rng.Uniform(r);
+      for (AttrId a = 0; a < m; ++a) {
+        v[a] = data.Value(src, a);
+        x[a] = data.Numeric(src, a);
+      }
+    } else {
+      for (AttrId a = 0; a < m; ++a) {
+        const AttributeInfo& info = schema.attribute(a);
+        if (info.is_numeric) {
+          x[a] = GridNumeric(info, rng);
+        } else {
+          v[a] = static_cast<ValueId>(rng.Uniform(info.cardinality));
+        }
+      }
+    }
+    data.AppendRow(v, x);
+  }
+  return data;
+}
+
 // Foreign candidates: ids past the shard's, half with fresh values and
 // half copying the values of some shard row.
 RowBatch ForeignCandidates(const Dataset& shard, size_t n, Rng& rng) {
   const size_t m = shard.num_attributes();
-  RowBatch out(m, /*has_numerics=*/false);
-  std::vector<ValueId> v(m);
+  RowBatch out(m, shard.has_numerics());
+  std::vector<ValueId> v(m, 0);
+  std::vector<double> x(m, 0.0);
   for (size_t i = 0; i < n; ++i) {
+    Object c;
     if (i % 2 == 0) {
-      const RowId src = rng.Uniform(shard.num_rows());
-      for (AttrId a = 0; a < m; ++a) v[a] = shard.Value(src, a);
+      c = shard.GetObject(rng.Uniform(shard.num_rows()));
     } else {
       for (AttrId a = 0; a < m; ++a) {
-        v[a] = static_cast<ValueId>(
-            rng.Uniform(shard.schema().attribute(a).cardinality));
+        const AttributeInfo& info = shard.schema().attribute(a);
+        if (info.is_numeric) {
+          x[a] = GridNumeric(info, rng);
+        } else {
+          v[a] = static_cast<ValueId>(rng.Uniform(info.cardinality));
+        }
       }
+      c = shard.MakeObject(v, x);
     }
-    out.Append(shard.num_rows() + 1000 + i, v.data(), nullptr);
+    out.Append(shard.num_rows() + 1000 + i, c.values.data(),
+               shard.has_numerics() ? c.numerics.data() : nullptr);
   }
   return out;
 }
@@ -102,8 +156,9 @@ class ShardUnderTest {
     std::vector<uint8_t> want;
     QueryStats scan_stats;
     PagedReader reader(&disk_);
-    EXPECT_TRUE(PruneCandidatesAgainstShard(stored_, space, query, candidates,
-                                            opts, &reader, &want, &scan_stats)
+    EXPECT_TRUE(testing::PruneCandidatesAgainstShard(
+                    stored_, space, query, candidates, opts, &reader, &want,
+                    &scan_stats)
                     .ok())
         << label;
     // The oracle's kernel path must agree with its scalar path.
@@ -112,9 +167,9 @@ class ShardUnderTest {
     RSOptions kernel_opts = opts;
     kernel_opts.use_kernels = true;
     PagedReader kernel_reader(&disk_);
-    EXPECT_TRUE(PruneCandidatesAgainstShard(stored_, space, query, candidates,
-                                            kernel_opts, &kernel_reader,
-                                            &kernel, &kernel_stats)
+    EXPECT_TRUE(testing::PruneCandidatesAgainstShard(
+                    stored_, space, query, candidates, kernel_opts,
+                    &kernel_reader, &kernel, &kernel_stats)
                     .ok())
         << label;
     EXPECT_EQ(kernel, want) << label;
@@ -141,7 +196,11 @@ size_t NumPruned(const std::vector<uint8_t>& verdicts) {
 
 Object RowAsQuery(const RowBatch& batch, size_t i) {
   const ValueId* v = batch.row_values(i);
-  return Object(std::vector<ValueId>(v, v + batch.num_attrs()));
+  Object q(std::vector<ValueId>(v, v + batch.num_attrs()));
+  if (const double* x = batch.row_numerics(i)) {
+    q.numerics.assign(x, x + batch.num_attrs());
+  }
+  return q;
 }
 
 TEST(ShardExchangeTest, IndexedVerdictsMatchFlatScanOnRandomInstances) {
@@ -178,6 +237,40 @@ TEST(ShardExchangeTest, IndexedVerdictsMatchFlatScanOnRandomInstances) {
   // Both verdicts must be well represented, or the equality says little.
   EXPECT_GT(pruned, 2000u);
   EXPECT_GT(kept, 800u);
+
+  // Mixed schemas: 1-2 numeric attributes whose index levels only bound
+  // the distance by bucket, so the leaves' exact values decide.
+  pruned = 0;
+  kept = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(1000 + seed);
+    std::vector<size_t> cards(1 + rng.Uniform(3));
+    for (size_t& c : cards) c = 2 + rng.Uniform(4);
+    SimilaritySpace space = GridSpace(cards, rng);
+    const Dataset rows =
+        MixedRows(cards, 1 + rng.Uniform(2), 5 + rng.Uniform(80), rng);
+    for (AttrId a = cards.size(); a < rows.num_attributes(); ++a) {
+      space.AddNumeric(NumericDissimilarity(0.25 * (1 + rng.Uniform(2))));
+    }
+    std::vector<AttrId> order = AscendingCardinalityOrder(rows.schema());
+    if (seed % 2 == 0) order = RandomOrder(rows.schema(), rng);
+    ShardUnderTest shard(rows, order);
+    const RowBatch cands = ForeignCandidates(rows, 40, rng);
+
+    const std::string label = "mixed seed=" + std::to_string(seed);
+    for (int k = 0; k < 3; ++k) {
+      const Object query = RowAsQuery(ForeignCandidates(rows, 1, rng), 0);
+      const size_t p = NumPruned(shard.ExpectSameVerdicts(
+          space, query, cands, {}, label + " query " + std::to_string(k)));
+      pruned += p;
+      kept += cands.size() - p;
+    }
+    const size_t c = rng.Uniform(cands.size());
+    shard.ExpectSameVerdicts(space, RowAsQuery(cands, c), cands, {},
+                             label + " query=candidate");
+  }
+  EXPECT_GT(pruned, 1000u);
+  EXPECT_GT(kept, 500u);
 }
 
 TEST(ShardExchangeTest, QueryEqualToCandidateIsNeverPruned) {
@@ -276,9 +369,10 @@ TEST(ShardExchangeTest, EmptyCandidateBatch) {
             0u);
 }
 
-TEST(ShardExchangeTest, NumericSchemaKeepsFlatScan) {
-  // The engine indexes categorical shards only; a mixed schema verifies by
-  // the flat scan, and its rows still equal the single-shard rows.
+TEST(ShardExchangeTest, NumericSchemaVerifiesFromIndex) {
+  // Every schema verifies from the shards' indexes: a mixed schema builds
+  // one per shard as a categorical one does, and its rows still equal the
+  // single-shard rows.
   Rng rng(41);
   const std::vector<size_t> cards = {5, 6, 7};
   for (bool numeric : {false, true}) {
@@ -317,11 +411,12 @@ TEST(ShardExchangeTest, NumericSchemaKeepsFlatScan) {
         }
       }
       for (int s = 0; s < shards; ++s) {
-        if (shards == 1 || numeric) {
+        if (shards == 1) {
           EXPECT_EQ(engine.verify_index_bytes(s), 0u)
-              << "numeric=" << numeric << " shards=" << shards;
+              << "numeric=" << numeric;
         } else {
-          EXPECT_GT(engine.verify_index_bytes(s), 0u) << "shard " << s;
+          EXPECT_GT(engine.verify_index_bytes(s), 0u)
+              << "numeric=" << numeric << " shard " << s;
         }
       }
     }

@@ -40,6 +40,39 @@ TEST(BucketizerTest, ValueLiesInItsBucketInterval) {
   }
 }
 
+TEST(BucketizerTest, BoundaryValuesLieInTheirBucket) {
+  // Rounding in BucketOf's division used to put some values computed as
+  // bucket boundaries one bucket off, outside that bucket's interval:
+  // 70/9 over [0, 10] in 9 buckets landed in bucket 6, whose interval
+  // ends just below it.
+  EXPECT_TRUE(Bucketizer({0.0, 10.0}, 9)
+                  .BucketInterval(Bucketizer({0.0, 10.0}, 9).BucketOf(70.0 / 9))
+                  .Contains(70.0 / 9));
+  for (double lo : {0.0, -3.0, 0.1, 100.0, -0.7}) {
+    for (double width : {10.0, 1.0, 0.7, 3.0, 2.2}) {
+      const double hi = lo + width;
+      for (size_t n = 1; n <= 32; ++n) {
+        const Bucketizer b({lo, hi}, n);
+        for (size_t k = 0; k <= n; ++k) {
+          const double step = (hi - lo) / static_cast<double>(n);
+          for (double x : {lo + step * static_cast<double>(k),
+                           lo + (hi - lo) * static_cast<double>(k) /
+                                    static_cast<double>(n)}) {
+            if (x < lo || x > hi) continue;
+            EXPECT_TRUE(b.BucketInterval(b.BucketOf(x)).Contains(x))
+                << "[" << lo << ", " << hi << "] n=" << n << " x=" << x;
+          }
+          if (k < n) {
+            const Interval iv = b.BucketInterval(static_cast<ValueId>(k));
+            EXPECT_TRUE(b.BucketInterval(b.BucketOf(iv.lo)).Contains(iv.lo));
+            EXPECT_TRUE(b.BucketInterval(b.BucketOf(iv.hi)).Contains(iv.hi));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BucketizerTest, SingleBucket) {
   Bucketizer b({3.0, 9.0}, 1);
   EXPECT_EQ(b.BucketOf(3.0), 0u);

@@ -1,6 +1,8 @@
 #include "db/database.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -582,8 +584,18 @@ TEST(DatabaseTest, NumericQueriesClampLikeDatasetRows) {
   auto db = Database::Open(base, space, DatabaseOptions{});
   ASSERT_TRUE(db.ok()) << db.status().ToString();
 
-  auto key = (*db)->Insert({2, 0}, {0.0, 250.0});  // clamps to top bucket
-  ASSERT_TRUE(key.ok()) << key.status().ToString();
+  // A stored value outside [lo, hi] would sit outside its bucket's
+  // bounds; Insert rejects it, and the database is unchanged.
+  const uint64_t before = (*db)->stats().inserts;
+  for (double bad : {250.0, -0.5, std::nan(""),
+                     std::numeric_limits<double>::infinity()}) {
+    auto key = (*db)->Insert({2, 0}, {0.0, bad});
+    EXPECT_EQ(key.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ((*db)->stats().inserts, before);
+  ASSERT_TRUE((*db)->Insert({2, 0}, {0.0, 100.0}).ok());
+
+  // Queries still clamp into the edge buckets.
   const Object hi = (*db)->MakeObject({1, 0}, {0.0, 1e9});
   const Object top = (*db)->MakeObject({1, 0}, {0.0, 100.0});
   EXPECT_EQ(hi.values[1], top.values[1]);

@@ -69,9 +69,9 @@ struct Scenario {
   bool checksums = false;
 };
 
-// `with_numeric` appends one numeric attribute to the categorical ones. The
-// overlay leg then re-checks by scanning the base file (no overlay index),
-// so that path stays in the random-fault sweep too.
+// `with_numeric` appends one numeric attribute to the categorical ones, so
+// the exact numeric index search (exchange verify, overlay hints and
+// re-checks) stays in the random-fault sweep too.
 Scenario MakeScenario(Rng& rng, bool with_numeric) {
   const std::vector<size_t> cards = {5, 6, 7};
   Rng data_rng = rng.Fork();
@@ -237,13 +237,12 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
 
   // Overlay leg (docs/OVERLAYS.md): the incremental multi-tenant executor
   // through the same fault config. The base run goes through the faulted
-  // storage (classification, the overlay index build and, with a numeric
-  // attribute, the re-check scans read through clean views), so the
-  // contract mirrors the plain batch: an ok query must hand every user
-  // rows bit-identical to that user's patched-space clean answer, a failed
-  // query reports a storage fault, and nothing observable depends on the
-  // worker count. A small query subset keeps the per-config cost down (the
-  // smoke run does 25 configs).
+  // storage (classification and the overlay index build read through
+  // clean views), so the contract mirrors the plain batch: an ok query
+  // must hand every user rows bit-identical to that user's patched-space
+  // clean answer, a failed query reports a storage fault, and nothing
+  // observable depends on the worker count. A small query subset keeps the
+  // per-config cost down (the smoke run does 25 configs).
   {
     Rng orng = rng.Fork();
     std::vector<MatrixOverlay> overlays;

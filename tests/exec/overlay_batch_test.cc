@@ -454,18 +454,51 @@ struct Pruner {
   }
 };
 
+// The hint the engine records for a candidate: the first pruner a search
+// of the overlay index meets — built here as the engine builds it
+// (BuildShardIndex over the prepared file, levels in its attr_order) —
+// with its values and exact numerics, or nothing when the candidate has
+// no pruner. `ctx` holds the candidate, whose row id is `id`.
+class IndexHints {
+ public:
+  explicit IndexHints(const PreparedDataset& prep)
+      : index_(prep.stored.schema(), prep.attr_order),
+        levels_(index_, ResolveSelectedAttrs(prep.stored.schema(), {})) {
+    PagedReader reader(prep.stored.disk());
+    NMRS_CHECK(BuildShardIndex(prep.stored, &reader, &index_).ok());
+  }
+
+  std::optional<Pruner> operator()(RowId id, const PruneContext& ctx) {
+    QueryStats stats;
+    const ALTree::NodeId leaf = internal_tree::FindPrunerFast(
+        index_, levels_.Bind(ctx, id), index_.FindLeaf(ctx.candidate_values()),
+        &stats, stack_, levels_.exact());
+    if (leaf == ALTree::kInvalidNode) return std::nullopt;
+    const size_t m = index_.schema().num_attributes();
+    Pruner y{std::vector<ValueId>(m), {}};
+    internal_tree::LeafValues(index_, leaf, index_.attr_order(), &y.values);
+    if (index_.has_numerics()) {
+      const double* x = index_.LeafNumerics(leaf, levels_.exact()->entry);
+      y.numerics.assign(x, x + m);
+    }
+    return y;
+  }
+
+ private:
+  ALTree index_;
+  internal_tree::IndexLevels levels_;
+  std::vector<internal_tree::FastEntry> stack_;
+};
+
 // Builds a guaranteed hint miss and an unhinted row, then checks that the
 // re-checks still match the per-user rebuild with counters identical at 1,
-// 2 and 8 workers. `hint_of(i, ctx)` returns the hint the engine records
-// for row i of `all` under query 0 (ctx holds row i as the candidate), or
-// nothing when i has no pruner.
-template <typename HintOf>
+// 2 and 8 workers. The hints come from IndexHints under query 0.
 void ExpectHintMissFallsBack(const PreparedDataset& prep,
                              const SimilaritySpace& space,
                              const std::vector<Object>& queries,
-                             const MatrixOverlay& extra_user,
-                             HintOf&& hint_of) {
+                             const MatrixOverlay& extra_user) {
   const Schema& schema = prep.stored.schema();
+  IndexHints hint_of(prep);
   const Object& query = queries[0];
   auto base = RunReverseSkyline(prep, space, query, Algorithm::kBRS, {});
   ASSERT_TRUE(base.ok()) << base.status();
@@ -488,7 +521,7 @@ void ExpectHintMissFallsBack(const PreparedDataset& prep,
   for (size_t i = 0; i < all.size() && x == all.size(); ++i) {
     if (in_base(all.id(i))) continue;
     ctx.SetCandidate(all.row_values(i), all.row_numerics(i));
-    std::optional<Pruner> hint = hint_of(i, ctx);
+    std::optional<Pruner> hint = hint_of(all.id(i), ctx);
     ASSERT_TRUE(hint.has_value())
         << "row outside the base answer has no pruner";
     for (AttrId a : selected) {
@@ -557,36 +590,16 @@ TEST(OverlayBatchTest, HintMissesAndUnhintedRowsFallBackDeterministically) {
   // All-categorical: the hint is the first pruner a search of the overlay
   // index meets, so Y comes from the same tree the engine builds.
   const OverlayWorkload& wl = SharedWorkload();
-  const SimilaritySpace& space = wl.instance.space;
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  const Schema& schema = prep->stored.schema();
-  ALTree index(schema, prep->attr_order);
-  {
-    PagedReader reader(&disk);
-    ASSERT_TRUE(BuildShardIndex(prep->stored, &reader, &index).ok());
-  }
-  const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
-  internal_tree::IndexLevels levels(index, selected);
-  std::vector<internal_tree::FastEntry> stack;
-  ExpectHintMissFallsBack(
-      *prep, space, wl.queries, *wl.overlays[1],
-      [&](size_t, const PruneContext& ctx) -> std::optional<Pruner> {
-        QueryStats stats;
-        const ALTree::NodeId leaf = internal_tree::FindPrunerFast(
-            index, levels.Bind(ctx), index.FindLeaf(ctx.candidate_values()),
-            &stats, stack);
-        if (leaf == ALTree::kInvalidNode) return std::nullopt;
-        Pruner y{std::vector<ValueId>(schema.num_attributes()), {}};
-        internal_tree::LeafValues(index, leaf, index.attr_order(), &y.values);
-        return y;
-      });
+  ExpectHintMissFallsBack(*prep, wl.instance.space, wl.queries,
+                          *wl.overlays[1]);
 }
 
-TEST(OverlayBatchTest, MixedSchemaHintMissesFallBackToScan) {
-  // With a numeric attribute the hint is the first pruner in dataset scan
-  // order, the row the page-major scan meets first.
+TEST(OverlayBatchTest, MixedSchemaHintMissesFallBackToIndex) {
+  // With a numeric attribute the hint also comes from the index: its leaf
+  // values and the exact numerics of the entry the search stopped at.
   Rng rng(20261018);
   const Dataset data = GenerateMixed(900, {5, 6, 7}, 1, 8, rng);
   SimilaritySpace space;
@@ -600,25 +613,7 @@ TEST(OverlayBatchTest, MixedSchemaHintMissesFallBackToScan) {
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, data, Algorithm::kBRS);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  RowBatch all(data.num_attributes(), true);
-  ASSERT_TRUE(prep->stored.ReadAll(&all).ok());
-  ExpectHintMissFallsBack(
-      *prep, space, queries, extra,
-      [&](size_t i, const PruneContext& ctx) -> std::optional<Pruner> {
-        uint64_t checks = 0;
-        for (size_t r = 0; r < all.size(); ++r) {
-          if (r == i ||
-              !ctx.Prunes(all.row_values(r), all.row_numerics(r), &checks)) {
-            continue;
-          }
-          const size_t m = all.num_attrs();
-          return Pruner{
-              std::vector<ValueId>(all.row_values(r), all.row_values(r) + m),
-              std::vector<double>(all.row_numerics(r),
-                                  all.row_numerics(r) + m)};
-        }
-        return std::nullopt;
-      });
+  ExpectHintMissFallsBack(*prep, space, queries, extra);
 }
 
 TEST(OverlayBatchTest,

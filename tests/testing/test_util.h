@@ -4,9 +4,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
+#include "core/query.h"
 #include "data/dataset.h"
 #include "data/generators.h"
+#include "data/object.h"
+#include "data/stored_dataset.h"
 #include "sim/similarity_space.h"
+#include "storage/paged_reader.h"
 
 namespace nmrs {
 namespace testing {
@@ -42,6 +47,26 @@ struct RandomInstance {
                  const std::vector<size_t>& cardinalities,
                  bool normal_distribution = true);
 };
+
+/// The flat-scan oracle of the exchange verify: streams every page of
+/// `data` past the in-memory `candidates` batch and sets (*pruned)[i] = 1
+/// for every candidate some row of `data` prunes w.r.t. `query` — the BRS
+/// phase-2 refinement loop applied to a batch that arrived over the
+/// exchange. The engine answers the verify from an index
+/// (PruneCandidatesWithIndex); tests check it against this scan. Honors
+/// opts.selected_attrs, opts.overlay and opts.use_kernels /
+/// kernel_promote_rows (each page gets a columnar view, adaptive dispatch
+/// as in Phase 2); verdicts and check accounting are identical between the
+/// scalar and kernel paths. pair/check/kernel counters land in *stats.
+/// *pruned is resized and zeroed first; rows whose id equals a candidate's
+/// id never prune it (identity, as everywhere).
+Status PruneCandidatesAgainstShard(const StoredDataset& data,
+                                   const SimilaritySpace& space,
+                                   const Object& query,
+                                   const RowBatch& candidates,
+                                   const RSOptions& opts, PagedReader* reader,
+                                   std::vector<uint8_t>* pruned,
+                                   QueryStats* stats);
 
 }  // namespace testing
 }  // namespace nmrs

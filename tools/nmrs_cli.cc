@@ -245,7 +245,7 @@ Status ParseRowSpec(const Schema& schema, const std::string& csv,
   numerics->assign(schema.num_attributes(), 0.0);
   for (AttrId a = 0; a < schema.num_attributes(); ++a) {
     if (schema.attribute(a).is_numeric) {
-      (*numerics)[a] = std::strtod(tokens[a].c_str(), nullptr);
+      NMRS_ASSIGN_OR_RETURN((*numerics)[a], ParseDouble("value", tokens[a]));
     } else {
       NMRS_ASSIGN_OR_RETURN(const uint64_t v, ParseDigits("value", tokens[a]));
       if (v >= schema.attribute(a).cardinality) {
