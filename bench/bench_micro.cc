@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks of the library's hot paths: the
 // attribute-level pruning check, AL-Tree construction, and the
-// IsPrunable-style traversal workload embodied by full TRS vs SRS queries
+// AL-Tree pruner-search workload embodied by full TRS vs SRS queries
 // on an in-memory-sized dataset.
 #include <benchmark/benchmark.h>
 

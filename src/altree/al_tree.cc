@@ -20,7 +20,6 @@ void ALTree::Clear() {
   level_.assign(1, kRootLevel);
   descendants_.assign(1, 0);
   parent_.assign(1, kRootId);
-  temp_removed_.assign(1, 0);
   children_.assign(1, {});
   leaf_range_.assign(1, LeafRange{0, 0, 0});
   row_arena_.clear();
@@ -45,7 +44,6 @@ ALTree::NodeId ALTree::FindOrAddChild(NodeId parent, ValueId value,
   level_.push_back(level);
   descendants_.push_back(0);
   parent_.push_back(parent);
-  temp_removed_.push_back(0);
   children_.emplace_back();
   leaf_range_.push_back(LeafRange{0, 0, 0});
   children_[parent].push_back(ChildRef{id, value});
@@ -131,8 +129,8 @@ void ALTree::MoveLeafRange(LeafRange& r) {
 size_t ALTree::MemoryBytes() const {
   size_t bytes =
       num_nodes() * (sizeof(ValueId) + sizeof(uint32_t) + sizeof(uint64_t) +
-                     sizeof(NodeId) + sizeof(uint32_t) +
-                     sizeof(std::vector<ChildRef>) + sizeof(LeafRange));
+                     sizeof(NodeId) + sizeof(std::vector<ChildRef>) +
+                     sizeof(LeafRange));
   for (const auto& kids : children_) {
     bytes += kids.capacity() * sizeof(ChildRef);
   }
@@ -198,28 +196,8 @@ ALTree::NodeId ALTree::FindLeaf(const ValueId* values) const {
   return cur;
 }
 
-ALTree::NodeId ALTree::TempRemove(const ValueId* values) {
-  NodeId leaf = FindLeaf(values);
-  NMRS_CHECK(leaf != kInvalidNode) << "TempRemove of absent object";
-  TempRemoveLeaf(leaf);
-  return leaf;
-}
-
-void ALTree::TempRemoveLeaf(NodeId leaf) {
-  NMRS_CHECK_GT(descendants_[leaf], 0u);
-  ++temp_removed_[leaf];
-  AddToPathCounts(leaf, -1);
-}
-
-void ALTree::TempRestore(NodeId leaf) {
-  NMRS_CHECK_GT(temp_removed_[leaf], 0u);
-  --temp_removed_[leaf];
-  AddToPathCounts(leaf, +1);
-}
-
 void ALTree::RemoveLeaf(NodeId leaf) {
   NMRS_DCHECK(IsLeaf(leaf));
-  NMRS_CHECK_EQ(temp_removed_[leaf], 0u);
   const int64_t count = static_cast<int64_t>(descendants_[leaf]);
   if (count > 0) AddToPathCounts(leaf, -count);
   leaf_range_[leaf].count = 0;
@@ -227,7 +205,6 @@ void ALTree::RemoveLeaf(NodeId leaf) {
 
 void ALTree::RemoveLeafEntry(NodeId leaf, size_t entry) {
   NMRS_DCHECK(IsLeaf(leaf));
-  NMRS_CHECK_EQ(temp_removed_[leaf], 0u);
   LeafRange& r = leaf_range_[leaf];
   NMRS_CHECK_LT(entry, size_t{r.count});
   // Close the gap inside the leaf's range; other leaves never move.

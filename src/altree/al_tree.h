@@ -21,8 +21,6 @@ namespace nmrs {
 ///
 /// The tree supports the operations TRS needs:
 ///  * batch build (Insert), with per-node descendant counts,
-///  * temporary removal of one object so it cannot prune itself
-///    (TempRemove / TempRestore),
 ///  * destructive removal of a whole leaf or single leaf entry (Prune),
 ///  * child ordering by ascending descendant count (PrepareForSearch), so a
 ///    DFS that pushes children in list order onto a stack pops the most
@@ -32,8 +30,11 @@ namespace nmrs {
 ///    which is one source of TRS's IO advantage (paper §5.3).
 ///
 /// Node fields are stored as parallel arrays (struct-of-arrays) because the
-/// IsPrunable / Prune traversals are the hottest loops of TRS: they touch
-/// value/level/descendants of many nodes but the row payload of few.
+/// pruner search (paper Alg. 4) and Prune (Alg. 5) are the hottest loops of
+/// TRS: they touch value/level/descendants of many nodes but the row
+/// payload of few. The search only reads the tree; it keeps a candidate
+/// from pruning itself by counting the candidate's own leaf one instance
+/// short (internal_tree::FindPrunerFast), so searches can share one tree.
 ///
 /// Insert is a one-pass bulk load. A path cursor keeps the node at every
 /// level of the last inserted object; the next object reuses that path up
@@ -106,7 +107,7 @@ class ALTree {
   }
 
   /// Sorts every child list by ascending descendant count (paper Alg. 4
-  /// line 8). Call once after the batch is loaded, before IsPrunable scans.
+  /// line 8). Call once after the batch is loaded, before pruner searches.
   /// When unsorted input moved leaf ranges, it also compacts the arenas so
   /// the built tree keeps no unused ranges (entry order is unchanged).
   void PrepareForSearch();
@@ -131,18 +132,16 @@ class ALTree {
   }
   NodeId Parent(NodeId n) const { return parent_[n]; }
 
-  /// Active duplicate count at a leaf (excludes temporarily removed
-  /// instances); equal to Descendants(leaf).
+  /// Active duplicate count at a leaf (entries not yet removed); equal to
+  /// Descendants(leaf) and to LeafRows(leaf).size().
   uint32_t LeafCount(NodeId leaf) const {
     NMRS_DCHECK(IsLeaf(leaf));
     return static_cast<uint32_t>(descendants_[leaf]);
   }
 
-  /// Row ids stored at a leaf, in insertion order (temporarily removed
-  /// instances included — TempRemove hides an instance from counts, not
-  /// from the id list). The span stays valid until the next Insert,
-  /// PrepareForSearch or Clear; removals only shorten it from the caller's
-  /// point of view.
+  /// Row ids stored at a leaf, in insertion order. The span stays valid
+  /// until the next Insert, PrepareForSearch or Clear; removals only
+  /// shorten it from the caller's point of view.
   std::span<const RowId> LeafRows(NodeId leaf) const {
     NMRS_DCHECK(IsLeaf(leaf));
     const LeafRange& r = leaf_range_[leaf];
@@ -161,18 +160,6 @@ class ALTree {
   bool has_numerics() const { return numeric_stride_ > 0; }
 
   // --- Mutations ---
-
-  /// Temporarily removes one instance of the object with the given values
-  /// (decrements descendant counts along its path) so that IsPrunable(c)
-  /// does not let c prune itself. Returns the leaf. The object's identity
-  /// does not matter — any one duplicate instance is hidden.
-  NodeId TempRemove(const ValueId* values);
-
-  /// TempRemove for a leaf already at hand (skips the root-to-leaf walk).
-  void TempRemoveLeaf(NodeId leaf);
-
-  /// Undoes a TempRemove on `leaf`.
-  void TempRestore(NodeId leaf);
 
   /// Destructively removes the whole leaf (all duplicates); descendant
   /// counts along the path are updated. The node itself stays allocated
@@ -232,7 +219,6 @@ class ALTree {
   std::vector<uint32_t> level_;
   std::vector<uint64_t> descendants_;
   std::vector<NodeId> parent_;
-  std::vector<uint32_t> temp_removed_;  // leaf only
   std::vector<std::vector<ChildRef>> children_;
   std::vector<LeafRange> leaf_range_;  // leaf only
 

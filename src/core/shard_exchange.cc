@@ -64,9 +64,8 @@ void PruneCandidatesWithIndex(const ALTree& index,
   for (size_t i = 0; i < candidates.size(); ++i) {
     ctx.SetCandidate(candidates.row_values(i), candidates.row_numerics(i));
     ++stats->pair_tests;
-    if (internal_tree::FindPrunerFast(
-            index, levels.Bind(ctx, candidates.id(i)), ALTree::kInvalidNode,
-            stats, stack, levels.exact()) != ALTree::kInvalidNode) {
+    if (levels.FindPruner(ctx, candidates.id(i), ALTree::kInvalidNode, stats,
+                          stack) != ALTree::kInvalidNode) {
       (*pruned)[i] = 1;
     }
   }

@@ -4,6 +4,7 @@
 
 #include "altree/al_tree.h"
 #include "core/dominance.h"
+#include "core/tree_traversal.h"
 #include "order/attribute_order.h"
 
 namespace nmrs {
@@ -129,10 +130,9 @@ std::vector<RowId> TreeDynamicSkyline(const Dataset& data,
   const size_t m = schema.num_attributes();
   NMRS_CHECK_EQ(schema.NumNumeric(), 0u)
       << "TreeDynamicSkyline supports categorical attributes only";
-  uint64_t checks = 0;
   std::vector<RowId> result;
   if (data.num_rows() == 0 || m == 0) {
-    if (checks_out != nullptr) *checks_out = checks;
+    if (checks_out != nullptr) *checks_out = 0;
     return result;
   }
 
@@ -147,9 +147,9 @@ std::vector<RowId> TreeDynamicSkyline(const Dataset& data,
   // (contiguous matrix column), or nullptr when the attribute is outside
   // the selected subset. Candidate c is dominated iff the tree (minus one
   // instance of c) holds an object Y with col[y_l] <= col[c_l] on every
-  // selected level and strictly smaller on one — the same traversal shape
-  // as TRS's IsPrunable with the roles of query and candidate swapped.
-  std::vector<const double*> col_by_level(m, nullptr);
+  // selected level and strictly smaller on one — TRS's pruner search with
+  // the roles of query and candidate swapped.
+  std::vector<internal_tree::Phase1Level> levels(m, {nullptr, 0.0});
   {
     std::vector<bool> is_selected(m, false);
     for (AttrId a : ResolveSelectedAttrs(schema, selected)) {
@@ -158,70 +158,28 @@ std::vector<RowId> TreeDynamicSkyline(const Dataset& data,
     for (size_t l = 0; l < m; ++l) {
       const AttrId a = attr_order[l];
       if (is_selected[a]) {
-        col_by_level[l] = space.matrix(a).ColumnTo(ref.values[a]);
+        levels[l].col = space.matrix(a).ColumnTo(ref.values[a]);
       }
     }
   }
 
-  struct Entry {
-    ALTree::NodeId n;
-    uint32_t level;  // level of this node's children
-    bool found_closer;
-  };
-  std::vector<Entry> stack;
+  std::vector<internal_tree::FastEntry> stack;
   stack.reserve(256);
-  std::vector<ValueId> c_values(m, 0);
-  std::vector<double> rhs(m, 0.0);
-
-  std::vector<ALTree::NodeId> leaves;
-  tree.ForEachActiveLeaf([&](ALTree::NodeId l) { leaves.push_back(l); });
-  for (ALTree::NodeId leaf : leaves) {
-    // Reconstruct c's values and per-level thresholds.
-    {
-      ALTree::NodeId cur = leaf;
-      while (cur != ALTree::kRootId) {
-        c_values[tree.Level(cur)] = tree.Value(cur);  // level-indexed here
-        cur = tree.Parent(cur);
-      }
-      for (size_t l = 0; l < m; ++l) {
-        rhs[l] = col_by_level[l] != nullptr ? col_by_level[l][c_values[l]]
-                                            : 0.0;
-      }
+  QueryStats stats;
+  tree.ForEachActiveLeaf([&](ALTree::NodeId leaf) {
+    // Per-level thresholds: c's own distances to the reference.
+    for (ALTree::NodeId cur = leaf; cur != ALTree::kRootId;
+         cur = tree.Parent(cur)) {
+      internal_tree::Phase1Level& level = levels[tree.Level(cur)];
+      if (level.col != nullptr) level.rhs = level.col[tree.Value(cur)];
     }
-    tree.TempRemoveLeaf(leaf);
-    bool dominated = false;
-    stack.clear();
-    stack.push_back({ALTree::kRootId, 0, false});
-    while (!stack.empty() && !dominated) {
-      const Entry s = stack.back();
-      stack.pop_back();
-      const double* col = col_by_level[s.level];
-      for (const ALTree::ChildRef& child : tree.Children(s.n)) {
-        if (tree.Descendants(child.id) == 0) continue;
-        bool closer = s.found_closer;
-        if (col != nullptr) {
-          const double lhs = col[child.value];
-          ++checks;
-          if (lhs > rhs[s.level]) continue;
-          closer = closer || lhs < rhs[s.level];
-        }
-        if (s.level + 1 == m) {
-          if (closer) {
-            dominated = true;
-            break;
-          }
-          continue;
-        }
-        stack.push_back({child.id, s.level + 1, closer});
-      }
-    }
-    tree.TempRestore(leaf);
-    if (!dominated) {
+    if (internal_tree::FindPrunerFast(tree, levels, leaf, &stats, stack) ==
+        ALTree::kInvalidNode) {
       for (RowId r : tree.LeafRows(leaf)) result.push_back(r);
     }
-  }
+  });
   std::sort(result.begin(), result.end());
-  if (checks_out != nullptr) *checks_out = checks;
+  if (checks_out != nullptr) *checks_out = stats.checks;
   return result;
 }
 

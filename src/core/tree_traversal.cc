@@ -1,6 +1,5 @@
 #include "core/tree_traversal.h"
 
-#include <algorithm>
 #include <span>
 
 #include "core/dominance.h"
@@ -53,57 +52,6 @@ void LeafValues(const ALTree& tree, NodeId leaf,
   }
 }
 
-bool IsPrunable(const ALTree& tree, const TreeQueryContext& ctx,
-                const std::vector<ValueId>& c_values,
-                const std::vector<double>& rhs, QueryStats* stats,
-                std::vector<TraversalEntry>& stack) {
-  stack.clear();
-  stack.push_back({ALTree::kRootId, false});
-  while (!stack.empty()) {
-    const TraversalEntry s = stack.back();
-    stack.pop_back();
-    if (s.n != ALTree::kRootId && tree.IsLeaf(s.n)) {
-      if (s.found_closer) return true;
-      continue;
-    }
-    // Children are pre-sorted ascending by descendant count
-    // (PrepareForSearch); pushing in that order pops the most populous —
-    // most promising — subtree first.
-    for (const ALTree::ChildRef& child : tree.Children(s.n)) {
-      const NodeId p = child.id;
-      if (tree.Descendants(p) == 0) continue;
-      const AttrId a = ctx.attr_order[tree.Level(p)];
-      if (!ctx.attr_selected[a]) {
-        stack.push_back({p, s.found_closer});
-        continue;
-      }
-      double lhs;
-      if (ctx.buckets[a].has_value()) {
-        // Numeric level: compare conservative bucket bounds — the maximum
-        // possible distance of the node's bucket from c's bucket against
-        // the minimum possible distance of the query's bucket from c's.
-        lhs = ctx.space->numeric(a).MaxDist(
-            ctx.BucketOf(a, c_values[a]), ctx.BucketOf(a, child.value));
-      } else {
-        lhs = ctx.space->CatDist(a, child.value, c_values[a]);
-      }
-      ++stats->checks;
-      if (lhs <= rhs[a]) {
-        const bool closer = s.found_closer || lhs < rhs[a];
-        if (tree.IsLeaf(p)) {
-          // A qualifying leaf IS the verdict: return as soon as a pruner
-          // is proven (the whole point of Alg. 4), and never stack leaves
-          // that cannot prune (no strict attribute on their path).
-          if (closer) return true;
-          continue;
-        }
-        stack.push_back({p, closer});
-      }
-    }
-  }
-  return false;
-}
-
 namespace {
 
 // Whether `node`, a child at level `level`, lies on the root-to-leaf path
@@ -133,7 +81,7 @@ bool FindPrunerEntry(const ALTree& tree, NodeId leaf, ExactLeaves* exact,
 }
 
 // FindPrunerFast's search; kExact selects the leaf step, so the
-// all-categorical instantiation has no per-leaf branch on it.
+// path-verdict instantiation has no per-leaf branch on it.
 template <bool kExact>
 NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
                     NodeId self_leaf, QueryStats* stats,
@@ -156,22 +104,25 @@ NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
             OnSelfPath(tree, p, s.level, leaf_level, self_leaf)))) {
         continue;
       }
-      const double lhs = level.col[child.value];
-      ++checks;
-      if (lhs <= level.rhs) {
-        const bool closer = s.found_closer || lhs < level.rhs;
-        if (s.level == leaf_level) {
-          // Bucket bounds cannot prove strictness: an entry's exact values
-          // decide, whatever the path's flag says.
-          const bool pruned =
-              kExact ? FindPrunerEntry(tree, p, exact, &checks) : closer;
-          if (pruned) {
-            stats->checks += checks;
-            return p;
-          }
-        } else {
-          stack.push_back({p, s.level + 1, closer});
+      bool closer = s.found_closer;
+      if (level.col != nullptr) {
+        const double lhs = level.col[child.value];
+        ++checks;
+        if (lhs > level.rhs) continue;
+        closer = closer || lhs < level.rhs;
+      }
+      if (s.level == leaf_level) {
+        // With `exact`, an entry's exact values decide whatever the path's
+        // flag says (bucket bounds cannot prove strictness); without it the
+        // flag is the verdict.
+        const bool pruned =
+            kExact ? FindPrunerEntry(tree, p, exact, &checks) : closer;
+        if (pruned) {
+          stats->checks += checks;
+          return p;
         }
+      } else {
+        stack.push_back({p, s.level + 1, closer});
       }
     }
   }
@@ -185,8 +136,7 @@ NodeId FindPrunerFast(const ALTree& tree,
                       const std::vector<Phase1Level>& levels, NodeId self_leaf,
                       QueryStats* stats, std::vector<FastEntry>& stack,
                       ExactLeaves* exact) {
-  if (tree.has_numerics()) {
-    NMRS_CHECK(exact != nullptr) << "a tree with numerics needs ExactLeaves";
+  if (exact != nullptr) {
     return SearchPruner<true>(tree, levels, self_leaf, stats, stack, exact);
   }
   return SearchPruner<false>(tree, levels, self_leaf, stats, stack, nullptr);
@@ -194,12 +144,11 @@ NodeId FindPrunerFast(const ALTree& tree,
 
 IndexLevels::IndexLevels(const ALTree& index,
                          const std::vector<AttrId>& selected)
-    : has_numerics_(index.has_numerics()) {
+    : index_(index), has_numerics_(index.has_numerics()) {
   const std::vector<AttrId>& order = index.attr_order();
   selected_pos_.assign(order.size(), kUnselected);
   buckets_.resize(order.size());
   bounds_.resize(order.size());
-  size_t max_card = 0;
   for (size_t l = 0; l < order.size(); ++l) {
     for (size_t k = 0; k < selected.size(); ++k) {
       if (selected[k] == order[l]) selected_pos_[l] = k;
@@ -209,11 +158,16 @@ IndexLevels::IndexLevels(const ALTree& index,
       buckets_[l].emplace(info.range, info.cardinality);
       bounds_[l].resize(info.cardinality);
     }
-    max_card = std::max<size_t>(max_card, info.cardinality);
   }
-  zeros_.assign(max_card, 0.0);
-  levels_.assign(order.size(), {zeros_.data(), 0.0});
+  levels_.assign(order.size(), {nullptr, 0.0});
   exact_.values.resize(index.schema().num_attributes());
+}
+
+NodeId IndexLevels::FindPruner(const PruneContext& ctx, RowId self_id,
+                               NodeId self_leaf, QueryStats* stats,
+                               std::vector<FastEntry>& stack) {
+  return FindPrunerFast(index_, Bind(ctx, self_id), self_leaf, stats, stack,
+                        exact());
 }
 
 const std::vector<Phase1Level>& IndexLevels::Bind(const PruneContext& ctx,
@@ -241,21 +195,6 @@ const std::vector<Phase1Level>& IndexLevels::Bind(const PruneContext& ctx,
   exact_.ctx = &ctx;
   exact_.self_id = self_id;
   return levels_;
-}
-
-void ComputeRhs(const TreeQueryContext& ctx,
-                const std::vector<ValueId>& c_values,
-                std::vector<double>* rhs) {
-  const size_t m = ctx.schema->num_attributes();
-  for (AttrId a = 0; a < m; ++a) {
-    if (!ctx.attr_selected[a]) continue;
-    if (ctx.buckets[a].has_value()) {
-      (*rhs)[a] = ctx.space->numeric(a).MinDist(
-          ctx.BucketOf(a, c_values[a]), ctx.BucketOf(a, ctx.query.values[a]));
-    } else {
-      (*rhs)[a] = ctx.space->CatDist(a, ctx.query.values[a], c_values[a]);
-    }
-  }
 }
 
 namespace {

@@ -63,8 +63,10 @@ struct FastEntry {
 };
 
 /// Per-level candidate context for FindPrunerFast: col[v] = d_l(v, c_l),
-/// rhs = d_l(q_l, c_l). On a numeric level of an index, col[b] is instead
-/// a lower bound of d_l(y_l, c_l) over the values y_l of bucket b.
+/// rhs = d_l(q_l, c_l). On a numeric level, col[b] and rhs bound the
+/// distances over bucket b's values instead (IndexLevels, TRS phase 1).
+/// col == nullptr marks a level outside the selected attributes (§5.6):
+/// every child passes it without a check and without strictness.
 struct Phase1Level {
   const double* col;
   double rhs;
@@ -88,9 +90,8 @@ struct ExactLeaves {
 /// context's (overlay-aware) candidate column against its query distance;
 /// each selected numeric level reads a per-bucket column of lower bounds
 /// MinDist(bucket interval, c_l) against the exact query distance.
-/// Unselected levels read an all-zero column against a zero threshold:
-/// every value passes (0 <= 0) and none passes strictly (0 < 0). The
-/// levels point into this object, which is therefore not copyable.
+/// Unselected levels carry col == nullptr. The levels point into this
+/// object, which is therefore not copyable.
 class IndexLevels {
  public:
   /// `selected` is the resolved selection the contexts are built with.
@@ -98,9 +99,17 @@ class IndexLevels {
   IndexLevels(const IndexLevels&) = delete;
   IndexLevels& operator=(const IndexLevels&) = delete;
 
+  /// Definition 1 over the index: binds `ctx`'s current candidate and
+  /// runs FindPrunerFast with exact() as its leaf step, so lower-bound
+  /// numeric levels never decide a verdict on their own.
+  ALTree::NodeId FindPruner(const PruneContext& ctx, RowId self_id,
+                            ALTree::NodeId self_leaf, QueryStats* stats,
+                            std::vector<FastEntry>& stack);
+
   /// Points every selected level at `ctx`'s current candidate, whose row
   /// id is `self_id` (kInvalidRowId for a candidate that is not a row of
-  /// the index).
+  /// the index). A search of the index over these levels must pass
+  /// exact(); FindPruner does.
   const std::vector<Phase1Level>& Bind(const PruneContext& ctx,
                                        RowId self_id);
 
@@ -110,8 +119,8 @@ class IndexLevels {
 
  private:
   static constexpr size_t kUnselected = ~size_t{0};
+  const ALTree& index_;
   std::vector<size_t> selected_pos_;  // per level: position in `selected`
-  std::vector<double> zeros_;
   // Per level: bucket bounds and lower-bound column of a selected numeric
   // level (empty otherwise).
   std::vector<std::optional<Bucketizer>> buckets_;
@@ -128,38 +137,26 @@ struct Phase2Level {
   const double* qrow;
 };
 
-/// Paper Alg. 4: does any object in `tree` prune candidate c (= c_values,
-/// with query-side thresholds rhs[attr])? General version (subsets,
-/// numeric buckets).
-bool IsPrunable(const ALTree& tree, const TreeQueryContext& ctx,
-                const std::vector<ValueId>& c_values,
-                const std::vector<double>& rhs, QueryStats* stats,
-                std::vector<TraversalEntry>& stack);
-
-/// Paper Alg. 4 over per-level columns: returns the leaf of the first
-/// pruner the search meets (its values via LeafValues), or
-/// ALTree::kInvalidNode when nothing prunes the candidate. `self_leaf` is
-/// the candidate's own leaf when the candidate is a row of `tree`: the
-/// search then counts that leaf and its ancestors one instance short,
-/// exactly as if TempRemoveLeaf(self_leaf) had run, without mutating the
-/// tree, so concurrent searches may share it. Pass kInvalidNode when the
-/// candidate is not in the tree or has already been removed (TRS's
-/// TempRemove).
+/// Paper Alg. 4, the pruner test of candidate c against the tree's objects,
+/// over per-level columns: returns the leaf of the first pruner the search
+/// meets (its values via LeafValues), or ALTree::kInvalidNode when nothing
+/// prunes the candidate. `self_leaf` is the candidate's own leaf when the
+/// candidate is a row of `tree`: the search then counts that leaf and its
+/// ancestors one instance short, so the candidate cannot prune itself
+/// while its duplicates still can (Alg. 3 line 5, "M \ c"). The tree is
+/// only read, so concurrent searches may share it. Pass kInvalidNode when
+/// the candidate is not in the tree.
 ///
-/// An all-categorical tree takes the verdict from the path (a leaf the
-/// levels admit on a path with a strict level); `exact` must be null. A
-/// tree with numerics needs `exact` (IndexLevels::exact()): its leaves are
-/// refined entry by entry, so the verdict is Definition 1 as well.
+/// Without `exact` the verdict comes from the path: a leaf the levels admit
+/// on a path with a strict level. That is Definition 1 on exact levels and
+/// a conservative test on TRS phase 1's bucket bounds. With `exact`
+/// (which IndexLevels::FindPruner passes) every entry of an admitted leaf
+/// is refined exactly, so a tree with numerics also gets Definition 1.
 ALTree::NodeId FindPrunerFast(const ALTree& tree,
                               const std::vector<Phase1Level>& levels,
                               ALTree::NodeId self_leaf, QueryStats* stats,
                               std::vector<FastEntry>& stack,
                               ExactLeaves* exact = nullptr);
-
-/// Query-side thresholds for candidate c (see IsPrunable).
-void ComputeRhs(const TreeQueryContext& ctx,
-                const std::vector<ValueId>& c_values,
-                std::vector<double>* rhs);
 
 /// Paper Alg. 5: removes from `tree` every object prunable by streamed
 /// object e; entries whose row id equals `spare_id` are never evicted

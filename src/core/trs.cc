@@ -23,6 +23,65 @@ using internal_tree::TraversalEntry;
 using internal_tree::TreeQueryContext;
 using NodeId = ALTree::NodeId;
 
+namespace {
+
+// The Phase1Level array of TRS phase 1 for one candidate c (Alg. 3 line
+// 5): a categorical level reads the matrix column d(., c_a) against
+// d(q_a, c_a); a level outside the selected attributes passes through
+// (col == nullptr). A numeric level compares conservative bucket bounds
+// (paper §6): the farthest a node's bucket can lie from c's bucket against
+// the nearest the query's bucket can lie from it, so a path through it is
+// strict only when every value pair is. Phase 1 then keeps extra survivors
+// but never prunes a reverse-skyline row. The levels point into this
+// object, one per chunk.
+class CandidateLevels {
+ public:
+  explicit CandidateLevels(const TreeQueryContext& ctx)
+      : ctx_(ctx),
+        levels_(ctx.attr_order.size(), {nullptr, 0.0}),
+        bounds_(ctx.attr_order.size()) {
+    for (size_t l = 0; l < levels_.size(); ++l) {
+      const AttrId a = ctx.attr_order[l];
+      if (ctx.attr_selected[a] && ctx.buckets[a].has_value()) {
+        bounds_[l].resize(ctx.buckets[a]->num_buckets());
+      }
+    }
+  }
+  CandidateLevels(const CandidateLevels&) = delete;
+  CandidateLevels& operator=(const CandidateLevels&) = delete;
+
+  // `c_values` is indexed by physical attribute.
+  const std::vector<Phase1Level>& Bind(const std::vector<ValueId>& c_values) {
+    const SimilaritySpace& space = *ctx_.space;
+    for (size_t l = 0; l < levels_.size(); ++l) {
+      const AttrId a = ctx_.attr_order[l];
+      if (!ctx_.attr_selected[a]) continue;
+      const ValueId c = c_values[a];
+      if (!ctx_.buckets[a].has_value()) {
+        levels_[l] = {space.matrix(a).ColumnTo(c),
+                      space.CatDist(a, ctx_.query.values[a], c)};
+        continue;
+      }
+      const NumericDissimilarity& nd = space.numeric(a);
+      const Interval cb = ctx_.BucketOf(a, c);
+      std::vector<double>& col = bounds_[l];
+      for (size_t b = 0; b < col.size(); ++b) {
+        col[b] = nd.MaxDist(cb, ctx_.BucketOf(a, static_cast<ValueId>(b)));
+      }
+      levels_[l] = {col.data(),
+                    nd.MinDist(cb, ctx_.BucketOf(a, ctx_.query.values[a]))};
+    }
+    return levels_;
+  }
+
+ private:
+  const TreeQueryContext& ctx_;
+  std::vector<Phase1Level> levels_;
+  std::vector<std::vector<double>> bounds_;  // numeric levels: per bucket
+};
+
+}  // namespace
+
 StatusOr<ReverseSkylineResult> TreeReverseSkyline(
     const StoredDataset& sorted_data, const SimilaritySpace& space,
     const Object& query, const RSOptions& opts,
@@ -89,12 +148,6 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
     PageId next_page = 0;
     const uint64_t budget = opts.memory.pages * page_size;
     std::vector<ValueId> c_values(m, 0);
-    std::vector<double> rhs(m, 0.0);
-    std::vector<TraversalEntry> stack;
-    stack.reserve(256);
-    std::vector<FastEntry> fast_stack;
-    fast_stack.reserve(256);
-    std::vector<Phase1Level> p1_levels(m);
     while (next_page < sorted_data.num_pages()) {
       ++stats.phase1_batches;
       tree.Clear();
@@ -106,44 +159,6 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
       tree.ForEachActiveLeaf([&](NodeId l) { leaves.push_back(l); });
       const size_t num_leaves = leaves.size();
       std::vector<uint8_t> prunable(num_leaves, 0);
-
-      // Checks leaves [begin, end) against `t` (which must carry the same
-      // structure as `tree`), with caller-owned scratch and counters. The
-      // per-leaf work only TempRemoves/TempRestores the leaf under test,
-      // so chunks run on private tree copies without interfering.
-      auto check_leaves = [&](ALTree& t, size_t begin, size_t end,
-                              QueryStats* st,
-                              std::vector<ValueId>& c_vals,
-                              std::vector<double>& c_rhs,
-                              std::vector<TraversalEntry>& t_stack,
-                              std::vector<FastEntry>& t_fast_stack,
-                              std::vector<Phase1Level>& levels) {
-        for (size_t li = begin; li < end; ++li) {
-          const NodeId leaf = leaves[li];
-          internal_tree::LeafValues(t, leaf, ctx.attr_order, &c_vals);
-          // Remove one instance of c so it cannot prune itself (Alg. 3
-          // line 5, "M \ c"); remaining duplicates still count as pruners.
-          t.TempRemoveLeaf(leaf);
-          ++st->pair_tests;
-          bool p;
-          if (ctx.fast_path) {
-            for (size_t l = 0; l < m; ++l) {
-              const AttrId a = ctx.attr_order[l];
-              levels[l].col = space.matrix(a).ColumnTo(c_vals[a]);
-              levels[l].rhs = ctx.q_row_by_level[l][c_vals[a]];
-            }
-            p = internal_tree::FindPrunerFast(t, levels, ALTree::kInvalidNode,
-                                              st, t_fast_stack) !=
-                ALTree::kInvalidNode;
-          } else {
-            internal_tree::ComputeRhs(ctx, c_vals, &c_rhs);
-            p = internal_tree::IsPrunable(t, ctx, c_vals, c_rhs, st,
-                                          t_stack);
-          }
-          t.TempRestore(leaf);
-          prunable[li] = p ? 1 : 0;
-        }
-      };
 
       // Kernel phase 1, probe -> traversal hybrid: a short prefix of the
       // active leaves becomes a columnar block and every candidate leaf
@@ -168,16 +183,17 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
       // majority past the kProbeTrial mark, and a majority-escaping
       // batch turns probing off for the query's remaining batches (the
       // escape decision depends only on verdicts, keeping the cut
-      // deterministic and dispatch-invariant). Verdicts — and therefore
-      // survivors, results, and IO — are identical in all regimes:
-      // probe and traversal are both exact Definition-1 pruner
-      // searches, with "M \ c" realized by skipping c's own leaf in the
-      // probe iff it holds a single instance (remaining duplicates still
-      // count as pruners) and by TempRemoveLeaf in the traversal. Probe
-      // work surfaces as kernel_scalar_rows; traversals add their
-      // group-level check counts to QueryStats::checks as on the scalar
-      // path (docs/KERNELS.md). With promote 0 every candidate would
-      // escape immediately, so the columnar block is not even built.
+      // deterministic for a given chunking and dispatch-invariant).
+      // Verdicts — and therefore survivors, results, and IO — are
+      // identical in all regimes: probe and traversal are both exact
+      // Definition-1 pruner searches, with "M \ c" realized by skipping
+      // c's own leaf in the probe iff it holds a single instance
+      // (remaining duplicates still count as pruners) and by
+      // FindPrunerFast's self_leaf in the traversal. Probe work surfaces
+      // as kernel_scalar_rows; traversals add their group-level check
+      // counts to QueryStats::checks as on the scalar path
+      // (docs/KERNELS.md). With promote 0 every candidate would escape
+      // immediately, so the columnar block is not even built.
       const bool probe_p1 =
           kernel_p1 && opts.kernel_promote_rows > 0 && probe_batches;
       const size_t probe_prefix = static_cast<size_t>(std::min<uint64_t>(
@@ -228,15 +244,13 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
         }
         leaf_cols.BuildFromColumns(probe_prefix, columns, leaf_ids);
       }
-      // Probes leaf_cols for the cheap candidates and escapes to the
-      // traversal of `t` for the promoted ones; TempRemoveLeaf mutates,
-      // so parallel chunks pass private tree copies like the scalar path.
-      auto check_leaves_kernel = [&](ALTree& t, size_t begin, size_t end,
-                                     QueryStats* st,
-                                     std::vector<FastEntry>& t_fast_stack,
-                                     std::vector<Phase1Level>& levels,
-                                     size_t* out_trialed,
-                                     size_t* out_escaped) {
+
+      // Checks leaves [begin, end) with chunk-owned scratch and counters
+      // (Alg. 3 line 5). Every search only reads `tree`, so chunks share
+      // it. A chunk probes leaf_cols first while probe_p1 holds and its
+      // probe-futility trial has not condemned the probe.
+      auto check_leaves = [&](size_t begin, size_t end, QueryStats* st,
+                              size_t* out_trialed, size_t* out_escaped) {
         // Probe-futility trial: once this many candidates have been
         // probed, a chunk whose escapes reach a majority stops probing —
         // the probe rows were pure overhead on top of the traversals
@@ -245,34 +259,44 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
         // majority-escaping stretch anywhere means the probe is losing
         // from there on.
         constexpr size_t kProbeTrial = 64;
-        PruneContext kc(space, schema, query, kernel_selected,
-                        &*kernel_qtable);
-        DominanceKernel kernel(kc, leaf_cols, opts.kernel_promote_rows);
+        bool probing = probe_p1;
+        std::optional<PruneContext> kc;
+        std::optional<DominanceKernel> kernel;
+        if (probing) {
+          kc.emplace(space, schema, query, kernel_selected, &*kernel_qtable);
+          kernel.emplace(*kc, leaf_cols, opts.kernel_promote_rows);
+        }
+        CandidateLevels levels(ctx);
+        std::vector<FastEntry> stack;
+        stack.reserve(256);
         std::vector<ValueId> cv(m, 0);
         uint64_t unused_pairs = 0, unused_checks = 0;
-        bool probing = true;
         size_t trialed = 0, escaped = 0;
         // A partial prefix cannot prove "no pruner anywhere" — only a
         // block covering every leaf makes exhaustion a verdict.
         const bool exhaust_resolves = probe_prefix == num_leaves;
         for (size_t li = begin; li < end; ++li) {
           const NodeId leaf = leaves[li];
-          // The scoring pass already walked every leaf's values — skip
-          // the per-candidate walk up the tree.
-          for (size_t a = 0; a < m; ++a) cv[a] = all_vals[li * m + a];
+          if (probe_p1) {
+            // The scoring pass already walked every leaf's values — skip
+            // the per-candidate walk up the tree.
+            for (size_t a = 0; a < m; ++a) cv[a] = all_vals[li * m + a];
+          } else {
+            internal_tree::LeafValues(tree, leaf, ctx.attr_order, &cv);
+          }
           ++st->pair_tests;
           bool resolved = false;
           bool p = false;
           if (probing) {
-            kc.SetCandidate(cv.data(), nullptr);
-            kernel.BeginCandidate();
+            kc->SetCandidate(cv.data(), nullptr);
+            kernel->BeginCandidate();
             // Block rows carry original leaf indices as ids, so skipping
             // c's own single-instance leaf works wherever (and whether)
             // it landed in the reordered block.
-            const RowId skip = t.LeafRows(leaf).size() == 1
+            const RowId skip = tree.LeafRows(leaf).size() == 1
                                    ? static_cast<RowId>(li)
                                    : kInvalidRowId;
-            const DominanceKernel::ProbeResult probe = kernel.ProbeForward(
+            const DominanceKernel::ProbeResult probe = kernel->ProbeForward(
                 0, probe_prefix, skip, &unused_pairs, &unused_checks);
             if (probe == DominanceKernel::ProbeResult::kPruner) {
               resolved = true;
@@ -288,97 +312,56 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
             }
           }
           if (!resolved) {
-            for (size_t l = 0; l < m; ++l) {
-              const AttrId a = ctx.attr_order[l];
-              levels[l].col = space.matrix(a).ColumnTo(cv[a]);
-              levels[l].rhs = ctx.q_row_by_level[l][cv[a]];
-            }
-            t.TempRemoveLeaf(leaf);
-            p = internal_tree::FindPrunerFast(t, levels, ALTree::kInvalidNode,
-                                              st, t_fast_stack) !=
-                ALTree::kInvalidNode;
-            t.TempRestore(leaf);
+            p = internal_tree::FindPrunerFast(tree, levels.Bind(cv), leaf, st,
+                                              stack) != ALTree::kInvalidNode;
           }
           prunable[li] = p ? 1 : 0;
         }
-        st->kernel_checks += kernel.kernel_checks();
-        st->kernel_promotions += kernel.promotions();
-        st->kernel_scalar_rows += kernel.scalar_rows();
-        st->kernel_block_rows += kernel.block_rows();
+        if (kernel.has_value()) {
+          st->kernel_checks += kernel->kernel_checks();
+          st->kernel_promotions += kernel->promotions();
+          st->kernel_scalar_rows += kernel->scalar_rows();
+          st->kernel_block_rows += kernel->block_rows();
+        }
         *out_trialed += trialed;
         *out_escaped += escaped;
       };
 
-      if (probe_p1) {
-        size_t trialed = 0, escaped = 0;
-        if (opts.num_threads <= 1 || num_leaves < 2) {
-          check_leaves_kernel(tree, 0, num_leaves, &stats, fast_stack,
-                              p1_levels, &trialed, &escaped);
-        } else {
-          const size_t num_chunks = std::min(
-              num_leaves, static_cast<size_t>(opts.num_threads) * 2);
-          std::vector<QueryStats> chunk_stats(num_chunks);
-          std::vector<size_t> chunk_trialed(num_chunks, 0);
-          std::vector<size_t> chunk_escaped(num_chunks, 0);
-          ParallelChunks(exec.executor, opts.num_threads, num_chunks,
-                         [&](size_t c) {
-                           ALTree chunk_tree = tree;
-                           std::vector<FastEntry> cf;
-                           cf.reserve(256);
-                           std::vector<Phase1Level> cl(m);
-                           check_leaves_kernel(
-                               chunk_tree,
-                               ChunkBegin(num_leaves, num_chunks, c),
-                               ChunkBegin(num_leaves, num_chunks, c + 1),
-                               &chunk_stats[c], cf, cl, &chunk_trialed[c],
-                               &chunk_escaped[c]);
-                         });
-          for (size_t c = 0; c < num_chunks; ++c) {
-            const QueryStats& cs = chunk_stats[c];
-            stats.pair_tests += cs.pair_tests;
-            stats.checks += cs.checks;
-            stats.kernel_checks += cs.kernel_checks;
-            stats.kernel_promotions += cs.kernel_promotions;
-            stats.kernel_scalar_rows += cs.kernel_scalar_rows;
-            stats.kernel_block_rows += cs.kernel_block_rows;
-            trialed += chunk_trialed[c];
-            escaped += chunk_escaped[c];
-          }
-        }
-        // A majority-escaping batch condemns the probe for the rest of
-        // the query: later batches take the scalar dispatch below and
-        // skip the columnar build entirely.
-        probe_batches = escaped * 2 <= trialed;
-      } else if (opts.num_threads <= 1 || num_leaves < 2) {
-        check_leaves(tree, 0, num_leaves, &stats, c_values, rhs, stack,
-                     fast_stack, p1_levels);
+      size_t trialed = 0, escaped = 0;
+      if (opts.num_threads <= 1 || num_leaves < 2) {
+        check_leaves(0, num_leaves, &stats, &trialed, &escaped);
       } else {
-        // Each chunk checks its leaves against a private copy of the tree
-        // (TempRemove mutates descendant counts along the leaf's path).
-        // Per-leaf checks are independent, so totals summed in chunk order
-        // equal the sequential counts exactly.
+        // Per-leaf checks are independent, so without the probe the totals
+        // summed in chunk order equal the sequential counts exactly. The
+        // probe-futility trial runs per chunk, so probe counters (never
+        // verdicts) depend on the chunking.
         const size_t num_chunks = std::min(
             num_leaves, static_cast<size_t>(opts.num_threads) * 2);
         std::vector<QueryStats> chunk_stats(num_chunks);
-        ParallelChunks(
-            exec.executor, opts.num_threads, num_chunks, [&](size_t c) {
-              ALTree chunk_tree = tree;
-              std::vector<ValueId> cv(m, 0);
-              std::vector<double> cr(m, 0.0);
-              std::vector<TraversalEntry> cs;
-              cs.reserve(256);
-              std::vector<FastEntry> cf;
-              cf.reserve(256);
-              std::vector<Phase1Level> cl(m);
-              check_leaves(chunk_tree, ChunkBegin(num_leaves, num_chunks, c),
-                           ChunkBegin(num_leaves, num_chunks, c + 1),
-                           &chunk_stats[c], cv, cr, cs, cf, cl);
-            });
-        for (const QueryStats& cs : chunk_stats) {
+        std::vector<size_t> chunk_trialed(num_chunks, 0);
+        std::vector<size_t> chunk_escaped(num_chunks, 0);
+        ParallelChunks(exec.executor, opts.num_threads, num_chunks,
+                       [&](size_t c) {
+                         check_leaves(ChunkBegin(num_leaves, num_chunks, c),
+                                      ChunkBegin(num_leaves, num_chunks, c + 1),
+                                      &chunk_stats[c], &chunk_trialed[c],
+                                      &chunk_escaped[c]);
+                       });
+        for (size_t c = 0; c < num_chunks; ++c) {
+          const QueryStats& cs = chunk_stats[c];
           stats.pair_tests += cs.pair_tests;
           stats.checks += cs.checks;
+          stats.kernel_checks += cs.kernel_checks;
+          stats.kernel_promotions += cs.kernel_promotions;
+          stats.kernel_scalar_rows += cs.kernel_scalar_rows;
+          stats.kernel_block_rows += cs.kernel_block_rows;
+          trialed += chunk_trialed[c];
+          escaped += chunk_escaped[c];
         }
       }
+      // A majority-escaping batch condemns the probe for the rest of
+      // the query: later batches skip the columnar build entirely.
+      if (probe_p1) probe_batches = escaped * 2 <= trialed;
 
       // Survivors are spilled in leaf (scan) order regardless of how the
       // checks were executed, keeping the scratch file and its IO

@@ -22,13 +22,16 @@ namespace nmrs {
 ///  * compact batches: prefix sharing packs more objects per memory budget,
 ///    which shrinks the number of batches and thus random IO.
 ///
-/// Phase 1 checks IsPrunable(c, M \ c) for every loaded object c (Alg. 4);
-/// phase 2 loads survivor batches as a tree and streams the database,
-/// calling Prune(e, M) (Alg. 5) to evict everything each scanned object e
-/// can prune. Numeric attributes are handled by discretization (§6):
-/// phase-1 checks compare bucket-interval distance bounds (conservative, so
-/// extra survivors but no false dismissals) and phase-2 leaves keep exact
-/// values for exact refinement.
+/// Phase 1 searches the batch tree for a pruner of every loaded object c,
+/// M \ c (Alg. 3 line 5, Alg. 4). The search skips one instance of c's own
+/// leaf instead of removing it, so it only reads the tree and phase-1
+/// threads (RSOptions::num_threads) share one tree. Phase 2 loads survivor
+/// batches as a tree and streams the database, calling Prune(e, M) (Alg. 5)
+/// to evict everything each scanned object e can prune. Numeric attributes
+/// are handled by discretization (§6): phase-1 checks compare
+/// bucket-interval distance bounds (conservative, so extra survivors but no
+/// false dismissals) and phase-2 leaves keep exact values for exact
+/// refinement.
 ///
 /// `opts.attr_order` fixes the tree's attribute ordering (default:
 /// ascending cardinality, §5.1). `opts.selected_attrs` restricts the query

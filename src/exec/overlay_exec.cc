@@ -34,7 +34,7 @@ struct PrunerHints {
     values.resize(rows * m);
     numerics.assign(rows, nullptr);
   }
-  // The pruner FindPrunerFast returned: its leaf's values, and with
+  // The pruner IndexLevels::FindPruner returned: its leaf's values, and with
   // numerics the exact values of the entry `exact` names; `scratch` holds
   // m values.
   void RecordLeaf(uint32_t idx, const ALTree& index, ALTree::NodeId leaf,
@@ -70,9 +70,8 @@ void FindBaseHints(const OverlayExecContext& ctx, const Object& query,
     pctx.SetCandidate(cls.sensitive.row_values(idx),
                       cls.sensitive.row_numerics(idx));
     ++stats->pair_tests;
-    const ALTree::NodeId leaf = internal_tree::FindPrunerFast(
-        *ctx.index, levels.Bind(pctx, cls.sensitive.id(idx)), self_leaf[idx],
-        stats, stack, levels.exact());
+    const ALTree::NodeId leaf = levels.FindPruner(
+        pctx, cls.sensitive.id(idx), self_leaf[idx], stats, stack);
     if (leaf != ALTree::kInvalidNode) {
       hints->RecordLeaf(idx, *ctx.index, leaf, levels.exact(), &scratch);
     }
@@ -117,10 +116,8 @@ void RecheckGroup(const OverlayExecContext& ctx, const Object& query,
         }
       }
       ++stats->pair_tests;
-      if (internal_tree::FindPrunerFast(
-              *ctx.index, levels.Bind(pctx, cls.sensitive.id(idx)),
-              self_leaf[idx], stats, stack,
-              levels.exact()) != ALTree::kInvalidNode) {
+      if (levels.FindPruner(pctx, cls.sensitive.id(idx), self_leaf[idx],
+                            stats, stack) != ALTree::kInvalidNode) {
         live[j] = 0;
       }
     }

@@ -1,7 +1,6 @@
 // Differential test: the AL-Tree against a trivially correct reference
 // model (a map from value-vector to the multiset of row ids) under a
-// randomized workload of Insert / TempRemove+Restore / RemoveLeaf /
-// RemoveLeafEntry operations.
+// randomized workload of Insert / RemoveLeaf / RemoveLeafEntry operations.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -102,7 +101,7 @@ TEST_P(ALTreeFuzz, RandomWorkloadMatchesReference) {
   RowId next_id = 0;
   for (int step = 0; step < 400; ++step) {
     const uint64_t op = rng.Uniform(10);
-    if (op < 5 || model.TotalObjects() == 0) {
+    if (op < 7 || model.TotalObjects() == 0) {
       // Insert a random object.
       Key key(cards.size());
       for (size_t a = 0; a < cards.size(); ++a) {
@@ -119,14 +118,7 @@ TEST_P(ALTreeFuzz, RandomWorkloadMatchesReference) {
       const Key key = it->first;
       ALTree::NodeId leaf = tree.FindLeaf(key.data());
       ASSERT_NE(leaf, ALTree::kInvalidNode);
-      if (op < 7) {
-        // TempRemove + IsLeaf-neutral restore (counts must round-trip).
-        const uint64_t before = tree.num_objects();
-        tree.TempRemoveLeaf(leaf);
-        EXPECT_EQ(tree.num_objects(), before - 1);
-        tree.TempRestore(leaf);
-        EXPECT_EQ(tree.num_objects(), before);
-      } else if (op == 7) {
+      if (op == 7) {
         tree.RemoveLeaf(leaf);
         model.RemoveAll(key);
       } else {

@@ -9,8 +9,8 @@
 // Inputs: seeded rows with many duplicates, with and without numeric
 // attributes, in sorted, reverse-sorted, shuffled and run-interleaved
 // order. Steps: inserts, Clear() reuse, a copy taken mid-build, then
-// seeded TempRemove/TempRestore, RemoveLeaf, RemoveLeafEntry and further
-// inserts, with a comparison after every step.
+// seeded RemoveLeaf, RemoveLeafEntry and further inserts, with a
+// comparison after every step.
 //
 // Deliberately gtest-free so ci.sh can run it under ASan/UBSan with only
 // instrumented code (the arena offsets are what that build watches). Exits
@@ -44,7 +44,6 @@ class ReferenceTree {
     level_.assign(1, ALTree::kRootLevel);
     descendants_.assign(1, 0);
     parent_.assign(1, ALTree::kRootId);
-    temp_removed_.assign(1, 0);
     children_.assign(1, {});
     rows_.assign(1, {});
     numerics_.assign(1, {});
@@ -71,14 +70,6 @@ class ReferenceTree {
     }
   }
 
-  void TempRemoveLeaf(NodeId leaf) {
-    ++temp_removed_[leaf];
-    AddToPath(leaf, -1);
-  }
-  void TempRestore(NodeId leaf) {
-    --temp_removed_[leaf];
-    AddToPath(leaf, +1);
-  }
   void RemoveLeaf(NodeId leaf) {
     AddToPath(leaf, -static_cast<int64_t>(descendants_[leaf]));
     rows_[leaf].clear();
@@ -141,7 +132,6 @@ class ReferenceTree {
     level_.push_back(level);
     descendants_.push_back(0);
     parent_.push_back(parent);
-    temp_removed_.push_back(0);
     children_.emplace_back();
     rows_.emplace_back();
     numerics_.emplace_back();
@@ -163,7 +153,6 @@ class ReferenceTree {
   std::vector<uint32_t> level_;
   std::vector<uint64_t> descendants_;
   std::vector<NodeId> parent_;
-  std::vector<uint32_t> temp_removed_;
   std::vector<std::vector<ALTree::ChildRef>> children_;
   std::vector<std::vector<RowId>> rows_;
   std::vector<std::vector<double>> numerics_;
@@ -287,17 +276,17 @@ void InsertBoth(ALTree& tree, ReferenceTree& ref, const Row& row) {
   ref.Insert(row.id, row.values.data(), nums);
 }
 
-// Seeded mutations after a build, each followed by a comparison: hide and
-// restore instances, evict single entries and whole leaves, and insert new
-// rows into leaves whose ranges already shrank or emptied.
+// Seeded mutations after a build, each followed by a comparison: evict
+// single entries and whole leaves, and insert new rows into leaves whose
+// ranges already shrank or emptied.
 void MutateAndCompare(ALTree& tree, ReferenceTree& ref, const Input& in,
                       Rng& rng, RowId next_id) {
   for (int step = 0; step < 120; ++step) {
     std::vector<NodeId> active;
     tree.ForEachActiveLeaf([&](NodeId leaf) { active.push_back(leaf); });
     std::sort(active.begin(), active.end());
-    const uint64_t op = rng.Uniform(5);
-    if (active.empty() || op == 4) {
+    const uint64_t op = rng.Uniform(3);
+    if (active.empty() || op == 2) {
       Row row = in.rows[rng.Uniform(in.rows.size())];
       row.id = next_id++;
       InsertBoth(tree, ref, row);
@@ -306,24 +295,6 @@ void MutateAndCompare(ALTree& tree, ReferenceTree& ref, const Input& in,
     }
     const NodeId leaf = active[rng.Uniform(active.size())];
     if (op == 0) {
-      tree.TempRemoveLeaf(leaf);
-      ref.TempRemoveLeaf(leaf);
-      ref.ExpectSame(tree, "TempRemoveLeaf");
-      tree.TempRestore(leaf);
-      ref.TempRestore(leaf);
-      ref.ExpectSame(tree, "TempRestore");
-    } else if (op == 1) {
-      // TempRemove by values must find the same leaf.
-      std::vector<ValueId> values(in.schema.num_attributes());
-      for (NodeId cur = leaf; cur != ALTree::kRootId; cur = tree.Parent(cur)) {
-        values[in.attr_order[tree.Level(cur)]] = tree.Value(cur);
-      }
-      NMRS_CHECK_EQ(tree.TempRemove(values.data()), leaf);
-      ref.TempRemoveLeaf(leaf);
-      ref.ExpectSame(tree, "TempRemove");
-      tree.TempRestore(leaf);
-      ref.TempRestore(leaf);
-    } else if (op == 2) {
       tree.RemoveLeaf(leaf);
       ref.RemoveLeaf(leaf);
       ref.ExpectSame(tree, "RemoveLeaf");

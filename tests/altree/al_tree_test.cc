@@ -102,35 +102,6 @@ TEST(ALTreeTest, FindLeafMissing) {
   EXPECT_EQ(tree.FindLeaf(other), ALTree::kInvalidNode);
 }
 
-TEST(ALTreeTest, TempRemoveHidesAndRestores) {
-  Schema s = Schema::Categorical({2, 2});
-  ALTree tree = MakeTree(s);
-  const ValueId row[] = {0, 1};
-  tree.Insert(1, row, nullptr);
-  tree.Insert(2, row, nullptr);
-
-  NodeId leaf = tree.TempRemove(row);
-  EXPECT_EQ(tree.num_objects(), 1u);
-  EXPECT_EQ(tree.LeafCount(leaf), 1u);
-  EXPECT_EQ(tree.LeafRows(leaf).size(), 2u);  // ids not touched
-
-  tree.TempRestore(leaf);
-  EXPECT_EQ(tree.num_objects(), 2u);
-  EXPECT_EQ(tree.LeafCount(leaf), 2u);
-}
-
-TEST(ALTreeTest, TempRemoveSingletonZeroesPath) {
-  Schema s = Schema::Categorical({2, 2});
-  ALTree tree = MakeTree(s);
-  const ValueId row[] = {0, 1};
-  tree.Insert(1, row, nullptr);
-  NodeId leaf = tree.TempRemove(row);
-  EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.Descendants(tree.Parent(leaf)), 0u);
-  tree.TempRestore(leaf);
-  EXPECT_EQ(tree.num_objects(), 1u);
-}
-
 TEST(ALTreeTest, RemoveLeafUpdatesCounts) {
   Schema s = Schema::Categorical({2, 2});
   ALTree tree = MakeTree(s);

@@ -7,7 +7,6 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "ops/weighted_distance.h"
-#include "order/attribute_order.h"
 
 namespace nmrs {
 namespace {
@@ -33,15 +32,6 @@ TEST(ContractsDeathTest, AppendRowRejectsWrongArity) {
 TEST(ContractsDeathTest, ALTreeRejectsMismatchedAttrOrder) {
   Schema s = Schema::Categorical({3, 3});
   EXPECT_DEATH(ALTree(s, {0}), "NMRS_CHECK");
-}
-
-TEST(ContractsDeathTest, ALTreeTempRestoreWithoutRemove) {
-  Schema s = Schema::Categorical({2, 2});
-  ALTree tree(s, IdentityOrder(s));
-  const ValueId row[] = {0, 0};
-  tree.Insert(1, row, nullptr);
-  const ALTree::NodeId leaf = tree.FindLeaf(row);
-  EXPECT_DEATH(tree.TempRestore(leaf), "NMRS_CHECK");
 }
 
 TEST(ContractsDeathTest, StreamingRejectsZeroWindow) {

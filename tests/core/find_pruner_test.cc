@@ -22,8 +22,8 @@ using NodeId = ALTree::NodeId;
 
 // FindPrunerFast's self-exclusion (paper Alg. 4 over a tree that holds the
 // candidate itself): searching with the candidate's own leaf must behave
-// exactly as if one instance of that leaf had been removed, and must agree
-// with a brute-force Definition 1 test against every other row.
+// exactly like searching a tree built without the candidate, and must
+// agree with a brute-force Definition 1 test against every other row.
 
 // Matrices whose off-diagonal entries come from a three-value grid, so
 // distances tie often and the non-strict half of Definition 1 is hit.
@@ -58,7 +58,8 @@ ALTree BuildTree(const Dataset& data, std::vector<AttrId> order) {
 }
 
 // Reference for the kInvalidNode case: the plain Alg. 4 search without
-// self-exclusion, returning the verdict and adding its checks.
+// self-exclusion, returning the verdict and adding its checks. A level
+// without a column (outside the selection) passes every child unchecked.
 bool ReferenceIsPrunableFast(const ALTree& tree,
                              const std::vector<Phase1Level>& levels,
                              uint64_t* checks_out) {
@@ -71,18 +72,20 @@ bool ReferenceIsPrunableFast(const ALTree& tree,
     const Phase1Level& level = levels[s.level];
     for (const ALTree::ChildRef& child : tree.Children(s.n)) {
       if (tree.Descendants(child.id) == 0) continue;
-      const double lhs = level.col[child.value];
-      ++checks;
-      if (lhs <= level.rhs) {
-        const bool closer = s.found_closer || lhs < level.rhs;
-        if (s.level == leaf_level) {
-          if (closer) {
-            *checks_out += checks;
-            return true;
-          }
-        } else {
-          stack.push_back({child.id, s.level + 1, closer});
+      bool closer = s.found_closer;
+      if (level.col != nullptr) {
+        const double lhs = level.col[child.value];
+        ++checks;
+        if (lhs > level.rhs) continue;
+        closer = closer || lhs < level.rhs;
+      }
+      if (s.level == leaf_level) {
+        if (closer) {
+          *checks_out += checks;
+          return true;
         }
+      } else {
+        stack.push_back({child.id, s.level + 1, closer});
       }
     }
   }
@@ -107,7 +110,20 @@ std::vector<AttrId> RandomSelection(size_t m, Rng& rng) {
   return selected;
 }
 
-TEST(FindPrunerFastTest, SelfExclusionMatchesBruteForceAndTempRemove) {
+// `data`'s rows other than `skip`, in row order and without
+// PrepareForSearch, so child lists keep insertion order; then `last`
+// unless it is kInvalidRowId.
+ALTree InsertionOrderTree(const Dataset& data, const std::vector<AttrId>& order,
+                          RowId skip, RowId last) {
+  ALTree tree(data.schema(), order);
+  for (RowId r = 0; r < data.num_rows(); ++r) {
+    if (r != skip) tree.Insert(r, data.RowValues(r), nullptr);
+  }
+  if (last != kInvalidRowId) tree.Insert(last, data.RowValues(last), nullptr);
+  return tree;
+}
+
+TEST(FindPrunerFastTest, SelfExclusionMatchesBruteForceAndRebuiltTree) {
   Rng rng(20261017);
   uint64_t pruned = 0, survived = 0, self_leaf_hits = 0;
   for (int trial = 0; trial < 60; ++trial) {
@@ -124,7 +140,8 @@ TEST(FindPrunerFastTest, SelfExclusionMatchesBruteForceAndTempRemove) {
       }
       data.AppendCategoricalRow(v);
     }
-    ALTree tree = BuildTree(data, RandomOrder(m, rng));
+    const std::vector<AttrId> order = RandomOrder(m, rng);
+    ALTree tree = BuildTree(data, order);
     const Schema& schema = data.schema();
     const std::vector<AttrId> selected =
         ResolveSelectedAttrs(schema, RandomSelection(m, rng));
@@ -166,15 +183,25 @@ TEST(FindPrunerFastTest, SelfExclusionMatchesBruteForceAndTempRemove) {
         ++survived;
       }
 
-      // Same leaf and the same checks as removing X's instance first.
-      QueryStats removed;
-      tree.TempRemoveLeaf(self);
-      const NodeId want = FindPrunerFast(tree, levels.Bind(ctx, x),
-                                         ALTree::kInvalidNode, &removed,
-                                         stack);
-      tree.TempRestore(self);
-      EXPECT_EQ(got, want) << label;
-      EXPECT_EQ(stats.checks, removed.checks) << label;
+      // Same leaf and the same checks as a tree without X. X goes in last
+      // and neither tree is reordered, so every node the two share has
+      // the same id and the same place in its parent's child list, and the
+      // nodes only X's instance fills come after them.
+      const ALTree with_x = InsertionOrderTree(data, order, x, x);
+      const ALTree without_x =
+          InsertionOrderTree(data, order, x, kInvalidRowId);
+      IndexLevels with_levels(with_x, selected);
+      IndexLevels without_levels(without_x, selected);
+      QueryStats with_stats, without_stats;
+      const NodeId with_got = FindPrunerFast(
+          with_x, with_levels.Bind(ctx, x), with_x.FindLeaf(data.RowValues(x)),
+          &with_stats, stack);
+      const NodeId want =
+          FindPrunerFast(without_x, without_levels.Bind(ctx, x),
+                         ALTree::kInvalidNode, &without_stats, stack);
+      EXPECT_EQ(with_got, want) << label;
+      EXPECT_EQ(with_stats.checks, without_stats.checks) << label;
+      EXPECT_EQ(with_got != ALTree::kInvalidNode, brute) << label;
     }
   }
   // The sweep reaches both verdicts and duplicate witnesses.
@@ -284,6 +311,37 @@ TEST(FindPrunerFastTest, RowPrunedOnlyByItselfSurvives) {
   EXPECT_EQ(SearchForRow(pc, data, 0, /*exclude_self=*/true),
             ALTree::kInvalidNode);
   EXPECT_NE(SearchForRow(pc, data, 0, /*exclude_self=*/false),
+            ALTree::kInvalidNode);
+}
+
+// On a numeric index the levels only bound distances from below, so a
+// path that admits a leaf strictly proves nothing: IndexLevels::FindPruner
+// must refine the leaf's entries exactly.
+TEST(IndexLevelsTest, FindPrunerRefinesNumericLeavesExactly) {
+  Schema schema;
+  schema.AddAttribute(AttributeInfo{"x", 2, true, Interval{0.0, 10.0}});
+  SimilaritySpace space;
+  space.AddNumeric(NumericDissimilarity(1.0));
+  Dataset data(schema);
+  data.AppendRow({0}, {4.9});  // bucket [0, 5), like c: MinDist 0 < d(q, c)
+  ALTree tree(schema, {0});
+  tree.Insert(0, data.RowValues(0), data.RowNumerics(0));
+  tree.PrepareForSearch();
+
+  const Object query = data.MakeObject({0}, {3.0});
+  const Object c = data.MakeObject({0}, {0.0});  // d(q, c) = 3 < d(y, c)
+  const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
+  const QueryDistanceTable table(space, schema, query, selected);
+  PruneContext ctx(space, schema, query, selected, &table);
+  ctx.SetCandidate(c.values.data(), c.numerics.data());
+  IndexLevels levels(tree, selected);
+  std::vector<FastEntry> stack;
+  QueryStats stats;
+  EXPECT_NE(FindPrunerFast(tree, levels.Bind(ctx, kInvalidRowId),
+                           ALTree::kInvalidNode, &stats, stack),
+            ALTree::kInvalidNode);  // the path verdict alone prunes c
+  EXPECT_EQ(levels.FindPruner(ctx, kInvalidRowId, ALTree::kInvalidNode,
+                              &stats, stack),
             ALTree::kInvalidNode);
 }
 

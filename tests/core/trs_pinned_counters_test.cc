@@ -1,6 +1,11 @@
 // Pins TRS's counters, IO and result rows on fixed seeded data: one phase-1
 // batch, several batches under 2-4 page budgets, a numeric schema, and a
 // 2-shard engine whose verify round searches the shards' AL-Tree indexes.
+// Every phase-1 leaf check is covered: the kernel probe with its traversal
+// escape, the plain all-categorical search (use_kernels = false), and the
+// general search under categorical and numeric attribute subsets, each at
+// 1 and 3 phase-1 threads. The probe-futility trial is decided per chunk,
+// so the kernel path's 3-thread counters are pinned separately.
 // The values were captured with the per-node-vector AL-Tree layout that the
 // one-pass bulk load (path cursor + leaf arenas) replaced. Node ids, child
 // order and leaf entry order do not depend on the memory layout, so every
@@ -98,15 +103,15 @@ struct Observed {
   }
 };
 
-// Runs each query through single-threaded TRS with `pages` of memory on a
-// disk of `page_size`-byte pages.
+// Runs each query through TRS under `base` (single-threaded by default)
+// with `pages` of memory on a disk of `page_size`-byte pages.
 Observed RunTrs(const Dataset& data, const SimilaritySpace& space,
                 const std::vector<Object>& queries, size_t page_size,
-                uint64_t pages) {
+                uint64_t pages, const RSOptions& base = {}) {
   SimulatedDisk disk(page_size);
   auto prepared = PrepareDataset(&disk, data, Algorithm::kTRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
-  RSOptions opts;
+  RSOptions opts = base;
   opts.memory.pages = pages;
   Observed out;
   for (const Object& q : queries) {
@@ -155,17 +160,146 @@ TEST(TrsPinnedCountersTest, SeveralBatchesUnderSmallBudgets) {
   }
 }
 
+RSOptions Threads(int num_threads) {
+  RSOptions opts;
+  opts.num_threads = num_threads;
+  return opts;
+}
+
+// The kernel probe at 3 phase-1 threads: each chunk runs its own
+// probe-futility trial, so checks and kernel counters differ from the
+// single-threaded pins above while rows and IO do not.
+TEST(TrsPinnedCountersTest, KernelProbeAtThreeThreads) {
+  {
+    const testing::RandomInstance inst(401, 2000, {6, 7, 8});
+    const Observed got =
+        RunTrs(inst.data, inst.space, Queries(inst.data, 402, 3),
+               kDefaultPageSize, 1000, Threads(3));
+    EXPECT_EQ(got.counters,
+              (Counters{7337, 170, 7167, 870, 0, 9, 2755, 0, 3, 29, 3, 29, 6,
+                        9, 0, 6, 0, 0, 0, 0, 0, 0, 0}));
+    EXPECT_EQ(got.rows,
+              "{28 153 350 1415 1629 1982 1986} {32 202 256 470 707 907 975 "
+              "1006 1107 1124 1240 1241 1514 1543 1606 1923} "
+              "{289 332 656 938 1221 1945}");
+  }
+  const testing::RandomInstance inst(403, 3000, {6, 7, 8, 5});
+  const Observed got = RunTrs(inst.data, inst.space, Queries(inst.data, 404, 3),
+                              1024, 2, Threads(3));
+  EXPECT_EQ(got.counters,
+            (Counters{50897, 2831, 48066, 3309, 0, 158, 11112, 0, 18, 32, 3, 12,
+                      411, 24, 0, 21, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(got.rows,
+            "{307 1232 1573 1575 1973} {1153 1502 2044 2635} {669 1342 1569}");
+}
+
+// The all-categorical search without the kernel probe: every leaf takes
+// the plain traversal, so 1 and 3 threads count the same checks.
+TEST(TrsPinnedCountersTest, FastPathWithoutKernels) {
+  const testing::RandomInstance inst(403, 3000, {6, 7, 8, 5});
+  const std::vector<Object> queries = Queries(inst.data, 404, 3);
+  const struct {
+    int threads;
+    Counters want;
+  } runs[] = {
+      {1, {92357, 53797, 38560, 3303, 0, 0, 0, 0, 12, 24, 3, 12, 418, 17, 0, 14,
+           0, 0, 0, 0, 0, 0, 0}},
+      {3, {92357, 53797, 38560, 3303, 0, 0, 0, 0, 12, 24, 3, 12, 418, 17, 0, 14,
+           0, 0, 0, 0, 0, 0, 0}},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE(run.threads);
+    RSOptions opts = Threads(run.threads);
+    opts.use_kernels = false;
+    const Observed got = RunTrs(inst.data, inst.space, queries, 1024, 3, opts);
+    EXPECT_EQ(got.counters, run.want);
+    EXPECT_EQ(got.rows,
+              "{307 1232 1573 1575 1973} {1153 1502 2044 2635} {669 1342 1569}");
+  }
+}
+
+// A categorical attribute subset (paper §5.6): the general search passes
+// the unselected level through.
+TEST(TrsPinnedCountersTest, CategoricalSubset) {
+  const testing::RandomInstance inst(409, 3000, {6, 7, 8});
+  const std::vector<Object> queries = Queries(inst.data, 410, 3);
+  const struct {
+    int threads;
+    Counters want;
+  } runs[] = {
+      {1, {27865, 10545, 17320, 936, 0, 0, 0, 0, 3, 157, 3, 157, 350, 9, 2, 6,
+           0, 0, 0, 0, 0, 0, 0}},
+      {3, {27865, 10545, 17320, 936, 0, 0, 0, 0, 3, 157, 3, 157, 350, 9, 2, 6,
+           0, 0, 0, 0, 0, 0, 0}},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE(run.threads);
+    RSOptions opts = Threads(run.threads);
+    opts.selected_attrs = {0, 2};
+    const Observed got = RunTrs(inst.data, inst.space, queries, 1024, 3, opts);
+    EXPECT_EQ(got.counters, run.want);
+    EXPECT_EQ(got.rows,
+              "{7 51 255 273 556 728 772 857 979 1104 1138 1337 1575 1762 "
+              "1802 1841 1972 2130 2189 2283 2535 2739 2765 2770 2848} {11 "
+              "129 340 515 587 1116 1144 1366 2707} {4 44 56 79 82 92 93 132 "
+              "136 142 144 242 251 257 277 294 323 328 396 406 425 439 453 "
+              "620 622 623 626 631 639 697 733 752 817 826 853 866 876 891 "
+              "916 931 941 948 949 971 984 1001 1047 1053 1078 1079 1131 1161 "
+              "1172 1186 1241 1248 1258 1259 1267 1282 1334 1363 1443 1508 "
+              "1536 1564 1609 1625 1643 1677 1689 1743 1788 1815 1820 1832 "
+              "1851 1857 1863 1878 1890 1906 1929 1951 1975 1998 2084 2125 "
+              "2147 2181 2219 2220 2257 2296 2339 2344 2382 2388 2442 2498 "
+              "2503 2507 2508 2517 2536 2589 2638 2650 2667 2688 2700 2717 "
+              "2790 2806 2813 2821 2828 2845 2880 2896 2903 2941 2950}");
+  }
+}
+
+Dataset MixedData(Rng& rng) {
+  return GenerateMixed(600, {5, 4}, 2, 4, rng);
+}
+
+SimilaritySpace MixedSpace(Rng& rng) {
+  SimilaritySpace space;
+  for (size_t card : {5, 4}) space.AddCategorical(MakeRandomMatrix(card, rng));
+  for (int i = 0; i < 2; ++i) space.AddNumeric(NumericDissimilarity());
+  return space;
+}
+
+// A numeric schema under a subset of one categorical and one numeric
+// attribute: phase 1 compares bucket bounds on the selected numeric level
+// and passes the other two levels through.
+TEST(TrsPinnedCountersTest, NumericSubset) {
+  Rng rng(405);
+  Rng data_rng = rng.Fork();
+  Rng space_rng = rng.Fork();
+  const Dataset data = MixedData(data_rng);
+  const SimilaritySpace space = MixedSpace(space_rng);
+  const std::vector<Object> queries = Queries(data, 411, 3);
+  const struct {
+    int threads;
+    Counters want;
+  } runs[] = {
+      {1, {28166, 7514, 20652, 813, 0, 0, 0, 0, 21, 983, 18, 7, 713, 57, 52, 24,
+           0, 0, 0, 0, 0, 0, 0}},
+      {3, {28166, 7514, 20652, 813, 0, 0, 0, 0, 21, 983, 18, 7, 713, 57, 52, 24,
+           0, 0, 0, 0, 0, 0, 0}},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE(run.threads);
+    RSOptions opts = Threads(run.threads);
+    opts.selected_attrs = {0, 3};
+    const Observed got = RunTrs(data, space, queries, 1024, 3, opts);
+    EXPECT_EQ(got.counters, run.want);
+    EXPECT_EQ(got.rows, "{83 240} {351 380 425} {241 575}");
+  }
+}
+
 TEST(TrsPinnedCountersTest, NumericSchema) {
   Rng rng(405);
   Rng data_rng = rng.Fork();
   Rng space_rng = rng.Fork();
-  const std::vector<size_t> cat_cards = {5, 4};
-  const Dataset data = GenerateMixed(600, cat_cards, 2, 4, data_rng);
-  SimilaritySpace space;
-  for (size_t card : cat_cards) {
-    space.AddCategorical(MakeRandomMatrix(card, space_rng));
-  }
-  for (int i = 0; i < 2; ++i) space.AddNumeric(NumericDissimilarity());
+  const Dataset data = MixedData(data_rng);
+  const SimilaritySpace space = MixedSpace(space_rng);
   const Observed got = RunTrs(data, space, Queries(data, 406, 3), 1024, 3);
   EXPECT_EQ(got.counters,
             (Counters{134127, 4735, 129392, 813, 0, 0, 0, 0, 21, 1657, 26, 75,

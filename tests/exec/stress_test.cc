@@ -310,8 +310,54 @@ void StressSharedScanBatch() {
               queries.size(), queries.size() / 8);
 }
 
+// Runs `queries` through a TRS engine at 1 and at 8 workers and checks
+// that rows and IO match. `threads_at_8` is RSOptions::num_threads with 8
+// workers; `opts.rs.num_threads` applies with 1. When both are equal the
+// phase-1 chunking is too, so checks must match as well.
+void CheckTrsAcrossWorkers(const Dataset& data, const SimilaritySpace& space,
+                           const std::vector<Object>& queries,
+                           EngineOptions opts, int threads_at_8,
+                           const char* leg) {
+  SimulatedDisk disk;
+  auto prepared = PrepareDataset(&disk, data, Algorithm::kTRS);
+  NMRS_CHECK(prepared.ok()) << prepared.status();
+
+  const bool same_chunks = opts.rs.num_threads == threads_at_8;
+  BatchResult reference;
+  bool have_reference = false;
+  for (size_t workers : {1u, 8u}) {
+    opts.num_workers = workers;
+    if (workers > 1) opts.rs.num_threads = threads_at_8;
+    QueryEngine engine(*prepared, space, Algorithm::kTRS, opts);
+    auto batch = engine.RunBatch(queries);
+    NMRS_CHECK(batch.ok()) << batch.status();
+    NMRS_CHECK(batch->ok()) << leg << ": " << batch->first_error();
+    if (!have_reference) {
+      reference = std::move(*batch);
+      have_reference = true;
+      continue;
+    }
+    NMRS_CHECK(batch->total_io == reference.total_io) << leg;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      NMRS_CHECK(batch->results[i].rows == reference.results[i].rows)
+          << leg << " query " << i;
+      NMRS_CHECK(batch->results[i].stats.io == reference.results[i].stats.io)
+          << leg << " query " << i;
+      NMRS_CHECK(!same_chunks || batch->results[i].stats.checks ==
+                                     reference.results[i].stats.checks)
+          << leg << " query " << i;
+    }
+  }
+  std::printf("query engine (%s): %zu queries identical across worker "
+              "counts\n",
+              leg, queries.size());
+}
+
 // Full engine: batch fan-out plus intra-query chunks on the same pool,
-// checked for worker-count independence.
+// checked for worker-count independence. Phase-1 chunks share one
+// read-only batch tree, so the legs cover each phase-1 leaf check: the
+// kernel probe with its traversal escape, the plain all-categorical search
+// (use_kernels = false), and the general search over a mixed schema.
 void StressQueryEngine() {
   Rng rng(1234);
   Rng data_rng = rng.Fork();
@@ -327,33 +373,28 @@ void StressQueryEngine() {
     queries.push_back(SampleUniformQuery(data, rng));
   }
 
-  SimulatedDisk disk;
-  auto prepared = PrepareDataset(&disk, data, Algorithm::kTRS);
-  NMRS_CHECK(prepared.ok()) << prepared.status();
+  EngineOptions opts;
+  opts.rs.memory = MemoryBudget{2};
+  CheckTrsAcrossWorkers(data, space, queries, opts, 2, "kernel probe");
 
-  BatchResult reference;
-  bool have_reference = false;
-  for (size_t workers : {1u, 8u}) {
-    EngineOptions opts;
-    opts.num_workers = workers;
-    opts.rs.memory = MemoryBudget{2};
-    opts.rs.num_threads = workers > 1 ? 2 : 1;
-    QueryEngine engine(*prepared, space, Algorithm::kTRS, opts);
-    auto batch = engine.RunBatch(queries);
-    NMRS_CHECK(batch.ok()) << batch.status();
-    if (!have_reference) {
-      reference = std::move(*batch);
-      have_reference = true;
-      continue;
-    }
-    NMRS_CHECK(batch->total_io == reference.total_io);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      NMRS_CHECK(batch->results[i].rows == reference.results[i].rows);
-      NMRS_CHECK(batch->results[i].stats.io == reference.results[i].stats.io);
-    }
+  opts.rs.num_threads = 2;
+  EngineOptions scalar = opts;
+  scalar.rs.use_kernels = false;
+  CheckTrsAcrossWorkers(data, space, queries, scalar, 2, "no kernels");
+
+  const std::vector<size_t> cat_cards = {5, 4};
+  const Dataset mixed = GenerateMixed(3000, cat_cards, 2, 4, data_rng);
+  SimilaritySpace mixed_space;
+  for (size_t card : cat_cards) {
+    mixed_space.AddCategorical(MakeRandomMatrix(card, space_rng));
   }
-  std::printf("query engine: %zu queries identical across worker counts\n",
-              queries.size());
+  for (int i = 0; i < 2; ++i) mixed_space.AddNumeric(NumericDissimilarity());
+  std::vector<Object> mixed_queries;
+  for (int i = 0; i < 16; ++i) {
+    mixed_queries.push_back(SampleUniformQuery(mixed, rng));
+  }
+  CheckTrsAcrossWorkers(mixed, mixed_space, mixed_queries, opts, 2,
+                        "mixed schema");
 }
 
 // The fault path under contention: 8 workers share the batch quarantine
