@@ -4,7 +4,10 @@
 // owns a private DiskView (its own spindle), so the batch's modeled makespan
 // is max(summed ResponseMillis / workers, largest query)
 // (docs/PARALLELISM.md). Wall-clock is reported alongside but depends on the
-// host's core count. Emits BENCH_parallel.json.
+// host's core count. Each worker count gets a fresh engine and one batch,
+// which therefore also carries the engine's one-time AL-Tree build: the
+// TRS queries answer resident, and the build is the batch's largest task.
+// Emits BENCH_parallel.json.
 //
 // Extra flags on top of bench_util's: none. --scale=1 (default) gives the
 // 50k-object synthetic workload from the acceptance criterion.

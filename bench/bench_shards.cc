@@ -106,7 +106,7 @@ void Run(int argc, char** argv) {
         static_cast<double>(checks) / static_cast<double>(num_queries);
     uint64_t index_bytes = 0;
     for (int s = 0; s < shards; ++s) {
-      index_bytes += engine.verify_index_bytes(s);
+      index_bytes += engine.shard_index_bytes(s);
     }
 
     const double makespan = batch->ModeledMakespanMillis();

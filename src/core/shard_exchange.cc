@@ -1,7 +1,10 @@
 #include "core/shard_exchange.h"
 
 #include <algorithm>
+#include <span>
 
+#include "common/sync.h"
+#include "common/timer.h"
 #include "core/dominance.h"
 #include "core/query_distance_table.h"
 #include "core/tree_traversal.h"
@@ -33,14 +36,24 @@ Status CollectRowsById(const StoredDataset& data, PagedReader* reader,
 
 Status BuildShardIndex(const StoredDataset& data, PagedReader* reader,
                        ALTree* index) {
+  return BuildShardIndexWithin(data, reader, ~uint64_t{0}, index).status();
+}
+
+StatusOr<bool> BuildShardIndexWithin(const StoredDataset& data,
+                                     PagedReader* reader,
+                                     uint64_t budget_bytes, ALTree* index) {
   NMRS_CHECK(index->empty());
   RowBatch page(data.schema().num_attributes(),
                 data.schema().NumNumeric() > 0);
   PageId next_page = 0;
   NMRS_RETURN_IF_ERROR(internal_tree::LoadTreeBatch(
-      data, reader, ~uint64_t{0}, &next_page, index, &page));
+      data, reader, budget_bytes, &next_page, index, &page));
+  if (next_page < data.num_pages() ||
+      index->LogicalMemoryBytes() >= budget_bytes) {
+    return false;
+  }
   index->PrepareForSearch();
-  return Status::OK();
+  return true;
 }
 
 void PruneCandidatesWithIndex(const ALTree& index,
@@ -69,6 +82,110 @@ void PruneCandidatesWithIndex(const ALTree& index,
       (*pruned)[i] = 1;
     }
   }
+}
+
+ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
+                                            const SimilaritySpace& space,
+                                            const Object& query,
+                                            const RSOptions& opts,
+                                            const ExecContext& exec,
+                                            RowBatch* candidates) {
+  Timer timer;
+  ReverseSkylineResult result;
+  QueryStats& stats = result.stats;
+  const Schema& schema = index.schema();
+  const bool numerics = index.has_numerics();
+  const std::vector<AttrId> selected =
+      ResolveSelectedAttrs(schema, opts.selected_attrs);
+  const QueryDistanceTable qtable(space, schema, query, selected,
+                                  opts.overlay);
+
+  std::vector<ALTree::NodeId> leaves;
+  index.ForEachActiveLeaf([&](ALTree::NodeId l) { leaves.push_back(l); });
+  const size_t num_leaves = leaves.size();
+  // One search per leaf of an all-categorical tree, one per leaf entry
+  // otherwise: leaf li's searches are [first[li], first[li + 1]).
+  std::vector<size_t> first(num_leaves + 1, 0);
+  for (size_t li = 0; li < num_leaves; ++li) {
+    first[li + 1] = first[li] + (numerics ? index.LeafCount(leaves[li]) : 1);
+  }
+  std::vector<uint8_t> pruned(first.back(), 0);
+
+  // Checks leaves [begin, end) with chunk-owned scratch and counters. The
+  // searches only read `index`, so chunks share it.
+  auto check_leaves = [&](size_t begin, size_t end, QueryStats* st) {
+    PruneContext ctx(space, schema, query, selected, &qtable);
+    internal_tree::IndexLevels levels(index, selected);
+    std::vector<internal_tree::FastEntry> stack;
+    stack.reserve(256);
+    std::vector<ValueId> values(schema.num_attributes(), 0);
+    for (size_t li = begin; li < end; ++li) {
+      const ALTree::NodeId leaf = leaves[li];
+      internal_tree::LeafValues(index, leaf, index.attr_order(), &values);
+      if (!numerics) {
+        ctx.SetCandidate(values.data(), nullptr);
+        ++st->pair_tests;
+        pruned[first[li]] = levels.FindPruner(ctx, kInvalidRowId, leaf, st,
+                                              stack) != ALTree::kInvalidNode;
+        continue;
+      }
+      const std::span<const RowId> rows = index.LeafRows(leaf);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ctx.SetCandidate(values.data(), index.LeafNumerics(leaf, i));
+        ++st->pair_tests;
+        pruned[first[li] + i] =
+            levels.FindPruner(ctx, rows[i], leaf, st, stack) !=
+            ALTree::kInvalidNode;
+      }
+    }
+  };
+
+  if (opts.num_threads <= 1 || num_leaves < 2) {
+    check_leaves(0, num_leaves, &stats);
+  } else {
+    const size_t num_chunks =
+        std::min(num_leaves, static_cast<size_t>(opts.num_threads) * 2);
+    std::vector<QueryStats> chunk_stats(num_chunks);
+    ParallelChunks(exec.executor, opts.num_threads, num_chunks,
+                   [&](size_t c) {
+                     check_leaves(ChunkBegin(num_leaves, num_chunks, c),
+                                  ChunkBegin(num_leaves, num_chunks, c + 1),
+                                  &chunk_stats[c]);
+                   });
+    for (const QueryStats& cs : chunk_stats) {
+      stats.pair_tests += cs.pair_tests;
+      stats.checks += cs.checks;
+    }
+  }
+
+  // The survivors are the answer; their values come from the tree.
+  std::vector<ValueId> values(schema.num_attributes(), 0);
+  if (candidates != nullptr) candidates->Clear();
+  for (size_t li = 0; li < num_leaves; ++li) {
+    const ALTree::NodeId leaf = leaves[li];
+    const std::span<const RowId> rows = index.LeafRows(leaf);
+    bool have_values = false;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (pruned[first[li] + (numerics ? i : 0)]) continue;
+      result.rows.push_back(rows[i]);
+      if (candidates == nullptr) continue;
+      if (!have_values) {
+        internal_tree::LeafValues(index, leaf, index.attr_order(), &values);
+        have_values = true;
+      }
+      candidates->Append(rows[i], values.data(),
+                         numerics ? index.LeafNumerics(leaf, i) : nullptr);
+    }
+  }
+  std::sort(result.rows.begin(), result.rows.end());
+
+  stats.phase1_checks = stats.checks;
+  stats.phase1_batches = index.empty() ? 0 : 1;
+  stats.phase1_survivors = result.rows.size();
+  stats.result_size = result.rows.size();
+  stats.compute_millis = timer.ElapsedMillis();
+  stats.phase1_millis = stats.compute_millis;
+  return result;
 }
 
 }  // namespace nmrs

@@ -6,6 +6,7 @@
 
 #include "altree/al_tree.h"
 #include "common/status.h"
+#include "common/statusor.h"
 #include "core/query.h"
 #include "data/object.h"
 #include "data/stored_dataset.h"
@@ -23,7 +24,9 @@ namespace nmrs {
 /// Every shard answers the verify from a resident AL-Tree of its rows
 /// (BuildShardIndex + PruneCandidatesWithIndex, paper Alg. 4); numeric
 /// attributes sit in it as buckets whose bounds filter and whose leaves'
-/// exact values decide (paper §6).
+/// exact values decide (paper §6). Under TRS the same tree also answers the
+/// shard's local run when it fits the memory budget
+/// (ResidentReverseSkyline), and its candidates leave straight from it.
 
 /// Collects the stored rows whose ids appear in `ids` (ascending RowIds, as
 /// every algorithm emits them) by one forward page scan of `data` through
@@ -35,13 +38,25 @@ Status CollectRowsById(const StoredDataset& data, PagedReader* reader,
 
 /// Loads every row of `data` into the empty `index` (one forward scan
 /// through `reader`) and orders its children for search
-/// (ALTree::PrepareForSearch): the read-only verify index of one shard.
+/// (ALTree::PrepareForSearch): the read-only index of one shard, which
+/// the exchange verify and resident TRS search.
 /// Numeric attributes become bucket levels, and each leaf entry keeps its
 /// exact numerics. The index's levels follow its own attr_order; any order
 /// gives the same verdicts, only check counts differ. IO lands on the
 /// reader's disk.
 Status BuildShardIndex(const StoredDataset& data, PagedReader* reader,
                        ALTree* index);
+
+/// BuildShardIndex for a shard whose index only resident TRS would search:
+/// loads `data` as one TRS phase-1 batch of `budget_bytes` would
+/// (internal_tree::LoadTreeBatch) and returns whether that batch held the
+/// whole shard within the budget (LogicalMemoryBytes() < budget_bytes).
+/// Only then is `index` prepared for search; otherwise it holds a prefix
+/// of the shard for the caller to discard. A shard that does not fit thus
+/// costs the pages of one phase-1 batch, not a full scan.
+StatusOr<bool> BuildShardIndexWithin(const StoredDataset& data,
+                                     PagedReader* reader,
+                                     uint64_t budget_bytes, ALTree* index);
 
 /// The verify round over a shard's index: one FindPrunerFast search (paper
 /// Alg. 4) per candidate, which skips every value group that cannot prune
@@ -59,6 +74,30 @@ void PruneCandidatesWithIndex(const ALTree& index,
                               const Object& query, const RowBatch& candidates,
                               const RSOptions& opts,
                               std::vector<uint8_t>* pruned, QueryStats* stats);
+
+/// Resident TRS: TRS over a shard whose whole AL-Tree `index`
+/// (BuildShardIndex) is one phase-1 batch. Every row of the shard is then
+/// checked against "M \ c" = all its other rows (paper Alg. 3 line 5), so
+/// phase 1's survivors already are the shard's reverse skyline and phase 2
+/// has nothing left to prune. Each active leaf gets one
+/// IndexLevels::FindPruner search with itself as self_leaf; a tree with
+/// numeric attributes gets one search per leaf entry, whose exact leaf
+/// step decides where the standalone TRS phase 1 only bounds by bucket.
+/// Overlays and attribute subsets act as in PruneCandidatesWithIndex.
+/// Leaves are checked in RSOptions::num_threads chunks on exec.executor,
+/// and chunk counters are summed in chunk order, so every counter is
+/// independent of the thread count.
+///
+/// Returns the rows in ascending order, with one pair test per search and
+/// every check under phase 1: phase1_batches = 1 (0 for an empty index),
+/// phase2_batches = 0 and no IO. `candidates` (may be null) receives the
+/// surviving rows with their values and numerics, taken from the tree.
+ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
+                                            const SimilaritySpace& space,
+                                            const Object& query,
+                                            const RSOptions& opts,
+                                            const ExecContext& exec,
+                                            RowBatch* candidates);
 
 }  // namespace nmrs
 

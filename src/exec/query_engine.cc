@@ -12,6 +12,7 @@
 #include "core/dominance.h"
 #include "core/shard_exchange.h"
 #include "exec/overlay_exec.h"
+#include "sim/matrix_overlay.h"
 
 namespace nmrs {
 
@@ -82,16 +83,22 @@ Status ExportCandidates(const StoredDataset& data,
 }
 
 // One index-build task's output.
+// The build budget of an index that must hold its whole shard.
+constexpr uint64_t kWholeShard = ~uint64_t{0};
+
 struct IndexBuild {
-  std::unique_ptr<const ALTree> tree;  // null when the build failed
+  // Null when the build failed or the shard missed the budget.
+  std::unique_ptr<const ALTree> tree;
   Status status;
+  bool over_budget = false;
   IoStats io;
   double modeled_millis = 0;
 };
 
-// Builds the read-only AL-Tree of `data` (BuildShardIndex, levels in
-// `attr_order`) as one task on worker w, for the verify and overlay index
-// slots alike. It reads through the worker's clean primary view with no
+// Builds the read-only AL-Tree of `data` (BuildShardIndexWithin
+// `budget_bytes`, levels in `attr_order`) as one task on worker w, for the
+// shard and overlay index slots alike; a tree over the budget is dropped
+// and flagged. It reads through the worker's clean primary view with no
 // page cache: the build is no query's work, so it neither faults nor warms
 // or evicts any query's cache. The caller charges the returned IO and
 // modeled time (wall time, IoCostModel time and backoff) to a batch total
@@ -100,6 +107,7 @@ struct IndexBuild {
 IndexBuild BuildIndexOnWorker(ReplicaSet& rset, int w,
                               const StoredDataset& data,
                               const std::vector<AttrId>& attr_order,
+                              uint64_t budget_bytes,
                               const ResiliencePolicy& policy,
                               QuarantineLog* quarantine) {
   DiskView* view = rset.view(w, 0);
@@ -113,8 +121,11 @@ IndexBuild BuildIndexOnWorker(ReplicaSet& rset, int w,
   Timer timer;
   IndexBuild out;
   auto tree = std::make_unique<ALTree>(data.schema(), attr_order);
-  out.status = BuildShardIndex(local, &reader, tree.get());
-  if (out.status.ok()) out.tree = std::move(tree);
+  StatusOr<bool> fits =
+      BuildShardIndexWithin(local, &reader, budget_bytes, tree.get());
+  out.status = fits.status();
+  out.over_budget = fits.ok() && !*fits;
+  if (fits.ok() && *fits) out.tree = std::move(tree);
   out.io = rset.WorkerStats(w) - before;
   reader.FoldStatsInto(&out.io);
   out.modeled_millis = timer.ElapsedMillis() +
@@ -194,12 +205,13 @@ QueryEngine::QueryEngine(std::unique_ptr<const ShardedDataset> owned,
       pool_caches_[s] = std::make_unique<BufferPool>(disk, pool_opts);
     }
   }
-  verify_index_.resize(static_cast<size_t>(num_shards));
+  shard_index_.resize(static_cast<size_t>(num_shards));
+  shard_over_budget_.assign(static_cast<size_t>(num_shards), 0);
 }
 
-size_t QueryEngine::verify_index_bytes(int s) const {
-  std::lock_guard<std::mutex> lock(verify_index_mu_);
-  const ALTree* index = verify_index_[static_cast<size_t>(s)].get();
+size_t QueryEngine::shard_index_bytes(int s) const {
+  std::lock_guard<std::mutex> lock(shard_index_mu_);
+  const ALTree* index = shard_index_[static_cast<size_t>(s)].get();
   return index == nullptr ? 0 : index->MemoryBytes();
 }
 
@@ -280,6 +292,74 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
     return exec;
   };
 
+  // ---- Shard indexes: each shard's read-only AL-Tree (BuildShardIndex)
+  // is built once per engine, by its own task (BuildIndexOnWorker), in the
+  // first batch that reads it; it then serves the resident TRS scatter and
+  // the exchange verify alike. Its IO and modeled time land only on the
+  // batch total and on the shard's lane, so per-query counters do not
+  // depend on which batch built it. A failed build leaves the slot empty
+  // for the rest of the batch, and the next batch retries. A build under a
+  // finite `budget` that misses it keeps no tree and marks the shard, so
+  // that no later batch tries it under a budget again; only the verify,
+  // which needs the whole tree, still builds it. ----
+  WaitGroup wg;
+  std::vector<const ALTree*> index(static_cast<size_t>(S), nullptr);
+  std::vector<Status> build_status(static_cast<size_t>(S), Status::OK());
+  auto ensure_indexes = [&](const std::vector<int>& shards, uint64_t budget) {
+    std::lock_guard<std::mutex> lock(shard_index_mu_);
+    std::vector<int> to_build;
+    for (int s : shards) {
+      if (shard_index_[s] != nullptr || !build_status[s].ok() ||
+          (budget != kWholeShard && shard_over_budget_[s])) {
+        continue;
+      }
+      to_build.push_back(s);
+    }
+    wg.Add(static_cast<int>(to_build.size()));
+    for (int s : to_build) {
+      pool_.Submit([&, s, budget] {
+        const int w = pool_.CurrentWorkerIndex();
+        NMRS_CHECK_GE(w, 0);
+        IndexBuild built = BuildIndexOnWorker(
+            *replica_sets_[s], w, sharded_->shard(s),
+            sharded_->base().attr_order, budget, opts_.rs.resilience,
+            &quarantine);
+        shard_index_[s] = std::move(built.tree);
+        if (built.over_budget) shard_over_budget_[s] = 1;
+        build_status[s] = built.status;
+        total_io.Add(built.io);
+        batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
+            built.modeled_millis;
+        note_task(s, built.modeled_millis);
+        wg.Done();
+      });
+    }
+    wg.Wait();
+    for (int s : shards) index[s] = shard_index_[s].get();
+  };
+
+  // ---- Resident TRS: a shard whose tree fits the memory budget is one
+  // phase-1 batch, so LoadTreeBatch would hold all of it and phase 1's
+  // survivors are its answer (ResidentReverseSkyline). The tree is built
+  // under the budget, so a shard that misses it costs one phase-1 batch of
+  // pages, once, and keeps no tree for the scatter. Every such shard, or
+  // one whose build failed, runs TRS per query; a verify tree built later
+  // does not change that. A budget under 2 pages or a foreign overlay
+  // leaves every shard to the per-query run, which rejects it. ----
+  std::vector<uint8_t> resident(static_cast<size_t>(S), 0);
+  const RSOptions& rs = opts_.rs;
+  if ((algo_ == Algorithm::kTRS || algo_ == Algorithm::kTileTRS) &&
+      !queries.empty() && rs.memory.pages >= 2 &&
+      (rs.overlay == nullptr || &rs.overlay->base() == space_)) {
+    const uint64_t budget = rs.memory.Bytes(
+        sharded_->base().stored.disk()->page_size());
+    ensure_indexes(active, budget);
+    for (int s : active) {
+      resident[s] =
+          index[s] != nullptr && index[s]->LogicalMemoryBytes() < budget;
+    }
+  }
+
   // ---- Scatter: every (query, active shard) runs the full algorithm over
   // the shard's local rows, then serializes its surviving candidates for
   // the exchange. ----
@@ -288,7 +368,6 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
       replica_sets_[0]->num_replicas() == 1 &&
       (algo_ == Algorithm::kBRS || algo_ == Algorithm::kSRS);
 
-  WaitGroup wg;
   if (shared_eligible && !queries.empty()) {
     ConcurrentIoStats shared_io;
     std::atomic<uint64_t> shared_batches{0};
@@ -362,6 +441,19 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
         pool_.Submit([&, q, s] {
           const int w = pool_.CurrentWorkerIndex();
           NMRS_CHECK_GE(w, 0);
+          if (resident[s]) {
+            // Reads no page, so it cannot fault: no attempts, no export
+            // scan — the candidates leave straight from the tree.
+            local[q][s] = ResidentReverseSkyline(
+                *index[s], *space_, queries[q], opts_.rs, make_exec(s),
+                S > 1 ? &cand[q][s] : nullptr);
+            const double modeled = local[q][s].stats.ResponseMillis();
+            batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
+                modeled;
+            note_task(s, modeled);
+            wg.Done();
+            return;
+          }
           ReplicaSet& rset = *replica_sets_[s];
           const StoredDataset& shard = sharded_->shard(s);
           // Attempt 0 reads through the task's own FaultyDisk per replica,
@@ -481,46 +573,19 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
     msg.rounds += 1;
   }
 
-  // ---- Index: every shard the verify round below reads gets its
-  // read-only AL-Tree once per engine, each built by its own task
-  // (BuildIndexOnWorker). Its IO and modeled time land only on the batch
-  // total and on the shard's lane, so per-query counters do not depend on
-  // which batch built it. A failed build leaves the slot empty: the
-  // queries that needed it fail with the build's status, and the next
-  // batch retries. ----
-  std::vector<const ALTree*> index(static_cast<size_t>(S), nullptr);
-  std::vector<Status> build_status(static_cast<size_t>(S), Status::OK());
+  // ---- Index: every shard the verify round below reads needs its tree.
+  // The queries that needed a failed build fail with its status. ----
   if (exchange) {
-    std::lock_guard<std::mutex> lock(verify_index_mu_);
-    std::vector<int> to_build;
+    std::vector<int> needed;
     for (int s : active) {
-      if (verify_index_[s] != nullptr) continue;
       for (size_t q = 0; q < num_queries; ++q) {
         if (batch.statuses[q].ok() && foreign_count[q][s] > 0) {
-          to_build.push_back(s);
+          needed.push_back(s);
           break;
         }
       }
     }
-    wg.Add(static_cast<int>(to_build.size()));
-    for (int s : to_build) {
-      pool_.Submit([&, s] {
-        const int w = pool_.CurrentWorkerIndex();
-        NMRS_CHECK_GE(w, 0);
-        IndexBuild built = BuildIndexOnWorker(
-            *replica_sets_[s], w, sharded_->shard(s),
-            sharded_->base().attr_order, opts_.rs.resilience, &quarantine);
-        verify_index_[s] = std::move(built.tree);
-        build_status[s] = built.status;
-        total_io.Add(built.io);
-        batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
-            built.modeled_millis;
-        note_task(s, built.modeled_millis);
-        wg.Done();
-      });
-    }
-    wg.Wait();
-    for (int s : active) index[s] = verify_index_[s].get();
+    ensure_indexes(needed, kWholeShard);
   }
 
   // ---- Verify: each shard tests the foreign candidates against all its
@@ -710,7 +775,7 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
         NMRS_CHECK_GE(w, 0);
         IndexBuild built = BuildIndexOnWorker(
             *ctx.replicas, w, base_data, sharded_->base().attr_order,
-            ctx.resilience, /*quarantine=*/nullptr);
+            kWholeShard, ctx.resilience, /*quarantine=*/nullptr);
         overlay_index_ = std::move(built.tree);
         build_status = built.status;
         index_io = built.io;

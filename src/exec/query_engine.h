@@ -45,7 +45,8 @@ struct BatchResult {
   /// results[i] answers queries[i]: rows are bit-identical for every shard
   /// count. Stats are the sum over the query's per-shard local runs, export
   /// scans and verify passes; with one shard and no cache they equal what a
-  /// sequential RunReverseSkyline of that query reports. With a shared
+  /// sequential RunReverseSkyline of that query reports, unless the shard
+  /// answers resident TRS (QueryEngine; no IO, no phase 2). With a shared
   /// cache (cache_pages > 0) the *rows* are still identical, but which
   /// query gets charged a miss depends on who touched the page first, so
   /// per-query IO becomes interleaving-dependent; only aggregate invariants
@@ -109,8 +110,9 @@ struct BatchResult {
   /// sorted — the batch's quarantine set.
   std::vector<std::pair<FileId, PageId>> quarantined;
 
-  /// Every task's IO, including the one-time verify-index builds, which
-  /// no query's stats carry. Without a cache it is independent of worker
+  /// Every task's IO, including the one-time shard-index builds (a build
+  /// that misses the TRS budget stops after one phase-1 batch), which no
+  /// query's stats carry. Without a cache it is independent of worker
   /// count and scheduling. With a cache, total reads+writes stay
   /// worker-count-invariant as long as the pool never evicts (misses =
   /// distinct pages, single-flight); under eviction pressure the totals
@@ -130,7 +132,7 @@ struct BatchResult {
   std::vector<std::vector<double>> shard_worker_modeled_millis;
 
   /// Largest single modeled task (one query's scatter run or verify pass,
-  /// a shared-scan group, or the shard's verify-index build) per shard:
+  /// a shared-scan group, or the shard's index build) per shard:
   /// the critical-path lower bound ModeledMakespanMillis uses.
   std::vector<double> shard_max_task_modeled_millis;
 
@@ -233,22 +235,36 @@ struct OverlayBatchResult {
 /// per shard, unchanged) over its local rows, producing its local reverse
 /// skyline. With more than one shard, the pruner exchange then gathers
 /// every shard's surviving candidates, broadcasts the merged set back, and
-/// each shard tests the foreign candidates against all its local rows —
-/// through a resident AL-Tree of the shard for categorical schemas, a flat
-/// scan otherwise (pruned local rows still prune — the relation is not
-/// transitive). A candidate survives iff every shard's verdict clears it,
-/// which makes the merged row set bit-identical to single-shard execution
-/// by construction, for any partitioning.
+/// each shard tests the foreign candidates against all its local rows
+/// through a read-only AL-Tree of the shard (pruned local rows still prune
+/// — the relation is not transitive). A candidate survives iff every
+/// shard's verdict clears it, which makes the merged row set bit-identical
+/// to single-shard execution by construction, for any partitioning.
+///
+/// Resident TRS: under TRS the same per-shard tree, built once by the
+/// engine's first batch, also answers the local run of every shard it
+/// holds within RSOptions::memory — then TRS would load the shard as one
+/// phase-1 batch, whose survivors are the answer (ResidentReverseSkyline).
+/// Such a shard reads no page per query and runs no phase 2, and its
+/// candidates go to the exchange straight from the tree. Shards that do
+/// not fit keep the per-query TRS run. One rule sets both paths: the
+/// engine's first batch builds each active shard's tree under
+/// RSOptions::memory. A tree that fits is kept and answers the scatter and
+/// the verify. One that misses is dropped after one phase-1 batch of
+/// pages, and the shard runs TRS per query for the engine's lifetime; the
+/// verify then builds its whole tree outside the budget, as for every
+/// algorithm, and the scatter never reads it.
 ///
 /// Determinism contract: rows and statuses are independent of worker count
 /// and scheduling, and equal to the single-shard rows for every shard
 /// count. With one shard the engine reads the base file itself with fault
-/// stream == the query index, and runs no exchange: per-query counters and
-/// IO equal a sequential RunReverseSkyline of each query. With more
-/// shards, per-query counters are deterministic for a fixed shard count
-/// but necessarily differ from the single-shard counters. They are also
-/// the same in an engine's first batch, which builds the verify indexes,
-/// as in every later one: the builds are charged to no query.
+/// stream == the query index, and runs no exchange: unless the shard is
+/// resident, per-query counters and IO equal a sequential
+/// RunReverseSkyline of each query. With more shards, or a resident shard,
+/// per-query counters are deterministic for a fixed shard count but differ
+/// from the sequential ones. They are also the same in an engine's first
+/// batch, which builds the shard indexes, as in every later one: the
+/// builds are charged to no query.
 ///
 /// Fault streams: (query q, shard s) reads under stream q + (s << 32), a
 /// pure function of the pair, so fault patterns stay independent of worker
@@ -281,14 +297,17 @@ class QueryEngine {
     return pool_caches_[s].get();
   }
 
-  /// Heap bytes of shard s's verify index: zero until a batch has verified
-  /// foreign candidates against shard s, and always for one shard. The
-  /// index lives outside RSOptions::memory, like the page cache.
-  size_t verify_index_bytes(int s) const;
+  /// Heap bytes of shard s's index, the read-only AL-Tree of its rows:
+  /// zero until a batch has read it. A TRS engine keeps every active
+  /// shard's index that fits RSOptions::memory (resident TRS) from its
+  /// first batch on. Every algorithm builds the rest to verify foreign
+  /// candidates against shard s, so only with two or more active shards;
+  /// those live outside RSOptions::memory, like the page cache.
+  size_t shard_index_bytes(int s) const;
 
   /// Heap bytes of the read-only AL-Tree of the whole base file that
   /// overlay re-checks search: zero until an overlay batch has built it.
-  /// Like the verify indexes it lives outside RSOptions::memory.
+  /// Like the shard indexes it lives outside RSOptions::memory.
   size_t overlay_index_bytes() const;
 
   /// Runs every query through scatter -> exchange -> verify -> merge,
@@ -344,12 +363,17 @@ class QueryEngine {
   // through its own cache.
   std::vector<std::unique_ptr<ReplicaSet>> replica_sets_;
   std::vector<std::unique_ptr<BufferPool>> pool_caches_;
-  // Per-shard verify indexes (docs/SHARDING.md, step 4): each is built once,
-  // by the first batch whose verify round needs it, and only read after; a
-  // failed build leaves the slot empty and the next batch retries. The
-  // mutex guards the slots, not the trees.
-  mutable std::mutex verify_index_mu_;
-  std::vector<std::unique_ptr<const ALTree>> verify_index_;
+  // Per-shard indexes (docs/SHARDING.md): each serves the resident TRS
+  // scatter and the exchange verify; it is built once, by the first batch
+  // that reads it, and only read after. A failed build leaves the slot
+  // empty and the next batch retries. The mutex guards the slots, not the
+  // trees.
+  mutable std::mutex shard_index_mu_;
+  std::vector<std::unique_ptr<const ALTree>> shard_index_;
+  // 1 once a build under RSOptions::memory found shard s's tree over it;
+  // no later batch tries that again (only the verify builds the whole
+  // tree).
+  std::vector<uint8_t> shard_over_budget_;
   // The overlay index (docs/OVERLAYS.md): built by the first overlay batch,
   // only read after; a failed build leaves the slot empty and the next
   // batch retries. The mutex guards the slot.

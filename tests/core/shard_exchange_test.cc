@@ -412,10 +412,10 @@ TEST(ShardExchangeTest, NumericSchemaVerifiesFromIndex) {
       }
       for (int s = 0; s < shards; ++s) {
         if (shards == 1) {
-          EXPECT_EQ(engine.verify_index_bytes(s), 0u)
+          EXPECT_EQ(engine.shard_index_bytes(s), 0u)
               << "numeric=" << numeric;
         } else {
-          EXPECT_GT(engine.verify_index_bytes(s), 0u)
+          EXPECT_GT(engine.shard_index_bytes(s), 0u)
               << "numeric=" << numeric << " shard " << s;
         }
       }

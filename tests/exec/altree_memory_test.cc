@@ -69,9 +69,10 @@ TEST(ALTreeMemoryTest, VerifyIndexBytesAtMostVectorLayout) {
   ASSERT_TRUE(batch.ok()) << batch.status();
   ASSERT_TRUE(batch->ok()) << batch->first_error();
 
-  const size_t bytes = engine.verify_index_bytes(0) + engine.verify_index_bytes(1);
-  EXPECT_GT(engine.verify_index_bytes(0), 0u);
-  EXPECT_GT(engine.verify_index_bytes(1), 0u);
+  const size_t bytes =
+      engine.shard_index_bytes(0) + engine.shard_index_bytes(1);
+  EXPECT_GT(engine.shard_index_bytes(0), 0u);
+  EXPECT_GT(engine.shard_index_bytes(1), 0u);
   // The per-node-vector layout reported this for the same two indexes
   // (BENCH_shards.json's 2-shard verify_index_bytes before the arenas).
   constexpr size_t kVectorLayoutBytes = 2117568;

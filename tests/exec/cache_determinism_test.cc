@@ -1,3 +1,4 @@
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -40,10 +41,19 @@ struct Workload {
   std::vector<Object> queries;
 };
 
+// Two pages force multiple phase-1/phase-2 batches for BRS and SRS. TRS
+// packs these cards' {6, 7, 8} rows into at most 385 AL-Tree nodes (about
+// 3 KB): at the default 32 KiB pages the tree fits and the engine answers
+// TRS resident, reading no page per query. On 1 KiB pages (PageSize) it
+// misses the budget, so TRS keeps its batches and reads through the cache.
 RSOptions SmallMemory() {
   RSOptions rs;
-  rs.memory = MemoryBudget{2};  // force multiple phase-1/phase-2 batches
+  rs.memory = MemoryBudget{2};
   return rs;
+}
+
+size_t PageSize(Algorithm algo) {
+  return algo == Algorithm::kTRS ? 1024 : kDefaultPageSize;
 }
 
 BatchResult RunWith(const PreparedDataset& prepared,
@@ -75,7 +85,7 @@ TEST(CacheDeterminismTest, ResultsIdenticalWithPoolOnAndOff) {
   Workload wl(211, 5000);
   for (Algorithm algo :
        {Algorithm::kBRS, Algorithm::kSRS, Algorithm::kTRS}) {
-    SimulatedDisk disk;
+    SimulatedDisk disk(PageSize(algo));
     auto prepared = PrepareDataset(&disk, wl.instance.data, algo);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     const uint64_t pages = prepared->stored.num_pages();
@@ -101,10 +111,23 @@ TEST(CacheDeterminismTest, ResultsIdenticalWithPoolOnAndOff) {
 TEST(CacheDeterminismTest, FullCacheTotalsAreWorkerCountInvariant) {
   Workload wl(212, 5000);
   for (Algorithm algo : {Algorithm::kBRS, Algorithm::kTRS}) {
-    SimulatedDisk disk;
+    SimulatedDisk disk(PageSize(algo));
     auto prepared = PrepareDataset(&disk, wl.instance.data, algo);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     const uint64_t pages = prepared->stored.num_pages();
+    // The TRS engine's one-time try of its tree under the budget reads one
+    // phase-1 batch of pages more, through a clean view that bypasses the
+    // cache; the tree misses the budget, so nothing is kept.
+    IoStats build_io;
+    if (algo == Algorithm::kTRS) {
+      const testing::ShardIndexBuild index = testing::BuildShardIndexForTest(
+          prepared->stored, prepared->attr_order,
+          SmallMemory().memory.Bytes(disk.page_size()));
+      ASSERT_FALSE(index.fits)
+          << "the TRS tree fits: the engine would answer resident";
+      EXPECT_LT(index.io.TotalReads(), pages);
+      build_io = index.io;
+    }
 
     // Capacity is split evenly across the pool's shards and pages hash to
     // shards, so "never evicts" needs every shard to be able to hold every
@@ -132,12 +155,56 @@ TEST(CacheDeterminismTest, FullCacheTotalsAreWorkerCountInvariant) {
     // the same file, so there are far more lookups than pages).
     EXPECT_GT(one.total_io.cache_hits, 0u);
     EXPECT_EQ(one.total_io.cache_hits, eight.total_io.cache_hits);
+    IoStats queries_io;
+    for (const ReverseSkylineResult& r : one.results) queries_io += r.stats.io;
+    queries_io += build_io;
+    EXPECT_EQ(one.total_io, queries_io) << AlgorithmName(algo);
+  }
+
+  // The resident leg: at 32 KiB pages the TRS tree fits. No query reads a
+  // page, so the cache sees no traffic, and each answer is one-batch TRS
+  // phase 1 at either worker count.
+  SimulatedDisk disk;
+  auto prepared = PrepareDataset(&disk, wl.instance.data, Algorithm::kTRS);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  const uint64_t no_evict = prepared->stored.num_pages() * 8;
+  const IoStats build_io = testing::BuildShardIndexForTest(
+                               prepared->stored, prepared->attr_order)
+                               .io;
+  std::vector<ReverseSkylineResult> trs;
+  {
+    DiskView view(&disk);
+    const PreparedDataset local{
+        StoredDataset(&view, prepared->stored.file(),
+                      prepared->stored.schema(), prepared->stored.num_rows()),
+        prepared->attr_order, 0};
+    RSOptions scalar = SmallMemory();
+    scalar.use_kernels = false;
+    for (const Object& q : wl.queries) {
+      auto r = RunReverseSkyline(local, wl.instance.space, q,
+                                 Algorithm::kTRS, scalar);
+      ASSERT_TRUE(r.ok()) << r.status();
+      trs.push_back(std::move(*r));
+    }
+  }
+  for (size_t workers : {1u, 8u}) {
+    const BatchResult got = RunWith(*prepared, wl.instance.space,
+                                    Algorithm::kTRS, wl.queries, workers,
+                                    no_evict);
+    EXPECT_EQ(got.total_io, build_io) << workers << " workers";
+    EXPECT_EQ(got.total_io.cache_hits + got.total_io.cache_misses, 0u);
+    for (size_t i = 0; i < trs.size(); ++i) {
+      testing::ExpectResidentTrs(got.results[i], trs[i],
+                                 "resident query " + std::to_string(i) +
+                                     " with " + std::to_string(workers) +
+                                     " workers");
+    }
   }
 }
 
 TEST(CacheDeterminismTest, SingleWorkerRunsAreReproducible) {
   Workload wl(213, 4000);
-  SimulatedDisk disk;
+  SimulatedDisk disk(PageSize(Algorithm::kTRS));
   auto prepared = PrepareDataset(&disk, wl.instance.data, Algorithm::kTRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   const uint64_t quarter = prepared->stored.num_pages() / 4 + 1;

@@ -11,6 +11,11 @@
 // Deliberately gtest-free (like exec_stress) so sanitizer builds contain
 // only instrumented nmrs code. Exits 0 on success, aborts on violation.
 //
+// A TRS engine whose data fits its memory budget answers resident, from
+// an AL-Tree built through a clean view: it reads no page per query, so
+// every such query must succeed with the clean rows and zero IO. A 2-page
+// TRS draw that can never fit keeps the per-query TRS path under faults.
+//
 // Configs also draw 1..3 storage replicas; most multi-replica configs
 // fault a single replica (sometimes killing it outright), where the
 // contract tightens to "page-granular failover recovers every query".
@@ -34,6 +39,7 @@
 #include "sim/dissimilarity_matrix.h"
 #include "sim/matrix_overlay.h"
 #include "storage/disk_view.h"
+#include "testing/shard_index.h"
 
 namespace nmrs {
 namespace {
@@ -43,7 +49,7 @@ namespace {
 // seals verified when the file carries them (as the engine does).
 std::vector<ReverseSkylineResult> RunSequential(
     const PreparedDataset& prepared, const SimilaritySpace& space,
-    Algorithm algo, const std::vector<Object>& queries) {
+    Algorithm algo, const std::vector<Object>& queries, MemoryBudget memory) {
   DiskView view(prepared.stored.disk());
   const PreparedDataset local{
       StoredDataset(&view, prepared.stored.file(), prepared.stored.schema(),
@@ -51,6 +57,7 @@ std::vector<ReverseSkylineResult> RunSequential(
                     prepared.stored.checksum_pages()),
       prepared.attr_order, 0};
   RSOptions rs;
+  rs.memory = memory;
   rs.resilience.checksum_pages = prepared.stored.checksum_pages();
   std::vector<ReverseSkylineResult> out;
   for (const Object& q : queries) {
@@ -66,14 +73,26 @@ struct Scenario {
   SimilaritySpace space;
   std::vector<Object> queries;
   Algorithm algo = Algorithm::kSRS;
+  MemoryBudget memory = RSOptions{}.memory;
+  size_t page_size = kDefaultPageSize;
   bool checksums = false;
 };
 
 // `with_numeric` appends one numeric attribute to the categorical ones, so
 // the exact numeric index search (exchange verify, overlay hints and
-// re-checks) stays in the random-fault sweep too.
+// re-checks) stays in the random-fault sweep too. The fifth algorithm draw
+// is TRS over such a numeric schema with 1 KiB pages and a 2-page budget:
+// its AL-Tree keeps 8 bytes per attribute and row at the leaves alone, at
+// least 32 KB, so it never fits the budget, and the per-query TRS path
+// (phase 2, export scans) stays in the sweep beside the resident one.
 Scenario MakeScenario(Rng& rng, bool with_numeric) {
   const std::vector<size_t> cards = {5, 6, 7};
+  const Algorithm algos[] = {Algorithm::kNaive, Algorithm::kBRS,
+                             Algorithm::kSRS, Algorithm::kTRS,
+                             Algorithm::kTRS};
+  const uint64_t draw = rng.Uniform(5);
+  const bool tight = draw == 4;
+  with_numeric = with_numeric || tight;
   Rng data_rng = rng.Fork();
   Rng space_rng = rng.Fork();
   const uint64_t rows = 1000 + rng.Uniform(2000);
@@ -81,6 +100,11 @@ Scenario MakeScenario(Rng& rng, bool with_numeric) {
                           : GenerateNormal(rows, cards, data_rng),
              {},
              {}};
+  s.algo = algos[draw];
+  if (tight) {
+    s.memory = MemoryBudget{2};
+    s.page_size = 1024;
+  }
   for (size_t card : cards) {
     s.space.AddCategorical(MakeRandomMatrix(card, space_rng));
   }
@@ -89,9 +113,6 @@ Scenario MakeScenario(Rng& rng, bool with_numeric) {
   for (size_t i = 0; i < num_queries; ++i) {
     s.queries.push_back(SampleUniformQuery(s.data, rng));
   }
-  const Algorithm algos[] = {Algorithm::kNaive, Algorithm::kBRS,
-                             Algorithm::kSRS, Algorithm::kTRS};
-  s.algo = algos[rng.Uniform(4)];
   s.checksums = rng.Bernoulli(0.5);
   return s;
 }
@@ -130,12 +151,19 @@ uint64_t FaultCounterSum(const IoStats& io) {
          io.failovers;
 }
 
-void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
+// TRS configs by how the one-shard engine answered them.
+struct TrsTally {
+  int resident = 0;
+  int per_query = 0;
+};
+
+void CheckConfig(int index, uint64_t scenario_seed, int min_replicas,
+                 TrsTally* tally) {
   Rng rng(scenario_seed);
   // Every fourth config carries a numeric attribute.
   Scenario s = MakeScenario(rng, index % 4 == 3);
 
-  SimulatedDisk disk;
+  SimulatedDisk disk(s.page_size);
   PrepareOptions popts;
   popts.checksum_pages = s.checksums;
   auto prepared = PrepareDataset(&disk, s.data, s.algo, popts);
@@ -143,9 +171,22 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
 
   // Clean baseline (same checksum setting, no faults, no engine).
   const std::vector<ReverseSkylineResult> clean =
-      RunSequential(*prepared, s.space, s.algo, s.queries);
+      RunSequential(*prepared, s.space, s.algo, s.queries, s.memory);
+  // A resident TRS engine reads no page per query: its one-shard queries
+  // must all succeed with the clean rows and no IO, whatever the faults.
+  const bool resident =
+      s.algo == Algorithm::kTRS &&
+      testing::BuildShardIndexForTest(prepared->stored, prepared->attr_order,
+                                      s.memory.Bytes(s.page_size))
+          .fits;
+  NMRS_CHECK(!resident || s.page_size != 1024)
+      << "config " << index << ": the 2-page TRS draw must not fit";
+  if (s.algo == Algorithm::kTRS) {
+    ++(resident ? tally->resident : tally->per_query);
+  }
 
   EngineOptions fopts;
+  fopts.rs.memory = s.memory;
   fopts.faults = MakeFaults(rng, *prepared, s.checksums);
   fopts.rs.resilience.retry.max_attempts = 1 + static_cast<int>(rng.Uniform(3));
   fopts.max_query_retries = static_cast<int>(rng.Uniform(2));
@@ -180,10 +221,10 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
         QueryEngine(*prepared, s.space, s.algo, opts).RunBatch(s.queries);
     NMRS_CHECK(batch.ok()) << "config " << index << ": " << batch.status();
 
-    if (expect_zero_failures) {
+    if (expect_zero_failures || resident) {
       NMRS_CHECK(batch->ok())
           << "config " << index << " (replicas=" << replicas
-          << ", one faulted): failover left " << batch->num_failed()
+          << ", resident=" << resident << "): " << batch->num_failed()
           << " failed queries; first: " << batch->first_error();
     }
 
@@ -202,7 +243,11 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
         // read counts into replica_reads, which the (replica-less) clean
         // baseline leaves at zero.
         IoStats io = batch->results[i].stats.io;
-        if (FaultCounterSum(io) == 0) {
+        if (resident) {
+          NMRS_CHECK(io == IoStats{})
+              << "config " << index << " query " << i
+              << ": resident TRS read pages";
+        } else if (FaultCounterSum(io) == 0) {
           io.replica_reads = {};
           NMRS_CHECK(io == clean[i].stats.io)
               << "config " << index << " query " << i
@@ -262,7 +307,7 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
     for (size_t u = 0; u < overlays.size(); ++u) {
       SimilaritySpace patched = overlays[u].BuildPatchedSpace();
       const std::vector<ReverseSkylineResult> results =
-          RunSequential(*prepared, patched, s.algo, oqueries);
+          RunSequential(*prepared, patched, s.algo, oqueries, s.memory);
       for (size_t q = 0; q < oqueries.size(); ++q) {
         owant[q][u] = results[q].rows;
       }
@@ -518,13 +563,16 @@ int main(int argc, char** argv) {
     }
   }
   nmrs::Rng master(seed);
+  nmrs::TrsTally tally;
   for (int i = 0; i < configs; ++i) {
-    nmrs::CheckConfig(i, master.Next64(), min_replicas);
+    nmrs::CheckConfig(i, master.Next64(), min_replicas, &tally);
     if ((i + 1) % 50 == 0 || i + 1 == configs) {
       std::printf("chaos soak: %d/%d configs ok\n", i + 1, configs);
       std::fflush(stdout);
     }
   }
+  std::printf("chaos soak: TRS configs %d resident, %d per query\n",
+              tally.resident, tally.per_query);
   nmrs::Rng mut_master(seed ^ 0x9e3779b97f4a7c15ull);
   for (int i = 0; i < mutation_configs; ++i) {
     nmrs::CheckMutationConfig(i, mut_master.Next64());

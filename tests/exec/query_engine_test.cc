@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/sync.h"
@@ -171,11 +172,18 @@ struct Workload {
   std::vector<Object> queries;
 };
 
+// Two pages force multiple phase-1/phase-2 batches for BRS and SRS. TRS
+// packs these cards' {6, 7, 8} rows into at most 385 AL-Tree nodes (about
+// 3 KB), so at the default 32 KiB pages the whole file is one phase-1
+// batch and the engine answers TRS resident; on 1 KiB pages (kTrsPageSize)
+// the tree misses the budget and TRS keeps its per-query batches.
 RSOptions SmallMemory() {
   RSOptions rs;
-  rs.memory = MemoryBudget{2};  // force multiple phase-1/phase-2 batches
+  rs.memory = MemoryBudget{2};
   return rs;
 }
+
+constexpr size_t kTrsPageSize = 1024;
 
 void ExpectBatchesIdentical(const BatchResult& a, const BatchResult& b) {
   ASSERT_EQ(a.results.size(), b.results.size());
@@ -188,31 +196,52 @@ void ExpectBatchesIdentical(const BatchResult& a, const BatchResult& b) {
   EXPECT_EQ(a.total_io, b.total_io);
 }
 
+// Sequential ground truth, charged to a dedicated view so the base disk
+// stays frozen.
+std::vector<ReverseSkylineResult> RunSequential(
+    const PreparedDataset& prepared, const SimilaritySpace& space,
+    Algorithm algo, const std::vector<Object>& queries, const RSOptions& rs) {
+  DiskView view(prepared.stored.disk());
+  PreparedDataset local{StoredDataset(&view, prepared.stored.file(),
+                                      prepared.stored.schema(),
+                                      prepared.stored.num_rows()),
+                        prepared.attr_order, 0};
+  std::vector<ReverseSkylineResult> out;
+  for (const Object& q : queries) {
+    auto r = RunReverseSkyline(local, space, q, algo, rs);
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (r.ok()) out.push_back(std::move(*r));
+  }
+  return out;
+}
+
 TEST(QueryEngineTest, WorkerCountDoesNotChangeResultsOrIo) {
   Workload wl(97, 5000);
   for (Algorithm algo :
        {Algorithm::kBRS, Algorithm::kSRS, Algorithm::kTRS}) {
-    SimulatedDisk disk;
+    const bool trs = algo == Algorithm::kTRS;
+    SimulatedDisk disk(trs ? kTrsPageSize : kDefaultPageSize);
     auto prepared = PrepareDataset(&disk, wl.instance.data, algo);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
 
-    // Sequential ground truth, charged to a dedicated view so the base
-    // disk stays frozen.
-    std::vector<ReverseSkylineResult> expected;
+    const std::vector<ReverseSkylineResult> expected = RunSequential(
+        *prepared, wl.instance.space, algo, wl.queries, SmallMemory());
+    ASSERT_EQ(expected.size(), wl.queries.size());
     IoStats expected_io;
-    {
-      DiskView view(&disk);
-      PreparedDataset local{StoredDataset(&view, prepared->stored.file(),
-                                          prepared->stored.schema(),
-                                          prepared->stored.num_rows()),
-                            prepared->attr_order, 0};
-      for (const Object& q : wl.queries) {
-        auto r = RunReverseSkyline(local, wl.instance.space, q, algo,
-                                   SmallMemory());
-        ASSERT_TRUE(r.ok()) << r.status();
-        expected_io += r->stats.io;
-        expected.push_back(std::move(*r));
-      }
+    for (const ReverseSkylineResult& r : expected) expected_io += r.stats.io;
+    // A one-shard TRS engine's first batch tries its shard tree under the
+    // budget, through a clean view, and charges it to total_io alone. The
+    // tree misses the budget, so the try stops after one phase-1 batch of
+    // pages and keeps nothing: later batches cost the sequential sum.
+    IoStats first_batch_io = expected_io;
+    if (trs) {
+      const testing::ShardIndexBuild index = testing::BuildShardIndexForTest(
+          prepared->stored, prepared->attr_order,
+          SmallMemory().memory.Bytes(kTrsPageSize));
+      ASSERT_FALSE(index.fits)
+          << "the TRS tree fits: the engine would answer resident";
+      EXPECT_LT(index.io.TotalReads(), prepared->stored.num_pages());
+      first_batch_io += index.io;
     }
 
     BatchResult first;
@@ -226,8 +255,14 @@ TEST(QueryEngineTest, WorkerCountDoesNotChangeResultsOrIo) {
       ASSERT_TRUE(batch.ok()) << batch.status();
       ASSERT_EQ(batch->results.size(), wl.queries.size());
 
-      EXPECT_EQ(batch->total_io, expected_io)
+      EXPECT_EQ(batch->total_io, first_batch_io)
           << AlgorithmName(algo) << " with " << workers << " workers";
+      auto again = engine.RunBatch(wl.queries);
+      ASSERT_TRUE(again.ok()) << again.status();
+      EXPECT_EQ(again->total_io, expected_io)
+          << AlgorithmName(algo) << " second batch with " << workers
+          << " workers";
+      EXPECT_EQ(engine.shard_index_bytes(0), 0u) << AlgorithmName(algo);
       for (size_t i = 0; i < expected.size(); ++i) {
         EXPECT_EQ(batch->results[i].rows, expected[i].rows)
             << AlgorithmName(algo) << " query " << i << " with " << workers
@@ -242,6 +277,35 @@ TEST(QueryEngineTest, WorkerCountDoesNotChangeResultsOrIo) {
       } else {
         ExpectBatchesIdentical(first, *batch);
       }
+    }
+  }
+
+  // The resident leg: at 32 KiB pages the TRS tree fits, and every worker
+  // count returns the one-batch TRS phase-1 answer with no page read.
+  SimulatedDisk disk;
+  auto prepared = PrepareDataset(&disk, wl.instance.data, Algorithm::kTRS);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  RSOptions scalar = SmallMemory();
+  scalar.use_kernels = false;
+  const std::vector<ReverseSkylineResult> trs = RunSequential(
+      *prepared, wl.instance.space, Algorithm::kTRS, wl.queries, scalar);
+  ASSERT_EQ(trs.size(), wl.queries.size());
+  const IoStats build_io = testing::BuildShardIndexForTest(
+                               prepared->stored, prepared->attr_order)
+                               .io;
+  for (size_t workers : {1u, 2u, 8u}) {
+    EngineOptions opts;
+    opts.num_workers = workers;
+    opts.rs = SmallMemory();
+    QueryEngine engine(*prepared, wl.instance.space, Algorithm::kTRS, opts);
+    auto batch = engine.RunBatch(wl.queries);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ(batch->total_io, build_io) << workers << " workers";
+    for (size_t i = 0; i < trs.size(); ++i) {
+      testing::ExpectResidentTrs(batch->results[i], trs[i],
+                                 "resident query " + std::to_string(i) +
+                                     " with " + std::to_string(workers) +
+                                     " workers");
     }
   }
 }

@@ -18,7 +18,9 @@ using testing::RandomInstance;
 // statuses are bit-identical to a sequential run of every query for every
 // shard count, partitioner, worker count, cache setting and
 // replica/failover configuration — and with one shard the engine
-// reproduces the sequential run exactly, counters and IO included.
+// reproduces the sequential run exactly, counters and IO included, except
+// where TRS answers resident from the shard's AL-Tree (no IO, no phase 2;
+// checks and pair tests equal one-batch TRS phase 1).
 
 constexpr Algorithm kAllAlgorithms[] = {Algorithm::kNaive, Algorithm::kBRS,
                                         Algorithm::kSRS, Algorithm::kTRS};
@@ -42,8 +44,9 @@ const Workload& SharedWorkload() {
 
 struct Fixture {
   Fixture(Algorithm algo, int num_shards,
-          ShardBy shard_by = ShardBy::kZOrderRange)
-      : algo(algo) {
+          ShardBy shard_by = ShardBy::kZOrderRange,
+          size_t page_size = kDefaultPageSize)
+      : algo(algo), disk(page_size) {
     const Workload& wl = SharedWorkload();
     auto prep = PrepareDataset(&disk, wl.instance.data, algo);
     NMRS_CHECK(prep.ok()) << prep.status();
@@ -74,9 +77,10 @@ struct Fixture {
 // after another, over a DiskView re-wrapping of a fresh preparation (the
 // sequential oracle of QueryEngineTest.WorkerCountDoesNotChangeResultsOrIo).
 // Returned as a BatchResult carrying results, statuses and total_io.
-BatchResult RunPlain(Algorithm algo, const RSOptions& rs = {}) {
+BatchResult RunPlain(Algorithm algo, const RSOptions& rs = {},
+                     size_t page_size = kDefaultPageSize) {
   const Workload& wl = SharedWorkload();
-  SimulatedDisk disk;
+  SimulatedDisk disk(page_size);
   auto prep = PrepareDataset(&disk, wl.instance.data, algo);
   NMRS_CHECK(prep.ok()) << prep.status();
   DiskView view(&disk);
@@ -125,11 +129,29 @@ TEST(ShardedDeterminismTest, EveryShardCountMatchesPlainEngineAllAlgorithms) {
 TEST(ShardedDeterminismTest, SingleShardReproducesQueryEngineBitForBit) {
   // Partition(1) aliases the base file and runs no exchange: counters,
   // per-query IO and total IO must equal the sequential run's, not just
-  // rows.
+  // rows. TRS runs on 1 KiB pages with a 2-page budget, which its AL-Tree
+  // misses, so it takes the per-query path. The engine's one-time try of
+  // the tree under the budget stops after one phase-1 batch of pages and is
+  // in total_io alone.
   for (Algorithm algo : {Algorithm::kBRS, Algorithm::kTRS}) {
-    const BatchResult want = RunPlain(algo);
-    Fixture fx(algo, 1);
-    BatchResult got = fx.Run();
+    const bool trs = algo == Algorithm::kTRS;
+    RSOptions rs;
+    if (trs) rs.memory = MemoryBudget{2};
+    const size_t page_size = trs ? 1024 : kDefaultPageSize;
+    const BatchResult want = RunPlain(algo, rs, page_size);
+    Fixture fx(algo, 1, ShardBy::kZOrderRange, page_size);
+    IoStats want_total = want.total_io;
+    if (trs) {
+      const testing::ShardIndexBuild index = testing::BuildShardIndexForTest(
+          fx.prepared->stored, fx.prepared->attr_order,
+          rs.memory.Bytes(page_size));
+      ASSERT_FALSE(index.fits);
+      EXPECT_LT(index.io.TotalReads(), fx.prepared->stored.num_pages());
+      want_total += index.io;
+    }
+    EngineOptions opts;
+    opts.rs = rs;
+    BatchResult got = fx.Run(opts);
     ASSERT_EQ(got.results.size(), want.results.size());
     for (size_t i = 0; i < got.results.size(); ++i) {
       EXPECT_EQ(got.results[i].rows, want.results[i].rows) << "query " << i;
@@ -144,10 +166,28 @@ TEST(ShardedDeterminismTest, SingleShardReproducesQueryEngineBitForBit) {
                 want.results[i].stats.result_size)
           << "query " << i;
     }
-    EXPECT_EQ(got.total_io, want.total_io);
+    EXPECT_EQ(got.total_io, want_total);
     EXPECT_EQ(got.total_messages, MessageStats{});
     EXPECT_EQ(fx.sharded->partition_io().Total(), 0u);  // file aliased
   }
+
+  // The resident leg: at the default budget one shard's TRS tree fits, and
+  // every query is the one-batch TRS phase-1 answer with no page read.
+  RSOptions scalar;
+  scalar.use_kernels = false;
+  const BatchResult trs = RunPlain(Algorithm::kTRS, scalar);
+  Fixture fx(Algorithm::kTRS, 1);
+  const BatchResult got = fx.Run();
+  ASSERT_EQ(got.results.size(), trs.results.size());
+  for (size_t i = 0; i < got.results.size(); ++i) {
+    testing::ExpectResidentTrs(got.results[i], trs.results[i],
+                               "resident query " + std::to_string(i));
+  }
+  EXPECT_EQ(got.total_io,
+            testing::BuildShardIndexForTest(fx.prepared->stored,
+                                            fx.prepared->attr_order)
+                .io);
+  EXPECT_EQ(got.total_messages, MessageStats{});
 }
 
 TEST(ShardedDeterminismTest, WorkerCountAndCacheDoNotChangeResults) {
@@ -346,7 +386,7 @@ void ExpectSameCounters(const QueryStats& got, const QueryStats& want,
 TEST(ShardedDeterminismTest, CountersIndependentOfWorkersAndIndexBuild) {
   // Per-query counters and IO are a function of the shard count alone:
   // equal across worker counts, and equal between an engine's first batch
-  // (which builds every shard's verify index) and its second (which only
+  // (which builds every shard's index) and its second (which only
   // reads them). The builds show up in total_io, never in a query's stats.
   const Workload& wl = SharedWorkload();
   for (Algorithm algo : {Algorithm::kBRS, Algorithm::kTRS}) {
@@ -361,13 +401,13 @@ TEST(ShardedDeterminismTest, CountersIndependentOfWorkersAndIndexBuild) {
         opts.num_workers = workers;
         QueryEngine engine(*fx.sharded, wl.instance.space, algo, opts);
         for (int s = 0; s < shards; ++s) {
-          EXPECT_EQ(engine.verify_index_bytes(s), 0u) << label;
+          EXPECT_EQ(engine.shard_index_bytes(s), 0u) << label;
         }
         auto first = engine.RunBatch(wl.queries);
         ASSERT_TRUE(first.ok()) << first.status();
         ASSERT_TRUE(first->ok()) << first->first_error();
         for (int s = 0; s < shards; ++s) {
-          EXPECT_GT(engine.verify_index_bytes(s), 0u) << label;
+          EXPECT_GT(engine.shard_index_bytes(s), 0u) << label;
         }
         auto second = engine.RunBatch(wl.queries);
         ASSERT_TRUE(second.ok()) << second.status();

@@ -14,6 +14,7 @@
 #include "db/database.h"
 #include "exec/query_engine.h"
 #include "exec/thread_pool.h"
+#include "shard/shard_plan.h"
 #include "sim/dissimilarity_matrix.h"
 #include "sim/matrix_overlay.h"
 #include "storage/buffer_pool.h"
@@ -313,12 +314,15 @@ void StressSharedScanBatch() {
 // Runs `queries` through a TRS engine at 1 and at 8 workers and checks
 // that rows and IO match. `threads_at_8` is RSOptions::num_threads with 8
 // workers; `opts.rs.num_threads` applies with 1. When both are equal the
-// phase-1 chunking is too, so checks must match as well.
+// phase-1 chunking is too, so checks must match as well. The data sits on
+// `page_size`-byte pages; the 1 KiB legs keep the AL-Tree over the memory
+// budget, so the engine runs TRS per query (phase-2 batches and all)
+// instead of answering resident.
 void CheckTrsAcrossWorkers(const Dataset& data, const SimilaritySpace& space,
                            const std::vector<Object>& queries,
                            EngineOptions opts, int threads_at_8,
-                           const char* leg) {
-  SimulatedDisk disk;
+                           size_t page_size, const char* leg) {
+  SimulatedDisk disk(page_size);
   auto prepared = PrepareDataset(&disk, data, Algorithm::kTRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
 
@@ -332,6 +336,9 @@ void CheckTrsAcrossWorkers(const Dataset& data, const SimilaritySpace& space,
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok()) << leg << ": " << batch->first_error();
+    for (const ReverseSkylineResult& r : batch->results) {
+      NMRS_CHECK(r.stats.io.TotalReads() > 0) << leg << ": answered resident";
+    }
     if (!have_reference) {
       reference = std::move(*batch);
       have_reference = true;
@@ -375,12 +382,12 @@ void StressQueryEngine() {
 
   EngineOptions opts;
   opts.rs.memory = MemoryBudget{2};
-  CheckTrsAcrossWorkers(data, space, queries, opts, 2, "kernel probe");
+  CheckTrsAcrossWorkers(data, space, queries, opts, 2, 1024, "kernel probe");
 
   opts.rs.num_threads = 2;
   EngineOptions scalar = opts;
   scalar.rs.use_kernels = false;
-  CheckTrsAcrossWorkers(data, space, queries, scalar, 2, "no kernels");
+  CheckTrsAcrossWorkers(data, space, queries, scalar, 2, 1024, "no kernels");
 
   const std::vector<size_t> cat_cards = {5, 4};
   const Dataset mixed = GenerateMixed(3000, cat_cards, 2, 4, data_rng);
@@ -393,8 +400,67 @@ void StressQueryEngine() {
   for (int i = 0; i < 16; ++i) {
     mixed_queries.push_back(SampleUniformQuery(mixed, rng));
   }
-  CheckTrsAcrossWorkers(mixed, mixed_space, mixed_queries, opts, 2,
+  CheckTrsAcrossWorkers(mixed, mixed_space, mixed_queries, opts, 2, 1024,
                         "mixed schema");
+}
+
+// Resident TRS at 2 shards: the first batch builds both shards' AL-Trees on
+// the pool, the second reads them from every worker at once, each query's
+// leaf checks split over 2 intra-query threads on the same pool. Rows and
+// checks must be equal across batches and worker counts, and no query may
+// read a page.
+void StressResidentTrs() {
+  Rng rng(2468);
+  Rng data_rng = rng.Fork();
+  Rng space_rng = rng.Fork();
+  const std::vector<size_t> cards = {6, 7, 8};
+  Dataset data = GenerateNormal(6000, cards, data_rng);
+  SimilaritySpace space;
+  for (size_t card : cards) {
+    space.AddCategorical(MakeRandomMatrix(card, space_rng));
+  }
+  std::vector<Object> queries;
+  for (int i = 0; i < 24; ++i) {
+    queries.push_back(SampleUniformQuery(data, rng));
+  }
+  SimulatedDisk disk;
+  auto prepared = PrepareDataset(&disk, data, Algorithm::kTRS);
+  NMRS_CHECK(prepared.ok()) << prepared.status();
+  ShardPlanOptions plan;
+  plan.num_shards = 2;
+  auto sharded = ShardedDataset::Partition(*prepared, plan);
+  NMRS_CHECK(sharded.ok()) << sharded.status();
+
+  BatchResult reference;
+  bool have_reference = false;
+  for (size_t workers : {1u, 8u}) {
+    EngineOptions opts;
+    opts.num_workers = workers;
+    opts.rs.num_threads = 2;
+    QueryEngine engine(*sharded, space, Algorithm::kTRS, opts);
+    for (int b = 0; b < 2; ++b) {
+      auto batch = engine.RunBatch(queries);
+      NMRS_CHECK(batch.ok()) << batch.status();
+      NMRS_CHECK(batch->ok()) << batch->first_error();
+      if (!have_reference) {
+        reference = std::move(*batch);
+        have_reference = true;
+        continue;
+      }
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const QueryStats& st = batch->results[i].stats;
+        NMRS_CHECK(batch->results[i].rows == reference.results[i].rows)
+            << "workers " << workers << " batch " << b << " query " << i;
+        NMRS_CHECK(st.checks == reference.results[i].stats.checks)
+            << "workers " << workers << " batch " << b << " query " << i;
+        NMRS_CHECK(st.io == IoStats{} && st.phase2_batches == 0)
+            << "query " << i << " was not answered resident";
+      }
+    }
+  }
+  std::printf("resident TRS: %zu queries x 2 shards, build and reuse "
+              "batches at 1 and 8 workers identical\n",
+              queries.size());
 }
 
 // The fault path under contention: 8 workers share the batch quarantine
@@ -875,6 +941,7 @@ int main() {
   nmrs::StressEngineWithSharedCache();
   nmrs::StressSharedScanBatch();
   nmrs::StressQueryEngine();
+  nmrs::StressResidentTrs();
   nmrs::StressFaultBatch();
   nmrs::StressConcurrentFailover();
   nmrs::StressReplicaBatch();

@@ -4,6 +4,7 @@
 #include "core/dominance_kernel.h"
 #include "core/query_distance_table.h"
 #include "data/columnar_batch.h"
+#include "gtest/gtest.h"
 
 namespace nmrs {
 namespace testing {
@@ -113,6 +114,26 @@ Status PruneCandidatesAgainstShard(const StoredDataset& data,
     }
   }
   return Status::OK();
+}
+
+void ExpectResidentTrs(const ReverseSkylineResult& got,
+                       const ReverseSkylineResult& trs,
+                       const std::string& label) {
+  const QueryStats& st = got.stats;
+  ASSERT_EQ(trs.stats.phase1_batches, 1u) << label << ": not one batch";
+  EXPECT_EQ(got.rows, trs.rows) << label;
+  EXPECT_EQ(st.checks, trs.stats.phase1_checks) << label;
+  EXPECT_EQ(st.phase1_checks, st.checks) << label;
+  EXPECT_EQ(st.pair_tests, trs.stats.pair_tests) << label;
+  EXPECT_EQ(st.phase1_batches, 1u) << label;
+  EXPECT_EQ(st.phase1_survivors, trs.rows.size()) << label;
+  EXPECT_EQ(st.result_size, trs.rows.size()) << label;
+  EXPECT_EQ(st.phase2_checks, 0u) << label;
+  EXPECT_EQ(st.phase2_batches, 0u) << label;
+  EXPECT_EQ(st.kernel_checks + st.kernel_scalar_rows + st.kernel_block_rows,
+            0u)
+      << label;
+  EXPECT_EQ(st.io, IoStats{}) << label;
 }
 
 }  // namespace testing

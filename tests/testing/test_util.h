@@ -2,6 +2,7 @@
 #define NMRS_TESTS_TESTING_TEST_UTIL_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -12,6 +13,7 @@
 #include "data/stored_dataset.h"
 #include "sim/similarity_space.h"
 #include "storage/paged_reader.h"
+#include "testing/shard_index.h"
 
 namespace nmrs {
 namespace testing {
@@ -67,6 +69,14 @@ Status PruneCandidatesAgainstShard(const StoredDataset& data,
                                    const RSOptions& opts, PagedReader* reader,
                                    std::vector<uint8_t>* pruned,
                                    QueryStats* stats);
+
+/// The resident TRS oracle: `got` is an engine's resident answer, `trs` a
+/// sequential TreeReverseSkyline of the same query with use_kernels = false
+/// that loaded the data as one phase-1 batch. Rows, checks and pair tests
+/// match TRS phase 1; there is no phase 2, no kernel probe and no IO.
+void ExpectResidentTrs(const ReverseSkylineResult& got,
+                       const ReverseSkylineResult& trs,
+                       const std::string& label);
 
 }  // namespace testing
 }  // namespace nmrs
