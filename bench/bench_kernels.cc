@@ -1,4 +1,4 @@
-// SIMD dominance-kernel benchmark (docs/KERNELS.md). Four workloads, one
+// SIMD dominance-kernel benchmark (docs/KERNELS.md). Five workloads, one
 // JSON artifact (BENCH_kernels.json; runs carry a "config" field):
 //
 // 1. "micro" — raw pruning-condition throughput of the scalar
@@ -14,6 +14,14 @@
 //    on (adaptive dispatch at the default promotion threshold). Rows must
 //    be bit-identical; SRS must also reproduce the check and pair counters
 //    exactly (TRS reports kernel_checks instead, see docs/KERNELS.md).
+//
+// 2b. "e2e_runs" — SRS at the perfbench serve_mutations shape (75k rows,
+//    4 attributes of 12 values, normal data): sorted, about 6.5k runs of
+//    identical rows, which the kernel path tests once each (docs/KERNELS.md,
+//    "Runs of identical rows"). Reports scalar vs kernel compute ms and the
+//    collapse telemetry: phase-1 rows per run and the lanes (scalar probes
+//    + block lanes) evaluated per pair test. Rows and counters must be
+//    identical.
 //
 // 3. "promote_sweep" (full mode only) — end-to-end SRS compute time across
 //    RSOptions::kernel_promote_rows values, the data behind the default
@@ -290,6 +298,112 @@ E2eOutcome RunEndToEnd(const E2eInstance& inst, const Args& args,
   return out;
 }
 
+// SRS at the serve_mutations shape (see the header comment, "e2e_runs").
+bool RunCollapsedSrs(const Args& args, JsonWriter* json) {
+  const char* dispatch = KernelDispatchName(ActiveKernelDispatch());
+  Rng rng(args.seed + 11);
+  Rng drng = rng.Fork();
+  Rng srng = rng.Fork();
+  const std::vector<size_t> cards(4, 12);
+  constexpr uint64_t kRows = 75000;
+  const Dataset data = GenerateNormal(kRows, cards, drng);
+  SimilaritySpace space;
+  for (size_t c : cards) space.AddCategorical(MakeRandomMatrix(c, srng));
+  SimulatedDisk disk;
+  auto prepared = PrepareDataset(&disk, data, Algorithm::kSRS, {});
+  NMRS_CHECK(prepared.ok()) << prepared.status();
+  RSOptions opts;
+  opts.use_kernels = false;
+  RSOptions kopts = opts;
+  kopts.use_kernels = true;
+
+  // Runs of the phase-1 batches, as the kernels see them.
+  uint64_t runs = 0;
+  const StoredDataset& stored = prepared->stored;
+  for (PageId start = 0; start < stored.num_pages();
+       start += opts.memory.pages) {
+    RowBatch batch(cards.size(), false);
+    const PageId end =
+        std::min<PageId>(start + opts.memory.pages, stored.num_pages());
+    for (PageId p = start; p < end; ++p) {
+      NMRS_CHECK(stored.ReadPage(p, &batch).ok());
+    }
+    ColumnarBatch cols;
+    cols.Build(batch);
+    runs += cols.num_runs();
+  }
+
+  const size_t nq = args.quick ? 4 : 16;
+  double scalar_ms = 0, kernel_ms = 0;
+  uint64_t pair_tests = 0, scalar_rows = 0, block_rows = 0, kchecks = 0;
+  bool identical = true;
+  constexpr int kReps = 3;  // interleaved best-of, as in RunEndToEnd
+  for (size_t i = 0; i < nq; ++i) {
+    const Object q = SampleUniformQuery(data, rng);
+    double scalar_best = 0, kernel_best = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      auto scalar = RunReverseSkyline(*prepared, space, q, Algorithm::kSRS,
+                                      opts);
+      auto kernel = RunReverseSkyline(*prepared, space, q, Algorithm::kSRS,
+                                      kopts);
+      NMRS_CHECK(scalar.ok() && kernel.ok());
+      const QueryStats& s = scalar->stats;
+      const QueryStats& k = kernel->stats;
+      if (rep == 0) {
+        identical = identical && scalar->rows == kernel->rows &&
+                    s.checks == k.checks && s.pair_tests == k.pair_tests &&
+                    s.phase1_checks == k.phase1_checks &&
+                    s.phase1_survivors == k.phase1_survivors &&
+                    s.io == k.io;
+        pair_tests += k.pair_tests;
+        scalar_rows += k.kernel_scalar_rows;
+        block_rows += k.kernel_block_rows;
+        kchecks += k.kernel_checks;
+        scalar_best = s.compute_millis;
+        kernel_best = k.compute_millis;
+      } else {
+        scalar_best = std::min(scalar_best, s.compute_millis);
+        kernel_best = std::min(kernel_best, k.compute_millis);
+      }
+    }
+    scalar_ms += scalar_best;
+    kernel_ms += kernel_best;
+  }
+  const double speedup = kernel_ms > 0 ? scalar_ms / kernel_ms : 0;
+  const double rows_per_run =
+      runs > 0 ? static_cast<double>(kRows) / static_cast<double>(runs) : 0;
+  const double lanes_per_pair =
+      pair_tests > 0 ? static_cast<double>(scalar_rows + block_rows) /
+                           static_cast<double>(pair_tests)
+                     : 0;
+  Table table({"rows", "runs", "rows/run", "scalar_ms", "kernel_ms",
+               "speedup", "lanes/pair_test"});
+  table.AddRow({std::to_string(kRows), std::to_string(runs),
+                Fmt(rows_per_run, 2), Fmt(scalar_ms, 2), Fmt(kernel_ms, 2),
+                Fmt(speedup, 2), Fmt(lanes_per_pair, 3)});
+  table.Print();
+  json->BeginRun();
+  json->Field("config", std::string("e2e_runs"));
+  json->Field("dispatch", std::string(dispatch));
+  json->Field("algo", std::string("SRS"));
+  json->Field("num_rows", kRows);
+  json->Field("num_attrs", static_cast<uint64_t>(cards.size()));
+  json->Field("cardinality", static_cast<uint64_t>(cards[0]));
+  json->Field("num_queries", static_cast<uint64_t>(nq));
+  json->Field("phase1_runs", runs);
+  json->Field("rows_per_run", rows_per_run);
+  json->Field("scalar_compute_millis", scalar_ms);
+  json->Field("kernel_compute_millis", kernel_ms);
+  json->Field("speedup", speedup);
+  json->Field("pair_tests", pair_tests);
+  json->Field("kernel_checks", kchecks);
+  json->Field("kernel_scalar_rows", scalar_rows);
+  json->Field("kernel_block_rows", block_rows);
+  json->Field("lanes_per_pair_test", lanes_per_pair);
+  json->Field("identical", static_cast<uint64_t>(identical ? 1 : 0));
+  return identical;
+}
+
 // Full-mode sweep of the promotion threshold on end-to-end SRS: the data
 // behind the kernel_promote_rows default (0 = promote immediately, the
 // pre-adaptive behavior; large = never promote, pure scalar probe).
@@ -466,6 +580,9 @@ void Run(int argc, char** argv) {
   Banner("End-to-end SRS/TRS with use_kernels (adaptive dispatch)");
   const E2eOutcome e2e = RunEndToEnd(inst, args, &json);
 
+  Banner("SRS over runs of identical rows (serve_mutations shape)");
+  const bool runs_identical = RunCollapsedSrs(args, &json);
+
   if (!args.quick) {
     Banner("Promotion-threshold sweep (SRS end-to-end)");
     RunPromoteSweep(inst, args, &json);
@@ -474,7 +591,7 @@ void Run(int argc, char** argv) {
   Banner("Batch shared scans (QueryEngine, SRS)");
   const SharedScanOutcome shared = RunSharedScan(inst, &json);
 
-  ShapeCheck("kernel-results-identical", e2e.identical,
+  ShapeCheck("kernel-results-identical", e2e.identical && runs_identical,
              "reverse-skyline rows (and SRS counters) bit-identical with "
              "use_kernels on");
   ShapeCheck("shared-scan-identical", shared.identical,

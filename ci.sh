@@ -12,8 +12,10 @@
 #                quarantine under instrumentation, altree_identity
 #                checks the AL-Tree's leaf-arena offsets node for node,
 #                exact_search_sweep runs the exact numeric index
-#                search against brute force, and resident_trs checks the
-#                engine's resident TRS against sequential TRS
+#                search against brute force, resident_trs checks the
+#                engine's resident TRS against sequential TRS, and
+#                run_collapse_sweep checks the run-collapsed SRS/BRS
+#                kernels against the scalar loops
 #   4. chaos   — full 500-config fault-injection soak on the plain build
 #                (a 25-config slice already ran inside stage 1's ctest)
 #   5. replica — chaos sweep restricted to multi-replica configs: one
@@ -72,15 +74,17 @@ cmake -B build-tsan -S . -DNMRS_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-tsan -j"${JOBS}" --target exec_stress
 ./build-tsan/tests/exec_stress
 
-echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep + resident_trs) ==="
+echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep + resident_trs + run_collapse_sweep) ==="
 cmake -B build-asan -S . -DNMRS_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
-  --target altree_identity --target exact_search_sweep --target resident_trs
+  --target altree_identity --target exact_search_sweep --target resident_trs \
+  --target run_collapse_sweep
 ./build-asan/tests/exec_stress
 ./build-asan/tests/chaos_soak --configs=50 --mutations=10
 ./build-asan/tests/altree_identity
 ./build-asan/tests/exact_search_sweep
 ./build-asan/tests/resident_trs
+./build-asan/tests/run_collapse_sweep
 
 echo "=== chaos soak (full 500-config sweep + WAL/compaction faults) ==="
 ./build/tests/chaos_soak --configs=500 --mutations=100

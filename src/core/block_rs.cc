@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
 #include "common/sync.h"
 #include "common/timer.h"
@@ -68,6 +67,45 @@ void AddKernelTelemetry(const DominanceKernel& kernel, QueryStats* stats) {
   stats->kernel_block_rows += kernel.block_rows();
 }
 
+// The candidate side of the run collapse (docs/KERNELS.md, "Runs of
+// identical rows"). The SRS ring tests a candidate's left neighbour first;
+// when the candidate continues a run, that neighbour is an identical row,
+// so the test's verdict and check count depend only on the run. They are
+// computed once per run and replayed: a pruning test settles the candidate
+// with the scalar probe's counters (1 pair test, its checks, 1 scalar
+// row), any other leaves it to the full search, which makes that test
+// itself. Only the adaptive probe makes this test a scalar one, so
+// promote_rows == 0 never replays. One instance per (batch, chunk): the
+// memo is local.
+class RingReplay {
+ public:
+  // Whether candidate i (set on `ctx`) is pruned by row i - 1 through the
+  // replay; adds the counters if so.
+  bool Prunes(const RowBatch& batch, const ColumnarBatch& cols,
+              const PruneContext& ctx, size_t i, QueryStats* stats) {
+    if (i == 0 || cols.run_of(i) != cols.run_of(i - 1) ||
+        batch.id(i) == batch.id(i - 1)) {
+      return false;
+    }
+    if (run_ != cols.run_of(i)) {
+      run_ = cols.run_of(i);
+      checks_ = 0;
+      prunes_ = ctx.Prunes(batch.row_values(i - 1), batch.row_numerics(i - 1),
+                           &checks_);
+    }
+    if (!prunes_) return false;
+    ++stats->pair_tests;
+    stats->checks += checks_;
+    ++stats->kernel_scalar_rows;
+    return true;
+  }
+
+ private:
+  size_t run_ = ~size_t{0};
+  bool prunes_ = false;
+  uint64_t checks_ = 0;
+};
+
 // Checks candidates [begin, end) of `batch` against all loaded rows and
 // records which are pruned. `ctx` and the counters belong to the caller
 // (one chunk when parallel), so this runs with no shared mutable state
@@ -75,24 +113,36 @@ void AddKernelTelemetry(const DominanceKernel& kernel, QueryStats* stats) {
 // to the sequential scan, which keeps check counts deterministic. With
 // `cols` (the batch's columnar view) the searches run on a DominanceKernel
 // — scalar probe first, blocks after promotion — whose telemetry is added
-// to *stats.
+// to *stats; rows of one run keep the run's candidate on `ctx`, and the
+// ring replays the left-neighbour test per run (RingReplay).
 void Phase1CheckRange(const RowBatch& batch, const ColumnarBatch* cols,
                       PruneContext& ctx, SearchOrder order,
                       uint32_t promote_rows, size_t begin, size_t end,
                       QueryStats* stats, uint8_t* pruned) {
-  std::optional<DominanceKernel> kernel;
-  if (cols != nullptr) kernel.emplace(ctx, *cols, promote_rows);
+  if (cols == nullptr) {
+    for (size_t i = begin; i < end; ++i) {
+      ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
+      pruned[i] = FindPrunerScalar(batch, ctx, order, i, &stats->pair_tests,
+                                   &stats->checks)
+                      ? 1
+                      : 0;
+    }
+    return;
+  }
+  DominanceKernel kernel(ctx, *cols, promote_rows);
+  const bool replay = order == SearchOrder::kRing && promote_rows > 0;
+  RingReplay ring_replay;
   for (size_t i = begin; i < end; ++i) {
-    ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
+    if (i == begin || cols->run_of(i) != cols->run_of(i - 1)) {
+      ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
+    }
     const bool found =
-        kernel ? FindPrunerKernel(*kernel, order, i, batch.size(),
-                                  batch.id(i), &stats->pair_tests,
-                                  &stats->checks)
-               : FindPrunerScalar(batch, ctx, order, i, &stats->pair_tests,
-                                  &stats->checks);
+        (replay && ring_replay.Prunes(batch, *cols, ctx, i, stats)) ||
+        FindPrunerKernel(kernel, order, i, batch.size(), batch.id(i),
+                         &stats->pair_tests, &stats->checks);
     pruned[i] = found ? 1 : 0;
   }
-  if (kernel) AddKernelTelemetry(*kernel, stats);
+  AddKernelTelemetry(kernel, stats);
 }
 
 // Intra-batch pruning of one loaded batch; appends survivors to *writer.
@@ -374,6 +424,9 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
       }
     }
     pruned.assign(nq * n, 0);
+    const bool replay = opts.use_kernels && order == SearchOrder::kRing &&
+                        opts.kernel_promote_rows > 0;
+    std::vector<RingReplay> replays(nq);
     for (size_t i = 0; i < n; ++i) {
       // Candidate-major: fix candidate X on every query's context, gather
       // its attribute blocks once (the shared cache), then run each
@@ -388,8 +441,9 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
         QueryStats& st = results[q].stats;
         const bool found =
             opts.use_kernels
-                ? FindPrunerKernel(*r.kernel, order, i, n, x_id,
-                                   &st.pair_tests, &st.checks)
+                ? (replay && replays[q].Prunes(batch, cols, *r.ctx, i, &st)) ||
+                      FindPrunerKernel(*r.kernel, order, i, n, x_id,
+                                       &st.pair_tests, &st.checks)
                 : FindPrunerScalar(batch, *r.ctx, order, i, &st.pair_tests,
                                    &st.checks);
         pruned[q * n + i] = found ? 1 : 0;

@@ -338,13 +338,18 @@ void SharedCandidateCache::Attach(const PruneContext& ctx,
   }
   xcol_.assign(m, nullptr);
   xnum_.assign(m, 0.0);
-  num_blocks_ =
-      (cols.size() + DominanceKernel::kBlockRows - 1) /
-      DominanceKernel::kBlockRows;
-  padded_rows_ = num_blocks_ * DominanceKernel::kBlockRows;
-  lhs_.assign(m * padded_rows_, 0.0);
-  ready_.assign(m * num_blocks_, 0);
+  rows_.Reset(cols.size(), m);
+  heads_.Reset(cols.collapses() ? cols.num_runs() : 0, m);
   blocks_filled_ = 0;
+}
+
+void SharedCandidateCache::Plane::Reset(size_t num_rows, size_t m) {
+  rows = num_rows;
+  constexpr size_t kBlock = DominanceKernel::kBlockRows;
+  num_blocks = (num_rows + kBlock - 1) / kBlock;
+  padded_rows = num_blocks * kBlock;
+  lhs.assign(m * padded_rows, 0.0);
+  ready.assign(m * num_blocks, 0);
 }
 
 void SharedCandidateCache::SetCandidate(const PruneContext& ctx) {
@@ -358,26 +363,30 @@ void SharedCandidateCache::SetCandidate(const PruneContext& ctx) {
       xcol_[k] = ctx.CandidateColumn(k);
     }
   }
-  std::fill(ready_.begin(), ready_.end(), 0);
+  std::fill(rows_.ready.begin(), rows_.ready.end(), 0);
+  std::fill(heads_.ready.begin(), heads_.ready.end(), 0);
 }
 
-const double* SharedCandidateCache::EnsureLhs(size_t k, size_t block) {
-  double* base = lhs_.data() + k * padded_rows_ +
-                 block * DominanceKernel::kBlockRows;
-  uint8_t& r = ready_[k * num_blocks_ + block];
+const double* SharedCandidateCache::EnsureLhs(size_t k, size_t block,
+                                              bool heads) {
+  Plane& p = heads ? heads_ : rows_;
+  double* base =
+      p.lhs.data() + k * p.padded_rows + block * DominanceKernel::kBlockRows;
+  uint8_t& r = p.ready[k * p.num_blocks + block];
   if (!r) {
     r = 1;
     ++blocks_filled_;
     const size_t begin = block * DominanceKernel::kBlockRows;
-    const size_t n =
-        std::min(DominanceKernel::kBlockRows, cols_->size() - begin);
+    const size_t n = std::min(DominanceKernel::kBlockRows, p.rows - begin);
     const LaneFns& fns = FnsFor(dispatch_);
     const AttrId a = attrs_[k];
     if (is_numeric_[k]) {
-      fns.num_fill(cols_->numerics(a) + begin, n, xnum_[k], num_scale_[k],
-                   base);
+      const double* y =
+          heads ? cols_->head_numerics(a) : cols_->numerics(a);
+      fns.num_fill(y + begin, n, xnum_[k], num_scale_[k], base);
     } else {
-      fns.cat_fill(xcol_[k], cols_->values(a) + begin, n, base);
+      const ValueId* v = heads ? cols_->head_values(a) : cols_->values(a);
+      fns.cat_fill(xcol_[k], v + begin, n, base);
     }
   }
   return base;
@@ -436,6 +445,12 @@ DominanceKernel::DominanceKernel(const PruneContext& ctx,
   ring_left_.active.assign(ctx.num_selected(), 0);
   ring_right_.active.assign(ctx.num_selected(), 0);
   promoted_ = promote_rows_ == 0;
+  runs_ = cols.collapses();
+  if (runs_) {
+    head_epoch_.assign((cols.num_runs() + kBlockRows - 1) / kBlockRows, 0);
+    head_prunes_.assign(head_epoch_.size(), 0);
+    head_checks_.assign(cols.num_runs(), 0);
+  }
 }
 
 void DominanceKernel::BeginCandidate() {
@@ -486,7 +501,8 @@ inline bool DominanceKernel::ProbeStep(size_t j, uint64_t* pair_tests,
 }
 
 DominanceKernel::WindowMasks DominanceKernel::EvalMasks(
-    size_t begin, size_t n, uint32_t rows, uint32_t* level_active) {
+    size_t begin, size_t n, uint32_t rows, uint32_t* level_active,
+    bool heads) {
   const size_t m = ctx_->num_selected();
   const LaneFns& fns = FnsFor(dispatch_);
   const size_t block = begin / kBlockRows;
@@ -498,15 +514,16 @@ DominanceKernel::WindowMasks DominanceKernel::EvalMasks(
     const AttrId a = ctx_->selected()[k];
     uint32_t viol = 0, strict = 0;
     if (shared_ != nullptr) {
-      fns.cmp(shared_->EnsureLhs(k, block), n, active, ctx_->QueryDist(k),
-              &viol, &strict);
+      fns.cmp(shared_->EnsureLhs(k, block, heads), n, active,
+              ctx_->QueryDist(k), &viol, &strict);
     } else if (ctx_->SelectedIsNumeric(k)) {
-      fns.num(cols_->numerics(a) + begin, n, active,
-              ctx_->candidate_numerics()[a],
+      const double* y = heads ? cols_->head_numerics(a) : cols_->numerics(a);
+      fns.num(y + begin, n, active, ctx_->candidate_numerics()[a],
               ctx_->space().numeric(a).scale(), ctx_->QueryDist(k), &viol,
               &strict);
     } else {
-      fns.cat(ctx_->CandidateColumn(k), cols_->values(a) + begin, n, active,
+      const ValueId* v = heads ? cols_->head_values(a) : cols_->values(a);
+      fns.cat(ctx_->CandidateColumn(k), v + begin, n, active,
               ctx_->QueryDist(k), &viol, &strict);
     }
     kernel_checks_ += static_cast<uint64_t>(__builtin_popcount(active));
@@ -595,6 +612,7 @@ bool DominanceKernel::BulkWindow(size_t begin, size_t n,
 bool DominanceKernel::FindPrunerForward(size_t begin, size_t end,
                                         RowId skip_id, uint64_t* pair_tests,
                                         uint64_t* checks) {
+  if (runs_) return ForwardRuns(begin, end, skip_id, pair_tests, checks);
   const RowId* ids = cols_->ids();
   size_t j = begin;
   // Pre-promotion: the exact scalar early-abort loop.
@@ -656,14 +674,19 @@ bool DominanceKernel::FindPrunerRing(size_t center, RowId skip_id,
     }
     if (promoted_) {
       // Promoted between L(off) and R(off): the walk resumes at R(off).
-      return RingWalk(center, skip_id, off + 1, off, pair_tests, checks);
+      return runs_ ? RingRuns(center, skip_id, off + 1, off, pair_tests,
+                              checks)
+                   : RingWalk(center, skip_id, off + 1, off, pair_tests,
+                              checks);
     }
     if (center + off < n && ids[center + off] != skip_id &&
         ProbeStep(center + off, pair_tests, checks)) {
       return true;
     }
   }
-  return promoted_ && RingWalk(center, skip_id, off, off, pair_tests, checks);
+  if (!promoted_) return false;
+  return runs_ ? RingRuns(center, skip_id, off, off, pair_tests, checks)
+               : RingWalk(center, skip_id, off, off, pair_tests, checks);
 }
 
 void DominanceKernel::EvalRingWindow(size_t first, size_t last,
@@ -753,6 +776,208 @@ bool DominanceKernel::RingWalk(size_t center, RowId skip_id,
     if (last == left_last) left_ready = false;
     if (last == right_last) right_ready = false;
   }
+}
+
+void DominanceKernel::EvalHeadWindow(size_t r) {
+  const size_t begin = r & ~(kBlockRows - 1);
+  const size_t n = std::min(kBlockRows, cols_->num_runs() - begin);
+  const uint32_t all = BitRange(0, static_cast<int64_t>(n) - 1);
+  const WindowMasks w =
+      EvalMasks(begin, n, all, level_active_.data(), /*heads=*/true);
+  head_epoch_[begin / kBlockRows] = epoch_;
+  head_prunes_[begin / kBlockRows] = w.pruners;
+  block_rows_ += n;
+  // A head first violated at attribute k is alive at exactly k+1 levels.
+  uint16_t* nch = head_checks_.data() + begin;
+  std::fill(nch, nch + n, uint16_t{0});
+  for (size_t l = 0; l < w.levels; ++l) {
+    for (uint32_t m = level_active_[l]; m != 0; m &= m - 1) {
+      ++nch[__builtin_ctz(m)];
+    }
+  }
+}
+
+void DominanceKernel::AccountRuns(size_t lo, size_t hi, RowId skip_id,
+                                  uint64_t* pair_tests, uint64_t* checks) {
+  const uint32_t* rs = cols_->run_starts();
+  const size_t r0 = cols_->run_of(lo);
+  const size_t r1 = cols_->run_of(hi - 1);
+  uint64_t nch = 0;
+  for (size_t r = r0; r <= r1; ++r) {
+    nch += static_cast<uint64_t>(rs[r + 1] - rs[r]) * head_checks_[r];
+  }
+  nch -= static_cast<uint64_t>(lo - rs[r0]) * head_checks_[r0];
+  nch -= static_cast<uint64_t>(rs[r1 + 1] - hi) * head_checks_[r1];
+  uint64_t rows = hi - lo;
+  const LaneFns& fns = FnsFor(dispatch_);
+  for (size_t b = lo; b < hi; b += kBlockRows) {
+    for (uint32_t m = fns.eq(cols_->ids() + b, std::min(kBlockRows, hi - b),
+                             skip_id);
+         m != 0; m &= m - 1) {
+      --rows;
+      nch -= head_checks_[cols_->run_of(b + __builtin_ctz(m))];
+    }
+  }
+  *pair_tests += rows;
+  *checks += nch;
+}
+
+bool DominanceKernel::ForwardRuns(size_t begin, size_t end, RowId skip_id,
+                                  uint64_t* pair_tests, uint64_t* checks) {
+  // Every visited row of a run has the head's verdict and check count, so
+  // the scalar loop's accounting is (visited rows) x (head checks) per run
+  // that does not prune, plus the first visited row of the first run that
+  // does.
+  const uint32_t* rs = cols_->run_starts();
+  const RowId* ids = cols_->ids();
+  size_t j = begin;
+  size_t r = begin < end ? cols_->run_of(begin) : 0;
+  // Pre-promotion: probe one head per run.
+  for (; j < end && !promoted_; ++r) {
+    const size_t hi = std::min<size_t>(rs[r + 1], end);
+    uint32_t rows = 0;
+    for (size_t i = j; i < hi; ++i) rows += ids[i] != skip_id;
+    j = hi;
+    if (rows == 0) continue;
+    ++scalar_rows_;
+    uint64_t nch = 0;
+    if (ProbeRow(rs[r], &nch)) {
+      ++*pair_tests;
+      *checks += nch;
+      return true;
+    }
+    *pair_tests += rows;
+    *checks += rows * nch;
+    if ((survived_ += rows) >= promote_rows_) {
+      promoted_ = true;
+      ++promotions_;
+    }
+  }
+  // Promoted: one 32-head window at a time; the first pruning run with a
+  // visited row ends the scan at that row.
+  const size_t last_run = j < end ? cols_->run_of(end - 1) : 0;
+  while (j < end) {
+    const size_t base = r & ~(kBlockRows - 1);
+    const size_t last = std::min(base + kBlockRows - 1, last_run);
+    EnsureHead(r);
+    const size_t stop = std::min<size_t>(rs[last + 1], end);
+    for (uint32_t m = head_prunes_[base / kBlockRows] &
+                      BitRange(static_cast<int64_t>(r - base),
+                               static_cast<int64_t>(last - base));
+         m != 0; m &= m - 1) {
+      const size_t p = base + __builtin_ctz(m);
+      const size_t p_end = std::min<size_t>(rs[p + 1], end);
+      size_t first = std::max<size_t>(rs[p], j);
+      while (first < p_end && ids[first] == skip_id) ++first;
+      if (first < p_end) {
+        AccountRuns(j, first + 1, skip_id, pair_tests, checks);
+        return true;
+      }
+    }
+    AccountRuns(j, stop, skip_id, pair_tests, checks);
+    j = stop;
+    r = last + 1;
+  }
+  return false;
+}
+
+bool DominanceKernel::RingRuns(size_t center, RowId skip_id,
+                               size_t left_off, size_t right_off,
+                               uint64_t* pair_tests, uint64_t* checks) {
+  // The unvisited rows are [0, c - left_off] on the left, walked down, and
+  // [c + right_off, n) on the right, walked up; each run part has its
+  // run's verdict and check count. Pass 1 takes one 32-head window at a
+  // time from the side whose next run starts at the smaller offset — the
+  // left on a tie — and keeps the nearest pruner found: the first visited
+  // row of a side's first pruning run. It stops once no unvisited run can
+  // start before that pruner, or at it on the left (the left row of an
+  // offset is tested first). Pass 2 accounts the left rows up to the stop
+  // offset and the right rows up to it (a right pruner) or one before it
+  // (a left pruner).
+  const uint32_t* rs = cols_->run_starts();
+  const RowId* ids = cols_->ids();
+  const int64_t c = static_cast<int64_t>(center);
+  const int64_t n = static_cast<int64_t>(cols_->size());
+  const int64_t num_runs = static_cast<int64_t>(cols_->num_runs());
+  constexpr int64_t kNone = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kBlock = static_cast<int64_t>(kBlockRows);
+  const int64_t left_top = c - static_cast<int64_t>(left_off);
+  const int64_t right_bottom = c + static_cast<int64_t>(right_off);
+  auto run_of = [&](int64_t row) {
+    return static_cast<int64_t>(cols_->run_of(static_cast<size_t>(row)));
+  };
+
+  int64_t best = kNone;
+  bool best_left = false;
+  int64_t lr = left_top >= 0 ? run_of(left_top) : -1;
+  int64_t rr = right_bottom < n ? run_of(right_bottom) : num_runs;
+  while (true) {
+    const int64_t nl =
+        lr >= 0 ? c - std::min<int64_t>(rs[lr + 1] - 1, left_top) : kNone;
+    const int64_t nr =
+        rr < num_runs ? std::max<int64_t>(rs[rr], right_bottom) - c : kNone;
+    const bool left_ok =
+        nl != kNone && (nl < best || (nl == best && !best_left));
+    const bool right_ok = nr != kNone && nr < best;
+    if (!left_ok && !right_ok) break;
+    if (left_ok && (!right_ok || nl <= nr)) {
+      // Runs [base, lr], nearest first: the highest pruner bit.
+      const int64_t base = lr & ~(kBlock - 1);
+      EnsureHead(static_cast<size_t>(lr));
+      for (uint32_t m = head_prunes_[static_cast<size_t>(lr / kBlock)] &
+                        BitRange(0, lr - base);
+           m != 0;) {
+        const int bit = 31 - __builtin_clz(m);
+        const int64_t p = base + bit;
+        int64_t j = std::min<int64_t>(rs[p + 1] - 1, left_top);
+        while (j >= rs[p] && ids[j] == skip_id) --j;
+        if (j >= rs[p]) {
+          if (c - j < best || (c - j == best && !best_left)) {
+            best = c - j;
+            best_left = true;
+          }
+          break;
+        }
+        m &= ~(1u << bit);
+      }
+      lr = base - 1;
+    } else {
+      // Runs [rr, top], nearest first: the lowest pruner bit.
+      const int64_t base = rr & ~(kBlock - 1);
+      const int64_t top = std::min(base + kBlock - 1, num_runs - 1);
+      EnsureHead(static_cast<size_t>(rr));
+      for (uint32_t m = head_prunes_[static_cast<size_t>(rr / kBlock)] &
+                        BitRange(rr - base, top - base);
+           m != 0; m &= m - 1) {
+        const int64_t p = base + __builtin_ctz(m);
+        int64_t j = std::max<int64_t>(rs[p], right_bottom);
+        while (j < rs[p + 1] && ids[j] == skip_id) ++j;
+        if (j < rs[p + 1]) {
+          if (j - c < best) {
+            best = j - c;
+            best_left = false;
+          }
+          break;
+        }
+      }
+      rr = top + 1;
+    }
+  }
+
+  // Every run these ranges touch lies in a window pass 1 evaluated.
+  const int64_t left_lo = best == kNone ? 0 : std::max<int64_t>(0, c - best);
+  if (left_lo <= left_top) {
+    AccountRuns(static_cast<size_t>(left_lo),
+                static_cast<size_t>(left_top + 1), skip_id, pair_tests,
+                checks);
+  }
+  const int64_t right_hi =
+      best == kNone ? n : std::min(n, c + best + (best_left ? 0 : 1));
+  if (right_bottom < right_hi) {
+    AccountRuns(static_cast<size_t>(right_bottom),
+                static_cast<size_t>(right_hi), skip_id, pair_tests, checks);
+  }
+  return best != kNone;
 }
 
 }  // namespace nmrs

@@ -57,8 +57,9 @@ class SharedCandidateCache {
   void SetCandidate(const PruneContext& ctx);
 
   /// The lhs array for selected attribute k over rows
-  /// [block*32, min(block*32+32, n)), filling it on first touch.
-  const double* EnsureLhs(size_t k, size_t block);
+  /// [block*32, min(block*32+32, n)), filling it on first touch. With
+  /// `heads` the rows are the batch's run heads (ColumnarBatch::collapses).
+  const double* EnsureLhs(size_t k, size_t block, bool heads = false);
 
   bool attached() const { return cols_ != nullptr; }
   const ColumnarBatch* batch() const { return cols_; }
@@ -76,10 +77,16 @@ class SharedCandidateCache {
   std::vector<double> num_scale_;   // numeric k: dissimilarity scale
   std::vector<const double*> xcol_; // categorical k: column d(., x)
   std::vector<double> xnum_;        // numeric k: candidate value
-  size_t padded_rows_ = 0;
-  size_t num_blocks_ = 0;
-  std::vector<double> lhs_;         // [k * padded_rows_ + row]
-  std::vector<uint8_t> ready_;      // [k * num_blocks_ + block]
+  // The cached lhs blocks of one lane source: the rows, or the run heads.
+  struct Plane {
+    size_t rows = 0;
+    size_t padded_rows = 0;
+    size_t num_blocks = 0;
+    std::vector<double> lhs;        // [k * padded_rows + row]
+    std::vector<uint8_t> ready;     // [k * num_blocks + block]
+    void Reset(size_t num_rows, size_t m);
+  };
+  Plane rows_, heads_;
   uint64_t blocks_filled_ = 0;
 };
 
@@ -124,6 +131,18 @@ class SharedCandidateCache {
 /// still alive in the window — a dispatch-independent count equal to the
 /// sum of the block-evaluated rows' scalar check counts plus the lanes past
 /// an adapter's first pruner that the window computed anyway.
+///
+/// ## Runs (ColumnarBatch::collapses)
+///
+/// On a batch whose runs of identical rows collapse it, FindPrunerForward
+/// and the promoted half of FindPrunerRing evaluate run heads instead of
+/// rows — in 32-head block windows through the same lane evaluators — and
+/// rebuild the scalar accounting per run: every visited row of a run adds
+/// the run's check count, a pruning run stops the scan at its first
+/// visited row, rows with id == skip_id are left out, and the ring treats
+/// the candidate's own run as a left and a right part. The collapsed
+/// forward scan also probes heads before promotion: one probe answers the
+/// run's visited rows, which all count toward promote_rows.
 ///
 /// The context must be table-backed (QueryDistanceTable) — all wired
 /// algorithms build one — and both `ctx` and `cols` (and its source batch)
@@ -205,13 +224,14 @@ class DominanceKernel {
   /// attribute + 1, or num_selected() when none is violated).
   uint32_t RowChecks(size_t j);
 
-  /// Alive-row attribute lanes evaluated by the block path since
-  /// construction (see class comment). Dispatch-independent.
+  /// Alive attribute lanes (rows or run heads) evaluated by the block path
+  /// since construction (see class comment). Dispatch-independent.
   uint64_t kernel_checks() const { return kernel_checks_; }
 
   /// Adaptive-policy telemetry since construction, dispatch-independent:
-  /// candidates promoted to block evaluation, rows evaluated by the
-  /// scalar probe, and rows evaluated by block windows.
+  /// candidates promoted to block evaluation, scalar probes (of a row or
+  /// of a run head), and lanes (rows or run heads) evaluated by block
+  /// windows.
   uint64_t promotions() const { return promotions_; }
   uint64_t scalar_rows() const { return scalar_rows_; }
   uint64_t block_rows() const { return block_rows_; }
@@ -239,8 +259,9 @@ class DominanceKernel {
   // attribute k is alive at exactly its k+1 scalar checks, so summing
   // popcounts over levels yields the scalar accounting of any row subset
   // (MaskChecks) — and adds the alive lanes to kernel_checks_.
+  // With `heads` the lanes are run heads [begin, begin+n) instead of rows.
   WindowMasks EvalMasks(size_t begin, size_t n, uint32_t rows,
-                        uint32_t* level_active);
+                        uint32_t* level_active, bool heads = false);
   // Evaluates the whole 32-row block containing `row` into the per-row
   // artifacts and marks it ready.
   void EvalWindow(size_t row);
@@ -279,6 +300,23 @@ class DominanceKernel {
   // minus rows whose id is skip_id.
   void EvalRingWindow(size_t first, size_t last, RowId skip_id,
                       RingWindow* w);
+  // Run-head artifacts of the current candidate: the 32-head block holding
+  // run r is evaluated on first touch.
+  void EnsureHead(size_t r) {
+    if (head_epoch_[r / kBlockRows] != epoch_) EvalHeadWindow(r);
+  }
+  void EvalHeadWindow(size_t r);
+  // Adds the scalar accounting of rows [lo, hi) minus those with id
+  // skip_id: one pair test and the run's checks each. Every run the range
+  // touches must be evaluated for the current candidate.
+  void AccountRuns(size_t lo, size_t hi, RowId skip_id, uint64_t* pair_tests,
+                   uint64_t* checks);
+  // FindPrunerForward over runs (cols_->collapses()).
+  bool ForwardRuns(size_t begin, size_t end, RowId skip_id,
+                   uint64_t* pair_tests, uint64_t* checks);
+  // RingWalk over runs: the same offsets, the same accounting.
+  bool RingRuns(size_t center, RowId skip_id, size_t left_off,
+                size_t right_off, uint64_t* pair_tests, uint64_t* checks);
 
   const PruneContext* ctx_;
   const ColumnarBatch* cols_;
@@ -292,6 +330,11 @@ class DominanceKernel {
   std::vector<uint16_t> nchecks_;       // per row, scalar-equivalent checks
   std::vector<uint32_t> level_active_;  // per attribute, EvalMasks scratch
   RingWindow ring_left_, ring_right_;
+  // Run walk (cols_->collapses()); per-head artifacts per 32-head block.
+  bool runs_ = false;
+  std::vector<uint64_t> head_epoch_;    // per head block: last evaluation
+  std::vector<uint32_t> head_prunes_;   // per head block: pruner mask
+  std::vector<uint16_t> head_checks_;   // per run, scalar-equivalent checks
   // Adaptive per-candidate state.
   uint32_t survived_ = 0;
   bool promoted_ = true;

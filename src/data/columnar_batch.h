@@ -1,6 +1,7 @@
 #ifndef NMRS_DATA_COLUMNAR_BATCH_H_
 #define NMRS_DATA_COLUMNAR_BATCH_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/check.h"
@@ -19,13 +20,27 @@ namespace nmrs {
 /// shape SIMD gathers want. The row-major RowBatch stays the canonical
 /// decode target; this is a derived copy, rebuilt by Build() and never
 /// written back.
+///
+/// ## Run index
+///
+/// Build() also records the runs of adjacent value-identical rows (every
+/// categorical value equal and every numeric bitwise equal; ids may
+/// differ). Sorted data (SRS) puts duplicates next to each other, and every
+/// row of a run has the same verdict and check count against any candidate,
+/// so the kernels test a run once through its head (first row). When the
+/// runs collapse the batch — at least kMinMeanRunLength rows per run on
+/// average — Build() keeps a compact column view of the run heads, which
+/// the kernels evaluate with the same lane evaluators as rows.
 class ColumnarBatch {
  public:
+  /// Mean run length at which collapses() turns on.
+  static constexpr size_t kMinMeanRunLength = 2;
+
   ColumnarBatch() = default;
 
-  /// Rebuilds the SoA view from `rows` (one transpose pass, O(n*m)).
-  /// Any previously built contents are discarded. `rows` stays reachable
-  /// through source().
+  /// Rebuilds the SoA view and the run index from `rows` (one pass,
+  /// O(n*m)). Any previously built contents are discarded. `rows` stays
+  /// reachable through source().
   void Build(const RowBatch& rows);
 
   /// The row-major batch the view was built from, or null after
@@ -57,21 +72,57 @@ class ColumnarBatch {
                : nullptr;
   }
 
+  /// Number of runs; run r holds rows [run_start(r), run_start(r + 1)).
+  size_t num_runs() const {
+    return run_starts_.empty() ? 0 : run_starts_.size() - 1;
+  }
+  /// num_runs() + 1 ascending row offsets, the last one size().
+  const uint32_t* run_starts() const { return run_starts_.data(); }
+  size_t run_start(size_t r) const { return run_starts_[r]; }
+  /// The run holding row i.
+  size_t run_of(size_t i) const { return run_of_[i]; }
+
+  /// Whether the run heads are kept (see class comment). The kernels walk
+  /// runs instead of rows exactly when this holds.
+  bool collapses() const { return collapses_; }
+
+  /// Value-id column of attribute `a` over the run heads, length
+  /// num_runs(). Requires collapses().
+  const ValueId* head_values(AttrId a) const {
+    NMRS_DCHECK(collapses_ && a < num_attrs_);
+    return head_values_.data() + static_cast<size_t>(a) * num_runs();
+  }
+  /// Numeric column of attribute `a` over the run heads; null when the
+  /// batch has no numerics. Requires collapses().
+  const double* head_numerics(AttrId a) const {
+    NMRS_DCHECK(collapses_ && a < num_attrs_);
+    return has_numerics_
+               ? head_numerics_.data() + static_cast<size_t>(a) * num_runs()
+               : nullptr;
+  }
+
   /// Builds directly from parallel arrays (used by the TRS leaf blocks,
   /// which have no RowBatch): column `a` is copied from `columns[a]`,
-  /// ids from `ids`. No numerics.
+  /// ids from `ids`. No numerics; every row is its own run.
   void BuildFromColumns(size_t num_rows,
                         const std::vector<std::vector<ValueId>>& columns,
                         const std::vector<RowId>& ids);
 
  private:
+  void BuildHeads();
+
   const RowBatch* source_ = nullptr;
   size_t num_rows_ = 0;
   size_t num_attrs_ = 0;
   bool has_numerics_ = false;
+  bool collapses_ = false;
   std::vector<RowId> ids_;
   std::vector<ValueId> values_;    // [a * num_rows_ + i]
   std::vector<double> numerics_;   // [a * num_rows_ + i], empty if none
+  std::vector<uint32_t> run_starts_;   // num_runs() + 1 entries
+  std::vector<uint32_t> run_of_;       // per row
+  std::vector<ValueId> head_values_;   // [a * num_runs() + r]
+  std::vector<double> head_numerics_;  // [a * num_runs() + r], may be empty
 };
 
 }  // namespace nmrs

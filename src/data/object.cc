@@ -27,6 +27,14 @@ void RowBatch::Append(RowId id, const ValueId* values,
   }
 }
 
+size_t RowBatch::Grow(size_t n) {
+  const size_t first = ids_.size();
+  ids_.resize(first + n);
+  values_.resize((first + n) * num_attrs_);
+  if (has_numerics_) numerics_.resize((first + n) * num_attrs_);
+  return first;
+}
+
 Object RowBatch::ToObject(size_t i) const {
   NMRS_DCHECK(i < size());
   Object obj;

@@ -63,6 +63,18 @@ class RowBatch {
   /// Appends a row. `numerics` may be null when !has_numerics().
   void Append(RowId id, const ValueId* values, const double* numerics);
 
+  /// Appends `n` zeroed rows in one resize and returns the index of the
+  /// first; bulk decoders then fill them through the mutable accessors.
+  size_t Grow(size_t n);
+  RowId* mutable_ids() { return ids_.data(); }
+  ValueId* mutable_row_values(size_t i) {
+    return values_.data() + i * num_attrs_;
+  }
+  /// Null when !has_numerics().
+  double* mutable_row_numerics(size_t i) {
+    return has_numerics_ ? numerics_.data() + i * num_attrs_ : nullptr;
+  }
+
   /// Materializes row i as an Object.
   Object ToObject(size_t i) const;
 

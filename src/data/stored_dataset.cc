@@ -66,23 +66,25 @@ uint32_t RowCodec::GetRowCount(const Page& page) const {
 void RowCodec::DecodePage(const Page& page, RowBatch* out) const {
   const uint32_t count = GetRowCount(page);
   NMRS_CHECK_LE(count, rows_per_page_);
-  std::vector<ValueId> values(num_attrs_);
-  std::vector<double> numerics(num_attrs_, 0.0);
-  for (uint32_t r = 0; r < count; ++r) {
-    const uint8_t* p = page.data() + sizeof(uint32_t) + r * row_bytes_;
-    RowId id = LoadRaw<uint64_t>(p);
-    p += sizeof(uint64_t);
-    for (size_t i = 0; i < num_attrs_; ++i) {
-      values[i] = LoadRaw<uint32_t>(p);
-      p += sizeof(uint32_t);
+  static_assert(sizeof(ValueId) == sizeof(uint32_t) && sizeof(RowId) == 8);
+  // The row layout stores ids, value ids and doubles in native byte order,
+  // so each field group is one copy into the batch's arrays.
+  NMRS_DCHECK(out->num_attrs() == num_attrs_);
+  const bool numerics = has_numerics_ && out->has_numerics();
+  const size_t first = out->Grow(count);
+  const size_t value_bytes = num_attrs_ * sizeof(uint32_t);
+  const size_t numeric_bytes = num_attrs_ * sizeof(double);
+  RowId* ids = out->mutable_ids();
+  const uint8_t* p = page.data() + sizeof(uint32_t);
+  for (uint32_t r = 0; r < count; ++r, p += row_bytes_) {
+    const size_t row = first + r;
+    ids[row] = LoadRaw<uint64_t>(p);
+    std::memcpy(out->mutable_row_values(row), p + sizeof(uint64_t),
+                value_bytes);
+    if (numerics) {
+      std::memcpy(out->mutable_row_numerics(row),
+                  p + sizeof(uint64_t) + value_bytes, numeric_bytes);
     }
-    if (has_numerics_) {
-      for (size_t i = 0; i < num_attrs_; ++i) {
-        numerics[i] = LoadRaw<double>(p);
-        p += sizeof(double);
-      }
-    }
-    out->Append(id, values.data(), has_numerics_ ? numerics.data() : nullptr);
   }
 }
 
@@ -171,17 +173,19 @@ Status StoredDataset::ReadPage(PageId page, RowBatch* out) const {
 
 Status StoredDataset::ReadPageVia(PagedReader* reader, PageId page,
                                   RowBatch* out) const {
-  Page buf(reader->disk()->page_size());
-  NMRS_RETURN_IF_ERROR(reader->ReadPage(file_, page, &buf));
-  codec_.DecodePage(buf, out);
+  Page* buf = reader->scratch_page();
+  NMRS_RETURN_IF_ERROR(reader->ReadPage(file_, page, buf));
+  codec_.DecodePage(*buf, out);
   return Status::OK();
 }
 
 Status StoredDataset::ReadAll(RowBatch* out) const {
   const uint64_t pages = num_pages();
   out->Reserve(num_rows_);
+  Page buf(disk_->page_size());
   for (PageId p = 0; p < pages; ++p) {
-    NMRS_RETURN_IF_ERROR(ReadPage(p, out));
+    NMRS_RETURN_IF_ERROR(disk_->ReadPage(file_, p, &buf));
+    codec_.DecodePage(buf, out);
   }
   return Status::OK();
 }

@@ -134,6 +134,15 @@ class PagedReader {
     *io += failover_io_;
   }
 
+  /// A page-sized buffer owned by this reader for decoders to read into, so
+  /// a page read allocates and zeroes nothing. Reused by every call.
+  Page* scratch_page() {
+    if (scratch_.size() != disk_->page_size()) {
+      scratch_ = Page(disk_->page_size());
+    }
+    return &scratch_;
+  }
+
  private:
   // One read through the pool-or-disk route, no fault policy applied.
   Status RawRead(SimulatedDisk* d, FileId file, PageId page, Page* out);
@@ -167,6 +176,7 @@ class PagedReader {
   IoStats failover_io_;
   int current_replica_ = 0;
   double modeled_backoff_millis_ = 0.0;
+  Page scratch_{0};
 };
 
 }  // namespace nmrs

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -590,6 +591,327 @@ TEST(DominanceKernelRingTest, SharedAndChunkedPathsMatchScalar) {
     if (promote != 0) {
       EXPECT_GT(promotions, 0u) << "promote " << promote;
     }
+  }
+}
+
+// ---- Runs of identical rows (ColumnarBatch::collapses) ----
+
+// A batch of runs over RingLayout's space: run (v, count) is `count` rows
+// of value v on attribute 0 and 0 on attribute 1; ids are row offsets.
+RowBatch RunRows(const std::vector<std::pair<ValueId, size_t>>& runs) {
+  RowBatch rows(2, false);
+  RowId id = 0;
+  for (const auto& [v, count] : runs) {
+    for (size_t i = 0; i < count; ++i) {
+      const ValueId vals[2] = {v, 0};
+      rows.Append(id++, vals, nullptr);
+    }
+  }
+  return rows;
+}
+
+struct ScanCount {
+  bool found = false;
+  uint64_t pairs = 0;
+  uint64_t checks = 0;
+};
+
+// The scalar ring around `center` for the candidate (0, 0), skipping
+// `skip`, against the kernel on both dispatch paths, private and shared
+// cache, every threshold of kRingPromotes. Returns the scalar counts.
+ScanCount ExpectRunRing(const RowBatch& rows, size_t center, RowId skip,
+                        const std::string& label) {
+  RingLayout layout;
+  QueryDistanceTable table(layout.space, layout.schema, layout.query,
+                           layout.selected);
+  PruneContext ctx(layout.space, layout.schema, layout.query,
+                   layout.selected, &table);
+  ColumnarBatch cols;
+  cols.Build(rows);
+  EXPECT_TRUE(cols.collapses()) << label;
+  const ValueId x[2] = {0, 0};
+  ctx.SetCandidate(x, nullptr);
+  ScanCount want;
+  want.found = ScalarRing(rows, ctx, center, skip, &want.pairs, &want.checks);
+  for (bool force_scalar : {false, true}) {
+    ForceScalarKernelDispatchForTest(force_scalar);
+    for (bool shared : {false, true}) {
+      SharedCandidateCache cache;
+      if (shared) {
+        cache.Attach(ctx, cols);
+        cache.SetCandidate(ctx);
+      }
+      for (uint32_t promote : kRingPromotes) {
+        DominanceKernel kernel(ctx, cols, promote, shared ? &cache : nullptr);
+        kernel.BeginCandidate();
+        ScanCount got;
+        got.found = kernel.FindPrunerRing(center, skip, &got.pairs,
+                                          &got.checks);
+        const std::string where = label + " promote=" +
+                                  std::to_string(promote) + " forced=" +
+                                  std::to_string(force_scalar) +
+                                  " shared=" + std::to_string(shared);
+        EXPECT_EQ(got.found, want.found) << where;
+        EXPECT_EQ(got.pairs, want.pairs) << where;
+        EXPECT_EQ(got.checks, want.checks) << where;
+      }
+    }
+  }
+  ForceScalarKernelDispatchForTest(false);
+  return want;
+}
+
+TEST(ColumnarBatchTest, RunIndexAndHeads) {
+  RowBatch rows(2, true);
+  // Rows 0-2 identical; row 3 differs only in a numeric; rows 4-5 equal.
+  const ValueId v[2] = {1, 2};
+  const double a[2] = {0.5, 0.25}, b[2] = {0.5, 0.75};
+  for (RowId id : {7, 3, 9}) rows.Append(id, v, a);
+  rows.Append(4, v, b);
+  rows.Append(5, v, a);
+  rows.Append(6, v, a);
+  ColumnarBatch cols;
+  cols.Build(rows);
+  ASSERT_EQ(cols.num_runs(), 3u);
+  EXPECT_TRUE(cols.collapses());
+  EXPECT_EQ(cols.run_start(0), 0u);
+  EXPECT_EQ(cols.run_start(1), 3u);
+  EXPECT_EQ(cols.run_start(2), 4u);
+  EXPECT_EQ(cols.run_start(3), 6u);
+  const std::vector<size_t> run_of = {0, 0, 0, 1, 2, 2};
+  for (size_t i = 0; i < run_of.size(); ++i) {
+    EXPECT_EQ(cols.run_of(i), run_of[i]) << i;
+  }
+  EXPECT_EQ(cols.head_values(0)[1], 1u);
+  EXPECT_EQ(cols.head_numerics(1)[1], 0.75);
+  EXPECT_EQ(cols.head_numerics(1)[2], 0.25);
+
+  // All singletons: no heads kept; the kernels scan rows as before.
+  RowBatch distinct = RunRows({{1, 1}, {2, 1}, {3, 1}});
+  cols.Build(distinct);
+  EXPECT_EQ(cols.num_runs(), 3u);
+  EXPECT_FALSE(cols.collapses());
+}
+
+TEST(DominanceKernelRunTest, CandidateInMiddleOfOwnRun) {
+  // Own run of ties (rows 100-179) around center 150: its left part covers
+  // offsets 1-50, its right part 1-29, then pruners at offset 30.
+  const RowBatch rows = RunRows({{1, 50}, {3, 50}, {2, 80}, {1, 40}, {3, 40}});
+  const ScanCount c = ExpectRunRing(rows, 150, 150, "ties around center");
+  EXPECT_TRUE(c.found);
+  EXPECT_EQ(c.pairs, 60u);    // 30 left ties, 29 right ties, the pruner
+  EXPECT_EQ(c.checks, 120u);  // 2 checks each
+  // The candidate inside a run identical to it: its left neighbour prunes.
+  const RowBatch own = RunRows({{3, 30}, {0, 60}, {3, 30}});
+  EXPECT_EQ(ExpectRunRing(own, 60, 60, "pruning own run").pairs, 1u);
+  // With that neighbour's id skipped, the right one at offset 1 prunes.
+  EXPECT_EQ(ExpectRunRing(own, 60, 59, "own run, left skipped").pairs, 1u);
+  // Run edges on both sides of the center.
+  ExpectRunRing(own, 30, 30, "center at its run's head");
+  ExpectRunRing(own, 89, 89, "center at its run's tail");
+}
+
+TEST(DominanceKernelRunTest, EqualOffsetRunsLeftWins) {
+  // Center 100; pruner runs end at row 39 (left offset 61) and start at
+  // row 161 (right offset 61). Left ties, right violations in between.
+  const RowBatch rows =
+      RunRows({{1, 40}, {2, 60}, {3, 1}, {3, 60}, {1, 40}});
+  const ScanCount c = ExpectRunRing(rows, 100, 100, "equal offsets");
+  EXPECT_TRUE(c.found);
+  EXPECT_EQ(c.pairs, 121u);   // 60 ties + the left pruner + 60 violations
+  EXPECT_EQ(c.checks, 182u);
+  // Moved one row nearer, the right run wins.
+  const RowBatch nearer =
+      RunRows({{1, 40}, {2, 60}, {3, 1}, {3, 59}, {1, 40}});
+  EXPECT_EQ(ExpectRunRing(nearer, 100, 100, "right nearer").pairs, 120u);
+}
+
+TEST(DominanceKernelRunTest, RunCutByStopOffset) {
+  // The left pruner run's near row sits at offset 30; on the right a tie
+  // run spans offsets 20-60, of which only 20-29 are visited.
+  const RowBatch rows = RunRows(
+      {{3, 51}, {1, 20}, {3, 29}, {3, 1}, {3, 19}, {2, 41}, {3, 40}});
+  const ScanCount c = ExpectRunRing(rows, 100, 100, "right run cut");
+  EXPECT_TRUE(c.found);
+  EXPECT_EQ(c.pairs, 59u);   // left 29 + pruner, right 19 + 10 ties
+  EXPECT_EQ(c.checks, 70u);  // 29 + 2 + 19 + 20
+  // Mirrored: the right pruner at offset 30 wins and the left tie run
+  // spanning offsets 20-60 counts offsets 20-30.
+  const RowBatch mirrored = RunRows(
+      {{3, 40}, {2, 41}, {3, 19}, {3, 1}, {3, 29}, {1, 20}, {3, 51}});
+  const ScanCount m = ExpectRunRing(mirrored, 100, 100, "left run cut");
+  EXPECT_TRUE(m.found);
+  EXPECT_EQ(m.pairs, 60u);   // left 19 + 11 ties, right 29 + pruner
+}
+
+TEST(DominanceKernelRunTest, SkipIdInsideRun) {
+  // The left pruner run's near row (90, offset 10) is skipped, so its
+  // first visited row is at offset 11 — tied with the right pruner run's
+  // near row, and the left one is tested first.
+  const RowBatch rows = RunRows(
+      {{3, 60}, {1, 31}, {3, 9}, {3, 1}, {3, 10}, {1, 30}, {3, 20}});
+  const ScanCount c = ExpectRunRing(rows, 100, 90, "skip at a pruner edge");
+  EXPECT_TRUE(c.found);
+  EXPECT_EQ(c.pairs, 20u);   // left 9 + pruner, right 10
+  // A skipped row inside a run that does not prune: the pruner at offset
+  // 10 now wins, after 8 left violations, and 9 right ones.
+  const ScanCount inner =
+      ExpectRunRing(rows, 100, 95, "skip in a violation run");
+  EXPECT_EQ(inner.pairs, 18u);
+  // The forward scan leaves the skipped row out of its run's count too.
+  RingLayout layout;
+  QueryDistanceTable table(layout.space, layout.schema, layout.query,
+                           layout.selected);
+  PruneContext ctx(layout.space, layout.schema, layout.query,
+                   layout.selected, &table);
+  ColumnarBatch cols;
+  cols.Build(rows);
+  const ValueId x[2] = {0, 0};
+  ctx.SetCandidate(x, nullptr);
+  for (RowId skip : {RowId{5}, RowId{60}, RowId{100}, kInvalidRowId}) {
+    for (size_t begin : {0, 10, 60, 61, 95}) {
+      uint64_t s_pairs = 0, s_checks = 0;
+      bool s_found = false;
+      for (size_t j = begin; j < rows.size() && !s_found; ++j) {
+        if (rows.id(j) == skip) continue;
+        ++s_pairs;
+        s_found = ctx.Prunes(rows.row_values(j), nullptr, &s_checks);
+      }
+      for (uint32_t promote : kRingPromotes) {
+        DominanceKernel kernel(ctx, cols, promote);
+        kernel.BeginCandidate();
+        uint64_t k_pairs = 0, k_checks = 0;
+        EXPECT_EQ(kernel.FindPrunerForward(begin, rows.size(), skip,
+                                           &k_pairs, &k_checks),
+                  s_found);
+        const std::string where = "forward skip=" + std::to_string(skip) +
+                                  " begin=" + std::to_string(begin) +
+                                  " promote=" + std::to_string(promote);
+        EXPECT_EQ(k_pairs, s_pairs) << where;
+        EXPECT_EQ(k_checks, s_checks) << where;
+      }
+    }
+  }
+}
+
+// Sorted duplicate-heavy batches: every center's ring through the run walk
+// matches the scalar ring (ExpectRingMatchesScalar's full matrix).
+TEST(DominanceKernelRunTest, SortedDuplicatesMatchScalarRing) {
+  Rng rng(2026);
+  for (size_t n : {40, 150, 400}) {
+    Rng drng = rng.Fork();
+    Rng srng = rng.Fork();
+    const std::vector<size_t> cards = {2, 3, 3};
+    Dataset data = GenerateUniform(n, cards, drng);
+    SimilaritySpace space;
+    for (size_t c : cards) {
+      space.AddCategorical(MakeRandomMatrix(c, srng, {.symmetric = false}));
+    }
+    std::vector<RowId> order(n);
+    for (RowId r = 0; r < n; ++r) order[r] = r;
+    std::sort(order.begin(), order.end(), [&](RowId a, RowId b) {
+      return std::lexicographical_compare(
+          data.RowValues(a), data.RowValues(a) + cards.size(),
+          data.RowValues(b), data.RowValues(b) + cards.size());
+    });
+    RowBatch rows(cards.size(), false);
+    for (RowId r : order) rows.Append(r, data.RowValues(r), nullptr);
+    ColumnarBatch cols;
+    cols.Build(rows);
+    ASSERT_TRUE(cols.collapses()) << n;
+    const Schema& schema = data.schema();
+    const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
+    for (int qi = 0; qi < 2; ++qi) {
+      Object q = SampleUniformQuery(data, rng);
+      QueryDistanceTable table(space, schema, q, selected);
+      PruneContext ctx(space, schema, q, selected, &table);
+      ExpectRingMatchesScalar(rows, ctx, "sorted n=" + std::to_string(n));
+    }
+  }
+}
+
+// End to end: SRS over duplicate-heavy data replays each run's left-
+// neighbour test and walks runs as pruners, with the scalar path's rows
+// and counters at every threshold, sequential and chunked.
+TEST(DominanceKernelRunTest, SrsOverRunsMatchesScalar) {
+  testing::RandomInstance inst(99, 3000, {3, 3, 4}, false);
+  SimulatedDisk disk(1024);
+  auto prep = PrepareDataset(&disk, inst.data, Algorithm::kSRS, {});
+  ASSERT_TRUE(prep.ok()) << prep.status();
+  Rng rng(5);
+  for (int qi = 0; qi < 3; ++qi) {
+    const Object q =
+        qi == 0 ? inst.data.GetObject(7) : SampleUniformQuery(inst.data, rng);
+    RSOptions scalar;
+    scalar.use_kernels = false;
+    scalar.memory.pages = 4;
+    auto want = SortReverseSkyline(prep->stored, inst.space, q, scalar);
+    ASSERT_TRUE(want.ok()) << want.status();
+    for (uint32_t promote : {0u, 1u, 2u, 16u, 1u << 30}) {
+      for (int threads : {1, 3}) {
+        RSOptions opts = scalar;
+        opts.use_kernels = true;
+        opts.kernel_promote_rows = promote;
+        opts.num_threads = threads;
+        auto got = SortReverseSkyline(prep->stored, inst.space, q, opts);
+        ASSERT_TRUE(got.ok()) << got.status();
+        const std::string label = "query " + std::to_string(qi) +
+                                  " promote " + std::to_string(promote) +
+                                  " threads " + std::to_string(threads);
+        EXPECT_EQ(got->rows, want->rows) << label;
+        EXPECT_EQ(got->stats.checks, want->stats.checks) << label;
+        EXPECT_EQ(got->stats.phase1_checks, want->stats.phase1_checks)
+            << label;
+        EXPECT_EQ(got->stats.pair_tests, want->stats.pair_tests) << label;
+        EXPECT_EQ(got->stats.phase1_survivors, want->stats.phase1_survivors)
+            << label;
+        EXPECT_EQ(got->stats.io, want->stats.io) << label;
+      }
+    }
+  }
+}
+
+// The replay needs the left neighbour to be identical to the candidate:
+// with a non-zero self-dissimilarity d(1, 1) = 0.9 a row of value 1 does
+// not prune another one (the threshold d(q, 1) is 0.5), while the value-0
+// row before the run does (d(0, 1) = 0.1). Only the run's head has that
+// row as its left neighbour; the other rows of the run reach it only after
+// testing their identical neighbours, and every such test must be counted.
+TEST(DominanceKernelRunTest, ReplayNeedsIdenticalNeighbour) {
+  DissimilarityMatrix d(3);
+  for (ValueId a = 0; a < 3; ++a) {
+    for (ValueId b = 0; b < 3; ++b) {
+      if (a != b) d.Set(a, b, 0.7);
+    }
+  }
+  d.Set(0, 1, 0.1);
+  d.Set(1, 1, 0.9);
+  d.Set(2, 1, 0.5);
+  SimilaritySpace space;
+  space.AddCategorical(std::move(d));
+  Dataset data(Schema::Categorical({3}));
+  for (int i = 0; i < 60; ++i) {
+    data.AppendCategoricalRow({static_cast<ValueId>(i < 5 ? 0 : i < 45 ? 1
+                                                                       : 2)});
+  }
+  SimulatedDisk disk(1024);
+  auto prep = PrepareDataset(&disk, data, Algorithm::kSRS, {});
+  ASSERT_TRUE(prep.ok()) << prep.status();
+  const Object q({2});
+  RSOptions scalar;
+  scalar.use_kernels = false;
+  scalar.memory.pages = 2;
+  auto want = SortReverseSkyline(prep->stored, space, q, scalar);
+  ASSERT_TRUE(want.ok()) << want.status();
+  for (uint32_t promote : {1u, 16u, 1u << 30}) {
+    RSOptions opts = scalar;
+    opts.use_kernels = true;
+    opts.kernel_promote_rows = promote;
+    auto got = SortReverseSkyline(prep->stored, space, q, opts);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->rows, want->rows) << promote;
+    EXPECT_EQ(got->stats.pair_tests, want->stats.pair_tests) << promote;
+    EXPECT_EQ(got->stats.checks, want->stats.checks) << promote;
   }
 }
 
