@@ -10,7 +10,8 @@
 // its wall time, modeled makespan and the build's page reads. The second
 // (warm) batches, whose TRS queries answer from the resident trees, give
 // the throughput the table and the speedup check read: the best of five.
-// Emits BENCH_parallel.json.
+// A batch holds kBatchQueries queries (16 with --quick). Emits
+// BENCH_parallel.json.
 //
 // Extra flags on top of bench_util's: none. --scale=1 (default) gives the
 // 50k-object synthetic workload from the acceptance criterion.
@@ -28,10 +29,15 @@ namespace nmrs {
 namespace bench {
 namespace {
 
+// Queries per batch. One warm batch at 1 worker then runs for about a
+// quarter second on a 4-core x86 VM: 64 queries took 14-60 ms there, so
+// scheduler jitter decided the 8-worker speedup (0.78x to 5.88x).
+constexpr size_t kBatchQueries = 384;
+
 void Run(int argc, char** argv) {
   Args args = Args::Parse(argc, argv, 1.0);
   const uint64_t rows = args.Rows(50000);
-  const size_t num_queries = args.quick ? 16 : 64;
+  const size_t num_queries = args.quick ? 16 : kBatchQueries;
 
   Banner("Parallel query engine: batch throughput vs worker count");
   std::printf("dataset: %llu normal-distributed objects, batch of %zu "
@@ -76,8 +82,8 @@ void Run(int argc, char** argv) {
     QueryEngine engine(*prepared, space, Algorithm::kTRS, opts);
     auto cold = engine.RunBatch(queries);
     NMRS_CHECK(cold.ok()) << cold.status();
-    // Warm batches are a few tens of milliseconds of compute, so one run
-    // is at the mercy of the host scheduler: keep the best of kWarmRuns.
+    // One warm run is still at the mercy of the host scheduler: keep the
+    // best of kWarmRuns.
     constexpr int kWarmRuns = 5;
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();

@@ -14,8 +14,9 @@
 #                exact_search_sweep runs the exact numeric index
 #                search against brute force, resident_trs checks the
 #                engine's resident TRS against sequential TRS, and
-#                run_collapse_sweep checks the run-collapsed SRS/BRS
-#                kernels against the scalar loops
+#                run_collapse_sweep checks the kernels' run walk (SRS,
+#                T-SRS, BRS; duplicate-heavy, sparse-duplicate and
+#                all-distinct data) against the scalar loops
 #   4. chaos   — full 500-config fault-injection soak on the plain build
 #                (a 25-config slice already ran inside stage 1's ctest)
 #   5. replica — chaos sweep restricted to multi-replica configs: one

@@ -90,10 +90,10 @@ class RingReplay {
     if (run_ != cols.run_of(i)) {
       run_ = cols.run_of(i);
       checks_ = 0;
-      prunes_ = ctx.Prunes(batch.row_values(i - 1), batch.row_numerics(i - 1),
-                           &checks_);
+      verdict_ = ctx.Prunes(batch.row_values(i - 1),
+                            batch.row_numerics(i - 1), &checks_);
     }
-    if (!prunes_) return false;
+    if (!verdict_) return false;
     ++stats->pair_tests;
     stats->checks += checks_;
     ++stats->kernel_scalar_rows;
@@ -102,7 +102,7 @@ class RingReplay {
 
  private:
   size_t run_ = ~size_t{0};
-  bool prunes_ = false;
+  bool verdict_ = false;
   uint64_t checks_ = 0;
 };
 

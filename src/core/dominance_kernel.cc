@@ -48,8 +48,8 @@ struct LaneFns {
                    double* lhs);
   void (*num_fill)(const double* y, size_t n, double x, double scale,
                    double* lhs);
-  // Bit w set iff ids[w] == id (the rows a scan must skip).
-  uint32_t (*eq)(const RowId* ids, size_t n, RowId id);
+  // The first w < n with ids[w] == id (a row a scan must skip), or n.
+  size_t (*find)(const RowId* ids, size_t n, RowId id);
 };
 
 void CatLanesScalar(const double* col, const ValueId* vals, size_t n,
@@ -103,17 +103,15 @@ void NumFillScalar(const double* y, size_t n, double x, double scale,
   for (size_t w = 0; w < n; ++w) lhs[w] = scale * std::fabs(y[w] - x);
 }
 
-uint32_t EqLanesScalar(const RowId* ids, size_t n, RowId id) {
-  uint32_t m = 0;
-  for (size_t w = 0; w < n; ++w) {
-    m |= static_cast<uint32_t>(ids[w] == id) << w;
-  }
-  return m;
+size_t FindIdScalar(const RowId* ids, size_t n, RowId id) {
+  size_t w = 0;
+  while (w < n && ids[w] != id) ++w;
+  return w;
 }
 
 constexpr LaneFns kScalarFns = {CatLanesScalar, NumLanesScalar,
                                 CmpLanesScalar, CatFillScalar,
-                                NumFillScalar, EqLanesScalar};
+                                NumFillScalar, FindIdScalar};
 
 #ifdef NMRS_KERNEL_AVX2
 
@@ -267,24 +265,23 @@ __attribute__((target("avx2"))) void NumFillAvx2(const double* y, size_t n,
   for (; w < n; ++w) lhs[w] = scale * std::fabs(y[w] - x);
 }
 
-__attribute__((target("avx2"))) uint32_t EqLanesAvx2(const RowId* ids,
-                                                     size_t n, RowId id) {
+__attribute__((target("avx2"))) size_t FindIdAvx2(const RowId* ids, size_t n,
+                                                  RowId id) {
   const __m256i idv = _mm256_set1_epi64x(static_cast<long long>(id));
-  uint32_t m = 0;
   size_t w = 0;
   for (; w + 4 <= n; w += 4) {
     const __m256i v =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + w));
-    m |= static_cast<uint32_t>(_mm256_movemask_pd(
-             _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, idv))))
-         << w;
+    const int m = _mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, idv)));
+    if (m != 0) return w + static_cast<size_t>(__builtin_ctz(m));
   }
-  for (; w < n; ++w) m |= static_cast<uint32_t>(ids[w] == id) << w;
-  return m;
+  while (w < n && ids[w] != id) ++w;
+  return w;
 }
 
 constexpr LaneFns kAvx2Fns = {CatLanesAvx2, NumLanesAvx2, CmpLanesAvx2,
-                              CatFillAvx2, NumFillAvx2, EqLanesAvx2};
+                              CatFillAvx2, NumFillAvx2, FindIdAvx2};
 
 bool DetectAvx2() { return __builtin_cpu_supports("avx2"); }
 
@@ -338,18 +335,14 @@ void SharedCandidateCache::Attach(const PruneContext& ctx,
   }
   xcol_.assign(m, nullptr);
   xnum_.assign(m, 0.0);
-  rows_.Reset(cols.size(), m);
-  heads_.Reset(cols.collapses() ? cols.num_runs() : 0, m);
-  blocks_filled_ = 0;
-}
-
-void SharedCandidateCache::Plane::Reset(size_t num_rows, size_t m) {
-  rows = num_rows;
   constexpr size_t kBlock = DominanceKernel::kBlockRows;
-  num_blocks = (num_rows + kBlock - 1) / kBlock;
-  padded_rows = num_blocks * kBlock;
-  lhs.assign(m * padded_rows, 0.0);
-  ready.assign(m * num_blocks, 0);
+  heads_ = cols.num_runs();
+  num_blocks_ = (heads_ + kBlock - 1) / kBlock;
+  padded_heads_ = num_blocks_ * kBlock;
+  lhs_.assign(m * padded_heads_, 0.0);
+  filled_.assign(m * num_blocks_, 0);
+  epoch_ = 1;
+  blocks_filled_ = 0;
 }
 
 void SharedCandidateCache::SetCandidate(const PruneContext& ctx) {
@@ -363,30 +356,25 @@ void SharedCandidateCache::SetCandidate(const PruneContext& ctx) {
       xcol_[k] = ctx.CandidateColumn(k);
     }
   }
-  std::fill(rows_.ready.begin(), rows_.ready.end(), 0);
-  std::fill(heads_.ready.begin(), heads_.ready.end(), 0);
+  ++epoch_;
 }
 
-const double* SharedCandidateCache::EnsureLhs(size_t k, size_t block,
-                                              bool heads) {
-  Plane& p = heads ? heads_ : rows_;
-  double* base =
-      p.lhs.data() + k * p.padded_rows + block * DominanceKernel::kBlockRows;
-  uint8_t& r = p.ready[k * p.num_blocks + block];
-  if (!r) {
-    r = 1;
+const double* SharedCandidateCache::EnsureLhs(size_t k, size_t block) {
+  constexpr size_t kBlock = DominanceKernel::kBlockRows;
+  double* base = lhs_.data() + k * padded_heads_ + block * kBlock;
+  uint64_t& filled = filled_[k * num_blocks_ + block];
+  if (filled != epoch_) {
+    filled = epoch_;
     ++blocks_filled_;
-    const size_t begin = block * DominanceKernel::kBlockRows;
-    const size_t n = std::min(DominanceKernel::kBlockRows, p.rows - begin);
+    const size_t begin = block * kBlock;
+    const size_t n = std::min(kBlock, heads_ - begin);
     const LaneFns& fns = FnsFor(dispatch_);
     const AttrId a = attrs_[k];
     if (is_numeric_[k]) {
-      const double* y =
-          heads ? cols_->head_numerics(a) : cols_->numerics(a);
-      fns.num_fill(y + begin, n, xnum_[k], num_scale_[k], base);
+      fns.num_fill(cols_->head_numerics(a) + begin, n, xnum_[k],
+                   num_scale_[k], base);
     } else {
-      const ValueId* v = heads ? cols_->head_values(a) : cols_->values(a);
-      fns.cat_fill(xcol_[k], v + begin, n, base);
+      fns.cat_fill(xcol_[k], cols_->head_values(a) + begin, n, base);
     }
   }
   return base;
@@ -403,15 +391,13 @@ inline uint32_t BitRange(int64_t lo, int64_t hi) {
   return upto & ~((1u << lo) - 1u);
 }
 
-// Scalar-equivalent checks of the rows in `rows`: the sum of their
-// per-attribute alive bits (see DominanceKernel::EvalMasks).
-inline uint64_t MaskChecks(const uint32_t* level_active, size_t levels,
-                           uint32_t rows) {
-  uint64_t nch = 0;
-  for (size_t l = 0; l < levels; ++l) {
-    nch += static_cast<uint64_t>(__builtin_popcount(level_active[l] & rows));
-  }
-  return nch;
+// Set bits of a lane mask. Without -mpopcnt __builtin_popcount is a libgcc
+// call; this SWAR sum stays inline.
+inline uint32_t LaneCount(uint32_t x) {
+  x = x - ((x >> 1) & 0x55555555u);
+  x = (x & 0x33333333u) + ((x >> 2) & 0x33333333u);
+  x = (x + (x >> 4)) & 0x0F0F0F0Fu;
+  return (x * 0x01010101u) >> 24;
 }
 
 }  // namespace
@@ -425,7 +411,8 @@ DominanceKernel::DominanceKernel(const PruneContext& ctx,
       rows_(cols.source()),
       shared_(shared),
       dispatch_(ActiveKernelDispatch()),
-      promote_rows_(promote_rows) {
+      promote_rows_(promote_rows),
+      num_selected_(ctx.num_selected()) {
   NMRS_CHECK(ctx.table() != nullptr)
       << "DominanceKernel needs a table-backed PruneContext";
   for (AttrId a : ctx.selected()) {
@@ -438,19 +425,9 @@ DominanceKernel::DominanceKernel(const PruneContext& ctx,
     NMRS_CHECK(shared_->num_selected() == ctx.num_selected())
         << "sharing queries must agree on the attribute selection";
   }
-  block_epoch_.assign((cols.size() + kBlockRows - 1) / kBlockRows, 0);
-  prunes_.assign(cols.size(), 0);
-  nchecks_.assign(cols.size(), 0);
-  level_active_.assign(ctx.num_selected(), 0);
-  ring_left_.active.assign(ctx.num_selected(), 0);
-  ring_right_.active.assign(ctx.num_selected(), 0);
   promoted_ = promote_rows_ == 0;
-  runs_ = cols.collapses();
-  if (runs_) {
-    head_epoch_.assign((cols.num_runs() + kBlockRows - 1) / kBlockRows, 0);
-    head_prunes_.assign(head_epoch_.size(), 0);
-    head_checks_.assign(cols.num_runs(), 0);
-  }
+  windows_.resize((cols.num_runs() + kBlockRows - 1) / kBlockRows);
+  head_active_.assign(windows_.size() * num_selected_, 0);
 }
 
 void DominanceKernel::BeginCandidate() {
@@ -500,330 +477,156 @@ inline bool DominanceKernel::ProbeStep(size_t j, uint64_t* pair_tests,
   return false;
 }
 
-DominanceKernel::WindowMasks DominanceKernel::EvalMasks(
-    size_t begin, size_t n, uint32_t rows, uint32_t* level_active,
-    bool heads) {
-  const size_t m = ctx_->num_selected();
+void DominanceKernel::EvalHeadWindow(size_t r) {
+  const size_t b = r / kBlockRows;
+  const size_t begin = b * kBlockRows;
+  const size_t n = std::min(kBlockRows, cols_->num_runs() - begin);
   const LaneFns& fns = FnsFor(dispatch_);
-  const size_t block = begin / kBlockRows;
-  uint32_t active = rows;
+  uint32_t* level_active = active(b);
+  uint32_t alive = BitRange(0, static_cast<int64_t>(n) - 1);
   uint32_t strict_any = 0;
   size_t k = 0;
-  for (; k < m && active != 0; ++k) {
-    level_active[k] = active;
+  for (; k < num_selected_ && alive != 0; ++k) {
+    level_active[k] = alive;
     const AttrId a = ctx_->selected()[k];
     uint32_t viol = 0, strict = 0;
     if (shared_ != nullptr) {
-      fns.cmp(shared_->EnsureLhs(k, block, heads), n, active,
-              ctx_->QueryDist(k), &viol, &strict);
-    } else if (ctx_->SelectedIsNumeric(k)) {
-      const double* y = heads ? cols_->head_numerics(a) : cols_->numerics(a);
-      fns.num(y + begin, n, active, ctx_->candidate_numerics()[a],
-              ctx_->space().numeric(a).scale(), ctx_->QueryDist(k), &viol,
+      fns.cmp(shared_->EnsureLhs(k, b), n, alive, ctx_->QueryDist(k), &viol,
               &strict);
-    } else {
-      const ValueId* v = heads ? cols_->head_values(a) : cols_->values(a);
-      fns.cat(ctx_->CandidateColumn(k), v + begin, n, active,
+    } else if (ctx_->SelectedIsNumeric(k)) {
+      fns.num(cols_->head_numerics(a) + begin, n, alive,
+              ctx_->candidate_numerics()[a], ctx_->space().numeric(a).scale(),
               ctx_->QueryDist(k), &viol, &strict);
+    } else {
+      fns.cat(ctx_->CandidateColumn(k), cols_->head_values(a) + begin, n,
+              alive, ctx_->QueryDist(k), &viol, &strict);
     }
-    kernel_checks_ += static_cast<uint64_t>(__builtin_popcount(active));
+    kernel_checks_ += LaneCount(alive);
     strict_any |= strict;
-    active &= ~viol;
+    alive &= ~viol;
   }
-  // Rows that survived every attribute prune iff some attribute was
+  HeadWindow& w = windows_[b];
+  if (!w.shaped) {
+    // Bit planes of the run lengths - 1, once per window.
+    const uint32_t* rs = cols_->run_starts();
+    uint32_t planes[32] = {};
+    uint32_t used = 0;
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t t = 0;
+      for (uint32_t extra = rs[begin + i + 1] - rs[begin + i] - 1; extra != 0;
+           extra >>= 1) {
+        planes[t++] |= (extra & 1u) << i;
+      }
+      used = std::max(used, t);
+    }
+    w.shaped = true;
+    w.first_plane = static_cast<uint32_t>(planes_.size());
+    w.num_planes = used;
+    planes_.insert(planes_.end(), planes, planes + used);
+  }
+  w.epoch = epoch_;
+  // Heads that survived every attribute prune iff some attribute was
   // strictly closer (the scalar loop's `strict` flag — strict bits of
-  // violated rows are irrelevant).
-  return {k, active & strict_any};
-}
-
-void DominanceKernel::EvalWindow(size_t row) {
-  const size_t begin = row & ~(kBlockRows - 1);
-  const size_t n = std::min(kBlockRows, cols_->size() - begin);
-  const uint32_t all = BitRange(0, static_cast<int64_t>(n) - 1);
-  const WindowMasks w = EvalMasks(begin, n, all, level_active_.data());
-  block_epoch_[begin / kBlockRows] = epoch_;
+  // violated heads are irrelevant).
+  w.pruners = alive & strict_any;
+  w.levels = static_cast<uint32_t>(k);
   block_rows_ += n;
-  uint8_t* pr = prunes_.data() + begin;
-  uint16_t* nch = nchecks_.data() + begin;
-  for (size_t r = 0; r < n; ++r) {
-    pr[r] = static_cast<uint8_t>((w.pruners >> r) & 1u);
-    uint16_t c = 0;
-    for (size_t l = 0; l < w.levels; ++l) c += (level_active_[l] >> r) & 1u;
-    nch[r] = c;
-  }
 }
 
-uint64_t DominanceKernel::CountPruners(size_t begin, size_t end,
-                                       uint64_t* checks) {
-  uint64_t pruners = 0;
-  uint64_t nch = 0;
-  size_t j = begin;
-  // Partial blocks at the edges go through the cached per-row path.
-  while (j < end && j % kBlockRows != 0) {
-    EnsureRow(j);
-    pruners += prunes_[j];
-    nch += nchecks_[j];
-    ++j;
+inline uint64_t DominanceKernel::RowsIn(size_t b, uint32_t lanes) const {
+  const HeadWindow& w = windows_[b];
+  const uint32_t* planes = planes_.data() + w.first_plane;
+  uint64_t rows = LaneCount(lanes);
+  for (uint32_t t = 0; t < w.num_planes; ++t) {
+    rows += static_cast<uint64_t>(LaneCount(lanes & planes[t])) << t;
   }
-  // Full blocks need no per-row artifacts at all: the scalar accounting is
-  // one popcount per attribute and the pruner count one popcount of the
-  // pruner mask. Skipping the prunes_/nchecks_ writes (and their later
-  // re-reads) is what makes bulk counting memory-lean on batches that
-  // outgrow L1.
-  for (; j + kBlockRows <= end; j += kBlockRows) {
-    const WindowMasks w = EvalMasks(j, kBlockRows, ~0u, level_active_.data());
-    nch += MaskChecks(level_active_.data(), w.levels, ~0u);
-    pruners += static_cast<uint64_t>(__builtin_popcount(w.pruners));
-  }
-  for (; j < end; ++j) {
-    EnsureRow(j);
-    pruners += prunes_[j];
-    nch += nchecks_[j];
-  }
-  *checks += nch;
-  return pruners;
+  return rows;
 }
 
-bool DominanceKernel::RowPrunes(size_t j) {
-  EnsureRow(j);
-  return prunes_[j] != 0;
-}
-
-uint32_t DominanceKernel::RowChecks(size_t j) {
-  EnsureRow(j);
-  return nchecks_[j];
-}
-
-bool DominanceKernel::BulkWindow(size_t begin, size_t n,
-                                 uint64_t* pair_tests, uint64_t* checks) {
-  // Masks only — no prunes_/nchecks_ writes, no later re-reads.
-  // Restricting the accounting to the lanes at or before the first pruner
-  // reproduces the early-aborting loop's stop exactly.
-  const uint32_t all = BitRange(0, static_cast<int64_t>(n) - 1);
-  const WindowMasks w = EvalMasks(begin, n, all, level_active_.data());
-  block_rows_ += n;
-  const uint32_t counted =
-      w.pruners == 0 ? all : BitRange(0, __builtin_ctz(w.pruners));
-  *pair_tests += static_cast<uint64_t>(__builtin_popcount(counted));
-  *checks += MaskChecks(level_active_.data(), w.levels, counted);
-  return w.pruners != 0;
-}
-
-bool DominanceKernel::FindPrunerForward(size_t begin, size_t end,
-                                        RowId skip_id, uint64_t* pair_tests,
-                                        uint64_t* checks) {
-  if (runs_) return ForwardRuns(begin, end, skip_id, pair_tests, checks);
-  const RowId* ids = cols_->ids();
-  size_t j = begin;
-  // Pre-promotion: the exact scalar early-abort loop.
-  for (; j < end && !promoted_; ++j) {
-    if (ids[j] != skip_id && ProbeStep(j, pair_tests, checks)) return true;
+uint32_t DominanceKernel::RunChecks(size_t r) {
+  const size_t b = r / kBlockRows;
+  const uint32_t* level_active = active(b);
+  uint32_t nch = 0;
+  for (size_t l = 0; l < windows_[b].levels; ++l) {
+    nch += (level_active[l] >> (r % kBlockRows)) & 1u;
   }
-  // Post-promotion: window at a time. Windows fully inside the range with
-  // no prior evaluation and no skipped row take the bulk path; the rest
-  // (range edges, blocks already evaluated for this candidate, the window
-  // holding skip_id) go through the per-row artifacts so reuse stays
-  // coherent.
-  while (j < end) {
-    const size_t wb = j & ~(kBlockRows - 1);
-    const size_t wn = std::min(kBlockRows, cols_->size() - wb);
-    const size_t we = std::min(end, wb + wn);
-    const bool per_row = j != wb || we != wb + wn ||
-                         BlockReady(wb / kBlockRows) ||
-                         FnsFor(dispatch_).eq(ids + wb, wn, skip_id) != 0;
-    if (per_row) {
-      for (; j < we; ++j) {
-        if (ids[j] == skip_id) continue;
-        ++*pair_tests;
-        EnsureRow(j);
-        *checks += nchecks_[j];
-        if (prunes_[j]) return true;
-      }
-      continue;
-    }
-    if (BulkWindow(wb, wn, pair_tests, checks)) return true;
-    j = wb + wn;
-  }
-  return false;
-}
-
-DominanceKernel::ProbeResult DominanceKernel::ProbeForward(
-    size_t begin, size_t end, RowId skip_id, uint64_t* pair_tests,
-    uint64_t* checks) {
-  if (promoted_) return ProbeResult::kPromoted;
-  const RowId* ids = cols_->ids();
-  for (size_t j = begin; j < end; ++j) {
-    if (ids[j] == skip_id) continue;
-    if (ProbeStep(j, pair_tests, checks)) return ProbeResult::kPruner;
-    if (promoted_) return ProbeResult::kPromoted;
-  }
-  return ProbeResult::kExhausted;
-}
-
-bool DominanceKernel::FindPrunerRing(size_t center, RowId skip_id,
-                                     uint64_t* pair_tests,
-                                     uint64_t* checks) {
-  const size_t n = cols_->size();
-  const RowId* ids = cols_->ids();
-  // Pre-promotion: the scalar ring itself.
-  size_t off = 1;
-  for (; off < n && !promoted_; ++off) {
-    if (off <= center && ids[center - off] != skip_id &&
-        ProbeStep(center - off, pair_tests, checks)) {
-      return true;
-    }
-    if (promoted_) {
-      // Promoted between L(off) and R(off): the walk resumes at R(off).
-      return runs_ ? RingRuns(center, skip_id, off + 1, off, pair_tests,
-                              checks)
-                   : RingWalk(center, skip_id, off + 1, off, pair_tests,
-                              checks);
-    }
-    if (center + off < n && ids[center + off] != skip_id &&
-        ProbeStep(center + off, pair_tests, checks)) {
-      return true;
-    }
-  }
-  if (!promoted_) return false;
-  return runs_ ? RingRuns(center, skip_id, off, off, pair_tests, checks)
-               : RingWalk(center, skip_id, off, off, pair_tests, checks);
-}
-
-void DominanceKernel::EvalRingWindow(size_t first, size_t last,
-                                     RowId skip_id, RingWindow* w) {
-  w->begin = first & ~(kBlockRows - 1);
-  const size_t n = std::min(kBlockRows, cols_->size() - w->begin);
-  const uint32_t rows = BitRange(static_cast<int64_t>(first - w->begin),
-                                 static_cast<int64_t>(last - w->begin));
-  w->rows =
-      rows & ~FnsFor(dispatch_).eq(cols_->ids() + w->begin, n, skip_id);
-  w->masks = EvalMasks(w->begin, n, w->rows, w->active.data());
-  block_rows_ += static_cast<uint64_t>(__builtin_popcount(w->rows));
-}
-
-bool DominanceKernel::RingWalk(size_t center, RowId skip_id,
-                               size_t left_off, size_t right_off,
-                               uint64_t* pair_tests, uint64_t* checks) {
-  // Each side holds one window: the block containing its next unvisited
-  // row, evaluated over that side's unvisited rows only. Offsets up to the
-  // nearer window edge (`last`) are covered on both sides, so the step
-  // resolves them all at once: with no pruner among them their rows are
-  // accounted in bulk; otherwise the nearest pruner — the left one on a
-  // tie, as the left row at an offset is tested first — ends the scan, and
-  // exactly the rows the scalar ring visits before and including it are
-  // accounted. A window is re-evaluated only once its block is consumed,
-  // so the walk visits each absolute 32-row block at most once per side.
-  const int64_t c = static_cast<int64_t>(center);
-  const int64_t n = static_cast<int64_t>(cols_->size());
-  RingWindow& lw = ring_left_;
-  RingWindow& rw = ring_right_;
-  bool left_ready = false, right_ready = false;
-  auto account = [&](const RingWindow& w, uint32_t mask) {
-    *pair_tests += static_cast<uint64_t>(__builtin_popcount(w.rows & mask));
-    *checks += MaskChecks(w.active.data(), w.masks.levels, mask);
-  };
-  int64_t lo = static_cast<int64_t>(left_off);
-  int64_t ro = static_cast<int64_t>(right_off);
-  constexpr int64_t kNone = std::numeric_limits<int64_t>::max();
-  while (true) {
-    const bool left_live = lo <= c;
-    const bool right_live = c + ro < n;
-    if (!left_live && !right_live) return false;
-    int64_t left_last = kNone, right_last = kNone;
-    if (left_live) {
-      if (!left_ready) {
-        const size_t top = static_cast<size_t>(c - lo);
-        EvalRingWindow(top & ~(kBlockRows - 1), top, skip_id, &lw);
-        left_ready = true;
-      }
-      left_last = c - static_cast<int64_t>(lw.begin);
-    }
-    if (right_live) {
-      if (!right_ready) {
-        const size_t bottom = static_cast<size_t>(c + ro);
-        const size_t block_end =
-            std::min((bottom | (kBlockRows - 1)) + 1, cols_->size());
-        EvalRingWindow(bottom, block_end - 1, skip_id, &rw);
-        right_ready = true;
-      }
-      right_last =
-          std::min(static_cast<int64_t>(rw.begin + kBlockRows), n) - 1 - c;
-    }
-    const int64_t last = std::min(left_last, right_last);
-    const int64_t lb = static_cast<int64_t>(lw.begin);
-    const int64_t rb = static_cast<int64_t>(rw.begin);
-    // This step's rows: offsets [lo, last] left, [ro, last] right.
-    uint32_t lmask = left_live ? BitRange(c - last - lb, c - lo - lb) : 0;
-    uint32_t rmask = right_live ? BitRange(c + ro - rb, c + last - rb) : 0;
-    const uint32_t lp = lw.masks.pruners & lmask;
-    const uint32_t rp = rw.masks.pruners & rmask;
-    if ((lp | rp) != 0) {
-      // The nearest left pruner is the highest left bit, the nearest right
-      // one the lowest right bit.
-      const int64_t left_hit = lp != 0 ? c - (lb + 31 - __builtin_clz(lp))
-                                       : kNone;
-      const int64_t right_hit = rp != 0 ? rb + __builtin_ctz(rp) - c : kNone;
-      const int64_t stop = std::min(left_hit, right_hit);
-      lmask &= BitRange(c - stop - lb, 31);
-      rmask &= BitRange(0, c + (left_hit <= right_hit ? stop - 1 : stop) - rb);
-      if (left_live) account(lw, lmask);
-      if (right_live) account(rw, rmask);
-      return true;
-    }
-    if (left_live) account(lw, lmask);
-    if (right_live) account(rw, rmask);
-    lo = ro = last + 1;
-    if (last == left_last) left_ready = false;
-    if (last == right_last) right_ready = false;
-  }
-}
-
-void DominanceKernel::EvalHeadWindow(size_t r) {
-  const size_t begin = r & ~(kBlockRows - 1);
-  const size_t n = std::min(kBlockRows, cols_->num_runs() - begin);
-  const uint32_t all = BitRange(0, static_cast<int64_t>(n) - 1);
-  const WindowMasks w =
-      EvalMasks(begin, n, all, level_active_.data(), /*heads=*/true);
-  head_epoch_[begin / kBlockRows] = epoch_;
-  head_prunes_[begin / kBlockRows] = w.pruners;
-  block_rows_ += n;
-  // A head first violated at attribute k is alive at exactly k+1 levels.
-  uint16_t* nch = head_checks_.data() + begin;
-  std::fill(nch, nch + n, uint16_t{0});
-  for (size_t l = 0; l < w.levels; ++l) {
-    for (uint32_t m = level_active_[l]; m != 0; m &= m - 1) {
-      ++nch[__builtin_ctz(m)];
-    }
-  }
+  return nch;
 }
 
 void DominanceKernel::AccountRuns(size_t lo, size_t hi, RowId skip_id,
                                   uint64_t* pair_tests, uint64_t* checks) {
+  if (lo >= hi) return;
   const uint32_t* rs = cols_->run_starts();
-  const size_t r0 = cols_->run_of(lo);
-  const size_t r1 = cols_->run_of(hi - 1);
+  const size_t first = cols_->run_of(lo);
+  const size_t last = cols_->run_of(hi - 1);
+  // Whole runs [first, last], window by window: a run alive at attribute
+  // k adds its rows there.
   uint64_t nch = 0;
-  for (size_t r = r0; r <= r1; ++r) {
-    nch += static_cast<uint64_t>(rs[r + 1] - rs[r]) * head_checks_[r];
+  for (size_t r = first; r <= last; r = (r | (kBlockRows - 1)) + 1) {
+    const size_t b = r / kBlockRows;
+    const size_t base = b * kBlockRows;
+    const uint32_t lanes = BitRange(static_cast<int64_t>(r - base),
+                                    static_cast<int64_t>(last - base));
+    const uint32_t* level_active = active(b);
+    const uint32_t levels = windows_[b].levels;
+    for (size_t l = 0; l < levels; ++l) {
+      nch += RowsIn(b, level_active[l] & lanes);
+    }
   }
-  nch -= static_cast<uint64_t>(lo - rs[r0]) * head_checks_[r0];
-  nch -= static_cast<uint64_t>(rs[r1 + 1] - hi) * head_checks_[r1];
+  // The range may cut its first and last runs.
+  if (lo != rs[first]) nch -= (lo - rs[first]) * RunChecks(first);
+  if (hi != rs[last + 1]) nch -= (rs[last + 1] - hi) * RunChecks(last);
   uint64_t rows = hi - lo;
-  const LaneFns& fns = FnsFor(dispatch_);
-  for (size_t b = lo; b < hi; b += kBlockRows) {
-    for (uint32_t m = fns.eq(cols_->ids() + b, std::min(kBlockRows, hi - b),
-                             skip_id);
-         m != 0; m &= m - 1) {
+  if (skip_id != kInvalidRowId) {
+    const RowId* ids = cols_->ids();
+    const LaneFns& fns = FnsFor(dispatch_);
+    for (size_t s = lo + fns.find(ids + lo, hi - lo, skip_id); s < hi;
+         s += 1 + fns.find(ids + s + 1, hi - s - 1, skip_id)) {
       --rows;
-      nch -= head_checks_[cols_->run_of(b + __builtin_ctz(m))];
+      nch -= RunChecks(cols_->run_of(s));
     }
   }
   *pair_tests += rows;
   *checks += nch;
 }
 
-bool DominanceKernel::ForwardRuns(size_t begin, size_t end, RowId skip_id,
-                                  uint64_t* pair_tests, uint64_t* checks) {
+uint64_t DominanceKernel::CountPruners(size_t begin, size_t end,
+                                       uint64_t* checks) {
+  if (begin >= end) return 0;
+  const uint32_t* rs = cols_->run_starts();
+  const size_t first = cols_->run_of(begin);
+  const size_t last = cols_->run_of(end - 1);
+  uint64_t pruners = 0;
+  for (size_t r = first; r <= last; r = (r | (kBlockRows - 1)) + 1) {
+    EnsureHead(r);
+    const size_t b = r / kBlockRows;
+    const size_t base = b * kBlockRows;
+    pruners += RowsIn(b, windows_[b].pruners &
+                             BitRange(static_cast<int64_t>(r - base),
+                                      static_cast<int64_t>(last - base)));
+  }
+  if (RowPrunes(begin)) pruners -= begin - rs[first];
+  if (RowPrunes(end - 1)) pruners -= rs[last + 1] - end;
+  uint64_t pair_tests = 0;
+  AccountRuns(begin, end, kInvalidRowId, &pair_tests, checks);
+  return pruners;
+}
+
+bool DominanceKernel::RowPrunes(size_t j) {
+  const size_t r = cols_->run_of(j);
+  EnsureHead(r);
+  return (windows_[r / kBlockRows].pruners >> (r % kBlockRows)) & 1u;
+}
+
+uint32_t DominanceKernel::RowChecks(size_t j) {
+  const size_t r = cols_->run_of(j);
+  EnsureHead(r);
+  return RunChecks(r);
+}
+
+bool DominanceKernel::FindPrunerForward(size_t begin, size_t end,
+                                        RowId skip_id, uint64_t* pair_tests,
+                                        uint64_t* checks) {
   // Every visited row of a run has the head's verdict and check count, so
   // the scalar loop's accounting is (visited rows) x (head checks) per run
   // that does not prune, plus the first visited row of the first run that
@@ -853,15 +656,18 @@ bool DominanceKernel::ForwardRuns(size_t begin, size_t end, RowId skip_id,
       ++promotions_;
     }
   }
-  // Promoted: one 32-head window at a time; the first pruning run with a
-  // visited row ends the scan at that row.
+  // Promoted: one 32-head window at a time up to the first pruning run
+  // with a visited row, which ends the scan at that row; then the rows up
+  // to the stop are accounted at once.
+  const size_t from = j;
+  size_t stop = end;
+  bool found = false;
   const size_t last_run = j < end ? cols_->run_of(end - 1) : 0;
-  while (j < end) {
+  while (j < end && !found) {
     const size_t base = r & ~(kBlockRows - 1);
     const size_t last = std::min(base + kBlockRows - 1, last_run);
     EnsureHead(r);
-    const size_t stop = std::min<size_t>(rs[last + 1], end);
-    for (uint32_t m = head_prunes_[base / kBlockRows] &
+    for (uint32_t m = windows_[base / kBlockRows].pruners &
                       BitRange(static_cast<int64_t>(r - base),
                                static_cast<int64_t>(last - base));
          m != 0; m &= m - 1) {
@@ -870,15 +676,54 @@ bool DominanceKernel::ForwardRuns(size_t begin, size_t end, RowId skip_id,
       size_t first = std::max<size_t>(rs[p], j);
       while (first < p_end && ids[first] == skip_id) ++first;
       if (first < p_end) {
-        AccountRuns(j, first + 1, skip_id, pair_tests, checks);
-        return true;
+        stop = first + 1;
+        found = true;
+        break;
       }
     }
-    AccountRuns(j, stop, skip_id, pair_tests, checks);
-    j = stop;
+    j = std::min<size_t>(rs[last + 1], end);
     r = last + 1;
   }
-  return false;
+  AccountRuns(from, stop, skip_id, pair_tests, checks);
+  return found;
+}
+
+DominanceKernel::ProbeResult DominanceKernel::ProbeForward(
+    size_t begin, size_t end, RowId skip_id, uint64_t* pair_tests,
+    uint64_t* checks) {
+  if (promoted_) return ProbeResult::kPromoted;
+  const RowId* ids = cols_->ids();
+  for (size_t j = begin; j < end; ++j) {
+    if (ids[j] == skip_id) continue;
+    if (ProbeStep(j, pair_tests, checks)) return ProbeResult::kPruner;
+    if (promoted_) return ProbeResult::kPromoted;
+  }
+  return ProbeResult::kExhausted;
+}
+
+bool DominanceKernel::FindPrunerRing(size_t center, RowId skip_id,
+                                     uint64_t* pair_tests,
+                                     uint64_t* checks) {
+  const size_t n = cols_->size();
+  const RowId* ids = cols_->ids();
+  // Pre-promotion: the scalar ring itself.
+  size_t off = 1;
+  for (; off < n && !promoted_; ++off) {
+    if (off <= center && ids[center - off] != skip_id &&
+        ProbeStep(center - off, pair_tests, checks)) {
+      return true;
+    }
+    if (promoted_) {
+      // Promoted between L(off) and R(off): the walk resumes at R(off).
+      return RingRuns(center, skip_id, off + 1, off, pair_tests, checks);
+    }
+    if (center + off < n && ids[center + off] != skip_id &&
+        ProbeStep(center + off, pair_tests, checks)) {
+      return true;
+    }
+  }
+  if (!promoted_) return false;
+  return RingRuns(center, skip_id, off, off, pair_tests, checks);
 }
 
 bool DominanceKernel::RingRuns(size_t center, RowId skip_id,
@@ -924,7 +769,7 @@ bool DominanceKernel::RingRuns(size_t center, RowId skip_id,
       // Runs [base, lr], nearest first: the highest pruner bit.
       const int64_t base = lr & ~(kBlock - 1);
       EnsureHead(static_cast<size_t>(lr));
-      for (uint32_t m = head_prunes_[static_cast<size_t>(lr / kBlock)] &
+      for (uint32_t m = windows_[static_cast<size_t>(lr / kBlock)].pruners &
                         BitRange(0, lr - base);
            m != 0;) {
         const int bit = 31 - __builtin_clz(m);
@@ -946,7 +791,7 @@ bool DominanceKernel::RingRuns(size_t center, RowId skip_id,
       const int64_t base = rr & ~(kBlock - 1);
       const int64_t top = std::min(base + kBlock - 1, num_runs - 1);
       EnsureHead(static_cast<size_t>(rr));
-      for (uint32_t m = head_prunes_[static_cast<size_t>(rr / kBlock)] &
+      for (uint32_t m = windows_[static_cast<size_t>(rr / kBlock)].pruners &
                         BitRange(rr - base, top - base);
            m != 0; m &= m - 1) {
         const int64_t p = base + __builtin_ctz(m);

@@ -38,11 +38,12 @@ void ForceScalarKernelDispatchForTest(bool force);
 /// once per candidate, and hand the cache to every query's
 /// DominanceKernel.
 ///
-/// Blocks of 32 rows x one selected attribute are filled lazily on first
-/// demand by any sharing kernel. The cached doubles are loaded/computed by
-/// the same operations as the fused lane evaluators, so verdicts stay
-/// bit-identical. Not thread-safe: one cache serves the kernels of one
-/// shared scan, which evaluate a candidate's queries sequentially.
+/// Blocks of 32 run heads (the kernel's lanes) x one selected attribute
+/// are filled lazily on first demand by any sharing kernel. The cached
+/// doubles are loaded/computed by the same operations as the fused lane
+/// evaluators, so verdicts stay bit-identical. Not thread-safe: one cache
+/// serves the kernels of one shared scan, which evaluate a candidate's
+/// queries sequentially.
 class SharedCandidateCache {
  public:
   /// Binds the cache to a batch; `ctx` supplies the attribute selection
@@ -51,15 +52,15 @@ class SharedCandidateCache {
   /// Both are borrowed and must outlive the cache.
   void Attach(const PruneContext& ctx, const ColumnarBatch& cols);
 
-  /// Fixes candidate X and invalidates every cached block. Any sharing
+  /// Fixes candidate X and invalidates every cached block in O(1): blocks
+  /// are stamped with the candidate epoch that filled them. Any sharing
   /// query's context works: the candidate columns and numeric values it
   /// caches are query-independent.
   void SetCandidate(const PruneContext& ctx);
 
-  /// The lhs array for selected attribute k over rows
-  /// [block*32, min(block*32+32, n)), filling it on first touch. With
-  /// `heads` the rows are the batch's run heads (ColumnarBatch::collapses).
-  const double* EnsureLhs(size_t k, size_t block, bool heads = false);
+  /// The lhs array for selected attribute k over run heads
+  /// [block*32, min(block*32+32, num_runs)), filling it on first touch.
+  const double* EnsureLhs(size_t k, size_t block);
 
   bool attached() const { return cols_ != nullptr; }
   const ColumnarBatch* batch() const { return cols_; }
@@ -77,16 +78,12 @@ class SharedCandidateCache {
   std::vector<double> num_scale_;   // numeric k: dissimilarity scale
   std::vector<const double*> xcol_; // categorical k: column d(., x)
   std::vector<double> xnum_;        // numeric k: candidate value
-  // The cached lhs blocks of one lane source: the rows, or the run heads.
-  struct Plane {
-    size_t rows = 0;
-    size_t padded_rows = 0;
-    size_t num_blocks = 0;
-    std::vector<double> lhs;        // [k * padded_rows + row]
-    std::vector<uint8_t> ready;     // [k * num_blocks + block]
-    void Reset(size_t num_rows, size_t m);
-  };
-  Plane rows_, heads_;
+  size_t heads_ = 0;                // lanes: the batch's run heads
+  size_t padded_heads_ = 0;         // heads_ rounded up to whole blocks
+  size_t num_blocks_ = 0;
+  std::vector<double> lhs_;         // [k * padded_heads_ + head]
+  std::vector<uint64_t> filled_;    // [k * num_blocks_ + block]: epoch
+  uint64_t epoch_ = 1;              // current candidate's epoch
   uint64_t blocks_filled_ = 0;
 };
 
@@ -100,8 +97,23 @@ class SharedCandidateCache {
 /// (PruneContext::CandidateColumn), indexed by the attribute's contiguous
 /// value-id column of the ColumnarBatch — a gather -> compare -> movemask
 /// shape. Per attribute the kernel ANDs survivor masks across the block and
-/// early-exits the attribute loop as soon as no row in the block can still
+/// early-exits the attribute loop as soon as no lane in the block can still
 /// be a pruner.
+///
+/// ## Runs
+///
+/// The lanes are the batch's run heads (ColumnarBatch run index): every
+/// row of a run of identical rows has its head's verdict and check count,
+/// so a block window evaluates 32 runs, and a batch without adjacent
+/// duplicates is simply one whose runs all have length 1. Each evaluated
+/// window keeps its per-attribute alive masks, and the scalar accounting
+/// of a row range is rebuilt from them: every visited row adds its run's
+/// check count, so per attribute the range adds the rows of the runs
+/// still alive there. That is one popcount in a window of length-1 runs,
+/// plus one per bit plane of the run lengths elsewhere (RowsIn). A pruning
+/// run stops a scan at its first visited row, rows with id == skip_id are
+/// left out, and the ring treats the candidate's own run as a left and a
+/// right part.
 ///
 /// ## Adaptive dispatch (promote_rows)
 ///
@@ -110,10 +122,12 @@ class SharedCandidateCache {
 /// plain scalar loop. The Find* adapters therefore start every candidate
 /// on an exact replica of the scalar early-aborting loop — over the
 /// row-major source batch when the ColumnarBatch has one — and promote it
-/// to 32-row block windows only after it survives `promote_rows` tests
-/// (0 promotes immediately). The promotion decision depends only on
-/// verdicts, which are dispatch-invariant — so promotions, scalar/block row
-/// splits and kernel_checks all agree between the AVX2 and portable paths.
+/// to 32-head block windows only after it survives `promote_rows` tests
+/// (0 promotes immediately). The forward scan probes one head per run, and
+/// the probe answers all of the run's visited rows, which count toward
+/// promote_rows. The promotion decision depends only on verdicts, which
+/// are dispatch-invariant — so promotions, scalar/block splits and
+/// kernel_checks all agree between the AVX2 and portable paths.
 ///
 /// ## Equivalence contract (docs/KERNELS.md)
 ///
@@ -127,22 +141,8 @@ class SharedCandidateCache {
 /// num_selected() if none) — probed rows natively, block rows from the
 /// per-attribute survivor masks — and they stop at the first pruner in the
 /// same search order. The block path's own work is reported separately as
-/// kernel_checks(): per attribute processed it adds the number of rows
-/// still alive in the window — a dispatch-independent count equal to the
-/// sum of the block-evaluated rows' scalar check counts plus the lanes past
-/// an adapter's first pruner that the window computed anyway.
-///
-/// ## Runs (ColumnarBatch::collapses)
-///
-/// On a batch whose runs of identical rows collapse it, FindPrunerForward
-/// and the promoted half of FindPrunerRing evaluate run heads instead of
-/// rows — in 32-head block windows through the same lane evaluators — and
-/// rebuild the scalar accounting per run: every visited row of a run adds
-/// the run's check count, a pruning run stops the scan at its first
-/// visited row, rows with id == skip_id are left out, and the ring treats
-/// the candidate's own run as a left and a right part. The collapsed
-/// forward scan also probes heads before promotion: one probe answers the
-/// run's visited rows, which all count toward promote_rows.
+/// kernel_checks(): per attribute processed it adds the number of lanes
+/// (run heads) still alive in the window, a dispatch-independent count.
 ///
 /// The context must be table-backed (QueryDistanceTable) — all wired
 /// algorithms build one — and both `ctx` and `cols` (and its source batch)
@@ -154,9 +154,9 @@ class SharedCandidateCache {
 /// track ctx's.
 class DominanceKernel {
  public:
-  /// Rows evaluated per block window (one bitmask word). Windows are
-  /// aligned to absolute multiples of kBlockRows, the SharedCandidateCache
-  /// block geometry.
+  /// Lanes (run heads) evaluated per block window (one bitmask word).
+  /// Windows are aligned to absolute multiples of kBlockRows, the
+  /// SharedCandidateCache block geometry.
   static constexpr size_t kBlockRows = 32;
 
   DominanceKernel(const PruneContext& ctx, const ColumnarBatch& cols,
@@ -171,9 +171,8 @@ class DominanceKernel {
   /// id != skip_id prunes the current candidate, stopping there. Adds the
   /// scalar-equivalent pair/check counts (rows with id == skip_id are
   /// skipped without counting, like the scalar loops). Once the candidate
-  /// is promoted, whole untouched windows are evaluated in bulk — masks
-  /// only, no per-row artifacts — with the scalar accounting reconstructed
-  /// from the per-attribute survivor masks (see BulkWindow).
+  /// is promoted, the scan walks 32-head windows, with the scalar
+  /// accounting rebuilt from the per-attribute survivor masks.
   bool FindPrunerForward(size_t begin, size_t end, RowId skip_id,
                          uint64_t* pair_tests, uint64_t* checks);
 
@@ -199,17 +198,13 @@ class DominanceKernel {
   /// Expanding-ring scan around `center` (offsets +-1, +-2, ..., the left
   /// row first at each offset: the SRS phase-1 order), same contract as
   /// FindPrunerForward. Before promotion the ring is probed row by row;
-  /// after it, the walk evaluates one 32-row window per side — the block
-  /// holding the side's next unvisited row, restricted to the unvisited
-  /// rows — and consumes both windows offset by offset up to the nearer
-  /// window edge: pruner-free spans are accounted in bulk from the survivor
-  /// masks, and the span holding the first pruner stops at exactly the
-  /// offset (and side) where the scalar ring would. See RingWalk.
+  /// after it, RingRuns finds the nearest pruning run window by window and
+  /// accounts exactly the rows the scalar ring visits before stopping.
   bool FindPrunerRing(size_t center, RowId skip_id, uint64_t* pair_tests,
                       uint64_t* checks);
 
   /// Bulk evaluation of rows [begin, end) with no early exit: computes
-  /// every block, adds the scalar-equivalent check count of every row to
+  /// every window, adds the scalar-equivalent check count of every row to
   /// *checks, and returns how many rows prune the candidate. Entry point
   /// for the throughput benchmarks (bench_kernels), where the per-row
   /// adapter call overhead would drown the lane work being measured.
@@ -217,21 +212,20 @@ class DominanceKernel {
   /// adapters only).
   uint64_t CountPruners(size_t begin, size_t end, uint64_t* checks);
 
-  /// Per-row outcome of the current candidate, computing the row's window
-  /// on first touch. Exposed for tests.
+  /// Per-row outcome of the current candidate, read off the row's run,
+  /// whose window is computed on first touch. Exposed for tests.
   bool RowPrunes(size_t j);
   /// Scalar-equivalent attribute-check count for row j (first violated
   /// attribute + 1, or num_selected() when none is violated).
   uint32_t RowChecks(size_t j);
 
-  /// Alive attribute lanes (rows or run heads) evaluated by the block path
-  /// since construction (see class comment). Dispatch-independent.
+  /// Alive attribute lanes (run heads) evaluated by the block path since
+  /// construction (see class comment). Dispatch-independent.
   uint64_t kernel_checks() const { return kernel_checks_; }
 
   /// Adaptive-policy telemetry since construction, dispatch-independent:
   /// candidates promoted to block evaluation, scalar probes (of a row or
-  /// of a run head), and lanes (rows or run heads) evaluated by block
-  /// windows.
+  /// of a run head), and lanes (run heads) evaluated by block windows.
   uint64_t promotions() const { return promotions_; }
   uint64_t scalar_rows() const { return scalar_rows_; }
   uint64_t block_rows() const { return block_rows_; }
@@ -240,39 +234,39 @@ class DominanceKernel {
   KernelDispatch dispatch() const { return dispatch_; }
 
  private:
-  // Outcome of a masks-only window evaluation (EvalMasks).
-  struct WindowMasks {
-    size_t levels = 0;      // attributes evaluated before the rows died out
-    uint32_t pruners = 0;   // rows that prune the candidate
-  };
-  // One side of the promoted ring walk: the window it is consuming.
-  struct RingWindow {
-    size_t begin = 0;       // first row of the 32-row block
-    uint32_t rows = 0;      // evaluated rows (unvisited, not skip_id)
-    WindowMasks masks;
-    std::vector<uint32_t> active;  // per attribute, rows alive at it
+  // The current candidate's outcome on one 32-head window.
+  struct HeadWindow {
+    uint64_t epoch = 0;     // candidate epoch of the evaluation
+    uint32_t pruners = 0;   // heads that prune the candidate
+    uint32_t levels = 0;    // attributes evaluated before the heads died out
+    // Candidate-independent, set on the first evaluation: bit t of each
+    // head's run length - 1 is in planes_[first_plane + t]; windows of
+    // length-1 runs have no planes.
+    bool shaped = false;
+    uint32_t first_plane = 0;
+    uint32_t num_planes = 0;
   };
 
-  // Lane evaluation of rows [begin, begin+n) restricted to `rows` (bit w =
-  // row begin+w; begin is block-aligned). Stores each attribute's
-  // still-alive rows in level_active[k] — a row first violated at
-  // attribute k is alive at exactly its k+1 scalar checks, so summing
-  // popcounts over levels yields the scalar accounting of any row subset
-  // (MaskChecks) — and adds the alive lanes to kernel_checks_.
-  // With `heads` the lanes are run heads [begin, begin+n) instead of rows.
-  WindowMasks EvalMasks(size_t begin, size_t n, uint32_t rows,
-                        uint32_t* level_active, bool heads = false);
-  // Evaluates the whole 32-row block containing `row` into the per-row
-  // artifacts and marks it ready.
-  void EvalWindow(size_t row);
-  // Block artifacts are valid iff evaluated for the current candidate.
+  // Evaluates the 32-head window holding run r for the current candidate:
+  // its pruner mask and, per attribute k < levels, the heads still alive
+  // at k in active(b) — a head first violated at attribute k is alive at
+  // exactly its k+1 scalar checks, so summing the rows of the alive runs
+  // over levels (RowsIn) yields the scalar accounting of any run subset.
+  // Adds the alive lanes to kernel_checks_.
+  void EvalHeadWindow(size_t r);
+  // Window artifacts are valid iff evaluated for the current candidate.
   // Epochs make BeginCandidate O(1) — with one kernel check per candidate
-  // over thousands of candidates per batch, clearing a per-block array
+  // over thousands of candidates per batch, clearing a per-window array
   // each time would cost O(rows^2) per batch.
-  inline bool BlockReady(size_t b) const { return block_epoch_[b] == epoch_; }
-  inline void EnsureRow(size_t j) {
-    if (!BlockReady(j / kBlockRows)) EvalWindow(j);
+  void EnsureHead(size_t r) {
+    if (windows_[r / kBlockRows].epoch != epoch_) EvalHeadWindow(r);
   }
+  uint32_t* active(size_t b) { return head_active_.data() + b * num_selected_; }
+  // Rows of the runs in `lanes` of window b: one popcount, plus one per
+  // bit plane of the window's run lengths.
+  uint64_t RowsIn(size_t b, uint32_t lanes) const;
+  // Scalar-equivalent checks of run r, whose window is evaluated.
+  uint32_t RunChecks(size_t r);
   // Exact scalar probe of row j: PruneContext::Prunes on the source
   // batch's row, or ProbeColumns when there is none. Adds the row's checks
   // to *checks.
@@ -284,37 +278,14 @@ class DominanceKernel {
   // checks, returns whether j prunes, and promotes the candidate once it
   // has survived promote_rows tests.
   bool ProbeStep(size_t j, uint64_t* pair_tests, uint64_t* checks);
-  // Bulk evaluation of the whole window [begin, begin+n) with no per-row
-  // artifacts, used by the promoted forward scan. Adds the exact scalar
-  // accounting (stopping at the first pruner like the early-aborting
-  // loop) and returns whether the window contains one. The window must
-  // not contain the skipped row or an already-evaluated block.
-  bool BulkWindow(size_t begin, size_t n, uint64_t* pair_tests,
-                  uint64_t* checks);
-  // The promoted half of FindPrunerRing: continues the ring at offset
-  // `left_off` on the left and `right_off` on the right (left_off is
-  // right_off or right_off + 1).
-  bool RingWalk(size_t center, RowId skip_id, size_t left_off,
-                size_t right_off, uint64_t* pair_tests, uint64_t* checks);
-  // Evaluates `w` over rows [first, last] of the block holding them,
-  // minus rows whose id is skip_id.
-  void EvalRingWindow(size_t first, size_t last, RowId skip_id,
-                      RingWindow* w);
-  // Run-head artifacts of the current candidate: the 32-head block holding
-  // run r is evaluated on first touch.
-  void EnsureHead(size_t r) {
-    if (head_epoch_[r / kBlockRows] != epoch_) EvalHeadWindow(r);
-  }
-  void EvalHeadWindow(size_t r);
   // Adds the scalar accounting of rows [lo, hi) minus those with id
   // skip_id: one pair test and the run's checks each. Every run the range
   // touches must be evaluated for the current candidate.
   void AccountRuns(size_t lo, size_t hi, RowId skip_id, uint64_t* pair_tests,
                    uint64_t* checks);
-  // FindPrunerForward over runs (cols_->collapses()).
-  bool ForwardRuns(size_t begin, size_t end, RowId skip_id,
-                   uint64_t* pair_tests, uint64_t* checks);
-  // RingWalk over runs: the same offsets, the same accounting.
+  // The promoted half of FindPrunerRing: continues the ring at offset
+  // `left_off` on the left and `right_off` on the right (left_off is
+  // right_off or right_off + 1).
   bool RingRuns(size_t center, RowId skip_id, size_t left_off,
                 size_t right_off, uint64_t* pair_tests, uint64_t* checks);
 
@@ -324,17 +295,11 @@ class DominanceKernel {
   SharedCandidateCache* shared_;
   KernelDispatch dispatch_;
   uint32_t promote_rows_;
+  size_t num_selected_;
   uint64_t epoch_ = 1;                  // current candidate's epoch
-  std::vector<uint64_t> block_epoch_;   // per block: last evaluation
-  std::vector<uint8_t> prunes_;         // per row, current candidate
-  std::vector<uint16_t> nchecks_;       // per row, scalar-equivalent checks
-  std::vector<uint32_t> level_active_;  // per attribute, EvalMasks scratch
-  RingWindow ring_left_, ring_right_;
-  // Run walk (cols_->collapses()); per-head artifacts per 32-head block.
-  bool runs_ = false;
-  std::vector<uint64_t> head_epoch_;    // per head block: last evaluation
-  std::vector<uint32_t> head_prunes_;   // per head block: pruner mask
-  std::vector<uint16_t> head_checks_;   // per run, scalar-equivalent checks
+  std::vector<HeadWindow> windows_;     // per 32-head window
+  std::vector<uint32_t> head_active_;   // [window * m + k], see EvalHeadWindow
+  std::vector<uint32_t> planes_;        // run-length bit planes, see HeadWindow
   // Adaptive per-candidate state.
   uint32_t survived_ = 0;
   bool promoted_ = true;

@@ -60,8 +60,9 @@ struct RSOptions {
 
   /// Evaluate the pruning condition block-at-a-time through the SIMD
   /// dominance kernels (core/dominance_kernel.h): loaded batches get a
-  /// column-major view and each candidate is checked against 32 rows per
-  /// step via per-attribute gathers from the candidate's matrix column,
+  /// column-major view and each candidate is checked against 32 runs of
+  /// identical rows (a distinct row is a run of length 1) per step via
+  /// per-attribute gathers from the candidate's matrix column,
   /// with an AVX2 path selected by runtime CPU dispatch and a portable
   /// fallback. Reverse-skyline results are bit-identical to the scalar
   /// path; for Naive/BRS/SRS and the bichromatic block variant the check

@@ -46,12 +46,9 @@ void ColumnarBatch::Build(const RowBatch& rows) {
 
 void ColumnarBatch::BuildHeads() {
   const size_t runs = num_runs();
-  collapses_ = runs > 0 && runs * kMinMeanRunLength <= num_rows_;
-  if (!collapses_) {
-    head_values_.clear();
-    head_numerics_.clear();
-    return;
-  }
+  head_values_.clear();
+  head_numerics_.clear();
+  if (runs == num_rows_) return;  // the heads are the rows
   head_values_.resize(num_attrs_ * runs);
   head_numerics_.resize(has_numerics_ ? num_attrs_ * runs : 0);
   for (size_t a = 0; a < num_attrs_; ++a) {

@@ -27,15 +27,11 @@ namespace nmrs {
 /// categorical value equal and every numeric bitwise equal; ids may
 /// differ). Sorted data (SRS) puts duplicates next to each other, and every
 /// row of a run has the same verdict and check count against any candidate,
-/// so the kernels test a run once through its head (first row). When the
-/// runs collapse the batch — at least kMinMeanRunLength rows per run on
-/// average — Build() keeps a compact column view of the run heads, which
-/// the kernels evaluate with the same lane evaluators as rows.
+/// so the kernels test a run once through its head (first row): their
+/// lanes are always run heads. A batch with no adjacent duplicates has one
+/// run per row, and its head columns are the row columns themselves.
 class ColumnarBatch {
  public:
-  /// Mean run length at which collapses() turns on.
-  static constexpr size_t kMinMeanRunLength = 2;
-
   ColumnarBatch() = default;
 
   /// Rebuilds the SoA view and the run index from `rows` (one pass,
@@ -82,23 +78,22 @@ class ColumnarBatch {
   /// The run holding row i.
   size_t run_of(size_t i) const { return run_of_[i]; }
 
-  /// Whether the run heads are kept (see class comment). The kernels walk
-  /// runs instead of rows exactly when this holds.
-  bool collapses() const { return collapses_; }
-
   /// Value-id column of attribute `a` over the run heads, length
-  /// num_runs(). Requires collapses().
+  /// num_runs(). When every run is one row this is values(a), not a copy.
   const ValueId* head_values(AttrId a) const {
-    NMRS_DCHECK(collapses_ && a < num_attrs_);
-    return head_values_.data() + static_cast<size_t>(a) * num_runs();
+    NMRS_DCHECK(a < num_attrs_);
+    const ValueId* base =
+        head_values_.empty() ? values_.data() : head_values_.data();
+    return base + static_cast<size_t>(a) * num_runs();
   }
   /// Numeric column of attribute `a` over the run heads; null when the
-  /// batch has no numerics. Requires collapses().
+  /// batch has no numerics. When every run is one row this is numerics(a).
   const double* head_numerics(AttrId a) const {
-    NMRS_DCHECK(collapses_ && a < num_attrs_);
-    return has_numerics_
-               ? head_numerics_.data() + static_cast<size_t>(a) * num_runs()
-               : nullptr;
+    NMRS_DCHECK(a < num_attrs_);
+    if (!has_numerics_) return nullptr;
+    const double* base =
+        head_numerics_.empty() ? numerics_.data() : head_numerics_.data();
+    return base + static_cast<size_t>(a) * num_runs();
   }
 
   /// Builds directly from parallel arrays (used by the TRS leaf blocks,
@@ -115,12 +110,12 @@ class ColumnarBatch {
   size_t num_rows_ = 0;
   size_t num_attrs_ = 0;
   bool has_numerics_ = false;
-  bool collapses_ = false;
   std::vector<RowId> ids_;
   std::vector<ValueId> values_;    // [a * num_rows_ + i]
   std::vector<double> numerics_;   // [a * num_rows_ + i], empty if none
   std::vector<uint32_t> run_starts_;   // num_runs() + 1 entries
   std::vector<uint32_t> run_of_;       // per row
+  // Head copies, kept only when some run is longer than one row.
   std::vector<ValueId> head_values_;   // [a * num_runs() + r]
   std::vector<double> head_numerics_;  // [a * num_runs() + r], may be empty
 };

@@ -594,7 +594,7 @@ TEST(DominanceKernelRingTest, SharedAndChunkedPathsMatchScalar) {
   }
 }
 
-// ---- Runs of identical rows (ColumnarBatch::collapses) ----
+// ---- Runs of identical rows (ColumnarBatch run index) ----
 
 // A batch of runs over RingLayout's space: run (v, count) is `count` rows
 // of value v on attribute 0 and 0 on attribute 1; ids are row offsets.
@@ -628,7 +628,7 @@ ScanCount ExpectRunRing(const RowBatch& rows, size_t center, RowId skip,
                    layout.selected, &table);
   ColumnarBatch cols;
   cols.Build(rows);
-  EXPECT_TRUE(cols.collapses()) << label;
+  EXPECT_LT(cols.num_runs(), cols.size()) << label;
   const ValueId x[2] = {0, 0};
   ctx.SetCandidate(x, nullptr);
   ScanCount want;
@@ -673,7 +673,7 @@ TEST(ColumnarBatchTest, RunIndexAndHeads) {
   ColumnarBatch cols;
   cols.Build(rows);
   ASSERT_EQ(cols.num_runs(), 3u);
-  EXPECT_TRUE(cols.collapses());
+  EXPECT_LT(cols.num_runs(), cols.size());
   EXPECT_EQ(cols.run_start(0), 0u);
   EXPECT_EQ(cols.run_start(1), 3u);
   EXPECT_EQ(cols.run_start(2), 4u);
@@ -686,11 +686,13 @@ TEST(ColumnarBatchTest, RunIndexAndHeads) {
   EXPECT_EQ(cols.head_numerics(1)[1], 0.75);
   EXPECT_EQ(cols.head_numerics(1)[2], 0.25);
 
-  // All singletons: no heads kept; the kernels scan rows as before.
+  // All singletons: one run per row, and the head columns are the row
+  // columns themselves, not copies.
   RowBatch distinct = RunRows({{1, 1}, {2, 1}, {3, 1}});
   cols.Build(distinct);
-  EXPECT_EQ(cols.num_runs(), 3u);
-  EXPECT_FALSE(cols.collapses());
+  EXPECT_EQ(cols.num_runs(), cols.size());
+  EXPECT_EQ(cols.head_values(0), cols.values(0));
+  EXPECT_EQ(cols.head_values(1), cols.values(1));
 }
 
 TEST(DominanceKernelRunTest, CandidateInMiddleOfOwnRun) {
@@ -818,7 +820,7 @@ TEST(DominanceKernelRunTest, SortedDuplicatesMatchScalarRing) {
     for (RowId r : order) rows.Append(r, data.RowValues(r), nullptr);
     ColumnarBatch cols;
     cols.Build(rows);
-    ASSERT_TRUE(cols.collapses()) << n;
+    ASSERT_LT(cols.num_runs(), cols.size()) << n;
     const Schema& schema = data.schema();
     const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
     for (int qi = 0; qi < 2; ++qi) {
