@@ -12,8 +12,9 @@
 #                quarantine under instrumentation, altree_identity
 #                checks the AL-Tree's leaf-arena offsets node for node,
 #                exact_search_sweep runs the exact numeric index
-#                search against brute force, resident_trs checks the
-#                engine's resident TRS against sequential TRS, and
+#                search and the Alg. 5 prune against brute force,
+#                resident_trs checks the engine's resident TRS
+#                against sequential TRS, and
 #                run_collapse_sweep checks the kernels' run walk (SRS,
 #                T-SRS, BRS; duplicate-heavy, sparse-duplicate and
 #                all-distinct data) against the scalar loops
@@ -75,7 +76,7 @@ cmake -B build-tsan -S . -DNMRS_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-tsan -j"${JOBS}" --target exec_stress
 ./build-tsan/tests/exec_stress
 
-echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep + resident_trs + run_collapse_sweep) ==="
+echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep: index search and prune + resident_trs + run_collapse_sweep) ==="
 cmake -B build-asan -S . -DNMRS_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
   --target altree_identity --target exact_search_sweep --target resident_trs \

@@ -15,8 +15,6 @@
 namespace nmrs {
 
 using internal_tree::FastEntry;
-using internal_tree::Phase2Level;
-using internal_tree::TraversalEntry;
 using internal_tree::TreeQueryContext;
 
 std::vector<RowId> BichromaticOracle(const Dataset& candidates,
@@ -181,11 +179,9 @@ StatusOr<ReverseSkylineResult> BichromaticTreeRS(
   ALTree tree(schema, ctx.attr_order);
   RowBatch page_rows(m, numerics);
   PageId next_page = 0;
-  std::vector<TraversalEntry> stack;
+  std::vector<FastEntry> stack;
   stack.reserve(256);
-  std::vector<FastEntry> fast_stack;
-  fast_stack.reserve(256);
-  std::vector<Phase2Level> p2_levels(m);
+  internal_tree::StreamLevels levels(ctx);
   const uint64_t budget = (opts.memory.pages - 1) * disk->page_size();
   while (next_page < candidates.num_pages()) {
     ++stats.phase1_batches;
@@ -199,20 +195,8 @@ StatusOr<ReverseSkylineResult> BichromaticTreeRS(
       NMRS_RETURN_IF_ERROR(competitors.ReadPageVia(&reader, pp, &p_page));
       for (size_t j = 0; j < p_page.size(); ++j) {
         // Competitors are a different set: no id to spare.
-        if (ctx.fast_path) {
-          const ValueId* e = p_page.row_values(j);
-          for (size_t l = 0; l < m; ++l) {
-            const AttrId a = ctx.attr_order[l];
-            p2_levels[l].erow = space.matrix(a).RowFrom(e[a]);
-            p2_levels[l].qrow = ctx.q_row_by_level[l];
-          }
-          internal_tree::PruneTreeFast(tree, p2_levels, kInvalidRowId,
-                                       &stats, fast_stack);
-        } else {
-          internal_tree::PruneTree(tree, ctx, p_page.row_values(j),
-                                   p_page.row_numerics(j), kInvalidRowId,
-                                   &stats, stack);
-        }
+        levels.PruneTree(tree, p_page.row_values(j), p_page.row_numerics(j),
+                         kInvalidRowId, &stats, stack);
       }
     }
     tree.ForEachActiveLeaf([&](ALTree::NodeId l) {

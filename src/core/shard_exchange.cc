@@ -152,10 +152,7 @@ ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
                                   ChunkBegin(num_leaves, num_chunks, c + 1),
                                   &chunk_stats[c]);
                    });
-    for (const QueryStats& cs : chunk_stats) {
-      stats.pair_tests += cs.pair_tests;
-      stats.checks += cs.checks;
-    }
+    for (const QueryStats& cs : chunk_stats) stats.MergeFrom(cs);
   }
 
   // The survivors are the answer; their values come from the tree.

@@ -1,5 +1,7 @@
 #include "core/tree_traversal.h"
 
+#include <algorithm>
+#include <limits>
 #include <span>
 
 #include "core/dominance.h"
@@ -15,7 +17,6 @@ TreeQueryContext MakeTreeContext(const SimilaritySpace& space,
                                  const RSOptions& opts) {
   TreeQueryContext ctx;
   ctx.space = &space;
-  ctx.schema = &schema;
   ctx.query = query;
   ctx.attr_order = opts.attr_order.empty()
                        ? AscendingCardinalityOrder(schema)
@@ -29,15 +30,6 @@ TreeQueryContext MakeTreeContext(const SimilaritySpace& space,
   for (AttrId a = 0; a < schema.num_attributes(); ++a) {
     const auto& info = schema.attribute(a);
     if (info.is_numeric) ctx.buckets[a].emplace(info.range, info.cardinality);
-  }
-  ctx.fast_path = schema.NumNumeric() == 0;
-  for (bool sel : ctx.attr_selected) ctx.fast_path &= sel;
-  if (ctx.fast_path) {
-    ctx.q_row_by_level.resize(ctx.attr_order.size());
-    for (size_t l = 0; l < ctx.attr_order.size(); ++l) {
-      const AttrId a = ctx.attr_order[l];
-      ctx.q_row_by_level[l] = space.matrix(a).RowFrom(ctx.query.values[a]);
-    }
   }
   return ctx;
 }
@@ -221,88 +213,78 @@ void EvictLeaf(ALTree& tree, NodeId leaf, RowId spare_id) {
 
 }  // namespace
 
-void PruneTree(ALTree& tree, const TreeQueryContext& ctx,
-               const ValueId* e_values, const double* e_numerics,
-               RowId spare_id, QueryStats* stats,
-               std::vector<TraversalEntry>& stack) {
-  const size_t m = ctx.schema->num_attributes();
-  const bool has_numerics = tree.has_numerics();
+void BucketBounds::Fill(ValueId bucket) {
+  if (filled[bucket] == epoch) return;
+  filled[bucket] = epoch;
+  const NumericDissimilarity& nd = ctx->space->numeric(attr);
+  const Interval b = ctx->BucketOf(attr, bucket);
+  const Interval ep{e, e};
+  lhs[bucket] = nd.MinDist(ep, b) <= q_max[bucket]
+                    ? std::min(nd.MaxDist(ep, b), rhs[bucket])
+                    : std::numeric_limits<double>::infinity();
+}
 
-  stack.clear();
-  stack.push_back({ALTree::kRootId, false});
-  while (!stack.empty()) {
-    const TraversalEntry s = stack.back();
-    stack.pop_back();
-    if (s.n != ALTree::kRootId && tree.IsLeaf(s.n)) {
-      if (!has_numerics) {
-        if (!s.found_closer) continue;
-        EvictLeaf(tree, s.n, spare_id);
-        continue;
-      }
-      // Numeric refinement: exact per-entry checks on numeric attributes.
-      for (size_t i = tree.LeafRows(s.n).size(); i-- > 0;) {
-        if (tree.LeafRows(s.n)[i] == spare_id) continue;
-        const double* c_num = tree.LeafNumerics(s.n, i);
-        bool ok = true;
-        bool strict = s.found_closer;
-        for (AttrId a = 0; a < m && ok; ++a) {
-          if (!ctx.attr_selected[a] || !ctx.buckets[a].has_value()) continue;
-          const double lhs = ctx.space->NumDist(a, e_numerics[a], c_num[a]);
-          const double r =
-              ctx.space->NumDist(a, ctx.query.numerics[a], c_num[a]);
-          ++stats->checks;
-          if (lhs > r) ok = false;
-          if (lhs < r) strict = true;
-        }
-        if (ok && strict) tree.RemoveLeafEntry(s.n, i);
-      }
+StreamLevels::StreamLevels(const TreeQueryContext& ctx)
+    : ctx_(ctx), levels_(ctx.attr_order.size(), {nullptr, nullptr, nullptr}) {
+  const std::vector<AttrId>& order = ctx.attr_order;
+  numeric_.reserve(order.size());  // levels_ point into its elements
+  for (AttrId a = 0; a < order.size(); ++a) {
+    if (!ctx.attr_selected[a]) continue;
+    Phase2Level& level =
+        levels_[std::find(order.begin(), order.end(), a) - order.begin()];
+    if (!ctx.buckets[a].has_value()) {
+      level.rhs = ctx.space->matrix(a).RowFrom(ctx.query.values[a]);
+      categorical_.emplace_back(&level, a);
       continue;
     }
-    for (const ALTree::ChildRef& child : tree.Children(s.n)) {
-      const NodeId p = child.id;
-      if (tree.Descendants(p) == 0) continue;
-      const AttrId a = ctx.attr_order[tree.Level(p)];
-      if (!ctx.attr_selected[a]) {
-        stack.push_back({p, s.found_closer});
-        continue;
-      }
-      if (ctx.buckets[a].has_value()) {
-        // Numeric level: node value is a bucket of candidate values. Keep
-        // descending while *some* candidate in the bucket could be pruned;
-        // record strictness only when *every* candidate certainly is.
-        const Interval ui = ctx.BucketOf(a, child.value);
-        const Interval e_pt{e_numerics[a], e_numerics[a]};
-        const Interval q_pt{ctx.query.numerics[a], ctx.query.numerics[a]};
-        const auto& nd = ctx.space->numeric(a);
-        ++stats->checks;
-        if (nd.MinDist(e_pt, ui) <= nd.MaxDist(q_pt, ui)) {
-          const bool certain_strict =
-              nd.MaxDist(e_pt, ui) < nd.MinDist(q_pt, ui);
-          stack.push_back({p, s.found_closer || certain_strict});
-        }
-      } else {
-        const ValueId u = child.value;
-        const double lhs = ctx.space->CatDist(a, e_values[a], u);
-        const double rhs = ctx.space->CatDist(a, ctx.query.values[a], u);
-        ++stats->checks;
-        if (lhs <= rhs) {
-          const bool closer = s.found_closer || lhs < rhs;
-          // An all-categorical leaf without strict evidence can never be
-          // evicted — skip the stack round-trip. (With numeric attributes
-          // the leaf's exact values may still supply the strictness, so it
-          // must be visited.)
-          if (!closer && !has_numerics && tree.IsLeaf(p)) continue;
-          stack.push_back({p, closer});
-        }
-      }
+    const NumericDissimilarity& nd = ctx.space->numeric(a);
+    const Interval q{ctx.query.numerics[a], ctx.query.numerics[a]};
+    BucketBounds& n = numeric_.emplace_back();
+    n.ctx = &ctx;
+    n.attr = a;
+    for (ValueId b = 0; b < ctx.buckets[a]->num_buckets(); ++b) {
+      n.rhs.push_back(nd.MinDist(q, ctx.BucketOf(a, b)));
+      n.q_max.push_back(nd.MaxDist(q, ctx.BucketOf(a, b)));
     }
+    n.lhs.resize(n.rhs.size());
+    n.filled.assign(n.rhs.size(), 0);
+    level = {n.lhs.data(), n.rhs.data(), &n};
   }
 }
 
-void PruneTreeFast(ALTree& tree, const std::vector<Phase2Level>& levels,
-                   RowId spare_id, QueryStats* stats,
-                   std::vector<FastEntry>& stack) {
-  if (tree.empty()) return;
+namespace {
+
+// The exact leaf step: removes every entry of `leaf` but spare_id's that
+// the streamed object prunes, given the path's strictness `closer`.
+void PruneEntries(ALTree& tree, NodeId leaf,
+                  const std::vector<BucketBounds>& numeric, bool closer,
+                  RowId spare_id, uint64_t* checks) {
+  for (size_t i = tree.LeafRows(leaf).size(); i-- > 0;) {
+    if (tree.LeafRows(leaf)[i] == spare_id) continue;
+    const double* c_num = tree.LeafNumerics(leaf, i);
+    bool ok = true;
+    bool strict = closer;
+    for (size_t k = 0; k < numeric.size() && ok; ++k) {
+      const BucketBounds& n = numeric[k];
+      const SimilaritySpace& space = *n.ctx->space;
+      const double lhs = space.NumDist(n.attr, n.e, c_num[n.attr]);
+      const double rhs =
+          space.NumDist(n.attr, n.ctx->query.numerics[n.attr], c_num[n.attr]);
+      ++*checks;
+      if (lhs > rhs) ok = false;
+      if (lhs < rhs) strict = true;
+    }
+    if (ok && strict) tree.RemoveLeafEntry(leaf, i);
+  }
+}
+
+// StreamLevels::PruneTree's traversal; kNumeric selects the bucket fill and
+// the exact leaf step, so the all-categorical instantiation has no branch
+// on them.
+template <bool kNumeric>
+void PruneWalk(ALTree& tree, const std::vector<Phase2Level>& levels,
+               const std::vector<BucketBounds>& numeric, RowId spare_id,
+               QueryStats* stats, std::vector<FastEntry>& stack) {
   const uint32_t leaf_level = static_cast<uint32_t>(levels.size()) - 1;
   stack.clear();
   stack.push_back({ALTree::kRootId, 0, false});
@@ -314,21 +296,47 @@ void PruneTreeFast(ALTree& tree, const std::vector<Phase2Level>& levels,
     for (const ALTree::ChildRef& child : tree.Children(s.n)) {
       const NodeId p = child.id;
       if (tree.Descendants(p) == 0) continue;
-      const ValueId u = child.value;
-      const double lhs = level.erow[u];
-      const double rhs = level.qrow[u];
-      ++checks;
-      if (lhs <= rhs) {
-        const bool closer = s.found_closer || lhs < rhs;
-        if (s.level == leaf_level) {
-          if (closer) EvictLeaf(tree, p, spare_id);
-        } else {
-          stack.push_back({p, s.level + 1, closer});
+      bool closer = s.found_closer;
+      if (level.lhs != nullptr) {
+        if (kNumeric && level.bounds != nullptr) {
+          level.bounds->Fill(child.value);
         }
+        const double lhs = level.lhs[child.value];
+        const double rhs = level.rhs[child.value];
+        ++checks;
+        if (!(lhs <= rhs)) continue;
+        closer = closer || lhs < rhs;
+      }
+      if (s.level != leaf_level) {
+        stack.push_back({p, s.level + 1, closer});
+      } else if (kNumeric) {
+        PruneEntries(tree, p, numeric, closer, spare_id, &checks);
+      } else if (closer) {
+        EvictLeaf(tree, p, spare_id);
       }
     }
   }
   stats->checks += checks;
+}
+
+}  // namespace
+
+void StreamLevels::PruneTree(ALTree& tree, const ValueId* e_values,
+                             const double* e_numerics, RowId spare_id,
+                             QueryStats* stats, std::vector<FastEntry>& stack) {
+  if (tree.empty()) return;
+  for (const auto& [level, a] : categorical_) {
+    level->lhs = ctx_.space->matrix(a).RowFrom(e_values[a]);
+  }
+  if (numeric_.empty()) {
+    PruneWalk<false>(tree, levels_, numeric_, spare_id, stats, stack);
+    return;
+  }
+  for (BucketBounds& n : numeric_) {
+    n.e = e_numerics[n.attr];
+    ++n.epoch;
+  }
+  PruneWalk<true>(tree, levels_, numeric_, spare_id, stats, stack);
 }
 
 Status LoadTreeBatch(const StoredDataset& data, PagedReader* reader,

@@ -6,6 +6,7 @@
 // public API — include core/trs.h / core/bichromatic.h instead.
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "altree/al_tree.h"
@@ -22,18 +23,10 @@ namespace internal_tree {
 /// Immutable per-query state shared by the tree traversals.
 struct TreeQueryContext {
   const SimilaritySpace* space;
-  const Schema* schema;
   Object query;
   std::vector<AttrId> attr_order;      // tree level -> physical attr
   std::vector<bool> attr_selected;     // by physical attr
   std::vector<std::optional<Bucketizer>> buckets;  // by physical attr
-
-  /// True when the tight all-categorical / all-attributes traversal
-  /// specializations apply.
-  bool fast_path = false;
-  /// Per tree level: the matrix row of the query's value
-  /// (q_row_by_level[l][u] == d_l(q_l, u)); fast path only.
-  std::vector<const double*> q_row_by_level;
 
   Interval BucketOf(AttrId a, ValueId bucket) const {
     return buckets[a]->BucketInterval(bucket);
@@ -49,13 +42,7 @@ void LeafValues(const ALTree& tree, ALTree::NodeId leaf,
                 const std::vector<AttrId>& attr_order,
                 std::vector<ValueId>* values);
 
-/// Stack entry shared by the traversals.
-struct TraversalEntry {
-  ALTree::NodeId n;
-  bool found_closer;
-};
-
-/// Stack entry of the fast-path traversals (carries the level).
+/// Stack entry of the traversals (carries the level).
 struct FastEntry {
   ALTree::NodeId n;
   uint32_t level;  // level of this node's children
@@ -130,13 +117,6 @@ class IndexLevels {
   ExactLeaves exact_;
 };
 
-/// Per-level streamed-object context for PruneTreeFast: erow[u] =
-/// d_l(e_l, u), qrow[u] = d_l(q_l, u) — both contiguous matrix rows.
-struct Phase2Level {
-  const double* erow;
-  const double* qrow;
-};
-
 /// Paper Alg. 4, the pruner test of candidate c against the tree's objects,
 /// over per-level columns: returns the leaf of the first pruner the search
 /// meets (its values via LeafValues), or ALTree::kInvalidNode when nothing
@@ -158,19 +138,62 @@ ALTree::NodeId FindPrunerFast(const ALTree& tree,
                               std::vector<FastEntry>& stack,
                               ExactLeaves* exact = nullptr);
 
-/// Paper Alg. 5: removes from `tree` every object prunable by streamed
-/// object e; entries whose row id equals `spare_id` are never evicted
-/// (pass kInvalidRowId for bichromatic pruning, where the streamed object
-/// can never be a candidate). General version.
-void PruneTree(ALTree& tree, const TreeQueryContext& ctx,
-               const ValueId* e_values, const double* e_numerics,
-               RowId spare_id, QueryStats* stats,
-               std::vector<TraversalEntry>& stack);
+/// A selected numeric level's bucket columns for streamed object e, whose
+/// value is `e` (paper §6): bucket B must pass when
+/// MinDist(e, B) <= MaxDist(q, B), strictly when MaxDist(e, B) <
+/// MinDist(q, B). So rhs[B] = MinDist(q, B), filled once per query, and
+/// lhs[B] = min(MaxDist(e, B), rhs[B]) for a passing bucket and +inf for
+/// another, filled on B's first touch per streamed object
+/// (filled[B] == epoch).
+struct BucketBounds {
+  const TreeQueryContext* ctx = nullptr;
+  AttrId attr = 0;
+  double e = 0.0;
+  uint64_t epoch = 0;
+  std::vector<double> q_max, rhs, lhs;
+  std::vector<uint64_t> filled;
 
-/// All-categorical/all-attributes specialization of PruneTree.
-void PruneTreeFast(ALTree& tree, const std::vector<Phase2Level>& levels,
-                   RowId spare_id, QueryStats* stats,
-                   std::vector<FastEntry>& stack);
+  void Fill(ValueId bucket);
+};
+
+/// Per-level streamed-object context of StreamLevels::PruneTree: a child
+/// of value u passes when lhs[u] <= rhs[u] and makes its path strict when
+/// lhs[u] < rhs[u]; on a numeric level, bounds->Fill(u) computes lhs[u]
+/// first. lhs == nullptr marks a level outside the selected attributes:
+/// every child passes it without a check and without strictness.
+struct Phase2Level {
+  const double* lhs;
+  const double* rhs;
+  BucketBounds* bounds;
+};
+
+/// Paper Alg. 5 over per-level columns, for one streamed object e at a
+/// time: a selected categorical level reads the matrix rows d(e_a, .)
+/// against d(q_a, .), a selected numeric level its BucketBounds. The
+/// levels point into this object, which is therefore not copyable.
+class StreamLevels {
+ public:
+  explicit StreamLevels(const TreeQueryContext& ctx);
+  StreamLevels(const StreamLevels&) = delete;
+  StreamLevels& operator=(const StreamLevels&) = delete;
+
+  /// Removes from `tree` every object prunable by streamed object e (values
+  /// and numerics by physical attribute). Entries whose row id equals
+  /// `spare_id` are never evicted (pass kInvalidRowId for bichromatic
+  /// pruning, where the streamed object can never be a candidate). With
+  /// numeric levels, whose bucket bounds cannot prove strictness, each
+  /// entry of an admitted leaf is decided on its exact values, testing the
+  /// numeric attributes in physical order until one fails.
+  void PruneTree(ALTree& tree, const ValueId* e_values,
+                 const double* e_numerics, RowId spare_id, QueryStats* stats,
+                 std::vector<FastEntry>& stack);
+
+ private:
+  const TreeQueryContext& ctx_;
+  std::vector<Phase2Level> levels_;
+  std::vector<BucketBounds> numeric_;  // by ascending physical attribute
+  std::vector<std::pair<Phase2Level*, AttrId>> categorical_;
+};
 
 /// Loads pages [*next_page, ...) of `data` into `tree` until the logical
 /// tree memory reaches `budget_bytes` (at least one page). Pages are read

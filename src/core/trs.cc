@@ -18,8 +18,6 @@ namespace nmrs {
 
 using internal_tree::FastEntry;
 using internal_tree::Phase1Level;
-using internal_tree::Phase2Level;
-using internal_tree::TraversalEntry;
 using internal_tree::TreeQueryContext;
 using NodeId = ALTree::NodeId;
 
@@ -125,10 +123,11 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
   Timer phase1_timer;
   FileId scratch_file = disk->CreateFile("trs-scratch");
   RowWriter writer(disk, scratch_file, schema, opts.resilience.checksum_pages);
-  // Kernel phase 1 runs on the fast path only (all attributes, all
-  // categorical — exactly when the flat leaf scan below is expressible as
-  // gathers); otherwise the tree traversal is kept as-is.
-  const bool kernel_p1 = opts.use_kernels && ctx.fast_path;
+  // Kernel phase 1 runs only on all attributes, all categorical — exactly
+  // when the flat leaf scan below is expressible as gathers; otherwise the
+  // tree traversal is kept as-is.
+  const bool kernel_p1 = opts.use_kernels && !numerics &&
+                         std::ranges::count(ctx.attr_selected, false) == 0;
   std::optional<QueryDistanceTable> kernel_qtable;
   std::vector<AttrId> kernel_selected;
   if (kernel_p1) {
@@ -217,7 +216,8 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
           internal_tree::LeafValues(tree, leaves[li], ctx.attr_order, &lv);
           double s = 0.0;
           for (size_t l = 0; l < m; ++l) {
-            s += ctx.q_row_by_level[l][lv[ctx.attr_order[l]]];
+            const AttrId a = ctx.attr_order[l];
+            s += space.CatDist(a, query.values[a], lv[a]);
           }
           score[li] = s;
           for (size_t a = 0; a < m; ++a) all_vals[li * m + a] = lv[a];
@@ -348,13 +348,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
                                       &chunk_escaped[c]);
                        });
         for (size_t c = 0; c < num_chunks; ++c) {
-          const QueryStats& cs = chunk_stats[c];
-          stats.pair_tests += cs.pair_tests;
-          stats.checks += cs.checks;
-          stats.kernel_checks += cs.kernel_checks;
-          stats.kernel_promotions += cs.kernel_promotions;
-          stats.kernel_scalar_rows += cs.kernel_scalar_rows;
-          stats.kernel_block_rows += cs.kernel_block_rows;
+          stats.MergeFrom(chunk_stats[c]);
           trialed += chunk_trialed[c];
           escaped += chunk_escaped[c];
         }
@@ -394,11 +388,9 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
     ALTree tree(schema, ctx.attr_order);
     RowBatch page_rows(m, numerics);
     PageId next_page = 0;
-    std::vector<TraversalEntry> stack;
+    std::vector<FastEntry> stack;
     stack.reserve(256);
-    std::vector<FastEntry> fast_stack;
-    fast_stack.reserve(256);
-    std::vector<Phase2Level> p2_levels(m);
+    internal_tree::StreamLevels levels(ctx);
     // One page of the budget is reserved for streaming D (paper §4.1).
     const uint64_t budget = (opts.memory.pages - 1) * page_size;
     while (next_page < survivors.num_pages()) {
@@ -415,20 +407,8 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
         // the paper's Alg. 3 performs the full sequential scan per batch,
         // and IO counts are kept faithful to it.
         for (size_t j = 0; j < d_page.size(); ++j) {
-          if (ctx.fast_path) {
-            const ValueId* e = d_page.row_values(j);
-            for (size_t l = 0; l < m; ++l) {
-              const AttrId a = ctx.attr_order[l];
-              p2_levels[l].erow = space.matrix(a).RowFrom(e[a]);
-              p2_levels[l].qrow = ctx.q_row_by_level[l];
-            }
-            internal_tree::PruneTreeFast(tree, p2_levels, d_page.id(j),
-                                         &stats, fast_stack);
-          } else {
-            internal_tree::PruneTree(tree, ctx, d_page.row_values(j),
-                                     d_page.row_numerics(j), d_page.id(j),
-                                     &stats, stack);
-          }
+          levels.PruneTree(tree, d_page.row_values(j), d_page.row_numerics(j),
+                           d_page.id(j), &stats, stack);
         }
       }
       tree.ForEachActiveLeaf([&](NodeId l) {

@@ -92,8 +92,7 @@ StatusOr<DbQueryResult> Snapshot::Query(const Object& query) const {
   NMRS_ASSIGN_OR_RETURN(DbBatchResult batch, RunBatch({query}));
   NMRS_RETURN_IF_ERROR(batch.first_error());
   DbQueryResult out;
-  out.result = std::move(batch.plain ? batch.plain->results[0]
-                                     : batch.sharded->results[0]);
+  out.result = batch.results()[0];
   out.keys = std::move(batch.keys[0]);
   out.snapshot_generation = batch.snapshot_generation;
   out.snapshot_version = batch.snapshot_version;

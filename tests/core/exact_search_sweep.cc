@@ -1,8 +1,8 @@
-// Brute-force Definition 1 sweep for the exact index search: FindPrunerFast
-// over a read-only AL-Tree whose numeric attributes sit in it as bucket
-// levels (IndexLevels bounds them by bucket; the leaves' exact values
-// decide). Every verdict must equal a brute-force test of the candidate
-// against every other row of the tree.
+// Brute-force Definition 1 sweep for the exact index search and the prune.
+// The search is FindPrunerFast over a read-only AL-Tree whose numeric
+// attributes sit in it as bucket levels (IndexLevels bounds them by bucket;
+// the leaves' exact values decide). Every verdict must equal a brute-force
+// test of the candidate against every other row of the tree.
 //
 // Inputs: seeded mixed schemas with 0-3 categorical attributes (tied grid
 // distances) and 1-2 numeric ones with 2-8 buckets over varied ranges;
@@ -16,8 +16,15 @@
 // skip keeps it from pruning itself). Fresh candidates that are no row of
 // the tree take the exchange verify's form (no leaf, no id).
 //
+// The same inputs drive the prune (paper Alg. 5, StreamLevels::PruneTree):
+// each row, with its own id spared, and each fresh object, with none,
+// prunes a copy of the tree under the overlay's patched space. The copy
+// must lose exactly the rows a brute-force Definition 1 test says the
+// object prunes, and never the spared one.
+//
 // Deliberately gtest-free so ci.sh can run it under ASan/UBSan with only
 // instrumented code. Exits 0 when every verdict matches, 1 otherwise.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -40,6 +47,7 @@ namespace {
 using internal_tree::FastEntry;
 using internal_tree::FindPrunerFast;
 using internal_tree::IndexLevels;
+using internal_tree::StreamLevels;
 using NodeId = ALTree::NodeId;
 
 struct Tally {
@@ -53,6 +61,10 @@ struct Tally {
   // a search that trusted the path would have pruned them.
   uint64_t bound_admitted_non_pruner = 0;
   uint64_t boundary_values = 0;
+  // Prune: one per (streamed object, tree row).
+  uint64_t prune_verdicts = 0;
+  uint64_t prune_evicted = 0;
+  uint64_t prune_kept = 0;
 };
 
 // Per numeric attribute: the pool its values come from — every bucket
@@ -184,6 +196,8 @@ void CheckTrial(uint64_t seed, Tally* tally) {
   for (RowId r = 0; r < data.num_rows(); ++r) {
     tree.Insert(r, data.RowValues(r), data.RowNumerics(r));
   }
+  // TRS phase 2 prunes trees in load order.
+  const ALTree stream_tree = tree;
   tree.PrepareForSearch();
 
   std::vector<AttrId> subset;
@@ -243,8 +257,50 @@ void CheckTrial(uint64_t seed, Tally* tally) {
     return brute;
   };
 
+  // One prune of a copy of the tree by streamed object e against brute
+  // force over every row.
+  const SimilaritySpace patched = overlay.BuildPatchedSpace();
+  RSOptions prune_opts;
+  prune_opts.attr_order = order;
+  prune_opts.selected_attrs = subset;
+  const internal_tree::TreeQueryContext tree_ctx =
+      internal_tree::MakeTreeContext(patched, schema, query, prune_opts);
+  StreamLevels stream(tree_ctx);
+  PruneContext brute_ctx(patched, schema, query, selected);
+  std::vector<uint8_t> kept(data.num_rows());
+  auto check_prune = [&](const Object& e, RowId spare_id,
+                         const std::string& what) {
+    ALTree pruned = stream_tree;
+    QueryStats stats;
+    stream.PruneTree(pruned, e.values.data(), e.numerics.data(), spare_id,
+                     &stats, stack);
+    std::fill(kept.begin(), kept.end(), 0);
+    pruned.ForEachActiveLeaf([&](NodeId leaf) {
+      for (RowId r : pruned.LeafRows(leaf)) kept[r] = 1;
+    });
+    uint64_t unused = 0;
+    for (RowId r = 0; r < data.num_rows(); ++r) {
+      brute_ctx.SetCandidate(data.RowValues(r), data.RowNumerics(r));
+      const bool evict =
+          r != spare_id &&
+          brute_ctx.Prunes(e.values.data(), e.numerics.data(), &unused);
+      ++tally->prune_verdicts;
+      (evict ? tally->prune_evicted : tally->prune_kept) += 1;
+      if (kept[r] != evict) continue;
+      if (++tally->mismatches <= 10) {
+        std::fprintf(stderr,
+                     "MISMATCH seed=%llu prune by %s: row %llu %s, brute "
+                     "force says %s\n",
+                     static_cast<unsigned long long>(seed), what.c_str(),
+                     static_cast<unsigned long long>(r),
+                     kept[r] ? "kept" : "evicted", evict ? "evict" : "keep");
+      }
+    }
+  };
+
   for (RowId x = 0; x < data.num_rows(); ++x) {
     const Object c = data.GetObject(x);
+    check_prune(c, x, "row " + std::to_string(x));
     tally->boundary_values += IsBoundary(schema, c) ? 1 : 0;
     const NodeId leaf = tree.FindLeaf(data.RowValues(x));
     NMRS_CHECK(leaf != ALTree::kInvalidNode);
@@ -287,6 +343,7 @@ void CheckTrial(uint64_t seed, Tally* tally) {
     const Object c = DrawObject(data, pools, rng);
     check(c, kInvalidRowId, ALTree::kInvalidNode,
           "fresh candidate " + std::to_string(i));
+    check_prune(c, kInvalidRowId, "fresh object " + std::to_string(i));
   }
 }
 
@@ -302,8 +359,8 @@ int main() {
   std::printf(
       "exact search sweep: %llu trials, %llu verdicts (%llu pruned, %llu "
       "kept), %llu candidates sharing a leaf, %llu kept rows a strict "
-      "bucket path admitted, %llu rows on a bucket boundary; %llu "
-      "mismatches\n",
+      "bucket path admitted, %llu rows on a bucket boundary; prune: %llu "
+      "row verdicts (%llu evicted, %llu kept); %llu mismatches\n",
       static_cast<unsigned long long>(trials),
       static_cast<unsigned long long>(tally.verdicts),
       static_cast<unsigned long long>(tally.pruned),
@@ -311,12 +368,16 @@ int main() {
       static_cast<unsigned long long>(tally.shared_leaf),
       static_cast<unsigned long long>(tally.bound_admitted_non_pruner),
       static_cast<unsigned long long>(tally.boundary_values),
+      static_cast<unsigned long long>(tally.prune_verdicts),
+      static_cast<unsigned long long>(tally.prune_evicted),
+      static_cast<unsigned long long>(tally.prune_kept),
       static_cast<unsigned long long>(tally.mismatches));
   // The sweep must reach every case it exists for, or a pass says little.
   const bool covered = tally.pruned > 0 && tally.survived > 0 &&
                        tally.shared_leaf > 0 &&
                        tally.bound_admitted_non_pruner > 0 &&
-                       tally.boundary_values > 0;
+                       tally.boundary_values > 0 && tally.prune_evicted > 0 &&
+                       tally.prune_kept > 0;
   if (!covered) std::fprintf(stderr, "coverage too thin\n");
   return tally.mismatches == 0 && covered ? 0 : 1;
 }

@@ -167,15 +167,15 @@ TEST_P(KernelDeterminismSweep, WiredAlgorithmsAreBitIdentical) {
             std::to_string(trial) + " promote " + std::to_string(promote) +
             " seed " + std::to_string(GetParam());
         ExpectSameRows(*scalar, *kernel, label.c_str());
-        const bool trs_fast_path =
+        const bool trs_probe =
             algo == Algorithm::kTRS && !inst.mixed &&
             (inst.selected.empty() ||
              inst.selected.size() == inst.data.schema().num_attributes());
         if (algo == Algorithm::kTRS) {
-          // TRS phase 2 is always scalar; on the fast path (all
-          // attributes, all categorical) phase 1 probes the flat leaf
-          // block and escapes promoted candidates to the tree traversal,
-          // so `checks` carries only the escaped traversals' group-level
+          // TRS phase 2 is always scalar; with all attributes selected
+          // and all categorical, phase 1 probes the flat leaf block and
+          // escapes promoted candidates to the tree traversal, so
+          // `checks` carries only the escaped traversals' group-level
           // counts while pair tests (one per candidate leaf) and the
           // spilled survivors still match exactly.
           EXPECT_EQ(scalar->stats.phase2_checks,
@@ -188,14 +188,14 @@ TEST_P(KernelDeterminismSweep, WiredAlgorithmsAreBitIdentical) {
               << label;
           EXPECT_EQ(scalar->stats.io, kernel->stats.io)
               << label;
-          if (!trs_fast_path) {
-            // Off the fast path the flag is inert: everything matches.
+          if (!trs_probe) {
+            // Without the probe the flag is inert: everything matches.
             ExpectSameCounts(scalar->stats, kernel->stats, label.c_str());
           }
         } else {
           ExpectSameCounts(scalar->stats, kernel->stats, label.c_str());
         }
-        if (trs_fast_path || algo != Algorithm::kTRS) {
+        if (trs_probe || algo != Algorithm::kTRS) {
           ExpectAdaptiveInvariants(kernel->stats, promote,
                                    algo == Algorithm::kTRS, label);
         }
@@ -356,7 +356,7 @@ TEST_P(KernelDeterminismSweep, BichromaticBlockIsBitIdentical) {
 // RSOptions::overlay must be bit-identical — rows, pair tests and IO — to
 // rebuilding the patched space and running without an overlay, for every
 // wired algorithm, with kernels off and at both promotion extremes.
-// `checks` matches too except on the TRS kernel fast path, where the
+// `checks` matches too except where TRS phase 1 probes, where the
 // kernel-vs-scalar contract itself only promises pair tests (see
 // WiredAlgorithmsAreBitIdentical).
 TEST_P(KernelDeterminismSweep, OverlayMatchesPatchedSpaceRebuild) {

@@ -7,7 +7,12 @@
 // general search under categorical and numeric attribute subsets, each at
 // 1 and 3 phase-1 threads. The probe-futility trial is decided per chunk,
 // so the kernel path's 3-thread counters are pinned separately.
-// The values were captured with the per-node-vector AL-Tree layout that the
+// The bichromatic tree (BichromaticTreeRS, paper Alg. 5 over the
+// candidates' AL-Tree) is pinned on all attributes, a categorical subset
+// and a mixed numeric schema, each at two budgets of several batches;
+// those values were captured while the prune still had a separate
+// interval-call traversal for subsets and numerics beside the column loop.
+// The TRS values were captured with the per-node-vector AL-Tree layout that the
 // one-pass bulk load (path cursor + leaf arenas) replaced. Node ids, child
 // order and leaf entry order do not depend on the memory layout, so every
 // number here must survive any change to it; a change that moves one on
@@ -19,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bichromatic.h"
 #include "core/pipeline.h"
 #include "data/generators.h"
 #include "exec/query_engine.h"
@@ -312,6 +318,149 @@ TEST(TrsPinnedCountersTest, NumericSchema) {
             "394 401 432 433 507 512 514 571} "
             "{20 26 73 74 103 106 162 181 212 237 242 316 339 353 400 412 431 "
             "483 493 507 514 557}");
+}
+
+// Runs each query through BichromaticTreeRS: `candidates` are stored in
+// TRS order and `competitors` as generated, on one disk of 1 KiB pages,
+// with `pages` of memory.
+Observed RunBichromaticTree(const Dataset& candidates,
+                            const Dataset& competitors,
+                            const SimilaritySpace& space,
+                            const std::vector<Object>& queries, uint64_t pages,
+                            const RSOptions& base = {}) {
+  SimulatedDisk disk(1024);
+  auto prepared = PrepareDataset(&disk, candidates, Algorithm::kTRS);
+  NMRS_CHECK(prepared.ok()) << prepared.status();
+  auto stored = StoredDataset::Create(&disk, competitors, "competitors");
+  NMRS_CHECK(stored.ok()) << stored.status();
+  RSOptions opts = base;
+  opts.memory.pages = pages;
+  opts.attr_order = prepared->attr_order;
+  Observed out;
+  for (const Object& q : queries) {
+    auto r = BichromaticTreeRS(prepared->stored, *stored, space, q, opts);
+    NMRS_CHECK(r.ok()) << r.status();
+    out.Add(*r);
+  }
+  return out;
+}
+
+// The bichromatic tree (paper Alg. 5 over a candidate AL-Tree, streaming
+// the competitors) on all attributes, at two budgets that load the
+// candidates in several batches.
+TEST(TrsPinnedCountersTest, BichromaticAllAttributes) {
+  const testing::RandomInstance inst(413, 3000, {6, 7, 8});
+  Rng rng(414);
+  const Dataset competitors = GenerateUniform(700, {6, 7, 8}, rng);
+  const std::vector<Object> queries = Queries(inst.data, 418, 3);
+  const struct {
+    uint64_t pages;
+    Counters want;
+  } runs[] = {
+      {2, {11318, 11318, 0, 0, 0, 0, 0, 0, 9, 0, 0, 54, 285, 18, 0, 0, 0, 0, 0,
+           0, 0, 0, 0}},
+      {3, {10823, 10823, 0, 0, 0, 0, 0, 0, 6, 0, 0, 54, 249, 12, 0, 0, 0, 0, 0,
+           0, 0, 0, 0}},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE(run.pages);
+    const Observed got = RunBichromaticTree(inst.data, competitors, inst.space,
+                                            queries, run.pages);
+    EXPECT_EQ(got.counters, run.want);
+    EXPECT_EQ(got.rows,
+              "{208 397 647 883 1053 1086 1089 1119 1280 1318 1356 1570 1680 "
+              "1706 1825 1902 2157 2332 2409 2538 2647 2658 2854 2908} {7 34 "
+              "522 542 605 617 688 1175 1200 1211 1250 1267 1288 1427 1518 "
+              "1845 1924 1996 2448 2580 2620 2677} {34 522 542 1267 1924 1996 "
+              "2448 2677}");
+  }
+}
+
+// The bichromatic tree under a categorical subset (paper §5.6): the
+// unselected level passes every child through.
+TEST(TrsPinnedCountersTest, BichromaticCategoricalSubset) {
+  const testing::RandomInstance inst(413, 3000, {6, 7, 8});
+  Rng rng(414);
+  const Dataset competitors = GenerateUniform(700, {6, 7, 8}, rng);
+  const std::vector<Object> queries = Queries(inst.data, 418, 3);
+  const struct {
+    uint64_t pages;
+    Counters want;
+  } runs[] = {
+      {2, {9532, 9532, 0, 0, 0, 0, 0, 0, 9, 0, 0, 311, 285, 18, 0, 0, 0, 0, 0,
+           0, 0, 0, 0}},
+      {3, {8819, 8819, 0, 0, 0, 0, 0, 0, 6, 0, 0, 311, 249, 12, 0, 0, 0, 0, 0,
+           0, 0, 0, 0}},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE(run.pages);
+    RSOptions opts;
+    opts.selected_attrs = {0, 2};
+    const Observed got = RunBichromaticTree(inst.data, competitors, inst.space,
+                                            queries, run.pages, opts);
+    EXPECT_EQ(got.counters, run.want);
+    EXPECT_EQ(got.rows,
+              "{5 8 28 63 65 79 96 119 141 186 187 195 198 199 208 210 217 221 "
+              "241 247 255 303 319 327 369 376 383 394 397 408 409 438 456 458 "
+              "467 519 572 582 585 589 597 623 628 647 653 691 713 720 721 723 "
+              "734 754 756 788 795 804 809 812 823 841 856 860 862 863 908 915 "
+              "920 939 966 1030 1047 1077 1086 1092 1095 1105 1110 1112 1147 "
+              "1205 1230 1234 1298 1309 1316 1331 1346 1356 1359 1363 1377 "
+              "1384 1391 1395 1450 1462 1570 1601 1602 1633 1647 1650 1680 "
+              "1694 1731 1768 1773 1810 1817 1823 1825 1848 1857 1902 1908 "
+              "1945 1955 2010 2019 2057 2078 2079 2080 2121 2129 2142 2143 "
+              "2144 2157 2182 2223 2237 2238 2283 2314 2317 2351 2363 2373 "
+              "2395 2409 2446 2467 2470 2478 2487 2510 2514 2534 2629 2667 "
+              "2671 2674 2692 2735 2746 2766 2770 2778 2792 2852 2853 2854 "
+              "2884 2908 2923 2946 2968 2983} {7 34 81 127 148 180 284 294 474 "
+              "522 542 545 605 617 631 664 688 704 738 740 742 799 857 859 980 "
+              "1022 1175 1200 1211 1250 1267 1288 1370 1427 1493 1511 1518 "
+              "1744 1767 1845 1855 1924 1996 2007 2075 2198 2253 2266 2276 "
+              "2286 2345 2352 2427 2430 2448 2458 2494 2547 2564 2580 2601 "
+              "2620 2634 2677 2727 2736 2748 2785 2861 2893 2925} {7 34 81 127 "
+              "148 180 284 294 474 522 542 545 605 617 631 664 688 704 738 740 "
+              "742 799 857 859 980 1022 1175 1200 1211 1250 1267 1288 1370 "
+              "1427 1493 1511 1518 1744 1767 1845 1855 1924 1996 2007 2075 "
+              "2198 2253 2266 2276 2286 2345 2352 2427 2430 2448 2458 2494 "
+              "2547 2564 2580 2601 2620 2634 2677 2727 2736 2748 2785 2861 "
+              "2893 2925}");
+  }
+}
+
+// The bichromatic tree over a mixed schema: bucket bounds on the numeric
+// levels and an exact test of each admitted leaf entry.
+TEST(TrsPinnedCountersTest, BichromaticNumericSchema) {
+  Rng rng(416);
+  Rng data_rng = rng.Fork();
+  Rng space_rng = rng.Fork();
+  const Dataset candidates = MixedData(data_rng);
+  const Dataset competitors = GenerateMixed(300, {5, 4}, 2, 4, data_rng);
+  const SimilaritySpace space = MixedSpace(space_rng);
+  const std::vector<Object> queries = Queries(candidates, 417, 3);
+  const struct {
+    uint64_t pages;
+    Counters want;
+  } runs[] = {
+      {2, {60795, 60795, 0, 0, 0, 0, 0, 0, 51, 0, 0, 127, 867, 102, 0, 0, 0, 0,
+           0, 0, 0, 0, 0}},
+      {4, {52276, 52276, 0, 0, 0, 0, 0, 0, 21, 0, 0, 127, 417, 42, 0, 0, 0, 0,
+           0, 0, 0, 0, 0}},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE(run.pages);
+    const Observed got = RunBichromaticTree(candidates, competitors, space,
+                                            queries, run.pages);
+    EXPECT_EQ(got.counters, run.want);
+    EXPECT_EQ(got.rows,
+              "{10 11 40 52 53 69 72 79 103 112 116 120 128 133 142 144 154 "
+              "169 193 196 201 207 231 254 256 267 276 284 309 312 313 316 323 "
+              "324 330 349 354 376 378 380 394 419 423 430 441 445 447 456 459 "
+              "463 483 501 502 537 549 556 568 589} {11 20 21 24 35 77 89 114 "
+              "118 155 159 187 248 252 256 284 301 317 328 332 336 349 352 377 "
+              "431 437 463 468 489 490 515 517 518 551 579 584 585} {25 28 58 "
+              "119 120 132 135 183 184 188 203 206 218 251 252 290 305 343 350 "
+              "356 357 375 387 417 444 461 466 499 504 544 573 580}");
+  }
 }
 
 // Two shards, all-categorical: each shard's AL-Tree index fits the default

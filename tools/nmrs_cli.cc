@@ -607,7 +607,8 @@ int CmdQuery(const Flags& flags) {
   if (!batch.ok()) return Fail(batch.status().ToString());
   if (!batch->statuses()[0].ok()) return Fail(batch->statuses()[0].ToString());
 
-  if (batch->sharded) {
+  const bool sharded = dbopts.num_shards > 1;
+  if (sharded) {
     std::printf("RS(Q) via %s over %d %s shards: %zu rows\n",
                 std::string(AlgorithmName(*algo)).c_str(),
                 dbopts.shard_plan.num_shards,
@@ -622,9 +623,9 @@ int CmdQuery(const Flags& flags) {
     std::printf("  row %llu %s\n", static_cast<unsigned long long>(r),
                 setup->data.GetObject(r).ToString().c_str());
   }
-  if (batch->sharded) {
+  if (sharded) {
     std::printf("  %s\n",
-                ShardCandidateSummary(batch->sharded->breakdown[0]).c_str());
+                ShardCandidateSummary(batch->batch().breakdown[0]).c_str());
   }
   PrintStats(batch->results()[0].stats);
   return 0;
