@@ -17,7 +17,10 @@
 #                against sequential TRS, and
 #                run_collapse_sweep checks the kernels' run walk (SRS,
 #                T-SRS, BRS; duplicate-heavy, sparse-duplicate and
-#                all-distinct data) against the scalar loops
+#                all-distinct data) against the scalar loops, and
+#                segment_assembly checks phase-1 batches assembled from
+#                page segments against a build over the concatenated
+#                rows, field by field
 #   4. chaos   — full 500-config fault-injection soak on the plain build
 #                (a 25-config slice already ran inside stage 1's ctest)
 #   5. replica — chaos sweep restricted to multi-replica configs: one
@@ -76,17 +79,18 @@ cmake -B build-tsan -S . -DNMRS_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-tsan -j"${JOBS}" --target exec_stress
 ./build-tsan/tests/exec_stress
 
-echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep: index search and prune + resident_trs + run_collapse_sweep) ==="
+echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep: index search and prune + resident_trs + run_collapse_sweep + segment_assembly) ==="
 cmake -B build-asan -S . -DNMRS_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
   --target altree_identity --target exact_search_sweep --target resident_trs \
-  --target run_collapse_sweep
+  --target run_collapse_sweep --target segment_assembly
 ./build-asan/tests/exec_stress
 ./build-asan/tests/chaos_soak --configs=50 --mutations=10
 ./build-asan/tests/altree_identity
 ./build-asan/tests/exact_search_sweep
 ./build-asan/tests/resident_trs
 ./build-asan/tests/run_collapse_sweep
+./build-asan/tests/segment_assembly
 
 echo "=== chaos soak (full 500-config sweep + WAL/compaction faults) ==="
 ./build/tests/chaos_soak --configs=500 --mutations=100

@@ -9,6 +9,7 @@
 #include "core/dominance_kernel.h"
 #include "core/query_distance_table.h"
 #include "data/columnar_batch.h"
+#include "data/segment_store.h"
 #include "storage/paged_reader.h"
 
 namespace nmrs {
@@ -80,18 +81,19 @@ void AddKernelTelemetry(const DominanceKernel& kernel, QueryStats* stats) {
 class RingReplay {
  public:
   // Whether candidate i (set on `ctx`) is pruned by row i - 1 through the
-  // replay; adds the counters if so.
-  bool Prunes(const RowBatch& batch, const ColumnarBatch& cols,
-              const PruneContext& ctx, size_t i, QueryStats* stats) {
+  // replay; adds the counters if so. Row i - 1 is the candidate's
+  // identical twin, so the test reads the candidate's own values.
+  bool Prunes(const ColumnarBatch& cols, const PruneContext& ctx, size_t i,
+              QueryStats* stats) {
     if (i == 0 || cols.run_of(i) != cols.run_of(i - 1) ||
-        batch.id(i) == batch.id(i - 1)) {
+        cols.id(i) == cols.id(i - 1)) {
       return false;
     }
     if (run_ != cols.run_of(i)) {
       run_ = cols.run_of(i);
       checks_ = 0;
-      verdict_ = ctx.Prunes(batch.row_values(i - 1),
-                            batch.row_numerics(i - 1), &checks_);
+      verdict_ = ctx.Prunes(ctx.candidate_values(), ctx.candidate_numerics(),
+                            &checks_);
     }
     if (!verdict_) return false;
     ++stats->pair_tests;
@@ -106,43 +108,145 @@ class RingReplay {
   uint64_t checks_ = 0;
 };
 
+// One loaded phase-1 batch. The scalar path decodes its rows (`rows`); the
+// kernel path holds it as columns only (`cols`), assembled from the pages'
+// segments. Exactly one of the two is set.
+struct Phase1Rows {
+  const RowBatch* rows = nullptr;
+  const ColumnarBatch* cols = nullptr;
+
+  size_t size() const { return rows != nullptr ? rows->size() : cols->size(); }
+  RowId id(size_t i) const {
+    return rows != nullptr ? rows->id(i) : cols->id(i);
+  }
+};
+
+// Row i of a loaded phase-1 batch in row-major form, for the calls that
+// take one row: PruneContext::SetCandidate and RowWriter::Add. A decoded
+// batch is pointed into; a columnar one is copied out of its columns.
+class RowCursor {
+ public:
+  RowCursor(size_t num_attrs, bool numerics)
+      : values_(num_attrs), numerics_(numerics ? num_attrs : 0) {}
+
+  void Seek(const Phase1Rows& batch, size_t i) {
+    if (batch.rows != nullptr) {
+      values_at_ = batch.rows->row_values(i);
+      numerics_at_ = batch.rows->row_numerics(i);
+      return;
+    }
+    batch.cols->GatherRow(i, values_.data(), numerics_.data());
+    values_at_ = values_.data();
+    numerics_at_ = numerics_.empty() ? nullptr : numerics_.data();
+  }
+  const ValueId* values() const { return values_at_; }
+  const double* numerics() const { return numerics_at_; }
+
+ private:
+  std::vector<ValueId> values_;
+  std::vector<double> numerics_;
+  const ValueId* values_at_ = nullptr;
+  const double* numerics_at_ = nullptr;
+};
+
+// A query's reusable phase-1 buffers: the decoded rows or the assembled
+// columns, and the query-local segment slots used when no segment store
+// keeps the pages.
+struct Phase1Buffers {
+  Phase1Buffers(size_t m, bool numerics) : rows(m, numerics) {}
+
+  RowBatch rows;
+  ColumnarBatch cols;
+  std::vector<ColumnarBatch> local;
+};
+
+// Reads pages [start, end) of `data` through `reader` as one phase-1
+// batch. Every page is read, and charged, in order on either path; on the
+// kernel path the columns come from each page's segment (ReadSegment),
+// copied once per column per page into the batch.
+StatusOr<Phase1Rows> LoadPhase1Batch(const StoredDataset& data,
+                                     PagedReader* reader, PageId start,
+                                     PageId end, bool use_kernels,
+                                     SegmentStore* segments,
+                                     Phase1Buffers* buf) {
+  Phase1Rows loaded;
+  if (!use_kernels) {
+    buf->rows.Clear();
+    for (PageId p = start; p < end; ++p) {
+      NMRS_RETURN_IF_ERROR(data.ReadPageVia(reader, p, &buf->rows));
+    }
+    loaded.rows = &buf->rows;
+    return loaded;
+  }
+  if (buf->local.size() < end - start) buf->local.resize(end - start);
+  std::vector<const ColumnarBatch*> parts;
+  parts.reserve(end - start);
+  for (PageId p = start; p < end; ++p) {
+    NMRS_ASSIGN_OR_RETURN(
+        const ColumnarBatch* segment,
+        ReadSegment(data, reader, p, segments, &buf->local[p - start]));
+    parts.push_back(segment);
+  }
+  buf->cols.Assemble(parts);
+  loaded.cols = &buf->cols;
+  return loaded;
+}
+
 // Checks candidates [begin, end) of `batch` against all loaded rows and
 // records which are pruned. `ctx` and the counters belong to the caller
 // (one chunk when parallel), so this runs with no shared mutable state
 // beyond the disjoint `pruned` slots — the per-candidate work is identical
-// to the sequential scan, which keeps check counts deterministic. With
-// `cols` (the batch's columnar view) the searches run on a DominanceKernel
-// — scalar probe first, blocks after promotion — whose telemetry is added
-// to *stats; rows of one run keep the run's candidate on `ctx`, and the
-// ring replays the left-neighbour test per run (RingReplay).
-void Phase1CheckRange(const RowBatch& batch, const ColumnarBatch* cols,
-                      PruneContext& ctx, SearchOrder order,
-                      uint32_t promote_rows, size_t begin, size_t end,
-                      QueryStats* stats, uint8_t* pruned) {
-  if (cols == nullptr) {
+// to the sequential scan, which keeps check counts deterministic. On the
+// kernel path the searches run on a DominanceKernel — scalar probe first,
+// blocks after promotion — whose telemetry is added to *stats; rows of one
+// run keep the run's candidate on `ctx`, and the ring replays the
+// left-neighbour test per run (RingReplay).
+void Phase1CheckRange(const Phase1Rows& batch, PruneContext& ctx,
+                      SearchOrder order, uint32_t promote_rows, size_t begin,
+                      size_t end, QueryStats* stats, uint8_t* pruned) {
+  if (batch.cols == nullptr) {
+    const RowBatch& rows = *batch.rows;
     for (size_t i = begin; i < end; ++i) {
-      ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
-      pruned[i] = FindPrunerScalar(batch, ctx, order, i, &stats->pair_tests,
+      ctx.SetCandidate(rows.row_values(i), rows.row_numerics(i));
+      pruned[i] = FindPrunerScalar(rows, ctx, order, i, &stats->pair_tests,
                                    &stats->checks)
                       ? 1
                       : 0;
     }
     return;
   }
-  DominanceKernel kernel(ctx, *cols, promote_rows);
+  const ColumnarBatch& cols = *batch.cols;
+  DominanceKernel kernel(ctx, cols, promote_rows);
   const bool replay = order == SearchOrder::kRing && promote_rows > 0;
   RingReplay ring_replay;
+  RowCursor candidate(cols.num_attrs(), cols.has_numerics());
   for (size_t i = begin; i < end; ++i) {
-    if (i == begin || cols->run_of(i) != cols->run_of(i - 1)) {
-      ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
+    if (i == begin || cols.run_of(i) != cols.run_of(i - 1)) {
+      candidate.Seek(batch, i);
+      ctx.SetCandidate(candidate.values(), candidate.numerics());
     }
     const bool found =
-        (replay && ring_replay.Prunes(batch, *cols, ctx, i, stats)) ||
-        FindPrunerKernel(kernel, order, i, batch.size(), batch.id(i),
+        (replay && ring_replay.Prunes(cols, ctx, i, stats)) ||
+        FindPrunerKernel(kernel, order, i, cols.size(), cols.id(i),
                          &stats->pair_tests, &stats->checks);
     pruned[i] = found ? 1 : 0;
   }
   AddKernelTelemetry(kernel, stats);
+}
+
+// Appends the rows of `batch` that `pruned` leaves alive to *writer, in
+// scan order.
+Status SpillSurvivors(const Phase1Rows& batch, const Schema& schema,
+                      const uint8_t* pruned, RowWriter* writer) {
+  RowCursor row(schema.num_attributes(), schema.NumNumeric() > 0);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (!pruned[i]) {
+      row.Seek(batch, i);
+      NMRS_RETURN_IF_ERROR(
+          writer->Add(batch.id(i), row.values(), row.numerics()));
+    }
+  }
+  return Status::OK();
 }
 
 // Intra-batch pruning of one loaded batch; appends survivors to *writer.
@@ -151,7 +255,7 @@ void Phase1CheckRange(const RowBatch& batch, const ColumnarBatch* cols,
 // across threads on `executor` (each chunk with its own PruneContext and
 // counters, summed in chunk order); survivors are still written in scan
 // order, so results, check totals, and IO match the sequential run exactly.
-Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
+Status Phase1Batch(const Phase1Rows& batch, const SimilaritySpace& space,
                    const Schema& schema, const Object& query,
                    const RSOptions& opts, TaskExecutor* executor,
                    PruneContext& ctx, const QueryDistanceTable& qtable,
@@ -159,19 +263,14 @@ Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
                    QueryStats* stats, RowWriter* writer) {
   const size_t n = batch.size();
   std::vector<uint8_t> pruned(n, 0);
-  // One columnar (SoA) view per loaded batch feeds every candidate's
-  // kernel scans; chunks share it read-only.
-  ColumnarBatch cols;
-  if (opts.use_kernels) cols.Build(batch);
-  const ColumnarBatch* kernel_cols = opts.use_kernels ? &cols : nullptr;
   if (opts.num_threads <= 1 || n < 2) {
-    Phase1CheckRange(batch, kernel_cols, ctx, order, opts.kernel_promote_rows,
-                     0, n, stats, pruned.data());
+    Phase1CheckRange(batch, ctx, order, opts.kernel_promote_rows, 0, n,
+                     stats, pruned.data());
   } else {
     // More chunks than threads so the work-stealing pool can balance the
     // uneven per-candidate cost (a candidate pruned early is cheap). Chunk
     // counters are summed in chunk order, so the totals match the
-    // sequential run exactly.
+    // sequential run exactly. Chunks share the loaded batch read-only.
     const size_t num_chunks =
         std::min(n, static_cast<size_t>(opts.num_threads) * 4);
     std::vector<QueryStats> counters(num_chunks);
@@ -179,7 +278,7 @@ Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
                    [&](size_t c) {
                      PruneContext chunk_ctx(space, schema, query,
                                             ctx.selected(), &qtable);
-                     Phase1CheckRange(batch, kernel_cols, chunk_ctx, order,
+                     Phase1CheckRange(batch, chunk_ctx, order,
                                       opts.kernel_promote_rows,
                                       ChunkBegin(n, num_chunks, c),
                                       ChunkBegin(n, num_chunks, c + 1),
@@ -187,30 +286,27 @@ Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
                    });
     for (const QueryStats& cc : counters) stats->MergeFrom(cc);
   }
-  for (size_t i = 0; i < n; ++i) {
-    if (!pruned[i]) {
-      NMRS_RETURN_IF_ERROR(writer->Add(batch.id(i), batch.row_values(i),
-                                       batch.row_numerics(i)));
-    }
-  }
-  return Status::OK();
+  return SpillSurvivors(batch, schema, pruned.data(), writer);
 }
 
 // Phase 2 (paper Alg. 2 lines 9-19): survivors R are consumed in batches of
 // (memory-1) pages; each batch is refined by one full sequential scan of D.
-// With opts.use_kernels each streamed D-page gets a columnar view shared by
-// all still-alive candidates of the batch; results and accounting match the
-// scalar scan exactly.
+// With opts.use_kernels the kernel runs on each streamed D-page's segment
+// (ReadSegment: kept in `segments`, or decoded into a query-local slot),
+// shared by all still-alive candidates of the batch; results and
+// accounting match the scalar scan exactly.
 Status Phase2(const StoredDataset& data, const StoredDataset& survivors,
               PagedReader* reader, PruneContext& ctx, uint64_t batch_pages,
-              const RSOptions& opts, QueryStats* stats,
-              std::vector<RowId>* out) {
+              const RSOptions& opts, SegmentStore* segments,
+              QueryStats* stats, std::vector<RowId>* out) {
   const Schema& schema = data.schema();
   const size_t m = schema.num_attributes();
   const bool numerics = schema.NumNumeric() > 0;
   const uint64_t r_pages = survivors.num_pages();
   const uint64_t d_pages = data.num_pages();
 
+  RowBatch page(m, numerics);
+  ColumnarBatch local;
   for (PageId r_start = 0; r_start < r_pages; r_start += batch_pages) {
     ++stats->phase2_batches;
     const PageId r_end = std::min<PageId>(r_start + batch_pages, r_pages);
@@ -220,19 +316,17 @@ Status Phase2(const StoredDataset& data, const StoredDataset& survivors,
     }
     std::vector<bool> alive(batch.size(), true);
 
-    RowBatch page(m, numerics);
-    ColumnarBatch cols;
     for (PageId dp = 0; dp < d_pages; ++dp) {
-      page.Clear();
-      NMRS_RETURN_IF_ERROR(data.ReadPageVia(reader, dp, &page));
       if (opts.use_kernels) {
-        cols.Build(page);
-        DominanceKernel kernel(ctx, cols, opts.kernel_promote_rows);
+        NMRS_ASSIGN_OR_RETURN(
+            const ColumnarBatch* cols,
+            ReadSegment(data, reader, dp, segments, &local));
+        DominanceKernel kernel(ctx, *cols, opts.kernel_promote_rows);
         for (size_t i = 0; i < batch.size(); ++i) {
           if (!alive[i]) continue;
           ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
           kernel.BeginCandidate();
-          if (kernel.FindPrunerForward(0, page.size(), batch.id(i),
+          if (kernel.FindPrunerForward(0, cols->size(), batch.id(i),
                                        &stats->pair_tests, &stats->checks)) {
             alive[i] = false;
           }
@@ -240,6 +334,8 @@ Status Phase2(const StoredDataset& data, const StoredDataset& survivors,
         AddKernelTelemetry(kernel, stats);
         continue;
       }
+      page.Clear();
+      NMRS_RETURN_IF_ERROR(data.ReadPageVia(reader, dp, &page));
       for (size_t i = 0; i < batch.size(); ++i) {
         if (!alive[i]) continue;
         ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
@@ -293,14 +389,15 @@ StatusOr<ReverseSkylineResult> RunBlockAlgorithm(
   FileId scratch = disk->CreateFile("rs-scratch");
   RowWriter writer(disk, scratch, schema, opts.resilience.checksum_pages);
   const uint64_t total_pages = data.num_pages();
+  Phase1Buffers buf(m, numerics);
   for (PageId start = 0; start < total_pages; start += opts.memory.pages) {
     ++stats.phase1_batches;
     const PageId end =
         std::min<PageId>(start + opts.memory.pages, total_pages);
-    RowBatch batch(m, numerics);
-    for (PageId p = start; p < end; ++p) {
-      NMRS_RETURN_IF_ERROR(data.ReadPageVia(&reader, p, &batch));
-    }
+    NMRS_ASSIGN_OR_RETURN(
+        const Phase1Rows batch,
+        LoadPhase1Batch(data, &reader, start, end, opts.use_kernels,
+                        exec.segments, &buf));
     NMRS_RETURN_IF_ERROR(Phase1Batch(batch, space, schema, query, opts,
                                      exec.executor, ctx, qtable, order,
                                      &stats, &writer));
@@ -319,7 +416,7 @@ StatusOr<ReverseSkylineResult> RunBlockAlgorithm(
                           opts.resilience.checksum_pages);
   const uint64_t batch_pages = opts.memory.pages - 1;  // 1 page scans D
   NMRS_RETURN_IF_ERROR(Phase2(data, survivors, &reader, ctx, batch_pages,
-                              opts, &stats, &result.rows));
+                              opts, exec.segments, &stats, &result.rows));
   stats.phase2_checks = stats.checks - stats.phase1_checks;
   stats.phase2_millis = phase2_timer.ElapsedMillis();
 
@@ -405,22 +502,22 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
   IoStats spill_io;  // per-query scratch writes inside the phase-1 window
   SharedCandidateCache cache;
   const uint64_t total_pages = data.num_pages();
+  Phase1Buffers buf(m, numerics);
+  RowCursor candidate(m, numerics);
   std::vector<uint8_t> pruned;
   for (PageId start = 0; start < total_pages; start += opts.memory.pages) {
     const PageId end =
         std::min<PageId>(start + opts.memory.pages, total_pages);
-    RowBatch batch(m, numerics);
-    for (PageId p = start; p < end; ++p) {
-      NMRS_RETURN_IF_ERROR(data.ReadPageVia(&shared_reader, p, &batch));
-    }
+    NMRS_ASSIGN_OR_RETURN(
+        const Phase1Rows batch,
+        LoadPhase1Batch(data, &shared_reader, start, end, opts.use_kernels,
+                        exec.segments, &buf));
     const size_t n = batch.size();
-    ColumnarBatch cols;
     if (opts.use_kernels) {
-      cols.Build(batch);
-      cache.Attach(*runs[0].ctx, cols);
+      cache.Attach(*runs[0].ctx, *batch.cols);
       for (QueryRun& r : runs) {
         r.kernel = std::make_unique<DominanceKernel>(
-            *r.ctx, cols, opts.kernel_promote_rows, &cache);
+            *r.ctx, *batch.cols, opts.kernel_promote_rows, &cache);
       }
     }
     pruned.assign(nq * n, 0);
@@ -431,8 +528,9 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
       // Candidate-major: fix candidate X on every query's context, gather
       // its attribute blocks once (the shared cache), then run each
       // query's compare-only pruner search.
+      candidate.Seek(batch, i);
       for (QueryRun& r : runs) {
-        r.ctx->SetCandidate(batch.row_values(i), batch.row_numerics(i));
+        r.ctx->SetCandidate(candidate.values(), candidate.numerics());
       }
       if (opts.use_kernels) cache.SetCandidate(*runs[0].ctx);
       const RowId x_id = batch.id(i);
@@ -441,11 +539,11 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
         QueryStats& st = results[q].stats;
         const bool found =
             opts.use_kernels
-                ? (replay && replays[q].Prunes(batch, cols, *r.ctx, i, &st)) ||
+                ? (replay && replays[q].Prunes(*batch.cols, *r.ctx, i, &st)) ||
                       FindPrunerKernel(*r.kernel, order, i, n, x_id,
                                        &st.pair_tests, &st.checks)
-                : FindPrunerScalar(batch, *r.ctx, order, i, &st.pair_tests,
-                                   &st.checks);
+                : FindPrunerScalar(*batch.rows, *r.ctx, order, i,
+                                   &st.pair_tests, &st.checks);
         pruned[q * n + i] = found ? 1 : 0;
       }
     }
@@ -457,12 +555,8 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
       ++st.phase1_batches;
       if (opts.use_kernels) AddKernelTelemetry(*r.kernel, &st);
       const IoStats spill_before = disk->stats();
-      for (size_t i = 0; i < n; ++i) {
-        if (!pruned[q * n + i]) {
-          NMRS_RETURN_IF_ERROR(r.writer->Add(batch.id(i), batch.row_values(i),
-                                             batch.row_numerics(i)));
-        }
-      }
+      NMRS_RETURN_IF_ERROR(
+          SpillSurvivors(batch, schema, pruned.data() + q * n, r.writer.get()));
       NMRS_RETURN_IF_ERROR(r.writer->FlushPartial());
       const IoStats delta = disk->stats() - spill_before;
       st.io += delta;
@@ -501,7 +595,7 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
     StoredDataset survivors(disk, r.scratch, schema, r.writer->rows_written(),
                             opts.resilience.checksum_pages);
     NMRS_RETURN_IF_ERROR(Phase2(data, survivors, &reader, *r.ctx, batch_pages,
-                                opts, &st, &results[q].rows));
+                                opts, exec.segments, &st, &results[q].rows));
     NMRS_RETURN_IF_ERROR(disk->DeleteFile(r.scratch));
     st.phase2_checks = st.checks - st.phase1_checks;
     st.phase2_millis = phase2_timer.ElapsedMillis();

@@ -16,6 +16,7 @@ namespace nmrs {
 
 class BufferPool;
 class MatrixOverlay;
+class SegmentStore;
 class TaskExecutor;
 
 /// The policy every reverse-skyline algorithm takes: what to compute and
@@ -103,8 +104,9 @@ struct RSOptions {
 /// The runtime handles one query borrows from whoever runs it, kept apart
 /// from the policy in RSOptions. The batch engine fills one per (query,
 /// shard) task; a standalone call takes the default: no executor, no page
-/// cache, no failover replicas, no quarantine sink. None of them changes a
-/// result row. Every handle is borrowed and must outlive the query.
+/// cache, no segment store, no failover replicas, no quarantine sink. None
+/// of them changes a result row. Every handle is borrowed and must outlive
+/// the query.
 struct ExecContext {
   /// Hosts the extra phase-1 threads when RSOptions::num_threads > 1. When
   /// null, temporary std::threads are spawned.
@@ -116,6 +118,14 @@ struct ExecContext {
   /// and eviction counts folded into QueryStats::io. Null = seed-identical
   /// IO.
   BufferPool* buffer_pool = nullptr;
+
+  /// Columnar segments of the frozen base file's pages, shared by the
+  /// queries of one engine batch (data/segment_store.h). BRS and SRS on
+  /// the kernel path read each page through it: the read is charged as
+  /// always, and the decode and transpose are done once per batch instead
+  /// of once per read. Null = each read decodes into a query-local
+  /// segment. Changes no counter of QueryStats.
+  SegmentStore* segments = nullptr;
 
   /// Failover replicas of the frozen base files, in replica order (element
   /// r-1 serves replica r; the disk the algorithm runs over is replica 0).

@@ -88,6 +88,34 @@ void RowCodec::DecodePage(const Page& page, RowBatch* out) const {
   }
 }
 
+void RowCodec::DecodeColumns(const Page& page, ColumnarBatch* out) const {
+  const uint32_t count = GetRowCount(page);
+  NMRS_CHECK_LE(count, rows_per_page_);
+  out->Resize(count, num_attrs_, has_numerics_);
+  RowId* ids = out->mutable_ids();
+  const uint8_t* rows = page.data() + sizeof(uint32_t);
+  for (uint32_t r = 0; r < count; ++r) {
+    ids[r] = LoadRaw<uint64_t>(rows + r * row_bytes_);
+  }
+  // Field by field, so each column is written front to back.
+  const uint8_t* field = rows + sizeof(uint64_t);
+  for (size_t a = 0; a < num_attrs_; ++a, field += sizeof(uint32_t)) {
+    ValueId* col = out->mutable_values(static_cast<AttrId>(a));
+    for (uint32_t r = 0; r < count; ++r) {
+      col[r] = LoadRaw<uint32_t>(field + r * row_bytes_);
+    }
+  }
+  if (has_numerics_) {
+    for (size_t a = 0; a < num_attrs_; ++a, field += sizeof(double)) {
+      double* col = out->mutable_numerics(static_cast<AttrId>(a));
+      for (uint32_t r = 0; r < count; ++r) {
+        col[r] = LoadRaw<double>(field + r * row_bytes_);
+      }
+    }
+  }
+  out->IndexRuns();
+}
+
 RowWriter::RowWriter(SimulatedDisk* disk, FileId file, const Schema& schema,
                      bool checksum)
     : disk_(disk),

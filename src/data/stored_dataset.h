@@ -5,6 +5,7 @@
 
 #include "common/status.h"
 #include "common/statusor.h"
+#include "data/columnar_batch.h"
 #include "data/dataset.h"
 #include "data/object.h"
 #include "data/schema.h"
@@ -47,6 +48,11 @@ class RowCodec {
 
   /// Appends all rows of `page` to `out`.
   void DecodePage(const Page& page, RowBatch* out) const;
+
+  /// Decodes the rows of `page` straight into columns, replacing `out`'s
+  /// contents: the page's columnar segment, run index included, with no
+  /// source batch. Equal to DecodePage followed by ColumnarBatch::Build.
+  void DecodeColumns(const Page& page, ColumnarBatch* out) const;
 
  private:
   size_t num_attrs_;

@@ -11,6 +11,7 @@
 #include "core/block_rs.h"
 #include "core/dominance.h"
 #include "core/shard_exchange.h"
+#include "data/segment_store.h"
 #include "exec/overlay_exec.h"
 #include "sim/matrix_overlay.h"
 
@@ -55,6 +56,13 @@ double OverlayBatchResult::ModeledQps() const {
 }
 
 namespace {
+
+// The algorithms whose scans read through core/block_rs.cc: BRS, and SRS
+// over either pre-sort.
+bool ReadsThroughBlockScans(Algorithm algo) {
+  return algo == Algorithm::kBRS || algo == Algorithm::kSRS ||
+         algo == Algorithm::kTileSRS;
+}
 
 std::unique_ptr<const ShardedDataset> OneShard(const PreparedDataset& prepared) {
   auto sharded = ShardedDataset::Partition(prepared, ShardPlanOptions{});
@@ -282,12 +290,31 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
     for (int s = 0; s < S; ++s) cand[q].emplace_back(m, numerics);
   }
 
+  // ---- Segment stores (docs/CACHING.md, "Segment store"): BRS and SRS on
+  // the kernel path read every page of a shard through that shard's store,
+  // so the batch decodes and transposes each page once, while every read
+  // is still charged. The memory is reserved here, on the calling thread,
+  // and freed with the batch. A shard whose replicas inject faults gets
+  // none, as it gets no page cache. ----
+  std::vector<std::unique_ptr<SegmentStore>> segments(static_cast<size_t>(S));
+  if (ReadsThroughBlockScans(algo_) && opts_.rs.use_kernels &&
+      !queries.empty()) {
+    for (int s : active) {
+      if (replica_sets_[s]->faulted()) continue;
+      const StoredDataset& shard = sharded_->shard(s);
+      segments[s] = std::make_unique<SegmentStore>(
+          shard.file(), shard.num_pages(), shard.codec());
+    }
+  }
+
   // The handles every task of shard s borrows: intra-query threads on the
-  // engine's pool, the shard's page cache, the batch's quarantine log.
+  // engine's pool, the shard's page cache and segment store, the batch's
+  // quarantine log.
   auto make_exec = [&](int s) {
     ExecContext exec;
     exec.executor = &pool_;
     exec.buffer_pool = pool_caches_[s].get();
+    exec.segments = segments[s].get();
     exec.quarantine = &quarantine;
     return exec;
   };
@@ -531,6 +558,13 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
       }
     }
     wg.Wait();
+  }
+
+  batch.shard_segments_built.assign(static_cast<size_t>(S), 0);
+  for (int s : active) {
+    if (segments[s] != nullptr) {
+      batch.shard_segments_built[s] = segments[s]->segments_built();
+    }
   }
 
   // ---- Exchange bookkeeping (coordinator): fold shard failures into

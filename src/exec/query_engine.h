@@ -106,6 +106,14 @@ struct BatchResult {
   uint64_t shared_scan_batches = 0;
   IoStats shared_io;
 
+  /// Page segments built per shard (docs/CACHING.md, "Segment store"):
+  /// the distinct pages of shard s the batch's BRS/SRS reads decoded into
+  /// columns, once each. Zero for a shard with no store: other
+  /// algorithms, use_kernels off, or fault injection. Kept off the
+  /// per-query stats, which stay independent of which query read a page
+  /// first.
+  std::vector<uint64_t> shard_segments_built;
+
   /// Pages any query in this batch gave up on (kDataLoss / kCorruption),
   /// sorted — the batch's quarantine set.
   std::vector<std::pair<FileId, PageId>> quarantined;

@@ -6,6 +6,7 @@
 #include "gtest/gtest.h"
 #include "sim/dissimilarity_matrix.h"
 #include "sim/numeric_dissimilarity.h"
+#include "storage/disk_view.h"
 #include "testing/test_util.h"
 
 namespace nmrs {
@@ -480,6 +481,100 @@ TEST(FaultBatchShardedTest, NumericVerifyFromIndexRetriesOnlyScatter) {
   ASSERT_EQ(batch.quarantined.size(), 1u);
   EXPECT_EQ(batch.quarantined[0],
             (std::pair<FileId, PageId>{sharded->shard(0).file(), 0}));
+}
+
+// Fault-stream oracle: with one shard, query q of an engine batch reads
+// under fault stream q, so its fault outcome must be what a sequential
+// RunReverseSkyline of q sees over a FaultyDisk with that stream — the
+// same status (which names the page that failed), the same rows, and the
+// same transient retries, checksum failures, quarantined pages and IO.
+// Checksums are on, and transient faults and corruption both fire. The
+// shard's replicas inject faults, so the batch keeps no page segments: a
+// segment built by one query would otherwise serve pages whose reads
+// fault differently for another.
+TEST(FaultStreamOracleTest, EveryQueryMatchesItsSequentialFaultStream) {
+  RandomInstance instance(67, 3000, {6, 7, 8});
+  Rng rng(6700);
+  std::vector<Object> queries;
+  for (int i = 0; i < 24; ++i) {
+    queries.push_back(SampleUniformQuery(instance.data, rng));
+  }
+  FaultConfig faults;
+  faults.seed = 17;
+  faults.transient_read_p = 0.05;
+  faults.corrupt_p = 0.03;
+
+  for (Algorithm algo : {Algorithm::kSRS, Algorithm::kBRS}) {
+    const std::string name(AlgorithmName(algo));
+    SimulatedDisk disk(1024);
+    PrepareOptions popts;
+    popts.checksum_pages = true;
+    auto prepared = PrepareDataset(&disk, instance.data, algo, popts);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    const FileId fault_ceiling = disk.next_file_id();
+
+    EngineOptions opts;
+    opts.num_workers = 4;
+    opts.rs.memory = MemoryBudget{8};
+    opts.faults = faults;
+    QueryEngine engine(*prepared, instance.space, algo, opts);
+    auto batch = engine.RunBatch(queries);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ(batch->shard_segments_built, std::vector<uint64_t>{0})
+        << name << ": a faulted shard kept page segments";
+
+    RSOptions rs = opts.rs;
+    rs.resilience.checksum_pages = true;  // as the engine turns it on
+    const FaultInjector injector(faults);
+    QuarantineLog quarantine;
+    size_t failed = 0, corrupted = 0, retried = 0;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      DiskView view(&disk);
+      FaultyDisk faulty(&view, &injector, /*stream=*/q, fault_ceiling);
+      PreparedDataset local{
+          StoredDataset(&faulty, prepared->stored.file(),
+                        prepared->stored.schema(),
+                        prepared->stored.num_rows(), true),
+          prepared->attr_order, 0};
+      ExecContext exec;
+      exec.quarantine = &quarantine;
+      auto want = RunReverseSkyline(local, instance.space, queries[q], algo,
+                                    rs, exec);
+      const Status& got_status = batch->statuses[q];
+      ASSERT_EQ(got_status.ToString(),
+                want.ok() ? Status::OK().ToString()
+                          : want.status().ToString())
+          << name << " query " << q;
+      if (!want.ok()) {
+        ++failed;
+        continue;
+      }
+      const ReverseSkylineResult& got = batch->results[q];
+      const IoStats& gio = got.stats.io;
+      const IoStats& wio = want->stats.io;
+      EXPECT_EQ(got.rows, want->rows) << name << " query " << q;
+      EXPECT_EQ(gio.transient_retries, wio.transient_retries)
+          << name << " query " << q;
+      EXPECT_EQ(gio.checksum_failures, wio.checksum_failures)
+          << name << " query " << q;
+      EXPECT_EQ(gio.quarantined_pages, wio.quarantined_pages)
+          << name << " query " << q;
+      EXPECT_EQ(gio, wio) << name << " query " << q;
+      EXPECT_EQ(got.stats.checks, want->stats.checks)
+          << name << " query " << q;
+      EXPECT_EQ(got.stats.modeled_backoff_millis,
+                want->stats.modeled_backoff_millis)
+          << name << " query " << q;
+      corrupted += wio.checksum_failures > 0;
+      retried += wio.transient_retries > 0;
+    }
+    // The pages every failed query gave up on, across the batch.
+    EXPECT_EQ(batch->quarantined, quarantine.Pages()) << name;
+    EXPECT_GT(failed, 0u) << name << ": no query failed; raise the rates";
+    EXPECT_LT(failed, queries.size()) << name << ": every query failed";
+    EXPECT_GT(corrupted, 0u) << name << ": no surviving query saw corruption";
+    EXPECT_GT(retried, 0u) << name << ": no surviving query retried";
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "data/generators.h"
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
+#include "shard/shard_plan.h"
 #include "storage/disk_view.h"
 #include "testing/test_util.h"
 
@@ -396,6 +397,110 @@ TEST(QueryEngineTest, EngineWithIntraQueryThreadsMatchesSequential) {
   ASSERT_TRUE(batch.ok()) << batch.status();
 
   ExpectBatchesIdentical(*expected, *batch);
+}
+
+// ---------------------------------------------------------------------------
+// Segment stores (docs/CACHING.md, "Segment store"): a BRS/SRS batch builds
+// each page of each shard once, however many queries read it and however
+// many workers race on it. A page cache that never evicts counts the same
+// thing from the other side: its misses are the distinct pages read.
+// ---------------------------------------------------------------------------
+
+TEST(SegmentStoreTest, BuildsEachShardPageOncePerBatch) {
+  Workload wl(53, 6000);
+  for (Algorithm algo : {Algorithm::kSRS, Algorithm::kBRS}) {
+    SimulatedDisk disk(kTrsPageSize);
+    auto prepared = PrepareDataset(&disk, wl.instance.data, algo);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    for (int shards : {1, 2}) {
+      ShardPlanOptions plan;
+      plan.num_shards = shards;
+      auto sharded = ShardedDataset::Partition(*prepared, plan);
+      ASSERT_TRUE(sharded.ok()) << sharded.status();
+      for (bool shared_scan : {false, true}) {
+        BatchResult reference;
+        bool have_reference = false;
+        for (size_t workers : {1u, 8u}) {
+          const std::string leg =
+              std::string(AlgorithmName(algo)) + " shards=" +
+              std::to_string(shards) + " shared_scan=" +
+              std::to_string(shared_scan) + " workers=" +
+              std::to_string(workers);
+          EngineOptions opts;
+          opts.num_workers = workers;
+          opts.rs.memory = MemoryBudget{8};
+          opts.shared_scan = shared_scan;
+          opts.shared_scan_group = 5;
+          // Room to spare: the pool's LRU is split into hashed shards.
+          opts.cache_pages = 8 * disk.TotalPages();
+          QueryEngine engine(*sharded, wl.instance.space, algo, opts);
+          for (int b = 0; b < 2; ++b) {
+            auto batch = engine.RunBatch(wl.queries);
+            ASSERT_TRUE(batch.ok()) << batch.status();
+            ASSERT_TRUE(batch->ok()) << batch->first_error();
+            ASSERT_EQ(batch->shard_segments_built.size(),
+                      static_cast<size_t>(shards));
+            for (int s = 0; s < shards; ++s) {
+              const uint64_t pages = sharded->shard(s).num_pages();
+              // Every query scans its whole shard, so the distinct pages
+              // read are all of them; the first batch's cache misses
+              // count them independently. The store lives for one batch,
+              // so the second batch builds them again.
+              EXPECT_EQ(batch->shard_segments_built[s], pages)
+                  << leg << " batch " << b << " shard " << s;
+              if (b == 0) {
+                EXPECT_EQ(engine.buffer_pool(s)->stats().evictions, 0u)
+                    << leg << " shard " << s;
+                EXPECT_EQ(engine.buffer_pool(s)->stats().misses, pages)
+                    << leg << " shard " << s;
+              }
+            }
+            if (!have_reference) {
+              reference = std::move(*batch);
+              have_reference = true;
+              continue;
+            }
+            EXPECT_EQ(batch->shard_segments_built,
+                      reference.shard_segments_built)
+                << leg;
+            for (size_t i = 0; i < wl.queries.size(); ++i) {
+              EXPECT_EQ(batch->results[i].rows, reference.results[i].rows)
+                  << leg << " query " << i;
+              EXPECT_EQ(batch->results[i].stats.checks,
+                        reference.results[i].stats.checks)
+                  << leg << " query " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SegmentStoreTest, OnlyKernelBlockScansGetAStore) {
+  Workload wl(59, 3000);
+  SimulatedDisk disk(kTrsPageSize);
+  for (Algorithm algo : {Algorithm::kNaive, Algorithm::kTRS,
+                         Algorithm::kSRS}) {
+    auto prepared = PrepareDataset(&disk, wl.instance.data, algo);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    for (bool kernels : {true, false}) {
+      EngineOptions opts;
+      opts.num_workers = 2;
+      opts.rs.memory = MemoryBudget{4};
+      opts.rs.use_kernels = kernels;
+      QueryEngine engine(*prepared, wl.instance.space, algo, opts);
+      auto batch = engine.RunBatch(
+          std::vector<Object>(wl.queries.begin(), wl.queries.begin() + 4));
+      ASSERT_TRUE(batch.ok()) << batch.status();
+      ASSERT_TRUE(batch->ok()) << batch->first_error();
+      const uint64_t want = algo == Algorithm::kSRS && kernels
+                                ? prepared->stored.num_pages()
+                                : 0;
+      EXPECT_EQ(batch->shard_segments_built, std::vector<uint64_t>{want})
+          << AlgorithmName(algo) << " kernels=" << kernels;
+    }
+  }
 }
 
 }  // namespace

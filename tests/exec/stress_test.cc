@@ -311,6 +311,84 @@ void StressSharedScanBatch() {
               queries.size(), queries.size() / 8);
 }
 
+// Every counter of QueryStats, wall-clock timers aside.
+bool SameCounters(const QueryStats& a, const QueryStats& b) {
+  return a.checks == b.checks && a.phase1_checks == b.phase1_checks &&
+         a.phase2_checks == b.phase2_checks && a.pair_tests == b.pair_tests &&
+         a.kernel_checks == b.kernel_checks &&
+         a.kernel_promotions == b.kernel_promotions &&
+         a.kernel_scalar_rows == b.kernel_scalar_rows &&
+         a.kernel_block_rows == b.kernel_block_rows &&
+         a.phase1_batches == b.phase1_batches &&
+         a.phase1_survivors == b.phase1_survivors &&
+         a.phase2_batches == b.phase2_batches && a.io == b.io &&
+         a.modeled_backoff_millis == b.modeled_backoff_millis &&
+         a.result_size == b.result_size;
+}
+
+// Segment stores under contention: at 8 workers the batch's BRS and SRS
+// queries race on the first touch of every page of the shard's store,
+// with each query's phase-1 candidates split over 2 intra-query threads on
+// the same pool. Two batches per engine, each with its own store. Rows,
+// every QueryStats counter and the IO must equal the 1-worker run, and
+// every page must be built exactly once per batch.
+void StressSegmentStore() {
+  Rng rng(8642);
+  Rng data_rng = rng.Fork();
+  Rng space_rng = rng.Fork();
+  const std::vector<size_t> cards = {6, 7, 8};
+  Dataset data = GenerateNormal(4000, cards, data_rng);
+  SimilaritySpace space;
+  for (size_t card : cards) {
+    space.AddCategorical(MakeRandomMatrix(card, space_rng));
+  }
+  std::vector<Object> queries;
+  for (int i = 0; i < 32; ++i) {
+    queries.push_back(SampleUniformQuery(data, rng));
+  }
+  for (Algorithm algo : {Algorithm::kSRS, Algorithm::kBRS}) {
+    SimulatedDisk disk(1024);
+    auto prepared = PrepareDataset(&disk, data, algo);
+    NMRS_CHECK(prepared.ok()) << prepared.status();
+    const uint64_t pages = prepared->stored.num_pages();
+    BatchResult reference;
+    bool have_reference = false;
+    for (size_t workers : {1u, 8u}) {
+      EngineOptions opts;
+      opts.num_workers = workers;
+      opts.rs.memory = MemoryBudget{4};
+      opts.rs.num_threads = 2;
+      QueryEngine engine(*prepared, space, algo, opts);
+      for (int b = 0; b < 2; ++b) {
+        auto batch = engine.RunBatch(queries);
+        NMRS_CHECK(batch.ok()) << batch.status();
+        NMRS_CHECK(batch->ok()) << batch->first_error();
+        NMRS_CHECK(batch->shard_segments_built ==
+                   std::vector<uint64_t>{pages})
+            << AlgorithmName(algo) << " workers " << workers;
+        if (!have_reference) {
+          reference = std::move(*batch);
+          have_reference = true;
+          continue;
+        }
+        NMRS_CHECK(batch->total_io == reference.total_io);
+        for (size_t i = 0; i < queries.size(); ++i) {
+          NMRS_CHECK(batch->results[i].rows == reference.results[i].rows)
+              << AlgorithmName(algo) << " workers " << workers << " query "
+              << i;
+          NMRS_CHECK(SameCounters(batch->results[i].stats,
+                                  reference.results[i].stats))
+              << AlgorithmName(algo) << " workers " << workers << " query "
+              << i;
+        }
+      }
+    }
+  }
+  std::printf("segment store: SRS and BRS, %zu queries, each page built "
+              "once per batch, identical at 1 and 8 workers\n",
+              queries.size());
+}
+
 // Runs `queries` through a TRS engine at 1 and at 8 workers and checks
 // that rows and IO match. `threads_at_8` is RSOptions::num_threads with 8
 // workers; `opts.rs.num_threads` applies with 1. When both are equal the
@@ -940,6 +1018,7 @@ int main() {
   nmrs::StressSharedBufferPool();
   nmrs::StressEngineWithSharedCache();
   nmrs::StressSharedScanBatch();
+  nmrs::StressSegmentStore();
   nmrs::StressQueryEngine();
   nmrs::StressResidentTrs();
   nmrs::StressFaultBatch();

@@ -512,6 +512,20 @@ StatusOr<LoadedQuery> LoadQuerySetup(const Flags& flags) {
   return LoadedQuery{std::move(data), std::move(space), std::move(query)};
 }
 
+// Page segments the batch decoded once and shared, per shard
+// (docs/CACHING.md, "Segment store"); printed only when some shard kept a
+// store.
+void PrintSegmentsBuilt(const BatchResult& batch) {
+  uint64_t total = 0;
+  for (uint64_t n : batch.shard_segments_built) total += n;
+  if (total == 0) return;
+  std::printf("  page segments built:");
+  for (uint64_t n : batch.shard_segments_built) {
+    std::printf(" %llu", static_cast<unsigned long long>(n));
+  }
+  std::printf("\n");
+}
+
 void PrintStats(const QueryStats& s) {
   std::printf(
       "  checks=%llu (p1 %llu, p2 %llu)  survivors=%llu  batches=%llu+%llu\n"
@@ -628,6 +642,7 @@ int CmdQuery(const Flags& flags) {
                 ShardCandidateSummary(batch->batch().breakdown[0]).c_str());
   }
   PrintStats(batch->results()[0].stats);
+  PrintSegmentsBuilt(batch->batch());
   return 0;
 }
 
