@@ -5,13 +5,15 @@
 //    checksums, no injector), checksummed pages, and checksummed pages
 //    with the fault injector armed but never firing (its only bad page
 //    lies far past EOF, so every read still pays the oracle draw and the
-//    FaultyDisk indirection). Fault handling is supposed to be free when
-//    nothing fails; the shape check demands < 3% wall-clock overhead of
-//    the fully-armed configuration over the seed path and bit-identical
-//    rows across all three. After one untimed warm-up batch each, the
-//    three configurations run interleaved rep by rep, so drift in the
-//    host's speed lands on all of them alike; the check compares median
-//    walls, and min / median / max are reported per configuration.
+//    FaultyDisk indirection). All three take the scalar path, so none
+//    keeps a segment store (a faulted shard never gets one). Fault
+//    handling is supposed to be free when nothing fails; the shape check
+//    demands < 3% wall-clock overhead of the fully-armed configuration
+//    over the seed path and bit-identical rows across all three. After
+//    one untimed warm-up batch each, the three configurations run
+//    interleaved rep by rep, so drift in the host's speed lands on all of
+//    them alike; the check compares median walls, and min / median / max
+//    are reported per configuration.
 //
 // 2. "retry-storm" — the checksummed batch under transient read faults at
 //    p in {1e-4, 1e-3, 1e-2} with the default 3-attempt retry policy and
@@ -94,6 +96,11 @@ void PrepareOverheadConfig(const Workload& w, OverheadConfig* cfg) {
 
   cfg->opts.num_workers = 1;  // single worker: wall clock measures the hot path
   cfg->opts.rs.memory = MemoryBudget::FromFraction(0.1, stored.num_pages());
+  // The scalar path on every side: the kernel path keeps a per-batch
+  // segment store only on shards whose replicas inject no faults, so the
+  // armed injector would lose it and the comparison would read the
+  // store's gain instead of the fault machinery's cost.
+  cfg->opts.rs.use_kernels = false;
   if (cfg->armed) {
     // Armed but inert: the only configured fault sits far past EOF, so the
     // oracle is consulted on every read yet never fires.

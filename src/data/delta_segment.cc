@@ -29,7 +29,7 @@ DeltaSegment::DeltaSegment(const Schema& schema)
       has_numerics_(schema.NumNumeric() > 0),
       value_words_((num_attrs_ + 1) / 2),
       inserts_(1 + value_words_ + (has_numerics_ ? num_attrs_ : 0)),
-      deletes_(1),
+      deletes_(2),
       scratch_(inserts_.stride(), 0) {}
 
 uint64_t DeltaSegment::AppendInsert(uint64_t key, const uint32_t* values,
@@ -45,8 +45,11 @@ uint64_t DeltaSegment::AppendInsert(uint64_t key, const uint32_t* values,
   return inserts_.Append(scratch_.data());
 }
 
-uint64_t DeltaSegment::AppendDelete(uint64_t key) {
-  return deletes_.Append(&key);
+uint64_t DeltaSegment::AppendDelete(uint64_t key, RowLocation target) {
+  NMRS_CHECK(target.index >> 63 == 0) << "delete target index out of range";
+  const uint64_t record[2] = {key,
+                              target.index << 1 | (target.in_delta ? 1 : 0)};
+  return deletes_.Append(record);
 }
 
 }  // namespace nmrs

@@ -86,18 +86,29 @@ class PackedLog {
 
 }  // namespace delta_internal
 
+/// Where a live row resides relative to one delta segment: a row of the
+/// base generation the segment sits on (by its RowId there), or an insert
+/// of the segment itself (by its rank in the insert log).
+struct RowLocation {
+  bool in_delta = false;
+  uint64_t index = 0;  // base-generation RowId, or delta insert rank
+};
+
 /// In-memory mutable layer over a frozen base generation: an append-only
 /// insert log (full rows keyed by stable user keys) plus an append-only
-/// delete log (keys). Both are packed, offset-addressed and concurrently
-/// readable while the single writer appends (see PackedLog); a
+/// delete log (keys, each with the row it removed). Both are packed,
+/// offset-addressed and concurrently readable while the single writer
+/// appends (see PackedLog); a
 /// DeltaVersion pins an immutable prefix of each, which is how Snapshot
 /// sees base+delta as one frozen logical dataset while mutations keep
 /// landing.
 ///
-/// The segment is schema-bound but key-agnostic: it does not know which
-/// keys exist in the base, or whether a delete targets a base row or an
-/// earlier delta insert — Database owns the key book-keeping and
-/// validation; the segment is pure storage.
+/// The segment is schema-bound and stores what Database resolved: each
+/// delete carries the RowLocation of its target at the time of the delete
+/// (a RowId of this segment's base generation, or the rank of an earlier
+/// insert of this segment), so folding the delta into the base needs no
+/// key lookup. Database owns the key book-keeping and validation; the
+/// segment is pure storage.
 ///
 /// Writer calls (AppendInsert / AppendDelete) require external
 /// serialization; all read accessors are safe concurrently with the
@@ -128,8 +139,10 @@ class DeltaSegment {
   uint64_t AppendInsert(uint64_t key, const uint32_t* values,
                         const double* numerics);
 
-  /// Appends one delete of `key`. Single writer.
-  uint64_t AppendDelete(uint64_t key);
+  /// Appends one delete of `key`, whose row sits at `target` (a row of this
+  /// segment's base generation, or an insert already in this segment).
+  /// Single writer.
+  uint64_t AppendDelete(uint64_t key, RowLocation target);
 
   /// Read accessors for insert i (< version().inserts).
   uint64_t InsertKey(uint64_t i) const { return inserts_.At(i)[0]; }
@@ -144,8 +157,13 @@ class DeltaSegment {
                          : nullptr;
   }
 
-  /// Read accessor for delete i (< version().deletes): the deleted key.
+  /// Read accessors for delete i (< version().deletes): the deleted key,
+  /// and where its row sat when it was deleted.
   uint64_t DeleteKey(uint64_t i) const { return deletes_.At(i)[0]; }
+  RowLocation DeleteTarget(uint64_t i) const {
+    const uint64_t word = deletes_.At(i)[1];
+    return RowLocation{(word & 1) != 0, word >> 1};
+  }
 
   uint64_t ApproxBytes() const {
     return inserts_.ApproxBytes() + deletes_.ApproxBytes();
@@ -157,7 +175,7 @@ class DeltaSegment {
   size_t value_words_;  // ceil(num_attrs / 2): u32 ids packed into u64s
   // Insert record: [key][values: value_words_][numerics: num_attrs_?]
   delta_internal::PackedLog inserts_;
-  // Delete record: [key]
+  // Delete record: [key][target index << 1 | target in_delta]
   delta_internal::PackedLog deletes_;
   std::vector<uint64_t> scratch_;  // writer-side encode buffer
 };

@@ -128,17 +128,17 @@ Status RowWriter::Add(RowId id, const ValueId* values,
                       const double* numerics) {
   NMRS_CHECK(!finished_);
   codec_.EncodeRow(&current_, slot_, id, values, numerics);
-  ++slot_;
-  ++rows_written_;
-  if (slot_ == codec_.rows_per_page()) {
-    codec_.SetRowCount(&current_, static_cast<uint32_t>(slot_));
-    if (codec_.checksum()) current_.Seal();
-    NMRS_RETURN_IF_ERROR(disk_->WritePage(file_, next_page_, current_));
-    current_ = Page(disk_->page_size());
-    slot_ = 0;
-    ++next_page_;
-    partial_on_disk_ = false;
-  }
+  return CommitSlot();
+}
+
+Status RowWriter::WriteFullPage() {
+  codec_.SetRowCount(&current_, static_cast<uint32_t>(slot_));
+  if (codec_.checksum()) current_.Seal();
+  NMRS_RETURN_IF_ERROR(disk_->WritePage(file_, next_page_, current_));
+  current_ = Page(disk_->page_size());
+  slot_ = 0;
+  ++next_page_;
+  partial_on_disk_ = false;
   return Status::OK();
 }
 

@@ -1,8 +1,10 @@
 #ifndef NMRS_DATA_STORED_DATASET_H_
 #define NMRS_DATA_STORED_DATASET_H_
 
+#include <cstring>
 #include <string>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "data/columnar_batch.h"
@@ -46,6 +48,21 @@ class RowCodec {
   void SetRowCount(Page* page, uint32_t count) const;
   uint32_t GetRowCount(const Page& page) const;
 
+  /// The row_bytes() encoded bytes of row `slot` of `page`, in place. Row
+  /// offsets are not 8-byte aligned: read fields through memcpy.
+  const uint8_t* RowBytes(const Page& page, size_t slot) const {
+    return page.data() + sizeof(uint32_t) + slot * row_bytes_;
+  }
+
+  /// Copies one encoded row of this layout into `slot` of `page`, then
+  /// overwrites its id with `id`: the other fields move as bytes.
+  void CopyRow(Page* page, size_t slot, RowId id, const uint8_t* row) const {
+    NMRS_DCHECK(slot < rows_per_page_);
+    uint8_t* p = page->data() + sizeof(uint32_t) + slot * row_bytes_;
+    std::memcpy(p, row, row_bytes_);
+    std::memcpy(p, &id, sizeof(id));
+  }
+
   /// Appends all rows of `page` to `out`.
   void DecodePage(const Page& page, RowBatch* out) const;
 
@@ -78,6 +95,14 @@ class RowWriter {
   Status Add(RowId id, const ValueId* values, const double* numerics);
   Status AddObject(RowId id, const Object& obj);
 
+  /// Appends a row already encoded in this writer's layout (RowCodec of
+  /// the same schema and checksum setting), renumbered to `id`.
+  Status AddEncoded(RowId id, const uint8_t* row) {
+    NMRS_CHECK(!finished_);
+    codec_.CopyRow(&current_, slot_, id, row);
+    return CommitSlot();
+  }
+
   /// Writes the in-progress partial page to disk without sealing it:
   /// subsequent Adds keep filling the same page and re-write it when full.
   /// Two-phase algorithms call this at the end of every phase-1 batch so
@@ -92,6 +117,15 @@ class RowWriter {
   uint64_t rows_written() const { return rows_written_; }
 
  private:
+  /// Publishes the slot just encoded: the one append path of Add and
+  /// AddEncoded. Writes the page out once it is full.
+  Status CommitSlot() {
+    ++slot_;
+    ++rows_written_;
+    return slot_ == codec_.rows_per_page() ? WriteFullPage() : Status::OK();
+  }
+  Status WriteFullPage();
+
   SimulatedDisk* disk_;
   FileId file_;
   RowCodec codec_;

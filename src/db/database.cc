@@ -1,8 +1,8 @@
 #include "db/database.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
-#include <unordered_set>
 #include <utility>
 
 #include "common/timer.h"
@@ -23,6 +23,79 @@ std::vector<std::vector<uint64_t>> TranslateKeys(
   }
   return keys;
 }
+
+// Set bits of a word. Without -mpopcnt std::popcount is a libgcc call;
+// this SWAR sum stays inline.
+inline uint64_t PopCount(uint64_t x) {
+  x = x - ((x >> 1) & 0x5555555555555555ull);
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return (x * 0x0101010101010101ull) >> 56;
+}
+
+// The deleted rows of a base generation as a rank bitmap: one bit per row
+// plus the count of set bits below each 64-bit word. A surviving row's
+// merged RowId is its old id minus Rank(old id), found with no search, and
+// the whole structure is n/8 + n/16 bytes, small enough to stay in cache.
+// The per-word counts are 32-bit: a delta log holds far fewer deletes.
+class DeletedRows {
+ public:
+  explicit DeletedRows(uint64_t rows)
+      : rows_(rows), bits_((rows + 63) / 64, 0), below_(bits_.size(), 0) {}
+
+  // Marks `row` deleted; false if it already was.
+  bool Insert(RowId row) {
+    uint64_t& word = bits_[row >> 6];
+    const uint64_t bit = uint64_t{1} << (row & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
+  }
+
+  // Fills the per-word counts; call once, after the last Insert.
+  void IndexRanks() {
+    uint64_t total = 0;
+    for (size_t w = 0; w < bits_.size(); ++w) {
+      below_[w] = static_cast<uint32_t>(total);
+      total += PopCount(bits_[w]);
+    }
+    count_ = total;
+  }
+
+  uint64_t count() const { return count_; }
+
+  bool Contains(RowId row) const {
+    return ((bits_[row >> 6] >> (row & 63)) & 1) != 0;
+  }
+
+  // Calls kept(lo, hi) for each maximal range [lo, hi) of rows that are
+  // not deleted, in ascending order.
+  template <typename Fn>
+  void ForEachKeptRange(Fn kept) const {
+    RowId lo = 0;
+    for (size_t w = 0; w < bits_.size(); ++w) {
+      for (uint64_t word = bits_[w]; word != 0; word &= word - 1) {
+        const RowId row = w * 64 + static_cast<RowId>(__builtin_ctzll(word));
+        if (lo < row) kept(lo, row);
+        lo = row + 1;
+      }
+    }
+    if (lo < rows_) kept(lo, rows_);
+  }
+
+  // Deleted rows with a smaller id than `row`.
+  uint64_t Rank(RowId row) const {
+    const uint64_t below_in_word =
+        bits_[row >> 6] & ((uint64_t{1} << (row & 63)) - 1);
+    return below_[row >> 6] + PopCount(below_in_word);
+  }
+
+ private:
+  uint64_t rows_;
+  std::vector<uint64_t> bits_;
+  std::vector<uint32_t> below_;
+  uint64_t count_ = 0;
+};
 
 Status ValidateQueries(const std::vector<Object>& queries, size_t m) {
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -145,7 +218,7 @@ Status Database::InitGen0(const Dataset& base) {
   delta_ = std::make_shared<DeltaSegment>(schema_);
   live_.reserve(n);
   for (RowId r = 0; r < n; ++r) {
-    live_.emplace(r, db_internal::Location{false, r});
+    live_.emplace(r, RowLocation{false, r});
   }
   next_key_ = n;
   return Status::OK();
@@ -259,7 +332,7 @@ StatusOr<uint64_t> Database::ApplyInsert(uint64_t key,
   NMRS_RETURN_IF_ERROR(wal_->Append(rec));
   const uint64_t rank = delta_->AppendInsert(
       key, rec.values.data(), rec.numerics.empty() ? nullptr : rec.numerics.data());
-  live_[key] = db_internal::Location{true, rank};
+  live_[key] = RowLocation{true, rank};
   next_key_ = std::max(next_key_, key + 1);
   ++stats_.inserts;
   ++stats_.wal_records;
@@ -281,7 +354,7 @@ Status Database::Delete(uint64_t key) {
   rec.type = WalRecord::Type::kDelete;
   rec.key = key;
   NMRS_RETURN_IF_ERROR(wal_->Append(rec));
-  delta_->AppendDelete(key);
+  delta_->AppendDelete(key, it->second);
   live_.erase(it);
   ++stats_.deletes;
   ++stats_.wal_records;
@@ -294,64 +367,63 @@ StatusOr<std::shared_ptr<Database::State>> Database::Materialize(
     const std::string& file_label) {
   Timer timer;
   const StoredDataset& stored = gen.prepared->stored;
+  const uint64_t base_rows = stored.num_rows();
   const size_t m = schema_.num_attributes();
-  const bool has_num = schema_.NumNumeric() > 0;
   const bool checksum = stored.checksum_pages();
   const std::vector<AttrId>& attr_order = gen.prepared->attr_order;
 
-  // Resolve the delta prefix: which inserts died, which base rows died.
-  std::unordered_map<uint64_t, uint64_t> insert_rank;
-  insert_rank.reserve(v.inserts);
-  for (uint64_t i = 0; i < v.inserts; ++i) {
-    insert_rank.emplace(delta.InsertKey(i), i);
-  }
+  // Resolve the delta prefix. Every delete carries the row Delete found
+  // for its key, so this is one pass over the delete log.
   std::vector<char> dead(v.inserts, 0);
-  std::unordered_set<uint64_t> base_delete_keys;
+  DeletedRows deleted(base_rows);
   for (uint64_t d = 0; d < v.deletes; ++d) {
-    const uint64_t key = delta.DeleteKey(d);
-    if (auto it = insert_rank.find(key); it != insert_rank.end()) {
-      dead[it->second] = 1;
-    } else {
-      base_delete_keys.insert(key);
+    const RowLocation target = delta.DeleteTarget(d);
+    const bool live = target.in_delta
+                          ? target.index < v.inserts && !dead[target.index]
+                          : target.index < base_rows &&
+                                deleted.Insert(target.index);
+    if (!live) {
+      return Status::Internal("delta delete " + std::to_string(d) +
+                              " names no live row (key " +
+                              std::to_string(delta.DeleteKey(d)) + ")");
     }
+    if (target.in_delta) dead[target.index] = 1;
   }
-  // Base deletes resolve by one pass over the generation's keys, which
-  // also yields them in RowId order. Keys left unmatched name no live row.
-  std::vector<RowId> deleted_base;
-  if (!base_delete_keys.empty()) {
-    for (RowId r = 0; r < gen.keys.size(); ++r) {
-      if (base_delete_keys.count(gen.keys[r]) != 0) deleted_base.push_back(r);
-    }
-    if (deleted_base.size() != base_delete_keys.size()) {
-      for (RowId r : deleted_base) base_delete_keys.erase(gen.keys[r]);
-      for (uint64_t d = 0; d < v.deletes; ++d) {
-        const uint64_t key = delta.DeleteKey(d);
-        if (base_delete_keys.count(key) != 0) {
-          return Status::Internal("delta delete references unknown key " +
-                                  std::to_string(key));
-        }
-      }
-    }
-  }
-  const uint64_t base_live = stored.num_rows() - deleted_base.size();
+  deleted.IndexRanks();
+  const uint64_t base_live = base_rows - deleted.count();
 
-  // Live inserts get merged RowIds base_live.. in *insert order* — exactly
-  // the ids they would get appended to a re-built merged Dataset — and are
-  // then ordered for the stream merge the way the full re-sort would order
-  // them (naive/BRS keep append order; id tie-breaks equal insert-rank
-  // tie-breaks because the id assignment is monotone in rank).
+  // New RowIds of base rows keep their order, so the new key array is the
+  // generation's with the deleted entries dropped, followed by the live
+  // inserts, which get RowIds base_live.. in *insert order* — exactly the
+  // ids they would get appended to a re-built merged Dataset.
+  auto st = std::make_shared<State>();
+  st->generation = generation_label;
+  st->version = version_label;
+  st->keys.reserve(base_live + v.inserts);
+  deleted.ForEachKeptRange([&](RowId lo, RowId hi) {
+    st->keys.insert(st->keys.end(),
+                    gen.keys.begin() + static_cast<std::ptrdiff_t>(lo),
+                    gen.keys.begin() + static_cast<std::ptrdiff_t>(hi));
+  });
+  // The live inserts are then ordered for the stream merge the way the
+  // full re-sort would order them (naive/BRS keep append order; id
+  // tie-breaks equal insert-rank tie-breaks because the id assignment is
+  // monotone in rank).
   struct DeltaRow {
     uint64_t rank;
     RowId new_id;
     uint64_t zkey;
+    const ValueId* values;
   };
   std::vector<DeltaRow> drows;
   drows.reserve(v.inserts);
   for (uint64_t i = 0; i < v.inserts; ++i) {
-    if (!dead[i]) {
-      drows.push_back(DeltaRow{i, base_live + drows.size(), 0});
-    }
+    if (dead[i]) continue;
+    drows.push_back(DeltaRow{i, static_cast<RowId>(st->keys.size()), 0,
+                             delta.InsertValues(i)});
+    st->keys.push_back(delta.InsertKey(i));
   }
+  const uint64_t total_rows = st->keys.size();
 
   const bool tiled =
       opts_.algo == Algorithm::kTileSRS || opts_.algo == Algorithm::kTileTRS;
@@ -360,7 +432,7 @@ StatusOr<std::shared_ptr<Database::State>> Database::Materialize(
   std::optional<TileZCoder> coder;
   if (tiled) {
     coder.emplace(schema_, attr_order, opts_.prepare.tiles_per_dim);
-    for (DeltaRow& dr : drows) dr.zkey = coder->Key(delta.InsertValues(dr.rank));
+    for (DeltaRow& dr : drows) dr.zkey = coder->Key(dr.values);
   }
   auto lex = [&attr_order](const ValueId* a, const ValueId* b) -> int {
     for (AttrId attr : attr_order) {
@@ -372,38 +444,28 @@ StatusOr<std::shared_ptr<Database::State>> Database::Materialize(
     std::sort(drows.begin(), drows.end(),
               [&](const DeltaRow& x, const DeltaRow& y) {
                 if (tiled && x.zkey != y.zkey) return x.zkey < y.zkey;
-                const int c = lex(delta.InsertValues(x.rank),
-                                  delta.InsertValues(y.rank));
+                const int c = lex(x.values, y.values);
                 if (c != 0) return c < 0;
                 return x.rank < y.rank;
               });
   }
 
-  auto st = std::make_shared<State>();
-  st->generation = generation_label;
-  st->version = version_label;
   st->disk = std::make_shared<SimulatedDisk>(stored.disk()->page_size());
   const FileId file = st->disk->CreateFile(file_label);
   RowWriter writer(st->disk.get(), file, schema_, checksum);
-  const uint64_t total_rows = base_live + drows.size();
-  st->keys.resize(total_rows);
 
   size_t di = 0;
   auto emit_delta = [&]() -> Status {
-    const DeltaRow& dr = drows[di];
-    NMRS_RETURN_IF_ERROR(writer.Add(dr.new_id, delta.InsertValues(dr.rank),
-                                    delta.InsertNumerics(dr.rank)));
-    st->keys[dr.new_id] = delta.InsertKey(dr.rank);
-    ++di;
-    return Status::OK();
+    const DeltaRow& dr = drows[di++];
+    return writer.Add(dr.new_id, dr.values, delta.InsertNumerics(dr.rank));
   };
   // Strictly-before: on a full key tie the base row wins, because its
   // merged RowId is < base_live <= every delta RowId.
   auto delta_before = [&](const ValueId* bv, uint64_t bz) -> bool {
-    if (!ordered || di >= drows.size()) return false;
+    if (di >= drows.size()) return false;
     const DeltaRow& dr = drows[di];
     if (tiled && dr.zkey != bz) return dr.zkey < bz;
-    return lex(delta.InsertValues(dr.rank), bv) < 0;
+    return lex(dr.values, bv) < 0;
   };
 
   // Stream the frozen generation (zero-copy page peeks — safe concurrently
@@ -411,9 +473,10 @@ StatusOr<std::shared_ptr<Database::State>> Database::Materialize(
   // disk, one from memory, in the external-sort idiom. The base stream is
   // sorted by (sort key, old id); dropping deleted rows and renumbering
   // preserves that order because old id -> new id is monotone, so the merge
-  // output equals a full re-sort of the merged dataset, byte for byte.
-  RowBatch batch(m, has_num);
+  // output equals a full re-sort of the merged dataset, byte for byte. A
+  // surviving base row moves as bytes: only its id is rewritten.
   const RowCodec& codec = stored.codec();
+  std::vector<ValueId> bv(m);  // value ids of the base row being merged
   const uint64_t num_pages = stored.num_pages();
   for (PageId p = 0; p < num_pages; ++p) {
     const Page* pg = stored.disk()->PeekPage(stored.file(), p);
@@ -427,28 +490,41 @@ StatusOr<std::shared_ptr<Database::State>> Database::Materialize(
           " page " + std::to_string(p) +
           " failed checksum verification during materialization");
     }
-    batch.Clear();
-    codec.DecodePage(*pg, &batch);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const RowId old_id = batch.id(i);
-      auto lo =
-          std::lower_bound(deleted_base.begin(), deleted_base.end(), old_id);
-      if (lo != deleted_base.end() && *lo == old_id) continue;
-      const RowId new_id =
-          old_id - static_cast<RowId>(lo - deleted_base.begin());
-      const ValueId* bv = batch.row_values(i);
-      const uint64_t bz = coder ? coder->Key(bv) : 0;
-      while (delta_before(bv, bz)) {
-        NMRS_RETURN_IF_ERROR(emit_delta());
+    const uint32_t count = codec.GetRowCount(*pg);
+    if (count > codec.rows_per_page()) {
+      return Status::Corruption("generation page " + std::to_string(p) +
+                                " claims " + std::to_string(count) + " rows");
+    }
+    for (uint32_t i = 0; i < count; ++i) {
+      const uint8_t* row = codec.RowBytes(*pg, i);
+      RowId old_id = 0;
+      std::memcpy(&old_id, row, sizeof(old_id));
+      if (old_id >= base_rows) {
+        return Status::Corruption("generation page " + std::to_string(p) +
+                                  " holds row id " + std::to_string(old_id) +
+                                  " of " + std::to_string(base_rows));
       }
-      NMRS_RETURN_IF_ERROR(writer.Add(new_id, bv, batch.row_numerics(i)));
-      st->keys[new_id] = gen.keys[old_id];
+      if (deleted.Contains(old_id)) continue;
+      if (ordered && di < drows.size()) {
+        std::memcpy(bv.data(), row + sizeof(RowId), m * sizeof(ValueId));
+        const uint64_t bz = tiled ? coder->Key(bv.data()) : 0;
+        while (delta_before(bv.data(), bz)) {
+          NMRS_RETURN_IF_ERROR(emit_delta());
+        }
+      }
+      NMRS_RETURN_IF_ERROR(
+          writer.AddEncoded(old_id - deleted.Rank(old_id), row));
     }
   }
   while (di < drows.size()) {
     NMRS_RETURN_IF_ERROR(emit_delta());
   }
   NMRS_RETURN_IF_ERROR(writer.Finish());
+  if (writer.rows_written() != total_rows) {
+    return Status::Internal(
+        "materialization wrote " + std::to_string(writer.rows_written()) +
+        " rows, expected " + std::to_string(total_rows));
+  }
 
   st->prepared = std::make_unique<PreparedDataset>(PreparedDataset{
       StoredDataset(st->disk.get(), file, schema_, total_rows, checksum),
@@ -497,9 +573,12 @@ StatusOr<class Snapshot> Database::Snapshot() {
                             std::to_string(v.deletes);
   NMRS_ASSIGN_OR_RETURN(std::shared_ptr<State> st,
                         Materialize(*gen, *delta, v, gen->generation, v, label));
+  // The previous epoch's state is freed here, after mu_ is released, unless
+  // a snapshot handle still holds it.
+  std::shared_ptr<State> stale;
   {
     std::scoped_lock lock(mu_);
-    cached_ = st;
+    stale = std::exchange(cached_, st);
     cached_base_ = gen.get();
     cached_version_ = v;
     ++stats_.snapshots_built;
@@ -551,31 +630,39 @@ Status Database::Compact() {
   // Atomic swap: re-point the base generation, fold mutations that arrived
   // during the merge into a fresh delta, rebuild the key map. Writers are
   // blocked only for this O(delta suffix + keys) section, never for the
-  // merge itself; readers are never blocked at all.
+  // merge itself; readers are never blocked at all. The replaced states
+  // are freed after mu_ is released.
+  std::shared_ptr<State> stale;
+  std::shared_ptr<DeltaSegment> stale_delta;
   {
     std::scoped_lock lock(mu_);
     auto fresh = std::make_shared<DeltaSegment>(schema_);
     live_.clear();
     live_.reserve(ng->keys.size());
     for (RowId r = 0; r < ng->keys.size(); ++r) {
-      live_.emplace(ng->keys[r], db_internal::Location{false, r});
+      live_.emplace(ng->keys[r], RowLocation{false, r});
     }
     const DeltaVersion cur = delta_->version();
     for (uint64_t i = v.inserts; i < cur.inserts; ++i) {
       const uint64_t key = delta_->InsertKey(i);
       const uint64_t rank = fresh->AppendInsert(key, delta_->InsertValues(i),
                                                 delta_->InsertNumerics(i));
-      live_[key] = db_internal::Location{true, rank};
+      live_[key] = RowLocation{true, rank};
     }
+    // A carried-over delete's target moved: resolve it again against the
+    // new generation (or the fresh delta's ranks) through the rebuilt map.
     for (uint64_t d = v.deletes; d < cur.deletes; ++d) {
       const uint64_t key = delta_->DeleteKey(d);
-      fresh->AppendDelete(key);
-      live_.erase(key);
+      auto it = live_.find(key);
+      NMRS_CHECK(it != live_.end())
+          << "carried-over delete of key " << key << " names no live row";
+      fresh->AppendDelete(key, it->second);
+      live_.erase(it);
     }
     gen_ = ng;
-    delta_ = std::move(fresh);
+    stale_delta = std::exchange(delta_, std::move(fresh));
     gen_counter_ = new_gen;
-    cached_.reset();
+    stale = std::move(cached_);
     cached_base_ = nullptr;
     ++stats_.compactions;
     stats_.snapshot_build_io += ng->build_io;

@@ -75,12 +75,6 @@ struct DbStats {
 
 namespace db_internal {
 
-/// Where a live key currently resides.
-struct Location {
-  bool in_delta = false;
-  uint64_t index = 0;  // generation RowId, or delta insert rank
-};
-
 /// One immutable materialized state: a private disk holding the merged
 /// dataset (and shard files), the engine built over it, and the RowId ->
 /// stable-key translation. Shared by Snapshot handles; a base generation
@@ -255,8 +249,9 @@ struct RecoveredDatabase {
 ///
 /// Mutations and metadata reads take the database mutex; queries do not —
 /// they run over snapshot states whose disks and engines are immutable
-/// after publication. Writers are briefly blocked by Snapshot()
-/// materialization and by the compaction swap, never by running queries;
+/// after publication. Writers are briefly blocked when Snapshot()
+/// publishes a state and by the compaction swap, never by the merges
+/// themselves or by running queries;
 /// queries never see a half-applied mutation (delta prefixes are
 /// immutable, see DeltaSegment).
 class Database {
@@ -358,7 +353,8 @@ class Database {
 
   /// Materializes base+delta(prefix v) as a fresh state labeled
   /// (generation_label, version_label): the streamed stable merge that is
-  /// byte-identical to re-preparing the merged dataset.
+  /// byte-identical to re-preparing the merged dataset. Base rows are
+  /// copied as bytes with only their RowId rewritten (docs/MUTABILITY.md).
   StatusOr<std::shared_ptr<State>> Materialize(const State& gen,
                                                const DeltaSegment& delta,
                                                DeltaVersion v,
@@ -388,7 +384,7 @@ class Database {
 
   std::shared_ptr<State> gen_;  // current base generation
   std::shared_ptr<DeltaSegment> delta_;
-  std::unordered_map<uint64_t, db_internal::Location> live_;
+  std::unordered_map<uint64_t, RowLocation> live_;  // key -> row
   uint64_t next_key_ = 0;
   uint64_t gen_counter_ = 0;
 

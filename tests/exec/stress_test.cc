@@ -5,6 +5,7 @@
 // prebuilt test libraries. Exits 0 on success, aborts on any violation.
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -911,12 +912,14 @@ void StressShardedBatch() {
               queries.size());
 }
 
-// Mutable database under concurrent writers and readers: one writer
-// thread streams inserts/deletes (and periodic compactions) while reader
-// threads pin snapshots and run batches. Checks: every snapshot is
-// internally consistent (row count = base at pin + delta at pin), queries
-// on a pinned snapshot are repeatable while mutations continue, and the
-// delta's version ordering never exposes a delete whose insert is missing.
+// Mutable database under concurrent writers, compactions and readers: one
+// writer thread streams inserts/deletes, a compactor thread compacts in a
+// loop (so deletes of base rows land while a merge runs and are carried
+// over into the fresh delta), and reader threads pin snapshots and run
+// batches. Checks: every snapshot is internally consistent, queries on a
+// pinned snapshot are repeatable while mutations continue, and the final
+// snapshot's pages and keys equal a database opened over the writer's own
+// mirror of the logical rows.
 void StressMutableDatabase() {
   Rng rng(777);
   Rng data_rng = rng.Fork();
@@ -936,15 +939,32 @@ void StressMutableDatabase() {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> mutations{0};
 
+  // The writer's mirror: (key, values) in the RowId order of a rebuild,
+  // base rows first, then inserts in insert order, deletes removed.
+  struct MirrorRow {
+    uint64_t key;
+    std::vector<ValueId> values;
+  };
+  std::vector<MirrorRow> mirror;
+  for (RowId r = 0; r < data.num_rows(); ++r) {
+    mirror.push_back(
+        {r, std::vector<ValueId>(data.RowValues(r),
+                                 data.RowValues(r) + cards.size())});
+  }
+
+  std::atomic<uint64_t> compactions{0};
+  std::atomic<uint64_t> batches{0};
   std::thread writer([&] {
     Rng wrng(1234);
-    std::vector<uint64_t> live;
-    for (uint64_t k = 0; k < 400; ++k) live.push_back(k);
-    for (int i = 0; i < 600; ++i) {
-      if (!live.empty() && wrng.Uniform(3) == 0) {
-        const size_t pick = wrng.Uniform(live.size());
-        NMRS_CHECK((*db)->Delete(live[pick]).ok());
-        live.erase(live.begin() + pick);
+    // At least 600 mutations, and on until compactions and reader batches
+    // have interleaved with them (bounded, should the threads starve).
+    for (int i = 0; i < 600 || ((compactions.load() < 20 ||
+                                 batches.load() < 8) && i < 20000);
+         ++i) {
+      if (!mirror.empty() && wrng.Uniform(3) == 0) {
+        const size_t pick = wrng.Uniform(mirror.size());
+        NMRS_CHECK((*db)->Delete(mirror[pick].key).ok());
+        mirror.erase(mirror.begin() + static_cast<std::ptrdiff_t>(pick));
       } else {
         std::vector<ValueId> values(cards.size());
         for (size_t a = 0; a < cards.size(); ++a) {
@@ -952,16 +972,23 @@ void StressMutableDatabase() {
         }
         auto key = (*db)->Insert(values);
         NMRS_CHECK(key.ok());
-        live.push_back(*key);
+        mirror.push_back({*key, std::move(values)});
       }
       mutations.fetch_add(1);
-      if (i % 150 == 149) NMRS_CHECK((*db)->Compact().ok());
+      std::this_thread::yield();
     }
     stop.store(true);
   });
 
+  std::thread compactor([&] {
+    while (!stop.load()) {
+      NMRS_CHECK((*db)->Compact().ok());
+      compactions.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+
   std::vector<std::thread> readers;
-  std::atomic<uint64_t> batches{0};
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&, t] {
       Rng qrng(9000 + t);
@@ -996,15 +1023,38 @@ void StressMutableDatabase() {
     });
   }
   writer.join();
+  compactor.join();
   for (std::thread& t : readers) t.join();
 
-  // Final state sanity against a single-threaded replay of the same writer
-  // sequence.
+  // The final state against a database opened over the writer's mirror:
+  // same page bytes, and the same stable key behind every RowId.
   auto final_snap = (*db)->Snapshot();
   NMRS_CHECK(final_snap.ok());
   NMRS_CHECK_EQ(final_snap->num_rows(), (*db)->num_rows());
-  std::printf("mutable db stress: %llu mutations, %llu reader batches ok\n",
+  NMRS_CHECK_EQ(final_snap->num_rows(), mirror.size());
+  Dataset rebuilt(data.schema());
+  for (const MirrorRow& row : mirror) rebuilt.AppendCategoricalRow(row.values);
+  auto ref = Database::Open(rebuilt, space, (*db)->options());
+  NMRS_CHECK(ref.ok());
+  auto want = (*ref)->Snapshot();
+  NMRS_CHECK(want.ok());
+  const StoredDataset& got_file = final_snap->prepared().stored;
+  const StoredDataset& want_file = want->prepared().stored;
+  NMRS_CHECK_EQ(got_file.num_pages(), want_file.num_pages());
+  for (PageId p = 0; p < want_file.num_pages(); ++p) {
+    const Page* gp = got_file.disk()->PeekPage(got_file.file(), p);
+    const Page* wp = want_file.disk()->PeekPage(want_file.file(), p);
+    NMRS_CHECK(gp != nullptr && wp != nullptr);
+    NMRS_CHECK(std::memcmp(gp->data(), wp->data(), gp->size()) == 0)
+        << "final snapshot page " << p << " differs from the rebuild";
+  }
+  for (RowId r = 0; r < want->num_rows(); ++r) {
+    NMRS_CHECK_EQ(final_snap->KeyOf(r), mirror[want->KeyOf(r)].key);
+  }
+  std::printf("mutable db stress: %llu mutations, %llu compactions, %llu "
+              "reader batches ok, final snapshot equals the rebuild\n",
               static_cast<unsigned long long>(mutations.load()),
+              static_cast<unsigned long long>(compactions.load()),
               static_cast<unsigned long long>(batches.load()));
 }
 
