@@ -20,9 +20,12 @@
 #                all-distinct data) against the scalar loops, and
 #                segment_assembly checks phase-1 batches assembled from
 #                page segments against a build over the concatenated
-#                rows, field by field, and snapshot_identity checks
+#                rows, field by field, snapshot_identity checks
 #                snapshots after every step of random mutation histories
-#                against a database opened over a mirror
+#                against a database opened over a mirror, and
+#                candidate_column_sweep checks every candidate column of
+#                overlaid distance tables against the overlay and the
+#                table-backed prune against the patched space
 #   4. chaos   — full 500-config fault-injection soak on the plain build
 #                (a 25-config slice already ran inside stage 1's ctest)
 #   5. replica — chaos sweep restricted to multi-replica configs: one
@@ -81,12 +84,12 @@ cmake -B build-tsan -S . -DNMRS_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-tsan -j"${JOBS}" --target exec_stress
 ./build-tsan/tests/exec_stress
 
-echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep: index search and prune + resident_trs + run_collapse_sweep + segment_assembly + snapshot_identity) ==="
+echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep: index search and prune + resident_trs + run_collapse_sweep + segment_assembly + snapshot_identity + candidate_column_sweep) ==="
 cmake -B build-asan -S . -DNMRS_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
   --target altree_identity --target exact_search_sweep --target resident_trs \
   --target run_collapse_sweep --target segment_assembly \
-  --target snapshot_identity
+  --target snapshot_identity --target candidate_column_sweep
 ./build-asan/tests/exec_stress
 ./build-asan/tests/chaos_soak --configs=50 --mutations=10
 ./build-asan/tests/altree_identity
@@ -95,6 +98,7 @@ cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
 ./build-asan/tests/run_collapse_sweep
 ./build-asan/tests/segment_assembly
 ./build-asan/tests/snapshot_identity
+./build-asan/tests/candidate_column_sweep
 
 echo "=== chaos soak (full 500-config sweep + WAL/compaction faults) ==="
 ./build/tests/chaos_soak --configs=500 --mutations=100

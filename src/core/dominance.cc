@@ -1,10 +1,8 @@
 #include "core/dominance.h"
 
-#include <cstring>
 #include <numeric>
 
 #include "core/query_distance_table.h"
-#include "sim/matrix_overlay.h"
 
 namespace nmrs {
 
@@ -33,24 +31,26 @@ PruneContext::PruneContext(const SimilaritySpace& space, const Schema& schema,
       table_(table) {
   NMRS_CHECK_EQ(space.num_attributes(), schema.num_attributes());
   NMRS_CHECK_EQ(query.values.size(), schema.num_attributes());
-  is_numeric_.reserve(selected_.size());
-  for (AttrId a : selected_) {
-    is_numeric_.push_back(schema.attribute(a).is_numeric);
-  }
-  qdist_.assign(selected_.size(), 0.0);
   if (table_ != nullptr) {
     NMRS_CHECK_EQ(table_->num_selected(), selected_.size());
     NMRS_CHECK(table_->selected() == selected_)
         << "QueryDistanceTable built for a different selection";
     xcol_.assign(selected_.size(), nullptr);
-    overlay_ = table_->overlay();
-    if (overlay_ != nullptr) {
-      NMRS_CHECK_EQ(&overlay_->base(), space_)
-          << "overlay built over a different base space";
-      patched_cols_.resize(selected_.size());
-      patched_for_.assign(selected_.size(), kInvalidValueId);
+  }
+  positions_.reserve(selected_.size());
+  for (size_t k = 0; k < selected_.size(); ++k) {
+    const AttrId a = selected_[k];
+    const bool numeric = schema.attribute(a).is_numeric;
+    positions_.push_back({a, numeric});
+    if (numeric) {
+      num_.push_back({k, a});
+    } else if (table_ != nullptr) {
+      cat_.push_back({k, a, table_->FromQuery(k), table_->ColumnsTo(k)});
+    } else {
+      cat_.push_back({k, a, nullptr, nullptr});
     }
   }
+  qdist_.assign(selected_.size(), 0.0);
 }
 
 void PruneContext::SetCandidate(const ValueId* x_values,
@@ -58,43 +58,21 @@ void PruneContext::SetCandidate(const ValueId* x_values,
   x_values_ = x_values;
   x_numerics_ = x_numerics;
   if (table_ != nullptr) {
-    for (size_t k = 0; k < selected_.size(); ++k) {
-      const AttrId a = selected_[k];
-      if (is_numeric_[k]) {
-        NMRS_DCHECK(x_numerics != nullptr);
-        qdist_[k] = space_->NumDist(a, query_.numerics[a], x_numerics[a]);
-      } else {
-        const ValueId xv = x_values[a];
-        qdist_[k] = table_->FromQuery(k)[xv];
-        if (overlay_ != nullptr && overlay_->TouchesColumn(a, xv)) {
-          // Touched column: serve a patched scratch copy. The copy is
-          // re-used as long as consecutive candidates share the value.
-          if (patched_for_[k] != xv) {
-            const size_t card = space_->Cardinality(a);
-            patched_cols_[k].resize(card);
-            std::memcpy(patched_cols_[k].data(),
-                        space_->matrix(a).ColumnTo(xv),
-                        card * sizeof(double));
-            overlay_->PatchColumn(a, xv, patched_cols_[k].data());
-            patched_for_[k] = xv;
-          }
-          xcol_[k] = patched_cols_[k].data();
-        } else {
-          // Untouched column: alias the shared base matrix, zero copies.
-          xcol_[k] = space_->matrix(a).ColumnTo(xv);
-        }
-      }
+    for (const CatSlot& s : cat_) {
+      const ValueId xv = x_values[s.attr];
+      qdist_[s.k] = s.from_query[xv];
+      xcol_[s.k] = s.columns_to[xv];
     }
-    return;
+  } else {
+    for (const CatSlot& s : cat_) {
+      qdist_[s.k] = space_->CatDist(s.attr, query_.values[s.attr],
+                                    x_values[s.attr]);
+    }
   }
-  for (size_t k = 0; k < selected_.size(); ++k) {
-    const AttrId a = selected_[k];
-    if (is_numeric_[k]) {
-      NMRS_DCHECK(x_numerics != nullptr);
-      qdist_[k] = space_->NumDist(a, query_.numerics[a], x_numerics[a]);
-    } else {
-      qdist_[k] = space_->CatDist(a, query_.values[a], x_values[a]);
-    }
+  for (const NumSlot& s : num_) {
+    NMRS_DCHECK(x_numerics != nullptr);
+    qdist_[s.k] = space_->NumDist(s.attr, query_.numerics[s.attr],
+                                  x_numerics[s.attr]);
   }
 }
 
@@ -110,16 +88,18 @@ bool PruneContext::Prunes(const ValueId* y_values, const double* y_numerics,
   NMRS_DCHECK(x_values_ != nullptr);
   bool strict = false;
   if (table_ != nullptr) {
-    // Memoized path: the per-candidate ColumnTo pointers cached by
-    // SetCandidate turn each categorical check into one flat array load.
+    // Memoized path: the per-candidate column pointers cached by
+    // SetCandidate turn each categorical check into one flat array load;
+    // numeric positions hold a null column.
     for (size_t k = 0; k < selected_.size(); ++k) {
-      const AttrId a = selected_[k];
+      const AttrId a = positions_[k].attr;
+      const double* col = xcol_[k];
       double lhs;
-      if (is_numeric_[k]) {
+      if (col != nullptr) {
+        lhs = col[y_values[a]];
+      } else {
         NMRS_DCHECK(y_numerics != nullptr && x_numerics_ != nullptr);
         lhs = space_->NumDist(a, y_numerics[a], x_numerics_[a]);
-      } else {
-        lhs = xcol_[k][y_values[a]];
       }
       ++*checks;
       if (lhs > qdist_[k]) return false;
@@ -128,9 +108,9 @@ bool PruneContext::Prunes(const ValueId* y_values, const double* y_numerics,
     return strict;
   }
   for (size_t k = 0; k < selected_.size(); ++k) {
-    const AttrId a = selected_[k];
+    const AttrId a = positions_[k].attr;
     double lhs;
-    if (is_numeric_[k]) {
+    if (positions_[k].numeric) {
       NMRS_DCHECK(y_numerics != nullptr && x_numerics_ != nullptr);
       lhs = space_->NumDist(a, y_numerics[a], x_numerics_[a]);
     } else {

@@ -11,7 +11,6 @@
 
 namespace nmrs {
 
-class MatrixOverlay;
 class QueryDistanceTable;
 
 /// Resolves an attribute-subset selection: returns `selected` unchanged if
@@ -34,22 +33,20 @@ class PruneContext {
  public:
   /// When `table` is non-null it must have been built from the same (space,
   /// query) with the same resolved selection; the context then serves both
-  /// sides of every check from flat per-query arrays — qdist_ from the
-  /// table's FromQuery row, the left-hand side from a cached ColumnTo
-  /// pointer — instead of going through SimilaritySpace::CatDist twice.
-  /// Results are bit-identical either way (the table holds copies of the
-  /// very same doubles); only the lookup path changes. The table is
-  /// borrowed and must outlive the context.
+  /// sides of every check from the table instead of going through
+  /// SimilaritySpace::CatDist twice: SetCandidate makes two loads per
+  /// categorical attribute, qdist_ from the table's FromQuery row and the
+  /// candidate column from its ColumnsTo pointers, and each check one more.
+  /// The table is borrowed, must outlive the context, and may be shared by
+  /// any number of contexts.
   ///
   /// When the table carries a MatrixOverlay (docs/OVERLAYS.md) the context
-  /// evaluates the *overlaid* space: qdist_ comes pre-patched from the
-  /// table, and SetCandidate serves the candidate column d_a(., x_a) from a
-  /// per-context scratch copy with the touched entries applied — but only
-  /// when the overlay actually touches that column. Untouched columns (and
-  /// every column of an untouched attribute) alias the shared base matrix
-  /// with zero copies, so the SIMD dominance kernels gather from
-  /// CandidateColumn() unchanged. Overlays require the table: a plain
-  /// context always evaluates the base space.
+  /// evaluates the *overlaid* space with no work of its own: the table's
+  /// rows are patched and its ColumnsTo entries point at patched copies
+  /// wherever the overlay touches the column, so the SIMD dominance kernels
+  /// gather from CandidateColumn() unchanged. Overlays require the table: a
+  /// plain context always evaluates the base space, through CatDist — the
+  /// independent reference the oracles use.
   PruneContext(const SimilaritySpace& space, const Schema& schema,
                const Object& query, const std::vector<AttrId>& selected,
                const QueryDistanceTable* table = nullptr);
@@ -80,7 +77,7 @@ class PruneContext {
   /// patches are honored; the doubles are identical to the direct read
   /// whenever no overlay is attached.
   double CandidateDist(size_t k, ValueId v) const {
-    if (table_ != nullptr && !is_numeric_[k]) return xcol_[k][v];
+    if (table_ != nullptr && !positions_[k].numeric) return xcol_[k][v];
     const AttrId a = selected_[k];
     return space_->CatDist(a, v, x_values_[a]);
   }
@@ -92,40 +89,53 @@ class PruneContext {
   const QueryDistanceTable* table() const { return table_; }
 
   /// Whether selected position k is a numeric attribute.
-  bool SelectedIsNumeric(size_t k) const { return is_numeric_[k]; }
+  bool SelectedIsNumeric(size_t k) const { return positions_[k].numeric; }
 
-  /// Memoized-path candidate column for selected position k: the matrix
-  /// column d_a(., x_a) cached by SetCandidate, so CandidateColumn(k)[v] ==
+  /// Memoized-path candidate column for selected position k: the table's
+  /// ColumnsTo(k)[x_a] cached by SetCandidate, so CandidateColumn(k)[v] ==
   /// d_a(v, x_a). Requires a table-backed context and a categorical k;
   /// this is the array the block dominance kernel gathers from.
   const double* CandidateColumn(size_t k) const {
-    NMRS_DCHECK(table_ != nullptr && !is_numeric_[k]);
+    NMRS_DCHECK(table_ != nullptr && !positions_[k].numeric);
     return xcol_[k];
   }
 
   const SimilaritySpace& space() const { return *space_; }
 
  private:
+  // Selected position k, in check order.
+  struct Position {
+    AttrId attr;
+    bool numeric;
+  };
+  // A categorical position and its table arrays (null without a table).
+  struct CatSlot {
+    size_t k;
+    AttrId attr;
+    const double* from_query;
+    const double* const* columns_to;
+  };
+  // A numeric position.
+  struct NumSlot {
+    size_t k;
+    AttrId attr;
+  };
+
   const SimilaritySpace* space_;
   const Schema* schema_;
   Object query_;
   std::vector<AttrId> selected_;
-  std::vector<bool> is_numeric_;  // aligned with selected_
+  std::vector<Position> positions_;  // aligned with selected_
+  std::vector<CatSlot> cat_;
+  std::vector<NumSlot> num_;
   const QueryDistanceTable* table_;
-  const MatrixOverlay* overlay_ = nullptr;  // the table's overlay, if any
   const ValueId* x_values_ = nullptr;
   const double* x_numerics_ = nullptr;
   std::vector<double> qdist_;
   // Memoized-path state (table_ != nullptr): per selected categorical k,
-  // the matrix column d_a(., x_a) for the current candidate, so Prunes()
-  // is one indexed load per attribute.
+  // the column d_a(., x_a) for the current candidate, so Prunes() is one
+  // indexed load per attribute. Null at numeric positions.
   std::vector<const double*> xcol_;
-  // Overlay scratch: per selected position, a dense copy of the candidate
-  // column with the overlay applied, built lazily by SetCandidate for
-  // touched columns only, and the value it currently holds (so consecutive
-  // candidates sharing a value re-use the patch).
-  std::vector<std::vector<double>> patched_cols_;
-  std::vector<ValueId> patched_for_;
 };
 
 }  // namespace nmrs

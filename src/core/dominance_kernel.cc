@@ -351,8 +351,9 @@ void SharedCandidateCache::SetCandidate(const PruneContext& ctx) {
     if (is_numeric_[k]) {
       xnum_[k] = ctx.candidate_numerics()[attrs_[k]];
     } else {
-      // The cached matrix column d(., x) — a pointer into the
-      // SimilaritySpace, identical for every query's context.
+      // The cached column d(., x) of the attaching context's table. Every
+      // query of a shared scan has the same space and overlay, so its
+      // doubles are the same in every query's context.
       xcol_[k] = ctx.CandidateColumn(k);
     }
   }

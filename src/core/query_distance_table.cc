@@ -22,14 +22,29 @@ QueryDistanceTable::QueryDistanceTable(const SimilaritySpace& space,
   }
   from_offset_.assign(selected_.size(), -1);
   to_offset_.assign(selected_.size(), -1);
+  cols_offset_.assign(selected_.size(), -1);
 
+  // Size the arena first (query row and column, then one patched copy per
+  // touched column), so the pointers into it stay valid.
   size_t total = 0;
+  size_t num_cols = 0;
   for (AttrId a : selected_) {
-    if (!space.IsNumeric(a)) total += 2 * space.Cardinality(a);
+    if (space.IsNumeric(a)) continue;
+    const size_t card = space.Cardinality(a);
+    size_t touched = 0;
+    if (overlay_ != nullptr && overlay_->TouchesAttr(a)) {
+      for (ValueId v = 0; v < card; ++v) {
+        touched += overlay_->TouchesColumn(a, v) ? 1 : 0;
+      }
+    }
+    total += (2 + touched) * card;
+    num_cols += card;
   }
   dists_.resize(total);
+  cols_.resize(num_cols);
 
   size_t off = 0;
+  size_t col_off = 0;
   for (size_t k = 0; k < selected_.size(); ++k) {
     const AttrId a = selected_[k];
     if (space.IsNumeric(a)) continue;
@@ -47,8 +62,24 @@ QueryDistanceTable::QueryDistanceTable(const SimilaritySpace& space,
     std::memcpy(dists_.data() + off, m.ColumnTo(q), card * sizeof(double));
     if (overlay_ != nullptr) overlay_->PatchColumn(a, q, dists_.data() + off);
     off += card;
+
+    cols_offset_[k] = static_cast<ptrdiff_t>(col_off);
+    const bool patch = overlay_ != nullptr && overlay_->TouchesAttr(a);
+    for (ValueId v = 0; v < card; ++v) {
+      if (patch && overlay_->TouchesColumn(a, v)) {
+        double* copy = dists_.data() + off;
+        std::memcpy(copy, m.ColumnTo(v), card * sizeof(double));
+        overlay_->PatchColumn(a, v, copy);
+        cols_[col_off + v] = copy;
+        off += card;
+      } else {
+        cols_[col_off + v] = m.ColumnTo(v);
+      }
+    }
+    col_off += card;
   }
   NMRS_DCHECK(off == total);
+  NMRS_DCHECK(col_off == num_cols);
 }
 
 }  // namespace nmrs

@@ -627,38 +627,42 @@ Status Database::Compact() {
       Materialize(*gen, *delta, v, new_gen, DeltaVersion{},
                   opts_.name + ".gen" + std::to_string(new_gen)));
 
+  // The new generation's key map, built before the swap: every row of it
+  // is live as of version v.
+  std::unordered_map<uint64_t, RowLocation> live;
+  live.reserve(ng->keys.size());
+  for (RowId r = 0; r < ng->keys.size(); ++r) {
+    live.emplace(ng->keys[r], RowLocation{false, r});
+  }
+
   // Atomic swap: re-point the base generation, fold mutations that arrived
-  // during the merge into a fresh delta, rebuild the key map. Writers are
-  // blocked only for this O(delta suffix + keys) section, never for the
-  // merge itself; readers are never blocked at all. The replaced states
-  // are freed after mu_ is released.
+  // during the merge into a fresh delta and into the new key map, swap the
+  // maps. Writers are blocked only for this O(delta suffix) section, never
+  // for the merge or the map build; readers are never blocked at all. The
+  // replaced states and the old map are freed after mu_ is released.
   std::shared_ptr<State> stale;
   std::shared_ptr<DeltaSegment> stale_delta;
   {
     std::scoped_lock lock(mu_);
     auto fresh = std::make_shared<DeltaSegment>(schema_);
-    live_.clear();
-    live_.reserve(ng->keys.size());
-    for (RowId r = 0; r < ng->keys.size(); ++r) {
-      live_.emplace(ng->keys[r], RowLocation{false, r});
-    }
     const DeltaVersion cur = delta_->version();
     for (uint64_t i = v.inserts; i < cur.inserts; ++i) {
       const uint64_t key = delta_->InsertKey(i);
       const uint64_t rank = fresh->AppendInsert(key, delta_->InsertValues(i),
                                                 delta_->InsertNumerics(i));
-      live_[key] = RowLocation{true, rank};
+      live[key] = RowLocation{true, rank};
     }
     // A carried-over delete's target moved: resolve it again against the
-    // new generation (or the fresh delta's ranks) through the rebuilt map.
+    // new generation (or the fresh delta's ranks) through the new map.
     for (uint64_t d = v.deletes; d < cur.deletes; ++d) {
       const uint64_t key = delta_->DeleteKey(d);
-      auto it = live_.find(key);
-      NMRS_CHECK(it != live_.end())
+      auto it = live.find(key);
+      NMRS_CHECK(it != live.end())
           << "carried-over delete of key " << key << " names no live row";
       fresh->AppendDelete(key, it->second);
-      live_.erase(it);
+      live.erase(it);
     }
+    live_.swap(live);
     gen_ = ng;
     stale_delta = std::exchange(delta_, std::move(fresh));
     gen_counter_ = new_gen;

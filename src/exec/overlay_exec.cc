@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <optional>
 
 #include "common/check.h"
 #include "common/sync.h"
@@ -53,15 +54,25 @@ struct PrunerHints {
   const double* row_numerics(uint32_t idx) const { return numerics[idx]; }
 };
 
-// Hint pass over one chunk of stashed rows under the base space: one
-// search of ctx.index per row.
+// Stashed row idx's own leaf in ctx.index, so a search skips exactly the
+// candidate's instance.
+ALTree::NodeId SelfLeaf(const OverlayExecContext& ctx,
+                        const OverlayClassification& cls, uint32_t idx) {
+  const RowId id = cls.sensitive.id(idx);
+  NMRS_CHECK(id < ctx.row_leaf.size() &&
+             ctx.row_leaf[id] != ALTree::kInvalidNode)
+      << "sensitive row missing from the overlay index";
+  return ctx.row_leaf[id];
+}
+
+// Hint pass over one chunk of stashed rows under the base space `table`:
+// one search of ctx.index per row.
 void FindBaseHints(const OverlayExecContext& ctx, const Object& query,
+                   const QueryDistanceTable& table,
                    const OverlayClassification& cls,
-                   const std::vector<ALTree::NodeId>& self_leaf,
-                   const std::vector<uint32_t>& rows, PrunerHints* hints,
+                   std::span<const uint32_t> rows, PrunerHints* hints,
                    QueryStats* stats) {
   const Schema& schema = ctx.data->schema();
-  const QueryDistanceTable table(*ctx.space, schema, query, ctx.selected);
   PruneContext pctx(*ctx.space, schema, query, ctx.selected, &table);
   internal_tree::IndexLevels levels(*ctx.index, ctx.selected);
   std::vector<internal_tree::FastEntry> stack;
@@ -71,7 +82,7 @@ void FindBaseHints(const OverlayExecContext& ctx, const Object& query,
                       cls.sensitive.row_numerics(idx));
     ++stats->pair_tests;
     const ALTree::NodeId leaf = levels.FindPruner(
-        pctx, cls.sensitive.id(idx), self_leaf[idx], stats, stack);
+        pctx, cls.sensitive.id(idx), SelfLeaf(ctx, cls, idx), stats, stack);
     if (leaf != ALTree::kInvalidNode) {
       hints->RecordLeaf(idx, *ctx.index, leaf, levels.exact(), &scratch);
     }
@@ -87,7 +98,6 @@ void RecheckGroup(const OverlayExecContext& ctx, const Object& query,
                   const std::vector<const MatrixOverlay*>& overlays,
                   const std::vector<size_t>& group,
                   const OverlayClassification& cls, const PrunerHints& hints,
-                  const std::vector<ALTree::NodeId>& self_leaf,
                   std::vector<std::vector<uint8_t>>* alive,
                   QueryStats* stats) {
   const Schema& schema = ctx.data->schema();
@@ -95,8 +105,7 @@ void RecheckGroup(const OverlayExecContext& ctx, const Object& query,
   std::vector<internal_tree::FastEntry> stack;
   for (size_t g = 0; g < group.size(); ++g) {
     const size_t u = group[g];
-    // The user's overlaid context keeps its patched-column scratch across
-    // candidates.
+    // The user's overlaid table patches each touched column once.
     const QueryDistanceTable table(*ctx.space, schema, query, ctx.selected,
                                    overlays[u]);
     PruneContext pctx(*ctx.space, schema, query, ctx.selected, &table);
@@ -116,8 +125,9 @@ void RecheckGroup(const OverlayExecContext& ctx, const Object& query,
         }
       }
       ++stats->pair_tests;
-      if (levels.FindPruner(pctx, cls.sensitive.id(idx), self_leaf[idx],
-                            stats, stack) != ALTree::kInvalidNode) {
+      if (levels.FindPruner(pctx, cls.sensitive.id(idx),
+                            SelfLeaf(ctx, cls, idx), stats,
+                            stack) != ALTree::kInvalidNode) {
         live[j] = 0;
       }
     }
@@ -154,6 +164,18 @@ std::vector<RowId> MergeOverlayRows(const std::vector<RowId>& base_rows,
 }
 
 }  // namespace
+
+std::vector<ALTree::NodeId> IndexRowLeaves(const ALTree& index) {
+  std::vector<ALTree::NodeId> row_leaf;
+  row_leaf.reserve(index.Descendants(ALTree::kRootId));
+  index.ForEachActiveLeaf([&](ALTree::NodeId leaf) {
+    for (RowId r : index.LeafRows(leaf)) {
+      if (r >= row_leaf.size()) row_leaf.resize(r + 1, ALTree::kInvalidNode);
+      row_leaf[r] = leaf;
+    }
+  });
+  return row_leaf;
+}
 
 Status ValidateOverlayUsers(const RSOptions& rs,
                             const std::vector<const MatrixOverlay*>& overlays,
@@ -293,15 +315,6 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
     });
   };
 
-  // Each stashed row's own leaf in the index, so searches skip exactly the
-  // candidate's instance.
-  std::vector<ALTree::NodeId> self_leaf(cls.sensitive.size());
-  for (uint32_t idx = 0; idx < cls.sensitive.size(); ++idx) {
-    self_leaf[idx] = ctx.index->FindLeaf(cls.sensitive.row_values(idx));
-    NMRS_CHECK(self_leaf[idx] != ALTree::kInvalidNode)
-        << "sensitive row missing from the overlay index";
-  }
-
   // ---- 1. Pruner hints, per query, in kHintChunksPerQuery chunks. A hint
   // is shared work, so only rows that two or more users re-check get one;
   // rows in the base answer have no base pruner to find. ----
@@ -311,8 +324,10 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
   }
   std::vector<PrunerHints> hints(queries.size());
   std::vector<std::vector<uint32_t>> hinted(queries.size());
+  std::vector<std::optional<QueryDistanceTable>> base_tables(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     if (!statuses[q].ok()) continue;  // base run failed: no answer
+    base_tables[q].emplace(*ctx.space, schema, queries[q], ctx.selected);
     const std::vector<RowId>& base_rows = base[q].rows;
     for (uint32_t idx = 0; idx < cls.sensitive.size(); ++idx) {
       if (rechecking_users[idx] >= 2 &&
@@ -327,9 +342,9 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
     for (size_t lo = 0; lo < hinted[q].size(); lo += chunk) {
       const size_t hi = std::min(hinted[q].size(), lo + chunk);
       submit([&, q, lo, hi](QueryStats* s) {
-        const std::vector<uint32_t> rows(hinted[q].begin() + lo,
-                                         hinted[q].begin() + hi);
-        FindBaseHints(ctx, queries[q], cls, self_leaf, rows, &hints[q], s);
+        FindBaseHints(ctx, queries[q], *base_tables[q], cls,
+                      std::span(hinted[q]).subspan(lo, hi - lo), &hints[q],
+                      s);
       });
     }
   }
@@ -358,8 +373,8 @@ void RecheckOverlayBatch(const OverlayExecContext& ctx,
         const std::vector<size_t> group(scan_users.begin() + lo,
                                         scan_users.begin() + hi);
         std::vector<std::vector<uint8_t>> alive(group.size());
-        RecheckGroup(ctx, queries[q], overlays, group, cls, hints[q],
-                     self_leaf, &alive, s);
+        RecheckGroup(ctx, queries[q], overlays, group, cls, hints[q], &alive,
+                     s);
         for (size_t i = 0; i < group.size(); ++i) {
           ReverseSkylineResult& r = (*results)[q][group[i]];
           r.rows = MergeOverlayRows(base[q].rows, cls, group[i], alive[i]);

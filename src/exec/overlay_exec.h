@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "altree/al_tree.h"
@@ -31,7 +32,7 @@ inline constexpr size_t kOverlayGroup = 16;
 /// are a property of the base run, while `resilience` keeps the
 /// sealed-page verification. `index` is the read-only AL-Tree of every row
 /// of `data` (BuildShardIndex) that the pruner hints and re-checks search;
-/// they read no pages.
+/// they read no pages. `row_leaf` is IndexRowLeaves(*index), built with it.
 struct OverlayExecContext {
   ThreadPool* pool = nullptr;
   ReplicaSet* replicas = nullptr;
@@ -40,7 +41,14 @@ struct OverlayExecContext {
   std::vector<AttrId> selected;  // resolved (non-empty)
   ResiliencePolicy resilience;
   const ALTree* index = nullptr;
+  std::span<const ALTree::NodeId> row_leaf;
 };
+
+/// Each row's own leaf in a read-only index: result[r] is the leaf whose
+/// LeafRows hold RowId r (kInvalidNode for ids the index does not hold).
+/// Built once per index, so a search can skip its candidate's own instance
+/// without finding the leaf first.
+std::vector<ALTree::NodeId> IndexRowLeaves(const ALTree& index);
 
 /// RunOverlayBatch's argument checks: valid resilience options, a null
 /// `rs.overlay` template (the per-user overlays come from `overlays`), at
@@ -103,18 +111,20 @@ struct OverlayRecheckTotals {
 };
 
 /// Stage 3 of RunOverlayBatch: turns the base answers `base` (one per
-/// query) into every (query, user) answer. `ctx.index` must be set. For
-/// each query whose status is ok:
+/// query) into every (query, user) answer. `ctx.index` and `ctx.row_leaf`
+/// must be set. For each query whose status is ok:
 ///
 ///  1. Pruner hints — the stashed rows that two or more users re-check
 ///     and that lie outside the base answer are split into a fixed number
 ///     of chunks per query (four), one pool task each, and every such row
 ///     records one base-space pruner (values and numerics): the first one
-///     a search of `ctx.index` meets. Rows in the base answer have no
+///     a search of `ctx.index` meets. The chunks share one base
+///     QueryDistanceTable per query. Rows in the base answer have no
 ///     pruner; a row only one user re-checks would not share its hint.
 ///  2. Re-checks — per group of up to kOverlayGroup users with
 ///     sensitive rows, one task tests each candidate's hint once under the
-///     user's overlaid PruneContext. A candidate without a hint, or whose
+///     user's overlaid PruneContext (over one overlaid QueryDistanceTable
+///     per (query, user)). A candidate without a hint, or whose
 ///     hint fails under the overlay, is then decided by one search of
 ///     `ctx.index` under the same context, skipping the candidate's own
 ///     instance.

@@ -794,9 +794,10 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
 
   // ---- 3. Pruner hints, then hinted re-checks per (query, user group),
   // from the overlay index. The engine's first overlay batch builds it
-  // (BuildIndexOnWorker); the build's IO and modeled time land only on
-  // that batch's overlay totals. A failed build fails every query of the
-  // batch with its status; the next batch retries. ----
+  // (BuildIndexOnWorker) and each row's leaf in it (IndexRowLeaves); the
+  // build's IO and modeled time land only on that batch's overlay totals.
+  // A failed build fails every query of the batch with its status; the
+  // next batch retries. ----
   IoStats index_io;
   {
     std::lock_guard<std::mutex> lock(overlay_index_mu_);
@@ -810,6 +811,11 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
         IndexBuild built = BuildIndexOnWorker(
             *ctx.replicas, w, base_data, sharded_->base().attr_order,
             kWholeShard, ctx.resilience, /*quarantine=*/nullptr);
+        if (built.tree != nullptr) {
+          Timer leaves_timer;
+          overlay_row_leaf_ = IndexRowLeaves(*built.tree);
+          built.modeled_millis += leaves_timer.ElapsedMillis();
+        }
         overlay_index_ = std::move(built.tree);
         build_status = built.status;
         index_io = built.io;
@@ -823,6 +829,7 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
       }
     }
     ctx.index = overlay_index_.get();
+    ctx.row_leaf = overlay_row_leaf_;
   }
 
   OverlayRecheckTotals recheck;

@@ -382,11 +382,13 @@ class QueryEngine {
   // no later batch tries that again (only the verify builds the whole
   // tree).
   std::vector<uint8_t> shard_over_budget_;
-  // The overlay index (docs/OVERLAYS.md): built by the first overlay batch,
-  // only read after; a failed build leaves the slot empty and the next
-  // batch retries. The mutex guards the slot.
+  // The overlay index (docs/OVERLAYS.md) and each row's leaf in it
+  // (IndexRowLeaves): built by the first overlay batch, only read after; a
+  // failed build leaves the slot empty and the next batch retries. The
+  // mutex guards the slot.
   mutable std::mutex overlay_index_mu_;
   std::unique_ptr<const ALTree> overlay_index_;
+  std::vector<ALTree::NodeId> overlay_row_leaf_;
 };
 
 }  // namespace nmrs
