@@ -1,4 +1,4 @@
-// SIMD dominance-kernel benchmark (docs/KERNELS.md). Five workloads, one
+// SIMD dominance-kernel benchmark (docs/KERNELS.md). Four workloads, one
 // JSON artifact (BENCH_kernels.json; runs carry a "config" field):
 //
 // 1. "micro" — raw pruning-condition throughput of the scalar
@@ -27,18 +27,11 @@
 //    RSOptions::kernel_promote_rows values, the data behind the default
 //    threshold (docs/KERNELS.md).
 //
-// 4. "shared_scan" — a 16-query SRS batch on the QueryEngine, per-query
-//    execution vs EngineOptions::shared_scan, compared on modeled
-//    makespan (one worker, no cache, so the ratio is the IO the shared
-//    pass deduplicates). Per-query rows and counters must be
-//    bit-identical.
-//
 // ci.sh runs this with --quick and then tools/check_gates.py fails
 // the build if the kernel is slower than the scalar path on the
 // largest-cardinality micro config, if any run reports identical=0, if
 // the e2e adaptive path or the e2e SRS phase 1 is slower than scalar
-// (avx2 dispatch), or if the shared-scan batch speedup falls under its floor (1.5x at full scale,
-// 1.4x on quick runs).
+// (avx2 dispatch).
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -52,7 +45,6 @@
 #include "core/query_distance_table.h"
 #include "data/columnar_batch.h"
 #include "data/generators.h"
-#include "exec/query_engine.h"
 
 namespace nmrs {
 namespace bench {
@@ -147,8 +139,8 @@ MicroPoint RunMicro(size_t cardinality, size_t rows, size_t attrs,
   return p;
 }
 
-// Shared dataset for the end-to-end workloads (e2e, promote_sweep,
-// shared_scan), built once.
+// Shared dataset for the end-to-end workloads (e2e, promote_sweep), built
+// once.
 struct E2eInstance {
   Dataset data;
   SimilaritySpace space;
@@ -454,77 +446,6 @@ void RunPromoteSweep(const E2eInstance& inst, const Args& args,
   table.Print();
 }
 
-struct SharedScanOutcome {
-  bool identical = true;
-  double speedup = 0;
-};
-
-// Batch workload: Q SRS queries on the QueryEngine, per-query execution vs
-// one shared phase-1 scan per group. One worker and no cache, so modeled
-// makespan isolates exactly the IO the shared pass deduplicates — the same
-// comparison a multi-worker run would show per worker.
-SharedScanOutcome RunSharedScan(const E2eInstance& inst, JsonWriter* json) {
-  SharedScanOutcome out;
-  SimulatedDisk disk;
-  auto prepared = PrepareDataset(&disk, inst.data, Algorithm::kSRS, {});
-  NMRS_CHECK(prepared.ok()) << prepared.status();
-
-  EngineOptions opts;
-  opts.num_workers = 1;
-  opts.rs.memory =
-      MemoryBudget::FromFraction(0.10, prepared->stored.num_pages());
-  opts.rs.use_kernels = true;
-  QueryEngine per_query(*prepared, inst.space, Algorithm::kSRS, opts);
-  auto base = per_query.RunBatch(inst.queries);
-  NMRS_CHECK(base.ok()) << base.status();
-  NMRS_CHECK(base->ok()) << base->first_error();
-
-  opts.shared_scan = true;
-  opts.shared_scan_group = inst.queries.size();
-  QueryEngine shared(*prepared, inst.space, Algorithm::kSRS, opts);
-  auto batch = shared.RunBatch(inst.queries);
-  NMRS_CHECK(batch.ok()) << batch.status();
-  NMRS_CHECK(batch->ok()) << batch->first_error();
-  NMRS_CHECK_EQ(batch->shared_scan_groups, 1u);
-
-  for (size_t i = 0; i < inst.queries.size(); ++i) {
-    if (batch->results[i].rows != base->results[i].rows ||
-        batch->results[i].stats.checks != base->results[i].stats.checks ||
-        batch->results[i].stats.pair_tests !=
-            base->results[i].stats.pair_tests) {
-      out.identical = false;
-    }
-  }
-  const double base_ms = base->ModeledMakespanMillis();
-  const double shared_ms = batch->ModeledMakespanMillis();
-  out.speedup = shared_ms > 0 ? base_ms / shared_ms : 0;
-
-  Table table({"queries", "rows", "per_query_ms", "shared_ms", "speedup",
-               "shared_batches"});
-  table.AddRow({std::to_string(inst.queries.size()),
-                std::to_string(inst.rows), Fmt(base_ms, 1),
-                Fmt(shared_ms, 1), Fmt(out.speedup, 2),
-                std::to_string(batch->shared_scan_batches)});
-  table.Print();
-
-  json->BeginRun();
-  json->Field("config", std::string("shared_scan"));
-  json->Field("dispatch",
-              std::string(KernelDispatchName(ActiveKernelDispatch())));
-  json->Field("algo", std::string("SRS"));
-  json->Field("num_rows", inst.rows);
-  json->Field("num_queries", static_cast<uint64_t>(inst.queries.size()));
-  json->Field("shared_scan_group",
-              static_cast<uint64_t>(opts.shared_scan_group));
-  json->Field("per_query_modeled_millis", base_ms);
-  json->Field("shared_modeled_millis", shared_ms);
-  json->Field("speedup", out.speedup);
-  json->Field("shared_scan_batches", batch->shared_scan_batches);
-  json->Field("shared_io_pages", batch->shared_io.Total());
-  json->Field("identical", static_cast<uint64_t>(out.identical ? 1 : 0));
-  return out;
-}
-
 void Run(int argc, char** argv) {
   Args args = Args::Parse(argc, argv, 1.0);
   JsonWriter json("kernels");
@@ -572,8 +493,7 @@ void Run(int argc, char** argv) {
   }
   table.Print();
 
-  // One dataset for every end-to-end workload; 16+ queries so the batch
-  // workload has a full shared-scan group.
+  // One dataset for every end-to-end workload, of at least 16 queries.
   const E2eInstance inst =
       MakeE2eInstance(args, std::max(16, args.queries));
 
@@ -588,18 +508,9 @@ void Run(int argc, char** argv) {
     RunPromoteSweep(inst, args, &json);
   }
 
-  Banner("Batch shared scans (QueryEngine, SRS)");
-  const SharedScanOutcome shared = RunSharedScan(inst, &json);
-
   ShapeCheck("kernel-results-identical", e2e.identical && runs_identical,
              "reverse-skyline rows (and SRS counters) bit-identical with "
              "use_kernels on");
-  ShapeCheck("shared-scan-identical", shared.identical,
-             "per-query rows and counters bit-identical under shared "
-             "scans");
-  ShapeCheck("shared-scan-1.5x-modeled-makespan", shared.speedup >= 1.5,
-             "shared scan " + Fmt(shared.speedup, 2) +
-                 "x per-query modeled makespan (need >= 1.5x)");
   // The 1.5x expectation is about the SIMD lane evaluators; the portable
   // blocked fallback (scalar dispatch / NMRS_NO_SIMD) is only expected to
   // be around parity, so the check does not bind there.

@@ -34,8 +34,11 @@
 #   6. nosimd  — NMRS_NO_SIMD build + full ctest: the portable scalar lane
 #                evaluators must pass everything the SIMD build passes
 #   7. perf    — bench_kernels --quick on the plain build, then
-#                tools/check_gates.py fails the run if the kernel is
-#                slower than the scalar loop at the largest cardinality
+#                tools/check_gates.py fails the run if the kernel rows
+#                differ from the scalar path's, or (avx2 dispatch) the
+#                kernel is slower than the scalar loop at the largest
+#                cardinality, or the e2e adaptive path or SRS phase 1 is
+#                slower than scalar
 #   8. shards  — bench_shards --quick, then tools/check_gates.py
 #                fails the run if sharded results are not bit-identical to
 #                single-shard, the 4-shard modeled speedup drops

@@ -1,7 +1,7 @@
 #include "core/block_rs.h"
 
 #include <algorithm>
-#include <memory>
+#include <vector>
 
 #include "common/sync.h"
 #include "common/timer.h"
@@ -21,45 +21,6 @@ enum class SearchOrder {
   kForward,  // BRS: plain 0..n scan
   kRing,     // SRS: offsets ±1, ±2, ... from the candidate's sorted position
 };
-
-// The phase-1 pruner search of candidate i on the scalar path — the seed
-// loop over the row-major batch. Adds the pair and check counts; returns
-// whether a pruner was found.
-bool FindPrunerScalar(const RowBatch& batch, const PruneContext& ctx,
-                      SearchOrder order, size_t i, uint64_t* pair_tests,
-                      uint64_t* checks) {
-  const size_t n = batch.size();
-  const RowId x_id = batch.id(i);
-  auto try_pruner = [&](size_t j) {
-    if (batch.id(j) == x_id) return false;
-    ++*pair_tests;
-    return ctx.Prunes(batch.row_values(j), batch.row_numerics(j), checks);
-  };
-  if (order == SearchOrder::kForward) {
-    for (size_t j = 0; j < n; ++j) {
-      if (j != i && try_pruner(j)) return true;
-    }
-    return false;
-  }
-  // Expanding ring around i: sorted data puts likely pruners nearby.
-  for (size_t off = 1; off < n; ++off) {
-    if (off <= i && try_pruner(i - off)) return true;
-    if (i + off < n && try_pruner(i + off)) return true;
-  }
-  return false;
-}
-
-// The same search on the kernel path: identical verdict and pair/check
-// accounting (DominanceKernel's equivalence contract). The caller has set
-// the candidate on the kernel's context.
-bool FindPrunerKernel(DominanceKernel& kernel, SearchOrder order, size_t i,
-                      size_t n, RowId x_id, uint64_t* pair_tests,
-                      uint64_t* checks) {
-  kernel.BeginCandidate();
-  return order == SearchOrder::kForward
-             ? kernel.FindPrunerForward(0, n, x_id, pair_tests, checks)
-             : kernel.FindPrunerRing(i, x_id, pair_tests, checks);
-}
 
 void AddKernelTelemetry(const DominanceKernel& kernel, QueryStats* stats) {
   stats->kernel_checks += kernel.kernel_checks();
@@ -196,22 +157,41 @@ StatusOr<Phase1Rows> LoadPhase1Batch(const StoredDataset& data,
 // records which are pruned. `ctx` and the counters belong to the caller
 // (one chunk when parallel), so this runs with no shared mutable state
 // beyond the disjoint `pruned` slots — the per-candidate work is identical
-// to the sequential scan, which keeps check counts deterministic. On the
-// kernel path the searches run on a DominanceKernel — scalar probe first,
-// blocks after promotion — whose telemetry is added to *stats; rows of one
-// run keep the run's candidate on `ctx`, and the ring replays the
-// left-neighbour test per run (RingReplay).
+// to the sequential scan, which keeps check counts deterministic. The
+// scalar path is the seed loop over the row-major batch. The kernel path
+// runs the same searches on a DominanceKernel — scalar probe first, blocks
+// after promotion — with identical verdicts and pair/check accounting
+// (DominanceKernel's equivalence contract), and adds its telemetry to
+// *stats; rows of one run keep the run's candidate on `ctx`, and the ring
+// replays the left-neighbour test per run (RingReplay).
 void Phase1CheckRange(const Phase1Rows& batch, PruneContext& ctx,
                       SearchOrder order, uint32_t promote_rows, size_t begin,
                       size_t end, QueryStats* stats, uint8_t* pruned) {
+  const size_t n = batch.size();
   if (batch.cols == nullptr) {
     const RowBatch& rows = *batch.rows;
     for (size_t i = begin; i < end; ++i) {
       ctx.SetCandidate(rows.row_values(i), rows.row_numerics(i));
-      pruned[i] = FindPrunerScalar(rows, ctx, order, i, &stats->pair_tests,
-                                   &stats->checks)
-                      ? 1
-                      : 0;
+      const RowId x_id = rows.id(i);
+      auto try_pruner = [&](size_t j) {
+        if (rows.id(j) == x_id) return false;
+        ++stats->pair_tests;
+        return ctx.Prunes(rows.row_values(j), rows.row_numerics(j),
+                          &stats->checks);
+      };
+      bool found = false;
+      if (order == SearchOrder::kForward) {
+        for (size_t j = 0; j < n && !found; ++j) {
+          found = j != i && try_pruner(j);
+        }
+      } else {
+        // Expanding ring around i: sorted data puts likely pruners nearby.
+        for (size_t off = 1; off < n && !found; ++off) {
+          found = (off <= i && try_pruner(i - off)) ||
+                  (i + off < n && try_pruner(i + off));
+        }
+      }
+      pruned[i] = found ? 1 : 0;
     }
     return;
   }
@@ -225,32 +205,23 @@ void Phase1CheckRange(const Phase1Rows& batch, PruneContext& ctx,
       candidate.Seek(batch, i);
       ctx.SetCandidate(candidate.values(), candidate.numerics());
     }
-    const bool found =
-        (replay && ring_replay.Prunes(cols, ctx, i, stats)) ||
-        FindPrunerKernel(kernel, order, i, cols.size(), cols.id(i),
-                         &stats->pair_tests, &stats->checks);
+    bool found = replay && ring_replay.Prunes(cols, ctx, i, stats);
+    if (!found) {
+      kernel.BeginCandidate();
+      found = order == SearchOrder::kForward
+                  ? kernel.FindPrunerForward(0, n, cols.id(i),
+                                             &stats->pair_tests,
+                                             &stats->checks)
+                  : kernel.FindPrunerRing(i, cols.id(i), &stats->pair_tests,
+                                          &stats->checks);
+    }
     pruned[i] = found ? 1 : 0;
   }
   AddKernelTelemetry(kernel, stats);
 }
 
-// Appends the rows of `batch` that `pruned` leaves alive to *writer, in
-// scan order.
-Status SpillSurvivors(const Phase1Rows& batch, const Schema& schema,
-                      const uint8_t* pruned, RowWriter* writer) {
-  RowCursor row(schema.num_attributes(), schema.NumNumeric() > 0);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!pruned[i]) {
-      row.Seek(batch, i);
-      NMRS_RETURN_IF_ERROR(
-          writer->Add(batch.id(i), row.values(), row.numerics()));
-    }
-  }
-  return Status::OK();
-}
-
-// Intra-batch pruning of one loaded batch; appends survivors to *writer.
-// Pruned objects keep acting as pruners (paper Alg. 2 lines 4-7 iterate all
+// Intra-batch pruning of one loaded batch; appends survivors to *writer in
+// scan order. Pruned objects keep acting as pruners (paper Alg. 2 lines 4-7 iterate all
 // loaded Y). With opts.num_threads > 1 the candidate checks are chunked
 // across threads on `executor` (each chunk with its own PruneContext and
 // counters, summed in chunk order); survivors are still written in scan
@@ -286,7 +257,14 @@ Status Phase1Batch(const Phase1Rows& batch, const SimilaritySpace& space,
                    });
     for (const QueryStats& cc : counters) stats->MergeFrom(cc);
   }
-  return SpillSurvivors(batch, schema, pruned.data(), writer);
+  RowCursor row(schema.num_attributes(), schema.NumNumeric() > 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (pruned[i]) continue;
+    row.Seek(batch, i);
+    NMRS_RETURN_IF_ERROR(
+        writer->Add(batch.id(i), row.values(), row.numerics()));
+  }
+  return Status::OK();
 }
 
 // Phase 2 (paper Alg. 2 lines 9-19): survivors R are consumed in batches of
@@ -445,170 +423,6 @@ StatusOr<ReverseSkylineResult> SortReverseSkyline(
     const Object& query, const RSOptions& opts, const ExecContext& exec) {
   return RunBlockAlgorithm(sorted_data, space, query, opts, exec,
                            SearchOrder::kRing);
-}
-
-StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
-    const StoredDataset& data, const SimilaritySpace& space,
-    const std::vector<Object>& queries, const RSOptions& opts,
-    bool ring_order, SharedScanStats* shared, const ExecContext& exec) {
-  SimulatedDisk* disk = data.disk();
-  const Schema& schema = data.schema();
-  const size_t m = schema.num_attributes();
-  const bool numerics = schema.NumNumeric() > 0;
-  if (opts.memory.pages < 2) {
-    return Status::InvalidArgument(
-        "block algorithms need a memory budget of at least 2 pages");
-  }
-  SharedScanStats discard;
-  if (shared == nullptr) shared = &discard;
-  std::vector<ReverseSkylineResult> results(queries.size());
-  if (queries.empty()) return results;
-
-  const SearchOrder order =
-      ring_order ? SearchOrder::kRing : SearchOrder::kForward;
-  const size_t nq = queries.size();
-
-  disk->InvalidateArmPosition();
-  const std::vector<AttrId> selected =
-      ResolveSelectedAttrs(schema, opts.selected_attrs);
-
-  // Per-query derived state. Every query evaluates the same candidates in
-  // the same order as its single-query run; only the loop nesting changes
-  // (candidate-major instead of query-major), which the bit-identity
-  // contract survives because the per-(query, candidate) work is
-  // independent.
-  struct QueryRun {
-    std::unique_ptr<QueryDistanceTable> qtable;
-    std::unique_ptr<PruneContext> ctx;
-    std::unique_ptr<DominanceKernel> kernel;  // rebuilt per loaded batch
-    FileId scratch = 0;
-    std::unique_ptr<RowWriter> writer;
-  };
-  std::vector<QueryRun> runs(nq);
-  for (size_t q = 0; q < nq; ++q) {
-    runs[q].qtable = std::make_unique<QueryDistanceTable>(
-        space, schema, queries[q], selected, opts.overlay);
-    runs[q].ctx = std::make_unique<PruneContext>(space, schema, queries[q],
-                                                 selected, runs[q].qtable.get());
-    runs[q].scratch = disk->CreateFile("rs-shared-scratch");
-    runs[q].writer = std::make_unique<RowWriter>(
-        disk, runs[q].scratch, schema, opts.resilience.checksum_pages);
-  }
-
-  // ---- Phase 1: one scan of D feeds every query's intra-batch pruning ----
-  Timer shared_timer;
-  PagedReader shared_reader = MakeReader(disk, opts.resilience, exec);
-  const IoStats phase1_before = disk->stats();
-  IoStats spill_io;  // per-query scratch writes inside the phase-1 window
-  SharedCandidateCache cache;
-  const uint64_t total_pages = data.num_pages();
-  Phase1Buffers buf(m, numerics);
-  RowCursor candidate(m, numerics);
-  std::vector<uint8_t> pruned;
-  for (PageId start = 0; start < total_pages; start += opts.memory.pages) {
-    const PageId end =
-        std::min<PageId>(start + opts.memory.pages, total_pages);
-    NMRS_ASSIGN_OR_RETURN(
-        const Phase1Rows batch,
-        LoadPhase1Batch(data, &shared_reader, start, end, opts.use_kernels,
-                        exec.segments, &buf));
-    const size_t n = batch.size();
-    if (opts.use_kernels) {
-      cache.Attach(*runs[0].ctx, *batch.cols);
-      for (QueryRun& r : runs) {
-        r.kernel = std::make_unique<DominanceKernel>(
-            *r.ctx, *batch.cols, opts.kernel_promote_rows, &cache);
-      }
-    }
-    pruned.assign(nq * n, 0);
-    const bool replay = opts.use_kernels && order == SearchOrder::kRing &&
-                        opts.kernel_promote_rows > 0;
-    std::vector<RingReplay> replays(nq);
-    for (size_t i = 0; i < n; ++i) {
-      // Candidate-major: fix candidate X on every query's context, gather
-      // its attribute blocks once (the shared cache), then run each
-      // query's compare-only pruner search.
-      candidate.Seek(batch, i);
-      for (QueryRun& r : runs) {
-        r.ctx->SetCandidate(candidate.values(), candidate.numerics());
-      }
-      if (opts.use_kernels) cache.SetCandidate(*runs[0].ctx);
-      const RowId x_id = batch.id(i);
-      for (size_t q = 0; q < nq; ++q) {
-        QueryRun& r = runs[q];
-        QueryStats& st = results[q].stats;
-        const bool found =
-            opts.use_kernels
-                ? (replay && replays[q].Prunes(*batch.cols, *r.ctx, i, &st)) ||
-                      FindPrunerKernel(*r.kernel, order, i, n, x_id,
-                                       &st.pair_tests, &st.checks)
-                : FindPrunerScalar(*batch.rows, *r.ctx, order, i,
-                                   &st.pair_tests, &st.checks);
-        pruned[q * n + i] = found ? 1 : 0;
-      }
-    }
-    // Per-query survivor spills, in scan order, with the writes charged to
-    // the query (same FlushPartial cadence as the single-query path).
-    for (size_t q = 0; q < nq; ++q) {
-      QueryRun& r = runs[q];
-      QueryStats& st = results[q].stats;
-      ++st.phase1_batches;
-      if (opts.use_kernels) AddKernelTelemetry(*r.kernel, &st);
-      const IoStats spill_before = disk->stats();
-      NMRS_RETURN_IF_ERROR(
-          SpillSurvivors(batch, schema, pruned.data() + q * n, r.writer.get()));
-      NMRS_RETURN_IF_ERROR(r.writer->FlushPartial());
-      const IoStats delta = disk->stats() - spill_before;
-      st.io += delta;
-      spill_io += delta;
-    }
-    if (opts.use_kernels) {
-      shared->shared_gather_blocks += cache.blocks_filled();
-    }
-    ++shared->shared_batches;
-  }
-  for (size_t q = 0; q < nq; ++q) {
-    QueryRun& r = runs[q];
-    QueryStats& st = results[q].stats;
-    const IoStats finish_before = disk->stats();
-    NMRS_RETURN_IF_ERROR(r.writer->Finish());
-    const IoStats delta = disk->stats() - finish_before;
-    st.io += delta;
-    spill_io += delta;
-    st.phase1_survivors = r.writer->rows_written();
-    st.phase1_checks = st.checks;
-  }
-  shared->shared_io += (disk->stats() - phase1_before) - spill_io;
-  shared_reader.FoldStatsInto(&shared->shared_io);
-  shared->modeled_backoff_millis += shared_reader.modeled_backoff_millis();
-  shared->shared_millis += shared_timer.ElapsedMillis();
-
-  // ---- Phase 2: per query, reusing the single-query refinement ----
-  const uint64_t batch_pages = opts.memory.pages - 1;
-  for (size_t q = 0; q < nq; ++q) {
-    QueryRun& r = runs[q];
-    QueryStats& st = results[q].stats;
-    Timer phase2_timer;
-    disk->InvalidateArmPosition();
-    const IoStats phase2_before = disk->stats();
-    PagedReader reader = MakeReader(disk, opts.resilience, exec);
-    StoredDataset survivors(disk, r.scratch, schema, r.writer->rows_written(),
-                            opts.resilience.checksum_pages);
-    NMRS_RETURN_IF_ERROR(Phase2(data, survivors, &reader, *r.ctx, batch_pages,
-                                opts, exec.segments, &st, &results[q].rows));
-    NMRS_RETURN_IF_ERROR(disk->DeleteFile(r.scratch));
-    st.phase2_checks = st.checks - st.phase1_checks;
-    st.phase2_millis = phase2_timer.ElapsedMillis();
-    st.io += disk->stats() - phase2_before;
-    reader.FoldStatsInto(&st.io);
-    st.modeled_backoff_millis = reader.modeled_backoff_millis();
-    std::sort(results[q].rows.begin(), results[q].rows.end());
-    st.result_size = results[q].rows.size();
-    // The shared pass isn't attributable per query: phase1_millis stays 0
-    // and compute_millis covers this query's own (phase-2) work.
-    st.compute_millis = st.phase2_millis;
-  }
-  return results;
 }
 
 }  // namespace nmrs

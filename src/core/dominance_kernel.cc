@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/check.h"
@@ -25,10 +24,6 @@ namespace {
 
 /// Lane evaluators: fill `viol` / `strict` bitmasks for rows [0, n),
 /// n <= DominanceKernel::kBlockRows — bit w reports lhs_w > q / lhs_w < q.
-/// The *_fill evaluators materialize the lhs array itself (for the
-/// SharedCandidateCache), and `cmp` compares a materialized lhs array —
-/// the same doubles and the same IEEE compares, so fused and cached
-/// evaluation produce identical masks.
 struct LaneFns {
   // Categorical: lhs_w = col[vals[w]] (col is the matrix column d(., x)).
   // `active` marks the rows still undecided: lanes of dead 4-row groups
@@ -39,15 +34,6 @@ struct LaneFns {
   // Numeric: lhs_w = scale * |y[w] - x|.
   void (*num)(const double* y, size_t n, uint32_t active, double x,
               double scale, double q, uint32_t* viol, uint32_t* strict);
-  // Compare-only pass over a materialized lhs array.
-  void (*cmp)(const double* lhs, size_t n, uint32_t active, double q,
-              uint32_t* viol, uint32_t* strict);
-  // lhs materialization (all n rows — the array is shared by queries
-  // whose active masks differ).
-  void (*cat_fill)(const double* col, const ValueId* vals, size_t n,
-                   double* lhs);
-  void (*num_fill)(const double* y, size_t n, double x, double scale,
-                   double* lhs);
   // The first w < n with ids[w] == id (a row a scan must skip), or n.
   size_t (*find)(const RowId* ids, size_t n, RowId id);
 };
@@ -80,29 +66,6 @@ void NumLanesScalar(const double* y, size_t n, uint32_t active, double x,
   *strict = s;
 }
 
-void CmpLanesScalar(const double* lhs, size_t n, uint32_t active, double q,
-                    uint32_t* viol, uint32_t* strict) {
-  uint32_t v = 0, s = 0;
-  for (size_t w = 0; w < n; ++w) {
-    if (!((active >> w) & 1u)) continue;
-    const double l = lhs[w];
-    if (l > q) v |= 1u << w;
-    if (l < q) s |= 1u << w;
-  }
-  *viol = v;
-  *strict = s;
-}
-
-void CatFillScalar(const double* col, const ValueId* vals, size_t n,
-                   double* lhs) {
-  for (size_t w = 0; w < n; ++w) lhs[w] = col[vals[w]];
-}
-
-void NumFillScalar(const double* y, size_t n, double x, double scale,
-                   double* lhs) {
-  for (size_t w = 0; w < n; ++w) lhs[w] = scale * std::fabs(y[w] - x);
-}
-
 size_t FindIdScalar(const RowId* ids, size_t n, RowId id) {
   size_t w = 0;
   while (w < n && ids[w] != id) ++w;
@@ -110,8 +73,7 @@ size_t FindIdScalar(const RowId* ids, size_t n, RowId id) {
 }
 
 constexpr LaneFns kScalarFns = {CatLanesScalar, NumLanesScalar,
-                                CmpLanesScalar, CatFillScalar,
-                                NumFillScalar, FindIdScalar};
+                                FindIdScalar};
 
 #ifdef NMRS_KERNEL_AVX2
 
@@ -208,63 +170,6 @@ __attribute__((target("avx2"))) void NumLanesAvx2(const double* y, size_t n,
   *strict = s;
 }
 
-__attribute__((target("avx2"))) void CmpLanesAvx2(const double* lhs,
-                                                  size_t n, uint32_t active,
-                                                  double q, uint32_t* viol,
-                                                  uint32_t* strict) {
-  uint32_t v = 0, s = 0;
-  const __m256d qv = _mm256_set1_pd(q);
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    if (!((active >> w) & 0xFu)) continue;
-    const __m256d l = _mm256_loadu_pd(lhs + w);
-    v |= static_cast<uint32_t>(
-             _mm256_movemask_pd(_mm256_cmp_pd(l, qv, _CMP_GT_OQ)))
-         << w;
-    s |= static_cast<uint32_t>(
-             _mm256_movemask_pd(_mm256_cmp_pd(l, qv, _CMP_LT_OQ)))
-         << w;
-  }
-  for (; w < n; ++w) {
-    if (!((active >> w) & 1u)) continue;
-    const double l = lhs[w];
-    if (l > q) v |= 1u << w;
-    if (l < q) s |= 1u << w;
-  }
-  *viol = v;
-  *strict = s;
-}
-
-__attribute__((target("avx2"))) void CatFillAvx2(const double* col,
-                                                 const ValueId* vals,
-                                                 size_t n, double* lhs) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + w));
-    _mm256_storeu_pd(lhs + w,
-                     _mm256_mask_i32gather_pd(zero, col, idx, ones, 8));
-  }
-  for (; w < n; ++w) lhs[w] = col[vals[w]];
-}
-
-__attribute__((target("avx2"))) void NumFillAvx2(const double* y, size_t n,
-                                                 double x, double scale,
-                                                 double* lhs) {
-  const __m256d xv = _mm256_set1_pd(x);
-  const __m256d sc = _mm256_set1_pd(scale);
-  const __m256d absmask = _mm256_castsi256_pd(
-      _mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    const __m256d diff = _mm256_sub_pd(_mm256_loadu_pd(y + w), xv);
-    _mm256_storeu_pd(lhs + w, _mm256_mul_pd(sc, _mm256_and_pd(diff, absmask)));
-  }
-  for (; w < n; ++w) lhs[w] = scale * std::fabs(y[w] - x);
-}
-
 __attribute__((target("avx2"))) size_t FindIdAvx2(const RowId* ids, size_t n,
                                                   RowId id) {
   const __m256i idv = _mm256_set1_epi64x(static_cast<long long>(id));
@@ -280,8 +185,7 @@ __attribute__((target("avx2"))) size_t FindIdAvx2(const RowId* ids, size_t n,
   return w;
 }
 
-constexpr LaneFns kAvx2Fns = {CatLanesAvx2, NumLanesAvx2, CmpLanesAvx2,
-                              CatFillAvx2, NumFillAvx2, FindIdAvx2};
+constexpr LaneFns kAvx2Fns = {CatLanesAvx2, NumLanesAvx2, FindIdAvx2};
 
 bool DetectAvx2() { return __builtin_cpu_supports("avx2"); }
 
@@ -317,70 +221,6 @@ void ForceScalarKernelDispatchForTest(bool force) {
   g_force_scalar.store(force, std::memory_order_relaxed);
 }
 
-void SharedCandidateCache::Attach(const PruneContext& ctx,
-                                  const ColumnarBatch& cols) {
-  NMRS_CHECK(ctx.table() != nullptr)
-      << "SharedCandidateCache needs a table-backed PruneContext";
-  cols_ = &cols;
-  dispatch_ = ActiveKernelDispatch();
-  const size_t m = ctx.num_selected();
-  attrs_.assign(ctx.selected().begin(), ctx.selected().end());
-  is_numeric_.assign(m, 0);
-  num_scale_.assign(m, 0.0);
-  for (size_t k = 0; k < m; ++k) {
-    if (ctx.SelectedIsNumeric(k)) {
-      is_numeric_[k] = 1;
-      num_scale_[k] = ctx.space().numeric(attrs_[k]).scale();
-    }
-  }
-  xcol_.assign(m, nullptr);
-  xnum_.assign(m, 0.0);
-  constexpr size_t kBlock = DominanceKernel::kBlockRows;
-  heads_ = cols.num_runs();
-  num_blocks_ = (heads_ + kBlock - 1) / kBlock;
-  padded_heads_ = num_blocks_ * kBlock;
-  lhs_.assign(m * padded_heads_, 0.0);
-  filled_.assign(m * num_blocks_, 0);
-  epoch_ = 1;
-  blocks_filled_ = 0;
-}
-
-void SharedCandidateCache::SetCandidate(const PruneContext& ctx) {
-  const size_t m = attrs_.size();
-  for (size_t k = 0; k < m; ++k) {
-    if (is_numeric_[k]) {
-      xnum_[k] = ctx.candidate_numerics()[attrs_[k]];
-    } else {
-      // The cached column d(., x) of the attaching context's table. Every
-      // query of a shared scan has the same space and overlay, so its
-      // doubles are the same in every query's context.
-      xcol_[k] = ctx.CandidateColumn(k);
-    }
-  }
-  ++epoch_;
-}
-
-const double* SharedCandidateCache::EnsureLhs(size_t k, size_t block) {
-  constexpr size_t kBlock = DominanceKernel::kBlockRows;
-  double* base = lhs_.data() + k * padded_heads_ + block * kBlock;
-  uint64_t& filled = filled_[k * num_blocks_ + block];
-  if (filled != epoch_) {
-    filled = epoch_;
-    ++blocks_filled_;
-    const size_t begin = block * kBlock;
-    const size_t n = std::min(kBlock, heads_ - begin);
-    const LaneFns& fns = FnsFor(dispatch_);
-    const AttrId a = attrs_[k];
-    if (is_numeric_[k]) {
-      fns.num_fill(cols_->head_numerics(a) + begin, n, xnum_[k],
-                   num_scale_[k], base);
-    } else {
-      fns.cat_fill(xcol_[k], cols_->head_values(a) + begin, n, base);
-    }
-  }
-  return base;
-}
-
 namespace {
 
 // Bits [lo, hi] of a window mask, clipped to the word; empty when lo > hi.
@@ -405,12 +245,10 @@ inline uint32_t LaneCount(uint32_t x) {
 
 DominanceKernel::DominanceKernel(const PruneContext& ctx,
                                  const ColumnarBatch& cols,
-                                 uint32_t promote_rows,
-                                 SharedCandidateCache* shared)
+                                 uint32_t promote_rows)
     : ctx_(&ctx),
       cols_(&cols),
       rows_(cols.source()),
-      shared_(shared),
       dispatch_(ActiveKernelDispatch()),
       promote_rows_(promote_rows),
       num_selected_(ctx.num_selected()) {
@@ -419,12 +257,6 @@ DominanceKernel::DominanceKernel(const PruneContext& ctx,
   for (AttrId a : ctx.selected()) {
     NMRS_CHECK(a < cols.num_attrs())
         << "ColumnarBatch narrower than the context's selection";
-  }
-  if (shared_ != nullptr) {
-    NMRS_CHECK(shared_->attached() && shared_->batch() == &cols)
-        << "SharedCandidateCache bound to a different batch";
-    NMRS_CHECK(shared_->num_selected() == ctx.num_selected())
-        << "sharing queries must agree on the attribute selection";
   }
   promoted_ = promote_rows_ == 0;
   windows_.resize((cols.num_runs() + kBlockRows - 1) / kBlockRows);
@@ -491,10 +323,7 @@ void DominanceKernel::EvalHeadWindow(size_t r) {
     level_active[k] = alive;
     const AttrId a = ctx_->selected()[k];
     uint32_t viol = 0, strict = 0;
-    if (shared_ != nullptr) {
-      fns.cmp(shared_->EnsureLhs(k, b), n, alive, ctx_->QueryDist(k), &viol,
-              &strict);
-    } else if (ctx_->SelectedIsNumeric(k)) {
+    if (ctx_->SelectedIsNumeric(k)) {
       fns.num(cols_->head_numerics(a) + begin, n, alive,
               ctx_->candidate_numerics()[a], ctx_->space().numeric(a).scale(),
               ctx_->QueryDist(k), &viol, &strict);

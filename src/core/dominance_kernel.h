@@ -27,66 +27,6 @@ const char* KernelDispatchName(KernelDispatch d);
 /// constructed after the call; not for production use.
 void ForceScalarKernelDispatchForTest(bool force);
 
-/// Shared per-candidate cache of the *left-hand sides* of the pruning
-/// condition: for a fixed candidate X, the values d_k(y, x_k) gathered per
-/// attribute are a pure function of (space, X, batch) — the query only
-/// supplies the thresholds d_k(q, x_k). A batch of queries scanning the
-/// same rows against the same candidate can therefore gather each
-/// attribute block once and reduce every query's evaluation to a
-/// compare-only pass, which is what the cross-query shared scan
-/// (docs/KERNELS.md) does: attach one cache to the batch, SetCandidate
-/// once per candidate, and hand the cache to every query's
-/// DominanceKernel.
-///
-/// Blocks of 32 run heads (the kernel's lanes) x one selected attribute
-/// are filled lazily on first demand by any sharing kernel. The cached
-/// doubles are loaded/computed by the same operations as the fused lane
-/// evaluators, so verdicts stay bit-identical. Not thread-safe: one cache
-/// serves the kernels of one shared scan, which evaluate a candidate's
-/// queries sequentially.
-class SharedCandidateCache {
- public:
-  /// Binds the cache to a batch; `ctx` supplies the attribute selection
-  /// geometry, which every sharing query must agree on (same resolved
-  /// selection — guaranteed when they share RSOptions::selected_attrs).
-  /// Both are borrowed and must outlive the cache.
-  void Attach(const PruneContext& ctx, const ColumnarBatch& cols);
-
-  /// Fixes candidate X and invalidates every cached block in O(1): blocks
-  /// are stamped with the candidate epoch that filled them. Any sharing
-  /// query's context works: the candidate columns and numeric values it
-  /// caches are query-independent.
-  void SetCandidate(const PruneContext& ctx);
-
-  /// The lhs array for selected attribute k over run heads
-  /// [block*32, min(block*32+32, num_runs)), filling it on first touch.
-  const double* EnsureLhs(size_t k, size_t block);
-
-  bool attached() const { return cols_ != nullptr; }
-  const ColumnarBatch* batch() const { return cols_; }
-  size_t num_selected() const { return attrs_.size(); }
-
-  /// Attribute-blocks gathered since Attach (each serves every sharing
-  /// query; the saving vs per-query kernels is (Q-1)/Q of the gathers).
-  uint64_t blocks_filled() const { return blocks_filled_; }
-
- private:
-  const ColumnarBatch* cols_ = nullptr;
-  KernelDispatch dispatch_ = KernelDispatch::kScalar;
-  std::vector<AttrId> attrs_;       // selected physical attribute ids
-  std::vector<uint8_t> is_numeric_; // aligned with attrs_
-  std::vector<double> num_scale_;   // numeric k: dissimilarity scale
-  std::vector<const double*> xcol_; // categorical k: column d(., x)
-  std::vector<double> xnum_;        // numeric k: candidate value
-  size_t heads_ = 0;                // lanes: the batch's run heads
-  size_t padded_heads_ = 0;         // heads_ rounded up to whole blocks
-  size_t num_blocks_ = 0;
-  std::vector<double> lhs_;         // [k * padded_heads_ + head]
-  std::vector<uint64_t> filled_;    // [k * num_blocks_ + block]: epoch
-  uint64_t epoch_ = 1;              // current candidate's epoch
-  uint64_t blocks_filled_ = 0;
-};
-
 /// Block-at-a-time evaluator of the pruning condition of Definition 1: for
 /// a fixed candidate X (set via the PruneContext), decide for a block of
 /// rows Y at once whether forall k: d_k(y_k, x_k) <= d_k(q_k, x_k), with
@@ -147,21 +87,15 @@ class SharedCandidateCache {
 /// The context must be table-backed (QueryDistanceTable) — all wired
 /// algorithms build one — and both `ctx` and `cols` (and its source batch)
 /// are borrowed and must outlive the kernel. Not thread-safe; parallel
-/// chunks build one kernel per chunk over the shared ColumnarBatch. With a
-/// SharedCandidateCache the block path compares against the cache's lhs
-/// arrays instead of gathering privately (cross-query scan sharing); the
-/// cache must be attached to the same batch and its SetCandidate must
-/// track ctx's.
+/// chunks build one kernel per chunk over the shared ColumnarBatch.
 class DominanceKernel {
  public:
   /// Lanes (run heads) evaluated per block window (one bitmask word).
-  /// Windows are aligned to absolute multiples of kBlockRows, the
-  /// SharedCandidateCache block geometry.
+  /// Windows are aligned to absolute multiples of kBlockRows.
   static constexpr size_t kBlockRows = 32;
 
   DominanceKernel(const PruneContext& ctx, const ColumnarBatch& cols,
-                  uint32_t promote_rows = 0,
-                  SharedCandidateCache* shared = nullptr);
+                  uint32_t promote_rows = 0);
 
   /// Invalidates cached block results and restarts the adaptive probe;
   /// call after ctx.SetCandidate().
@@ -292,7 +226,6 @@ class DominanceKernel {
   const PruneContext* ctx_;
   const ColumnarBatch* cols_;
   const RowBatch* rows_;                // cols_->source(); may be null
-  SharedCandidateCache* shared_;
   KernelDispatch dispatch_;
   uint32_t promote_rows_;
   size_t num_selected_;

@@ -26,7 +26,7 @@ class Database;
 
 /// Everything that shapes a Database: the algorithm and its preparation
 /// knobs, the full executor vocabulary (workers, caches, faults, replicas,
-/// shared scans, overlays, network model), and the sharding layout — the
+/// overlays, network model), and the sharding layout — the
 /// front door threads it through every snapshot's engine unchanged.
 struct DatabaseOptions {
   Algorithm algo = Algorithm::kBRS;

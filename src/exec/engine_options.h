@@ -12,8 +12,8 @@
 namespace nmrs {
 
 /// The executor's options — QueryEngine and the Database front door both
-/// consume this struct: workers, caches, faults, replicas, shared scans
-/// and the shard-exchange network model. All of it is configuration; the
+/// consume this struct: workers, caches, faults, replicas and the
+/// shard-exchange network model. All of it is configuration; the
 /// engine builds the runtime handles each task borrows (pool, page cache,
 /// failover replicas, quarantine log) into that task's ExecContext.
 struct EngineOptions {
@@ -58,13 +58,6 @@ struct EngineOptions {
   /// status: the query is re-run on a clean view — no fault wrapper —
   /// modeling a replica read. Non-storage errors are never retried.
   int max_query_retries = 0;
-
-  /// Cross-query scan sharing (docs/KERNELS.md): groups of
-  /// `shared_scan_group` consecutive BRS/SRS queries run their phase 1
-  /// through ONE pass over the dataset. Falls back to per-query execution
-  /// under fault injection, replica failover, or other algorithms.
-  bool shared_scan = false;
-  size_t shared_scan_group = 16;
 
   /// Network cost model of the cross-shard pruner exchange
   /// (docs/SHARDING.md). Unused with one shard: no exchange runs.

@@ -1,7 +1,6 @@
 #include "exec/query_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <thread>
 
@@ -390,175 +389,102 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
   // ---- Scatter: every (query, active shard) runs the full algorithm over
   // the shard's local rows, then serializes its surviving candidates for
   // the exchange. ----
-  const bool shared_eligible =
-      opts_.shared_scan && !replica_sets_[0]->faulted() &&
-      replica_sets_[0]->num_replicas() == 1 &&
-      (algo_ == Algorithm::kBRS || algo_ == Algorithm::kSRS);
-
-  if (shared_eligible && !queries.empty()) {
-    ConcurrentIoStats shared_io;
-    std::atomic<uint64_t> shared_batches{0};
-    std::atomic<uint64_t> shared_groups{0};
-    const size_t group_size =
-        std::max<size_t>(1, opts_.shared_scan_group);
-    const size_t num_groups = (num_queries + group_size - 1) / group_size;
-    wg.Add(static_cast<int>(num_groups * active.size()));
-    for (size_t g = 0; g < num_groups; ++g) {
-      for (int s : active) {
-        pool_.Submit([&, g, s] {
-          const int w = pool_.CurrentWorkerIndex();
-          NMRS_CHECK_GE(w, 0);
-          ReplicaSet& rset = *replica_sets_[s];
-          DiskView* view = rset.view(w, 0);
-          const size_t lo = g * group_size;
-          const size_t hi = std::min(num_queries, lo + group_size);
-          const ExecContext exec = make_exec(s);
-          const StoredDataset& shard = sharded_->shard(s);
-          StoredDataset shard_data(view, shard.file(), shard.schema(),
-                                   shard.num_rows(), shard.checksum_pages());
-          const std::vector<Object> group(queries.begin() + lo,
-                                          queries.begin() + hi);
-          SharedScanStats ss;
-          const IoStats before = rset.WorkerStats(w);
-          auto res = SharedScanReverseSkylines(
-              shard_data, *space_, group, opts_.rs,
-              /*ring_order=*/algo_ == Algorithm::kSRS, &ss, exec);
-          double modeled = ss.shared_millis + ss.modeled_backoff_millis +
-                           IoCostModel{}.EstimateMillis(ss.shared_io);
-          if (res.ok()) {
-            for (size_t q = lo; q < hi; ++q) {
-              local[q][s] = std::move((*res)[q - lo]);
-              if (S > 1) {
-                Status cs = ExportCandidates(
-                    shard_data, opts_.rs.resilience, exec, rset, w,
-                    local[q][s].rows, &cand[q][s], &local[q][s].stats);
-                if (!cs.ok()) local_status[q][s] = cs;
-              }
-              total_io.Add(local[q][s].stats.io);
-              modeled += local[q][s].stats.ResponseMillis();
-            }
-            total_io.Add(ss.shared_io);
-            shared_io.Add(ss.shared_io);
-            shared_batches.fetch_add(ss.shared_batches,
-                                     std::memory_order_relaxed);
-            shared_groups.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            for (size_t q = lo; q < hi; ++q) {
-              local_status[q][s] = res.status();
-            }
-            const IoStats partial = rset.WorkerStats(w) - before;
-            total_io.Add(partial);
-            modeled = IoCostModel{}.EstimateMillis(partial);
-          }
+  wg.Add(static_cast<int>(num_queries * active.size()));
+  for (size_t q = 0; q < num_queries; ++q) {
+    for (int s : active) {
+      pool_.Submit([&, q, s] {
+        const int w = pool_.CurrentWorkerIndex();
+        NMRS_CHECK_GE(w, 0);
+        if (resident[s]) {
+          // Reads no page, so it cannot fault: no attempts, no export
+          // scan — the candidates leave straight from the tree.
+          local[q][s] = ResidentReverseSkyline(
+              *index[s], *space_, queries[q], opts_.rs, make_exec(s),
+              S > 1 ? &cand[q][s] : nullptr);
+          const double modeled = local[q][s].stats.ResponseMillis();
           batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
               modeled;
           note_task(s, modeled);
           wg.Done();
-        });
-      }
+          return;
+        }
+        ReplicaSet& rset = *replica_sets_[s];
+        const StoredDataset& shard = sharded_->shard(s);
+        // Attempt 0 reads through the task's own FaultyDisk per replica,
+        // under stream Stream(q, s), so its fault pattern is fixed by the
+        // config, not by which worker runs it; the fault ceiling
+        // restricts injection to the frozen base and shard files, since
+        // scratch-file ids are assigned in execution order. The other
+        // replicas are attached to `exec` for failover; their views
+        // persist across the worker's tasks, and resetting their arms
+        // makes the task's seq/rand IO split independent of what ran
+        // before it. Retries re-run on the worker's clean view with no
+        // failover disks (the clean view cannot fail), and a success
+        // after attempt 0 counts one recovery.
+        std::vector<std::unique_ptr<FaultyDisk>> wrappers;
+        const std::vector<SimulatedDisk*> disks =
+            rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
+        for (int r = 1; r < rset.num_replicas(); ++r) {
+          rset.view(w, r)->InvalidateArmPosition();
+        }
+        ExecContext exec = make_exec(s);
+        if (rset.num_replicas() > 1) {
+          exec.failover_disks.assign(disks.begin() + 1, disks.end());
+          exec.failover_limit = fault_ceiling_;
+        }
+        const int attempts = 1 + std::max(0, opts_.max_query_retries);
+        Status status;
+        for (int a = 0; a < attempts; ++a) {
+          if (a == 1) {
+            exec.failover_disks.clear();
+            exec.failover_limit = PagedReaderOptions::kNoFailoverLimit;
+          }
+          SimulatedDisk* disk = a == 0 ? disks[0] : rset.view(w, 0);
+          PreparedDataset shard_prep{
+              StoredDataset(disk, shard.file(), shard.schema(),
+                            shard.num_rows(), shard.checksum_pages()),
+              sharded_->base().attr_order,
+              sharded_->base().prepare_millis};
+          const IoStats before = rset.WorkerStats(w);
+          StatusOr<ReverseSkylineResult> result = RunReverseSkyline(
+              shard_prep, *space_, queries[q], algo_, opts_.rs, exec);
+          if (result.ok() && S > 1) {
+            // Export through the same (possibly faulty, failover-backed)
+            // disk: a real shard re-reads rows to serialize them, and may
+            // fail doing so, which counts as a failed attempt like any
+            // other.
+            Status cs = ExportCandidates(shard_prep.stored,
+                                         opts_.rs.resilience, exec, rset,
+                                         w, result->rows, &cand[q][s],
+                                         &result->stats);
+            if (!cs.ok()) result = cs;
+          }
+          if (result.ok()) {
+            local[q][s] = std::move(*result);
+            if (a > 0) ++retries[q][s];
+            status = Status::OK();
+            break;
+          }
+          // Keep the dead run's partial IO (worker-wide: failover reads
+          // land on the other replica views). A successful later attempt
+          // overwrites it, so a recovered task reports the stats of the
+          // run that produced its answer.
+          ReverseSkylineResult partial;
+          partial.stats.io = rset.WorkerStats(w) - before;
+          local[q][s] = std::move(partial);
+          status = result.status();
+          if (!status.IsStorageFault()) break;
+        }
+        if (!status.ok()) local_status[q][s] = status;
+        total_io.Add(local[q][s].stats.io);
+        batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
+            local[q][s].stats.ResponseMillis();
+        note_task(s, local[q][s].stats.ResponseMillis());
+        wg.Done();
+      });
     }
-    wg.Wait();
-    batch.shared_io = shared_io.Snapshot();
-    batch.shared_scan_batches = shared_batches.load(std::memory_order_relaxed);
-    batch.shared_scan_groups = shared_groups.load(std::memory_order_relaxed);
-  } else {
-    wg.Add(static_cast<int>(num_queries * active.size()));
-    for (size_t q = 0; q < num_queries; ++q) {
-      for (int s : active) {
-        pool_.Submit([&, q, s] {
-          const int w = pool_.CurrentWorkerIndex();
-          NMRS_CHECK_GE(w, 0);
-          if (resident[s]) {
-            // Reads no page, so it cannot fault: no attempts, no export
-            // scan — the candidates leave straight from the tree.
-            local[q][s] = ResidentReverseSkyline(
-                *index[s], *space_, queries[q], opts_.rs, make_exec(s),
-                S > 1 ? &cand[q][s] : nullptr);
-            const double modeled = local[q][s].stats.ResponseMillis();
-            batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
-                modeled;
-            note_task(s, modeled);
-            wg.Done();
-            return;
-          }
-          ReplicaSet& rset = *replica_sets_[s];
-          const StoredDataset& shard = sharded_->shard(s);
-          // Attempt 0 reads through the task's own FaultyDisk per replica,
-          // under stream Stream(q, s), so its fault pattern is fixed by the
-          // config, not by which worker runs it; the fault ceiling
-          // restricts injection to the frozen base and shard files, since
-          // scratch-file ids are assigned in execution order. The other
-          // replicas are attached to `exec` for failover; their views
-          // persist across the worker's tasks, and resetting their arms
-          // makes the task's seq/rand IO split independent of what ran
-          // before it. Retries re-run on the worker's clean view with no
-          // failover disks (the clean view cannot fail), and a success
-          // after attempt 0 counts one recovery.
-          std::vector<std::unique_ptr<FaultyDisk>> wrappers;
-          const std::vector<SimulatedDisk*> disks =
-              rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
-          for (int r = 1; r < rset.num_replicas(); ++r) {
-            rset.view(w, r)->InvalidateArmPosition();
-          }
-          ExecContext exec = make_exec(s);
-          if (rset.num_replicas() > 1) {
-            exec.failover_disks.assign(disks.begin() + 1, disks.end());
-            exec.failover_limit = fault_ceiling_;
-          }
-          const int attempts = 1 + std::max(0, opts_.max_query_retries);
-          Status status;
-          for (int a = 0; a < attempts; ++a) {
-            if (a == 1) {
-              exec.failover_disks.clear();
-              exec.failover_limit = PagedReaderOptions::kNoFailoverLimit;
-            }
-            SimulatedDisk* disk = a == 0 ? disks[0] : rset.view(w, 0);
-            PreparedDataset shard_prep{
-                StoredDataset(disk, shard.file(), shard.schema(),
-                              shard.num_rows(), shard.checksum_pages()),
-                sharded_->base().attr_order,
-                sharded_->base().prepare_millis};
-            const IoStats before = rset.WorkerStats(w);
-            StatusOr<ReverseSkylineResult> result = RunReverseSkyline(
-                shard_prep, *space_, queries[q], algo_, opts_.rs, exec);
-            if (result.ok() && S > 1) {
-              // Export through the same (possibly faulty, failover-backed)
-              // disk: a real shard re-reads rows to serialize them, and may
-              // fail doing so, which counts as a failed attempt like any
-              // other.
-              Status cs = ExportCandidates(shard_prep.stored,
-                                           opts_.rs.resilience, exec, rset,
-                                           w, result->rows, &cand[q][s],
-                                           &result->stats);
-              if (!cs.ok()) result = cs;
-            }
-            if (result.ok()) {
-              local[q][s] = std::move(*result);
-              if (a > 0) ++retries[q][s];
-              status = Status::OK();
-              break;
-            }
-            // Keep the dead run's partial IO (worker-wide: failover reads
-            // land on the other replica views). A successful later attempt
-            // overwrites it, so a recovered task reports the stats of the
-            // run that produced its answer.
-            ReverseSkylineResult partial;
-            partial.stats.io = rset.WorkerStats(w) - before;
-            local[q][s] = std::move(partial);
-            status = result.status();
-            if (!status.IsStorageFault()) break;
-          }
-          if (!status.ok()) local_status[q][s] = status;
-          total_io.Add(local[q][s].stats.io);
-          batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
-              local[q][s].stats.ResponseMillis();
-          note_task(s, local[q][s].stats.ResponseMillis());
-          wg.Done();
-        });
-      }
-    }
-    wg.Wait();
   }
+  wg.Wait();
 
   batch.shard_segments_built.assign(static_cast<size_t>(S), 0);
   for (int s : active) {

@@ -92,20 +92,6 @@ struct BatchResult {
   uint64_t queries_retried = 0;
   uint64_t tasks_retried = 0;
 
-  /// Shared-scan execution counters (EngineOptions::shared_scan; all zero
-  /// when it is off or every group fell back to per-query runs).
-  /// `shared_scan_groups` = (query group, shard) passes that ran phase 1
-  /// once for the whole group; `shared_scan_batches` = memory-sized batches
-  /// those passes loaded (each feeding every query of its group);
-  /// `shared_io` = the shared passes' page IO, reported here once instead
-  /// of Q times in per-query stats, and included in total_io. Under shared
-  /// scans per-query QueryStats::io covers only that query's own scratch
-  /// spills, phase-2 scan and export, so sum(results[i].stats.io) +
-  /// shared_io == total_io.
-  uint64_t shared_scan_groups = 0;
-  uint64_t shared_scan_batches = 0;
-  IoStats shared_io;
-
   /// Page segments built per shard (docs/CACHING.md, "Segment store"):
   /// the distinct pages of shard s the batch's BRS/SRS reads decoded into
   /// columns, once each. Zero for a shard with no store: other
@@ -140,8 +126,8 @@ struct BatchResult {
   std::vector<std::vector<double>> shard_worker_modeled_millis;
 
   /// Largest single modeled task (one query's scatter run or verify pass,
-  /// a shared-scan group, or the shard's index build) per shard:
-  /// the critical-path lower bound ModeledMakespanMillis uses.
+  /// or the shard's index build) per shard: the critical-path lower bound
+  /// ModeledMakespanMillis uses.
   std::vector<double> shard_max_task_modeled_millis;
 
   /// The cost model the batch ran under (copied from the options so the
@@ -328,7 +314,7 @@ class QueryEngine {
 
   /// Answers every query for every overlay user with incremental
   /// re-pruning (docs/OVERLAYS.md): ONE base-space run per query through
-  /// RunBatch (workers, cache, kernels, shared scans, shards, faults,
+  /// RunBatch (workers, cache, kernels, shards, faults,
   /// failover — everything applies), one query-independent classification
   /// pass over the base dataset splitting rows into overlay-invariant vs
   /// overlay-sensitive per user, one pass per query recording a base-space

@@ -297,8 +297,7 @@ bool ScalarRing(const RowBatch& rows, const PruneContext& ctx, size_t center,
 
 // Runs FindPrunerRing for every center of `rows` on both dispatch paths,
 // with and without the row-major source batch (the probe's two inputs),
-// privately and through a SharedCandidateCache, at several promotion
-// thresholds, and expects the scalar ring's verdict, pair tests and checks
+// at several promotion thresholds, and expects the scalar ring's verdict, pair tests and checks
 // every time. Returns the promotions seen, so callers can assert the walk
 // actually ran.
 uint64_t ExpectRingMatchesScalar(const RowBatch& rows, PruneContext& ctx,
@@ -320,35 +319,28 @@ uint64_t ExpectRingMatchesScalar(const RowBatch& rows, PruneContext& ctx,
     ForceScalarKernelDispatchForTest(force_scalar);
     for (const ColumnarBatch* cols : {&with_source, &no_source}) {
       if (cols->size() != n) continue;
-      for (bool shared : {false, true}) {
-        SharedCandidateCache cache;
-        if (shared) cache.Attach(ctx, *cols);
-        for (uint32_t promote : {0u, 1u, 2u, 3u, 5u, 16u, 1u << 30}) {
-          DominanceKernel kernel(ctx, *cols, promote,
-                                 shared ? &cache : nullptr);
-          for (size_t center = 0; center < n; ++center) {
-            ctx.SetCandidate(rows.row_values(center),
-                             rows.row_numerics(center));
-            if (shared) cache.SetCandidate(ctx);
-            uint64_t s_pairs = 0, s_checks = 0;
-            const bool s_found = ScalarRing(rows, ctx, center, rows.id(center),
-                                            &s_pairs, &s_checks);
-            kernel.BeginCandidate();
-            uint64_t k_pairs = 0, k_checks = 0;
-            const bool k_found = kernel.FindPrunerRing(
-                center, rows.id(center), &k_pairs, &k_checks);
-            const std::string where =
-                label + " center=" + std::to_string(center) +
-                " promote=" + std::to_string(promote) +
-                " forced=" + std::to_string(force_scalar) +
-                " source=" + std::to_string(cols == &with_source) +
-                " shared=" + std::to_string(shared);
-            EXPECT_EQ(k_found, s_found) << where;
-            EXPECT_EQ(k_pairs, s_pairs) << where;
-            EXPECT_EQ(k_checks, s_checks) << where;
-          }
-          promotions += kernel.promotions();
+      for (uint32_t promote : {0u, 1u, 2u, 3u, 5u, 16u, 1u << 30}) {
+        DominanceKernel kernel(ctx, *cols, promote);
+        for (size_t center = 0; center < n; ++center) {
+          ctx.SetCandidate(rows.row_values(center),
+                           rows.row_numerics(center));
+          uint64_t s_pairs = 0, s_checks = 0;
+          const bool s_found = ScalarRing(rows, ctx, center, rows.id(center),
+                                          &s_pairs, &s_checks);
+          kernel.BeginCandidate();
+          uint64_t k_pairs = 0, k_checks = 0;
+          const bool k_found = kernel.FindPrunerRing(
+              center, rows.id(center), &k_pairs, &k_checks);
+          const std::string where =
+              label + " center=" + std::to_string(center) +
+              " promote=" + std::to_string(promote) +
+              " forced=" + std::to_string(force_scalar) +
+              " source=" + std::to_string(cols == &with_source);
+          EXPECT_EQ(k_found, s_found) << where;
+          EXPECT_EQ(k_pairs, s_pairs) << where;
+          EXPECT_EQ(k_checks, s_checks) << where;
         }
+        promotions += kernel.promotions();
       }
     }
   }
@@ -400,7 +392,7 @@ struct RingLayout {
 };
 
 // One candidate at `center`, kernel vs scalar ring, every promotion
-// threshold in `promotes`, both dispatch paths, private and shared cache.
+// threshold in `promotes`, both dispatch paths.
 void ExpectLayoutRingMatches(const RingLayout& layout, size_t n,
                              size_t center,
                              const std::vector<size_t>& pruners,
@@ -420,27 +412,19 @@ void ExpectLayoutRingMatches(const RingLayout& layout, size_t n,
   ASSERT_EQ(s_found, expect_found) << label;
   for (bool force_scalar : {false, true}) {
     ForceScalarKernelDispatchForTest(force_scalar);
-    for (bool shared : {false, true}) {
-      SharedCandidateCache cache;
-      if (shared) {
-        cache.Attach(ctx, cols);
-        cache.SetCandidate(ctx);
-      }
-      for (uint32_t promote : promotes) {
-        DominanceKernel kernel(ctx, cols, promote, shared ? &cache : nullptr);
-        kernel.BeginCandidate();
-        uint64_t k_pairs = 0, k_checks = 0;
-        const std::string where = label + " promote=" +
-                                  std::to_string(promote) + " forced=" +
-                                  std::to_string(force_scalar) +
-                                  " shared=" + std::to_string(shared);
-        EXPECT_EQ(kernel.FindPrunerRing(center, rows.id(center), &k_pairs,
-                                        &k_checks),
-                  s_found)
-            << where;
-        EXPECT_EQ(k_pairs, s_pairs) << where;
-        EXPECT_EQ(k_checks, s_checks) << where;
-      }
+    for (uint32_t promote : promotes) {
+      DominanceKernel kernel(ctx, cols, promote);
+      kernel.BeginCandidate();
+      uint64_t k_pairs = 0, k_checks = 0;
+      const std::string where = label + " promote=" +
+                                std::to_string(promote) + " forced=" +
+                                std::to_string(force_scalar);
+      EXPECT_EQ(kernel.FindPrunerRing(center, rows.id(center), &k_pairs,
+                                      &k_checks),
+                s_found)
+          << where;
+      EXPECT_EQ(k_pairs, s_pairs) << where;
+      EXPECT_EQ(k_checks, s_checks) << where;
     }
   }
   ForceScalarKernelDispatchForTest(false);
@@ -533,10 +517,10 @@ TEST(DominanceKernelRingTest, NoPrunerScansEverything) {
   }
 }
 
-// The shared-scan and chunked (num_threads > 1) phase-1 paths run the same
+// The sequential and chunked (num_threads > 1) phase-1 paths run the same
 // ring: end-to-end SRS with kernels matches the scalar path's rows, checks
 // and pair tests, on data whose ring scans run long enough to promote.
-TEST(DominanceKernelRingTest, SharedAndChunkedPathsMatchScalar) {
+TEST(DominanceKernelRingTest, SequentialAndChunkedPathsMatchScalar) {
   testing::RandomInstance inst(4711, 1500, {24, 24, 24}, false);
   SimulatedDisk disk(512);
   auto prep = PrepareDataset(&disk, inst.data, Algorithm::kSRS, {});
@@ -559,20 +543,17 @@ TEST(DominanceKernelRingTest, SharedAndChunkedPathsMatchScalar) {
     RSOptions opts = scalar_opts;
     opts.use_kernels = true;
     opts.kernel_promote_rows = promote;
-    auto shared = SharedScanReverseSkylines(prep->stored, inst.space, queries,
-                                            opts, /*ring_order=*/true,
-                                            nullptr);
-    ASSERT_TRUE(shared.ok()) << shared.status();
     uint64_t promotions = 0;
     for (size_t i = 0; i < queries.size(); ++i) {
       const std::string label = "query " + std::to_string(i) + " promote " +
                                 std::to_string(promote);
-      EXPECT_EQ((*shared)[i].rows, expected[i].rows) << label;
-      EXPECT_EQ((*shared)[i].stats.checks, expected[i].stats.checks)
+      auto seq = SortReverseSkyline(prep->stored, inst.space, queries[i], opts);
+      ASSERT_TRUE(seq.ok()) << seq.status();
+      EXPECT_EQ(seq->rows, expected[i].rows) << label;
+      EXPECT_EQ(seq->stats.checks, expected[i].stats.checks) << label;
+      EXPECT_EQ(seq->stats.pair_tests, expected[i].stats.pair_tests)
           << label;
-      EXPECT_EQ((*shared)[i].stats.pair_tests, expected[i].stats.pair_tests)
-          << label;
-      promotions += (*shared)[i].stats.kernel_promotions;
+      promotions += seq->stats.kernel_promotions;
 
       RSOptions chunked = opts;
       chunked.num_threads = 3;
@@ -584,8 +565,7 @@ TEST(DominanceKernelRingTest, SharedAndChunkedPathsMatchScalar) {
           << label << " chunked";
       EXPECT_EQ(r->stats.pair_tests, expected[i].stats.pair_tests)
           << label << " chunked";
-      EXPECT_EQ(r->stats.kernel_block_rows,
-                (*shared)[i].stats.kernel_block_rows)
+      EXPECT_EQ(r->stats.kernel_block_rows, seq->stats.kernel_block_rows)
           << label << " chunked";
     }
     if (promote != 0) {
@@ -617,8 +597,8 @@ struct ScanCount {
 };
 
 // The scalar ring around `center` for the candidate (0, 0), skipping
-// `skip`, against the kernel on both dispatch paths, private and shared
-// cache, every threshold of kRingPromotes. Returns the scalar counts.
+// `skip`, against the kernel on both dispatch paths, every threshold of
+// kRingPromotes. Returns the scalar counts.
 ScanCount ExpectRunRing(const RowBatch& rows, size_t center, RowId skip,
                         const std::string& label) {
   RingLayout layout;
@@ -635,26 +615,18 @@ ScanCount ExpectRunRing(const RowBatch& rows, size_t center, RowId skip,
   want.found = ScalarRing(rows, ctx, center, skip, &want.pairs, &want.checks);
   for (bool force_scalar : {false, true}) {
     ForceScalarKernelDispatchForTest(force_scalar);
-    for (bool shared : {false, true}) {
-      SharedCandidateCache cache;
-      if (shared) {
-        cache.Attach(ctx, cols);
-        cache.SetCandidate(ctx);
-      }
-      for (uint32_t promote : kRingPromotes) {
-        DominanceKernel kernel(ctx, cols, promote, shared ? &cache : nullptr);
-        kernel.BeginCandidate();
-        ScanCount got;
-        got.found = kernel.FindPrunerRing(center, skip, &got.pairs,
-                                          &got.checks);
-        const std::string where = label + " promote=" +
-                                  std::to_string(promote) + " forced=" +
-                                  std::to_string(force_scalar) +
-                                  " shared=" + std::to_string(shared);
-        EXPECT_EQ(got.found, want.found) << where;
-        EXPECT_EQ(got.pairs, want.pairs) << where;
-        EXPECT_EQ(got.checks, want.checks) << where;
-      }
+    for (uint32_t promote : kRingPromotes) {
+      DominanceKernel kernel(ctx, cols, promote);
+      kernel.BeginCandidate();
+      ScanCount got;
+      got.found = kernel.FindPrunerRing(center, skip, &got.pairs,
+                                        &got.checks);
+      const std::string where = label + " promote=" +
+                                std::to_string(promote) + " forced=" +
+                                std::to_string(force_scalar);
+      EXPECT_EQ(got.found, want.found) << where;
+      EXPECT_EQ(got.pairs, want.pairs) << where;
+      EXPECT_EQ(got.checks, want.checks) << where;
     }
   }
   ForceScalarKernelDispatchForTest(false);

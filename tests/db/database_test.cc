@@ -211,7 +211,7 @@ TEST(DatabaseTest, SnapshotBitIdenticalToRebuildAllAlgorithms) {
 }
 
 // Same contract composed with the executor vocabulary: workers, cache,
-// shared scans, CRC32C page seals, kernels.
+// CRC32C page seals, kernels.
 TEST(DatabaseTest, SnapshotBitIdenticalUnderEngineComposition) {
   RandomInstance inst(92, 300, {10, 8, 6, 4});
   DatabaseOptions opts;
@@ -219,7 +219,6 @@ TEST(DatabaseTest, SnapshotBitIdenticalUnderEngineComposition) {
   opts.prepare.checksum_pages = true;
   opts.engine.num_workers = 4;
   opts.engine.cache_pages = 32;
-  opts.engine.shared_scan = true;
   opts.engine.rs.resilience.checksum_pages = true;
   auto db = Database::Open(inst.data, inst.space, opts);
   ASSERT_TRUE(db.ok()) << db.status().ToString();

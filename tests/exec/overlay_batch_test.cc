@@ -26,7 +26,7 @@ using testing::RandomInstance;
 // The overlay contract (docs/OVERLAYS.md): RunOverlayBatch's rows are
 // bit-identical to rebuilding each user's patched SimilaritySpace and
 // running the full batch per user — for every algorithm, composed with
-// workers, caching, kernels, shared scans, sharding and replica faults.
+// workers, caching, kernels, sharding and replica faults.
 
 constexpr Algorithm kAllAlgorithms[] = {Algorithm::kNaive, Algorithm::kBRS,
                                         Algorithm::kSRS, Algorithm::kTRS};
@@ -111,7 +111,7 @@ TEST(OverlayBatchTest, MatchesPerUserRebuildAllAlgorithms) {
   }
 }
 
-TEST(OverlayBatchTest, MatchesRebuildWithKernelsCacheAndSharedScans) {
+TEST(OverlayBatchTest, MatchesRebuildWithKernelsAndCache) {
   const OverlayWorkload& wl = SharedWorkload();
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kSRS);
@@ -120,8 +120,6 @@ TEST(OverlayBatchTest, MatchesRebuildWithKernelsCacheAndSharedScans) {
   opts.num_workers = 3;
   opts.rs.use_kernels = true;
   opts.cache_pages = 32;
-  opts.shared_scan = true;
-  opts.shared_scan_group = 3;
   ExpectMatchesRebuild(*prep, Algorithm::kSRS, opts);
 }
 

@@ -417,59 +417,53 @@ TEST(SegmentStoreTest, BuildsEachShardPageOncePerBatch) {
       plan.num_shards = shards;
       auto sharded = ShardedDataset::Partition(*prepared, plan);
       ASSERT_TRUE(sharded.ok()) << sharded.status();
-      for (bool shared_scan : {false, true}) {
-        BatchResult reference;
-        bool have_reference = false;
-        for (size_t workers : {1u, 8u}) {
-          const std::string leg =
-              std::string(AlgorithmName(algo)) + " shards=" +
-              std::to_string(shards) + " shared_scan=" +
-              std::to_string(shared_scan) + " workers=" +
-              std::to_string(workers);
-          EngineOptions opts;
-          opts.num_workers = workers;
-          opts.rs.memory = MemoryBudget{8};
-          opts.shared_scan = shared_scan;
-          opts.shared_scan_group = 5;
-          // Room to spare: the pool's LRU is split into hashed shards.
-          opts.cache_pages = 8 * disk.TotalPages();
-          QueryEngine engine(*sharded, wl.instance.space, algo, opts);
-          for (int b = 0; b < 2; ++b) {
-            auto batch = engine.RunBatch(wl.queries);
-            ASSERT_TRUE(batch.ok()) << batch.status();
-            ASSERT_TRUE(batch->ok()) << batch->first_error();
-            ASSERT_EQ(batch->shard_segments_built.size(),
-                      static_cast<size_t>(shards));
-            for (int s = 0; s < shards; ++s) {
-              const uint64_t pages = sharded->shard(s).num_pages();
-              // Every query scans its whole shard, so the distinct pages
-              // read are all of them; the first batch's cache misses
-              // count them independently. The store lives for one batch,
-              // so the second batch builds them again.
-              EXPECT_EQ(batch->shard_segments_built[s], pages)
-                  << leg << " batch " << b << " shard " << s;
-              if (b == 0) {
-                EXPECT_EQ(engine.buffer_pool(s)->stats().evictions, 0u)
-                    << leg << " shard " << s;
-                EXPECT_EQ(engine.buffer_pool(s)->stats().misses, pages)
-                    << leg << " shard " << s;
-              }
+      BatchResult reference;
+      bool have_reference = false;
+      for (size_t workers : {1u, 8u}) {
+        const std::string leg = std::string(AlgorithmName(algo)) +
+                                " shards=" + std::to_string(shards) +
+                                " workers=" + std::to_string(workers);
+        EngineOptions opts;
+        opts.num_workers = workers;
+        opts.rs.memory = MemoryBudget{8};
+        // Room to spare: the pool's LRU is split into hashed shards.
+        opts.cache_pages = 8 * disk.TotalPages();
+        QueryEngine engine(*sharded, wl.instance.space, algo, opts);
+        for (int b = 0; b < 2; ++b) {
+          auto batch = engine.RunBatch(wl.queries);
+          ASSERT_TRUE(batch.ok()) << batch.status();
+          ASSERT_TRUE(batch->ok()) << batch->first_error();
+          ASSERT_EQ(batch->shard_segments_built.size(),
+                    static_cast<size_t>(shards));
+          for (int s = 0; s < shards; ++s) {
+            const uint64_t pages = sharded->shard(s).num_pages();
+            // Every query scans its whole shard, so the distinct pages
+            // read are all of them; the first batch's cache misses
+            // count them independently. The store lives for one batch,
+            // so the second batch builds them again.
+            EXPECT_EQ(batch->shard_segments_built[s], pages)
+                << leg << " batch " << b << " shard " << s;
+            if (b == 0) {
+              EXPECT_EQ(engine.buffer_pool(s)->stats().evictions, 0u)
+                  << leg << " shard " << s;
+              EXPECT_EQ(engine.buffer_pool(s)->stats().misses, pages)
+                  << leg << " shard " << s;
             }
-            if (!have_reference) {
-              reference = std::move(*batch);
-              have_reference = true;
-              continue;
-            }
-            EXPECT_EQ(batch->shard_segments_built,
-                      reference.shard_segments_built)
-                << leg;
-            for (size_t i = 0; i < wl.queries.size(); ++i) {
-              EXPECT_EQ(batch->results[i].rows, reference.results[i].rows)
-                  << leg << " query " << i;
-              EXPECT_EQ(batch->results[i].stats.checks,
-                        reference.results[i].stats.checks)
-                  << leg << " query " << i;
-            }
+          }
+          if (!have_reference) {
+            reference = std::move(*batch);
+            have_reference = true;
+            continue;
+          }
+          EXPECT_EQ(batch->shard_segments_built,
+                    reference.shard_segments_built)
+              << leg;
+          for (size_t i = 0; i < wl.queries.size(); ++i) {
+            EXPECT_EQ(batch->results[i].rows, reference.results[i].rows)
+                << leg << " query " << i;
+            EXPECT_EQ(batch->results[i].stats.checks,
+                      reference.results[i].stats.checks)
+                << leg << " query " << i;
           }
         }
       }
@@ -500,6 +494,64 @@ TEST(SegmentStoreTest, OnlyKernelBlockScansGetAStore) {
       EXPECT_EQ(batch->shard_segments_built, std::vector<uint64_t>{want})
           << AlgorithmName(algo) << " kernels=" << kernels;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Resilience policies the engine's IO accounting cannot represent are
+// rejected up front rather than clamped.
+// ---------------------------------------------------------------------------
+
+class ResiliencePolicyTest : public ::testing::Test {
+ protected:
+  ResiliencePolicyTest() : instance_(20260808, 2000, {6, 9, 13}) {
+    Rng rng(314);
+    for (int i = 0; i < 12; ++i) {
+      queries_.push_back(SampleUniformQuery(instance_.data, rng));
+    }
+  }
+
+  RandomInstance instance_;
+  std::vector<Object> queries_;
+};
+
+TEST_F(ResiliencePolicyTest, RejectsPoliciesTheAccountingCannotRepresent) {
+  SimulatedDisk disk;
+  auto prepared = PrepareDataset(&disk, instance_.data, Algorithm::kBRS);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  // replicas beyond IoStats::kMaxReplicas used to be silently clamped —
+  // replica 9+ would neither serve reads nor appear in replica_reads.
+  for (const int replicas : {0, -2, 9, 100}) {
+    EngineOptions opts;
+    opts.rs.memory = MemoryBudget{2};
+    opts.num_workers = 1;
+    opts.rs.resilience.replicas = replicas;
+    QueryEngine engine(*prepared, instance_.space, Algorithm::kBRS, opts);
+    auto batch = engine.RunBatch(queries_);
+    ASSERT_FALSE(batch.ok()) << "replicas=" << replicas;
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument)
+        << batch.status();
+  }
+  {
+    EngineOptions opts;
+    opts.rs.memory = MemoryBudget{2};
+    opts.num_workers = 1;
+    opts.rs.resilience.retry.max_attempts = 0;
+    QueryEngine engine(*prepared, instance_.space, Algorithm::kBRS, opts);
+    auto batch = engine.RunBatch(queries_);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The full allowed range still runs.
+  {
+    EngineOptions opts;
+    opts.rs.memory = MemoryBudget{2};
+    opts.num_workers = 1;
+    opts.rs.resilience.replicas = static_cast<int>(IoStats::kMaxReplicas);
+    QueryEngine engine(*prepared, instance_.space, Algorithm::kBRS, opts);
+    auto batch = engine.RunBatch({queries_[0]});
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_TRUE(batch->ok());
   }
 }
 

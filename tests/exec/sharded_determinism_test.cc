@@ -217,20 +217,6 @@ TEST(ShardedDeterminismTest, WorkerCountAndCacheDoNotChangeResults) {
   }
 }
 
-TEST(ShardedDeterminismTest, SharedScanMatchesPerQueryExecution) {
-  for (int shards : {1, 3}) {
-    Fixture fx(Algorithm::kBRS, shards);
-    const BatchResult want = fx.Run();
-    EngineOptions opts;
-    opts.shared_scan = true;
-    opts.shared_scan_group = 4;
-    BatchResult got = fx.Run(opts);
-    ExpectSameRows(got, want, "shared_scan shards=" + std::to_string(shards));
-    EXPECT_GT(got.shared_scan_groups, 0u);
-    EXPECT_EQ(got.total_messages, want.total_messages);
-  }
-}
-
 TEST(ShardedDeterminismTest, ReplicaFailoverKeepsResultsBitIdentical) {
   // One dead-ish replica among two: every query must still produce the
   // clean rows, with failovers actually exercised.

@@ -200,7 +200,8 @@ void StressSharedBufferPool() {
               static_cast<unsigned long long>(pool_stats.evictions));
 }
 
-// The engine path with a shared cache: results must match the uncached
+// The engine path with a shared cache, for BRS and SRS (whose 8-worker
+// batch also races on the segment store): results must match the uncached
 // engine at every worker count, and total charged reads must not exceed it.
 void StressEngineWithSharedCache() {
   Rng rng(99);
@@ -218,98 +219,37 @@ void StressEngineWithSharedCache() {
   }
 
   SimulatedDisk disk;
-  auto prepared = PrepareDataset(&disk, data, Algorithm::kBRS);
-  NMRS_CHECK(prepared.ok()) << prepared.status();
+  for (Algorithm algo : {Algorithm::kBRS, Algorithm::kSRS}) {
+    auto prepared = PrepareDataset(&disk, data, algo);
+    NMRS_CHECK(prepared.ok()) << prepared.status();
 
-  BatchResult uncached;
-  {
-    EngineOptions opts;
-    opts.num_workers = 1;
-    opts.rs.memory = MemoryBudget{2};
-    QueryEngine engine(*prepared, space, Algorithm::kBRS, opts);
-    auto batch = engine.RunBatch(queries);
-    NMRS_CHECK(batch.ok()) << batch.status();
-    uncached = std::move(*batch);
-  }
-  for (size_t workers : {1u, 8u}) {
-    EngineOptions opts;
-    opts.num_workers = workers;
-    opts.rs.memory = MemoryBudget{2};
-    opts.cache_pages = prepared->stored.num_pages();  // eviction pressure
-    QueryEngine engine(*prepared, space, Algorithm::kBRS, opts);
-    auto batch = engine.RunBatch(queries);
-    NMRS_CHECK(batch.ok()) << batch.status();
-    for (size_t i = 0; i < queries.size(); ++i) {
-      NMRS_CHECK(batch->results[i].rows == uncached.results[i].rows);
+    BatchResult uncached;
+    {
+      EngineOptions opts;
+      opts.num_workers = 1;
+      opts.rs.memory = MemoryBudget{2};
+      QueryEngine engine(*prepared, space, algo, opts);
+      auto batch = engine.RunBatch(queries);
+      NMRS_CHECK(batch.ok()) << batch.status();
+      uncached = std::move(*batch);
     }
-    NMRS_CHECK(batch->total_io.TotalReads() <= uncached.total_io.TotalReads());
+    for (size_t workers : {1u, 8u}) {
+      EngineOptions opts;
+      opts.num_workers = workers;
+      opts.rs.memory = MemoryBudget{2};
+      opts.cache_pages = prepared->stored.num_pages();  // eviction pressure
+      QueryEngine engine(*prepared, space, algo, opts);
+      auto batch = engine.RunBatch(queries);
+      NMRS_CHECK(batch.ok()) << batch.status();
+      for (size_t i = 0; i < queries.size(); ++i) {
+        NMRS_CHECK(batch->results[i].rows == uncached.results[i].rows);
+      }
+      NMRS_CHECK(batch->total_io.TotalReads() <=
+                 uncached.total_io.TotalReads());
+    }
   }
   std::printf("engine with shared cache: %zu queries identical\n",
               queries.size());
-}
-
-// Shared scans under contention: 8 workers each drive a group's shared
-// phase-1 pass (one kernel + gather cache per group) against the shared
-// buffer pool, concurrently with other groups. Per-query rows and check
-// counts must match per-query execution, and the group-once IO accounting
-// must add up, at every worker count.
-void StressSharedScanBatch() {
-  Rng rng(4242);
-  Rng data_rng = rng.Fork();
-  Rng space_rng = rng.Fork();
-  const std::vector<size_t> cards = {6, 7, 8};
-  Dataset data = GenerateNormal(4000, cards, data_rng);
-  SimilaritySpace space;
-  for (size_t card : cards) {
-    space.AddCategorical(MakeRandomMatrix(card, space_rng));
-  }
-  std::vector<Object> queries;
-  for (int i = 0; i < 64; ++i) {
-    queries.push_back(SampleUniformQuery(data, rng));
-  }
-
-  SimulatedDisk disk;
-  auto prepared = PrepareDataset(&disk, data, Algorithm::kSRS);
-  NMRS_CHECK(prepared.ok()) << prepared.status();
-
-  BatchResult reference;
-  {
-    EngineOptions opts;
-    opts.num_workers = 1;
-    opts.rs.memory = MemoryBudget{2};
-    opts.rs.use_kernels = true;
-    QueryEngine engine(*prepared, space, Algorithm::kSRS, opts);
-    auto batch = engine.RunBatch(queries);
-    NMRS_CHECK(batch.ok()) << batch.status();
-    NMRS_CHECK(batch->ok());
-    reference = std::move(*batch);
-  }
-  for (size_t workers : {1u, 8u}) {
-    EngineOptions opts;
-    opts.num_workers = workers;
-    opts.rs.memory = MemoryBudget{2};
-    opts.rs.use_kernels = true;
-    opts.shared_scan = true;
-    opts.shared_scan_group = 8;  // 64 queries -> 8 concurrent groups
-    opts.cache_pages = prepared->stored.num_pages();
-    QueryEngine engine(*prepared, space, Algorithm::kSRS, opts);
-    auto batch = engine.RunBatch(queries);
-    NMRS_CHECK(batch.ok()) << batch.status();
-    NMRS_CHECK(batch->ok());
-    NMRS_CHECK_EQ(batch->shared_scan_groups, queries.size() / 8);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      NMRS_CHECK(batch->results[i].rows == reference.results[i].rows);
-      NMRS_CHECK_EQ(batch->results[i].stats.checks,
-                    reference.results[i].stats.checks);
-      NMRS_CHECK_EQ(batch->results[i].stats.pair_tests,
-                    reference.results[i].stats.pair_tests);
-    }
-    IoStats sum = batch->shared_io;
-    for (const auto& r : batch->results) sum += r.stats.io;
-    NMRS_CHECK(sum == batch->total_io);
-  }
-  std::printf("shared-scan batch: %zu queries in %zu groups identical\n",
-              queries.size(), queries.size() / 8);
 }
 
 // Every counter of QueryStats, wall-clock timers aside.
@@ -1067,7 +1007,6 @@ int main() {
   nmrs::StressDiskViews();
   nmrs::StressSharedBufferPool();
   nmrs::StressEngineWithSharedCache();
-  nmrs::StressSharedScanBatch();
   nmrs::StressSegmentStore();
   nmrs::StressQueryEngine();
   nmrs::StressResidentTrs();

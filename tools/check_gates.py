@@ -7,8 +7,7 @@ if any check of that table fails, or if a run a check requires is missing.
 
 kernels (BENCH_kernels.json, docs/KERNELS.md):
   kernel 1   Every run carrying an `identical` field says 1: the kernels
-             and the shared scan return the scalar path's rows. Every
-             dispatch.
+             return the scalar path's rows. Every dispatch.
   kernel 2   micro: the block dominance kernel is not slower than the
              scalar early-abort loop (speedup >= 1.0) on the
              largest-cardinality micro config, where the gather ->
@@ -20,16 +19,9 @@ kernels (BENCH_kernels.json, docs/KERNELS.md):
   kernel 3b  e2e SRS phase 1: the kernel ring scan is not slower than the
              scalar ring (kernel_phase1_millis <= scalar_phase1_millis).
              avx2 only.
-  kernel 4   shared_scan: one shared phase-1 pass per query group beats
-             per-query scans by >= 1.5x on modeled makespan at paper scale
-             (>= 1M rows; the committed JSON is a full run). Quick runs
-             amortize less fixed per-batch work and hover right at 1.5x,
-             so they get a 1.4x guardrail instead of a flake. The win is
-             deduplicated IO, not SIMD: every dispatch.
   The micro floor is looser than bench_kernels' own shape check (1.5x at
   cardinality 512), so a loaded host does not flake the build while a real
-  regression still fails it. The shared-scan floor equals bench_kernels'
-  own 1.5x check; only quick runs get the looser 1.4x.
+  regression still fails it.
 
 shards (BENCH_shards.json, docs/SHARDING.md):
   shard 1    Every run says identical=1: the scatter/gather and pruner
@@ -95,7 +87,7 @@ Usage: check_gates.py path/to/BENCH_<name>.json
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 Run = dict
 Runs = list
@@ -110,14 +102,9 @@ class Check:
     # The gated value of one selected run (None = cannot be computed).
     metric: Callable[[Run, Runs], Optional[float]]
     op: str  # ">=" or "<="
-    # A fixed limit, or (full, quick): `full` applies to runs with at least
-    # FULL_ROWS rows, `quick` to smaller ones.
-    limit: Union[float, Tuple[float, float]]
+    limit: float
     required: bool = True  # fail when no run is selected
     avx2_only: bool = False  # skip unless every selected run is avx2
-
-
-FULL_ROWS = 1_000_000
 
 
 def identical(prefix: str) -> Check:
@@ -201,15 +188,6 @@ CHECKS = {
             required=False,
             avx2_only=True,
         ),
-        Check(
-            name="kernel 4",
-            what="shared-scan modeled speedup",
-            select=lambda r, runs: r.get("config") == "shared_scan",
-            metric=lambda r, runs: r["speedup"],
-            op=">=",
-            limit=(1.5, 1.4),
-            required=False,
-        ),
     ],
     "shards": [
         identical("shard"),
@@ -292,17 +270,15 @@ def evaluate(check: Check, runs: Runs) -> Tuple[str, str]:
         return "SKIP", "no run to check"
     if check.avx2_only and any(r.get("dispatch") != "avx2" for r in selected):
         return "SKIP", "non-avx2 dispatch"
-    results = []  # (slack, value, limit); negative slack fails
+    limit = check.limit
+    results = []  # (slack, value); negative slack fails
     for r in selected:
-        limit = check.limit
-        if isinstance(limit, tuple):
-            limit = limit[0] if r.get("num_rows", 0) >= FULL_ROWS else limit[1]
         value = check.metric(r, runs)
         if value is None:
             return "FAIL", "metric cannot be computed"
         slack = value - limit if check.op == ">=" else limit - value
-        results.append((slack, value, limit))
-    slack, value, limit = min(results)
+        results.append((slack, value))
+    slack, value = min(results)
     verdict = "OK" if slack >= 0 else "FAIL"
     return verdict, f"{value:.3g} (need {check.op} {limit:g})"
 

@@ -9,7 +9,7 @@
 //
 //   nmrs_cli query --data=data.csv --matrices=prefix --query=1,2,3
 //            [--algo=trs|srs|brs|naive|tsrs|ttrs] [--mem=0.1]
-//            [--attrs=0,2] [--scalar] [--promote-rows=N] [--seed=S]
+//            [--attrs=0,2] [--scalar] [--promote-rows=N] [--workers=W]
 //            [--shards=N] [--shard-by=zorder|hash]
 //            [common fault flags]
 //       Runs a reverse-skyline query and prints the result rows + stats.
@@ -41,8 +41,7 @@
 //   nmrs_cli batch --data=data.csv --matrices=prefix --queries=K
 //            [--workers=W] [--threads=T] [--algo=trs|srs|brs] [--mem=0.1]
 //            [--cache-pages=N | --cache-pct=P] [--scalar]
-//            [--promote-rows=N] [--shared-scan] [--shared-group=G]
-//            [--seed=S]
+//            [--promote-rows=N] [--seed=S]
 //            [--checksum] [--transient-p=P] [--corrupt-p=P]
 //            [--data-loss-p=P] [--bad-pages=f:p,f:p,...] [--fault-seed=S]
 //            [--retries=N] [--max-query-retries=N] [--fail-fast]
@@ -68,13 +67,7 @@
 //       the faults to the listed replicas (replica r gets the shared
 //       FaultConfig with data_loss_p forced to loss_p, everyone else runs
 //       clean). Failed queries are reported individually; the exit code
-//       is non-zero iff some query failed. --shared-scan runs groups of
-//       --shared-group=G consecutive BRS/SRS queries through one shared
-//       phase-1 pass over the dataset (docs/KERNELS.md) — bit-identical
-//       per-query results, the scan's IO charged once per group — and
-//       prints the shared-scan summary; it silently falls back to
-//       per-query execution under fault injection, replica failover, or
-//       other algorithms.
+//       is non-zero iff some query failed.
 //
 //       --shards=N (query and batch modes) partitions the prepared dataset
 //       into N shards (--shard-by=zorder Z-order ranges, the default, or
@@ -112,6 +105,10 @@
 //       `query` and `batch` also route through the Database front door
 //       (over a read-only generation-0 snapshot); their flags and output
 //       are unchanged from the historical direct-engine wiring.
+//
+//   Every command rejects a flag it does not read (or a bare argument),
+//   naming it, instead of running with the default.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -121,6 +118,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "nmrs.h"
 #include "storage/replica_set.h"
@@ -129,18 +127,33 @@ namespace nmrs {
 namespace {
 
 using Flags = std::map<std::string, std::string>;
+using FlagNames = std::vector<std::string>;
 
-Flags ParseFlags(int argc, char** argv) {
+// Parses argv[2..] as --key or --key=value flags. `known` lists the flags
+// the command reads, in groups; the first argument that is not one of
+// them fails with InvalidArgument naming it, so a misspelt flag cannot
+// run silently with its default.
+StatusOr<Flags> ParseFlags(int argc, char** argv,
+                           const std::vector<FlagNames>& known) {
   Flags flags;
   for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
-    } else {
-      flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      return Status::InvalidArgument("unexpected argument '" + arg + "'");
     }
+    const size_t eq = arg.find('=');
+    const std::string key = arg.substr(2, eq == std::string::npos
+                                              ? std::string::npos
+                                              : eq - 2);
+    bool ok = false;
+    for (const FlagNames& group : known) {
+      ok = ok || std::find(group.begin(), group.end(), key) != group.end();
+    }
+    if (!ok) {
+      return Status::InvalidArgument("unknown flag --" + key + " for '" +
+                                     argv[1] + "'");
+    }
+    flags[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
   }
   return flags;
 }
@@ -791,13 +804,6 @@ int CmdBatch(const Flags& flags) {
   if (!max_retries.ok()) return Fail(max_retries.status().ToString());
   eopts.max_query_retries = *max_retries;
   eopts.fail_fast = flags.count("fail-fast") != 0;
-  eopts.shared_scan = flags.count("shared-scan") != 0;
-  if (flags.count("shared-group") != 0) {
-    auto group = ParseCount(flags, "shared-group", 16);
-    if (!group.ok()) return Fail(group.status().ToString());
-    if (*group < 1) return Fail("--shared-group must be at least 1");
-    eopts.shared_scan_group = *group;
-  }
   if (flags.count("cache-pages") != 0 && flags.count("cache-pct") != 0) {
     return Fail("--cache-pages and --cache-pct are mutually exclusive");
   }
@@ -967,18 +973,6 @@ int CmdBatch(const Flags& flags) {
                 static_cast<unsigned long long>(promos),
                 static_cast<unsigned long long>(scalar_rows),
                 static_cast<unsigned long long>(block_rows));
-  }
-  if (eopts.shared_scan) {
-    if (batch.shared_scan_groups != 0) {
-      std::printf("shared scans: %llu %s, %llu shared batches, "
-                  "%llu shared pages\n",
-                  static_cast<unsigned long long>(batch.shared_scan_groups),
-                  sharded ? "(group, shard) passes" : "groups",
-                  static_cast<unsigned long long>(batch.shared_scan_batches),
-                  static_cast<unsigned long long>(batch.shared_io.Total()));
-    } else {
-      std::printf("shared scans: fell back to per-query execution\n");
-    }
   }
   if (batch.total_io.transient_retries != 0 ||
       batch.total_io.checksum_failures != 0 ||
@@ -1240,14 +1234,51 @@ int Run(int argc, char** argv) {
     return 1;
   }
   const std::string cmd = argv[1];
-  const Flags flags = ParseFlags(argc, argv);
-  if (cmd == "generate") return CmdGenerate(flags);
-  if (cmd == "query") return CmdQuery(flags);
-  if (cmd == "compare") return CmdCompare(flags);
-  if (cmd == "skyline") return CmdSkyline(flags);
-  if (cmd == "influence") return CmdInfluence(flags);
-  if (cmd == "batch") return CmdBatch(flags);
-  if (cmd == "serve") return CmdServe(flags);
+  // The flags each command reads: ParseCommonOptions, ParseFaultFlags,
+  // ParseShardPlan and LoadQuerySetup, plus the command's own.
+  const FlagNames common = {"mem",          "attrs",    "threads",
+                            "scalar",       "checksum", "retries",
+                            "promote-rows", "replicas", "replica-seed-base"};
+  const FlagNames faults = {"fault-seed", "transient-p", "corrupt-p",
+                            "data-loss-p", "bad-pages"};
+  const FlagNames shards = {"shards", "shard-by"};
+  const FlagNames setup = {"data", "matrices", "query"};
+  const struct {
+    const char* name;
+    int (*run)(const Flags&);
+    std::vector<FlagNames> reads;
+  } commands[] = {
+      {"generate",
+       CmdGenerate,
+       {{"rows", "cards", "dist", "out", "matrices", "seed"}}},
+      {"query",
+       CmdQuery,
+       {setup, common, faults, shards,
+        {"algo", "overlay-file", "max-query-retries", "workers"}}},
+      {"compare", CmdCompare, {setup, common}},
+      {"skyline", CmdSkyline, {setup}},
+      {"influence",
+       CmdInfluence,
+       {common, {"data", "matrices", "queries", "seed"}}},
+      {"batch",
+       CmdBatch,
+       {common, faults, shards,
+        {"data", "matrices", "algo", "queries", "seed", "workers",
+         "bad-replicas", "max-query-retries", "fail-fast", "cache-pages",
+         "cache-pct", "overlay-users", "overlay-touch-pct", "overlay-file",
+         "overlay-seed"}}},
+      {"serve",
+       CmdServe,
+       {common, shards,
+        {"data", "matrices", "script", "algo", "workers", "cache-pages",
+         "max-delta", "seed"}}},
+  };
+  for (const auto& c : commands) {
+    if (cmd != c.name) continue;
+    const StatusOr<Flags> flags = ParseFlags(argc, argv, c.reads);
+    if (!flags.ok()) return Fail(flags.status().ToString());
+    return c.run(*flags);
+  }
   return Fail("unknown command '" + cmd + "'");
 }
 

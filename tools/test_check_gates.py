@@ -62,8 +62,6 @@ CASES = {
     "kernel 3": ("kernels", set_field(
         lambda runs: first(runs, config="e2e", algo="TRS"), "speedup", 0.9)),
     "kernel 3b": ("kernels", slow_srs_phase1),
-    "kernel 4": ("kernels", set_field(
-        lambda runs: first(runs, config="shared_scan"), "speedup", 1.45)),
     "shard 1": ("shards", set_field(
         lambda runs: first(runs, shards=2), "identical", 0)),
     "shard 2": ("shards", set_field(
