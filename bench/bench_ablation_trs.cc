@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
   bench::ShapeCheck("ablation-child-order",
                     with_order.checks <= no_order.checks * 1.10,
                     "ordered " + Fmt(with_order.checks, 0) +
-                        " vs unordered " + Fmt(no_order.checks, 0));
+                        " vs unordered " + Fmt(no_order.checks, 0),
+                    bench::Claim::kCount);
 
   bench::Banner("Ablation 2: attribute ordering heuristic (TRS)");
   auto desc = DescendingCardinalityOrder(schema);
@@ -100,7 +101,8 @@ int main(int argc, char** argv) {
   bench::ShapeCheck("ablation-attr-order",
                     m_asc.checks <= m_desc.checks * 1.25,
                     "ascending " + Fmt(m_asc.checks, 0) +
-                        " vs descending " + Fmt(m_desc.checks, 0));
+                        " vs descending " + Fmt(m_desc.checks, 0),
+                    bench::Claim::kCount);
 
   bench::Banner("Ablation 3: SRS ring search vs forward scan (sorted data)");
   auto ring = RunWith(data, space, Algorithm::kSRS, Algorithm::kSRS, args, asc, true);
@@ -114,6 +116,7 @@ int main(int argc, char** argv) {
   t3.Print();
   bench::ShapeCheck("ablation-ring-search", ring.checks <= forward.checks,
                     "ring " + Fmt(ring.checks, 0) + " vs forward " +
-                        Fmt(forward.checks, 0));
-  return 0;
+                        Fmt(forward.checks, 0),
+                    bench::Claim::kCount);
+  return bench::ShapeCheckExitCode();
 }

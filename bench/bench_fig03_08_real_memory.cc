@@ -74,13 +74,15 @@ double RunDataset(const std::string& name, const Dataset& data,
                         "ms (summed; SRS " + Fmt(srs_total) + "ms)");
   bench::ShapeCheck(name + "-trs-fewer-checks", trs_checks < srs_checks,
                     "TRS " + Fmt(trs_checks, 0) + " vs SRS " +
-                        Fmt(srs_checks, 0) + " checks");
+                        Fmt(srs_checks, 0) + " checks",
+                    bench::Claim::kCount);
   bench::ShapeCheck(name + "-srs-beats-brs", srs_total <= brs_total * 1.05,
                     "SRS " + Fmt(srs_total) + "ms <= BRS " +
                         Fmt(brs_total) + "ms");
   bench::ShapeCheck(name + "-trs-least-random-io", trs_rand <= brs_rand,
                     "TRS rand IO " + Fmt(trs_rand, 0) + " <= BRS rand IO " +
-                        Fmt(brs_rand, 0));
+                        Fmt(brs_rand, 0),
+                    bench::Claim::kCount);
   return io_share_sum / static_cast<double>(memory_fractions.size());
 }
 
@@ -116,5 +118,5 @@ int main(int argc, char** argv) {
       "sec5.3-denser-data-more-io-bound", ci_io_share > fc_io_share,
       "TRS IO share: CI-like " + bench::Fmt(ci_io_share * 100, 1) +
           "% vs FC-like " + bench::Fmt(fc_io_share * 100, 1) + "%");
-  return 0;
+  return bench::ShapeCheckExitCode();
 }

@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
                         "ms vs BRS " + Fmt(brs_resp) + "ms");
   bench::ShapeCheck("fig9-trs-least-random-io", trs_rand <= others_rand,
                     "TRS " + Fmt(trs_rand, 0) + " vs avg(BRS,SRS) " +
-                        Fmt(others_rand, 0));
-  return 0;
+                        Fmt(others_rand, 0),
+                    bench::Claim::kCount);
+  return bench::ShapeCheckExitCode();
 }

@@ -64,9 +64,11 @@ int main(int argc, char** argv) {
                         "ms, BRS " + Fmt(brs_sum) + "ms");
   bench::ShapeCheck("fig14-trs-fewer-checks", trs_checks < srs_checks,
                     "TRS " + Fmt(trs_checks, 0) + " vs SRS " +
-                        Fmt(srs_checks, 0) + " checks");
+                        Fmt(srs_checks, 0) + " checks",
+                    bench::Claim::kCount);
   bench::ShapeCheck("fig15-trs-random-io-advantage", trs_rand < brs_rand,
                     "TRS rand " + Fmt(trs_rand, 0) + " < BRS rand " +
-                        Fmt(brs_rand, 0));
-  return 0;
+                        Fmt(brs_rand, 0),
+                    bench::Claim::kCount);
+  return bench::ShapeCheckExitCode();
 }

@@ -57,6 +57,7 @@ int main(int argc, char** argv) {
   bench::ShapeCheck("fig18-trs-fewer-checks", trs_checks < srs_checks,
                     "TRS " + Fmt(trs_checks, 0) + " vs SRS " +
                         Fmt(srs_checks, 0) +
-                        " checks (gains scale with #attributes)");
-  return 0;
+                        " checks (gains scale with #attributes)",
+                    bench::Claim::kCount);
+  return bench::ShapeCheckExitCode();
 }

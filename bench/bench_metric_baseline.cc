@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
               " approach's per-query cost)\n");
   bench::ShapeCheck("sec5.7-construction-dominates", worst_ratio > 1.0,
                     "query-time index construction is " + Fmt(worst_ratio, 2) +
-                        "x a full TRS query's IO at minimum");
-  return 0;
+                        "x a full TRS query's IO at minimum",
+                    bench::Claim::kCount);
+  return bench::ShapeCheckExitCode();
 }

@@ -66,9 +66,10 @@ int main(int argc, char** argv) {
   bench::ShapeCheck("sec6-coarse-buckets-more-survivors",
                     survivors_coarse >= survivors_fine,
                     Fmt(survivors_coarse, 0) + " @2 buckets vs " +
-                        Fmt(survivors_fine, 0) + " @64 buckets");
+                        Fmt(survivors_fine, 0) + " @64 buckets",
+                    bench::Claim::kCount);
   bench::ShapeCheck("sec6-trs-competitive", best_trs <= brs.response_ms,
                     "best TRS " + Fmt(best_trs) + "ms <= BRS " +
                         Fmt(brs.response_ms) + "ms");
-  return 0;
+  return bench::ShapeCheckExitCode();
 }

@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
   table.Print();
 
   bench::ShapeCheck("rnn-always-subset-of-rs", always_subset,
-                    "every sampled RNN(Q, w) is contained in RS(Q)");
+                    "every sampled RNN(Q, w) is contained in RS(Q)",
+                    bench::Claim::kCount);
   // Note: full coverage needs all *monotone* aggregates, not just linear
   // weighted sums — skyline points that are never optimal for any linear
   // weighting (inside the "convex hull" of the distance space) stay
@@ -59,6 +60,7 @@ int main(int argc, char** argv) {
                     Fmt(final_coverage, 1) +
                         "% of RS covered by 100 linear weightings (union "
                         "never exceeds RS; the gap needs non-linear "
-                        "monotone aggregates)");
-  return 0;
+                        "monotone aggregates)",
+                    bench::Claim::kCount);
+  return bench::ShapeCheckExitCode();
 }

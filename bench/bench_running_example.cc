@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   }
   t1.Print();
   bench::ShapeCheck("table1-result", rs == std::vector<RowId>({2, 5}),
-                    "RS(Q) = {O3, O6}");
+                    "RS(Q) = {O3, O6}", bench::Claim::kCount);
 
   bench::Banner("Table 2 + 3: phase behaviour and check counts "
                 "(memory = 3 one-object pages)");
@@ -158,6 +158,7 @@ int main(int argc, char** argv) {
   bench::ShapeCheck(
       "table3-trs-fewer-checks", trs_checks < srs_checks,
       "600 objects: TRS " + std::to_string(trs_checks) + " vs SRS " +
-          std::to_string(srs_checks) + " attribute-level checks");
-  return 0;
+          std::to_string(srs_checks) + " attribute-level checks",
+      bench::Claim::kCount);
+  return bench::ShapeCheckExitCode();
 }

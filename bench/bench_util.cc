@@ -251,10 +251,18 @@ std::string Fmt(double v, int precision) {
   return buf;
 }
 
-void ShapeCheck(const std::string& name, bool ok, const std::string& detail) {
+namespace {
+bool count_claim_violated = false;
+}  // namespace
+
+void ShapeCheck(const std::string& name, bool ok, const std::string& detail,
+                Claim claim) {
   std::printf("SHAPE-CHECK %s: %s (%s)\n", name.c_str(),
               ok ? "OK" : "VIOLATED", detail.c_str());
+  if (!ok && claim == Claim::kCount) count_claim_violated = true;
 }
+
+int ShapeCheckExitCode() { return count_claim_violated ? 1 : 0; }
 
 void Banner(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());

@@ -131,9 +131,20 @@ class Table {
 
 std::string Fmt(double v, int precision = 1);
 
+/// What a SHAPE-CHECK compares. Counts, IO, survivors and result sets are
+/// deterministic for a seed, so a kCount claim that reads VIOLATED fails
+/// the bench (ShapeCheckExitCode). A kTiming claim compares wall times of a
+/// few ms, which one run cannot tell from noise, so it only prints.
+enum class Claim { kTiming, kCount };
+
 /// Prints "SHAPE-CHECK <name>: OK|VIOLATED (<detail>)" — the qualitative
 /// claim of the paper that this experiment is expected to reproduce.
-void ShapeCheck(const std::string& name, bool ok, const std::string& detail);
+void ShapeCheck(const std::string& name, bool ok, const std::string& detail,
+                Claim claim = Claim::kTiming);
+
+/// 1 once a kCount ShapeCheck of this process read VIOLATED, else 0: what
+/// a paper bench's main returns.
+int ShapeCheckExitCode();
 
 /// Section banner.
 void Banner(const std::string& title);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point, twelve stages (docs/ROBUSTNESS.md covers asan/chaos/
+# CI entry point, thirteen stages (docs/ROBUSTNESS.md covers asan/chaos/
 # replica/11, docs/KERNELS.md covers 6-7, docs/SHARDING.md covers 8,
-# docs/MUTABILITY.md covers 10, docs/CACHING.md covers 11):
+# docs/MUTABILITY.md covers 10, docs/CACHING.md covers 11, EXPERIMENTS.md
+# covers 12):
 #   1. plain   — RelWithDebInfo build with warnings as errors (-Werror)
 #                + full ctest suite
 #   2. tsan    — ThreadSanitizer build of the gtest-free concurrency
@@ -62,7 +63,11 @@
 #                least 2 replicas does not return the fault-free rows
 #                (correctness only; their wall-clock shape checks stay
 #                ungated)
-#  12. perfbench— python3 tools/test_check_gates.py (the committed bench
+#  12. paper  — the 13 paper benches (EXPERIMENTS.md) at --quick: each
+#                exits non-zero when one of its SHAPE-CHECKs that compares
+#                counts, IO, survivors or result sets reads VIOLATED; the
+#                checks that compare wall times only print
+#  13. perfbench— python3 tools/test_check_gates.py (the committed bench
 #                JSONs pass the gates, and a copy doctored to violate any
 #                one check fails exactly that check), then python3
 #                perfbench/test_perfbench.py: every workload of the
@@ -142,6 +147,14 @@ echo "=== cache + failover correctness gates (bench_cache, bench_faults --quick)
 (cd build && ./bench/bench_cache --quick && ./bench/bench_faults --quick)
 python3 tools/check_gates.py build/BENCH_cache.json
 python3 tools/check_gates.py build/BENCH_faults.json
+
+echo "=== paper count claims (13 paper benches --quick) ==="
+for bench in running_example fig03_08_real_memory fig09_10_synth_memory \
+    fig11_13_dataset_size fig14_16_values_per_attr fig17_18_num_attrs \
+    fig19_attr_subsets preprocessing_sort numeric_discretization \
+    metric_baseline rnn_union ablation_trs streaming; do
+  (cd build && "./bench/bench_${bench}" --quick)
+done
 
 echo "=== gate self-test + repository benchmark smoke (perfbench tiny size) ==="
 python3 tools/test_check_gates.py

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <deque>
 #include <optional>
 
 #include "common/check.h"
@@ -21,8 +22,8 @@ namespace {
 constexpr size_t kHintChunksPerQuery = 4;
 
 // One query's hint-pass output: for each stashed sensitive row, the first
-// base-space pruner a search of the index meets, if it has one. Chunk
-// tasks write disjoint rows.
+// base-space pruner a search of the shard indexes meets, if it has one.
+// Chunk tasks write disjoint rows.
 struct PrunerHints {
   size_t m = 0;
   std::vector<uint8_t> found;
@@ -54,19 +55,38 @@ struct PrunerHints {
   const double* row_numerics(uint32_t idx) const { return numerics[idx]; }
 };
 
-// Stashed row idx's own leaf in ctx.index, so a search skips exactly the
-// candidate's instance.
-ALTree::NodeId SelfLeaf(const OverlayExecContext& ctx,
-                        const OverlayClassification& cls, uint32_t idx) {
-  const RowId id = cls.sensitive.id(idx);
-  NMRS_CHECK(id < ctx.row_leaf.size() &&
-             ctx.row_leaf[id] != ALTree::kInvalidNode)
-      << "sensitive row missing from the overlay index";
-  return ctx.row_leaf[id];
-}
+// ctx.indexes searched tree by tree in shard order, up to the first
+// pruner. A row has a leaf only in the tree that holds it, so a search
+// skips exactly the candidate's instance. One IndexLevels per tree.
+struct ShardedSearch {
+  explicit ShardedSearch(const OverlayExecContext& ctx) : ctx(ctx) {
+    for (const ShardTree& t : ctx.indexes) {
+      levels.emplace_back(*t.tree, ctx.selected);
+    }
+  }
+
+  // The leaf of the first pruner of `pctx`'s candidate, row `id`, or
+  // kInvalidNode; `tree` is then the tree it sits in.
+  ALTree::NodeId Find(const PruneContext& pctx, RowId id, QueryStats* stats) {
+    for (tree = 0; tree < levels.size(); ++tree) {
+      const std::span<const ALTree::NodeId> row_leaf =
+          ctx.indexes[tree].row_leaf;
+      const ALTree::NodeId leaf = levels[tree].FindPruner(
+          pctx, id, id < row_leaf.size() ? row_leaf[id] : ALTree::kInvalidNode,
+          stats, stack);
+      if (leaf != ALTree::kInvalidNode) return leaf;
+    }
+    return ALTree::kInvalidNode;
+  }
+
+  const OverlayExecContext& ctx;
+  std::deque<internal_tree::IndexLevels> levels;
+  std::vector<internal_tree::FastEntry> stack;
+  size_t tree = 0;
+};
 
 // Hint pass over one chunk of stashed rows under the base space `table`:
-// one search of ctx.index per row.
+// one search per row.
 void FindBaseHints(const OverlayExecContext& ctx, const Object& query,
                    const QueryDistanceTable& table,
                    const OverlayClassification& cls,
@@ -74,17 +94,17 @@ void FindBaseHints(const OverlayExecContext& ctx, const Object& query,
                    QueryStats* stats) {
   const Schema& schema = ctx.data->schema();
   PruneContext pctx(*ctx.space, schema, query, ctx.selected, &table);
-  internal_tree::IndexLevels levels(*ctx.index, ctx.selected);
-  std::vector<internal_tree::FastEntry> stack;
+  ShardedSearch search(ctx);
   std::vector<ValueId> scratch(schema.num_attributes());
   for (uint32_t idx : rows) {
     pctx.SetCandidate(cls.sensitive.row_values(idx),
                       cls.sensitive.row_numerics(idx));
     ++stats->pair_tests;
-    const ALTree::NodeId leaf = levels.FindPruner(
-        pctx, cls.sensitive.id(idx), SelfLeaf(ctx, cls, idx), stats, stack);
+    const ALTree::NodeId leaf =
+        search.Find(pctx, cls.sensitive.id(idx), stats);
     if (leaf != ALTree::kInvalidNode) {
-      hints->RecordLeaf(idx, *ctx.index, leaf, levels.exact(), &scratch);
+      hints->RecordLeaf(idx, *ctx.indexes[search.tree].tree, leaf,
+                        search.levels[search.tree].exact(), &scratch);
     }
   }
 }
@@ -92,7 +112,7 @@ void FindBaseHints(const OverlayExecContext& ctx, const Object& query,
 // Re-checks the sensitive candidates of a group of users for one query:
 // each hinted candidate first tests its hint under the user's overlaid
 // distances, and a candidate without a hint, or whose hint fails, is
-// decided by one search of ctx.index under the same context. (*alive)[g]
+// decided by one search under the same context. (*alive)[g]
 // is aligned with cls.user_rows[group[g]]; survivors stay 1.
 void RecheckGroup(const OverlayExecContext& ctx, const Object& query,
                   const std::vector<const MatrixOverlay*>& overlays,
@@ -101,8 +121,7 @@ void RecheckGroup(const OverlayExecContext& ctx, const Object& query,
                   std::vector<std::vector<uint8_t>>* alive,
                   QueryStats* stats) {
   const Schema& schema = ctx.data->schema();
-  internal_tree::IndexLevels levels(*ctx.index, ctx.selected);
-  std::vector<internal_tree::FastEntry> stack;
+  ShardedSearch search(ctx);
   for (size_t g = 0; g < group.size(); ++g) {
     const size_t u = group[g];
     // The user's overlaid table patches each touched column once.
@@ -125,9 +144,8 @@ void RecheckGroup(const OverlayExecContext& ctx, const Object& query,
         }
       }
       ++stats->pair_tests;
-      if (levels.FindPruner(pctx, cls.sensitive.id(idx),
-                            SelfLeaf(ctx, cls, idx), stats,
-                            stack) != ALTree::kInvalidNode) {
+      if (search.Find(pctx, cls.sensitive.id(idx), stats) !=
+          ALTree::kInvalidNode) {
         live[j] = 0;
       }
     }

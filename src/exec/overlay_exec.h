@@ -25,14 +25,20 @@ class MatrixOverlay;
 /// many users).
 inline constexpr size_t kOverlayGroup = 16;
 
+/// A shard's read-only AL-Tree (BuildShardIndex) and IndexRowLeaves of it.
+struct ShardTree {
+  const ALTree* tree = nullptr;
+  std::span<const ALTree::NodeId> row_leaf;
+};
+
 /// Where the overlay stages of QueryEngine::RunOverlayBatch run. They
 /// work on the whole base dataset `data` (sensitivity and membership are
 /// properties of rows, not of any partitioning). Every page read goes
 /// through worker w's clean primary view, `replicas->view(w, 0)`: faults
 /// are a property of the base run, while `resilience` keeps the
-/// sealed-page verification. `index` is the read-only AL-Tree of every row
-/// of `data` (BuildShardIndex) that the pruner hints and re-checks search;
-/// they read no pages. `row_leaf` is IndexRowLeaves(*index), built with it.
+/// sealed-page verification. `indexes` are the active shards' trees in
+/// shard order, which together hold every row of `data` once; the pruner
+/// hints and re-checks search them and read no pages.
 struct OverlayExecContext {
   ThreadPool* pool = nullptr;
   ReplicaSet* replicas = nullptr;
@@ -40,8 +46,7 @@ struct OverlayExecContext {
   const SimilaritySpace* space = nullptr;
   std::vector<AttrId> selected;  // resolved (non-empty)
   ResiliencePolicy resilience;
-  const ALTree* index = nullptr;
-  std::span<const ALTree::NodeId> row_leaf;
+  std::vector<ShardTree> indexes;
 };
 
 /// Each row's own leaf in a read-only index: result[r] is the leaf whose
@@ -111,23 +116,23 @@ struct OverlayRecheckTotals {
 };
 
 /// Stage 3 of RunOverlayBatch: turns the base answers `base` (one per
-/// query) into every (query, user) answer. `ctx.index` and `ctx.row_leaf`
-/// must be set. For each query whose status is ok:
+/// query) into every (query, user) answer. A search below asks the trees
+/// of `ctx.indexes` in shard order, up to the first pruner, and skips the
+/// candidate's own instance. For each query whose status is ok:
 ///
 ///  1. Pruner hints — the stashed rows that two or more users re-check
 ///     and that lie outside the base answer are split into a fixed number
 ///     of chunks per query (four), one pool task each, and every such row
-///     records one base-space pruner (values and numerics): the first one
-///     a search of `ctx.index` meets. The chunks share one base
+///     records one base-space pruner (values and numerics, from the tree
+///     it sits in): the first one a search meets. The chunks share one base
 ///     QueryDistanceTable per query. Rows in the base answer have no
 ///     pruner; a row only one user re-checks would not share its hint.
 ///  2. Re-checks — per group of up to kOverlayGroup users with
 ///     sensitive rows, one task tests each candidate's hint once under the
 ///     user's overlaid PruneContext (over one overlaid QueryDistanceTable
 ///     per (query, user)). A candidate without a hint, or whose
-///     hint fails under the overlay, is then decided by one search of
-///     `ctx.index` under the same context, skipping the candidate's own
-///     instance.
+///     hint fails under the overlay, is then decided by one search under
+///     the same context.
 ///
 /// A hint is a real row of the dataset other than the candidate, so a hint
 /// that prunes under the overlay is a valid witness and every answer stays

@@ -89,57 +89,8 @@ Status ExportCandidates(const StoredDataset& data,
   return status;
 }
 
-// One index-build task's output.
 // The build budget of an index that must hold its whole shard.
 constexpr uint64_t kWholeShard = ~uint64_t{0};
-
-struct IndexBuild {
-  // Null when the build failed or the shard missed the budget.
-  std::unique_ptr<const ALTree> tree;
-  Status status;
-  bool over_budget = false;
-  IoStats io;
-  double modeled_millis = 0;
-};
-
-// Builds the read-only AL-Tree of `data` (BuildShardIndexWithin
-// `budget_bytes`, levels in `attr_order`) as one task on worker w, for the
-// shard and overlay index slots alike; a tree over the budget is dropped
-// and flagged. It reads through the worker's clean primary view with no
-// page cache: the build is no query's work, so it neither faults nor warms
-// or evicts any query's cache. The caller charges the returned IO and
-// modeled time (wall time, IoCostModel time and backoff) to a batch total
-// and to one lane. Page-verification failures go to `quarantine`, which
-// may be null.
-IndexBuild BuildIndexOnWorker(ReplicaSet& rset, int w,
-                              const StoredDataset& data,
-                              const std::vector<AttrId>& attr_order,
-                              uint64_t budget_bytes,
-                              const ResiliencePolicy& policy,
-                              QuarantineLog* quarantine) {
-  DiskView* view = rset.view(w, 0);
-  const StoredDataset local(view, data.file(), data.schema(), data.num_rows(),
-                            data.checksum_pages());
-  view->InvalidateArmPosition();
-  const IoStats before = rset.WorkerStats(w);
-  ExecContext exec;
-  exec.quarantine = quarantine;
-  PagedReader reader = MakeReader(view, policy, exec);
-  Timer timer;
-  IndexBuild out;
-  auto tree = std::make_unique<ALTree>(data.schema(), attr_order);
-  StatusOr<bool> fits =
-      BuildShardIndexWithin(local, &reader, budget_bytes, tree.get());
-  out.status = fits.status();
-  out.over_budget = fits.ok() && !*fits;
-  if (fits.ok() && *fits) out.tree = std::move(tree);
-  out.io = rset.WorkerStats(w) - before;
-  reader.FoldStatsInto(&out.io);
-  out.modeled_millis = timer.ElapsedMillis() +
-                       IoCostModel{}.EstimateMillis(out.io) +
-                       reader.modeled_backoff_millis();
-  return out;
-}
 
 }  // namespace
 
@@ -218,13 +169,78 @@ QueryEngine::QueryEngine(std::unique_ptr<const ShardedDataset> owned,
 
 size_t QueryEngine::shard_index_bytes(int s) const {
   std::lock_guard<std::mutex> lock(shard_index_mu_);
-  const ALTree* index = shard_index_[static_cast<size_t>(s)].get();
+  const ALTree* index = shard_index_[static_cast<size_t>(s)].tree.get();
   return index == nullptr ? 0 : index->MemoryBytes();
 }
 
-size_t QueryEngine::overlay_index_bytes() const {
-  std::lock_guard<std::mutex> lock(overlay_index_mu_);
-  return overlay_index_ == nullptr ? 0 : overlay_index_->MemoryBytes();
+std::vector<int> QueryEngine::ActiveShards() const {
+  const int S = sharded_->num_shards();
+  std::vector<int> active;
+  for (int s = 0; s < S; ++s) {
+    if (S == 1 || sharded_->shard_rows(s) > 0) active.push_back(s);
+  }
+  return active;
+}
+
+void QueryEngine::EnsureShardIndexes(
+    const std::vector<int>& shards, uint64_t budget_bytes, bool row_leaves,
+    QuarantineLog* quarantine,
+    const std::function<void(int s, int w, const IoStats& io, double millis)>&
+        charge,
+    std::vector<ShardTree>* trees, std::vector<Status>* status) {
+  std::lock_guard<std::mutex> lock(shard_index_mu_);
+  WaitGroup wg;
+  for (int s : shards) {
+    ShardIndex& slot = shard_index_[s];
+    const bool build = slot.tree == nullptr && (*status)[s].ok() &&
+                       (budget_bytes == kWholeShard || !shard_over_budget_[s]);
+    const bool leaves = row_leaves && slot.row_leaf.empty();
+    if (!build && (!leaves || slot.tree == nullptr)) continue;
+    wg.Add(1);
+    pool_.Submit([&, s, build] {
+      const int w = pool_.CurrentWorkerIndex();
+      NMRS_CHECK_GE(w, 0);
+      Timer timer;
+      IoStats io;
+      double backoff_millis = 0;
+      if (build) {
+        // Reads through the worker's clean primary view with no page cache:
+        // the build is no query's work, so it neither faults nor warms or
+        // evicts any query's cache.
+        ReplicaSet& rset = *replica_sets_[s];
+        DiskView* view = rset.view(w, 0);
+        const StoredDataset& data = sharded_->shard(s);
+        const StoredDataset local(view, data.file(), data.schema(),
+                                  data.num_rows(), data.checksum_pages());
+        view->InvalidateArmPosition();
+        const IoStats before = rset.WorkerStats(w);
+        ExecContext exec;
+        exec.quarantine = quarantine;
+        PagedReader reader = MakeReader(view, opts_.rs.resilience, exec);
+        auto tree = std::make_unique<ALTree>(data.schema(),
+                                             sharded_->base().attr_order);
+        StatusOr<bool> fits =
+            BuildShardIndexWithin(local, &reader, budget_bytes, tree.get());
+        (*status)[s] = fits.status();
+        if (fits.ok() && *fits) slot.tree = std::move(tree);
+        if (fits.ok() && !*fits) shard_over_budget_[s] = 1;
+        io = rset.WorkerStats(w) - before;
+        reader.FoldStatsInto(&io);
+        backoff_millis = reader.modeled_backoff_millis();
+      }
+      if (row_leaves && slot.tree != nullptr) {
+        slot.row_leaf = IndexRowLeaves(*slot.tree);
+      }
+      charge(s, w, io,
+             timer.ElapsedMillis() + IoCostModel{}.EstimateMillis(io) +
+                 backoff_millis);
+      wg.Done();
+    });
+  }
+  wg.Wait();
+  for (int s : shards) {
+    (*trees)[s] = {shard_index_[s].tree.get(), shard_index_[s].row_leaf};
+  }
 }
 
 StatusOr<BatchResult> QueryEngine::RunBatch(
@@ -238,14 +254,9 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
   const bool numerics = schema.NumNumeric() > 0;
   const size_t row_bytes = sharded_->base().stored.codec().row_bytes();
 
-  // Shards that participate: empty shards have no rows to prune with and no
-  // candidates to offer, so they are excluded from scatter, exchange and
-  // verify. With one shard the (possibly empty) shard always runs — that
-  // path must reproduce a sequential run of each query exactly.
-  std::vector<int> active;
-  for (int s = 0; s < S; ++s) {
-    if (S == 1 || sharded_->shard_rows(s) > 0) active.push_back(s);
-  }
+  // Empty shards have no rows to prune with and no candidates to offer, so
+  // they are excluded from scatter, exchange and verify.
+  const std::vector<int> active = ActiveShards();
 
   BatchResult batch;
   batch.net = opts_.net;
@@ -318,50 +329,16 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
     return exec;
   };
 
-  // ---- Shard indexes: each shard's read-only AL-Tree (BuildShardIndex)
-  // is built once per engine, by its own task (BuildIndexOnWorker), in the
-  // first batch that reads it; it then serves the resident TRS scatter and
-  // the exchange verify alike. Its IO and modeled time land only on the
-  // batch total and on the shard's lane, so per-query counters do not
-  // depend on which batch built it. A failed build leaves the slot empty
-  // for the rest of the batch, and the next batch retries. A build under a
-  // finite `budget` that misses it keeps no tree and marks the shard, so
-  // that no later batch tries it under a budget again; only the verify,
-  // which needs the whole tree, still builds it. ----
+  // ---- Shard indexes: a build lands only on the batch total and the
+  // shard's lane, so per-query counters do not depend on which batch built
+  // it. ----
   WaitGroup wg;
-  std::vector<const ALTree*> index(static_cast<size_t>(S), nullptr);
+  std::vector<ShardTree> index(static_cast<size_t>(S));
   std::vector<Status> build_status(static_cast<size_t>(S), Status::OK());
-  auto ensure_indexes = [&](const std::vector<int>& shards, uint64_t budget) {
-    std::lock_guard<std::mutex> lock(shard_index_mu_);
-    std::vector<int> to_build;
-    for (int s : shards) {
-      if (shard_index_[s] != nullptr || !build_status[s].ok() ||
-          (budget != kWholeShard && shard_over_budget_[s])) {
-        continue;
-      }
-      to_build.push_back(s);
-    }
-    wg.Add(static_cast<int>(to_build.size()));
-    for (int s : to_build) {
-      pool_.Submit([&, s, budget] {
-        const int w = pool_.CurrentWorkerIndex();
-        NMRS_CHECK_GE(w, 0);
-        IndexBuild built = BuildIndexOnWorker(
-            *replica_sets_[s], w, sharded_->shard(s),
-            sharded_->base().attr_order, budget, opts_.rs.resilience,
-            &quarantine);
-        shard_index_[s] = std::move(built.tree);
-        if (built.over_budget) shard_over_budget_[s] = 1;
-        build_status[s] = built.status;
-        total_io.Add(built.io);
-        batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
-            built.modeled_millis;
-        note_task(s, built.modeled_millis);
-        wg.Done();
-      });
-    }
-    wg.Wait();
-    for (int s : shards) index[s] = shard_index_[s].get();
+  auto charge_build = [&](int s, int w, const IoStats& io, double millis) {
+    total_io.Add(io);
+    batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] += millis;
+    note_task(static_cast<size_t>(s), millis);
   };
 
   // ---- Resident TRS: a shard whose tree fits the memory budget is one
@@ -379,10 +356,11 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
       (rs.overlay == nullptr || &rs.overlay->base() == space_)) {
     const uint64_t budget = rs.memory.Bytes(
         sharded_->base().stored.disk()->page_size());
-    ensure_indexes(active, budget);
+    EnsureShardIndexes(active, budget, /*row_leaves=*/false, &quarantine,
+                       charge_build, &index, &build_status);
     for (int s : active) {
-      resident[s] =
-          index[s] != nullptr && index[s]->LogicalMemoryBytes() < budget;
+      resident[s] = index[s].tree != nullptr &&
+                    index[s].tree->LogicalMemoryBytes() < budget;
     }
   }
 
@@ -399,7 +377,7 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
           // Reads no page, so it cannot fault: no attempts, no export
           // scan — the candidates leave straight from the tree.
           local[q][s] = ResidentReverseSkyline(
-              *index[s], *space_, queries[q], opts_.rs, make_exec(s),
+              *index[s].tree, *space_, queries[q], opts_.rs, make_exec(s),
               S > 1 ? &cand[q][s] : nullptr);
           const double modeled = local[q][s].stats.ResponseMillis();
           batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
@@ -545,7 +523,8 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
         }
       }
     }
-    ensure_indexes(needed, kWholeShard);
+    EnsureShardIndexes(needed, kWholeShard, /*row_leaves=*/false,
+                       &quarantine, charge_build, &index, &build_status);
   }
 
   // ---- Verify: each shard tests the foreign candidates against all its
@@ -562,7 +541,7 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
       if (!batch.statuses[q].ok()) continue;
       for (int s : active) {
         if (foreign_count[q][s] == 0) continue;
-        if (index[s] == nullptr) {
+        if (index[s].tree == nullptr) {
           local_status[q][s] = build_status[s];
           continue;
         }
@@ -585,7 +564,7 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
 
           QueryStats& vs = verify_stats[q][s];
           Timer verify_timer;
-          PruneCandidatesWithIndex(*index[s], *space_, queries[q], foreign,
+          PruneCandidatesWithIndex(*index[s].tree, *space_, queries[q], foreign,
                                    opts_.rs, &verdicts[q][s], &vs);
           vs.phase2_checks = vs.checks;
           vs.compute_millis = verify_timer.ElapsedMillis();
@@ -693,9 +672,8 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
   out.statuses.assign(queries.size(), Status::OK());
   out.overlay_worker_modeled_millis.assign(pool_.num_threads(), 0.0);
 
-  // Classification, the index build and scanning re-checks read the whole
-  // BASE file, not the shards, through shard 0's replica set (its views see
-  // the same disk).
+  // Classification scans the whole BASE file, not the shards, through
+  // shard 0's replica set (its views see the same disk).
   const StoredDataset& base_data = sharded_->base().stored;
   OverlayExecContext ctx;
   ctx.pool = &pool_;
@@ -719,47 +697,31 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
   out.statuses = out.base.statuses;
 
   // ---- 3. Pruner hints, then hinted re-checks per (query, user group),
-  // from the overlay index. The engine's first overlay batch builds it
-  // (BuildIndexOnWorker) and each row's leaf in it (IndexRowLeaves); the
-  // build's IO and modeled time land only on that batch's overlay totals.
-  // A failed build fails every query of the batch with its status; the
-  // next batch retries. ----
-  IoStats index_io;
-  {
-    std::lock_guard<std::mutex> lock(overlay_index_mu_);
-    if (overlay_index_ == nullptr) {
-      Status build_status;
-      WaitGroup wg;
-      wg.Add(1);
-      pool_.Submit([&] {
-        const int w = pool_.CurrentWorkerIndex();
-        NMRS_CHECK_GE(w, 0);
-        IndexBuild built = BuildIndexOnWorker(
-            *ctx.replicas, w, base_data, sharded_->base().attr_order,
-            kWholeShard, ctx.resilience, /*quarantine=*/nullptr);
-        if (built.tree != nullptr) {
-          Timer leaves_timer;
-          overlay_row_leaf_ = IndexRowLeaves(*built.tree);
-          built.modeled_millis += leaves_timer.ElapsedMillis();
-        }
-        overlay_index_ = std::move(built.tree);
-        build_status = built.status;
-        index_io = built.io;
-        out.overlay_worker_modeled_millis[static_cast<size_t>(w)] +=
-            built.modeled_millis;
-        wg.Done();
-      });
-      wg.Wait();
+  // from every active shard's whole index. What this batch builds lands
+  // only on its overlay totals; a failed build fails every query. ----
+  const std::vector<int> active = ActiveShards();
+  std::vector<ShardTree> index(sharded_->num_shards());
+  std::vector<Status> build_status(sharded_->num_shards(), Status::OK());
+  ConcurrentIoStats index_io;
+  EnsureShardIndexes(
+      active, kWholeShard, /*row_leaves=*/true, /*quarantine=*/nullptr,
+      [&](int, int w, const IoStats& io, double millis) {
+        index_io.Add(io);
+        out.overlay_worker_modeled_millis[static_cast<size_t>(w)] += millis;
+      },
+      &index, &build_status);
+  for (int s : active) {
+    if (index[s].tree == nullptr) {
       for (Status& st : out.statuses) {
-        if (st.ok()) st = build_status;
+        if (st.ok()) st = build_status[s];
       }
+      break;
     }
-    ctx.index = overlay_index_.get();
-    ctx.row_leaf = overlay_row_leaf_;
+    ctx.indexes.push_back(index[s]);
   }
 
   OverlayRecheckTotals recheck;
-  if (ctx.index != nullptr) {
+  if (ctx.indexes.size() == active.size()) {
     RecheckOverlayBatch(ctx, queries, overlays, cls, out.base.results,
                         &out.results, out.statuses,
                         &out.overlay_worker_modeled_millis, &recheck);
@@ -769,7 +731,7 @@ StatusOr<OverlayBatchResult> QueryEngine::RunOverlayBatch(
   out.recheck_checks = recheck.checks;
   out.recheck_pair_tests = recheck.pair_tests;
   out.overlay_io = cls.io;
-  out.overlay_io += index_io;
+  out.overlay_io += index_io.Snapshot();
   out.total_io = out.base.total_io;
   out.total_io += out.overlay_io;
   out.wall_millis = timer.ElapsedMillis();

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "core/query.h"
 #include "data/object.h"
 #include "exec/engine_options.h"
+#include "exec/overlay_exec.h"
 #include "exec/thread_pool.h"
 #include "shard/message_stats.h"
 #include "shard/shard_plan.h"
@@ -198,9 +200,9 @@ struct OverlayBatchResult {
   uint64_t recheck_checks = 0;
   uint64_t recheck_pair_tests = 0;
 
-  /// IO of the classification pass and the overlay index build (only in
-  /// the engine's batch that builds it), over the base file through clean
-  /// views; not part of base.total_io.
+  /// IO of the classification pass over the base file and of the shard
+  /// index builds this batch made, through clean views; not part of
+  /// base.total_io.
   IoStats overlay_io;
 
   /// Aggregate IO: base batch + overlay_io.
@@ -233,7 +235,9 @@ struct OverlayBatchResult {
 /// through a read-only AL-Tree of the shard (pruned local rows still prune
 /// — the relation is not transitive). A candidate survives iff every
 /// shard's verdict clears it, which makes the merged row set bit-identical
-/// to single-shard execution by construction, for any partitioning.
+/// to single-shard execution by construction, for any partitioning. That
+/// tree is the engine's one index of the shard: resident TRS and the
+/// overlay stages (RunOverlayBatch) read it too.
 ///
 /// Resident TRS: under TRS the same per-shard tree, built once by the
 /// engine's first batch, also answers the local run of every shard it
@@ -294,15 +298,11 @@ class QueryEngine {
   /// Heap bytes of shard s's index, the read-only AL-Tree of its rows:
   /// zero until a batch has read it. A TRS engine keeps every active
   /// shard's index that fits RSOptions::memory (resident TRS) from its
-  /// first batch on. Every algorithm builds the rest to verify foreign
-  /// candidates against shard s, so only with two or more active shards;
-  /// those live outside RSOptions::memory, like the page cache.
+  /// first batch on. Every algorithm builds the rest whole when a batch
+  /// needs them: the exchange verify (two or more active shards) and the
+  /// overlay stages. Those live outside RSOptions::memory, like the page
+  /// cache.
   size_t shard_index_bytes(int s) const;
-
-  /// Heap bytes of the read-only AL-Tree of the whole base file that
-  /// overlay re-checks search: zero until an overlay batch has built it.
-  /// Like the shard indexes it lives outside RSOptions::memory.
-  size_t overlay_index_bytes() const;
 
   /// Runs every query through scatter -> exchange -> verify -> merge,
   /// blocking until the batch completes. Each query's outcome lands in
@@ -321,12 +321,12 @@ class QueryEngine {
   /// pruner for the sensitive rows outside the base answer, and one
   /// re-check per (query, group of kOverlayGroup users) deciding only the
   /// sensitive candidates under that user's overlaid distances, hint
-  /// first. The hint pass and the re-checks search one read-only AL-Tree
-  /// of the base file (paper Alg. 4), which the engine's first overlay
-  /// batch builds and charges to its own overlay_io and overlay lane; a
-  /// failed build fails that batch's queries, and the next batch retries.
-  /// Rows are bit-identical to rebuilding each user's patched space and
-  /// running the batch per user.
+  /// first. The hint pass and the re-checks search the active shards'
+  /// indexes (paper Alg. 4) in shard order; what of them the batch builds
+  /// is charged to its overlay_io and overlay lanes. A failed build fails
+  /// that batch's queries, and the next batch retries. Rows are
+  /// bit-identical to rebuilding each user's patched space and running the
+  /// batch per user.
   ///
   /// Every overlay must be non-null and built over this engine's space;
   /// the engine's rs.overlay template must be null (the per-user overlays
@@ -345,6 +345,22 @@ class QueryEngine {
            (static_cast<uint64_t>(shard) << 32);
   }
 
+  // Every shard with rows, or the only shard (even empty), whose run must
+  // reproduce a sequential one exactly.
+  std::vector<int> ActiveShards() const;
+
+  // The one index build path: one task per shard in `shards` that lacks a
+  // tree (built under `budget_bytes`, ~0 for the whole shard) or, with
+  // `row_leaves`, its IndexRowLeaves; each hands its IO and modeled time to
+  // `charge`. A shard whose (*status)[s] failed is not retried, and one
+  // that missed a budget is only built whole. Then fills (*trees)[s].
+  void EnsureShardIndexes(
+      const std::vector<int>& shards, uint64_t budget_bytes, bool row_leaves,
+      QuarantineLog* quarantine,
+      const std::function<void(int s, int w, const IoStats& io,
+                               double millis)>& charge,
+      std::vector<ShardTree>* trees, std::vector<Status>* status);
+
   std::unique_ptr<const ShardedDataset> owned_;  // one-shard constructor
   const ShardedDataset* sharded_;
   const SimilaritySpace* space_;
@@ -357,24 +373,20 @@ class QueryEngine {
   // through its own cache.
   std::vector<std::unique_ptr<ReplicaSet>> replica_sets_;
   std::vector<std::unique_ptr<BufferPool>> pool_caches_;
-  // Per-shard indexes (docs/SHARDING.md): each serves the resident TRS
-  // scatter and the exchange verify; it is built once, by the first batch
-  // that reads it, and only read after. A failed build leaves the slot
-  // empty and the next batch retries. The mutex guards the slots, not the
-  // trees.
+  // Per-shard indexes (docs/SHARDING.md) for the resident TRS scatter, the
+  // exchange verify and the overlay stages; each is built once, by the
+  // first batch that reads it, and only read after (the first overlay
+  // batch adds its row-leaf array). A failed build leaves the slot empty
+  // and the next batch retries. The mutex guards the slots.
+  struct ShardIndex {
+    std::unique_ptr<const ALTree> tree;
+    std::vector<ALTree::NodeId> row_leaf;
+  };
   mutable std::mutex shard_index_mu_;
-  std::vector<std::unique_ptr<const ALTree>> shard_index_;
+  std::vector<ShardIndex> shard_index_;
   // 1 once a build under RSOptions::memory found shard s's tree over it;
-  // no later batch tries that again (only the verify builds the whole
-  // tree).
+  // no later batch tries that again (only whole builds still run).
   std::vector<uint8_t> shard_over_budget_;
-  // The overlay index (docs/OVERLAYS.md) and each row's leaf in it
-  // (IndexRowLeaves): built by the first overlay batch, only read after; a
-  // failed build leaves the slot empty and the next batch retries. The
-  // mutex guards the slot.
-  mutable std::mutex overlay_index_mu_;
-  std::unique_ptr<const ALTree> overlay_index_;
-  std::vector<ALTree::NodeId> overlay_row_leaf_;
 };
 
 }  // namespace nmrs

@@ -282,7 +282,7 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas,
 
   // Overlay leg (docs/OVERLAYS.md): the incremental multi-tenant executor
   // through the same fault config. The base run goes through the faulted
-  // storage (classification and the overlay index build read through
+  // storage (classification and the shard index builds read through
   // clean views), so the contract mirrors the plain batch: an ok query
   // must hand every user rows bit-identical to that user's patched-space
   // clean answer, a failed query reports a storage fault, and nothing

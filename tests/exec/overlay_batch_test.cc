@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -453,50 +454,74 @@ struct Pruner {
 };
 
 // The hint the engine records for a candidate: the first pruner a search
-// of the overlay index meets — built here as the engine builds it
-// (BuildShardIndex over the prepared file, levels in its attr_order) —
-// with its values and exact numerics, or nothing when the candidate has
-// no pruner. `ctx` holds the candidate, whose row id is `id`.
+// of the shard indexes meets — built here as the engine builds them
+// (BuildShardIndex over each non-empty shard file, levels in the
+// attr_order, asked in shard order, the candidate's own leaf skipped only
+// in the tree that holds it) — with its values and exact numerics, or
+// nothing when the candidate has no pruner. `ctx` holds the candidate,
+// whose row id is `id`.
 class IndexHints {
  public:
-  explicit IndexHints(const PreparedDataset& prep)
-      : index_(prep.stored.schema(), prep.attr_order),
-        levels_(index_, ResolveSelectedAttrs(prep.stored.schema(), {})) {
-    PagedReader reader(prep.stored.disk());
-    NMRS_CHECK(BuildShardIndex(prep.stored, &reader, &index_).ok());
+  explicit IndexHints(const ShardedDataset& sharded) {
+    const Schema& schema = sharded.base().stored.schema();
+    for (int s = 0; s < sharded.num_shards(); ++s) {
+      const StoredDataset& shard = sharded.shard(s);
+      if (sharded.num_shards() > 1 && shard.num_rows() == 0) continue;
+      ALTree& tree = trees_.emplace_back(schema, sharded.base().attr_order);
+      PagedReader reader(shard.disk());
+      NMRS_CHECK(BuildShardIndex(shard, &reader, &tree).ok());
+      levels_.emplace_back(tree, ResolveSelectedAttrs(schema, {}));
+    }
   }
 
   std::optional<Pruner> operator()(RowId id, const PruneContext& ctx) {
-    QueryStats stats;
-    const ALTree::NodeId leaf = internal_tree::FindPrunerFast(
-        index_, levels_.Bind(ctx, id), index_.FindLeaf(ctx.candidate_values()),
-        &stats, stack_, levels_.exact());
-    if (leaf == ALTree::kInvalidNode) return std::nullopt;
-    const size_t m = index_.schema().num_attributes();
-    Pruner y{std::vector<ValueId>(m), {}};
-    internal_tree::LeafValues(index_, leaf, index_.attr_order(), &y.values);
-    if (index_.has_numerics()) {
-      const double* x = index_.LeafNumerics(leaf, levels_.exact()->entry);
-      y.numerics.assign(x, x + m);
+    for (size_t t = 0; t < trees_.size(); ++t) {
+      const ALTree& tree = trees_[t];
+      ALTree::NodeId self = tree.FindLeaf(ctx.candidate_values());
+      if (self != ALTree::kInvalidNode) {
+        const auto rows = tree.LeafRows(self);
+        if (std::find(rows.begin(), rows.end(), id) == rows.end()) {
+          self = ALTree::kInvalidNode;
+        }
+      }
+      QueryStats stats;
+      const ALTree::NodeId leaf = internal_tree::FindPrunerFast(
+          tree, levels_[t].Bind(ctx, id), self, &stats, stack_,
+          levels_[t].exact());
+      if (leaf == ALTree::kInvalidNode) continue;
+      const size_t m = tree.schema().num_attributes();
+      Pruner y{std::vector<ValueId>(m), {}};
+      internal_tree::LeafValues(tree, leaf, tree.attr_order(), &y.values);
+      if (tree.has_numerics()) {
+        const double* x = tree.LeafNumerics(leaf, levels_[t].exact()->entry);
+        y.numerics.assign(x, x + m);
+      }
+      return y;
     }
-    return y;
+    return std::nullopt;
   }
 
  private:
-  ALTree index_;
-  internal_tree::IndexLevels levels_;
+  std::deque<ALTree> trees_;
+  std::deque<internal_tree::IndexLevels> levels_;
   std::vector<internal_tree::FastEntry> stack_;
 };
 
 // Builds a guaranteed hint miss and an unhinted row, then checks that the
 // re-checks still match the per-user rebuild with counters identical at 1,
-// 2 and 8 workers. The hints come from IndexHints under query 0.
+// 2 and 8 workers, over `num_shards` z-order shards of `prep`. The hints
+// come from IndexHints under query 0.
 void ExpectHintMissFallsBack(const PreparedDataset& prep,
                              const SimilaritySpace& space,
                              const std::vector<Object>& queries,
-                             const MatrixOverlay& extra_user) {
+                             const MatrixOverlay& extra_user,
+                             int num_shards = 1) {
   const Schema& schema = prep.stored.schema();
-  IndexHints hint_of(prep);
+  ShardPlanOptions plan;
+  plan.num_shards = num_shards;
+  auto sharded = ShardedDataset::Partition(prep, plan);
+  ASSERT_TRUE(sharded.ok()) << sharded.status();
+  IndexHints hint_of(*sharded);
   const Object& query = queries[0];
   auto base = RunReverseSkyline(prep, space, query, Algorithm::kBRS, {});
   ASSERT_TRUE(base.ok()) << base.status();
@@ -568,10 +593,11 @@ void ExpectHintMissFallsBack(const PreparedDataset& prep,
   for (size_t workers : {1u, 2u, 8u}) {
     EngineOptions opts;
     opts.num_workers = workers;
-    const std::string label = "workers=" + std::to_string(workers);
-    ExpectEngineMatchesRebuild<QueryEngine>(prep, space, Algorithm::kBRS,
+    const std::string label = "shards=" + std::to_string(num_shards) +
+                              " workers=" + std::to_string(workers);
+    ExpectEngineMatchesRebuild<QueryEngine>(*sharded, space, Algorithm::kBRS,
                                             opts, queries, users, label);
-    QueryEngine engine(prep, space, Algorithm::kBRS, opts);
+    QueryEngine engine(*sharded, space, Algorithm::kBRS, opts);
     auto got = engine.RunOverlayBatch(queries, users);
     ASSERT_TRUE(got.ok()) << got.status();
     const std::vector<uint64_t> counters = {
@@ -585,7 +611,7 @@ void ExpectHintMissFallsBack(const PreparedDataset& prep,
 }
 
 TEST(OverlayBatchTest, HintMissesAndUnhintedRowsFallBackDeterministically) {
-  // All-categorical: the hint is the first pruner a search of the overlay
+  // All-categorical: the hint is the first pruner a search of the shard
   // index meets, so Y comes from the same tree the engine builds.
   const OverlayWorkload& wl = SharedWorkload();
   SimulatedDisk disk;
@@ -596,8 +622,10 @@ TEST(OverlayBatchTest, HintMissesAndUnhintedRowsFallBackDeterministically) {
 }
 
 TEST(OverlayBatchTest, MixedSchemaHintMissesFallBackToIndex) {
-  // With a numeric attribute the hint also comes from the index: its leaf
-  // values and the exact numerics of the entry the search stopped at.
+  // With a numeric attribute the hint also comes from the indexes: its
+  // leaf values and the exact numerics of the entry the search stopped at.
+  // At 2 shards the search crosses trees, and the exact leaf step of the
+  // tree that holds the pruner supplies its numerics.
   Rng rng(20261018);
   const Dataset data = GenerateMixed(900, {5, 6, 7}, 1, 8, rng);
   SimilaritySpace space;
@@ -611,78 +639,197 @@ TEST(OverlayBatchTest, MixedSchemaHintMissesFallBackToIndex) {
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, data, Algorithm::kBRS);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  ExpectHintMissFallsBack(*prep, space, queries, extra);
+  for (int shards : {1, 2}) {
+    ExpectHintMissFallsBack(*prep, space, queries, extra, shards);
+  }
 }
 
-TEST(OverlayBatchTest,
-     IndexBuildAndReuseCountersIndependentOfWorkersAndShards) {
-  // The overlay index is built by an engine's first overlay batch and only
-  // read by later ones. Rows and re-check counters must not depend on
-  // which batch built it, on the worker count or on the shard count; only
-  // the building batch's overlay_io carries the build's reads.
+// Per-shard tables for the overlay index tests below: every (query, user)
+// answer and the re-check counters {checks, pair tests, scans}.
+using OverlayRows = std::vector<std::vector<std::vector<RowId>>>;
+
+OverlayRows RowsOf(const OverlayBatchResult& b) {
+  OverlayRows rows(b.results.size());
+  for (size_t q = 0; q < b.results.size(); ++q) {
+    for (const ReverseSkylineResult& r : b.results[q]) {
+      rows[q].push_back(r.rows);
+    }
+  }
+  return rows;
+}
+
+std::vector<uint64_t> RecheckCounters(const OverlayBatchResult& b) {
+  return {b.recheck_checks, b.recheck_pair_tests, b.recheck_scans};
+}
+
+// The shard layouts the index tests run BRS over: one shard (the base file
+// itself), 2 z-order shards and 3 hash shards.
+struct ShardLayout {
+  std::string name;
+  std::optional<ShardedDataset> sharded;  // empty for one shard
+};
+
+std::vector<ShardLayout> IndexTestLayouts(const PreparedDataset& prep) {
+  std::vector<ShardLayout> layouts;
+  layouts.push_back({"1 shard", std::nullopt});
+  ShardPlanOptions zorder;
+  zorder.num_shards = 2;
+  zorder.shard_by = ShardBy::kZOrderRange;
+  ShardPlanOptions hash;
+  hash.num_shards = 3;
+  hash.shard_by = ShardBy::kHash;
+  for (const ShardPlanOptions& plan : {zorder, hash}) {
+    auto sharded = ShardedDataset::Partition(prep, plan);
+    NMRS_CHECK(sharded.ok()) << sharded.status();
+    layouts.push_back({std::to_string(plan.num_shards) +
+                           (plan.shard_by == ShardBy::kHash ? " hash"
+                                                            : " z-order") +
+                           " shards",
+                       std::move(*sharded)});
+  }
+  return layouts;
+}
+
+std::unique_ptr<QueryEngine> MakeEngine(const PreparedDataset& prep,
+                                        const ShardLayout& layout,
+                                        const SimilaritySpace& space,
+                                        Algorithm algo, EngineOptions opts) {
+  if (!layout.sharded.has_value()) {
+    return std::make_unique<QueryEngine>(prep, space, algo, std::move(opts));
+  }
+  return std::make_unique<QueryEngine>(*layout.sharded, space, algo,
+                                       std::move(opts));
+}
+
+TEST(OverlayBatchTest, IndexBuildAndReuseCountersIndependentOfWorkers) {
+  // The hints and re-checks search every active shard's index, which an
+  // engine's first overlay batch builds whole and later ones only read.
+  // Per shard layout, re-check counters must not depend on which batch
+  // built the trees or on the worker count. At one shard only the building
+  // batch's overlay_io carries the build's reads; at more, the first base
+  // batch's exchange verify has built every tree already. Counters
+  // do depend on the shard count, as every other counter does
+  // (docs/SHARDING.md); the one-shard values are pinned, since one shard's
+  // tree is the whole base file's.
   const OverlayWorkload& wl = SharedWorkload();
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  ShardPlanOptions plan;
-  plan.num_shards = 2;
-  auto sharded = ShardedDataset::Partition(*prep, plan);
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
   const uint64_t pages = prep->stored.num_pages();
 
   {
     QueryEngine plain(*prep, wl.instance.space, Algorithm::kBRS, {});
     auto batch = plain.RunBatch(wl.queries);
     ASSERT_TRUE(batch.ok()) << batch.status();
-    EXPECT_EQ(plain.overlay_index_bytes(), 0u);
+    EXPECT_EQ(plain.shard_index_bytes(0), 0u);
   }
 
-  std::vector<std::vector<std::vector<RowId>>> want_rows;
-  std::vector<uint64_t> want_counters;
-  for (int shards : {1, 2}) {
+  for (const ShardLayout& layout : IndexTestLayouts(*prep)) {
+    const uint64_t build_pages = layout.sharded.has_value() ? 0 : pages;
+    std::vector<uint64_t> want;
     for (size_t workers : {1u, 2u, 8u}) {
-      const std::string label = "shards=" + std::to_string(shards) +
-                                " workers=" + std::to_string(workers);
+      const std::string label =
+          layout.name + " workers=" + std::to_string(workers);
       EngineOptions opts;
       opts.num_workers = workers;
-      std::unique_ptr<QueryEngine> engine =
-          shards == 1 ? std::make_unique<QueryEngine>(
-                            *prep, wl.instance.space, Algorithm::kBRS, opts)
-                      : std::make_unique<QueryEngine>(
-                            *sharded, wl.instance.space, Algorithm::kBRS, opts);
-      EXPECT_EQ(engine->overlay_index_bytes(), 0u) << label;
+      const std::unique_ptr<QueryEngine> engine = MakeEngine(
+          *prep, layout, wl.instance.space, Algorithm::kBRS, opts);
+      auto index_bytes = [&] {
+        std::vector<size_t> bytes;
+        for (int s = 0; s < engine->num_shards(); ++s) {
+          bytes.push_back(engine->shard_index_bytes(s));
+        }
+        return bytes;
+      };
+      EXPECT_EQ(index_bytes(), std::vector<size_t>(engine->num_shards(), 0))
+          << label;
       auto first = engine->RunOverlayBatch(wl.queries, wl.OverlayPtrs());
       ASSERT_TRUE(first.ok()) << first.status();
       ASSERT_TRUE(first->ok()) << first->first_error();
-      const size_t bytes = engine->overlay_index_bytes();
-      EXPECT_GT(bytes, 0u) << label;
+      const std::vector<size_t> bytes = index_bytes();
+      for (size_t b : bytes) EXPECT_GT(b, 0u) << label;
       auto second = engine->RunOverlayBatch(wl.queries, wl.OverlayPtrs());
       ASSERT_TRUE(second.ok()) << second.status();
       ASSERT_TRUE(second->ok()) << second->first_error();
-      EXPECT_EQ(engine->overlay_index_bytes(), bytes) << label;
+      EXPECT_EQ(index_bytes(), bytes) << label;
 
       // The reuse batch reads only the classification scan, every page
-      // once; the building batch reads the file once more for the build.
+      // once; a building batch also reads the file it builds from once.
       EXPECT_EQ(second->overlay_io.TotalReads(), pages) << label;
       EXPECT_EQ(second->overlay_io.TotalWrites(), 0u) << label;
-      EXPECT_EQ(first->overlay_io.TotalReads(), 2 * pages) << label;
+      EXPECT_EQ(first->overlay_io.TotalReads(), pages + build_pages)
+          << label;
 
       for (const OverlayBatchResult* b : {&*first, &*second}) {
-        std::vector<std::vector<std::vector<RowId>>> rows(wl.queries.size());
-        for (size_t q = 0; q < wl.queries.size(); ++q) {
-          for (size_t u = 0; u < wl.overlays.size(); ++u) {
-            rows[q].push_back(b->results[q][u].rows);
-          }
-        }
-        const std::vector<uint64_t> counters = {
-            b->recheck_checks, b->recheck_pair_tests, b->recheck_scans};
-        if (want_rows.empty()) {
-          want_rows = rows;
-          want_counters = counters;
-        }
-        EXPECT_EQ(rows, want_rows) << label;
-        EXPECT_EQ(counters, want_counters) << label;
+        if (want.empty()) want = RecheckCounters(*b);
+        EXPECT_EQ(RecheckCounters(*b), want) << label;
       }
+    }
+    if (!layout.sharded.has_value()) {
+      EXPECT_EQ(want, (std::vector<uint64_t>{212416, 31782, 8}));
+    }
+  }
+}
+
+TEST(OverlayBatchTest, IndexBuildAndReuseRowsIndependentOfShards) {
+  // Whichever trees the searches ask, and in whichever batch, every
+  // (query, user) answer is the same at every shard and worker count.
+  const OverlayWorkload& wl = SharedWorkload();
+  SimulatedDisk disk;
+  auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
+  ASSERT_TRUE(prep.ok()) << prep.status();
+
+  OverlayRows want;
+  for (const ShardLayout& layout : IndexTestLayouts(*prep)) {
+    for (size_t workers : {1u, 8u}) {
+      const std::string label =
+          layout.name + " workers=" + std::to_string(workers);
+      EngineOptions opts;
+      opts.num_workers = workers;
+      const std::unique_ptr<QueryEngine> engine = MakeEngine(
+          *prep, layout, wl.instance.space, Algorithm::kBRS, opts);
+      for (int batch = 0; batch < 2; ++batch) {
+        auto got = engine->RunOverlayBatch(wl.queries, wl.OverlayPtrs());
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_TRUE(got->ok()) << got->first_error();
+        if (want.empty()) want = RowsOf(*got);
+        EXPECT_EQ(RowsOf(*got), want) << label << " batch " << batch;
+      }
+    }
+  }
+}
+
+TEST(OverlayBatchTest, OneShardTrsOverlaySearchesTheResidentTree) {
+  // A one-shard TRS engine keeps its shard's tree resident from the first
+  // batch on, and at one shard that tree is the whole base file's. The
+  // overlay stages search it rather than build a second one, so the
+  // overlay batch reads the file once, for the classification.
+  const OverlayWorkload& wl = SharedWorkload();
+  SimulatedDisk disk;
+  auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kTRS);
+  ASSERT_TRUE(prep.ok()) << prep.status();
+  const uint64_t pages = prep->stored.num_pages();
+  EngineOptions opts;
+  opts.num_workers = 2;
+  QueryEngine engine(*prep, wl.instance.space, Algorithm::kTRS, opts);
+  auto got = engine.RunOverlayBatch(wl.queries, wl.OverlayPtrs());
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(got->ok()) << got->first_error();
+
+  // The base batch built the resident tree, one read per page, and the
+  // overlay batch added no build.
+  EXPECT_EQ(got->base.total_io.TotalReads(), pages);
+  EXPECT_EQ(got->overlay_io.TotalReads(), pages);
+  ALTree whole(prep->stored.schema(), prep->attr_order);
+  PagedReader reader(prep->stored.disk());
+  ASSERT_TRUE(BuildShardIndex(prep->stored, &reader, &whole).ok());
+  EXPECT_EQ(engine.shard_index_bytes(0), whole.MemoryBytes());
+
+  const auto want = RebuildReference(*prep, Algorithm::kTRS, opts);
+  for (size_t q = 0; q < wl.queries.size(); ++q) {
+    for (size_t u = 0; u < wl.overlays.size(); ++u) {
+      EXPECT_EQ(got->results[q][u].rows, want[q][u])
+          << "q=" << q << " u=" << u;
     }
   }
 }

@@ -666,15 +666,17 @@ void StressReplicaBatch() {
 }
 
 // The overlay executor under contention: 8 workers share the base batch,
-// the classification result, the read-only overlay index and the
+// the classification result, the read-only shard indexes and the
 // per-(query, user-group) re-check tasks, with a shared page cache
 // underneath. Every (query, user) answer must be bit-identical to
-// rebuilding that user's patched space, and invariant across worker counts
-// and overlay group sizes. Each engine runs two batches: the first builds
-// the overlay index, the second only searches it, and both must agree.
-// This is the TSan workout for the overlay data structures (the shared
-// alive bitmaps, the index slot and its concurrent searches, the per-lane
-// modeled-time slots and the fold-in of IO).
+// rebuilding that user's patched space, and invariant across worker
+// counts, shard counts and overlay group sizes. Each engine runs two
+// batches: the first builds the shard indexes, the second only searches
+// them, and both must agree. At 2 z-order shards the searches span both
+// trees and the index builds run concurrently. This is the TSan workout
+// for the overlay data structures (the shared alive bitmaps, the index
+// slots and their concurrent searches, the per-lane modeled-time slots and
+// the fold-in of IO).
 void StressOverlayBatch() {
   Rng rng(20260809);
   Rng data_rng = rng.Fork();
@@ -703,6 +705,11 @@ void StressOverlayBatch() {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, data, Algorithm::kBRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  ShardPlanOptions plan;
+  plan.num_shards = 2;
+  plan.shard_by = ShardBy::kZOrderRange;
+  auto sharded = ShardedDataset::Partition(*prepared, plan);
+  NMRS_CHECK(sharded.ok()) << sharded.status();
 
   // Per-user patched-space rebuild: the correctness oracle.
   std::vector<std::vector<std::vector<RowId>>> want(
@@ -720,19 +727,30 @@ void StressOverlayBatch() {
     }
   }
 
-  for (size_t workers : {1u, 8u, 8u}) {
+  struct Config {
+    int shards;
+    size_t workers;
+  };
+  for (const Config c : {Config{1, 1}, Config{1, 8}, Config{1, 8},
+                         Config{2, 1}, Config{2, 8}}) {
+    const size_t workers = c.workers;
     EngineOptions opts;
     opts.num_workers = workers;
     opts.cache_pages = prepared->stored.num_pages();
-    QueryEngine engine(*prepared, space, Algorithm::kBRS, opts);
+    QueryEngine engine =
+        c.shards == 1 ? QueryEngine(*prepared, space, Algorithm::kBRS, opts)
+                      : QueryEngine(*sharded, space, Algorithm::kBRS, opts);
     auto ob = engine.RunOverlayBatch(queries, ptrs);
     NMRS_CHECK(ob.ok()) << ob.status();
     NMRS_CHECK(ob->ok()) << ob->first_error();
-    NMRS_CHECK_GT(engine.overlay_index_bytes(), 0u);
+    for (int s = 0; s < engine.num_shards(); ++s) {
+      NMRS_CHECK_GT(engine.shard_index_bytes(s), 0u) << "shard " << s;
+    }
     for (size_t q = 0; q < queries.size(); ++q) {
       for (size_t u = 0; u < kUsers; ++u) {
         NMRS_CHECK(ob->results[q][u].rows == want[q][u])
-            << "workers " << workers << " query " << q << " user " << u;
+            << "shards " << c.shards << " workers " << workers << " query "
+            << q << " user " << u;
       }
     }
     NMRS_CHECK_EQ(ob->sensitive_rows + ob->invariant_rows,
@@ -753,7 +771,8 @@ void StressOverlayBatch() {
     NMRS_CHECK_EQ(again->recheck_scans, ob->recheck_scans);
   }
   std::printf("overlay batch: %zu queries x %zu users identical to "
-              "per-user rebuild, building and reusing the index\n",
+              "per-user rebuild at 1 and 2 shards, building and reusing the "
+              "shard indexes\n",
               queries.size(), kUsers);
 }
 
