@@ -26,7 +26,10 @@
 #                against a database opened over a mirror, and
 #                candidate_column_sweep checks every candidate column of
 #                overlaid distance tables against the overlay and the
-#                table-backed prune against the patched space
+#                table-backed prune against the patched space, and
+#                overlay_parse_fuzz checks the overlay text parser
+#                against the iostream parser it replaced on pinned edge
+#                cases and a seeded corpus of mutated texts
 #   4. chaos   — full 500-config fault-injection soak on the plain build
 #                (a 25-config slice already ran inside stage 1's ctest)
 #   5. replica — chaos sweep restricted to multi-replica configs: one
@@ -92,12 +95,13 @@ cmake -B build-tsan -S . -DNMRS_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-tsan -j"${JOBS}" --target exec_stress
 ./build-tsan/tests/exec_stress
 
-echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep: index search and prune + resident_trs + run_collapse_sweep + segment_assembly + snapshot_identity + candidate_column_sweep) ==="
+echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep: index search and prune + resident_trs + run_collapse_sweep + segment_assembly + snapshot_identity + candidate_column_sweep + overlay_parse_fuzz) ==="
 cmake -B build-asan -S . -DNMRS_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
   --target altree_identity --target exact_search_sweep --target resident_trs \
   --target run_collapse_sweep --target segment_assembly \
-  --target snapshot_identity --target candidate_column_sweep
+  --target snapshot_identity --target candidate_column_sweep \
+  --target overlay_parse_fuzz
 ./build-asan/tests/exec_stress
 ./build-asan/tests/chaos_soak --configs=50 --mutations=10
 ./build-asan/tests/altree_identity
@@ -107,6 +111,7 @@ cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
 ./build-asan/tests/segment_assembly
 ./build-asan/tests/snapshot_identity
 ./build-asan/tests/candidate_column_sweep
+./build-asan/tests/overlay_parse_fuzz
 
 echo "=== chaos soak (full 500-config sweep + WAL/compaction faults) ==="
 ./build/tests/chaos_soak --configs=500 --mutations=100

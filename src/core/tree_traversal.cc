@@ -46,15 +46,6 @@ void LeafValues(const ALTree& tree, NodeId leaf,
 
 namespace {
 
-// Whether `node`, a child at level `level`, lies on the root-to-leaf path
-// of `self_leaf` (leaves sit at `leaf_level`).
-bool OnSelfPath(const ALTree& tree, NodeId node, uint32_t level,
-                uint32_t leaf_level, NodeId self_leaf) {
-  NodeId cur = self_leaf;
-  for (uint32_t l = leaf_level; l > level; --l) cur = tree.Parent(cur);
-  return cur == node;
-}
-
 // The exact leaf step (ExactLeaves): the first entry of `leaf`, other than
 // the candidate's own, that prunes the candidate under exact->ctx.
 bool FindPrunerEntry(const ALTree& tree, NodeId leaf, ExactLeaves* exact,
@@ -74,15 +65,53 @@ bool FindPrunerEntry(const ALTree& tree, NodeId leaf, ExactLeaves* exact,
 
 // FindPrunerFast's search; kExact selects the leaf step, so the
 // path-verdict instantiation has no per-leaf branch on it.
+//
+// With a self leaf, the bottom levels.size() entries of `stack` hold the
+// candidate's own root-to-leaf path (entry l is its node at level l) and
+// the DFS runs above them. The path serves twice. First, when the own leaf
+// holds a duplicate of the candidate, the probe tests that leaf before the
+// DFS, one check per selected level. Under "M \ c" a duplicate prunes
+// whenever d(x, x) <= d(q, x) on every selected level and strictly on one,
+// which a zero diagonal meets for most candidates, while the DFS reaches
+// the own branch no sooner than any other. The levels read col[own value],
+// so a nonzero diagonal decides as in the DFS. Second, the DFS skips a
+// single-instance child on the path, whose only instance is the candidate.
 template <bool kExact>
 NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
                     NodeId self_leaf, QueryStats* stats,
                     std::vector<FastEntry>& stack, ExactLeaves* exact) {
   const uint32_t leaf_level = static_cast<uint32_t>(levels.size()) - 1;
-  stack.clear();
-  stack.push_back({ALTree::kRootId, 0, false});
+  const bool has_self = self_leaf != ALTree::kInvalidNode;
   uint64_t checks = 0;
-  while (!stack.empty()) {
+  stack.clear();
+  if (has_self) {
+    stack.resize(levels.size());
+    NodeId cur = self_leaf;
+    for (uint32_t l = leaf_level + 1; l-- > 0; cur = tree.Parent(cur)) {
+      stack[l].n = cur;
+    }
+    if (tree.Descendants(self_leaf) >= 2) {
+      bool admitted = true;
+      bool closer = false;
+      for (uint32_t l = 0; l <= leaf_level && admitted; ++l) {
+        const Phase1Level& level = levels[l];
+        if (level.col == nullptr) continue;
+        const double lhs = level.col[tree.Value(stack[l].n)];
+        ++checks;
+        admitted = lhs <= level.rhs;
+        closer = closer || lhs < level.rhs;
+      }
+      if (admitted &&
+          (kExact ? FindPrunerEntry(tree, self_leaf, exact, &checks)
+                  : closer)) {
+        stats->checks += checks;
+        return self_leaf;
+      }
+    }
+  }
+  const size_t base = stack.size();
+  stack.push_back({ALTree::kRootId, 0, false});
+  while (stack.size() > base) {
     const FastEntry s = stack.back();
     stack.pop_back();
     const Phase1Level& level = levels[s.level];
@@ -91,9 +120,7 @@ NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
       // A subtree whose only instance is the candidate itself is empty.
       const uint64_t descendants = tree.Descendants(p);
       if (descendants <= 1 &&
-          (descendants == 0 ||
-           (self_leaf != ALTree::kInvalidNode &&
-            OnSelfPath(tree, p, s.level, leaf_level, self_leaf)))) {
+          (descendants == 0 || (has_self && stack[s.level].n == p))) {
         continue;
       }
       bool closer = s.found_closer;

@@ -127,6 +127,15 @@ class IndexLevels {
 /// only read, so concurrent searches may share it. Pass kInvalidNode when
 /// the candidate is not in the tree.
 ///
+/// When `self_leaf` holds a duplicate of the candidate, the search first
+/// probes the candidate's own root-to-leaf path, one counted check per
+/// selected level on col[own value] (so a nonzero diagonal d(x, x) counts
+/// as it is), plus `exact`'s entry step on that leaf; a pruner found there
+/// is returned as `self_leaf`. Otherwise the DFS follows unchanged. The
+/// verdict is the DFS's either way; which pruner leaf comes back, and the
+/// checks, may differ from a tree without the candidate (paper Alg. 4 has
+/// no probe).
+///
 /// Without `exact` the verdict comes from the path: a leaf the levels admit
 /// on a path with a strict level. That is Definition 1 on exact levels and
 /// a conservative test on TRS phase 1's bucket bounds. With `exact`

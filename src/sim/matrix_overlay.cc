@@ -1,9 +1,13 @@
 #include "sim/matrix_overlay.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -154,31 +158,98 @@ std::string MatrixOverlay::Serialize() const {
   return out.str();
 }
 
+namespace {
+
+// The whitespace of the classic "C" locale, which `>>` skips.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+// Skips whitespace from `*pos`, then returns the run of non-whitespace
+// characters there (empty at the end of `line`), like `>> std::string`.
+std::string_view NextToken(std::string_view line, size_t* pos) {
+  while (*pos < line.size() && IsSpace(line[*pos])) ++*pos;
+  const size_t start = *pos;
+  while (*pos < line.size() && !IsSpace(line[*pos])) ++*pos;
+  return line.substr(start, *pos - start);
+}
+
+// Reads a double at `*pos` the way `>> double` does in the "C" locale:
+// after whitespace, the longest prefix of the form [+-]? digits and at most
+// one '.', then, once a digit was seen, [eE] [+-]? digits. The prefix must
+// convert entirely, and a value beyond the double range fails while one
+// below it reads as a (signed) zero or subnormal. `*pos` ends past the
+// prefix either way.
+bool ReadDouble(std::string_view line, size_t* pos, double* d) {
+  while (*pos < line.size() && IsSpace(line[*pos])) ++*pos;
+  const auto at = [&](size_t i) { return i < line.size() ? line[i] : '\0'; };
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  size_t i = *pos;
+  if (at(i) == '+' || at(i) == '-') ++i;
+  const size_t mantissa = i;
+  bool digits = false, point = false;
+  for (;; ++i) {
+    if (is_digit(at(i))) {
+      digits = true;
+    } else if (at(i) == '.' && !point) {
+      point = true;
+    } else {
+      break;
+    }
+  }
+  if (digits && (at(i) == 'e' || at(i) == 'E')) {
+    ++i;
+    if (at(i) == '+' || at(i) == '-') ++i;
+    while (is_digit(at(i))) ++i;
+  }
+  if (i == mantissa) return false;  // nothing past the sign
+  std::string_view number = line.substr(*pos, i - *pos);
+  *pos = i;
+  // from_chars takes no leading '+', which leaves the value as it is.
+  if (number[0] == '+') number.remove_prefix(1);
+  const auto [end, ec] =
+      std::from_chars(number.data(), number.data() + number.size(), *d);
+  if (end != number.data() + number.size()) return false;
+  if (ec == std::errc::result_out_of_range) {
+    // Overflow or underflow: strtod tells them apart (rare, so the copy
+    // that NUL-terminates the number costs nothing in the common case).
+    *d = std::strtod(std::string(number).c_str(), nullptr);
+    return !std::isinf(*d);
+  }
+  return ec == std::errc();
+}
+
+}  // namespace
+
 StatusOr<MatrixOverlay> MatrixOverlay::Parse(const SimilaritySpace& base,
                                              const std::string& text) {
   MatrixOverlay overlay(base);
-  std::istringstream in(text);
-  std::string line;
+  const std::string_view all(text);
   size_t lineno = 0;
-  // One field stream and token set, reused across lines: constructing a
-  // stream per line costs about a fifth of the parse.
-  std::istringstream fields;
-  std::string attr_tok, from_tok, to_tok, extra;
-  while (std::getline(in, line)) {
+  for (size_t next = 0; next < all.size();) {
+    // Lines as std::getline splits them: a final line needs no '\n'.
+    const size_t nl = all.find('\n', next);
+    const std::string_view line =
+        all.substr(next, nl == std::string_view::npos ? all.npos : nl - next);
+    next = nl == std::string_view::npos ? all.size() : nl + 1;
     ++lineno;
     const size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '#') continue;
-    const auto bad_line = [&](const std::string& msg) {
+    if (start == std::string_view::npos || line[start] == '#') continue;
+    const auto bad_line = [&](std::string_view msg) {
       return Status::InvalidArgument("overlay line " + std::to_string(lineno) +
-                                     ": " + msg);
+                                     ": " + std::string(msg));
     };
-    fields.clear();
-    fields.str(line);
+    size_t pos = 0;
+    const std::string_view attr_tok = NextToken(line, &pos);
+    const std::string_view from_tok = NextToken(line, &pos);
+    const std::string_view to_tok = NextToken(line, &pos);
     double d = 0.0;
-    if (!(fields >> attr_tok >> from_tok >> to_tok >> d)) {
-      return bad_line("expected \"attr from to d\", got \"" + line + "\"");
+    if (to_tok.empty() || !ReadDouble(line, &pos, &d)) {
+      return bad_line("expected \"attr from to d\", got \"" +
+                      std::string(line) + "\"");
     }
-    if (fields >> extra) {
+    if (!NextToken(line, &pos).empty()) {
       return bad_line("trailing tokens after \"attr from to d\"");
     }
     const StatusOr<uint64_t> attr = ParseDigits("attr", attr_tok);

@@ -21,8 +21,9 @@ using internal_tree::Phase1Level;
 using NodeId = ALTree::NodeId;
 
 // FindPrunerFast's self-exclusion (paper Alg. 4 over a tree that holds the
-// candidate itself): searching with the candidate's own leaf must behave
-// exactly like searching a tree built without the candidate, and must
+// candidate itself): searching with the candidate's own leaf must reach
+// the verdict of a search over a tree built without the candidate, at most
+// the own-path probe's checks (one per selected level) dearer, and must
 // agree with a brute-force Definition 1 test against every other row.
 
 // Matrices whose off-diagonal entries come from a three-value grid, so
@@ -183,10 +184,13 @@ TEST(FindPrunerFastTest, SelfExclusionMatchesBruteForceAndRebuiltTree) {
         ++survived;
       }
 
-      // Same leaf and the same checks as a tree without X. X goes in last
-      // and neither tree is reordered, so every node the two share has
-      // the same id and the same place in its parent's child list, and the
-      // nodes only X's instance fills come after them.
+      // The verdict of a tree without X, for at most the probe's checks
+      // more. X goes in last and neither tree is reordered, so every node
+      // the two share has the same id and the same place in its parent's
+      // child list, and the nodes only X's instance fills come after them:
+      // past a probe that finds no pruner, both trees run the same DFS. A
+      // probe that finds one costs one check per selected level, no more
+      // than any DFS spends to reach a pruner.
       const ALTree with_x = InsertionOrderTree(data, order, x, x);
       const ALTree without_x =
           InsertionOrderTree(data, order, x, kInvalidRowId);
@@ -199,8 +203,11 @@ TEST(FindPrunerFastTest, SelfExclusionMatchesBruteForceAndRebuiltTree) {
       const NodeId want =
           FindPrunerFast(without_x, without_levels.Bind(ctx, x),
                          ALTree::kInvalidNode, &without_stats, stack);
-      EXPECT_EQ(with_got, want) << label;
-      EXPECT_EQ(with_stats.checks, without_stats.checks) << label;
+      EXPECT_EQ(with_got != ALTree::kInvalidNode,
+                want != ALTree::kInvalidNode)
+          << label;
+      EXPECT_LE(with_stats.checks, without_stats.checks + selected.size())
+          << label;
       EXPECT_EQ(with_got != ALTree::kInvalidNode, brute) << label;
     }
   }
@@ -343,6 +350,124 @@ TEST(IndexLevelsTest, FindPrunerRefinesNumericLeavesExactly) {
   EXPECT_EQ(levels.FindPruner(ctx, kInvalidRowId, ALTree::kInvalidNode,
                               &stats, stack),
             ALTree::kInvalidNode);
+}
+
+// The own-path probe reads the diagonal from the matrix, like the DFS: a
+// duplicate of X prunes X only when d(x, x) <= d(q, x) on every selected
+// level and strictly on one. Here d_0(0, 0) = 0.9 > d_0(1, 0) = 0.5, so the
+// copies of X = (0, 0) do not prune each other, and (2, 2), at 0.8 on
+// attribute 0, prunes nothing. At d_0(0, 0) = 0.1 the copies prune each
+// other, found by the probe in one check per level.
+TEST(FindPrunerFastTest, OwnPathProbeReadsNonzeroDiagonal) {
+  for (const double diagonal : {0.9, 0.1}) {
+    SCOPED_TRACE(diagonal);
+    SimilaritySpace space;
+    for (int a = 0; a < 2; ++a) {
+      DissimilarityMatrix m(3);
+      for (ValueId u = 0; u < 3; ++u) {
+        for (ValueId v = 0; v < 3; ++v) {
+          if (u != v) m.Set(u, v, u == 2 ? 0.8 : 0.5);
+        }
+      }
+      if (a == 0) m.Set(0, 0, diagonal);
+      space.AddCategorical(std::move(m));
+    }
+    const Dataset data =
+        Rows({3, 3}, {{0, 0}, {2, 2}, {0, 0}, {2, 2}, {2, 2}});
+    const ALTree tree = BuildTree(data, {0, 1});
+    const Object query(std::vector<ValueId>{1, 1});
+    const std::vector<AttrId> selected =
+        ResolveSelectedAttrs(data.schema(), {});
+    const QueryDistanceTable table(space, data.schema(), query, selected);
+    PruneContext ctx(space, data.schema(), query, selected, &table);
+    IndexLevels levels(tree, selected);
+    std::vector<FastEntry> stack;
+    const NodeId x_leaf = tree.FindLeaf(data.RowValues(0));
+    for (RowId x : {0u, 2u}) {
+      ctx.SetCandidate(data.RowValues(x), nullptr);
+      QueryStats stats;
+      const NodeId got =
+          FindPrunerFast(tree, levels.Bind(ctx, x), x_leaf, &stats, stack);
+      if (diagonal > 0.5) {
+        EXPECT_EQ(got, ALTree::kInvalidNode) << x;
+      } else {
+        EXPECT_EQ(got, x_leaf) << x;
+        EXPECT_EQ(stats.checks, selected.size()) << x;
+      }
+    }
+  }
+}
+
+// A candidate equal to the query on every selected attribute has no strict
+// level against anything (0 < d(q, x) = 0 is impossible), so its duplicate
+// passes every level of the probe and still must not prune it. The
+// unselected attribute 1 differs from the query and passes unchecked.
+TEST(FindPrunerFastTest, OwnPathProbeNeedsAStrictLevel) {
+  Rng rng(77);
+  const std::vector<size_t> cards = {3, 3, 3};
+  const SimilaritySpace space = TieSpace(cards, rng);
+  const Dataset data = Rows(cards, {{1, 0, 2}, {0, 1, 1}, {1, 0, 2}, {2, 2, 0}});
+  const ALTree tree = BuildTree(data, {0, 1, 2});
+  const Object query(std::vector<ValueId>{1, 2, 2});
+  const std::vector<AttrId> selected =
+      ResolveSelectedAttrs(data.schema(), {0, 2});
+  const QueryDistanceTable table(space, data.schema(), query, selected);
+  PruneContext ctx(space, data.schema(), query, selected, &table);
+  IndexLevels levels(tree, selected);
+  std::vector<FastEntry> stack;
+  const NodeId x_leaf = tree.FindLeaf(data.RowValues(0));
+  ASSERT_EQ(tree.Descendants(x_leaf), 2u);
+  for (RowId x : {0u, 2u}) {
+    ctx.SetCandidate(data.RowValues(x), nullptr);
+    QueryStats stats;
+    EXPECT_EQ(FindPrunerFast(tree, levels.Bind(ctx, x), x_leaf, &stats, stack),
+              ALTree::kInvalidNode)
+        << x;
+  }
+}
+
+// A numeric index (one attribute, buckets [0, 5) and [5, 10]) whose leaf
+// for bucket 0 holds X = 1.0, a non-pruner at 4.5 and, in the first case,
+// a pruner at 1.5; d(q, X) = 2 for q = 3. The bucket bound admits the leaf
+// strictly (MinDist 0 < 2), so only the exact entry step decides: the
+// probe must find the pruner past the non-pruner and X itself, and must
+// not prune X on the bound alone.
+TEST(FindPrunerFastTest, OwnPathProbeRefinesNumericLeafEntries) {
+  Schema schema;
+  schema.AddAttribute(AttributeInfo{"x", 2, true, Interval{0.0, 10.0}});
+  SimilaritySpace space;
+  space.AddNumeric(NumericDissimilarity(1.0));
+  for (const bool with_pruner : {true, false}) {
+    SCOPED_TRACE(with_pruner);
+    Dataset data(schema);
+    data.AppendRow({0}, {1.0});  // X, row 0
+    data.AppendRow({0}, {4.5});  // d = 3.5 > 2
+    if (with_pruner) data.AppendRow({0}, {1.5});  // d = 0.5 < 2
+    data.AppendRow({1}, {9.0});  // bucket 1: MinDist 4 > 2
+    ALTree tree(schema, {0});
+    for (RowId r = 0; r < data.num_rows(); ++r) {
+      tree.Insert(r, data.RowValues(r), data.RowNumerics(r));
+    }
+    tree.PrepareForSearch();
+
+    const Object query = data.MakeObject({0}, {3.0});
+    const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
+    const QueryDistanceTable table(space, schema, query, selected);
+    PruneContext ctx(space, schema, query, selected, &table);
+    ctx.SetCandidate(data.RowValues(0), data.RowNumerics(0));
+    IndexLevels levels(tree, selected);
+    std::vector<FastEntry> stack;
+    QueryStats stats;
+    const NodeId x_leaf = tree.FindLeaf(data.RowValues(0));
+    const NodeId got = levels.FindPruner(ctx, 0, x_leaf, &stats, stack);
+    if (with_pruner) {
+      EXPECT_EQ(got, x_leaf);
+      EXPECT_EQ(levels.exact()->entry, 2u);
+      EXPECT_EQ(tree.LeafNumerics(x_leaf, 2)[0], 1.5);
+    } else {
+      EXPECT_EQ(got, ALTree::kInvalidNode);
+    }
+  }
 }
 
 }  // namespace

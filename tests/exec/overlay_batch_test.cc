@@ -766,7 +766,11 @@ TEST(OverlayBatchTest, IndexBuildAndReuseCountersIndependentOfWorkers) {
       }
     }
     if (!layout.sharded.has_value()) {
-      EXPECT_EQ(want, (std::vector<uint64_t>{212416, 31782, 8}));
+      // Re-pinned from {212416, 31782, 8} when the pruner search began
+      // with the candidate's own leaf: a hint found there is a duplicate,
+      // whose diagonal entry no overlay patches, so more hints survive the
+      // re-check. Rows did not move.
+      EXPECT_EQ(want, (std::vector<uint64_t>{94945, 30145, 8}));
     }
   }
 }
