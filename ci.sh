@@ -7,7 +7,9 @@
 #                + full ctest suite
 #   2. tsan    — ThreadSanitizer build of the gtest-free concurrency
 #                stress binary (tests/exec/stress_test.cc), including the
-#                concurrent replica-failover / shared-pool stress
+#                concurrent replica-failover / shared-pool stress, and of
+#                resident_trs, whose 3-thread runs split the tree's leaves
+#                into chunks of whole pruner-memo blocks
 #   3. asan    — Address+UBSan build of the gtest-free binaries; the fault
 #                path exercises checksum verification, retry loops and
 #                quarantine under instrumentation, altree_identity
@@ -90,10 +92,12 @@ cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j"${JOBS}"
 ctest --test-dir build --output-on-failure -j"${JOBS}"
 
-echo "=== ThreadSanitizer build (exec_stress) ==="
+echo "=== ThreadSanitizer build (exec_stress + resident_trs) ==="
 cmake -B build-tsan -S . -DNMRS_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
-cmake --build build-tsan -j"${JOBS}" --target exec_stress
+cmake --build build-tsan -j"${JOBS}" --target exec_stress \
+  --target resident_trs
 ./build-tsan/tests/exec_stress
+./build-tsan/tests/resident_trs
 
 echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep: index search and prune + resident_trs + run_collapse_sweep + segment_assembly + snapshot_identity + candidate_column_sweep + overlay_parse_fuzz) ==="
 cmake -B build-asan -S . -DNMRS_ASAN=ON -DCMAKE_BUILD_TYPE=Debug

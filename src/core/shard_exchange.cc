@@ -112,15 +112,19 @@ ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
   std::vector<uint8_t> pruned(first.back(), 0);
 
   // Checks leaves [begin, end) with chunk-owned scratch and counters. The
-  // searches only read `index`, so chunks share it.
+  // searches only read `index`, so chunks share it. Chunks are runs of
+  // whole memo blocks and the memo restarts at every block, so the counters
+  // do not depend on the chunking.
   auto check_leaves = [&](size_t begin, size_t end, QueryStats* st) {
     PruneContext ctx(space, schema, query, selected, &qtable);
     internal_tree::IndexLevels levels(index, selected);
     std::vector<internal_tree::FastEntry> stack;
     stack.reserve(256);
     std::vector<ValueId> values(schema.num_attributes(), 0);
+    const size_t memo_block = internal_tree::PrunerMemo::BlockSize(num_leaves);
     for (size_t li = begin; li < end; ++li) {
       const ALTree::NodeId leaf = leaves[li];
+      if (li % memo_block == 0) levels.memo().Reset();
       internal_tree::LeafValues(index, leaf, index.attr_order(), &values);
       if (!numerics) {
         ctx.SetCandidate(values.data(), nullptr);
@@ -144,14 +148,16 @@ ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
     check_leaves(0, num_leaves, &stats);
   } else {
     const size_t num_chunks =
-        std::min(num_leaves, static_cast<size_t>(opts.num_threads) * 2);
+        std::min(internal_tree::NumMemoBlocks(num_leaves),
+                 static_cast<size_t>(opts.num_threads) * 2);
     std::vector<QueryStats> chunk_stats(num_chunks);
-    ParallelChunks(exec.executor, opts.num_threads, num_chunks,
-                   [&](size_t c) {
-                     check_leaves(ChunkBegin(num_leaves, num_chunks, c),
-                                  ChunkBegin(num_leaves, num_chunks, c + 1),
-                                  &chunk_stats[c]);
-                   });
+    ParallelChunks(
+        exec.executor, opts.num_threads, num_chunks, [&](size_t c) {
+          check_leaves(
+              internal_tree::BlockChunkBegin(num_leaves, num_chunks, c),
+              internal_tree::BlockChunkBegin(num_leaves, num_chunks, c + 1),
+              &chunk_stats[c]);
+        });
     for (const QueryStats& cs : chunk_stats) stats.MergeFrom(cs);
   }
 

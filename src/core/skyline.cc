@@ -165,6 +165,7 @@ std::vector<RowId> TreeDynamicSkyline(const Dataset& data,
 
   std::vector<internal_tree::FastEntry> stack;
   stack.reserve(256);
+  internal_tree::PrunerMemo memo;
   QueryStats stats;
   tree.ForEachActiveLeaf([&](ALTree::NodeId leaf) {
     // Per-level thresholds: c's own distances to the reference.
@@ -173,8 +174,8 @@ std::vector<RowId> TreeDynamicSkyline(const Dataset& data,
       internal_tree::Phase1Level& level = levels[tree.Level(cur)];
       if (level.col != nullptr) level.rhs = level.col[tree.Value(cur)];
     }
-    if (internal_tree::FindPrunerFast(tree, levels, leaf, &stats, stack) ==
-        ALTree::kInvalidNode) {
+    if (internal_tree::FindPrunerFast(tree, levels, leaf, &stats, stack,
+                                      nullptr, &memo) == ALTree::kInvalidNode) {
       for (RowId r : tree.LeafRows(leaf)) result.push_back(r);
     }
   });

@@ -63,26 +63,73 @@ bool FindPrunerEntry(const ALTree& tree, NodeId leaf, ExactLeaves* exact,
   return false;
 }
 
+// Tests `leaf` as a pruner on its root-to-leaf path, one counted check per
+// selected level walked from the leaf up, then the leaf step: with
+// `exact`, an entry's exact values decide whatever the path's flag says
+// (bucket bounds cannot prove strictness); without it the flag is the
+// verdict.
+template <bool kExact>
+bool ProbeLeaf(const ALTree& tree, const std::vector<Phase1Level>& levels,
+               NodeId leaf, ExactLeaves* exact, uint64_t* checks) {
+  bool closer = false;
+  for (NodeId cur = leaf; cur != ALTree::kRootId; cur = tree.Parent(cur)) {
+    const Phase1Level& level = levels[tree.Level(cur)];
+    if (level.col == nullptr) continue;
+    const double lhs = level.col[tree.Value(cur)];
+    ++*checks;
+    if (lhs > level.rhs) return false;
+    closer = closer || lhs < level.rhs;
+  }
+  return kExact ? FindPrunerEntry(tree, leaf, exact, checks) : closer;
+}
+
 // FindPrunerFast's search; kExact selects the leaf step, so the
 // path-verdict instantiation has no per-leaf branch on it.
 //
+// The memo's leaves are probed first: candidates come in leaf order, so the
+// leaf that pruned the previous candidates usually prunes this one too. A
+// memo leaf equal to `self_leaf` is left to the own-path probe (with one
+// instance, that instance is the candidate itself).
+//
 // With a self leaf, the bottom levels.size() entries of `stack` hold the
 // candidate's own root-to-leaf path (entry l is its node at level l) and
-// the DFS runs above them. The path serves twice. First, when the own leaf
-// holds a duplicate of the candidate, the probe tests that leaf before the
-// DFS, one check per selected level. Under "M \ c" a duplicate prunes
-// whenever d(x, x) <= d(q, x) on every selected level and strictly on one,
-// which a zero diagonal meets for most candidates, while the DFS reaches
-// the own branch no sooner than any other. The levels read col[own value],
-// so a nonzero diagonal decides as in the DFS. Second, the DFS skips a
-// single-instance child on the path, whose only instance is the candidate.
+// the DFS runs above them. When the own leaf holds a duplicate of the
+// candidate, it is probed next. Under "M \ c" a duplicate prunes whenever
+// d(x, x) <= d(q, x) on every selected level and strictly on one, which a
+// zero diagonal meets for most candidates, while the DFS reaches the own
+// branch no sooner than any other. The levels read col[own value], so a
+// nonzero diagonal decides as in the DFS. The DFS then skips a
+// single-instance child on the path, whose only instance is the candidate,
+// and at its leaf level every probed leaf.
 template <bool kExact>
 NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
                     NodeId self_leaf, QueryStats* stats,
-                    std::vector<FastEntry>& stack, ExactLeaves* exact) {
+                    std::vector<FastEntry>& stack, ExactLeaves* exact,
+                    PrunerMemo* memo) {
   const uint32_t leaf_level = static_cast<uint32_t>(levels.size()) - 1;
   const bool has_self = self_leaf != ALTree::kInvalidNode;
   uint64_t checks = 0;
+  auto found = [&](NodeId leaf) {
+    if (memo != nullptr) memo->Note(leaf);
+    stats->checks += checks;
+    return leaf;
+  };
+  // Leaves whose verdict is known to be "no pruner"; a self leaf of one
+  // instance is skipped by the DFS either way.
+  NodeId probed[3] = {ALTree::kInvalidNode, ALTree::kInvalidNode, self_leaf};
+  if (memo != nullptr) {
+    for (size_t i = 0; i < memo->leaves.size(); ++i) {
+      const NodeId leaf = memo->leaves[i];
+      if (leaf == ALTree::kInvalidNode || leaf == self_leaf ||
+          tree.Descendants(leaf) == 0) {
+        continue;
+      }
+      if (ProbeLeaf<kExact>(tree, levels, leaf, exact, &checks)) {
+        return found(leaf);
+      }
+      probed[i] = leaf;
+    }
+  }
   stack.clear();
   if (has_self) {
     stack.resize(levels.size());
@@ -90,23 +137,9 @@ NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
     for (uint32_t l = leaf_level + 1; l-- > 0; cur = tree.Parent(cur)) {
       stack[l].n = cur;
     }
-    if (tree.Descendants(self_leaf) >= 2) {
-      bool admitted = true;
-      bool closer = false;
-      for (uint32_t l = 0; l <= leaf_level && admitted; ++l) {
-        const Phase1Level& level = levels[l];
-        if (level.col == nullptr) continue;
-        const double lhs = level.col[tree.Value(stack[l].n)];
-        ++checks;
-        admitted = lhs <= level.rhs;
-        closer = closer || lhs < level.rhs;
-      }
-      if (admitted &&
-          (kExact ? FindPrunerEntry(tree, self_leaf, exact, &checks)
-                  : closer)) {
-        stats->checks += checks;
-        return self_leaf;
-      }
+    if (tree.Descendants(self_leaf) >= 2 &&
+        ProbeLeaf<kExact>(tree, levels, self_leaf, exact, &checks)) {
+      return found(self_leaf);
     }
   }
   const size_t base = stack.size();
@@ -115,12 +148,16 @@ NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
     const FastEntry s = stack.back();
     stack.pop_back();
     const Phase1Level& level = levels[s.level];
+    const bool at_leaves = s.level == leaf_level;
     for (const ALTree::ChildRef& child : tree.Children(s.n)) {
       const NodeId p = child.id;
       // A subtree whose only instance is the candidate itself is empty.
       const uint64_t descendants = tree.Descendants(p);
       if (descendants <= 1 &&
           (descendants == 0 || (has_self && stack[s.level].n == p))) {
+        continue;
+      }
+      if (at_leaves && (p == probed[0] || p == probed[1] || p == probed[2])) {
         continue;
       }
       bool closer = s.found_closer;
@@ -130,21 +167,16 @@ NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
         if (lhs > level.rhs) continue;
         closer = closer || lhs < level.rhs;
       }
-      if (s.level == leaf_level) {
-        // With `exact`, an entry's exact values decide whatever the path's
-        // flag says (bucket bounds cannot prove strictness); without it the
-        // flag is the verdict.
-        const bool pruned =
-            kExact ? FindPrunerEntry(tree, p, exact, &checks) : closer;
-        if (pruned) {
-          stats->checks += checks;
-          return p;
-        }
-      } else {
+      if (!at_leaves) {
         stack.push_back({p, s.level + 1, closer});
+      } else if (kExact ? FindPrunerEntry(tree, p, exact, &checks) : closer) {
+        return found(p);
       }
     }
   }
+  // The memo's leaves failed this candidate, and in leaf order a survivor's
+  // neighbours tend to survive too.
+  if (memo != nullptr) memo->Reset();
   stats->checks += checks;
   return ALTree::kInvalidNode;
 }
@@ -154,11 +186,13 @@ NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
 NodeId FindPrunerFast(const ALTree& tree,
                       const std::vector<Phase1Level>& levels, NodeId self_leaf,
                       QueryStats* stats, std::vector<FastEntry>& stack,
-                      ExactLeaves* exact) {
+                      ExactLeaves* exact, PrunerMemo* memo) {
   if (exact != nullptr) {
-    return SearchPruner<true>(tree, levels, self_leaf, stats, stack, exact);
+    return SearchPruner<true>(tree, levels, self_leaf, stats, stack, exact,
+                              memo);
   }
-  return SearchPruner<false>(tree, levels, self_leaf, stats, stack, nullptr);
+  return SearchPruner<false>(tree, levels, self_leaf, stats, stack, nullptr,
+                             memo);
 }
 
 IndexLevels::IndexLevels(const ALTree& index,
@@ -186,7 +220,7 @@ NodeId IndexLevels::FindPruner(const PruneContext& ctx, RowId self_id,
                                NodeId self_leaf, QueryStats* stats,
                                std::vector<FastEntry>& stack) {
   return FindPrunerFast(index_, Bind(ctx, self_id), self_leaf, stats, stack,
-                        exact());
+                        exact(), &memo_);
 }
 
 const std::vector<Phase1Level>& IndexLevels::Bind(const PruneContext& ctx,

@@ -5,11 +5,14 @@
 // algorithms (TRS and the bichromatic tree variant). Not part of the
 // public API — include core/trs.h / core/bichromatic.h instead.
 
+#include <algorithm>
+#include <array>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "altree/al_tree.h"
+#include "common/sync.h"
 #include "core/dominance.h"
 #include "core/query.h"
 #include "data/bucketizer.h"
@@ -72,6 +75,50 @@ struct ExactLeaves {
   uint32_t entry = 0;                 // out
 };
 
+/// The pruner leaves that the last searches of a chain over one tree
+/// returned, most recent first; kInvalidNode marks an empty slot. Callers
+/// visit candidates in leaf order, so neighbouring candidates share prefixes
+/// and usually share a pruner: FindPrunerFast tests these leaves before its
+/// DFS, notes the leaf it returns, and empties the memo when it finds no
+/// pruner. A memo never outlives its tree.
+struct PrunerMemo {
+  /// A caller that splits the n leaves of a tree into chunks resets the
+  /// memo every BlockSize(n) leaves and cuts chunks only at those
+  /// boundaries (BlockChunkBegin), so its counters do not depend on the
+  /// chunking. A block holds at least kMinBlock leaves, so the memo warms
+  /// up, and a tree has at most kBlocks blocks, so it seldom restarts; a
+  /// caller can use up to kBlocks chunks.
+  static constexpr size_t kMinBlock = 64;
+  static constexpr size_t kBlocks = 16;
+  static size_t BlockSize(size_t n) {
+    return std::max(kMinBlock, (n + kBlocks - 1) / kBlocks);
+  }
+
+  std::array<ALTree::NodeId, 2> leaves = {ALTree::kInvalidNode,
+                                          ALTree::kInvalidNode};
+
+  void Reset() { leaves.fill(ALTree::kInvalidNode); }
+  /// Moves `leaf` to the front, dropping the last leaf if it was not held.
+  void Note(ALTree::NodeId leaf) {
+    if (leaves[0] == leaf) return;
+    leaves[1] = leaves[0];
+    leaves[0] = leaf;
+  }
+};
+
+/// Splits [0, n) into `chunks` runs of whole PrunerMemo blocks (the last
+/// block may be short); chunk c is [BlockChunkBegin(n, chunks, c),
+/// BlockChunkBegin(n, chunks, c + 1)). Chunks past NumMemoBlocks(n) are
+/// empty.
+inline size_t NumMemoBlocks(size_t n) {
+  const size_t block = PrunerMemo::BlockSize(n);
+  return (n + block - 1) / block;
+}
+inline size_t BlockChunkBegin(size_t n, size_t chunks, size_t c) {
+  return std::min(
+      n, ChunkBegin(NumMemoBlocks(n), chunks, c) * PrunerMemo::BlockSize(n));
+}
+
 /// The Phase1Level array of a search over a read-only index under a
 /// table-backed PruneContext: each selected categorical level reads the
 /// context's (overlay-aware) candidate column against its query distance;
@@ -88,7 +135,7 @@ class IndexLevels {
 
   /// Definition 1 over the index: binds `ctx`'s current candidate and
   /// runs FindPrunerFast with exact() as its leaf step, so lower-bound
-  /// numeric levels never decide a verdict on their own.
+  /// numeric levels never decide a verdict on their own, and with memo().
   ALTree::NodeId FindPruner(const PruneContext& ctx, RowId self_id,
                             ALTree::NodeId self_leaf, QueryStats* stats,
                             std::vector<FastEntry>& stack);
@@ -104,6 +151,9 @@ class IndexLevels {
   /// all-categorical index, whose levels are exact.
   ExactLeaves* exact() { return has_numerics_ ? &exact_ : nullptr; }
 
+  /// The memo of FindPruner's searches over the index.
+  PrunerMemo& memo() { return memo_; }
+
  private:
   static constexpr size_t kUnselected = ~size_t{0};
   const ALTree& index_;
@@ -115,6 +165,7 @@ class IndexLevels {
   std::vector<Phase1Level> levels_;
   bool has_numerics_;
   ExactLeaves exact_;
+  PrunerMemo memo_;
 };
 
 /// Paper Alg. 4, the pruner test of candidate c against the tree's objects,
@@ -127,14 +178,20 @@ class IndexLevels {
 /// only read, so concurrent searches may share it. Pass kInvalidNode when
 /// the candidate is not in the tree.
 ///
-/// When `self_leaf` holds a duplicate of the candidate, the search first
-/// probes the candidate's own root-to-leaf path, one counted check per
-/// selected level on col[own value] (so a nonzero diagonal d(x, x) counts
-/// as it is), plus `exact`'s entry step on that leaf; a pruner found there
-/// is returned as `self_leaf`. Otherwise the DFS follows unchanged. The
-/// verdict is the DFS's either way; which pruner leaf comes back, and the
-/// checks, may differ from a tree without the candidate (paper Alg. 4 has
-/// no probe).
+/// Before the DFS the search probes up to three leaves, each with one
+/// counted check per selected level walked from the leaf to the root, plus
+/// `exact`'s entry step on an admitted leaf:
+///  1. the leaves of `memo`, when given, other than `self_leaf` and leaves
+///     without instances; a memo leaf that prunes moves to the memo's front;
+///  2. `self_leaf`, when it holds a duplicate of the candidate, reading
+///     col[own value] (so a nonzero diagonal d(x, x) counts as it is).
+/// A pruner found there is returned. Otherwise the DFS follows, skipping at
+/// its leaf level the leaves the probes decided, whose verdict on the same
+/// path cannot differ. Whichever step finds the pruner notes its leaf in
+/// `memo`; a search without a pruner empties the memo. The verdict is the
+/// DFS's either way; which pruner leaf comes back, and the checks, may
+/// differ from a tree without the candidate or a search without the memo
+/// (paper Alg. 4 has neither the memo nor the own-path probe).
 ///
 /// Without `exact` the verdict comes from the path: a leaf the levels admit
 /// on a path with a strict level. That is Definition 1 on exact levels and
@@ -145,7 +202,8 @@ ALTree::NodeId FindPrunerFast(const ALTree& tree,
                               const std::vector<Phase1Level>& levels,
                               ALTree::NodeId self_leaf, QueryStats* stats,
                               std::vector<FastEntry>& stack,
-                              ExactLeaves* exact = nullptr);
+                              ExactLeaves* exact = nullptr,
+                              PrunerMemo* memo = nullptr);
 
 /// A selected numeric level's bucket columns for streamed object e, whose
 /// value is `e` (paper §6): bucket B must pass when

@@ -16,8 +16,11 @@
 
 namespace nmrs {
 
+using internal_tree::BlockChunkBegin;
 using internal_tree::FastEntry;
+using internal_tree::NumMemoBlocks;
 using internal_tree::Phase1Level;
+using internal_tree::PrunerMemo;
 using internal_tree::TreeQueryContext;
 using NodeId = ALTree::NodeId;
 
@@ -269,6 +272,8 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
         CandidateLevels levels(ctx);
         std::vector<FastEntry> stack;
         stack.reserve(256);
+        PrunerMemo memo;
+        const size_t memo_block = PrunerMemo::BlockSize(num_leaves);
         std::vector<ValueId> cv(m, 0);
         uint64_t unused_pairs = 0, unused_checks = 0;
         size_t trialed = 0, escaped = 0;
@@ -277,6 +282,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
         const bool exhaust_resolves = probe_prefix == num_leaves;
         for (size_t li = begin; li < end; ++li) {
           const NodeId leaf = leaves[li];
+          if (li % memo_block == 0) memo.Reset();
           if (probe_p1) {
             // The scoring pass already walked every leaf's values — skip
             // the per-candidate walk up the tree.
@@ -313,7 +319,8 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
           }
           if (!resolved) {
             p = internal_tree::FindPrunerFast(tree, levels.Bind(cv), leaf, st,
-                                              stack) != ALTree::kInvalidNode;
+                                              stack, nullptr, &memo) !=
+                ALTree::kInvalidNode;
           }
           prunable[li] = p ? 1 : 0;
         }
@@ -331,21 +338,24 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
       if (opts.num_threads <= 1 || num_leaves < 2) {
         check_leaves(0, num_leaves, &stats, &trialed, &escaped);
       } else {
-        // Per-leaf checks are independent, so without the probe the totals
-        // summed in chunk order equal the sequential counts exactly. The
-        // probe-futility trial runs per chunk, so probe counters (never
-        // verdicts) depend on the chunking.
-        const size_t num_chunks = std::min(
-            num_leaves, static_cast<size_t>(opts.num_threads) * 2);
+        // Chunks are runs of whole memo blocks, and the memo restarts at
+        // every block, so without the probe the totals summed in chunk
+        // order equal the sequential counts exactly. The probe-futility
+        // trial runs per chunk, so probe counters (never verdicts) depend
+        // on the chunking.
+        const size_t num_chunks =
+            std::min(NumMemoBlocks(num_leaves),
+                     static_cast<size_t>(opts.num_threads) * 2);
         std::vector<QueryStats> chunk_stats(num_chunks);
         std::vector<size_t> chunk_trialed(num_chunks, 0);
         std::vector<size_t> chunk_escaped(num_chunks, 0);
         ParallelChunks(exec.executor, opts.num_threads, num_chunks,
                        [&](size_t c) {
-                         check_leaves(ChunkBegin(num_leaves, num_chunks, c),
-                                      ChunkBegin(num_leaves, num_chunks, c + 1),
-                                      &chunk_stats[c], &chunk_trialed[c],
-                                      &chunk_escaped[c]);
+                         check_leaves(
+                             BlockChunkBegin(num_leaves, num_chunks, c),
+                             BlockChunkBegin(num_leaves, num_chunks, c + 1),
+                             &chunk_stats[c], &chunk_trialed[c],
+                             &chunk_escaped[c]);
                        });
         for (size_t c = 0; c < num_chunks; ++c) {
           stats.MergeFrom(chunk_stats[c]);

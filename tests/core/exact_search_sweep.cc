@@ -14,7 +14,9 @@
 // twice: with its own leaf and id (the engine's overlay searches), and with
 // its id alone (the leaf count then includes the candidate, so only the id
 // skip keeps it from pruning itself). Fresh candidates that are no row of
-// the tree take the exchange verify's form (no leaf, no id).
+// the tree take the exchange verify's form (no leaf, no id). Every search
+// of a tree goes through one PrunerMemo, so the leaves that pruned earlier
+// candidates, the candidate's own among them, are tested first.
 //
 // The same inputs drive the prune (paper Alg. 5, StreamLevels::PruneTree):
 // each row, with its own id spared, and each fresh object, with none,
@@ -231,8 +233,9 @@ void CheckTrial(uint64_t seed, Tally* tally) {
               ctx.Prunes(data.RowValues(y), data.RowNumerics(y), &unused);
     }
     QueryStats stats;
-    const NodeId got = FindPrunerFast(tree, levels.Bind(ctx, id), self_leaf,
-                                      &stats, stack, levels.exact());
+    const NodeId got =
+        FindPrunerFast(tree, levels.Bind(ctx, id), self_leaf, &stats, stack,
+                       levels.exact(), &levels.memo());
     bool witness_ok = true;
     if (got != ALTree::kInvalidNode) {
       const uint32_t entry = levels.exact()->entry;

@@ -470,5 +470,195 @@ TEST(FindPrunerFastTest, OwnPathProbeRefinesNumericLeafEntries) {
   }
 }
 
+// The memo (PrunerMemo): a search may test the leaves that pruned earlier
+// candidates first, but the verdict stays the DFS's.
+
+// Row 0 = X = (0, 0) is pruned only by itself (RowPrunedOnlyByItselfSurvives):
+// a memo that holds X's own single-instance leaf, whose only instance is
+// X, must not prune X, and a search without a pruner empties the memo.
+TEST(PrunerMemoTest, OwnSingleInstanceLeafInMemoDoesNotPrune) {
+  const PinnedCase pc;
+  const Dataset data = Rows(pc.cards, {{0, 0}, {1, 1}});
+  const ALTree tree = BuildTree(data, {0, 1});
+  const Object query(std::vector<ValueId>{1, 1});
+  const std::vector<AttrId> selected = ResolveSelectedAttrs(data.schema(), {});
+  const QueryDistanceTable table(pc.space, data.schema(), query, selected);
+  PruneContext ctx(pc.space, data.schema(), query, selected, &table);
+  ctx.SetCandidate(data.RowValues(0), nullptr);
+  IndexLevels levels(tree, selected);
+  std::vector<FastEntry> stack;
+  const NodeId x_leaf = tree.FindLeaf(data.RowValues(0));
+  ASSERT_EQ(tree.Descendants(x_leaf), 1u);
+  for (const size_t slot : {0u, 1u}) {
+    SCOPED_TRACE(slot);
+    internal_tree::PrunerMemo memo;
+    memo.leaves[slot] = x_leaf;
+    QueryStats stats;
+    EXPECT_EQ(FindPrunerFast(tree, levels.Bind(ctx, 0), x_leaf, &stats, stack,
+                             nullptr, &memo),
+              ALTree::kInvalidNode);
+    EXPECT_EQ(memo.leaves[0], ALTree::kInvalidNode);
+    EXPECT_EQ(memo.leaves[1], ALTree::kInvalidNode);
+  }
+}
+
+// A numeric index whose bucket-0 leaf holds X = 1.0 (row 0) and a
+// non-pruner at 4.5, with d(q, X) = 2 for q = 3 (as in
+// OwnPathProbeRefinesNumericLeafEntries without the pruner). The bucket
+// bound admits that leaf strictly, so only the exact entry step can keep X:
+// with the leaf in the memo, X must survive whether the search knows X's
+// leaf or only X's row id (the memo then tests the leaf itself).
+TEST(PrunerMemoTest, NumericOwnLeafInMemoRefinesEntries) {
+  Schema schema;
+  schema.AddAttribute(AttributeInfo{"x", 2, true, Interval{0.0, 10.0}});
+  SimilaritySpace space;
+  space.AddNumeric(NumericDissimilarity(1.0));
+  Dataset data(schema);
+  data.AppendRow({0}, {1.0});  // X, row 0
+  data.AppendRow({0}, {4.5});  // d = 3.5 > 2
+  data.AppendRow({1}, {9.0});  // bucket 1: MinDist 4 > 2
+  ALTree tree(schema, {0});
+  for (RowId r = 0; r < data.num_rows(); ++r) {
+    tree.Insert(r, data.RowValues(r), data.RowNumerics(r));
+  }
+  tree.PrepareForSearch();
+
+  const Object query = data.MakeObject({0}, {3.0});
+  const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
+  const QueryDistanceTable table(space, schema, query, selected);
+  PruneContext ctx(space, schema, query, selected, &table);
+  ctx.SetCandidate(data.RowValues(0), data.RowNumerics(0));
+  IndexLevels levels(tree, selected);
+  std::vector<FastEntry> stack;
+  const NodeId x_leaf = tree.FindLeaf(data.RowValues(0));
+  for (const NodeId self : {x_leaf, ALTree::kInvalidNode}) {
+    SCOPED_TRACE(self == x_leaf ? "own leaf" : "row id only");
+    levels.memo().Reset();
+    levels.memo().Note(x_leaf);
+    QueryStats stats;
+    EXPECT_EQ(levels.FindPruner(ctx, 0, self, &stats, stack),
+              ALTree::kInvalidNode);
+  }
+}
+
+// Three values per attribute with d(2, v) = 0.8 and every other
+// off-diagonal entry 0.5; q = (1, 1) and X = (0, 0), so the threshold is
+// 0.5 on both levels. The memo's (2, 2) fails the first level it tests
+// (0.8 > 0.5); the search must fall through to the DFS, which finds (0, 1)
+// (strict on attribute 0) and notes it, or, without (0, 1), keeps X.
+TEST(PrunerMemoTest, FailingMemoLeafFallsThroughToTheSearch) {
+  SimilaritySpace space;
+  for (int a = 0; a < 2; ++a) {
+    DissimilarityMatrix m(3);
+    for (ValueId u = 0; u < 3; ++u) {
+      for (ValueId v = 0; v < 3; ++v) {
+        if (u != v) m.Set(u, v, u == 2 ? 0.8 : 0.5);
+      }
+    }
+    space.AddCategorical(std::move(m));
+  }
+  for (const bool with_pruner : {true, false}) {
+    SCOPED_TRACE(with_pruner);
+    std::vector<std::vector<ValueId>> rows = {{0, 0}, {2, 2}};
+    if (with_pruner) rows.push_back({0, 1});
+    const Dataset data = Rows({3, 3}, rows);
+    const ALTree tree = BuildTree(data, {0, 1});
+    const Object query(std::vector<ValueId>{1, 1});
+    const std::vector<AttrId> selected =
+        ResolveSelectedAttrs(data.schema(), {});
+    const QueryDistanceTable table(space, data.schema(), query, selected);
+    PruneContext ctx(space, data.schema(), query, selected, &table);
+    ctx.SetCandidate(data.RowValues(0), nullptr);
+    IndexLevels levels(tree, selected);
+    std::vector<FastEntry> stack;
+    const NodeId x_leaf = tree.FindLeaf(data.RowValues(0));
+    const NodeId far_leaf = tree.FindLeaf(data.RowValues(1));
+
+    QueryStats plain_stats;
+    const NodeId want = FindPrunerFast(tree, levels.Bind(ctx, 0), x_leaf,
+                                       &plain_stats, stack);
+    internal_tree::PrunerMemo memo;
+    memo.Note(far_leaf);
+    QueryStats stats;
+    const NodeId got = FindPrunerFast(tree, levels.Bind(ctx, 0), x_leaf,
+                                      &stats, stack, nullptr, &memo);
+    EXPECT_EQ(got, want);
+    // The failed memo leaf costs one check (its leaf level).
+    EXPECT_EQ(stats.checks, plain_stats.checks + 1);
+    if (with_pruner) {
+      EXPECT_EQ(got, tree.FindLeaf(data.RowValues(2)));
+      EXPECT_EQ(memo.leaves[0], got);
+      EXPECT_EQ(memo.leaves[1], far_leaf);
+    } else {
+      EXPECT_EQ(got, ALTree::kInvalidNode);
+      EXPECT_EQ(memo.leaves[0], ALTree::kInvalidNode);
+    }
+  }
+}
+
+// Random trees, every row a candidate in leaf order through one memo, as
+// the callers search: the verdict must match brute force, and the leaf
+// returned must hold a pruner other than the candidate itself.
+TEST(PrunerMemoTest, MemoChainMatchesBruteForce) {
+  Rng rng(20261022);
+  uint64_t pruned = 0, survived = 0, memo_hits = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t m = 2 + rng.Uniform(3);
+    std::vector<size_t> cards(m);
+    for (size_t& c : cards) c = 2 + rng.Uniform(2);
+    const SimilaritySpace space = TieSpace(cards, rng);
+    Dataset data(Schema::Categorical(cards));
+    std::vector<ValueId> v(m);
+    for (size_t r = 0, rows = 5 + rng.Uniform(40); r < rows; ++r) {
+      for (AttrId a = 0; a < m; ++a) {
+        v[a] = static_cast<ValueId>(rng.Uniform(cards[a]));
+      }
+      data.AppendCategoricalRow(v);
+    }
+    const ALTree tree = BuildTree(data, RandomOrder(m, rng));
+    const Schema& schema = data.schema();
+    const std::vector<AttrId> selected =
+        ResolveSelectedAttrs(schema, RandomSelection(m, rng));
+    const Object query = SampleUniformQuery(data, rng);
+    const MatrixOverlay overlay = MakeRandomOverlay(space, rng, 0.3);
+    const QueryDistanceTable table(space, schema, query, selected, &overlay);
+    PruneContext ctx(space, schema, query, selected, &table);
+    IndexLevels levels(tree, selected);
+    std::vector<FastEntry> stack;
+    std::vector<ValueId> pruner(m);
+    tree.ForEachActiveLeaf([&](NodeId leaf) {
+      for (RowId x : tree.LeafRows(leaf)) {
+        const std::string label =
+            "trial " + std::to_string(trial) + " row " + std::to_string(x);
+        ctx.SetCandidate(data.RowValues(x), nullptr);
+        bool brute = false;
+        uint64_t unused = 0;
+        for (RowId y = 0; y < data.num_rows() && !brute; ++y) {
+          brute = y != x && ctx.Prunes(data.RowValues(y), nullptr, &unused);
+        }
+        const internal_tree::PrunerMemo before = levels.memo();
+        QueryStats stats;
+        const NodeId got = levels.FindPruner(ctx, x, leaf, &stats, stack);
+        ASSERT_EQ(got != ALTree::kInvalidNode, brute) << label;
+        if (got == ALTree::kInvalidNode) {
+          ++survived;
+          continue;
+        }
+        ++pruned;
+        memo_hits += got != leaf && (got == before.leaves[0] ||
+                                     got == before.leaves[1]);
+        ASSERT_TRUE(tree.IsLeaf(got)) << label;
+        ASSERT_GE(tree.Descendants(got), got == leaf ? 2u : 1u) << label;
+        internal_tree::LeafValues(tree, got, tree.attr_order(), &pruner);
+        EXPECT_TRUE(ctx.Prunes(pruner.data(), nullptr, &unused)) << label;
+        EXPECT_EQ(levels.memo().leaves[0], got) << label;
+      }
+    });
+  }
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(survived, 0u);
+  EXPECT_GT(memo_hits, 0u);
+}
+
 }  // namespace
 }  // namespace nmrs
