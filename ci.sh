@@ -31,7 +31,9 @@
 #                table-backed prune against the patched space, and
 #                overlay_parse_fuzz checks the overlay text parser
 #                against the iostream parser it replaced on pinned edge
-#                cases and a seeded corpus of mutated texts
+#                cases and a seeded corpus of mutated texts, and csv_fuzz
+#                feeds the CSV dataset and matrix readers seeded garbage
+#                and mutated files
 #   4. chaos   — full 500-config fault-injection soak on the plain build
 #                (a 25-config slice already ran inside stage 1's ctest)
 #   5. replica — chaos sweep restricted to multi-replica configs: one
@@ -99,13 +101,13 @@ cmake --build build-tsan -j"${JOBS}" --target exec_stress \
 ./build-tsan/tests/exec_stress
 ./build-tsan/tests/resident_trs
 
-echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep: index search and prune + resident_trs + run_collapse_sweep + segment_assembly + snapshot_identity + candidate_column_sweep + overlay_parse_fuzz) ==="
+echo "=== Address+UBSan build (exec_stress + chaos_soak slice + altree_identity + exact_search_sweep: index search and prune + resident_trs + run_collapse_sweep + segment_assembly + snapshot_identity + candidate_column_sweep + overlay_parse_fuzz + csv_fuzz) ==="
 cmake -B build-asan -S . -DNMRS_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
   --target altree_identity --target exact_search_sweep --target resident_trs \
   --target run_collapse_sweep --target segment_assembly \
   --target snapshot_identity --target candidate_column_sweep \
-  --target overlay_parse_fuzz
+  --target overlay_parse_fuzz --target csv_fuzz
 ./build-asan/tests/exec_stress
 ./build-asan/tests/chaos_soak --configs=50 --mutations=10
 ./build-asan/tests/altree_identity
@@ -116,6 +118,7 @@ cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
 ./build-asan/tests/snapshot_identity
 ./build-asan/tests/candidate_column_sweep
 ./build-asan/tests/overlay_parse_fuzz
+./build-asan/tests/csv_fuzz
 
 echo "=== chaos soak (full 500-config sweep + WAL/compaction faults) ==="
 ./build/tests/chaos_soak --configs=500 --mutations=100

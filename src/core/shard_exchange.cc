@@ -1,6 +1,7 @@
 #include "core/shard_exchange.h"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 
 #include "common/sync.h"
@@ -84,7 +85,31 @@ void PruneCandidatesWithIndex(const ALTree& index,
   }
 }
 
+LeafTable BuildLeafTable(const ALTree& index) {
+  LeafTable table;
+  table.num_attrs = index.schema().num_attributes();
+  index.ForEachActiveLeaf([&](ALTree::NodeId l) { table.leaves.push_back(l); });
+  table.leaves.shrink_to_fit();
+  const size_t n = table.leaves.size();
+  const bool numerics = index.has_numerics();
+  NMRS_CHECK_LE(index.num_objects(),
+                uint64_t{std::numeric_limits<uint32_t>::max()});
+  table.first.resize(n + 1);
+  table.values.resize(n * table.num_attrs);
+  std::vector<ValueId> values(table.num_attrs, 0);
+  for (size_t li = 0; li < n; ++li) {
+    const ALTree::NodeId leaf = table.leaves[li];
+    table.first[li + 1] =
+        table.first[li] + (numerics ? index.LeafCount(leaf) : 1);
+    internal_tree::LeafValues(index, leaf, index.attr_order(), &values);
+    std::copy(values.begin(), values.end(),
+              table.values.begin() + li * table.num_attrs);
+  }
+  return table;
+}
+
 ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
+                                            const LeafTable& table,
                                             const SimilaritySpace& space,
                                             const Object& query,
                                             const RSOptions& opts,
@@ -99,17 +124,9 @@ ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
       ResolveSelectedAttrs(schema, opts.selected_attrs);
   const QueryDistanceTable qtable(space, schema, query, selected,
                                   opts.overlay);
-
-  std::vector<ALTree::NodeId> leaves;
-  index.ForEachActiveLeaf([&](ALTree::NodeId l) { leaves.push_back(l); });
-  const size_t num_leaves = leaves.size();
-  // One search per leaf of an all-categorical tree, one per leaf entry
-  // otherwise: leaf li's searches are [first[li], first[li + 1]).
-  std::vector<size_t> first(num_leaves + 1, 0);
-  for (size_t li = 0; li < num_leaves; ++li) {
-    first[li + 1] = first[li] + (numerics ? index.LeafCount(leaves[li]) : 1);
-  }
-  std::vector<uint8_t> pruned(first.back(), 0);
+  const size_t num_leaves = table.size();
+  const std::vector<uint32_t>& first = table.first;
+  std::vector<uint8_t> pruned(table.num_searches(), 0);
 
   // Checks leaves [begin, end) with chunk-owned scratch and counters. The
   // searches only read `index`, so chunks share it. Chunks are runs of
@@ -120,14 +137,13 @@ ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
     internal_tree::IndexLevels levels(index, selected);
     std::vector<internal_tree::FastEntry> stack;
     stack.reserve(256);
-    std::vector<ValueId> values(schema.num_attributes(), 0);
     const size_t memo_block = internal_tree::PrunerMemo::BlockSize(num_leaves);
     for (size_t li = begin; li < end; ++li) {
-      const ALTree::NodeId leaf = leaves[li];
+      const ALTree::NodeId leaf = table.leaves[li];
       if (li % memo_block == 0) levels.memo().Reset();
-      internal_tree::LeafValues(index, leaf, index.attr_order(), &values);
+      const ValueId* values = table.leaf_values(li);
       if (!numerics) {
-        ctx.SetCandidate(values.data(), nullptr);
+        ctx.SetCandidate(values, nullptr);
         ++st->pair_tests;
         pruned[first[li]] = levels.FindPruner(ctx, kInvalidRowId, leaf, st,
                                               stack) != ALTree::kInvalidNode;
@@ -135,7 +151,7 @@ ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
       }
       const std::span<const RowId> rows = index.LeafRows(leaf);
       for (size_t i = 0; i < rows.size(); ++i) {
-        ctx.SetCandidate(values.data(), index.LeafNumerics(leaf, i));
+        ctx.SetCandidate(values, index.LeafNumerics(leaf, i));
         ++st->pair_tests;
         pruned[first[li] + i] =
             levels.FindPruner(ctx, rows[i], leaf, st, stack) !=
@@ -161,23 +177,30 @@ ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
     for (const QueryStats& cs : chunk_stats) stats.MergeFrom(cs);
   }
 
-  // The survivors are the answer; their values come from the tree.
-  std::vector<ValueId> values(schema.num_attributes(), 0);
+  // The survivors are the answer, in leaf order. Only an unpruned search
+  // reads its leaf; values come from the table.
   if (candidates != nullptr) candidates->Clear();
   for (size_t li = 0; li < num_leaves; ++li) {
-    const ALTree::NodeId leaf = leaves[li];
-    const std::span<const RowId> rows = index.LeafRows(leaf);
-    bool have_values = false;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (pruned[first[li] + (numerics ? i : 0)]) continue;
-      result.rows.push_back(rows[i]);
-      if (candidates == nullptr) continue;
-      if (!have_values) {
-        internal_tree::LeafValues(index, leaf, index.attr_order(), &values);
-        have_values = true;
+    const ALTree::NodeId leaf = table.leaves[li];
+    if (!numerics) {
+      if (pruned[first[li]]) continue;
+      for (RowId r : index.LeafRows(leaf)) {
+        result.rows.push_back(r);
+        if (candidates != nullptr) {
+          candidates->Append(r, table.leaf_values(li), nullptr);
+        }
       }
-      candidates->Append(rows[i], values.data(),
-                         numerics ? index.LeafNumerics(leaf, i) : nullptr);
+      continue;
+    }
+    for (uint32_t j = first[li]; j < first[li + 1]; ++j) {
+      if (pruned[j]) continue;
+      const size_t i = j - first[li];
+      const RowId r = index.LeafRows(leaf)[i];
+      result.rows.push_back(r);
+      if (candidates != nullptr) {
+        candidates->Append(r, table.leaf_values(li),
+                           index.LeafNumerics(leaf, i));
+      }
     }
   }
   std::sort(result.rows.begin(), result.rows.end());

@@ -75,24 +75,59 @@ void PruneCandidatesWithIndex(const ALTree& index,
                               const RSOptions& opts,
                               std::vector<uint8_t>* pruned, QueryStats* stats);
 
+/// What the searches of a read-only shard index need of its leaves, built
+/// once per tree (BuildLeafTable) and only read after, so queries never
+/// walk the tree to find them: the active leaves in ForEachActiveLeaf
+/// order, each leaf's search offsets, and each leaf's full value vector.
+/// Flat arrays with 32-bit offsets; the tree must outlive the table and
+/// stay unchanged.
+struct LeafTable {
+  /// The active leaves, in ForEachActiveLeaf order.
+  std::vector<ALTree::NodeId> leaves;
+  /// leaves.size() + 1 offsets: leaf li's searches are [first[li],
+  /// first[li + 1]), one per leaf of an all-categorical tree and one per
+  /// leaf entry of a tree with numerics (whose exact step decides per row).
+  std::vector<uint32_t> first = {0};
+  /// num_attrs ValueIds per leaf, by physical attribute (LeafValues).
+  std::vector<ValueId> values;
+  size_t num_attrs = 0;
+
+  size_t size() const { return leaves.size(); }
+  uint32_t num_searches() const { return first.back(); }
+  const ValueId* leaf_values(size_t li) const {
+    return values.data() + li * num_attrs;
+  }
+};
+
+/// The LeafTable of `index`, whose leaves no longer change.
+LeafTable BuildLeafTable(const ALTree& index);
+
 /// Resident TRS: TRS over a shard whose whole AL-Tree `index`
-/// (BuildShardIndex) is one phase-1 batch. Every row of the shard is then
-/// checked against "M \ c" = all its other rows (paper Alg. 3 line 5), so
-/// phase 1's survivors already are the shard's reverse skyline and phase 2
-/// has nothing left to prune. Each active leaf gets one
-/// IndexLevels::FindPruner search with itself as self_leaf; a tree with
-/// numeric attributes gets one search per leaf entry, whose exact leaf
-/// step decides where the standalone TRS phase 1 only bounds by bucket.
-/// Overlays and attribute subsets act as in PruneCandidatesWithIndex.
-/// Leaves are checked in RSOptions::num_threads chunks on exec.executor,
-/// and chunk counters are summed in chunk order, so every counter is
-/// independent of the thread count.
+/// (BuildShardIndex) is one phase-1 batch, with `table` its LeafTable.
+/// Every row of the shard is then checked against "M \ c" = all its other
+/// rows (paper Alg. 3 line 5), so phase 1's survivors already are the
+/// shard's reverse skyline and phase 2 has nothing left to prune. Each
+/// active leaf gets one IndexLevels::FindPruner search with itself as
+/// self_leaf; a tree with numeric attributes gets one search per leaf
+/// entry, whose exact leaf step decides where the standalone TRS phase 1
+/// only bounds by bucket. Overlays and attribute subsets act as in
+/// PruneCandidatesWithIndex. Leaves are checked in RSOptions::num_threads
+/// chunks on exec.executor, and chunk counters are summed in chunk order,
+/// so every counter is independent of the thread count.
+///
+/// Everything that depends only on the tree comes from `table`: the call
+/// neither walks the tree for its leaves nor rebuilds a leaf's values.
+/// Its own work is the query's distance table, one verdict per search,
+/// the searches, and a survivor pass that reads the leaves of unpruned
+/// searches only.
 ///
 /// Returns the rows in ascending order, with one pair test per search and
 /// every check under phase 1: phase1_batches = 1 (0 for an empty index),
 /// phase2_batches = 0 and no IO. `candidates` (may be null) receives the
-/// surviving rows with their values and numerics, taken from the tree.
+/// surviving rows in leaf order, with their values from `table` and their
+/// numerics from the tree.
 ReverseSkylineResult ResidentReverseSkyline(const ALTree& index,
+                                            const LeafTable& table,
                                             const SimilaritySpace& space,
                                             const Object& query,
                                             const RSOptions& opts,

@@ -130,9 +130,10 @@ NodeId SearchPruner(const ALTree& tree, const std::vector<Phase1Level>& levels,
       probed[i] = leaf;
     }
   }
-  stack.clear();
+  // The stack keeps its length between searches, so after a caller's first
+  // search this truncates and the own path is written in place.
+  stack.resize(has_self ? levels.size() : 0);
   if (has_self) {
-    stack.resize(levels.size());
     NodeId cur = self_leaf;
     for (uint32_t l = leaf_level + 1; l-- > 0; cur = tree.Parent(cur)) {
       stack[l].n = cur;

@@ -183,15 +183,16 @@ std::vector<RowId> MergeOverlayRows(const std::vector<RowId>& base_rows,
 
 }  // namespace
 
-std::vector<ALTree::NodeId> IndexRowLeaves(const ALTree& index) {
+std::vector<ALTree::NodeId> IndexRowLeaves(const ALTree& index,
+                                           const LeafTable& table) {
   std::vector<ALTree::NodeId> row_leaf;
   row_leaf.reserve(index.Descendants(ALTree::kRootId));
-  index.ForEachActiveLeaf([&](ALTree::NodeId leaf) {
+  for (const ALTree::NodeId leaf : table.leaves) {
     for (RowId r : index.LeafRows(leaf)) {
       if (r >= row_leaf.size()) row_leaf.resize(r + 1, ALTree::kInvalidNode);
       row_leaf[r] = leaf;
     }
-  });
+  }
   return row_leaf;
 }
 

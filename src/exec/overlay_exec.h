@@ -9,6 +9,7 @@
 #include "altree/al_tree.h"
 #include "common/status.h"
 #include "core/query.h"
+#include "core/shard_exchange.h"
 #include "data/object.h"
 #include "data/stored_dataset.h"
 #include "exec/thread_pool.h"
@@ -25,9 +26,11 @@ class MatrixOverlay;
 /// many users).
 inline constexpr size_t kOverlayGroup = 16;
 
-/// A shard's read-only AL-Tree (BuildShardIndex) and IndexRowLeaves of it.
+/// A shard's read-only AL-Tree (BuildShardIndex), its LeafTable, and
+/// IndexRowLeaves of it.
 struct ShardTree {
   const ALTree* tree = nullptr;
+  const LeafTable* leaves = nullptr;
   std::span<const ALTree::NodeId> row_leaf;
 };
 
@@ -49,11 +52,12 @@ struct OverlayExecContext {
   std::vector<ShardTree> indexes;
 };
 
-/// Each row's own leaf in a read-only index: result[r] is the leaf whose
-/// LeafRows hold RowId r (kInvalidNode for ids the index does not hold).
-/// Built once per index, so a search can skip its candidate's own instance
-/// without finding the leaf first.
-std::vector<ALTree::NodeId> IndexRowLeaves(const ALTree& index);
+/// Each row's own leaf in a read-only index whose LeafTable is `table`:
+/// result[r] is the leaf whose LeafRows hold RowId r (kInvalidNode for ids
+/// the index does not hold). Built once per index, so a search can skip its
+/// candidate's own instance without finding the leaf first.
+std::vector<ALTree::NodeId> IndexRowLeaves(const ALTree& index,
+                                           const LeafTable& table);
 
 /// RunOverlayBatch's argument checks: valid resilience options, a null
 /// `rs.overlay` template (the per-user overlays come from `overlays`), at

@@ -222,14 +222,17 @@ void QueryEngine::EnsureShardIndexes(
         StatusOr<bool> fits =
             BuildShardIndexWithin(local, &reader, budget_bytes, tree.get());
         (*status)[s] = fits.status();
-        if (fits.ok() && *fits) slot.tree = std::move(tree);
+        if (fits.ok() && *fits) {
+          slot.leaves = BuildLeafTable(*tree);
+          slot.tree = std::move(tree);
+        }
         if (fits.ok() && !*fits) shard_over_budget_[s] = 1;
         io = rset.WorkerStats(w) - before;
         reader.FoldStatsInto(&io);
         backoff_millis = reader.modeled_backoff_millis();
       }
       if (row_leaves && slot.tree != nullptr) {
-        slot.row_leaf = IndexRowLeaves(*slot.tree);
+        slot.row_leaf = IndexRowLeaves(*slot.tree, slot.leaves);
       }
       charge(s, w, io,
              timer.ElapsedMillis() + IoCostModel{}.EstimateMillis(io) +
@@ -239,7 +242,8 @@ void QueryEngine::EnsureShardIndexes(
   }
   wg.Wait();
   for (int s : shards) {
-    (*trees)[s] = {shard_index_[s].tree.get(), shard_index_[s].row_leaf};
+    (*trees)[s] = {shard_index_[s].tree.get(), &shard_index_[s].leaves,
+                   shard_index_[s].row_leaf};
   }
 }
 
@@ -377,8 +381,8 @@ StatusOr<BatchResult> QueryEngine::RunBatch(
           // Reads no page, so it cannot fault: no attempts, no export
           // scan — the candidates leave straight from the tree.
           local[q][s] = ResidentReverseSkyline(
-              *index[s].tree, *space_, queries[q], opts_.rs, make_exec(s),
-              S > 1 ? &cand[q][s] : nullptr);
+              *index[s].tree, *index[s].leaves, *space_, queries[q],
+              opts_.rs, make_exec(s), S > 1 ? &cand[q][s] : nullptr);
           const double modeled = local[q][s].stats.ResponseMillis();
           batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
               modeled;

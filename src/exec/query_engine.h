@@ -377,9 +377,11 @@ class QueryEngine {
   // exchange verify and the overlay stages; each is built once, by the
   // first batch that reads it, and only read after (the first overlay
   // batch adds its row-leaf array). A failed build leaves the slot empty
-  // and the next batch retries. The mutex guards the slots.
+  // and the next batch retries. The mutex guards the slots. A slot's
+  // LeafTable is built with its tree and lives as long.
   struct ShardIndex {
     std::unique_ptr<const ALTree> tree;
+    LeafTable leaves;
     std::vector<ALTree::NodeId> row_leaf;
   };
   mutable std::mutex shard_index_mu_;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "altree/al_tree.h"
 #include "core/shard_exchange.h"
+#include "core/tree_traversal.h"
 #include "data/generators.h"
 #include "exec/query_engine.h"
 #include "order/attribute_order.h"
@@ -421,6 +424,104 @@ TEST(ShardExchangeTest, NumericSchemaVerifiesFromIndex) {
       }
     }
   }
+}
+
+// The LeafTable of a shard index (BuildLeafTable) against the tree it was
+// built from: leaf order, search offsets and leaf values. Then resident
+// TRS's exported candidates, which come from the table, against a batch
+// built straight from the tree over the surviving rows: same ids, values,
+// numerics and order, at one and at three threads.
+TEST(ShardExchangeTest, LeafTableMatchesTheTreeAndFeedsResidentExport) {
+  size_t survivors = 0;
+  size_t shared_leaves = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(2000 + seed);
+    // All-categorical, all-numeric and mixed schemas in turn.
+    const int kind = static_cast<int>(seed % 3);
+    std::vector<size_t> cards;
+    if (kind != 1) cards.resize(1 + rng.Uniform(3));
+    for (size_t& c : cards) c = 2 + rng.Uniform(4);
+    SimilaritySpace space = GridSpace(cards, rng);
+    const size_t rows_n = 20 + rng.Uniform(150);
+    const Dataset rows = kind == 0 ? RandomRows(cards, rows_n, rng)
+                                   : MixedRows(cards, 1 + rng.Uniform(2),
+                                               rows_n, rng);
+    for (AttrId a = cards.size(); a < rows.num_attributes(); ++a) {
+      space.AddNumeric(NumericDissimilarity(0.25 * (1 + rng.Uniform(2))));
+    }
+    std::vector<AttrId> order = AscendingCardinalityOrder(rows.schema());
+    if (seed % 2 == 0) order = RandomOrder(rows.schema(), rng);
+    SimulatedDisk disk(512);
+    const StoredDataset stored = *StoredDataset::Create(&disk, rows, "shard");
+    ALTree index(rows.schema(), order);
+    PagedReader reader(&disk);
+    ASSERT_TRUE(BuildShardIndex(stored, &reader, &index).ok());
+    const std::string label = "seed=" + std::to_string(seed) +
+                              " kind=" + std::to_string(kind);
+
+    const LeafTable table = BuildLeafTable(index);
+    const size_t m = rows.num_attributes();
+    std::vector<ALTree::NodeId> walk;
+    index.ForEachActiveLeaf([&](ALTree::NodeId l) { walk.push_back(l); });
+    ASSERT_EQ(table.leaves, walk) << label;
+    ASSERT_EQ(table.first.size(), walk.size() + 1) << label;
+    EXPECT_EQ(table.first[0], 0u) << label;
+    std::vector<ValueId> values(m, 0);
+    for (size_t li = 0; li < walk.size(); ++li) {
+      const uint32_t searches =
+          index.has_numerics() ? index.LeafCount(walk[li]) : 1;
+      EXPECT_EQ(table.first[li + 1] - table.first[li], searches)
+          << label << " leaf " << li;
+      internal_tree::LeafValues(index, walk[li], index.attr_order(), &values);
+      EXPECT_TRUE(std::equal(values.begin(), values.end(),
+                             table.leaf_values(li)))
+          << label << " leaf " << li;
+      shared_leaves += index.LeafCount(walk[li]) > 1 ? 1 : 0;
+    }
+
+    const Object query = RowAsQuery(ForeignCandidates(rows, 1, rng), 0);
+    for (int threads : {1, 3}) {
+      RSOptions opts;
+      opts.num_threads = threads;
+      RowBatch got(m, rows.has_numerics());
+      const ReverseSkylineResult result = ResidentReverseSkyline(
+          index, table, space, query, opts, ExecContext{}, &got);
+      RowBatch want(m, rows.has_numerics());
+      for (const ALTree::NodeId leaf : walk) {
+        internal_tree::LeafValues(index, leaf, index.attr_order(), &values);
+        const std::span<const RowId> ids = index.LeafRows(leaf);
+        for (size_t i = 0; i < ids.size(); ++i) {
+          if (!std::binary_search(result.rows.begin(), result.rows.end(),
+                                  ids[i])) {
+            continue;
+          }
+          want.Append(ids[i], values.data(),
+                      index.has_numerics() ? index.LeafNumerics(leaf, i)
+                                           : nullptr);
+        }
+      }
+      const std::string run = label + " threads=" + std::to_string(threads);
+      ASSERT_EQ(got.size(), want.size()) << run;
+      ASSERT_EQ(got.size(), result.rows.size()) << run;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.id(i), want.id(i)) << run << " row " << i;
+        EXPECT_TRUE(std::equal(want.row_values(i), want.row_values(i) + m,
+                               got.row_values(i)))
+            << run << " row " << i;
+        if (rows.has_numerics()) {
+          EXPECT_TRUE(std::equal(want.row_numerics(i),
+                                 want.row_numerics(i) + m,
+                                 got.row_numerics(i)))
+              << run << " row " << i;
+        }
+      }
+      survivors += want.size();
+    }
+  }
+  // Answers and leaves holding several rows must both occur, or the
+  // equalities say little.
+  EXPECT_GT(survivors, 400u);
+  EXPECT_GT(shared_leaves, 150u);
 }
 
 }  // namespace

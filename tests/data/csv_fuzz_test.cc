@@ -1,74 +1,33 @@
 // Robustness: the CSV readers must never crash on malformed input — every
 // garbage stream yields a Status error or a valid dataset, deterministically.
+// The cases live in csv_fuzz_cases.h, which the gtest-free csv_fuzz driver
+// also runs under ASan/UBSan.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "common/rng.h"
-#include "data/csv.h"
+#include "csv_fuzz_cases.h"
 
 namespace nmrs {
 namespace {
 
-std::string RandomGarbage(Rng& rng, size_t max_len) {
-  // Biased toward CSV-ish bytes so parsing gets past the first token
-  // often enough to reach deeper code paths.
-  static constexpr char kAlphabet[] =
-      "0123456789,:.\n\ncatnum-eE+ \tabcxyz";
-  const size_t len = rng.Uniform(max_len);
-  std::string s;
-  s.reserve(len);
-  for (size_t i = 0; i < len; ++i) {
-    if (rng.Bernoulli(0.05)) {
-      s.push_back(static_cast<char>(rng.Uniform(256)));
-    } else {
-      s.push_back(kAlphabet[rng.Uniform(sizeof(kAlphabet) - 1)]);
-    }
-  }
-  return s;
+// The point is no crash and no corrupt result; parses may or may not
+// succeed.
+void ExpectNoFailures(const csv_fuzz::FuzzOutcome& out, int inputs) {
+  EXPECT_TRUE(out.failures.empty())
+      << out.failures.size() << " inputs broke the check, first "
+      << out.failures.front();
+  SUCCEED() << out.parsed << " of " << inputs << " inputs parsed";
 }
 
 TEST(CsvFuzzTest, DatasetReaderNeverCrashes) {
-  Rng rng(0xF00D);
-  int parsed_ok = 0;
-  for (int i = 0; i < 3000; ++i) {
-    std::stringstream ss(RandomGarbage(rng, 200));
-    auto result = ReadDatasetCsv(ss);
-    parsed_ok += result.ok();
-    if (result.ok()) {
-      EXPECT_TRUE(result->Validate().ok());  // never a corrupt dataset
-    }
-  }
-  // The point is no crash; parses may or may not succeed.
-  SUCCEED() << parsed_ok << " of 3000 garbage inputs parsed";
+  ExpectNoFailures(csv_fuzz::DatasetReaderNeverCrashes(), 3000);
 }
 
 TEST(CsvFuzzTest, MatrixReaderNeverCrashes) {
-  Rng rng(0xBEEF);
-  for (int i = 0; i < 3000; ++i) {
-    std::stringstream ss(RandomGarbage(rng, 150));
-    auto result = ReadMatrixCsv(ss);
-    if (result.ok()) {
-      EXPECT_GT(result->cardinality(), 0u);
-    }
-  }
+  ExpectNoFailures(csv_fuzz::MatrixReaderNeverCrashes(), 3000);
 }
 
 TEST(CsvFuzzTest, StructuredMutationsOfValidInput) {
-  // Take a valid file and corrupt single characters — the reader must
-  // return an error or a still-valid dataset, never crash or corrupt.
-  const std::string valid = "a:cat:4,b:num:3:0:10\n1,5.5\n3,0.25\n2,9.9\n";
-  Rng rng(0xCAFE);
-  for (int i = 0; i < 2000; ++i) {
-    std::string mutated = valid;
-    const size_t pos = rng.Uniform(mutated.size());
-    mutated[pos] = static_cast<char>(rng.Uniform(256));
-    std::stringstream ss(mutated);
-    auto result = ReadDatasetCsv(ss);
-    if (result.ok()) {
-      EXPECT_TRUE(result->Validate().ok());
-    }
-  }
+  ExpectNoFailures(csv_fuzz::StructuredMutationsOfValidInput(), 2000);
 }
 
 }  // namespace

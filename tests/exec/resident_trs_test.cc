@@ -14,7 +14,9 @@
 //  * determinism: every counter is equal at 1/2/8 workers, at num_threads
 //    1 and 3, and between the batch that builds the trees and one that
 //    reuses them; the builds appear in total_io only, one clean scan per
-//    shard;
+//    shard; a batch that reads the shards' leaf tables, from up to 8
+//    workers at once, exports the same candidates as the batch that built
+//    them;
 //  * non-fitting shards: with 1 KiB pages and a 2-page budget the tree
 //    misses the fit rule, and the engine reproduces sequential TRS counters
 //    and IO exactly. Its first batch's try of the tree under the budget
@@ -311,6 +313,7 @@ void CheckDeterminism(const Instance& inst, const std::string& name) {
     }
     const std::string label = name + " shards " + std::to_string(shards);
     std::vector<ReverseSkylineResult> want;
+    std::vector<ShardQueryBreakdown> want_breakdown;
     MessageStats want_messages;
     for (size_t workers : {1u, 2u, 8u}) {
       for (int threads : {1, 3}) {
@@ -328,6 +331,7 @@ void CheckDeterminism(const Instance& inst, const std::string& name) {
         Expect(engine.shard_index_bytes(0) > 0, run + ": no shard index");
         if (want.empty()) {
           want = build.results;
+          want_breakdown = build.breakdown;
           want_messages = build.total_messages;
         }
         Expect(build.total_messages == want_messages &&
@@ -342,6 +346,13 @@ void CheckDeterminism(const Instance& inst, const std::string& name) {
                  q + ": build-batch counters");
           Expect(SameCounters(reuse.results[i].stats, want[i].stats),
                  q + ": reuse-batch counters");
+          // The exported candidates: per-shard counts and their traffic.
+          for (const BatchResult* b : {&build, &reuse}) {
+            Expect(b->breakdown[i].shard_candidates ==
+                           want_breakdown[i].shard_candidates &&
+                       b->breakdown[i].messages == want_breakdown[i].messages,
+                   q + ": candidates");
+          }
           Expect(want[i].stats.io == IoStats{} &&
                      want[i].stats.phase2_batches == 0,
                  q + ": not resident");
